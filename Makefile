@@ -42,11 +42,12 @@ cosimd-smoke:
 race:
 	$(GO) test -race ./...
 
-# The sharded-NoC bit-identity matrix under the race detector: every
-# mode x both router architectures x worker counts 1/4/8 against the
-# exhaustive sequential sweep (checkpoint bytes + final results), plus
-# the internal/noc shard property tests. This is the data-race proof
-# for the sharded stepping path — blocking in CI.
+# The NoC step path's bit-identity matrix under the race detector: every
+# mode x both router architectures x worker counts 0 (the default one
+# shard) / 2 / 4 / 8 against the exhaustive sequential sweep (checkpoint
+# bytes + final results), plus the internal/noc shard property tests.
+# Every gated run steps through the shard partition, so this is the
+# data-race proof for the code all of them execute — blocking in CI.
 race-shard:
 	$(GO) test -race -run 'TestShardedBitIdenticalAllModes' -count=1 .
 	$(GO) test -race -run 'Shard' -count=1 ./internal/noc ./internal/core

@@ -17,7 +17,6 @@ import (
 	"repro"
 	"repro/internal/expt"
 	"repro/internal/noc"
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -82,26 +81,6 @@ func BenchmarkNoCCycles(b *testing.B) {
 	b.ReportMetric(float64(net.FlitsSwitched())/float64(b.N), "flits/cycle")
 }
 
-// BenchmarkNoCCyclesParallel measures the same under the parallel
-// engine (on a multi-core host this shows the offload mechanism; on a
-// single-core host it measures dispatch overhead).
-func BenchmarkNoCCyclesParallel(b *testing.B) {
-	m := topology.NewMesh(8, 8, 1)
-	net, err := noc.New(noc.DefaultConfig(), m, topology.NewXY(m),
-		noc.WithEngine(engine.NewParallel(4)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer net.Close()
-	gen := traffic.Generator{Pattern: traffic.Uniform{}, Rate: 0.1, Seed: 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gen.Tick(net, net.Cycle())
-		net.Step()
-		net.Drain()
-	}
-}
-
 // injEvent is one precomputed injection in a benchmark quantum: the
 // timed loops below pay for simulation, not traffic generation.
 type injEvent struct {
@@ -139,18 +118,14 @@ func benchQuantum(b *testing.B, rate float64, disableGating bool) {
 }
 
 // benchQuantumMesh generalizes benchQuantum across mesh widths and
-// shard worker counts (workers <= 1 is the sequential sweep). The
+// shard worker counts (workers <= 1 is the one-shard sweep). The
 // in-flight cap and the traffic plan scale with the router count so
 // every mesh size runs equally saturated.
 func benchQuantumMesh(b *testing.B, width, workers int, rate float64, disableGating bool) {
 	m := topology.NewMesh(width, width, 1)
 	cfg := noc.DefaultConfig()
 	cfg.DisableGating = disableGating
-	var opts []noc.Option
-	if workers > 1 {
-		opts = append(opts, noc.WithWorkers(workers))
-	}
-	net, err := noc.New(cfg, m, topology.NewXY(m), opts...)
+	net, err := noc.New(cfg, m, topology.NewXY(m), noc.WithWorkers(workers))
 	if err != nil {
 		b.Fatal(err)
 	}

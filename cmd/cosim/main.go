@@ -36,10 +36,9 @@ func main() {
 		limit     = flag.Uint64("limit", 50_000_000, "cycle limit")
 		torus     = flag.Bool("torus", false, "use a torus instead of a mesh")
 		routing   = flag.String("routing", "xy", "mesh routing: xy|yx|oddeven")
-		workers   = flag.Int("workers", 0, "parallel engine workers for GPU mode (0 = GOMAXPROCS)")
 		memModel  = flag.String("mem", "fixed", "memory model: fixed|ddr|abstract|calibrated")
 		compWork  = flag.Int("component-workers", 0, "step co-simulation components (network, memory) concurrently with this many workers (0/1 = sequential)")
-		nocWork   = flag.Int("noc-workers", 0, "shard the detailed NoC sweep across this many workers (0/1 = sequential; bit-identical results)")
+		nocWork   = flag.Int("noc-workers", 0, "shard the detailed NoC sweep across this many workers in every detailed mode (0/1 = one shard on the calling goroutine; bit-identical results)")
 		router    = flag.String("router", "vc", "router architecture for detailed modes: vc|deflect")
 		sysStats  = flag.Bool("sysstats", false, "print system-level execution statistics")
 		saveTrace = flag.String("savetrace", "", "write the injection trace of the first mode to this file (JSON lines)")
@@ -93,7 +92,6 @@ func main() {
 	cfg.Quantum = *quantum
 	cfg.Torus = *torus
 	cfg.Routing = *routing
-	cfg.Workers = *workers
 	cfg.System.MemModel = *memModel
 	cfg.System.PrefetchDegree = *prefetch
 	cfg.RouterArch = *router

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/noc"
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -31,7 +30,7 @@ func main() {
 		rates   = flag.String("rates", "0.02,0.05,0.10,0.15,0.20,0.25,0.30", "injection rates to sweep")
 		cycles  = flag.Int("cycles", 3000, "measured cycles per point")
 		warmup  = flag.Int("warmup", 500, "warmup cycles per point")
-		workers = flag.Int("workers", 1, "execution engine workers (1 = sequential)")
+		workers = flag.Int("workers", 1, "shard the router sweep across this many workers (1 = one shard on the calling goroutine)")
 		vcs     = flag.Int("vcs", 2, "virtual channels per virtual network")
 		depth   = flag.Int("buf", 4, "VC buffer depth in flits")
 		routing = flag.String("routing", "xy", "routing: xy|yx|oddeven")
@@ -73,11 +72,7 @@ func main() {
 		cfg := noc.DefaultConfig()
 		cfg.VCsPerVNet = *vcs
 		cfg.BufDepth = *depth
-		var opts []noc.Option
-		if *workers > 1 {
-			opts = append(opts, noc.WithEngine(engine.NewParallel(*workers)))
-		}
-		net, err := noc.New(cfg, m, rt, opts...)
+		net, err := noc.New(cfg, m, rt, noc.WithWorkers(*workers))
 		if err != nil {
 			fatal(err)
 		}
@@ -138,11 +133,7 @@ func replayTrace(path string, side, vcs, depth int, routing string, workers int,
 	default:
 		fatal(fmt.Errorf("unknown routing %q", routing))
 	}
-	var opts []noc.Option
-	if workers > 1 {
-		opts = append(opts, noc.WithEngine(engine.NewParallel(workers)))
-	}
-	net, err := noc.New(cfg, m, rt, opts...)
+	net, err := noc.New(cfg, m, rt, noc.WithWorkers(workers))
 	if err != nil {
 		fatal(err)
 	}

@@ -104,8 +104,8 @@ type CycleNet interface {
 	NewPacket() *noc.Packet
 	Recycle(p *noc.Packet)
 	ActivityStats() noc.ActivityStats
-	// ShardStats reports the sharded stepping layer's work accounting
-	// (zero-valued when the network steps unsharded).
+	// ShardStats reports the shard partition's work accounting (one
+	// shard by default).
 	ShardStats() noc.ShardStats
 	Close()
 }
@@ -138,7 +138,7 @@ func (d *Detailed) Recycle(p *noc.Packet) { d.Net.Recycle(p) }
 // ActivityStats reports the wrapped network's gating work accounting.
 func (d *Detailed) ActivityStats() noc.ActivityStats { return d.Net.ActivityStats() }
 
-// ShardStats reports the wrapped network's sharded-stepping accounting.
+// ShardStats reports the wrapped network's shard-partition accounting.
 func (d *Detailed) ShardStats() noc.ShardStats { return d.Net.ShardStats() }
 
 // Drain implements Backend.

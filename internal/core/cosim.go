@@ -30,13 +30,12 @@ type Cosim struct {
 	WatchdogQuanta int //simlint:derived host-side abort policy, not simulated state
 
 	// Stepper advances the registered components at each quantum
-	// boundary. nil (or engine.Sequential) steps them in registry
-	// order on the calling goroutine; engine.NewParallel(n) steps them
-	// concurrently. Components advance over disjoint state and their
-	// completions are applied sequentially in registry order after the
-	// barrier, so both engines are bit-identical (asserted by
-	// determinism tests).
-	Stepper engine.Engine //simlint:derived execution engine; bit-identical across engines, so never snapshotted
+	// boundary. nil steps them in registry order on the calling
+	// goroutine; engine.NewParallel(n) steps them concurrently.
+	// Components advance over disjoint state and their completions are
+	// applied sequentially in registry order after the barrier, so both
+	// are bit-identical (asserted by determinism tests).
+	Stepper *engine.Parallel //simlint:derived host worker pool; bit-identical to sequential stepping, so never snapshotted
 
 	// Progress, when set, is called after every quantum with the
 	// current cycle — the hook the observability heartbeat (and the

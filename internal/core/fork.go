@@ -34,8 +34,8 @@ type BackendForker interface {
 }
 
 // ForkBackend implements BackendForker for the cycle-level adapter.
-// Forks always run a sequential router engine: engines are
-// bit-identical, and a fork must not share the parent's worker pool.
+// The forked network is sharded like its parent but starts its own
+// worker pool, and only when it first steps (see noc.Network.Fork).
 func (d *Detailed) ForkBackend(remap noc.PacketRemap) (any, error) {
 	switch net := d.Net.(type) {
 	case *noc.Network:

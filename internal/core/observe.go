@@ -67,8 +67,9 @@ type obsHandles struct {
 	actOcc     *obs.Gauge
 	actPool    *obs.Gauge
 
-	// shards samples the sharded-stepping accounting when the backend
-	// exposes it and the network actually shards; nil otherwise. The
+	// shards samples the shard partition's accounting when the backend
+	// exposes it and the network has more than one shard; nil otherwise
+	// (a one-shard run's registry carries no shard gauges). The
 	// barrier-share gauge derives from wall-clock timers, so it
 	// registers only on wall-enabled observers — the deterministic
 	// registry must stay byte-identical across hosts.
@@ -136,7 +137,7 @@ func (c *Cosim) SetObserver(o *obs.Observer) {
 		h.actOcc = o.Gauge("net.active_occupancy")
 		h.actPool = o.Gauge("net.pool_hit_rate")
 	}
-	if sr, ok := c.Net.(shardReporter); ok && sr.ShardStats().Shards > 0 {
+	if sr, ok := c.Net.(shardReporter); ok && sr.ShardStats().Shards > 1 {
 		h.shards = sr.ShardStats
 		h.shardCount = o.Gauge("net.shards")
 		h.shardActive = o.Gauge("net.shard_active_mean")

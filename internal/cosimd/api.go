@@ -48,10 +48,11 @@ type SubmitRequest struct {
 	// so this knob is excluded from the config digest.
 	Metrics bool `json:"metrics,omitempty"`
 	// NocWorkers shards the detailed NoC sweep across this many workers
-	// (<=1: sequential). Sharded and sequential runs are proven
-	// bit-identical and their checkpoints interchange, so like Metrics
-	// this is a host-speed knob excluded from the config digest:
-	// requests differing only in NocWorkers dedupe to one cached result.
+	// (<=1: one shard), and keeps doing so across warm park/adopt.
+	// Runs are proven bit-identical for every worker count and their
+	// checkpoints interchange, so like Metrics this is a host-speed knob
+	// excluded from the config digest: requests differing only in
+	// NocWorkers dedupe to one cached result.
 	NocWorkers int `json:"noc_workers,omitempty"`
 }
 

@@ -8,9 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/noc"
 	"repro/internal/sim"
 )
 
@@ -371,6 +374,93 @@ func TestShardedSessionMetrics(t *testing.T) {
 	}
 	if !hit.Cached {
 		t.Error("noc_workers changed the config digest")
+	}
+}
+
+// TestShardedSessionSurvivesWarmPark: a session submitted with
+// noc_workers: 2 keeps its two shards across warm park/adopt cycles
+// (the fork used to rebuild the network with no options, silently
+// running one shard ever after), and parked clones hold no worker
+// pool: however many sessions are parked, only resident ones own
+// goroutines, and a drained server owns none.
+func TestShardedSessionSurvivesWarmPark(t *testing.T) {
+	const n, maxResident, nocWorkers = 8, 3, 2
+	srv := newTestServer(t, Options{
+		Workers: 1, MaxResident: maxResident, MaxWarm: n, SliceCycles: 256,
+	})
+	base := runtime.NumGoroutine() // the server's own worker included
+	settleAt := func(limit int) int {
+		got := runtime.NumGoroutine()
+		for i := 0; i < 500 && got > limit; i++ {
+			time.Sleep(time.Millisecond)
+			got = runtime.NumGoroutine()
+		}
+		return got
+	}
+	var ids [n]string
+	for i := range ids {
+		req := tinyReq(uint64(i + 300))
+		req.NocWorkers = nocWorkers
+		st, err := srv.Submit(req)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids[i] = st.ID
+	}
+	shardsOf := func(net any) int {
+		return net.(interface{ ShardStats() noc.ShardStats }).ShardStats().Shards
+	}
+	// A session that is not running is touched by no worker while the
+	// lock is held, so its simulation can be inspected.
+	adopted, maxParked := 0, 0
+	for done := false; !done; time.Sleep(200 * time.Microsecond) {
+		srv.mu.Lock()
+		done = true
+		resident, parked := 0, 0
+		for _, sess := range srv.order {
+			done = done && sess.finished
+			if sess.resident {
+				resident++
+			}
+			if sess.warm != nil {
+				parked++
+				if got := shardsOf(sess.warm.Net); got != nocWorkers {
+					t.Errorf("parked clone of %s has %d shards, want %d", sess.id, got, nocWorkers)
+				}
+			}
+			if sess.state == StateReady && sess.resident && sess.restores > 0 {
+				adopted++
+				if got := shardsOf(sess.cs.Net); got != nocWorkers {
+					t.Errorf("session %s runs %d shards after a warm fault-in, want %d", sess.id, got, nocWorkers)
+				}
+			}
+		}
+		if parked > maxParked {
+			maxParked = parked
+			// While the lock is held the one worker stops at the end of
+			// its slice and closed pools wind down, so the count settles
+			// at one pool per resident session; parked clones add none.
+			limit := base + resident*nocWorkers
+			if got := settleAt(limit); got > limit {
+				t.Errorf("%d goroutines with %d sessions resident and %d parked, want at most %d: parked clones hold worker pools",
+					got, resident, parked, limit)
+			}
+		}
+		srv.mu.Unlock()
+	}
+	srv.Wait()
+	// Between slices one more session than MaxResident is live.
+	if adopted == 0 || maxParked < n-maxResident-1 {
+		t.Fatalf("saw %d adopted and at most %d parked sessions — the test proved nothing", adopted, maxParked)
+	}
+	for i, id := range ids {
+		_, env := envelope(t, srv, id)
+		if want := directFingerprint(t, tinyReq(uint64(i+300))); env.Fingerprint != want {
+			t.Errorf("session %s fingerprint diverged\n got %s\nwant %s", id, env.Fingerprint, want)
+		}
+	}
+	if got := settleAt(base); got > base {
+		t.Errorf("%d goroutines leaked after every session finished", got-base)
 	}
 }
 

@@ -36,14 +36,12 @@ type Scale struct {
 	SpeedSizes []int
 	// SpeedOps is the per-core op budget for speed experiments.
 	SpeedOps int
-	// Workers is the parallel engine width for GPU runs (0 = cores).
-	Workers int
 	// MemModel selects the memory oracle (fixed|ddr|abstract|calibrated;
 	// "" keeps the fixed default). A3 overrides it per column.
 	MemModel string
 	// NocWorkers shards the detailed NoC sweep across this many
-	// workers (0 = sequential). Sharded runs are bit-identical to
-	// sequential ones, so this only moves wall time; the T2/F7
+	// workers (0 = one shard). Sharded runs are bit-identical to
+	// one-shard ones, so this only moves wall time; the T2/F7
 	// sharding columns set it per run through shardWorkers.
 	NocWorkers int
 }
@@ -60,7 +58,6 @@ func Quick() Scale {
 		CycleLimit: 5_000_000,
 		SpeedSizes: []int{16, 64},
 		SpeedOps:   150,
-		Workers:    4,
 	}
 }
 
@@ -76,7 +73,6 @@ func Full() Scale {
 		CycleLimit: 20_000_000,
 		SpeedSizes: []int{64, 128, 256, 512},
 		SpeedOps:   400,
-		Workers:    0,
 	}
 }
 
@@ -109,7 +105,6 @@ func (s Scale) run(mode repro.Mode, wlName string) (core.Result, error) {
 	}
 	cfg := repro.DefaultConfig(s.Cores)
 	cfg.Quantum = s.Quantum
-	cfg.Workers = s.Workers
 	cfg.NocWorkers = s.NocWorkers
 	if s.MemModel != "" {
 		cfg.System.MemModel = s.MemModel
@@ -172,7 +167,7 @@ func All() []Experiment {
 		{"F8", "GPU device-model time breakdown", FigureF8},
 		{"T2", "NoC design-space exploration under co-simulation", TableT2},
 		{"A1", "Hybrid sampling ablation", FigureA1},
-		{"A2", "Parallel engine scaling", FigureA2},
+		{"A2", "Sharded NoC stepping scaling", FigureA2},
 		{"A3", "Memory abstraction levels under co-simulation", FigureA3},
 		{"A4", "NoC energy under co-simulation", FigureA4},
 		{"A5", "Router architecture: VC vs deflection under co-simulation", FigureA5},

@@ -2,13 +2,13 @@ package expt
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro"
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/noc"
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -85,7 +85,6 @@ func FigureF7(s Scale) []*stats.Table {
 func (s Scale) runGPU(wlName string) (core.Result, time.Duration) {
 	cfg := repro.DefaultConfig(s.Cores)
 	cfg.Quantum = s.Quantum
-	cfg.Workers = s.Workers
 	backend, err := repro.BuildBackend(cfg, repro.ModeReciprocalGPU)
 	if err != nil {
 		panic(err)
@@ -120,7 +119,6 @@ func FigureF8(s Scale) []*stats.Table {
 		sz.OpsPerCore = s.SpeedOps
 		cfg := repro.DefaultConfig(size)
 		cfg.Quantum = sz.Quantum
-		cfg.Workers = sz.Workers
 		backend, err := repro.BuildBackend(cfg, repro.ModeReciprocalGPU)
 		if err != nil {
 			panic(err)
@@ -149,14 +147,16 @@ func FigureF8(s Scale) []*stats.Table {
 	return tables
 }
 
-// FigureA2 measures the parallel engine's standalone scaling on
-// synthetic traffic: the mechanism behind the GPU path's speedup.
+// FigureA2 measures sharded NoC stepping's standalone scaling on
+// synthetic traffic, one row per worker count the host can actually run
+// in parallel: a row with more workers than CPUs would measure
+// oversubscription, not scaling.
 func FigureA2(s Scale) []*stats.Table {
-	t := stats.NewTable("A2: parallel NoC engine scaling (synthetic uniform, 1000 cycles)",
+	t := stats.NewTable(fmt.Sprintf("A2: sharded NoC stepping scaling (synthetic uniform, 1000 cycles, %d host CPUs)", runtime.NumCPU()),
 		"mesh", "workers", "wall-ms", "speedup")
 	for _, side := range []int{16, 32} {
 		var base time.Duration
-		for _, workers := range []int{1, 2, 4, 8} {
+		for workers := 1; workers <= 8 && workers <= runtime.NumCPU(); workers *= 2 {
 			d := timeNoCRun(side, workers, 1000)
 			if workers == 1 {
 				base = d
@@ -172,11 +172,10 @@ func FigureA2(s Scale) []*stats.Table {
 }
 
 // timeNoCRun measures one open-loop synthetic run on a side×side mesh
-// under the given engine width.
+// sharded across the given worker count.
 func timeNoCRun(side, workers, cycles int) time.Duration {
 	m := topology.NewMesh(side, side, 1)
-	net, err := noc.New(noc.DefaultConfig(), m, topology.NewXY(m),
-		noc.WithEngine(engine.NewParallel(workers)))
+	net, err := noc.New(noc.DefaultConfig(), m, topology.NewXY(m), noc.WithWorkers(workers))
 	if err != nil {
 		panic(err)
 	}

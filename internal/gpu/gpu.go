@@ -3,11 +3,11 @@
 // this reproduction (see DESIGN.md), so the offload is reproduced by
 // two complementary mechanisms:
 //
-//   - a real bulk-synchronous parallel execution engine
-//     (internal/noc/engine.Parallel) that computes router phases across
-//     a worker pool exactly as the GPU kernels would across thread
-//     blocks — on multi-core hosts this yields real wall-clock
-//     speedups; and
+//   - real bulk-synchronous parallel execution on the host: the
+//     network's shard partition (noc.WithWorkers) steps contiguous
+//     blocks of routers on a worker pool with a barrier per pass, as
+//     the GPU kernels would across thread blocks — on multi-core hosts
+//     this yields real wall-clock speedups; and
 //
 //   - a device timing model (Device) that accounts kernel launches,
 //     SIMT occupancy waves, and host<->device transfers per quantum.
@@ -20,7 +20,7 @@
 //     routers — the mechanism behind the paper's size-dependent
 //     reductions.
 //
-// Both run the identical router model, bit-identical to the sequential
+// Both run the identical router model, bit-identical to the one-shard
 // CPU path (asserted by internal/noc's determinism tests), so offload
 // never changes simulation results — only simulation time.
 package gpu
@@ -109,7 +109,7 @@ func (s Stats) TotalNs() float64 { return s.LaunchNs + s.ComputeNs + s.TransferN
 
 // Backend runs a cycle-level network as a modelled GPU offload. It
 // satisfies the co-simulation Backend contract. Construct the network
-// with engine.NewParallel for real host-side speedup; the device model
+// with noc.WithWorkers for real host-side speedup; the device model
 // accounts the modelled coprocessor time either way.
 type Backend struct {
 	net *noc.Network

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Activity gating (see DESIGN.md "Activity gating"): both cycle-level
+// Activity gating (see DESIGN.md "NoC stepping"): both cycle-level
 // networks maintain a deterministic set of routers that can possibly
 // change state in the current cycle, and the per-cycle sweep visits
 // only that set. The discipline has two halves:
@@ -47,7 +47,7 @@ const wakeRouterMask = (1 << wakeShift) - 1
 // bitmap slot; only wakes at least a horizon away pay for the heap.
 const ringHorizon = 128
 
-// gate is the shared activity-gating state machine, a three-tier wake
+// gate is one shard's activity-gating state machine, a three-tier wake
 // schedule: the carry bitmap of routers known to be busy in the next
 // stepped cycle, a ring of per-cycle bitmaps for wakes within
 // ringHorizon, and a min-heap for the far future. The bitmaps make
@@ -55,14 +55,11 @@ const ringHorizon = 128
 // are free), and draining yields the active list already
 // deduplicated and in ascending router order, so nothing is ever
 // sorted and the heap stays cold. The zero value gates an empty
-// network; call reset before first use to wake every router once.
+// range; call reset before first use to wake every router once.
 type gate struct {
-	disabled bool
-
-	// base is the first router id this schedule covers. A whole-network
-	// gate has base 0; a per-shard gate (shard.go) covers the contiguous
-	// range [base, base+R) and stores bitmap bits at local offsets, so
-	// every public method keeps speaking global router ids.
+	// base is the first router id this schedule covers: the shard's
+	// contiguous range is [base, base+R), bitmap bits are stored at local
+	// offsets, and every method speaks global router ids.
 	base int32
 
 	heap  []uint64 // packed far-future wakes, min-heap (global ids)
@@ -72,11 +69,6 @@ type gate struct {
 	ident []int32  // base..base+R-1, returned by due() when every router is active
 	full  []uint64 // the all-routers bitmap due() compares against
 	words int      // carry bitmap width in uint64s
-
-	// Work accounting (host-side observability; never serialized).
-	stepped   uint64
-	skipped   uint64
-	activeSum uint64
 }
 
 // wake schedules router r to run at cycle `at`, where `now` is the
@@ -228,15 +220,10 @@ func (g *gate) next(now sim.Cycle) (sim.Cycle, bool) {
 	return best, ok
 }
 
-// reset conservatively wakes all R routers for the next cycle and
-// discards every scheduled event (callers rebuild in-flight wakes from
-// state, e.g. after a snapshot restore).
-func (g *gate) reset(R int) { g.resetRange(0, R) }
-
-// resetRange is reset for a schedule covering the contiguous router
-// range [base, base+R): the per-shard form of the conservative
-// wake-everything rebuild.
-func (g *gate) resetRange(base int32, R int) {
+// reset conservatively wakes the R routers of the range [base, base+R)
+// for the next cycle and discards every scheduled event (callers
+// rebuild in-flight wakes from state, e.g. after a snapshot restore).
+func (g *gate) reset(base int32, R int) {
 	g.heap = g.heap[:0]
 	g.words = (R + 63) >> 6
 	if len(g.ident) != R || g.base != base {
@@ -299,8 +286,8 @@ func (a ActivityStats) PoolHitRate() float64 {
 }
 
 // packetPool is a free list of recycled Packets. Get and Put run only
-// from the sequential sections of the step loop, never inside engine
-// phases, so the pool needs no synchronization.
+// between steps, never inside a shard pass, so the pool needs no
+// synchronization.
 type packetPool struct {
 	free   []*Packet
 	hits   uint64

@@ -7,9 +7,8 @@
 // The per-cycle state update is organized as five phases (ingress,
 // route computation, VC allocation, switch allocation, traversal),
 // each of which writes only router-owned state, so the same model runs
-// bit-identically under the sequential and parallel engines in
-// internal/noc/engine — the property the GPU-coprocessor experiments
-// rely on.
+// bit-identically however its routers are partitioned across workers
+// (shard.go) — the property the GPU-coprocessor experiments rely on.
 package noc
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -25,8 +24,6 @@ import (
 type Deflection struct {
 	cfg     DeflectConfig //simlint:derived construction input; restore validates geometry against it
 	topo    gridTopo      //simlint:derived recomputed from cfg at construction
-	eng     engine.Engine //simlint:derived execution engine; bit-identical across engines, so never snapshotted
-	ownEng  bool          //simlint:derived construction-time ownership flag for Close
 	routers []deflRouter
 	ifaces  []deflIface
 
@@ -37,30 +34,15 @@ type Deflection struct {
 	nextID    uint64
 	drainBuf  []*Packet //simlint:derived drain scratch, cleared on restore before reuse
 
-	// Activity gating (active.go): wake schedule, the lists the
-	// pre-bound engine closures index, and the packet free list. All
-	// derived or host-side state, excluded from snapshots.
-	gate       gate        //simlint:derived rebuilt by the gate reset after restore
-	activeList []int32     //simlint:derived per-cycle scratch refilled from the wake schedule
-	swapList   []int32     //simlint:derived per-cycle scratch refilled from the wake schedule
-	pool       packetPool  //simlint:derived host-side free list, never simulated state
-	stepFn     func(i int) //simlint:derived engine closures pre-bound at construction
-	swapFn     func(i int) //simlint:derived engine closures pre-bound at construction
+	// The step path (shard.go; see Network's fields) and the packet
+	// free list. All derived or host-side state, excluded from snapshots.
+	partition             //simlint:derived recomputed at construction; wake schedules re-seeded by resetWake after restore, counters restart at zero
+	stepFn    func(i int) //simlint:derived shardStep, bound once at construction
+	swapFn    func(i int) //simlint:derived shardSwap, bound once at construction
+	pool      packetPool  //simlint:derived host-side free list, never simulated state
 	// nbrOf[r*4+d] is the router across direction d (-1 when the edge
-	// port has no link); the wake pass walks it every stepped cycle.
+	// port has no link); the swap pass walks it every stepped cycle.
 	nbrOf []int32 //simlint:derived precomputed from the topology at construction
-
-	// Sharded stepping (shard.go); see Network's shard fields.
-	shards      []shard     //simlint:derived partition recomputed at construction, re-seeded by resetWake
-	shardOf     []int16     //simlint:derived router-to-shard table recomputed at construction
-	shardStepFn func(i int) //simlint:derived engine closure pre-bound at construction
-	shardSwapFn func(i int) //simlint:derived engine closure pre-bound at construction
-	reqWorkers  int         //simlint:derived construction input from WithDeflectWorkers
-
-	// Sharded-path host accounting (never serialized).
-	shardStepped   uint64 //simlint:derived telemetry accumulator; restarts at zero after restore
-	shardActiveSum uint64 //simlint:derived telemetry accumulator; restarts at zero after restore
-	stepNanos      int64  //simlint:derived host-wall accumulator feeding the wall-gated barrier-share metric
 }
 
 // DeflectConfig parameterizes the bufferless network.
@@ -107,8 +89,8 @@ type deflRouter struct {
 
 	scratch []deflFlit // assignment working set
 
-	// Per-router counters (aggregated on demand) so the parallel
-	// engine never contends on shared state.
+	// Per-router counters (aggregated on demand) so concurrent shards
+	// never contend on shared state.
 	deflects uint64
 	flitHops uint64
 	ejects   uint64
@@ -139,7 +121,6 @@ func NewDeflection(cfg DeflectConfig, topo topology.Topology, opts ...DeflectOpt
 	n := &Deflection{
 		cfg:     cfg,
 		topo:    g,
-		eng:     engine.Sequential{},
 		routers: make([]deflRouter, topo.NumRouters()),
 		ifaces:  make([]deflIface, topo.NumTerminals()),
 		tracker: stats.NewLatencyTracker(4, 512),
@@ -150,8 +131,6 @@ func NewDeflection(cfg DeflectConfig, topo topology.Topology, opts ...DeflectOpt
 	for _, o := range opts {
 		o(n)
 	}
-	n.gate.disabled = cfg.DisableGating
-	n.gate.reset(len(n.routers))
 	n.nbrOf = make([]int32, len(n.routers)*4)
 	for r := range n.routers {
 		for d := 0; d < 4; d++ {
@@ -161,29 +140,42 @@ func NewDeflection(cfg DeflectConfig, topo topology.Topology, opts ...DeflectOpt
 			}
 		}
 	}
-	// Pre-bound closures so a gated Step allocates nothing.
-	n.stepFn = func(i int) { n.stepRouter(int(n.activeList[i])) }
-	n.swapFn = func(i int) { n.swapRouter(int(n.swapList[i])) }
-	if n.reqWorkers > 1 {
-		n.eng = newShardEngine(n.eng, n.ownEng, n.reqWorkers)
-		n.ownEng = true
-		if !cfg.DisableGating {
-			n.buildShards(n.reqWorkers)
+	n.partition.init(len(n.routers), cfg.DisableGating)
+	// Each shard's boundary routers and neighbouring shards, for the
+	// cross-shard arrival scan in shardSwap.
+	for si := range n.shards {
+		s := &n.shards[si]
+		isNbr := make([]bool, len(n.shards))
+		for r := s.lo; r < s.hi; r++ {
+			cross := false
+			for d := int32(0); d < 4; d++ {
+				if nb := n.nbrOf[r*4+d]; nb >= 0 && (nb < s.lo || nb >= s.hi) {
+					cross = true
+					isNbr[n.shardOf[nb]] = true
+				}
+			}
+			if cross {
+				s.boundary = append(s.boundary, r)
+			}
+		}
+		for t, is := range isNbr {
+			if is {
+				s.nbrShards = append(s.nbrShards, int32(t))
+			}
 		}
 	}
+	n.stepFn = n.shardStep
+	n.swapFn = n.shardSwap
 	return n, nil
 }
 
 // DeflectOption configures a Deflection network.
 type DeflectOption func(*Deflection)
 
-// WithDeflectEngine selects the execution engine; the network takes
-// ownership.
-func WithDeflectEngine(e engine.Engine) DeflectOption {
-	return func(n *Deflection) {
-		n.eng = e
-		n.ownEng = true
-	}
+// WithDeflectWorkers steps the deflection network's routers as
+// min(w, routers) shards on as many workers; see WithWorkers.
+func WithDeflectWorkers(w int) DeflectOption {
+	return func(n *Deflection) { n.workers = w }
 }
 
 // Inject queues a packet's flits at the source terminal.
@@ -205,13 +197,8 @@ func (n *Deflection) Inject(p *Packet, at sim.Cycle) {
 		ni.queue = append(ni.queue, deflFlit{pkt: p, seq: s})
 	}
 	n.injected++
-	if !n.gate.disabled {
-		r, _ := n.topo.RouterOf(p.Src)
-		if at < n.cycle {
-			at = n.cycle
-		}
-		n.wakeRouter(int32(r), at)
-	}
+	r, _ := n.topo.RouterOf(p.Src)
+	n.wakeRouter(int32(r), at, n.cycle)
 }
 
 // NewPacket returns a zeroed packet, recycled when possible (see
@@ -225,47 +212,67 @@ func (n *Deflection) Recycle(p *Packet) { n.pool.put(p) }
 // Cycle reports the next cycle to simulate.
 func (n *Deflection) Cycle() sim.Cycle { return n.cycle }
 
-// Step simulates one cycle. The per-router pass reads only the
+// Step simulates one cycle in two passes with a barrier between them.
+// The router pass (eject, inject, assign outputs) reads only the
 // router's own arrival slots and writes only its neighbours' staging
-// slots plus terminal-local state, so the engine may parallelize it;
-// the swap pass promotes staged flits.
+// slots plus terminal-local state — each staging slot has a unique
+// writer — so shards of routers may run it in parallel; the swap pass
+// then promotes staged flits. The exhaustive path runs both passes
+// over every router: the reference the gated path is tested against.
 func (n *Deflection) Step() {
-	if n.gate.disabled {
-		R := len(n.routers)
-		n.eng.Run(R, n.stepRouter)
-		n.eng.Run(R, n.swapRouter)
-		n.gate.stepped++
-		n.cycle++
-		return
-	}
-	if len(n.shards) > 0 {
-		n.stepSharded()
-		return
-	}
-	n.activeList = n.gate.due(n.cycle)
-	n.gate.stepped++
-	n.gate.activeSum += uint64(len(n.activeList))
-	if len(n.activeList) > 0 {
-		n.eng.Run(len(n.activeList), n.stepFn)
-		n.wakePass()
+	if n.exhaustive {
+		for r := range n.routers {
+			n.stepRouter(r)
+		}
+		for r := range n.routers {
+			n.swapRouter(r)
+		}
+		n.stepped++
+	} else {
+		n.stepSharded(n.cycle, n.stepFn, n.swapFn)
 	}
 	n.cycle++
 }
 
-// wakePass runs sequentially after the router pass. Staged arrivals
-// can exist only at active routers and their neighbours; swap exactly
-// the routers that hold one (once each — a second swap would wipe the
-// promoted arrivals), then re-arm wakes for next-cycle work.
-func (n *Deflection) wakePass() {
+// shardStep runs one shard's router pass: drain the shard's wake
+// schedule and step each active router, staging sends into neighbours'
+// next-cycle slots (which may belong to other shards).
+func (n *Deflection) shardStep(si int) {
+	s := &n.shards[si]
+	s.active = s.gate.due(n.cycle)
+	for _, r := range s.active {
+		n.stepRouter(int(r))
+	}
+}
+
+// shardSwap runs one shard's swap pass — the deflection wake pass. A
+// staged arrival can exist only at an active router or one of its
+// neighbours; swap exactly this shard's routers that hold one (once
+// each — a second swap would wipe the promoted arrivals), then re-arm
+// wakes for next-cycle work. Staged arrivals at an own router were
+// written either by an own active router (covered by the in-range
+// neighbour scan) or by an active router in a neighbouring shard
+// (covered by the boundary list, scanned only when such a shard was
+// active — reading a peer's active length here is safe: it was
+// published before the inter-pass barrier). Every wake targets the
+// shard's own schedule, so this pass never uses the outbox.
+func (n *Deflection) shardSwap(si int) {
+	s := &n.shards[si]
 	now := n.cycle
-	cand := n.swapList[:0]
-	for _, r32 := range n.activeList {
+	cand := s.swapBuf[:0]
+	for _, r32 := range s.active {
 		r := int(r32)
-		cand = append(cand, r32)
+		cand = append(cand, r32) //simlint:allow alloc swapBuf capacity is retained across cycles; steady state appends in place
 		for d := 0; d < 4; d++ {
-			if nb := n.nbrOf[r*4+d]; nb >= 0 {
-				cand = append(cand, nb)
+			if nb := n.nbrOf[r*4+d]; nb >= s.lo && nb < s.hi {
+				cand = append(cand, nb) //simlint:allow alloc swapBuf capacity is retained across cycles; steady state appends in place
 			}
+		}
+	}
+	for _, as := range s.nbrShards {
+		if len(n.shards[as].active) > 0 {
+			cand = append(cand, s.boundary...) //simlint:allow alloc swapBuf capacity is retained across cycles; steady state appends in place
+			break
 		}
 	}
 	slices.Sort(cand)
@@ -279,25 +286,33 @@ func (n *Deflection) wakePass() {
 		rt := &n.routers[c]
 		if rt.next[0].pkt != nil || rt.next[1].pkt != nil ||
 			rt.next[2].pkt != nil || rt.next[3].pkt != nil {
-			out = append(out, c)
+			out = append(out, c) //simlint:allow alloc in-place filter of cand; never exceeds swapBuf's retained capacity
 		}
 	}
-	n.swapList = out
-	n.eng.Run(len(out), n.swapFn)
+	s.swapBuf = out
 	// A router that just received arrivals must run next cycle.
-	for _, r := range out {
-		n.gate.markNext(r)
+	for _, r32 := range out {
+		rt := &n.routers[r32]
+		for d := 0; d < 4; d++ {
+			if rt.next[d].pkt != nil {
+				if nb := n.nbrOf[int(r32)*4+d]; nb >= 0 && (nb < s.lo || nb >= s.hi) {
+					s.boundaryWakes++
+				}
+			}
+		}
+		n.swapRouter(int(r32))
+		s.gate.markNext(r32)
 	}
 	// An NI with queued flits re-arms its router: immediately when the
 	// head is (or next cycle becomes) eligible, at its creation cycle
 	// otherwise.
-	for _, r32 := range n.activeList {
+	for _, r32 := range s.active {
 		ni := &n.ifaces[n.topo.TerminalAt(int(r32), 0)]
 		if ni.qHead < len(ni.queue) {
 			if at := ni.queue[ni.qHead].pkt.CreatedAt; at > now+1 {
-				n.gate.wake(r32, at, now)
+				s.gate.wake(r32, at, now)
 			} else {
-				n.gate.markNext(r32)
+				s.gate.markNext(r32)
 			}
 		}
 	}
@@ -305,45 +320,14 @@ func (n *Deflection) wakePass() {
 
 // NextEventCycle reports the earliest cycle at or after the current
 // one at which any router must run; see Network.NextEventCycle.
-func (n *Deflection) NextEventCycle() (sim.Cycle, bool) {
-	if n.gate.disabled {
-		return n.cycle, true
-	}
-	if len(n.shards) > 0 {
-		return n.nextEventSharded()
-	}
-	return n.gate.next(n.cycle)
-}
+func (n *Deflection) NextEventCycle() (sim.Cycle, bool) { return n.nextEvent(n.cycle) }
 
 // AdvanceTo simulates through the end of cycle c-1, fast-forwarding
 // idle spans; bit-identical to stepping every cycle.
-func (n *Deflection) AdvanceTo(c sim.Cycle) {
-	for n.cycle < c {
-		next, ok := n.NextEventCycle()
-		if !ok || next >= c {
-			n.gate.skipped += uint64(c - n.cycle)
-			n.cycle = c
-			return
-		}
-		if next > n.cycle {
-			n.gate.skipped += uint64(next - n.cycle)
-			n.cycle = next
-		}
-		n.Step()
-	}
-}
+func (n *Deflection) AdvanceTo(c sim.Cycle) { n.advanceTo(&n.cycle, c, n.Step) }
 
 // ActivityStats reports the gating layer's work accounting.
-func (n *Deflection) ActivityStats() ActivityStats {
-	return ActivityStats{
-		Stepped:    n.gate.stepped,
-		Skipped:    n.gate.skipped,
-		ActiveSum:  n.gate.activeSum,
-		Routers:    len(n.routers),
-		PoolHits:   n.pool.hits,
-		PoolMisses: n.pool.misses,
-	}
-}
+func (n *Deflection) ActivityStats() ActivityStats { return n.activityStats(&n.pool) }
 
 // Run simulates the given number of cycles, fast-forwarding idle
 // spans.
@@ -657,11 +641,4 @@ func (n *Deflection) Quiescent() bool {
 		}
 	}
 	return true
-}
-
-// Close releases the engine if owned.
-func (n *Deflection) Close() {
-	if n.ownEng {
-		n.eng.Close()
-	}
 }

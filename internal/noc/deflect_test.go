@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 )
@@ -165,8 +164,7 @@ func TestDeflectionParallelBitIdentical(t *testing.T) {
 	defer seq.Close()
 	want := load(seq)
 
-	par, err := NewDeflection(DefaultDeflectConfig(), m,
-		WithDeflectEngine(engine.NewParallel(4)))
+	par, err := NewDeflection(DefaultDeflectConfig(), m, WithDeflectWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 )
@@ -53,10 +52,11 @@ func runLoad(t *testing.T, n *Network) []*Packet {
 	return delivered
 }
 
-// TestParallelEngineBitIdentical is the property the GPU-offload path
+// TestWorkersBitIdentical is the property every host-parallel mode
 // relies on: the phase-structured router update must produce identical
-// results no matter how routers are distributed across workers.
-func TestParallelEngineBitIdentical(t *testing.T) {
+// results no matter how routers are partitioned across workers (100
+// exceeds the 64-router mesh, exercising the shard clamp).
+func TestWorkersBitIdentical(t *testing.T) {
 	m := topology.NewMesh(8, 8, 1)
 	ref := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
 	refPkts := runLoad(t, ref)
@@ -65,31 +65,29 @@ func TestParallelEngineBitIdentical(t *testing.T) {
 		t.Fatal("reference run delivered nothing")
 	}
 
-	for _, workers := range []int{1, 2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 100} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			n := mustNet(t, DefaultConfig(), m, topology.NewXY(m),
-				WithEngine(engine.NewParallel(workers)))
+			n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(workers))
 			pkts := runLoad(t, n)
 			if got := fingerprint(n, pkts); got != want {
-				t.Errorf("parallel run (workers=%d) diverged from sequential\nseq: %.120s\npar: %.120s",
+				t.Errorf("run with workers=%d diverged from the default\ndef: %.120s\ngot: %.120s",
 					workers, want, got)
 			}
 		})
 	}
 }
 
-// TestParallelEngineAdaptiveIdentical repeats the equivalence check
-// under adaptive routing, whose congestion-sensitive decisions would
-// expose any cross-router data race immediately.
-func TestParallelEngineAdaptiveIdentical(t *testing.T) {
+// TestWorkersAdaptiveIdentical repeats the equivalence check under
+// adaptive routing, whose congestion-sensitive decisions would expose
+// any cross-router data race immediately.
+func TestWorkersAdaptiveIdentical(t *testing.T) {
 	m := topology.NewMesh(6, 6, 1)
 	ref := mustNet(t, DefaultConfig(), m, topology.NewOddEven(m))
 	want := fingerprint(ref, runLoad(t, ref))
 
-	n := mustNet(t, DefaultConfig(), m, topology.NewOddEven(m),
-		WithEngine(engine.NewParallel(4)))
+	n := mustNet(t, DefaultConfig(), m, topology.NewOddEven(m), WithWorkers(4))
 	if got := fingerprint(n, runLoad(t, n)); got != want {
-		t.Error("adaptive-routing parallel run diverged from sequential")
+		t.Error("adaptive-routing run with 4 workers diverged from the default")
 	}
 }

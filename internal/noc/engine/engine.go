@@ -1,102 +1,71 @@
-// Package engine provides the execution engines that drive the
-// cycle-level NoC's phase-structured state update: a sequential engine
-// and a sharded parallel engine with a barrier per phase.
+// Package engine provides the worker pool behind the simulator's two
+// sanctioned forms of host parallelism: the cycle-level NoC dispatches
+// one item per shard of its router partition for every pass of a
+// multi-shard cycle (internal/noc, shard.go), and core.Cosim.Stepper
+// dispatches one item per co-simulation component at each quantum
+// boundary.
 //
-// The NoC's per-cycle work is organized as a sequence of phases, each
-// a function applied to every router, where a phase only writes state
-// owned by its router (plus staging slots that are read exclusively in
-// a later phase). Under that discipline, applying a phase to routers
-// in any order — or concurrently — produces identical results, which
-// is what lets the same router model run on the sequential CPU path
-// and on the (simulated) GPU coprocessor path while staying
-// bit-identical. Tests assert that equivalence.
+// In both uses an item only writes state it owns (plus slots that are
+// read exclusively after the barrier at the end of Run), so applying fn
+// to the items in any order — or concurrently — produces identical
+// results. That discipline, not the scheduling, is what keeps parallel
+// runs bit-identical to sequential ones; tests assert the equivalence.
 //
-//simlint:allow-file concurrency this package IS the sanctioned parallelism: a fixed worker pool whose bit-identity to the sequential engine is asserted by determinism tests
+//simlint:allow-file concurrency this package IS the sanctioned parallelism: a fixed worker pool whose bit-identity to sequential execution is asserted by determinism tests
 package engine
 
 import "sync"
 
-// Engine applies a phase function to n items (routers). Implementations
-// must guarantee that Run returns only after fn has been applied to
-// every item exactly once.
-type Engine interface {
-	// Run applies fn to every index in [0, n).
-	Run(n int, fn func(i int))
-	// Workers reports the degree of parallelism (1 for sequential).
-	Workers() int
-	// Close releases engine resources; the engine is unusable after.
-	Close()
-}
-
-// Sequential applies phases in index order on the calling goroutine.
-// The zero value is ready to use.
-type Sequential struct{}
-
-// Run applies fn to each index in order.
-func (Sequential) Run(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
-// Workers reports 1.
-func (Sequential) Workers() int { return 1 }
-
-// Close is a no-op.
-func (Sequential) Close() {}
-
-// Parallel shards items across a fixed pool of persistent workers with
+// Parallel spreads items across a fixed pool of persistent workers with
 // a barrier at the end of every Run call. Work is divided into
-// contiguous static chunks so the assignment of routers to workers is
+// contiguous static chunks so the assignment of items to workers is
 // deterministic (though determinism of results is guaranteed by the
-// phase discipline, not by scheduling).
+// ownership discipline, not by scheduling).
 type Parallel struct {
 	workers int
-	start   chan phase
+	start   chan span
 	done    chan struct{}
 	closed  bool
 	mu      sync.Mutex
 }
 
-// phase is one chunk of one Run call. The chunk bounds travel in the
+// span is one chunk of one Run call. The chunk bounds travel in the
 // message (rather than being derived from a worker id) so that any
 // worker may execute any chunk: with id-derived bounds, a worker that
 // finished early could steal a message intended for a peer and run its
 // own chunk twice while the peer's chunk was never run.
-type phase struct {
+type span struct {
 	lo, hi int
 	fn     func(int)
 }
 
-// NewParallel returns a parallel engine with the given worker count
-// (minimum 1). Workers are long-lived goroutines; call Close when done.
+// NewParallel returns a pool with the given worker count (minimum 1).
+// Workers are long-lived goroutines; call Close when done.
 func NewParallel(workers int) *Parallel {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	p := &Parallel{
 		workers: workers,
-		start:   make(chan phase),
+		start:   make(chan span),
 		done:    make(chan struct{}),
 	}
 	for w := 0; w < workers; w++ {
-		go p.worker(w)
+		go p.worker()
 	}
 	return p
 }
 
-func (p *Parallel) worker(id int) {
-	for ph := range p.start {
-		for i := ph.lo; i < ph.hi; i++ {
-			ph.fn(i)
+func (p *Parallel) worker() {
+	for sp := range p.start {
+		for i := sp.lo; i < sp.hi; i++ {
+			sp.fn(i)
 		}
 		p.done <- struct{}{}
 	}
 }
 
-// chunk divides n items into w near-equal contiguous ranges and
+// Chunk divides n items into w near-equal contiguous ranges and
 // returns the id-th range.
-func chunk(n, w, id int) (lo, hi int) {
+func Chunk(n, w, id int) (lo, hi int) {
 	base := n / w
 	rem := n % w
 	lo = id*base + min(id, rem)
@@ -107,13 +76,6 @@ func chunk(n, w, id int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Run applies fn to every index in [0, n), distributing contiguous
 // chunks across the worker pool and waiting for all of them.
 func (p *Parallel) Run(n int, fn func(i int)) {
@@ -121,8 +83,8 @@ func (p *Parallel) Run(n int, fn func(i int)) {
 		return
 	}
 	for w := 0; w < p.workers; w++ {
-		lo, hi := chunk(n, p.workers, w)
-		p.start <- phase{lo: lo, hi: hi, fn: fn}
+		lo, hi := Chunk(n, p.workers, w)
+		p.start <- span{lo: lo, hi: hi, fn: fn}
 	}
 	for w := 0; w < p.workers; w++ {
 		<-p.done

@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func TestSequentialCoversAll(t *testing.T) {
-	var e Sequential
-	seen := make([]bool, 100)
-	e.Run(100, func(i int) { seen[i] = true })
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d not visited", i)
-		}
-	}
-	if e.Workers() != 1 {
-		t.Errorf("sequential workers = %d", e.Workers())
-	}
-}
-
 func TestParallelCoversAllExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 16} {
 		p := NewParallel(workers)
@@ -72,7 +58,7 @@ func TestChunkPartition(t *testing.T) {
 			prev := 0
 			total := 0
 			for id := 0; id < w; id++ {
-				lo, hi := chunk(n, w, id)
+				lo, hi := Chunk(n, w, id)
 				if lo != prev {
 					t.Fatalf("n=%d w=%d id=%d: gap at %d (lo=%d)", n, w, id, prev, lo)
 				}

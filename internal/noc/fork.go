@@ -38,12 +38,13 @@ func (m PacketRemap) Clone(p *Packet) *Packet {
 	return c
 }
 
-// Fork returns an independent deep clone of the network. The clone
-// always runs the sequential engine — engines are bit-identical, and
-// a fork must never share a parallel engine's worker pool with its
-// parent. remap threads packet clones across the owning backend.
+// Fork returns an independent deep clone of the network, sharded like
+// its parent. The clone never shares the parent's worker pool: it
+// starts its own on its first multi-shard Step, so a fork that is only
+// held (a parked session, a rollback point) owns no goroutines. remap
+// threads packet clones across the owning backend.
 func (n *Network) Fork(remap PacketRemap) (*Network, error) {
-	f, err := New(n.cfg, n.topo, n.routing)
+	f, err := New(n.cfg, n.topo, n.routing, WithWorkers(n.workers))
 	if err != nil {
 		return nil, err
 	}
@@ -166,10 +167,10 @@ func (n *Network) copyStateFrom(src *Network, remap PacketRemap) {
 	n.rebuildWake()
 }
 
-// Fork returns an independent deep clone of the deflection network
-// (sequential engine; see Network.Fork).
+// Fork returns an independent deep clone of the deflection network,
+// sharded like its parent; see Network.Fork.
 func (n *Deflection) Fork(remap PacketRemap) (*Deflection, error) {
-	f, err := NewDeflection(n.cfg, n.topo)
+	f, err := NewDeflection(n.cfg, n.topo, WithDeflectWorkers(n.workers))
 	if err != nil {
 		return nil, err
 	}

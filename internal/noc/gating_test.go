@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -13,8 +12,7 @@ import (
 
 // The activity-gating property: a gated run must be bit-identical to
 // the exhaustive every-router-every-cycle sweep — same fingerprints,
-// same checkpoint bytes — across traffic patterns, engines, and worker
-// counts. The drivers below mimic the co-simulation quantum loop
+// same checkpoint bytes — across traffic patterns and worker counts. The drivers below mimic the co-simulation quantum loop
 // (future-dated injections, AdvanceTo to the boundary) so idle-cycle
 // fast-forward is genuinely exercised.
 
@@ -91,28 +89,26 @@ func runGatingLoad(t *testing.T, n *Network, pattern string) (fp string, mid, en
 	return fingerprint(n, delivered), mid, e.Finish()
 }
 
+// gatingWorkerCounts are the worker counts the gating matrices run: the
+// default one-shard network, an explicit 1, two multi-shard splits, and
+// a count above the 36-router mesh (the shard clamp). The exhaustive
+// reference is given the same option and must ignore it.
+var gatingWorkerCounts = []int{0, 1, 2, 4, 64}
+
 // TestGatingBitIdentical compares gated and exhaustive runs across
-// traffic patterns, both engines, and worker counts, on fingerprints
-// and on mid-run/end-of-run checkpoint bytes.
+// traffic patterns and worker counts, on fingerprints and on
+// mid-run/end-of-run checkpoint bytes.
 func TestGatingBitIdentical(t *testing.T) {
 	m := topology.NewMesh(6, 6, 1)
-	engines := []struct {
-		name string
-		opts func() []Option
-	}{
-		{"seq", func() []Option { return nil }},
-		{"par1", func() []Option { return []Option{WithEngine(engine.NewParallel(1))} }},
-		{"par4", func() []Option { return []Option{WithEngine(engine.NewParallel(4))} }},
-	}
 	for _, pattern := range []string{"uniform", "hotspot", "bursty"} {
-		for _, eng := range engines {
-			t.Run(pattern+"/"+eng.name, func(t *testing.T) {
+		for _, w := range gatingWorkerCounts {
+			t.Run(fmt.Sprintf("%s/w%d", pattern, w), func(t *testing.T) {
 				exCfg := DefaultConfig()
 				exCfg.DisableGating = true
-				ex := mustNet(t, exCfg, m, topology.NewXY(m), eng.opts()...)
+				ex := mustNet(t, exCfg, m, topology.NewXY(m), WithWorkers(w))
 				wantFP, wantMid, wantEnd := runGatingLoad(t, ex, pattern)
 
-				g := mustNet(t, DefaultConfig(), m, topology.NewXY(m), eng.opts()...)
+				g := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(w))
 				gotFP, gotMid, gotEnd := runGatingLoad(t, g, pattern)
 
 				if gotFP != wantFP {
@@ -198,21 +194,13 @@ func TestDeflectionGatingBitIdentical(t *testing.T) {
 		t.Cleanup(n.Close)
 		return n
 	}
-	engines := []struct {
-		name string
-		opts func() []DeflectOption
-	}{
-		{"seq", func() []DeflectOption { return nil }},
-		{"par1", func() []DeflectOption { return []DeflectOption{WithDeflectEngine(engine.NewParallel(1))} }},
-		{"par4", func() []DeflectOption { return []DeflectOption{WithDeflectEngine(engine.NewParallel(4))} }},
-	}
 	for _, pattern := range []string{"uniform", "hotspot", "bursty"} {
-		for _, eng := range engines {
-			t.Run(pattern+"/"+eng.name, func(t *testing.T) {
-				ex := mk(true, eng.opts()...)
+		for _, w := range gatingWorkerCounts {
+			t.Run(fmt.Sprintf("%s/w%d", pattern, w), func(t *testing.T) {
+				ex := mk(true, WithDeflectWorkers(w))
 				wantFP, wantMid, wantEnd := runDeflGatingLoad(t, ex, pattern)
 
-				g := mk(false, eng.opts()...)
+				g := mk(false, WithDeflectWorkers(w))
 				gotFP, gotMid, gotEnd := runDeflGatingLoad(t, g, pattern)
 
 				if gotFP != wantFP {
@@ -349,9 +337,10 @@ func TestFastForwardStopsAtBoundsAndEvents(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAlloc pins the zero-alloc steady state: after
-// warmup, a quantum of inject / advance / drain / recycle performs no
-// heap allocation when packets come from the pool.
+// TestSteadyStateZeroAlloc pins the zero-alloc steady state of the
+// one-shard sweep: after warmup, a quantum of inject / advance / drain
+// / recycle performs no heap allocation when packets come from the
+// pool.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	m := topology.NewMesh(4, 4, 1)
 	n := mustNet(t, DefaultConfig(), m, topology.NewXY(m))

@@ -71,10 +71,3 @@ func (n *Network) Heatmap() string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -17,13 +16,12 @@ const ejectionCredits = 1 << 20
 
 // Network is a cycle-level NoC instance: routers, links, and network
 // interfaces over a topology and routing function. It is not safe for
-// concurrent use; the parallel engine parallelizes *within* Step.
+// concurrent use; parallelism happens *within* Step, across the shards
+// of the embedded partition.
 type Network struct {
-	cfg       Config
-	topo      topology.Topology
-	routing   topology.Routing //simlint:derived construction input; routing functions are part of the network definition
-	eng       engine.Engine    //simlint:derived execution engine; bit-identical across engines, so never snapshotted
-	ownEngine bool             //simlint:derived construction-time ownership flag for Close
+	cfg     Config
+	topo    topology.Topology
+	routing topology.Routing //simlint:derived construction input; routing functions are part of the network definition
 
 	routers []router
 	links   [][]*link // inbound link per (router, port); nil if none
@@ -38,15 +36,13 @@ type Network struct {
 	nextID    uint64
 	drainBuf  []*Packet //simlint:derived drain scratch, cleared on restore before reuse
 
-	// Activity gating (active.go): the wake schedule, the active list
-	// the fused sweep indexes this cycle, and the packet free list.
-	// All of it is derived or host-side state, excluded from snapshots.
-	gate       gate           //simlint:derived rebuilt by rebuildWake after restore
-	activeList []int32        //simlint:derived per-cycle scratch refilled from the wake schedule
-	pool       packetPool     //simlint:derived host-side free list, never simulated state
-	fusedFn    func(i int)    //simlint:derived engine closures pre-bound at construction
-	phaseFns   [5]func(i int) //simlint:derived engine closures pre-bound at construction
-	directFns  [5]func(i int) //simlint:derived engine closures pre-bound at construction
+	// The step path (shard.go): shard partition, per-shard wake
+	// schedules, worker pool and work counters — all derived or
+	// host-side state, excluded from snapshots — and the packet free
+	// list.
+	partition             //simlint:derived recomputed at construction; wake schedules re-seeded by rebuildWake after restore, counters restart at zero
+	shardFn   func(i int) //simlint:derived shardStep, bound once at construction
+	pool      packetPool  //simlint:derived host-side free list, never simulated state
 	// nbrOf[r*ports+p] is the router across port p of r, and
 	// xLink[r*ports+p] that neighbour's inbound link object (where r's
 	// sent flits land and r's output-port credits return); -1/nil when
@@ -54,32 +50,17 @@ type Network struct {
 	// topology's coordinate math.
 	nbrOf []int32 //simlint:derived precomputed from the topology at construction
 	xLink []*link //simlint:derived precomputed from the topology at construction
-
-	// Sharded stepping (shard.go): a spatial partition of the router
-	// range with per-shard wake schedules, built when WithWorkers
-	// requests more than one worker. Shard assignment is derived state,
-	// recomputed at construction and re-seeded on restore.
-	shards     []shard     //simlint:derived partition recomputed at construction, re-seeded by resetWake
-	shardOf    []int16     //simlint:derived router-to-shard table recomputed at construction
-	shardFn    func(i int) //simlint:derived engine closure pre-bound at construction
-	reqWorkers int         //simlint:derived construction input from WithWorkers
-
-	// Sharded-path host accounting (never serialized).
-	shardStepped   uint64 //simlint:derived telemetry accumulator; restarts at zero after restore
-	shardActiveSum uint64 //simlint:derived telemetry accumulator; restarts at zero after restore
-	stepNanos      int64  //simlint:derived host-wall accumulator feeding the wall-gated barrier-share metric
 }
 
 // Option configures a Network at construction.
 type Option func(*Network)
 
-// WithEngine selects the execution engine (default: sequential). The
-// Network takes ownership and closes it on Close.
-func WithEngine(e engine.Engine) Option {
-	return func(n *Network) {
-		n.eng = e
-		n.ownEngine = true
-	}
+// WithWorkers steps the network's routers as min(w, routers) shards on
+// as many workers (w <= 1, the default, is one shard stepped on the
+// caller). Results are bit-identical for every w. The exhaustive
+// reference sweep (Config.DisableGating) ignores it.
+func WithWorkers(w int) Option {
+	return func(n *Network) { n.workers = w }
 }
 
 // New constructs a cycle-level network over the given topology and
@@ -92,7 +73,6 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 		cfg:       cfg,
 		topo:      topo,
 		routing:   routing,
-		eng:       engine.Sequential{},
 		vcsPerSet: cfg.VCsPerVNet / routing.VCSets(),
 		tracker:   stats.NewLatencyTracker(4, 512),
 	}
@@ -140,8 +120,8 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 		n.ifaces[t] = newIface(t, r, p, cfg)
 	}
 
-	n.gate.disabled = cfg.DisableGating
-	n.gate.reset(R)
+	n.partition.init(R, cfg.DisableGating)
+	n.shardFn = n.shardStep
 	n.nbrOf = make([]int32, R*ports)
 	n.xLink = make([]*link, R*ports)
 	for r := 0; r < R; r++ {
@@ -152,71 +132,6 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 				n.xLink[r*ports+p] = n.links[nb][nbp]
 			}
 		}
-	}
-	// The sweep closures index the current active list, so the engine
-	// can run a gated sweep without any per-Step closure allocation.
-	n.fusedFn = func(i int) { n.stepRouter(int(n.activeList[i])) }
-	// The gated phase-major closures carry the same occ == 0 skip as
-	// the fused stepRouter (see there for why it is byte-identical);
-	// the exhaustive DisableGating path never takes it.
-	n.phaseFns = [5]func(int){
-		func(i int) { n.phaseIngress(int(n.activeList[i])) },
-		func(i int) {
-			if r := int(n.activeList[i]); n.routers[r].occ > 0 {
-				n.phaseRC(r)
-			}
-		},
-		func(i int) {
-			if r := int(n.activeList[i]); n.routers[r].occ > 0 {
-				n.phaseVA(r)
-			}
-		},
-		func(i int) {
-			if r := int(n.activeList[i]); n.routers[r].occ > 0 {
-				n.phaseSA(r)
-			} else {
-				clearGrants(&n.routers[r])
-			}
-		},
-		func(i int) {
-			if r := int(n.activeList[i]); n.routers[r].occ > 0 {
-				n.phaseST(r)
-			}
-		},
-	}
-	if n.reqWorkers > 1 {
-		n.eng = newShardEngine(n.eng, n.ownEngine, n.reqWorkers)
-		n.ownEngine = true
-		if !cfg.DisableGating {
-			n.buildShards(n.reqWorkers)
-		}
-	}
-	// When every router is active, due() returns the identity list and
-	// the sweep can index routers directly.
-	n.directFns = [5]func(int){
-		n.phaseIngress,
-		func(r int) {
-			if n.routers[r].occ > 0 {
-				n.phaseRC(r)
-			}
-		},
-		func(r int) {
-			if n.routers[r].occ > 0 {
-				n.phaseVA(r)
-			}
-		},
-		func(r int) {
-			if n.routers[r].occ > 0 {
-				n.phaseSA(r)
-			} else {
-				clearGrants(&n.routers[r])
-			}
-		},
-		func(r int) {
-			if n.routers[r].occ > 0 {
-				n.phaseST(r)
-			}
-		},
 	}
 	return n, nil
 }
@@ -248,13 +163,8 @@ func (n *Network) Inject(p *Packet, at sim.Cycle) {
 	p.CreatedAt = at
 	n.ifaces[p.Src].enqueue(p)
 	n.injected++
-	if !n.gate.disabled {
-		r, _ := n.topo.RouterOf(p.Src)
-		if at < n.cycle {
-			at = n.cycle
-		}
-		n.wakeRouter(int32(r), at)
-	}
+	r, _ := n.topo.RouterOf(p.Src)
+	n.wakeRouter(int32(r), at, n.cycle)
 }
 
 // NewPacket returns a zeroed packet, recycled from the network's free
@@ -269,76 +179,103 @@ func (n *Network) Recycle(p *Packet) { n.pool.put(p) }
 
 // Step simulates one cycle (the cycle reported by Cycle) and advances
 // the clock. The five phases each touch only router-owned state plus
-// link-ring slots addressed at least one cycle in the future, so the
-// configured engine may run routers in parallel — and, for the same
-// reason, all five phases of one router may run fused in a single
-// sweep (stepRouter) with no barrier in between: no phase ever reads
-// a slot another router wrote this cycle. With activity gating
-// enabled (the default) the fused sweep visits only the active set,
-// in ascending router order so worker sharding stays deterministic; a
-// skipped router is a byte-level no-op under every phase (see
+// link-ring slots addressed at least one cycle in the future, so
+// shards of routers may run in parallel — and, for the same reason,
+// all five phases of one router may run fused in a single sweep
+// (stepRouter) with no barrier in between: no phase ever reads a slot
+// another router wrote this cycle. With activity gating enabled (the
+// default) each shard sweeps only its active set, in ascending router
+// order; a skipped router is a byte-level no-op under every phase (see
 // active.go). The exhaustive path keeps the original five-barrier
-// structure: it is the debugging reference, kept structurally simple
-// rather than fast.
+// structure over every router: it is the reference the gated path is
+// tested against, kept structurally simple rather than fast.
 func (n *Network) Step() {
-	if n.gate.disabled {
-		R := len(n.routers)
-		n.eng.Run(R, n.phaseIngress)
-		n.eng.Run(R, n.phaseRC)
-		n.eng.Run(R, n.phaseVA)
-		n.eng.Run(R, n.phaseSA)
-		n.eng.Run(R, n.phaseST)
-		n.gate.stepped++
-		n.cycle++
-		return
-	}
-	if len(n.shards) > 0 {
-		n.stepSharded()
-		return
-	}
-	n.activeList = n.gate.due(n.cycle)
-	n.gate.stepped++
-	n.gate.activeSum += uint64(len(n.activeList))
-	if k := len(n.activeList); k > 0 {
-		// Shape the sweep to the active-set size: with few routers the
-		// per-pass dispatch dominates, so fuse; near full occupancy the
-		// phase-major order wins (one phase's code and branch history
-		// stay hot across the whole list), and a full set drops the
-		// active-list indirection entirely. All three shapes are
-		// bit-identical and k is deterministic, so the choice is free.
-		switch {
-		case 2*k < len(n.routers):
-			n.eng.Run(k, n.fusedFn)
-		case k == len(n.routers):
-			n.eng.Run(k, n.directFns[0])
-			n.eng.Run(k, n.directFns[1])
-			n.eng.Run(k, n.directFns[2])
-			n.eng.Run(k, n.directFns[3])
-			n.eng.Run(k, n.directFns[4])
-		default:
-			n.eng.Run(k, n.phaseFns[0])
-			n.eng.Run(k, n.phaseFns[1])
-			n.eng.Run(k, n.phaseFns[2])
-			n.eng.Run(k, n.phaseFns[3])
-			n.eng.Run(k, n.phaseFns[4])
+	if n.exhaustive {
+		for r := range n.routers {
+			n.phaseIngress(r)
 		}
-		n.wakePass()
+		for r := range n.routers {
+			n.phaseRC(r)
+		}
+		for r := range n.routers {
+			n.phaseVA(r)
+		}
+		for r := range n.routers {
+			n.phaseSA(r)
+		}
+		for r := range n.routers {
+			n.phaseST(r)
+		}
+		n.stepped++
+	} else {
+		n.stepSharded(n.cycle, n.shardFn)
 	}
 	n.cycle++
 }
 
-// wakePass runs sequentially after the five phases and converts this
-// cycle's sends and the active routers' residual state into future
-// wakes. It reads only freshly written per-cycle scratch (saGrant) and
-// persistent state, and is the single writer of the wake structures.
-func (n *Network) wakePass() {
+// shardStep runs one shard's cycle: drain its wake schedule, sweep the
+// active routers' pipelines, and run the shard's wake pass. The sweep
+// is shaped to the active-set size: with few routers the per-pass
+// loop overhead dominates, so fuse; near full occupancy the
+// phase-major order wins (one phase's code and branch history stay hot
+// across the whole list). Both shapes are bit-identical and the
+// active-set size is deterministic, so the choice is free. The
+// phase-major loops carry the same occ == 0 skip as the fused
+// stepRouter (see there for why it is byte-identical).
+func (n *Network) shardStep(si int) {
+	s := &n.shards[si]
+	act := s.gate.due(n.cycle)
+	s.active = act
+	if len(act) == 0 {
+		return
+	}
+	if 2*len(act) < int(s.hi-s.lo) {
+		for _, r := range act {
+			n.stepRouter(int(r))
+		}
+	} else {
+		for _, r := range act {
+			n.phaseIngress(int(r))
+		}
+		for _, r := range act {
+			if n.routers[r].occ > 0 {
+				n.phaseRC(int(r))
+			}
+		}
+		for _, r := range act {
+			if n.routers[r].occ > 0 {
+				n.phaseVA(int(r))
+			}
+		}
+		for _, r := range act {
+			if n.routers[r].occ > 0 {
+				n.phaseSA(int(r))
+			} else {
+				clearGrants(&n.routers[r])
+			}
+		}
+		for _, r := range act {
+			if n.routers[r].occ > 0 {
+				n.phaseST(int(r))
+			}
+		}
+	}
+	n.wakePass(s)
+}
+
+// wakePass runs after a shard's sweep and converts this cycle's sends
+// and the active routers' residual state into future wakes. It reads
+// only freshly written per-cycle scratch (saGrant) and persistent
+// state, and writes only its own shard's schedule: wakes addressed
+// outside the shard's range are buffered through wakeOut.
+func (n *Network) wakePass(s *shard) {
 	now := n.cycle
 	V := n.cfg.TotalVCs()
 	lp := n.topo.LocalPorts()
 	ports := n.topo.Ports()
 	linkLat := sim.Cycle(n.cfg.LinkLatency)
 	credLat := sim.Cycle(n.cfg.CreditLatency)
-	for _, r32 := range n.activeList {
+	for _, r32 := range s.active {
 		r := int(r32)
 		rt := &n.routers[r]
 		// Every switch traversal this cycle produced up to two future
@@ -352,12 +289,12 @@ func (n *Network) wakePass() {
 				continue
 			}
 			if p >= lp {
-				n.gate.wakeAt(n.nbrOf[r*ports+p], now+linkLat, now)
+				s.wakeOut(n.nbrOf[r*ports+p], now+linkLat, now)
 			}
 			if ip := int(g) / V; ip >= lp {
-				n.gate.wakeAt(n.nbrOf[r*ports+ip], now+credLat, now)
+				s.wakeOut(n.nbrOf[r*ports+ip], now+credLat, now)
 			} else {
-				n.gate.wakeAt(r32, now+credLat, now)
+				s.gate.wakeAt(r32, now+credLat, now)
 			}
 		}
 		// A router whose local state can still make progress re-arms
@@ -379,7 +316,7 @@ func (n *Network) wakePass() {
 						continue
 					}
 					if at := ni.queues[v][ni.qHead[v]].CreatedAt; at > now+1 {
-						n.gate.wake(r32, at, now)
+						s.gate.wake(r32, at, now)
 					} else {
 						busy = true
 						break
@@ -388,7 +325,7 @@ func (n *Network) wakePass() {
 			}
 		}
 		if busy {
-			n.gate.markNext(r32)
+			s.gate.markNext(r32)
 		}
 	}
 }
@@ -397,48 +334,15 @@ func (n *Network) wakePass() {
 // one at which any router must run, and false when nothing is pending
 // anywhere in the network. With gating disabled every cycle is an
 // event.
-func (n *Network) NextEventCycle() (sim.Cycle, bool) {
-	if n.gate.disabled {
-		return n.cycle, true
-	}
-	if len(n.shards) > 0 {
-		return n.nextEventSharded()
-	}
-	return n.gate.next(n.cycle)
-}
+func (n *Network) NextEventCycle() (sim.Cycle, bool) { return n.nextEvent(n.cycle) }
 
 // AdvanceTo simulates through the end of cycle c-1, fast-forwarding
-// over spans with an empty active set instead of sweeping them. The
-// clock never jumps past c or past any scheduled event (injections
-// included), so AdvanceTo is bit-identical to calling Step c-Cycle()
-// times.
-func (n *Network) AdvanceTo(c sim.Cycle) {
-	for n.cycle < c {
-		next, ok := n.NextEventCycle()
-		if !ok || next >= c {
-			n.gate.skipped += uint64(c - n.cycle)
-			n.cycle = c
-			return
-		}
-		if next > n.cycle {
-			n.gate.skipped += uint64(next - n.cycle)
-			n.cycle = next
-		}
-		n.Step()
-	}
-}
+// over spans with an empty active set instead of sweeping them;
+// bit-identical to calling Step c-Cycle() times.
+func (n *Network) AdvanceTo(c sim.Cycle) { n.advanceTo(&n.cycle, c, n.Step) }
 
 // ActivityStats reports the gating layer's work accounting.
-func (n *Network) ActivityStats() ActivityStats {
-	return ActivityStats{
-		Stepped:    n.gate.stepped,
-		Skipped:    n.gate.skipped,
-		ActiveSum:  n.gate.activeSum,
-		Routers:    len(n.routers),
-		PoolHits:   n.pool.hits,
-		PoolMisses: n.pool.misses,
-	}
-}
+func (n *Network) ActivityStats() ActivityStats { return n.activityStats(&n.pool) }
 
 // rebuildWake reconstructs the wake schedule from restored state: wake
 // every router once (idle ones no-op and retire after one sweep) and
@@ -448,9 +352,6 @@ func (n *Network) ActivityStats() ActivityStats {
 // and its wake pass re-arms future injections.
 func (n *Network) rebuildWake() {
 	n.resetWake()
-	if n.gate.disabled {
-		return
-	}
 	now := n.cycle
 	for r := range n.links {
 		for p, lnk := range n.links[r] {
@@ -462,13 +363,13 @@ func (n *Network) rebuildWake() {
 			// the port.
 			for s := range lnk.flits {
 				if lnk.flits[s].pkt != nil {
-					n.wakeRouter(int32(r), ringArrival(now, s, len(lnk.flits)))
+					n.wakeRouter(int32(r), ringArrival(now, s, len(lnk.flits)), now)
 				}
 			}
 			nb, _, _ := n.topo.Link(r, p)
 			for s := range lnk.credits {
 				if lnk.credits[s] != -1 {
-					n.wakeRouter(int32(nb), ringArrival(now, s, len(lnk.credits)))
+					n.wakeRouter(int32(nb), ringArrival(now, s, len(lnk.credits)), now)
 				}
 			}
 		}
@@ -478,7 +379,7 @@ func (n *Network) rebuildWake() {
 		r, _ := n.topo.RouterOf(t)
 		for s := range ni.creditRing.credits {
 			if ni.creditRing.credits[s] != -1 {
-				n.wakeRouter(int32(r), ringArrival(now, s, len(ni.creditRing.credits)))
+				n.wakeRouter(int32(r), ringArrival(now, s, len(ni.creditRing.credits)), now)
 			}
 		}
 	}
@@ -596,11 +497,4 @@ func (n *Network) Quiescent() bool {
 		}
 	}
 	return true
-}
-
-// Close releases the engine if the network owns one.
-func (n *Network) Close() {
-	if n.ownEngine {
-		n.eng.Close()
-	}
 }

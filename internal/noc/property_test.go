@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +132,87 @@ func TestDeflectionConservationProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 15}
 	if testing.Short() {
 		cfg.MaxCount = 3
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedEqualsExhaustiveProperty: on random grids — prime router
+// counts (single-row meshes and rings) and tori included — with a random
+// traffic pattern and any worker count from the default to beyond the
+// router count, the gated run of either router engine matches the
+// exhaustive sequential sweep on fingerprints and on mid-run and
+// end-of-run checkpoint bytes, and every injected packet comes out.
+func TestShardedEqualsExhaustiveProperty(t *testing.T) {
+	patterns := []string{"uniform", "hotspot", "bursty"}
+	f := func(wRaw, hRaw, workersRaw, patRaw uint8, torus, deflect bool) bool {
+		pattern := patterns[int(patRaw)%len(patterns)]
+		var topo topology.Topology
+		var routing topology.Routing
+		if torus {
+			tor := topology.NewTorus(3+int(wRaw)%3, []int{1, 3}[int(hRaw)%2], 1)
+			topo, routing = tor, topology.NewTorusDOR(tor)
+		} else {
+			m := topology.NewMesh(2+int(wRaw)%6, 1+int(hRaw)%3, 1)
+			topo, routing = m, topology.NewXY(m)
+		}
+		R := topo.NumRouters()
+		workers := int(workersRaw) % (R + 4) // 0 .. R+3: default, exact fit, and clamped
+		fail := func(what string) bool {
+			t.Logf("%s workers=%d pattern=%s deflect=%v: %s", topo.Name(), workers, pattern, deflect, what)
+			return false
+		}
+
+		var wantFP, gotFP string
+		var wantMid, wantEnd, gotMid, gotEnd []byte
+		var injected, delivered uint64
+		if deflect {
+			exCfg := DefaultDeflectConfig()
+			exCfg.DisableGating = true
+			ex, err := NewDeflection(exCfg, topo)
+			if err != nil {
+				return fail(err.Error())
+			}
+			g, err := NewDeflection(DefaultDeflectConfig(), topo, WithDeflectWorkers(workers))
+			if err != nil {
+				return fail(err.Error())
+			}
+			defer g.Close()
+			wantFP, wantMid, wantEnd = runDeflGatingLoad(t, ex, pattern)
+			gotFP, gotMid, gotEnd = runDeflGatingLoad(t, g, pattern)
+			injected, delivered = g.Injected(), g.Delivered()
+		} else {
+			exCfg := DefaultConfig()
+			exCfg.DisableGating = true
+			ex, err := New(exCfg, topo, routing)
+			if err != nil {
+				return fail(err.Error())
+			}
+			g, err := New(DefaultConfig(), topo, routing, WithWorkers(workers))
+			if err != nil {
+				return fail(err.Error())
+			}
+			defer g.Close()
+			wantFP, wantMid, wantEnd = runGatingLoad(t, ex, pattern)
+			gotFP, gotMid, gotEnd = runGatingLoad(t, g, pattern)
+			injected, delivered = g.Injected(), g.Delivered()
+		}
+		switch {
+		case gotFP != wantFP:
+			return fail("fingerprint diverged from the exhaustive sweep")
+		case !bytes.Equal(gotMid, wantMid):
+			return fail("mid-run checkpoint bytes differ from the exhaustive sweep")
+		case !bytes.Equal(gotEnd, wantEnd):
+			return fail("end-of-run checkpoint bytes differ from the exhaustive sweep")
+		case injected == 0 || delivered != injected:
+			return fail("packets lost")
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 40}
+	if testing.Short() {
+		cfg.MaxCount = 8
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ type vaReq struct {
 // router holds all per-router state. All mutation happens in the five
 // phase methods on Network, each of which touches only this router's
 // state plus staging slots it exclusively writes, which is what makes
-// the parallel engine safe.
+// stepping shards of routers concurrently safe.
 type router struct {
 	in  []inputVC // ports × totalVCs
 	out []outVC   // ports × totalVCs
@@ -96,8 +96,8 @@ func newRouter(ports, vcs, bufDepth int) router {
 // bit-identical to the five barrier-separated sweeps because every
 // cross-router hand-off goes through a cycle-indexed ring slot
 // addressed at least one cycle ahead: nothing a phase reads this
-// cycle was written by any router this cycle. The gated Step uses
-// this as its engine pass for small active sets.
+// cycle was written by any router this cycle. shardStep sweeps small
+// active sets with it.
 //
 // A router with no occupied input VC after ingress — woken only to
 // consume a credit, say — cannot route, allocate, bid, or traverse:

@@ -1,89 +1,75 @@
 package noc
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/noc/engine"
 	"repro/internal/sim"
 )
 
-// Sharded NoC stepping (see DESIGN.md "Sharded NoC stepping"): the
-// router range is partitioned into contiguous shards, one per engine
-// worker, and each shard steps its routers' full pipelines
-// concurrently. The partition leans on the same future-addressing
-// discipline that makes fused stepping valid: every cross-router
-// interaction travels through a link/credit ring slot (or a staging
-// slot) addressed at least one cycle ahead, so a shard never reads
-// another shard's same-cycle state and the only synchronization is
-// the engine barrier between per-cycle passes.
+// NoC stepping (see DESIGN.md "NoC stepping"): the router range is
+// partitioned into S = max(1, min(workers, R)) contiguous shards, each
+// with its own wake schedule, and a gated cycle steps every shard's
+// active routers. The partition leans on the future-addressing
+// discipline of the router model: every cross-router interaction
+// travels through a link/credit ring slot (or a staging slot) addressed
+// at least one cycle ahead, so a shard never reads another shard's
+// same-cycle state and the only synchronization is the barrier between
+// per-cycle passes.
 //
-// Each shard carries its own wake schedule over its router range, so
-// activity gating composes: an idle shard's due() scan touches a
-// handful of bitmap words and nothing else. Wakes that a shard's wake
-// pass addresses to a router outside its range cannot be written into
-// the owning shard's schedule directly (that would race with the
-// owner's own wake pass); they are buffered into a per-shard outbox
-// and merged sequentially after the barrier. Merge order cannot leak
-// into simulated state: wake scheduling is bitmap ORs (commutative,
-// idempotent) plus a heap whose drain order is normalized by due()'s
-// bitmap fold, so the sharded schedule is set-equal — and therefore
-// bit-identical in effect — to the sequential one.
+// There is one gated step path for every S. The default network is the
+// one-shard case: its single shard steps inline on the caller, with no
+// worker pool, no clock reads and no cross-shard wake merge — all three
+// exist only to coordinate more than one shard, so the choice is made
+// from S itself, not from a setting.
+//
+// Wakes that a shard's wake pass addresses to a router outside its
+// range cannot be written into the owning shard's schedule directly
+// (that would race with the owner's own wake pass); they are buffered
+// into a per-shard outbox and merged sequentially after the barrier.
+// Merge order cannot leak into simulated state: wake scheduling is
+// bitmap ORs (commutative, idempotent) plus a heap whose drain order is
+// normalized by due()'s bitmap fold, so every partition yields a
+// schedule set-equal — and therefore bit-identical in effect — to the
+// one-shard one.
 //
 // Everything here is derived state: shard assignment, wake schedules,
-// outboxes, and counters are recomputed on construction and conservatively
-// re-seeded on restore (resetWake), never serialized. Sharding is a
-// speed knob, never an accuracy knob.
+// outboxes, and counters are recomputed on construction and
+// conservatively re-seeded on restore (resetWake), never serialized.
+// Sharding is a speed knob, never an accuracy knob.
 
-// shard is one worker's contiguous router range [lo, hi) with its own
-// wake schedule and per-cycle scratch. The padding keeps hot per-shard
+// shard is one contiguous router range [lo, hi) with its own wake
+// schedule and per-cycle scratch. The padding keeps hot per-shard
 // counters on distinct cache lines so concurrent shard sweeps never
 // false-share.
 type shard struct {
-	lo, hi int32 //simlint:derived partition bounds recomputed at construction
+	lo, hi int32
 
-	gate   gate    //simlint:derived per-shard wake schedule, re-seeded by resetWake after restore
-	active []int32 //simlint:derived per-cycle active list refilled from the shard's wake schedule
+	gate   gate
+	active []int32 // this cycle's active list, valid until the next due()
 
 	// outbox buffers cross-shard wakes (packed cycle<<wakeShift|router,
 	// the heap encoding) produced by this shard's wake pass; the merge
 	// after the barrier drains it into the owning shards' schedules.
-	outbox []uint64 //simlint:derived per-cycle scratch drained by the sequential merge
+	outbox []uint64
 
-	// swapBuf is the deflection swap-candidate scratch (the per-shard
-	// analogue of Deflection.swapList).
-	swapBuf []int32 //simlint:derived per-cycle scratch refilled every stepped cycle
+	// swapBuf is the deflection swap-candidate scratch.
+	swapBuf []int32
 
 	// boundary lists this shard's routers with at least one neighbour in
 	// another shard; nbrShards lists the shards those neighbours live
 	// in. The deflection swap pass scans boundary only when a
 	// neighbouring shard was active this cycle.
-	boundary  []int32 //simlint:derived precomputed from the topology at construction
-	nbrShards []int32 //simlint:derived precomputed from the topology at construction
+	boundary  []int32
+	nbrShards []int32
 
-	// Host-side accounting (never serialized): activeSum mirrors the
-	// gate's per-cycle active counts, boundaryWakes counts events that
-	// crossed a shard boundary, busyNanos accumulates this shard's
-	// in-sweep wall time for the barrier-share metric.
-	activeSum     uint64
+	// Host-side accounting: boundaryWakes counts events that crossed a
+	// shard boundary, busyNanos accumulates this shard's in-pass wall
+	// time for the barrier-share metric (S > 1 only).
 	boundaryWakes uint64
 	busyNanos     int64
 
 	_ [64]byte // cache-line pad between neighbouring shards
-}
-
-// shardChunk divides n routers into s near-equal contiguous ranges and
-// returns the id-th range (the same split engine.Parallel uses for its
-// workers, so shard si lands on worker si).
-func shardChunk(n, s, id int) (lo, hi int) {
-	base := n / s
-	rem := n % s
-	lo = id*base + min(id, rem)
-	hi = lo + base
-	if id < rem {
-		hi++
-	}
-	return lo, hi
 }
 
 // wakeOut routes a wake for router t from this shard's wake pass:
@@ -98,15 +84,204 @@ func (s *shard) wakeOut(t int32, at, now sim.Cycle) {
 	s.boundaryWakes++
 }
 
-// ShardStats is the sharded stepping layer's host-side work accounting,
-// the shard-level companion to ActivityStats. Like it, the stats never
+// partition is the step-path state both cycle-level networks embed: the
+// shards, the router-to-shard table, the lazily started worker pool and
+// the host-side work counters. The exhaustive reference sweep keeps a
+// (never stepped) one-shard partition too, so no caller branches on
+// its presence.
+type partition struct {
+	// exhaustive marks the every-router-every-cycle reference sweep:
+	// nothing is scheduled and every cycle is an event.
+	exhaustive bool
+	// workers is the worker count requested at construction (the
+	// WithWorkers options set it before init), carried through Fork.
+	workers int
+
+	shards  []shard
+	shardOf []int16
+
+	// pool runs the passes of a multi-shard cycle. It starts on the
+	// first such cycle, so a network that is built, forked or restored
+	// but never stepped holds no goroutines.
+	pool      *engine.Parallel
+	pass      func(si int) // the pass timedPass is dispatching
+	timedPass func(si int)
+
+	// Work accounting (host-side observability; never serialized).
+	stepped         uint64
+	skipped         uint64
+	activeSum       uint64
+	shardsActiveSum uint64
+	stepNanos       int64
+}
+
+// init partitions R routers into max(1, min(workers, R)) near-equal
+// contiguous shards — one for the exhaustive sweep, which never steps
+// them — and wakes every router once.
+func (p *partition) init(R int, exhaustive bool) {
+	p.exhaustive = exhaustive
+	S := 1
+	if !exhaustive {
+		S = max(1, min(p.workers, R))
+	}
+	p.shards = make([]shard, S)
+	p.shardOf = make([]int16, R)
+	for si := range p.shards {
+		lo, hi := engine.Chunk(R, S, si)
+		p.shards[si].lo, p.shards[si].hi = int32(lo), int32(hi)
+		for r := lo; r < hi; r++ {
+			p.shardOf[r] = int16(si)
+		}
+	}
+	p.resetWake()
+}
+
+// resetWake conservatively re-seeds every wake schedule: wake
+// everything once, drop all scheduled events, clear outboxes. The
+// derived-state reset shared by construction, snapshot restore and fork.
+func (p *partition) resetWake() {
+	for si := range p.shards {
+		s := &p.shards[si]
+		s.gate.reset(s.lo, int(s.hi-s.lo))
+		s.outbox = s.outbox[:0]
+	}
+}
+
+// wakeRouter schedules router r to run at cycle `at` from sequential
+// (non-wake-pass) contexts: injection and post-restore rebuilds.
+func (p *partition) wakeRouter(r int32, at, now sim.Cycle) {
+	if p.exhaustive {
+		return
+	}
+	p.shards[p.shardOf[r]].gate.wake(r, max(at, now), now)
+}
+
+// nextEvent reports the earliest cycle at or after now at which any
+// router must run, and false when nothing is pending anywhere. The
+// exhaustive sweep treats every cycle as an event.
+func (p *partition) nextEvent(now sim.Cycle) (sim.Cycle, bool) {
+	if p.exhaustive {
+		return now, true
+	}
+	best, ok := sim.Cycle(0), false
+	for si := range p.shards {
+		if c, o := p.shards[si].gate.next(now); o && (!ok || c < best) {
+			best, ok = c, true
+		}
+	}
+	return best, ok
+}
+
+// advanceTo moves the owning network's clock to c, calling step for
+// every cycle with a pending event and fast-forwarding the rest. The
+// clock never jumps past c or past any scheduled event (injections
+// included), so this is bit-identical to calling step c-*clock times.
+func (p *partition) advanceTo(clock *sim.Cycle, c sim.Cycle, step func()) {
+	for *clock < c {
+		next, ok := p.nextEvent(*clock)
+		if !ok || next >= c {
+			p.skipped += uint64(c - *clock)
+			*clock = c
+			return
+		}
+		if next > *clock {
+			p.skipped += uint64(next - *clock)
+			*clock = next
+		}
+		step()
+	}
+}
+
+// stepSharded runs one gated cycle: every pass over every shard with a
+// barrier after each, then the sequential merge of cross-shard wakes
+// into their owners' schedules — the only code that writes across shard
+// ranges — and the accounting. One shard needs none of the coordination.
+func (p *partition) stepSharded(now sim.Cycle, passes ...func(si int)) {
+	p.stepped++
+	if len(p.shards) == 1 {
+		for _, pass := range passes {
+			pass(0)
+		}
+		if k := len(p.shards[0].active); k > 0 {
+			p.activeSum += uint64(k)
+			p.shardsActiveSum++
+		}
+		return
+	}
+	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	if p.pool == nil {
+		p.pool = engine.NewParallel(len(p.shards))
+		p.timedPass = func(si int) {
+			t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+			p.pass(si)
+			p.shards[si].busyNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+		}
+	}
+	for _, pass := range passes {
+		p.pass = pass
+		p.pool.Run(len(p.shards), p.timedPass)
+	}
+	for si := range p.shards {
+		s := &p.shards[si]
+		if k := len(s.active); k > 0 {
+			p.activeSum += uint64(k)
+			p.shardsActiveSum++
+		}
+		for _, w := range s.outbox {
+			t := int32(w & wakeRouterMask)
+			p.shards[p.shardOf[t]].gate.wakeAt(t, sim.Cycle(w>>wakeShift), now)
+		}
+		s.outbox = s.outbox[:0]
+	}
+	p.stepNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+}
+
+// Close stops the worker pool, if one was started. A later Step starts
+// a fresh one.
+func (p *partition) Close() {
+	if p.pool != nil {
+		p.pool.Close()
+		p.pool = nil
+	}
+}
+
+// activityStats reports the gating layer's work accounting.
+func (p *partition) activityStats(pool *packetPool) ActivityStats {
+	return ActivityStats{
+		Stepped:    p.stepped,
+		Skipped:    p.skipped,
+		ActiveSum:  p.activeSum,
+		Routers:    len(p.shardOf),
+		PoolHits:   pool.hits,
+		PoolMisses: pool.misses,
+	}
+}
+
+// ShardStats reports the partition's work accounting.
+func (p *partition) ShardStats() ShardStats {
+	st := ShardStats{
+		Shards:          len(p.shards),
+		Stepped:         p.stepped,
+		ShardsActiveSum: p.shardsActiveSum,
+		StepNanos:       p.stepNanos,
+	}
+	for si := range p.shards {
+		st.BoundaryWakes += p.shards[si].boundaryWakes
+		st.BusyNanos += p.shards[si].busyNanos
+	}
+	return st
+}
+
+// ShardStats is the shard partition's host-side work accounting, the
+// shard-level companion to ActivityStats. Like it, the stats never
 // enter snapshots or fingerprints: they measure simulator effort, not
-// simulated state. BusyNanos and StepNanos are wall-clock measures and
-// must only feed host-side (wall-gated) observability.
+// simulated state. BusyNanos and StepNanos are wall-clock measures,
+// taken only when more than one shard steps, and must only feed
+// host-side (wall-gated) observability.
 type ShardStats struct {
-	// Shards is the partition width (0 when stepping is unsharded).
+	// Shards is the partition width (1 by default).
 	Shards int
-	// Stepped counts cycles simulated through the sharded path.
+	// Stepped counts cycles simulated by a phase sweep.
 	Stepped uint64
 	// ShardsActiveSum accumulates, per stepped cycle, the number of
 	// shards whose active set was non-empty.
@@ -115,8 +290,8 @@ type ShardStats struct {
 	// addressed to another shard's router (VC) or flits staged across a
 	// boundary (deflection).
 	BoundaryWakes uint64
-	// BusyNanos sums per-shard in-sweep wall time; StepNanos is the wall
-	// time of the whole sharded step path, barriers included.
+	// BusyNanos sums per-shard in-pass wall time; StepNanos is the wall
+	// time of the whole multi-shard step path, barriers included.
 	BusyNanos, StepNanos int64
 }
 
@@ -129,8 +304,8 @@ func (s ShardStats) MeanActiveShards() float64 {
 	return float64(s.ShardsActiveSum) / float64(s.Stepped)
 }
 
-// BarrierShare estimates the fraction of the sharded step path's
-// worker-time spent outside shard sweeps (barriers, dispatch, and the
+// BarrierShare estimates the fraction of the multi-shard step path's
+// worker-time spent outside shard passes (barriers, dispatch, and the
 // sequential merge): 1 - busy/(step x shards).
 func (s ShardStats) BarrierShare() float64 {
 	denom := float64(s.StepNanos) * float64(s.Shards)
@@ -142,456 +317,4 @@ func (s ShardStats) BarrierShare() float64 {
 		return 0
 	}
 	return share
-}
-
-// --- VC network ---------------------------------------------------------
-
-// WithWorkers shards the gated step across w workers (w <= 1 keeps the
-// sequential path byte-for-byte unchanged). The network builds and owns
-// a parallel engine; an engine given via WithEngine is replaced. With
-// gating disabled the workers still parallelize the exhaustive
-// phase-barriered sweep, just without shard-local wake schedules.
-func WithWorkers(w int) Option {
-	return func(n *Network) {
-		n.reqWorkers = w
-	}
-}
-
-// buildShards partitions the router range into min(workers, R)
-// contiguous shards with per-shard wake schedules.
-func (n *Network) buildShards(workers int) {
-	R := len(n.routers)
-	S := workers
-	if S > R {
-		S = R
-	}
-	if S < 2 {
-		return
-	}
-	n.shards = make([]shard, S)
-	n.shardOf = make([]int16, R)
-	for si := 0; si < S; si++ {
-		lo, hi := shardChunk(R, S, si)
-		s := &n.shards[si]
-		s.lo, s.hi = int32(lo), int32(hi)
-		s.gate.resetRange(s.lo, hi-lo)
-		for r := lo; r < hi; r++ {
-			n.shardOf[r] = int16(si)
-		}
-	}
-	n.shardFn = func(si int) { n.shardStep(si) }
-}
-
-// resetWake conservatively re-seeds every wake schedule (the global
-// gate and, when sharded, each shard's): wake everything once, drop all
-// scheduled events, clear outboxes. The derived-state reset shared by
-// snapshot restore and fork.
-func (n *Network) resetWake() {
-	n.gate.reset(len(n.routers))
-	for si := range n.shards {
-		s := &n.shards[si]
-		s.gate.resetRange(s.lo, int(s.hi-s.lo))
-		s.outbox = s.outbox[:0]
-	}
-}
-
-// wakeRouter schedules router r to run at cycle `at` from sequential
-// (non-wake-pass) contexts: injection and post-restore rebuilds. Routes
-// to the owning shard's schedule when sharded.
-func (n *Network) wakeRouter(r int32, at sim.Cycle) {
-	if len(n.shards) > 0 {
-		n.shards[n.shardOf[r]].gate.wake(r, at, n.cycle)
-		return
-	}
-	n.gate.wake(r, at, n.cycle)
-}
-
-// stepSharded simulates one cycle through the shard partition: one
-// engine pass steps every shard (due + pipeline sweep + wake pass with
-// buffered cross-shard wakes), then the sequential merge drains the
-// outboxes into the owning shards' schedules. The merge is the only
-// code that writes across shard ranges, and it runs after the barrier.
-func (n *Network) stepSharded() {
-	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-	n.eng.Run(len(n.shards), n.shardFn)
-	now := n.cycle
-	active := 0
-	busy := 0
-	for si := range n.shards {
-		s := &n.shards[si]
-		if k := len(s.active); k > 0 {
-			active += k
-			busy++
-		}
-		for _, w := range s.outbox {
-			t := int32(w & wakeRouterMask)
-			n.shards[n.shardOf[t]].gate.wakeAt(t, sim.Cycle(w>>wakeShift), now)
-		}
-		s.outbox = s.outbox[:0]
-	}
-	n.gate.stepped++
-	n.gate.activeSum += uint64(active)
-	n.shardStepped++
-	n.shardActiveSum += uint64(busy)
-	n.stepNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-	n.cycle++
-}
-
-// shardStep runs one shard's cycle: drain its wake schedule, sweep the
-// active routers' full pipelines, and run the shard-local wake pass.
-// The sweep shape mirrors Step's fused-vs-phase-major choice; both are
-// bit-identical, and the per-shard choice depends only on deterministic
-// active-set sizes, so it is free here too.
-func (n *Network) shardStep(si int) {
-	s := &n.shards[si]
-	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-	act := s.gate.due(n.cycle)
-	s.active = act
-	s.activeSum += uint64(len(act))
-	if len(act) > 0 {
-		if 2*len(act) < int(s.hi-s.lo) {
-			for _, r := range act {
-				n.stepRouter(int(r))
-			}
-		} else {
-			for _, r := range act {
-				n.phaseIngress(int(r))
-			}
-			for _, r := range act {
-				if n.routers[r].occ > 0 {
-					n.phaseRC(int(r))
-				}
-			}
-			for _, r := range act {
-				if n.routers[r].occ > 0 {
-					n.phaseVA(int(r))
-				}
-			}
-			for _, r := range act {
-				if n.routers[r].occ > 0 {
-					n.phaseSA(int(r))
-				} else {
-					clearGrants(&n.routers[r])
-				}
-			}
-			for _, r := range act {
-				if n.routers[r].occ > 0 {
-					n.phaseST(int(r))
-				}
-			}
-		}
-		n.wakePassShard(s)
-	}
-	s.busyNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-}
-
-// wakePassShard is wakePass scoped to one shard's active list: the
-// same event-to-wake conversion, with wakes addressed outside the
-// shard's range buffered through wakeOut instead of written into
-// another shard's schedule.
-func (n *Network) wakePassShard(s *shard) {
-	now := n.cycle
-	V := n.cfg.TotalVCs()
-	lp := n.topo.LocalPorts()
-	ports := n.topo.Ports()
-	linkLat := sim.Cycle(n.cfg.LinkLatency)
-	credLat := sim.Cycle(n.cfg.CreditLatency)
-	for _, r32 := range s.active {
-		r := int(r32)
-		rt := &n.routers[r]
-		for p := 0; p < ports; p++ {
-			g := rt.saGrant[p]
-			if g < 0 {
-				continue
-			}
-			if p >= lp {
-				s.wakeOut(n.nbrOf[r*ports+p], now+linkLat, now)
-			}
-			if ip := int(g) / V; ip >= lp {
-				s.wakeOut(n.nbrOf[r*ports+ip], now+credLat, now)
-			} else {
-				s.gate.wakeAt(r32, now+credLat, now)
-			}
-		}
-		busy := rt.occ > 0
-		if !busy {
-			for p := 0; p < lp && !busy; p++ {
-				ni := &n.ifaces[n.topo.TerminalAt(r, p)]
-				if ni.cur != nil {
-					busy = true
-					break
-				}
-				for v := range ni.queues {
-					if ni.qHead[v] >= len(ni.queues[v]) {
-						continue
-					}
-					if at := ni.queues[v][ni.qHead[v]].CreatedAt; at > now+1 {
-						s.gate.wake(r32, at, now)
-					} else {
-						busy = true
-						break
-					}
-				}
-			}
-		}
-		if busy {
-			s.gate.markNext(r32)
-		}
-	}
-}
-
-// nextEventSharded folds the per-shard schedules into the earliest
-// pending cycle across the partition.
-func (n *Network) nextEventSharded() (sim.Cycle, bool) {
-	best := sim.Cycle(0)
-	ok := false
-	for si := range n.shards {
-		if c, o := n.shards[si].gate.next(n.cycle); o && (!ok || c < best) {
-			best, ok = c, true
-		}
-	}
-	return best, ok
-}
-
-// ShardStats reports the sharded stepping layer's work accounting
-// (zero-valued when stepping is unsharded).
-func (n *Network) ShardStats() ShardStats {
-	st := ShardStats{
-		Shards:          len(n.shards),
-		Stepped:         n.shardStepped,
-		ShardsActiveSum: n.shardActiveSum,
-		StepNanos:       n.stepNanos,
-	}
-	for si := range n.shards {
-		st.BoundaryWakes += n.shards[si].boundaryWakes
-		st.BusyNanos += n.shards[si].busyNanos
-	}
-	return st
-}
-
-// --- Deflection network -------------------------------------------------
-
-// WithDeflectWorkers shards the gated deflection step across w workers
-// (w <= 1 keeps the sequential path byte-for-byte unchanged); see
-// WithWorkers.
-func WithDeflectWorkers(w int) DeflectOption {
-	return func(n *Deflection) {
-		n.reqWorkers = w
-	}
-}
-
-// buildShards partitions the deflection router range, additionally
-// precomputing each shard's boundary router list and neighbouring-shard
-// set for the cross-shard arrival scan in shardSwap.
-func (n *Deflection) buildShards(workers int) {
-	R := len(n.routers)
-	S := workers
-	if S > R {
-		S = R
-	}
-	if S < 2 {
-		return
-	}
-	n.shards = make([]shard, S)
-	n.shardOf = make([]int16, R)
-	for si := 0; si < S; si++ {
-		lo, hi := shardChunk(R, S, si)
-		s := &n.shards[si]
-		s.lo, s.hi = int32(lo), int32(hi)
-		s.gate.resetRange(s.lo, hi-lo)
-		for r := lo; r < hi; r++ {
-			n.shardOf[r] = int16(si)
-		}
-	}
-	for si := range n.shards {
-		s := &n.shards[si]
-		isNbr := make([]bool, S)
-		for r := int(s.lo); r < int(s.hi); r++ {
-			cross := false
-			for d := 0; d < 4; d++ {
-				if nb := n.nbrOf[r*4+d]; nb >= 0 && (nb < s.lo || nb >= s.hi) {
-					cross = true
-					isNbr[n.shardOf[nb]] = true
-				}
-			}
-			if cross {
-				s.boundary = append(s.boundary, int32(r))
-			}
-		}
-		for t := 0; t < S; t++ {
-			if isNbr[t] {
-				s.nbrShards = append(s.nbrShards, int32(t))
-			}
-		}
-	}
-	n.shardStepFn = func(si int) { n.shardStep(si) }
-	n.shardSwapFn = func(si int) { n.shardSwap(si) }
-}
-
-// resetWake conservatively re-seeds every wake schedule; see
-// Network.resetWake.
-func (n *Deflection) resetWake() {
-	n.gate.reset(len(n.routers))
-	for si := range n.shards {
-		s := &n.shards[si]
-		s.gate.resetRange(s.lo, int(s.hi-s.lo))
-		s.outbox = s.outbox[:0]
-	}
-}
-
-// wakeRouter schedules router r to run at cycle `at` from sequential
-// contexts (injection), routing to the owning shard when sharded.
-func (n *Deflection) wakeRouter(r int32, at sim.Cycle) {
-	if len(n.shards) > 0 {
-		n.shards[n.shardOf[r]].gate.wake(r, at, n.cycle)
-		return
-	}
-	n.gate.wake(r, at, n.cycle)
-}
-
-// stepSharded simulates one deflection cycle through the partition:
-// pass one steps every shard's active routers (staging arrivals, which
-// may land in other shards' routers — each staging slot has a unique
-// writer, so the passes never race), pass two swaps each shard's own
-// staged routers and re-arms wakes. All wakes in both passes target the
-// owner shard's own schedule, so the deflection path needs no outbox.
-func (n *Deflection) stepSharded() {
-	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-	n.eng.Run(len(n.shards), n.shardStepFn)
-	n.eng.Run(len(n.shards), n.shardSwapFn)
-	active := 0
-	busy := 0
-	for si := range n.shards {
-		if k := len(n.shards[si].active); k > 0 {
-			active += k
-			busy++
-		}
-	}
-	n.gate.stepped++
-	n.gate.activeSum += uint64(active)
-	n.shardStepped++
-	n.shardActiveSum += uint64(busy)
-	n.stepNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-	n.cycle++
-}
-
-// shardStep runs one shard's router pass: drain the shard's wake
-// schedule and step each active router (eject, inject, assign outputs,
-// stage sends into neighbours' next-cycle slots).
-func (n *Deflection) shardStep(si int) {
-	s := &n.shards[si]
-	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-	act := s.gate.due(n.cycle)
-	s.active = act
-	s.activeSum += uint64(len(act))
-	for _, r := range act {
-		n.stepRouter(int(r))
-	}
-	s.busyNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-}
-
-// shardSwap is the per-shard half of wakePass: find this shard's own
-// routers holding staged arrivals, swap each exactly once, and re-arm
-// wakes. Staged arrivals at an own router were written either by an
-// own active router (covered by the in-range neighbour scan) or by an
-// active router in a neighbouring shard (covered by the boundary list,
-// scanned only when such a shard was active — reading a peer's active
-// length here is safe: it was published before the inter-pass barrier).
-// The final staged-flit filter makes the swap set exactly the
-// sequential wakePass's swap set restricted to this shard's range.
-func (n *Deflection) shardSwap(si int) {
-	s := &n.shards[si]
-	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-	now := n.cycle
-	cand := s.swapBuf[:0]
-	for _, r32 := range s.active {
-		r := int(r32)
-		cand = append(cand, r32) //simlint:allow alloc swapBuf capacity is retained across cycles; steady state appends in place
-		for d := 0; d < 4; d++ {
-			if nb := n.nbrOf[r*4+d]; nb >= s.lo && nb < s.hi {
-				cand = append(cand, nb) //simlint:allow alloc swapBuf capacity is retained across cycles; steady state appends in place
-			}
-		}
-	}
-	for _, as := range s.nbrShards {
-		if len(n.shards[as].active) > 0 {
-			cand = append(cand, s.boundary...) //simlint:allow alloc swapBuf capacity is retained across cycles; steady state appends in place
-			break
-		}
-	}
-	slices.Sort(cand)
-	out := cand[:0]
-	prev := int32(-1)
-	for _, c := range cand {
-		if c == prev {
-			continue
-		}
-		prev = c
-		rt := &n.routers[c]
-		if rt.next[0].pkt != nil || rt.next[1].pkt != nil ||
-			rt.next[2].pkt != nil || rt.next[3].pkt != nil {
-			out = append(out, c) //simlint:allow alloc in-place filter of cand; never exceeds swapBuf's retained capacity
-		}
-	}
-	s.swapBuf = out
-	for _, r32 := range out {
-		rt := &n.routers[r32]
-		for d := 0; d < 4; d++ {
-			if rt.next[d].pkt != nil {
-				if nb := n.nbrOf[int(r32)*4+d]; nb >= 0 && (nb < s.lo || nb >= s.hi) {
-					s.boundaryWakes++
-				}
-			}
-		}
-		n.swapRouter(int(r32))
-		s.gate.markNext(r32)
-	}
-	for _, r32 := range s.active {
-		ni := &n.ifaces[n.topo.TerminalAt(int(r32), 0)]
-		if ni.qHead < len(ni.queue) {
-			if at := ni.queue[ni.qHead].pkt.CreatedAt; at > now+1 {
-				s.gate.wake(r32, at, now)
-			} else {
-				s.gate.markNext(r32)
-			}
-		}
-	}
-	s.busyNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-}
-
-// nextEventSharded folds the per-shard schedules into the earliest
-// pending cycle; see Network.nextEventSharded.
-func (n *Deflection) nextEventSharded() (sim.Cycle, bool) {
-	best := sim.Cycle(0)
-	ok := false
-	for si := range n.shards {
-		if c, o := n.shards[si].gate.next(n.cycle); o && (!ok || c < best) {
-			best, ok = c, true
-		}
-	}
-	return best, ok
-}
-
-// ShardStats reports the sharded stepping layer's work accounting.
-func (n *Deflection) ShardStats() ShardStats {
-	st := ShardStats{
-		Shards:          len(n.shards),
-		Stepped:         n.shardStepped,
-		ShardsActiveSum: n.shardActiveSum,
-		StepNanos:       n.stepNanos,
-	}
-	for si := range n.shards {
-		st.BoundaryWakes += n.shards[si].boundaryWakes
-		st.BusyNanos += n.shards[si].busyNanos
-	}
-	return st
-}
-
-// newShardEngine builds the owned parallel engine for a sharded
-// network, closing any previously owned engine first.
-func newShardEngine(prev engine.Engine, owned bool, workers int) engine.Engine {
-	if owned {
-		prev.Close()
-	}
-	return engine.NewParallel(workers)
 }

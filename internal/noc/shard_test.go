@@ -3,7 +3,9 @@ package noc
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
@@ -146,11 +148,7 @@ func TestShardedRestoreBitIdentical(t *testing.T) {
 	}
 
 	for _, w := range []int{1, 4, 8} {
-		var opts []Option
-		if w > 1 {
-			opts = append(opts, WithWorkers(w))
-		}
-		n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), opts...)
+		n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(w))
 		d, err := snapshot.NewDecoder(seqBlob, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -244,6 +242,104 @@ func TestDeflectionShardedSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestShardPartition pins the partition width: S = max(1, min(workers,
+// R)) shards always exist, for both router engines — the default
+// network has exactly one, and a worker count above the router count
+// clamps to one router per shard.
+func TestShardPartition(t *testing.T) {
+	m := topology.NewMesh(3, 3, 1)
+	for _, c := range []struct{ workers, want int }{
+		{-1, 1}, {0, 1}, {1, 1}, {2, 2}, {9, 9}, {10, 9}, {64, 9},
+	} {
+		n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(c.workers))
+		if got := n.ShardStats().Shards; got != c.want {
+			t.Errorf("WithWorkers(%d) on 9 routers built %d shards, want %d", c.workers, got, c.want)
+		}
+		d, err := NewDeflection(DefaultDeflectConfig(), m, WithDeflectWorkers(c.workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.ShardStats().Shards; got != c.want {
+			t.Errorf("WithDeflectWorkers(%d) on 9 routers built %d shards, want %d", c.workers, got, c.want)
+		}
+	}
+	def := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
+	if got := def.ShardStats().Shards; got != 1 {
+		t.Errorf("default network built %d shards, want exactly 1", got)
+	}
+}
+
+// goroutinesSettleAt waits for the goroutine count to reach want (a
+// closed pool's workers exit asynchronously) and reports the last count.
+func goroutinesSettleAt(want int) int {
+	got := runtime.NumGoroutine()
+	for i := 0; i < 200 && got != want; i++ {
+		time.Sleep(time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	return got
+}
+
+// TestShardedForkKeepsWorkersHoldsNoGoroutines: a fork is sharded like
+// its parent, but a network's worker pool starts on its first
+// multi-shard Step — so a fork that is only held (a parked session, a
+// rollback point) owns no goroutines, and Close gives them back.
+func TestShardedForkKeepsWorkersHoldsNoGoroutines(t *testing.T) {
+	m := topology.NewMesh(4, 4, 1)
+	// Earlier tests' pools may still be winding down: let the count
+	// settle before taking the baseline.
+	base := runtime.NumGoroutine()
+	for calm := 0; calm < 5; calm++ {
+		time.Sleep(time.Millisecond)
+		if got := runtime.NumGoroutine(); got != base {
+			base, calm = got, 0
+		}
+	}
+	n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(2))
+	d, err := NewDeflection(DefaultDeflectConfig(), m, WithDeflectWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got != base {
+		t.Fatalf("construction started %d goroutines, want none before the first Step", got-base)
+	}
+	n.Step()
+	d.Step()
+	if got := runtime.NumGoroutine(); got != base+4 {
+		t.Fatalf("two stepped 2-worker networks hold %d goroutines, want 4", got-base)
+	}
+
+	nf, err := n.Fork(NewPacketRemap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	df, err := d.Fork(NewPacketRemap())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns, ds := nf.ShardStats().Shards, df.ShardStats().Shards; ns != 2 || ds != 2 {
+		t.Errorf("forks of 2-shard networks have %d and %d shards, want 2 and 2", ns, ds)
+	}
+	if got := runtime.NumGoroutine(); got != base+4 {
+		t.Errorf("held forks own %d goroutines, want none", got-base-4)
+	}
+	n.Close()
+	d.Close()
+	if got := goroutinesSettleAt(base); got != base {
+		t.Errorf("%d goroutines left after closing the parents while the forks are parked", got-base)
+	}
+	nf.Step()
+	df.Step()
+	if got := runtime.NumGoroutine(); got != base+4 {
+		t.Errorf("stepped forks hold %d goroutines, want 4", got-base)
+	}
+	nf.Close()
+	df.Close()
+	if got := goroutinesSettleAt(base); got != base {
+		t.Errorf("%d goroutines leaked after Close", got-base)
+	}
+}
+
 // TestShardStats sanity-checks the shard accounting: a loaded sharded
 // run reports every shard busy at some point, boundary traffic (the
 // load crosses shard boundaries by construction), and a barrier share
@@ -268,10 +364,13 @@ func TestShardStats(t *testing.T) {
 	if bs := st.BarrierShare(); bs < 0 || bs > 1 {
 		t.Errorf("BarrierShare = %v, want in [0, 1]", bs)
 	}
-	// An unsharded network reports a zero-valued ShardStats.
-	seq := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
-	if st := seq.ShardStats(); st.Shards != 0 || st.Stepped != 0 {
-		t.Errorf("unsharded ShardStats = %+v, want zero", st)
+	// The default network is the one-shard case of the same path: it
+	// steps, but nothing crosses a boundary and no clock is read.
+	one := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
+	runGatingLoad(t, one, "uniform")
+	if st := one.ShardStats(); st.Shards != 1 || st.Stepped == 0 ||
+		st.BoundaryWakes != 0 || st.BusyNanos != 0 || st.StepNanos != 0 {
+		t.Errorf("default ShardStats = %+v, want one busy shard with no boundary traffic and no wall time", st)
 	}
 
 	d, err := NewDeflection(DefaultDeflectConfig(), m, WithDeflectWorkers(4))

@@ -381,7 +381,7 @@ func (n *Network) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, tra
 		}
 		ni.injectedPkts = d.U64()
 		ni.injectedFlits = d.U64()
-		if d.Err() == nil && ni.rr < 0 || ni.rr >= n.cfg.VNets {
+		if d.Err() == nil && (ni.rr < 0 || ni.rr >= n.cfg.VNets) {
 			d.Failf("iface rr pointer %d out of range", ni.rr)
 		}
 		d.Leave()

@@ -1,7 +1,12 @@
 package noc
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"strings"
 	"testing"
 
 	"repro/internal/noc/topology"
@@ -170,5 +175,41 @@ func TestDeflectionSnapshotRoundTrip(t *testing.T) {
 	a.SnapshotTo(e2, nil)
 	if string(e2.Finish()) != string(blob) {
 		t.Error("re-encoding the same deflection state produced different bytes")
+	}
+}
+
+// TestRestoreRejectsOutOfRangeIfaceRR overwrites the first NI's
+// round-robin pointer in an otherwise valid snapshot (and re-seals the
+// CRC, so only the semantic check can catch it): restore must fail with
+// ErrCorrupt naming the field, not accept a pointer that would index
+// past the vnet queues.
+func TestRestoreRejectsOutOfRangeIfaceRR(t *testing.T) {
+	m := topology.NewMesh(2, 2, 1)
+	n := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
+	e := snapshot.NewEncoder(1)
+	n.SnapshotTo(e, nil)
+	blob := e.Finish()
+
+	// An idle network's first iface record is one empty-queue count (a
+	// u32) per vnet, then rr as an i64, right after the section marker.
+	at := bytes.Index(blob, []byte("ifaces"))
+	if at < 0 {
+		t.Fatal("no ifaces section in the snapshot")
+	}
+	at += len("ifaces") + 4*n.Cfg().VNets
+	if got := binary.LittleEndian.Uint64(blob[at:]); got != 0 {
+		t.Fatalf("expected the idle rr pointer (0) at offset %d, found %d", at, got)
+	}
+	binary.LittleEndian.PutUint64(blob[at:], uint64(n.Cfg().VNets))
+	body := blob[:len(blob)-4]
+	binary.LittleEndian.PutUint32(blob[len(body):], crc32.ChecksumIEEE(body))
+
+	d, err := snapshot.NewDecoder(blob, 1)
+	if err != nil {
+		t.Fatalf("decode envelope: %v", err)
+	}
+	err = mustNet(t, DefaultConfig(), m, topology.NewXY(m)).RestoreFrom(d, nil, nil)
+	if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "iface rr pointer") {
+		t.Fatalf("restore with rr = VNets returned %v, want ErrCorrupt naming the iface rr pointer", err)
 	}
 }

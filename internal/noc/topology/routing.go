@@ -13,7 +13,7 @@ type Choice struct {
 
 // Routing computes admissible next hops. Implementations are bound to
 // a topology at construction and must be stateless per call so they
-// can be invoked concurrently by the parallel engine.
+// can be invoked concurrently from the NoC's shard workers.
 type Routing interface {
 	// Name identifies the routing function in tables and logs.
 	Name() string

@@ -23,7 +23,8 @@ const (
 )
 
 // Topology describes an interconnect graph. Implementations must be
-// immutable after construction so they can be shared across engines.
+// immutable after construction so they can be shared across networks
+// and their workers.
 type Topology interface {
 	// Name identifies the topology in tables and logs.
 	Name() string

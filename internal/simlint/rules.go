@@ -53,15 +53,15 @@ var outputFuncs = map[string]map[string]bool{
 // hotPathFunc reports whether a function name is one of the per-cycle
 // hot paths under the zero-alloc steady-state contract: the router
 // pipeline phases, the per-cycle Step/Tick entry points, the
-// deflection router's per-cycle workers, and the sharded sweep's
-// per-cycle shard workers and merge.
+// deflection router's per-cycle workers, and the shard partition's
+// per-cycle passes, wake pass and merge.
 func hotPathFunc(name string) bool {
 	if strings.HasPrefix(name, "phase") {
 		return true
 	}
 	switch name {
 	case "Step", "Tick", "stepRouter", "swapRouter",
-		"stepSharded", "shardStep", "shardSwap", "wakePassShard":
+		"stepSharded", "shardStep", "shardSwap", "wakePass":
 		return true
 	}
 	return false

@@ -51,8 +51,7 @@ const (
 	// quantum — the paper's contribution.
 	ModeReciprocal Mode = "reciprocal"
 	// ModeReciprocalGPU is ModeReciprocal with the NoC quantum
-	// executed by the simulated GPU coprocessor (parallel engine +
-	// device timing model).
+	// executed by the simulated GPU coprocessor (device timing model).
 	ModeReciprocalGPU Mode = "reciprocal-gpu"
 	// ModeHybrid samples the detailed NoC periodically and re-tunes
 	// the abstract model from its observations (reciprocal feedback).
@@ -100,8 +99,6 @@ type Config struct {
 
 	// Quantum is the reciprocal-abstraction synchronization interval.
 	Quantum int
-	// Workers sizes the parallel engine for GPU mode (0 = GOMAXPROCS).
-	Workers int
 	// ComponentWorkers > 1 steps independent co-simulation components
 	// (network backend, memory oracles) concurrently at each quantum
 	// boundary; 0 or 1 steps them sequentially. Results are
@@ -110,10 +107,10 @@ type Config struct {
 	// NocWorkers > 1 shards the cycle-level NoC spatially and steps the
 	// shards concurrently inside each quantum (cmd/cosim -noc-workers).
 	// Composes with ComponentWorkers (across components) and applies to
-	// both router architectures; 0 or 1 keeps the sequential sweep.
-	// Results are bit-identical either way: sharding is a speed knob,
-	// never an accuracy knob, and shard assignment is derived state that
-	// never enters checkpoints.
+	// both router architectures in every detailed mode; 0 or 1 steps one
+	// shard on the calling goroutine. Results are bit-identical either
+	// way: sharding is a speed knob, never an accuracy knob, and shard
+	// assignment is derived state that never enters checkpoints.
 	NocWorkers int
 	// Device is the modelled coprocessor for GPU mode.
 	Device gpu.Device
@@ -203,24 +200,7 @@ func BuildNoC(cfg Config) (*noc.Network, error) {
 	if cfg.DisableGating {
 		cfg.Router.DisableGating = true
 	}
-	return noc.New(cfg.Router, topo, routing, nocOpts(cfg)...)
-}
-
-// nocOpts translates the shared simulator knobs into VC-network
-// construction options (currently just the shard worker count).
-func nocOpts(cfg Config) []noc.Option {
-	if cfg.NocWorkers > 1 {
-		return []noc.Option{noc.WithWorkers(cfg.NocWorkers)}
-	}
-	return nil
-}
-
-// deflectOpts is nocOpts for the deflection network.
-func deflectOpts(cfg Config) []noc.DeflectOption {
-	if cfg.NocWorkers > 1 {
-		return []noc.DeflectOption{noc.WithDeflectWorkers(cfg.NocWorkers)}
-	}
-	return nil
+	return noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
 }
 
 // BuildBackend constructs the network backend for a mode.
@@ -237,13 +217,13 @@ func BuildBackend(cfg Config, mode Mode) (core.Backend, error) {
 	case ModeSynchronous, ModeReciprocal:
 		switch cfg.RouterArch {
 		case "", "vc":
-			net, err := noc.New(cfg.Router, topo, routing, nocOpts(cfg)...)
+			net, err := noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
 			if err != nil {
 				return nil, err
 			}
 			return core.NewDetailed(net), nil
 		case "deflect":
-			net, err := noc.NewDeflection(cfg.Deflect, topo, deflectOpts(cfg)...)
+			net, err := noc.NewDeflection(cfg.Deflect, topo, noc.WithDeflectWorkers(cfg.NocWorkers))
 			if err != nil {
 				return nil, err
 			}
@@ -252,8 +232,7 @@ func BuildBackend(cfg Config, mode Mode) (core.Backend, error) {
 			return nil, fmt.Errorf("repro: unknown router architecture %q", cfg.RouterArch)
 		}
 	case ModeReciprocalGPU:
-		net, err := noc.New(cfg.Router, topo, routing,
-			noc.WithEngine(engine.NewParallel(cfg.Workers)))
+		net, err := noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +242,7 @@ func BuildBackend(cfg Config, mode Mode) (core.Backend, error) {
 	case ModeContention:
 		return core.NewAbstract(abstractnet.NewNetwork(abstractnet.NewContention(topo, cfg.Abstract))), nil
 	case ModeHybrid:
-		net, err := noc.New(cfg.Router, topo, routing, nocOpts(cfg)...)
+		net, err := noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +250,7 @@ func BuildBackend(cfg Config, mode Mode) (core.Backend, error) {
 		return core.NewHybrid(core.NewDetailed(net), tuned,
 			sim.Cycle(cfg.HybridPeriod), sim.Cycle(cfg.HybridSample))
 	case ModeCalibrated:
-		net, err := noc.New(cfg.Router, topo, routing, nocOpts(cfg)...)
+		net, err := noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
 		if err != nil {
 			return nil, err
 		}

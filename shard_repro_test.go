@@ -8,19 +8,19 @@ import (
 )
 
 // shardTestWorkers are the shard worker counts the end-to-end matrix
-// exercises: the 1-worker path must be byte-for-byte the sequential
-// code, 4 splits the 4x4 mesh into multi-router shards, and 8 forces
-// uneven single-router shards.
-var shardTestWorkers = []int{1, 4, 8}
+// exercises: 0 is the default one-shard network stepped inline on the
+// caller, 2 and 4 split the 4x4 mesh into multi-router shards, and 8
+// forces two-router shards.
+var shardTestWorkers = []int{0, 2, 4, 8}
 
 // TestShardedBitIdenticalAllModes is the end-to-end sharding property
 // (the top-level companion of the internal/noc shard tests, shaped
 // like TestGatingBitIdenticalAllModes): for every co-simulation mode
 // and both router architectures, a gated run with the NoC sweep
-// sharded across 1/4/8 workers must produce the same mid-run
+// partitioned for 0/2/4/8 workers must produce the same mid-run
 // checkpoint bytes and the same final result as the exhaustive
 // sequential -no-fastforward sweep. Run under -race (`make
-// race-shard`) this doubles as the data-race proof for the sharded
+// race-shard`) this doubles as the data-race proof for the one gated
 // stepping path.
 func TestShardedBitIdenticalAllModes(t *testing.T) {
 	for _, arch := range []string{"vc", "deflect"} {
@@ -52,7 +52,7 @@ func TestShardedBitIdenticalAllModes(t *testing.T) {
 					}
 					return blob, det(res)
 				}
-				// Sharded and sequential checkpoints must interchange, so the
+				// Checkpoints must interchange across partitions, so the
 				// worker count must not leak into the digest.
 				if ConfigDigest(mkcfg(8, false), mode, "shard-test") !=
 					ConfigDigest(mkcfg(0, false), mode, "shard-test") {

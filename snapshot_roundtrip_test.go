@@ -251,6 +251,48 @@ func TestCheckpointStaleVersion(t *testing.T) {
 	}
 }
 
+// goldenDigest is the config digest testdata/reciprocal-16t.ckpt was
+// sealed under. ConfigDigest hashes the printed Config, so adding,
+// removing or reordering a Config field moves every digest and orphans
+// every persisted checkpoint and cosimd manifest unless ConfigDigest
+// keeps the hashed string stable; this constant is what notices.
+const goldenDigest = 0x19937b5f0f510cb
+
+// TestHostSpeedKnobsInterchangeCheckpoints: the worker counts change
+// host speed only, so they stay out of the digest and a checkpoint
+// written under one setting resumes under another.
+func TestHostSpeedKnobsInterchangeCheckpoints(t *testing.T) {
+	c := ckptCase{"reciprocal", ModeReciprocal, "", ""}
+	fast := ckptConfig(c)
+	fast.ComponentWorkers, fast.NocWorkers = 4, 2
+	digest := ConfigDigest(fast, c.mode, "fft-16-250-42")
+	plain := ConfigDigest(ckptConfig(c), c.mode, "fft-16-250-42")
+	if digest != plain {
+		t.Fatalf("-component-workers 4 -noc-workers 2 moved the digest: %#x vs %#x", digest, plain)
+	}
+
+	ref := buildCkptCosim(t, c, 42)
+	want := ckptFingerprint(t, ref, ref.Run(ckptLimit))
+
+	saved, err := BuildCosim(fast, c.mode, workload.NewFFT(16, 250, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(saved.Close)
+	saved.Run(ckptAt)
+	blob, err := EncodeCheckpoint(saved, digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := buildCkptCosim(t, c, 42)
+	if err := DecodeCheckpoint(blob, resumed, plain); err != nil {
+		t.Fatalf("checkpoint written with 4 component workers and 2 NoC workers does not resume under 0/0: %v", err)
+	}
+	if got := ckptFingerprint(t, resumed, resumed.Run(ckptLimit)); got != want {
+		t.Errorf("resumed run diverged from the uninterrupted one\nwant %s\ngot  %s", want, got)
+	}
+}
+
 // TestGoldenCheckpoint pins the on-disk format: a checkpoint written
 // by a past build must keep restoring and producing the same final
 // statistics. Regenerate with `go test -run TestGoldenCheckpoint
@@ -258,6 +300,9 @@ func TestCheckpointStaleVersion(t *testing.T) {
 func TestGoldenCheckpoint(t *testing.T) {
 	c := ckptCase{"reciprocal", ModeReciprocal, "", ""}
 	digest := ConfigDigest(ckptConfig(c), c.mode, "fft-16-250-42")
+	if digest != goldenDigest {
+		t.Fatalf("the golden config's digest moved from %#x to %#x: existing checkpoints are orphaned", uint64(goldenDigest), digest)
+	}
 	blobPath := filepath.Join("testdata", "reciprocal-16t.ckpt")
 	wantPath := filepath.Join("testdata", "reciprocal-16t.fingerprint")
 
