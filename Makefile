@@ -22,9 +22,12 @@ lint:
 # A short coverage-guided run of the checkpoint-envelope fuzzer over
 # the committed seed corpus (internal/snapshot/testdata/fuzz), so CI
 # exercises real sealed/corrupted/truncated envelopes, not just the
-# in-code f.Add seeds.
+# in-code f.Add seeds — and one of the mask arbiters against their
+# scan-based reference on random router states
+# (internal/noc/router_ref_test.go).
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s
+	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s
 
 # End-to-end smoke of the co-simulation server: starts cosimd on a
 # loopback port with a deliberately tiny resident limit, drives a

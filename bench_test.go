@@ -148,8 +148,12 @@ func benchQuantumMesh(b *testing.B, width, workers int, rate float64, disableGat
 			net.Recycle(p)
 		}
 	}
-	for i := 0; i < 20; i++ {
-		quantum() // warm scratch capacities and the packet pool
+	// Warm scratch capacities, the packet pool and — the slow one — the
+	// NI queue capacities: under the network-wide in-flight cap the
+	// saturated run's backlog drifts towards the slowest-draining NIs
+	// for a long time (DESIGN.md, "NoC stepping").
+	for i := 0; i < 100; i++ {
+		quantum()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -178,6 +182,9 @@ func BenchmarkStepIdleMeshExhaustive(b *testing.B) { benchQuantum(b, 0.01, true)
 // BENCH_cosim.json: on a multi-core host the w4/w8 rows speed up
 // near-linearly, while w1 is byte-for-byte the sequential path (on a
 // single-core host all rows cost about the same; see EXPERIMENTS.md).
+// Under -benchmem the 16x16 and 32x32 rows print 0 allocs/op with a few
+// kB/op (under one NI-queue growth per quantum left after the warm-up);
+// 64x64 is further from its steady state and prints about 8.
 func BenchmarkStepSaturated(b *testing.B) {
 	for _, width := range []int{16, 32, 64} {
 		for _, w := range []int{1, 2, 4, 8} {

@@ -583,7 +583,7 @@ func checkExposition(t *testing.T, text string) map[string]bool {
 // scheduler skew, eviction tiers, cache hit rate, fork-pool occupancy,
 // per-tenant cycle accounting, and per-phase wall histograms.
 func TestPromEndpoint(t *testing.T) {
-	srv := newTestServer(t, Options{
+	srv, release := newGatedServer(t, Options{
 		Workers: 2, MaxResident: 3, MaxWarm: 2, SliceCycles: 512,
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -601,6 +601,7 @@ func TestPromEndpoint(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
+	release()
 	srv.Wait()
 	if _, err := srv.Submit(first); err != nil { // cache hit
 		t.Fatal(err)

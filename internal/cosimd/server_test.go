@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,6 +55,23 @@ func newTestServer(t *testing.T, opts Options) *Server {
 	return srv
 }
 
+// newGatedServer is newTestServer with the workers held at their first
+// Build until release is called. A fixture whose point is pool pressure
+// — more sessions live at once than the resident (and warm) tier holds
+// — submits them all and then releases, so the pressure does not depend
+// on how fast a session simulates or how the host schedules the submit
+// loop against the workers.
+func newGatedServer(t *testing.T, opts Options) (srv *Server, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	opts.Builder = gateBuilder{gate}
+	srv = newTestServer(t, opts)
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release) // before the server's Close, which waits for the workers
+	return srv, release
+}
+
 func envelope(t *testing.T, srv *Server, id string) ([]byte, ResultEnvelope) {
 	t.Helper()
 	blob, st, ok := srv.Result(id)
@@ -72,7 +90,7 @@ func envelope(t *testing.T, srv *Server, id string) ([]byte, ResultEnvelope) {
 // pool far smaller than the session count) finishes with exactly the
 // fingerprint of an uninterrupted run.
 func TestEvictResumeFingerprint(t *testing.T) {
-	srv := newTestServer(t, Options{
+	srv, release := newGatedServer(t, Options{
 		Workers: 2, MaxResident: 3, SliceCycles: 512,
 	})
 	const n = 8
@@ -84,6 +102,7 @@ func TestEvictResumeFingerprint(t *testing.T) {
 		}
 		ids[i] = st.ID
 	}
+	release()
 	srv.Wait()
 	evicted := 0
 	for i, id := range ids {
@@ -112,7 +131,7 @@ func TestEvictResumeFingerprint(t *testing.T) {
 // no restore touches disk, and no checkpoint file is ever written.
 func TestWarmEvictResume(t *testing.T) {
 	const n = 8
-	srv := newTestServer(t, Options{
+	srv, release := newGatedServer(t, Options{
 		Workers: 2, MaxResident: 3, MaxWarm: n, SliceCycles: 512,
 	})
 	var ids [n]string
@@ -123,6 +142,7 @@ func TestWarmEvictResume(t *testing.T) {
 		}
 		ids[i] = st.ID
 	}
+	release()
 	srv.Wait()
 	for i, id := range ids {
 		_, env := envelope(t, srv, id)
@@ -154,7 +174,7 @@ func TestWarmEvictResume(t *testing.T) {
 // still finish with uninterrupted-run fingerprints after
 // warm-park → spill → disk-restore round trips.
 func TestWarmSpill(t *testing.T) {
-	srv := newTestServer(t, Options{
+	srv, release := newGatedServer(t, Options{
 		Workers: 2, MaxResident: 3, MaxWarm: 1, SliceCycles: 512,
 	})
 	const n = 8
@@ -166,6 +186,7 @@ func TestWarmSpill(t *testing.T) {
 		}
 		ids[i] = st.ID
 	}
+	release()
 	srv.Wait()
 	for i, id := range ids {
 		_, env := envelope(t, srv, id)
@@ -385,7 +406,7 @@ func TestShardedSessionMetrics(t *testing.T) {
 // goroutines, and a drained server owns none.
 func TestShardedSessionSurvivesWarmPark(t *testing.T) {
 	const n, maxResident, nocWorkers = 8, 3, 2
-	srv := newTestServer(t, Options{
+	srv, release := newGatedServer(t, Options{
 		Workers: 1, MaxResident: maxResident, MaxWarm: n, SliceCycles: 256,
 	})
 	base := runtime.NumGoroutine() // the server's own worker included
@@ -407,6 +428,7 @@ func TestShardedSessionSurvivesWarmPark(t *testing.T) {
 		}
 		ids[i] = st.ID
 	}
+	release()
 	shardsOf := func(net any) int {
 		return net.(interface{ ShardStats() noc.ShardStats }).ShardStats().Shards
 	}

@@ -14,9 +14,9 @@ import (
 //   - A router that is skipped must be a byte-level no-op under every
 //     phase. That holds because each phase early-outs on empty input
 //     state: RC/VA/SA touch their round-robin pointers only when a
-//     request exists, and the per-cycle scratch (saReq, saGrant,
-//     vaScratch) is rewritten before it is read on the next active
-//     cycle, so stale scratch is unobservable.
+//     request exists, and the per-cycle scratch (grants, saGrant) is
+//     rewritten before it is read on the next active cycle, so stale
+//     scratch is unobservable.
 //
 //   - A router must never miss a cycle in which it has work. Every
 //     future event is therefore scheduled into the wake structure at

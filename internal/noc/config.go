@@ -75,6 +75,9 @@ func (c Config) Validate(r topology.Routing) error {
 	if c.VCsPerVNet < 1 {
 		return fmt.Errorf("noc: VCsPerVNet must be >= 1, got %d", c.VCsPerVNet)
 	}
+	if c.TotalVCs() > maxVCs {
+		return fmt.Errorf("noc: VNets*VCsPerVNet = %d VCs per port, limit %d (one mask bit each)", c.TotalVCs(), maxVCs)
+	}
 	if c.BufDepth < 1 {
 		return fmt.Errorf("noc: BufDepth must be >= 1, got %d", c.BufDepth)
 	}
@@ -90,6 +93,9 @@ func (c Config) Validate(r topology.Routing) error {
 	if sets := r.VCSets(); c.VCsPerVNet%sets != 0 {
 		return fmt.Errorf("noc: VCsPerVNet (%d) must be a multiple of routing %q VC sets (%d)",
 			c.VCsPerVNet, r.Name(), sets)
+	}
+	if k := r.MaxChoices(); k > maxHops {
+		return fmt.Errorf("noc: routing %q may return %d next hops, limit %d (the per-VC route cache)", r.Name(), k, maxHops)
 	}
 	return nil
 }

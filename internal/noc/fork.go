@@ -1,8 +1,10 @@
 package noc
 
+import "math/bits"
+
 // In-memory forking (second tier of the state capture contract; see
 // DESIGN.md "Two-tier state capture"). A fork is a live deep clone:
-// immutable tables (config, topology, routing, nbrOf/xLink) are shared
+// immutable tables (config, topology, routing, peer/niAt) are shared
 // or rebuilt from the shared topology, live packets are cloned through
 // a PacketRemap so cross-structure pointer sharing is preserved, and
 // derived state (wake schedules, scratch, free lists) is re-seeded
@@ -64,8 +66,9 @@ func (n *Network) RestoreFork(f *Network, remap PacketRemap) {
 // packets through remap and re-deriving everything a snapshot restore
 // would re-derive.
 func (n *Network) copyStateFrom(src *Network, remap PacketRemap) {
-	if len(n.routers) != len(src.routers) || len(n.ifaces) != len(src.ifaces) ||
-		n.cfg.TotalVCs() != src.cfg.TotalVCs() || n.topo.Ports() != src.topo.Ports() {
+	if n.routers != src.routers || len(n.ifaces) != len(src.ifaces) ||
+		n.vcs != src.vcs || n.ports != src.ports || n.depth != src.depth ||
+		n.flitRing != src.flitRing || n.credRing != src.credRing {
 		panic("noc: fork between differently-shaped networks")
 	}
 	n.cycle = src.cycle
@@ -94,7 +97,6 @@ func (n *Network) copyStateFrom(src *Network, remap PacketRemap) {
 		dst.curSeq = s.curSeq
 		dst.curVC = s.curVC
 		copy(dst.credits, s.credits)
-		copy(dst.creditRing.credits, s.creditRing.credits)
 		if s.dHead != len(s.deliveries) || len(dst.deliveries) != dst.dHead {
 			dst.deliveries = dst.deliveries[:0]
 			for i := s.dHead; i < len(s.deliveries); i++ {
@@ -106,60 +108,44 @@ func (n *Network) copyStateFrom(src *Network, remap PacketRemap) {
 		dst.injectedFlits = s.injectedFlits
 	}
 
-	for r := range src.routers {
-		dst, s := &n.routers[r], &src.routers[r]
-		for i := range s.in {
-			di, si := &dst.in[i], &s.in[i]
-			// The FIFO is copied slot-for-slot (popped slots are zeroed,
-			// so only live entries carry packets); any layout with the
-			// same logical order re-encodes to identical bytes. When
-			// both buffers are empty every slot is already zero on both
-			// sides (pop zeroes the vacated slot), so only the cursors
-			// need moving — the common case on a mostly-idle network.
-			dstHadFlits := di.buf.count != 0
-			di.buf.head = si.buf.head
-			di.buf.count = si.buf.count
-			if si.buf.count != 0 || dstHadFlits {
-				for k := range si.buf.slots {
-					e := si.buf.slots[k]
-					e.pkt = remap.Clone(e.pkt)
-					di.buf.slots[k] = e
-				}
+	// Router and link state is one copy per field: FIFO and ring slots
+	// transfer position-for-position (the clock is copied too), and
+	// copying the derived masks is the cheapest way to re-derive them.
+	// saGrant and grants are per-cycle scratch a snapshot restore leaves
+	// alone, so the fork does too. Popped and received slots hold no
+	// packet, so exactly the live entries are remapped below.
+	copy(n.vcState, src.vcState)
+	copy(n.vcHops, src.vcHops)
+	copy(n.hops, src.hops)
+	copy(n.vcOutPort, src.vcOutPort)
+	copy(n.vcOutVC, src.vcOutVC)
+	copy(n.vcHead, src.vcHead)
+	copy(n.vcCount, src.vcCount)
+	copy(n.flits, src.flits)
+	copy(n.outCredits, src.outCredits)
+	copy(n.outOwner, src.outOwner)
+	copy(n.masks, src.masks)
+	copy(n.vaPtr, src.vaPtr)
+	copy(n.saInPtr, src.saInPtr)
+	copy(n.saOutPtr, src.saOutPtr)
+	copy(n.outFlits, src.outFlits)
+	copy(n.bufWrites, src.bufWrites)
+	copy(n.bufReads, src.bufReads)
+	copy(n.arbGrants, src.arbGrants)
+	copy(n.linkFlits, src.linkFlits)
+	copy(n.linkCredits, src.linkCredits)
+	for rp, m := range n.masks {
+		for w := m.buf; w != 0; w &= w - 1 {
+			i := rp*n.vcs + bits.TrailingZeros64(w)
+			for k := 0; k < int(n.vcCount[i]); k++ {
+				f := n.fifoAt(i, k)
+				f.pkt = remap.Clone(f.pkt)
 			}
-			di.state = si.state
-			di.choices = append(di.choices[:0], si.choices...)
-			di.outPort = si.outPort
-			di.outVC = si.outVC
 		}
-		copy(dst.out, s.out)
-		copy(dst.vaPtr, s.vaPtr)
-		copy(dst.saInPtr, s.saInPtr)
-		copy(dst.saOutPtr, s.saOutPtr)
-		// saReq/saReqPort/saGrant are per-cycle scratch, rewritten by
-		// every router step before being read; a snapshot restore
-		// re-derives them, so the fork leaves them alone too.
-		copy(dst.outFlits, s.outFlits)
-		dst.occ = s.occ
-		dst.bufWrites = s.bufWrites
-		dst.bufReads = s.bufReads
-		dst.arbGrants = s.arbGrants
 	}
-
-	for r := range src.links {
-		for p, s := range src.links[r] {
-			if s == nil {
-				continue
-			}
-			// Ring slots are indexed by absolute cycle modulo ring size;
-			// the clock is copied too, so positions transfer slot-for-slot.
-			dst := n.links[r][p]
-			copy(dst.flits, s.flits)
-			for i := range dst.flits {
-				if pk := dst.flits[i].pkt; pk != nil {
-					dst.flits[i].pkt = remap.Clone(pk)
-				}
-			}
-			copy(dst.credits, s.credits)
+	for i := range n.linkFlits {
+		if pk := n.linkFlits[i].pkt; pk != nil {
+			n.linkFlits[i].pkt = remap.Clone(pk)
 		}
 	}
 

@@ -12,12 +12,9 @@ func (n *Network) LinkUtilization() map[[2]int]float64 {
 	if n.cycle == 0 {
 		return out
 	}
-	lp := n.topo.LocalPorts()
-	for r := range n.routers {
-		for p := lp; p < n.topo.Ports(); p++ {
-			if _, _, ok := n.topo.Link(r, p); ok {
-				out[[2]int{r, p}] = float64(n.routers[r].outFlits[p]) / float64(n.cycle)
-			}
+	for rp := range n.peer {
+		if n.linked(rp) {
+			out[[2]int{rp / n.ports, rp % n.ports}] = float64(n.outFlits[rp]) / float64(n.cycle)
 		}
 	}
 	return out
@@ -35,11 +32,11 @@ func (n *Network) Heatmap() string {
 	if !ok {
 		return "(heatmap requires a grid topology)"
 	}
-	loads := make([]float64, len(n.routers))
+	loads := make([]float64, n.routers)
 	var maxLoad float64
-	for r := range n.routers {
+	for r := range loads {
 		var total uint64
-		for _, c := range n.routers[r].outFlits {
+		for _, c := range n.outFlits[r*n.ports : (r+1)*n.ports] {
 			total += c
 		}
 		loads[r] = float64(total)

@@ -22,8 +22,9 @@ type Iface struct {
 	curSeq int32
 	curVC  int16
 
-	credits    []int32 // per VC of the router's local input port
-	creditRing *link   // credit-return staging (flit side unused)
+	// credits counts free slots per VC of the router's local input port;
+	// returns arrive on that port record's credit ring.
+	credits []int32
 
 	deliveries []*Packet // tail-ejected packets, DeliveredAt ascending
 	dHead      int
@@ -38,23 +39,29 @@ func newIface(terminal, router, localPort int, cfg Config) Iface {
 		credits[i] = int32(cfg.BufDepth)
 	}
 	return Iface{
-		terminal:   terminal,
-		router:     router,
-		localPort:  localPort,
-		queues:     make([][]*Packet, cfg.VNets),
-		qHead:      make([]int, cfg.VNets),
-		credits:    credits,
-		creditRing: newLink(1, cfg.CreditLatency),
+		terminal:  terminal,
+		router:    router,
+		localPort: localPort,
+		queues:    make([][]*Packet, cfg.VNets),
+		qHead:     make([]int, cfg.VNets),
+		credits:   credits,
 	}
 }
 
 // enqueue appends a packet to its virtual network's injection queue.
 // Packets must be enqueued in nondecreasing CreatedAt order per vnet.
 func (ni *Iface) enqueue(p *Packet) {
-	q := ni.queues[p.VNet]
-	if n := len(q); n > ni.qHead[p.VNet] && q[n-1].CreatedAt > p.CreatedAt {
+	q, h := ni.queues[p.VNet], ni.qHead[p.VNet]
+	if n := len(q); n > h && q[n-1].CreatedAt > p.CreatedAt {
 		panic(fmt.Sprintf("noc: out-of-order injection at terminal %d (%v after %v)",
 			ni.terminal, p.CreatedAt, q[n-1].CreatedAt))
+	}
+	if h > 0 && 2*h >= len(q) {
+		// Reclaim the consumed prefix once it is half the queue (one
+		// move per packet, amortized): a backlogged queue never
+		// empties, and its storage must track the backlog.
+		q = q[:copy(q, q[h:])]
+		ni.qHead[p.VNet] = 0
 	}
 	ni.queues[p.VNet] = append(q, p)
 }
@@ -72,7 +79,7 @@ func (ni *Iface) pending() int {
 // tryInject advances the serializer by at most one flit: it starts the
 // next eligible packet if idle, then pushes one flit into the router's
 // local input port if a credit is available.
-func (ni *Iface) tryInject(n *Network, rt *router, now sim.Cycle) {
+func (ni *Iface) tryInject(n *Network, now sim.Cycle) {
 	if ni.cur == nil {
 		ni.selectNext(n, now)
 	}
@@ -82,17 +89,7 @@ func (ni *Iface) tryInject(n *Network, rt *router, now sim.Cycle) {
 	if ni.credits[ni.curVC] <= 0 {
 		return
 	}
-	V := n.cfg.TotalVCs()
-	ivc := &rt.in[ni.localPort*V+int(ni.curVC)]
-	ivc.buf.push(flitEntry{
-		pkt:   ni.cur,
-		seq:   ni.curSeq,
-		ready: now + sim.Cycle(n.cfg.RouterStages-1),
-	})
-	if ivc.state == vcIdle && ivc.buf.len() == 1 {
-		rt.occ++
-	}
-	rt.bufWrites++
+	n.pushFlit(ni.router, ni.localPort, int(ni.curVC), ni.cur, ni.curSeq, now)
 	ni.credits[ni.curVC]--
 	ni.injectedFlits++
 	ni.curSeq++
@@ -109,7 +106,6 @@ func (ni *Iface) selectNext(n *Network, now sim.Cycle) {
 	for k := 0; k < len(ni.queues); k++ {
 		v := (ni.rr + k) % len(ni.queues)
 		if ni.qHead[v] >= len(ni.queues[v]) {
-			ni.compact(v)
 			continue
 		}
 		p := ni.queues[v][ni.qHead[v]]
@@ -145,14 +141,6 @@ func (ni *Iface) bestVC(n *Network, vnet int) (int16, bool) {
 		return 0, false
 	}
 	return int16(best), true
-}
-
-// compact reclaims a fully-consumed queue's storage.
-func (ni *Iface) compact(v int) {
-	if ni.qHead[v] > 0 && ni.qHead[v] == len(ni.queues[v]) {
-		ni.queues[v] = ni.queues[v][:0]
-		ni.qHead[v] = 0
-	}
 }
 
 // drainInto appends deliveries due at or before cycle `now` to out and

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
@@ -18,17 +19,76 @@ const ejectionCredits = 1 << 20
 // interfaces over a topology and routing function. It is not safe for
 // concurrent use; parallelism happens *within* Step, across the shards
 // of the embedded partition.
+//
+// Router state is laid out as flat per-field arrays, one element per
+// record, so a router's state is a few contiguous runs and a fork is
+// one copy per field. With R routers of P ports, V VCs per port and
+// D-deep buffers, the record indices are
+//
+//	port record  r*P + p          masks, arbiter pointers, saGrant, outFlits, peer, rings
+//	VC record    r*P*V + p*V + v  input-VC and output-VC fields
+//	flit slot    VC record * D + k
+//	ring slot    port record * ring length + cycle mod ring length
+//
+// (see DESIGN.md "Router state layout and mask arbiters").
 type Network struct {
 	cfg     Config
-	topo    topology.Topology
-	routing topology.Routing //simlint:derived construction input; routing functions are part of the network definition
+	topo    topology.Topology //simlint:derived construction input; the topology is part of the network definition
+	routing topology.Routing  //simlint:derived construction input; routing functions are part of the network definition
 
-	routers []router
-	links   [][]*link // inbound link per (router, port); nil if none
-	ifaces  []Iface
+	// Geometry, fixed at construction: routers, ports and local ports per
+	// router, VCs per port, input VCs per router (ports*vcs), buffer
+	// depth, link ring lengths (latency + 1), VCs per routing VC set.
+	routers, ports, lp, vcs, pv, depth int //simlint:derived recomputed from cfg and the topology at construction
+	flitRing, credRing, vcsPerSet      int //simlint:derived recomputed from cfg at construction
 
-	cycle     sim.Cycle
-	vcsPerSet int //simlint:derived recomputed from cfg at construction
+	// Input VCs, by VC record: packet-progress state, the cached route
+	// (vcHops entries of hops[i*maxHops:], valid in vcWaitVA), the held
+	// output VC (valid in vcActive) and the flit FIFO cursor.
+	vcState   []uint8
+	vcHops    []uint8
+	hops      []hop
+	vcOutPort []int16
+	vcOutVC   []int16
+	vcHead    []int32
+	vcCount   []int32
+	flits     []flitEntry
+
+	// Output VCs, by VC record: credit count for the downstream buffer
+	// and the input VC (p*V + v within the router) holding the channel,
+	// or -1 when free.
+	outCredits []int32
+	outOwner   []int32
+
+	// By port record: the VC masks, the round-robin pointers (vaPtr per
+	// output port over input VCs p*V + v; saInPtr per input port over
+	// its VCs; saOutPtr per output port over input ports), the input VC
+	// each granted output port switches this cycle, and flits traversed
+	// per output port (utilization).
+	masks    []portMask //simlint:derived rebuilt from vcState and vcCount on restore
+	vaPtr    []int32
+	saInPtr  []int32
+	saOutPtr []int32
+	saGrant  []vcRef //simlint:derived per-cycle scratch, rewritten by every router step before it is read
+	outFlits []uint64
+
+	// By router: the output ports granted this cycle (the valid entries
+	// of saGrant) and the energy event counters (see Energy).
+	grants    []uint64 //simlint:derived per-cycle scratch, rewritten by every router step before it is read
+	bufWrites []uint64
+	bufReads  []uint64
+	arbGrants []uint64
+
+	// Inbound link rings, by port record (see packet.go), and the slots
+	// of the cycle being stepped.
+	linkFlits      []linkFlit
+	linkCredits    []int16 // -1 = empty
+	rxFlit, txFlit int     //simlint:derived recomputed from the clock by every Step
+	rxCred, txCred int     //simlint:derived recomputed from the clock by every Step
+
+	ifaces []Iface
+
+	cycle sim.Cycle
 
 	tracker   *stats.LatencyTracker
 	injected  uint64
@@ -38,18 +98,63 @@ type Network struct {
 
 	// The step path (shard.go): shard partition, per-shard wake
 	// schedules, worker pool and work counters — all derived or
-	// host-side state, excluded from snapshots — and the packet free
-	// list.
-	partition             //simlint:derived recomputed at construction; wake schedules re-seeded by rebuildWake after restore, counters restart at zero
-	shardFn   func(i int) //simlint:derived shardStep, bound once at construction
-	pool      packetPool  //simlint:derived host-side free list, never simulated state
-	// nbrOf[r*ports+p] is the router across port p of r, and
-	// xLink[r*ports+p] that neighbour's inbound link object (where r's
-	// sent flits land and r's output-port credits return); -1/nil when
-	// the port has no link. The per-cycle sweeps must not redo the
-	// topology's coordinate math.
-	nbrOf []int32 //simlint:derived precomputed from the topology at construction
-	xLink []*link //simlint:derived precomputed from the topology at construction
+	// host-side state, excluded from snapshots — the per-shard router
+	// scratch, and the packet free list.
+	partition                 //simlint:derived recomputed at construction; wake schedules re-seeded by rebuildWake after restore, counters restart at zero
+	shardFn   func(i int)     //simlint:derived shardStep, bound once at construction
+	scratch   []routerScratch //simlint:derived per-shard phase scratch, all zero between phases
+	pool      packetPool      //simlint:derived host-side free list, never simulated state
+	// peer[r*ports+p] is the far end of port p of router r: where r's
+	// sent flits and returned credits land, and whom they wake. niAt
+	// maps (r*lp + local port) to its terminal. The per-cycle sweeps
+	// must not redo the topology's coordinate math.
+	peer []portRef //simlint:derived precomputed from the topology at construction
+	niAt []int32   //simlint:derived precomputed from the topology at construction
+}
+
+// maxVCs bounds the virtual channels per port (Config.TotalVCs) and the
+// ports per router: both index bits of one uint64 mask word.
+const maxVCs = 64
+
+// maxHops bounds a routing function's MaxChoices: the admissible next
+// hops cached per input VC (the stride of Network.hops).
+const maxHops = 4
+
+// portMask holds, for one (router, input port), one bit per VC: buf is
+// set while the VC's FIFO is non-empty, wait while it is in vcWaitVA,
+// act while it is in vcActive. The arbiters walk these words instead of
+// scanning VC state; a router with all of them zero has no work.
+type portMask struct {
+	buf, wait, act uint64
+}
+
+// hop is one cached admissible next hop of a routed head flit.
+type hop struct {
+	port, set int16
+}
+
+// vcRef names an input VC of a router by port and VC index.
+type vcRef struct {
+	port, vc int16
+}
+
+// portRef is the far end of a port: the port record (router*ports +
+// port) whose inbound rings this port's sends land in, and its router.
+// A local port's far end is the port itself (the NI's credit ring lives
+// on the router's own port record); router is -1 where no link exists.
+type portRef struct {
+	slot, router int32
+}
+
+// routerScratch is the per-shard scratch of one router's VA and SA
+// phases (a shard steps one router at a time). Every word of req and
+// bid is zero between phases.
+type routerScratch struct {
+	route []topology.Choice // routing-function output, before packing into hops
+	set   []int16           // per input VC: the VC set of the hop it requests this cycle
+	req   []uint64          // [out port][in port]: VCs requesting an output VC
+	saReq []int16           // per input port: the VC it nominates
+	bid   []uint64          // per output port: input ports bidding for it
 }
 
 // Option configures a Network at construction.
@@ -69,10 +174,21 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 	if err := cfg.Validate(routing); err != nil {
 		return nil, err
 	}
+	if topo.Ports() > maxVCs {
+		return nil, fmt.Errorf("noc: topology %s has %d ports per router, limit %d", topo.Name(), topo.Ports(), maxVCs)
+	}
 	n := &Network{
 		cfg:       cfg,
 		topo:      topo,
 		routing:   routing,
+		routers:   topo.NumRouters(),
+		ports:     topo.Ports(),
+		lp:        topo.LocalPorts(),
+		vcs:       cfg.TotalVCs(),
+		pv:        topo.Ports() * cfg.TotalVCs(),
+		depth:     cfg.BufDepth,
+		flitRing:  cfg.LinkLatency + 1,
+		credRing:  cfg.CreditLatency + 1,
 		vcsPerSet: cfg.VCsPerVNet / routing.VCSets(),
 		tracker:   stats.NewLatencyTracker(4, 512),
 	}
@@ -80,36 +196,55 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 		o(n)
 	}
 
-	R := topo.NumRouters()
-	ports := topo.Ports()
-	V := cfg.TotalVCs()
-	lp := topo.LocalPorts()
-
-	n.routers = make([]router, R)
-	n.links = make([][]*link, R)
-	for r := 0; r < R; r++ {
-		n.routers[r] = newRouter(ports, V, cfg.BufDepth)
-		n.links[r] = make([]*link, ports)
-		// Ejection VCs sink without backpressure.
-		for p := 0; p < lp; p++ {
-			for v := 0; v < V; v++ {
-				n.routers[r].out[p*V+v].credits = ejectionCredits
-			}
-		}
-		for p := lp; p < ports; p++ {
-			for v := 0; v < V; v++ {
-				n.routers[r].out[p*V+v].credits = int32(cfg.BufDepth)
-			}
+	R := n.routers
+	n.vcState = make([]uint8, R*n.pv)
+	n.vcHops = make([]uint8, R*n.pv)
+	n.hops = make([]hop, R*n.pv*maxHops)
+	n.vcOutPort = make([]int16, R*n.pv)
+	n.vcOutVC = make([]int16, R*n.pv)
+	n.vcHead = make([]int32, R*n.pv)
+	n.vcCount = make([]int32, R*n.pv)
+	n.flits = make([]flitEntry, R*n.pv*n.depth)
+	n.outCredits = make([]int32, R*n.pv)
+	n.outOwner = make([]int32, R*n.pv)
+	n.masks = make([]portMask, R*n.ports)
+	n.vaPtr = make([]int32, R*n.ports)
+	n.saInPtr = make([]int32, R*n.ports)
+	n.saOutPtr = make([]int32, R*n.ports)
+	n.saGrant = make([]vcRef, R*n.ports)
+	n.outFlits = make([]uint64, R*n.ports)
+	n.grants = make([]uint64, R)
+	n.bufWrites = make([]uint64, R)
+	n.bufReads = make([]uint64, R)
+	n.arbGrants = make([]uint64, R)
+	n.linkFlits = make([]linkFlit, R*n.ports*n.flitRing)
+	n.linkCredits = make([]int16, R*n.ports*n.credRing)
+	for i := range n.linkCredits {
+		n.linkCredits[i] = -1
+	}
+	for i := range n.outOwner {
+		n.outOwner[i] = -1
+		n.outCredits[i] = int32(n.depth)
+	}
+	for r := 0; r < R; r++ { // ejection VCs sink without backpressure
+		for o := r * n.pv; o < r*n.pv+n.lp*n.vcs; o++ {
+			n.outCredits[o] = ejectionCredits
 		}
 	}
-	// Create each router's inbound links (written by the upstream router).
+
+	n.peer = make([]portRef, R*n.ports)
+	n.niAt = make([]int32, R*n.lp)
 	for r := 0; r < R; r++ {
-		for p := lp; p < ports; p++ {
-			if _, _, ok := topo.Link(r, p); ok {
-				// The link arriving at (r, p) comes from the neighbor
-				// this port connects to; its object lives at the
-				// receiving side.
-				n.links[r][p] = newLink(cfg.LinkLatency, cfg.CreditLatency)
+		for p := 0; p < n.ports; p++ {
+			rp := r*n.ports + p
+			switch nb, nbp, ok := topo.Link(r, p); {
+			case p < n.lp:
+				n.peer[rp] = portRef{slot: int32(rp), router: int32(r)}
+				n.niAt[r*n.lp+p] = int32(topo.TerminalAt(r, p))
+			case ok:
+				n.peer[rp] = portRef{slot: int32(nb*n.ports + nbp), router: int32(nb)}
+			default:
+				n.peer[rp] = portRef{slot: -1, router: -1}
 			}
 		}
 	}
@@ -122,15 +257,14 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 
 	n.partition.init(R, cfg.DisableGating)
 	n.shardFn = n.shardStep
-	n.nbrOf = make([]int32, R*ports)
-	n.xLink = make([]*link, R*ports)
-	for r := 0; r < R; r++ {
-		for p := 0; p < ports; p++ {
-			n.nbrOf[r*ports+p] = -1
-			if nb, nbp, ok := topo.Link(r, p); ok {
-				n.nbrOf[r*ports+p] = int32(nb)
-				n.xLink[r*ports+p] = n.links[nb][nbp]
-			}
+	n.scratch = make([]routerScratch, len(n.shards))
+	for si := range n.scratch {
+		n.scratch[si] = routerScratch{
+			route: make([]topology.Choice, 0, maxHops),
+			set:   make([]int16, n.pv),
+			req:   make([]uint64, n.ports*n.ports),
+			saReq: make([]int16, n.ports),
+			bid:   make([]uint64, n.ports),
 		}
 	}
 	return n, nil
@@ -178,32 +312,29 @@ func (n *Network) NewPacket() *Packet { return n.pool.get() }
 func (n *Network) Recycle(p *Packet) { n.pool.put(p) }
 
 // Step simulates one cycle (the cycle reported by Cycle) and advances
-// the clock. The five phases each touch only router-owned state plus
-// link-ring slots addressed at least one cycle in the future, so
-// shards of routers may run in parallel — and, for the same reason,
-// all five phases of one router may run fused in a single sweep
-// (stepRouter) with no barrier in between: no phase ever reads a slot
-// another router wrote this cycle. With activity gating enabled (the
-// default) each shard sweeps only its active set, in ascending router
-// order; a skipped router is a byte-level no-op under every phase (see
-// active.go). The exhaustive path keeps the original five-barrier
-// structure over every router: it is the reference the gated path is
-// tested against, kept structurally simple rather than fast.
+// the clock. With activity gating enabled (the default) each shard
+// sweeps only its active set, in ascending router order, all five
+// phases of a router fused (stepRouter); a skipped router is a
+// byte-level no-op under every phase (see active.go). The exhaustive
+// path keeps the original five-barrier structure over every router: it
+// is the reference the gated path is tested against, kept structurally
+// simple rather than fast.
 func (n *Network) Step() {
+	n.setSlots()
 	if n.exhaustive {
-		for r := range n.routers {
+		for r := 0; r < n.routers; r++ {
 			n.phaseIngress(r)
 		}
-		for r := range n.routers {
+		for r := 0; r < n.routers; r++ {
 			n.phaseRC(r)
 		}
-		for r := range n.routers {
+		for r := 0; r < n.routers; r++ {
 			n.phaseVA(r)
 		}
-		for r := range n.routers {
+		for r := 0; r < n.routers; r++ {
 			n.phaseSA(r)
 		}
-		for r := range n.routers {
+		for r := 0; r < n.routers; r++ {
 			n.phaseST(r)
 		}
 		n.stepped++
@@ -214,113 +345,60 @@ func (n *Network) Step() {
 }
 
 // shardStep runs one shard's cycle: drain its wake schedule, sweep the
-// active routers' pipelines, and run the shard's wake pass. The sweep
-// is shaped to the active-set size: with few routers the per-pass
-// loop overhead dominates, so fuse; near full occupancy the
-// phase-major order wins (one phase's code and branch history stay hot
-// across the whole list). Both shapes are bit-identical and the
-// active-set size is deterministic, so the choice is free. The
-// phase-major loops carry the same occ == 0 skip as the fused
-// stepRouter (see there for why it is byte-identical).
+// active routers' fused pipelines, and run the shard's wake pass.
 func (n *Network) shardStep(si int) {
 	s := &n.shards[si]
-	act := s.gate.due(n.cycle)
-	s.active = act
-	if len(act) == 0 {
+	s.active = s.gate.due(n.cycle)
+	if len(s.active) == 0 {
 		return
 	}
-	if 2*len(act) < int(s.hi-s.lo) {
-		for _, r := range act {
-			n.stepRouter(int(r))
-		}
-	} else {
-		for _, r := range act {
-			n.phaseIngress(int(r))
-		}
-		for _, r := range act {
-			if n.routers[r].occ > 0 {
-				n.phaseRC(int(r))
-			}
-		}
-		for _, r := range act {
-			if n.routers[r].occ > 0 {
-				n.phaseVA(int(r))
-			}
-		}
-		for _, r := range act {
-			if n.routers[r].occ > 0 {
-				n.phaseSA(int(r))
-			} else {
-				clearGrants(&n.routers[r])
-			}
-		}
-		for _, r := range act {
-			if n.routers[r].occ > 0 {
-				n.phaseST(int(r))
-			}
-		}
+	for _, r := range s.active {
+		n.stepRouter(int(r))
 	}
 	n.wakePass(s)
 }
 
 // wakePass runs after a shard's sweep and converts this cycle's sends
 // and the active routers' residual state into future wakes. It reads
-// only freshly written per-cycle scratch (saGrant) and persistent
-// state, and writes only its own shard's schedule: wakes addressed
-// outside the shard's range are buffered through wakeOut.
+// only freshly written per-cycle scratch (grants, saGrant) and
+// persistent state, and writes only its own shard's schedule: wakes
+// addressed outside the shard's range are buffered through wakeOut.
 func (n *Network) wakePass(s *shard) {
 	now := n.cycle
-	V := n.cfg.TotalVCs()
-	lp := n.topo.LocalPorts()
-	ports := n.topo.Ports()
 	linkLat := sim.Cycle(n.cfg.LinkLatency)
 	credLat := sim.Cycle(n.cfg.CreditLatency)
 	for _, r32 := range s.active {
 		r := int(r32)
-		rt := &n.routers[r]
+		rp := r * n.ports
 		// Every switch traversal this cycle produced up to two future
 		// events: a flit arriving at the downstream router and a credit
 		// arriving at the freed input slot's upstream consumer (the
-		// neighbour across the input port, or this router's own NI
-		// credit ring for a local port).
-		for p := 0; p < ports; p++ {
-			g := rt.saGrant[p]
-			if g < 0 {
-				continue
+		// neighbour across the input port, or this router itself for
+		// its NI's credit ring on a local port).
+		for g := n.grants[r]; g != 0; g &= g - 1 {
+			p := bits.TrailingZeros64(g)
+			if p >= n.lp {
+				s.wakeOut(n.peer[rp+p].router, now+linkLat, now)
 			}
-			if p >= lp {
-				s.wakeOut(n.nbrOf[r*ports+p], now+linkLat, now)
-			}
-			if ip := int(g) / V; ip >= lp {
-				s.wakeOut(n.nbrOf[r*ports+ip], now+credLat, now)
-			} else {
-				s.gate.wakeAt(r32, now+credLat, now)
-			}
+			s.wakeOut(n.peer[rp+int(n.saGrant[rp+p].port)].router, now+credLat, now)
 		}
 		// A router whose local state can still make progress re-arms
 		// for the next cycle: buffered or mid-allocation input VCs
 		// retry RC/VA/SA, and a serializing or eligible NI retries
 		// injection. Conservative (a blocked VC spins), but spinning is
-		// exactly what the exhaustive sweep does, so state matches. The
-		// occ counter stands in for a walk over the input VCs.
-		busy := rt.occ > 0
-		if !busy {
-			for p := 0; p < lp && !busy; p++ {
-				ni := &n.ifaces[n.topo.TerminalAt(r, p)]
-				if ni.cur != nil {
-					busy = true
-					break
+		// exactly what the exhaustive sweep does, so state matches.
+		busy := n.occupied(r)
+		for p := 0; p < n.lp && !busy; p++ {
+			ni := &n.ifaces[n.niAt[r*n.lp+p]]
+			busy = ni.cur != nil
+			for v := 0; v < len(ni.queues) && !busy; v++ {
+				if ni.qHead[v] >= len(ni.queues[v]) {
+					continue
 				}
-				for v := range ni.queues {
-					if ni.qHead[v] >= len(ni.queues[v]) {
-						continue
-					}
-					if at := ni.queues[v][ni.qHead[v]].CreatedAt; at > now+1 {
-						s.gate.wake(r32, at, now)
-					} else {
-						busy = true
-						break
-					}
+				if at := ni.queues[v][ni.qHead[v]].CreatedAt; at > now+1 {
+					s.gate.wake(r32, at, now)
+				} else {
+					busy = true
 				}
 			}
 		}
@@ -346,41 +424,21 @@ func (n *Network) ActivityStats() ActivityStats { return n.activityStats(&n.pool
 
 // rebuildWake reconstructs the wake schedule from restored state: wake
 // every router once (idle ones no-op and retire after one sweep) and
-// re-arm a wake for every flit or credit already in flight on a link
-// ring, addressed to its consumer at its arrival cycle. NI injection
-// queues need no scan: every router runs the first post-restore cycle,
-// and its wake pass re-arms future injections.
+// re-arm a wake for every flit or credit already in flight on a ring,
+// addressed to the ring's router — its consumer — at its arrival
+// cycle. NI injection queues need no scan: every router runs the first
+// post-restore cycle, and its wake pass re-arms future injections.
 func (n *Network) rebuildWake() {
 	n.resetWake()
 	now := n.cycle
-	for r := range n.links {
-		for p, lnk := range n.links[r] {
-			if lnk == nil {
-				continue
-			}
-			// Flits on r's inbound link are consumed by r's ingress;
-			// credits on the same object return to the neighbour across
-			// the port.
-			for s := range lnk.flits {
-				if lnk.flits[s].pkt != nil {
-					n.wakeRouter(int32(r), ringArrival(now, s, len(lnk.flits)), now)
-				}
-			}
-			nb, _, _ := n.topo.Link(r, p)
-			for s := range lnk.credits {
-				if lnk.credits[s] != -1 {
-					n.wakeRouter(int32(nb), ringArrival(now, s, len(lnk.credits)), now)
-				}
-			}
+	for i := range n.linkFlits {
+		if n.linkFlits[i].pkt != nil {
+			n.wakeRouter(int32(i/n.flitRing/n.ports), ringArrival(now, i%n.flitRing, n.flitRing), now)
 		}
 	}
-	for t := range n.ifaces {
-		ni := &n.ifaces[t]
-		r, _ := n.topo.RouterOf(t)
-		for s := range ni.creditRing.credits {
-			if ni.creditRing.credits[s] != -1 {
-				n.wakeRouter(int32(r), ringArrival(now, s, len(ni.creditRing.credits)), now)
-			}
+	for i, vc := range n.linkCredits {
+		if vc != -1 {
+			n.wakeRouter(int32(i/n.credRing/n.ports), ringArrival(now, i%n.credRing, n.credRing), now)
 		}
 	}
 }
@@ -430,12 +488,15 @@ func (n *Network) InFlight() int { return int(n.injected - n.delivered) }
 // output ports (including ejection).
 func (n *Network) FlitsSwitched() uint64 {
 	var total uint64
-	for r := range n.routers {
-		for _, c := range n.routers[r].outFlits {
-			total += c
-		}
+	for _, c := range n.outFlits {
+		total += c
 	}
 	return total
+}
+
+// linked reports whether port record rp is a network port with a link.
+func (n *Network) linked(rp int) bool {
+	return rp%n.ports >= n.lp && n.peer[rp].router >= 0
 }
 
 // AvgLinkUtilization reports mean flits per cycle per network link
@@ -444,15 +505,12 @@ func (n *Network) AvgLinkUtilization() float64 {
 	if n.cycle == 0 {
 		return 0
 	}
-	lp := n.topo.LocalPorts()
 	var flits uint64
 	links := 0
-	for r := range n.routers {
-		for p := lp; p < n.topo.Ports(); p++ {
-			if _, _, ok := n.topo.Link(r, p); ok {
-				flits += n.routers[r].outFlits[p]
-				links++
-			}
+	for rp := range n.peer {
+		if n.linked(rp) {
+			flits += n.outFlits[rp]
+			links++
 		}
 	}
 	if links == 0 {
@@ -464,10 +522,8 @@ func (n *Network) AvgLinkUtilization() float64 {
 // BufferedFlits reports flits currently held in router input buffers.
 func (n *Network) BufferedFlits() int {
 	total := 0
-	for r := range n.routers {
-		for i := range n.routers[r].in {
-			total += n.routers[r].in[i].buf.len()
-		}
+	for _, c := range n.vcCount {
+		total += int(c)
 	}
 	return total
 }
@@ -484,16 +540,9 @@ func (n *Network) Quiescent() bool {
 			return false
 		}
 	}
-	for r := range n.links {
-		for _, l := range n.links[r] {
-			if l == nil {
-				continue
-			}
-			for _, f := range l.flits {
-				if f.pkt != nil {
-					return false
-				}
-			}
+	for i := range n.linkFlits {
+		if n.linkFlits[i].pkt != nil {
+			return false
 		}
 	}
 	return true

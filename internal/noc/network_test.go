@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/noc/topology"
@@ -151,6 +152,33 @@ func TestBackpressureLimitsBuffering(t *testing.T) {
 	}
 }
 
+// TestBackloggedQueueStaysBounded: an injection queue that is fed as
+// fast as it drains never empties, so it must reclaim its consumed
+// prefix on the way — its storage tracks the backlog, not the total
+// ever enqueued.
+func TestBackloggedQueueStaysBounded(t *testing.T) {
+	n, _ := mesh4(t)
+	const backlog = 64
+	sent, got := 0, 0
+	for ; sent < backlog; sent++ {
+		n.Inject(&Packet{Src: 0, Dst: 15, VNet: 0, Size: 1}, 0)
+	}
+	for got < 4000 {
+		n.Step()
+		for range n.Drain() {
+			got++
+			n.Inject(&Packet{Src: 0, Dst: 15, VNet: 0, Size: 1}, n.Cycle())
+			sent++
+		}
+		if n.ifaces[0].pending() == 0 {
+			t.Fatal("queue drained; the test needs a standing backlog")
+		}
+	}
+	if c := cap(n.ifaces[0].queues[0]); c > 4*backlog {
+		t.Errorf("queue storage grew to %d slots for a backlog of at most %d (%d packets sent)", c, backlog, sent)
+	}
+}
+
 func TestVNetIsolationUnderLoad(t *testing.T) {
 	// Saturate vnet 0; vnet 2 packets must still make progress at a
 	// zero-load-like latency because VCs are partitioned.
@@ -269,6 +297,41 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(odd, tor, dor); err == nil {
 		t.Error("VCsPerVNet not divisible by VC sets should be rejected")
 	}
+}
+
+// fiveWay is XY routing that declares five choices per route.
+type fiveWay struct{ *topology.XY }
+
+func (fiveWay) MaxChoices() int { return 5 }
+
+// TestVCAndPortWidthLimits: the VC masks are one uint64 per port and
+// the switch arbiters one per router, so 64 VCs per port and 64 ports
+// per router are the widest shapes accepted — and they do run; one more
+// of either is rejected with the limit in the message, and so is a
+// routing function declaring more next hops than the per-VC route cache
+// holds.
+func TestVCAndPortWidthLimits(t *testing.T) {
+	m := topology.NewMesh(2, 2, 1)
+	cfg := DefaultConfig()
+	cfg.VNets, cfg.VCsPerVNet = 5, 13
+	if err := cfg.Validate(topology.NewXY(m)); err == nil || !strings.Contains(err.Error(), "65 VCs") || !strings.Contains(err.Error(), "limit 64") {
+		t.Errorf("65 VCs per port: got error %v, want a rejection naming the limit of 64", err)
+	}
+	wide := topology.NewMesh(2, 1, 61)
+	if _, err := New(DefaultConfig(), wide, topology.NewXY(wide)); err == nil || !strings.Contains(err.Error(), "limit 64") {
+		t.Errorf("65 ports per router: got error %v, want a rejection naming the limit of 64", err)
+	}
+	if _, err := New(DefaultConfig(), m, fiveWay{topology.NewXY(m)}); err == nil || !strings.Contains(err.Error(), "5 next hops") || !strings.Contains(err.Error(), "limit 4") {
+		t.Errorf("5 routing choices: got error %v, want a rejection naming the limit of 4", err)
+	}
+
+	m = topology.NewMesh(2, 1, 60) // 64 ports
+	cfg.VNets, cfg.VCsPerVNet = 4, 16
+	n := mustNet(t, cfg, m, topology.NewXY(m))
+	last := m.NumTerminals() - 1
+	n.Inject(&Packet{Src: 0, Dst: last, VNet: 3, Size: 3}, 0)
+	n.Inject(&Packet{Src: last, Dst: 59, VNet: 3, Size: 3}, 0)
+	runUntilDelivered(t, n, 2, 200)
 }
 
 func TestMultiFlitSerializationLatency(t *testing.T) {

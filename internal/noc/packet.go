@@ -57,41 +57,6 @@ type flitEntry struct {
 func (f flitEntry) head() bool { return f.seq == 0 }
 func (f flitEntry) tail() bool { return int(f.seq) == f.pkt.Size-1 }
 
-// flitBuf is a fixed-capacity FIFO of flit entries (one VC buffer).
-type flitBuf struct {
-	slots []flitEntry
-	head  int
-	count int
-}
-
-func newFlitBuf(depth int) flitBuf { return flitBuf{slots: make([]flitEntry, depth)} }
-
-func (b *flitBuf) len() int   { return b.count }
-func (b *flitBuf) full() bool { return b.count == len(b.slots) }
-
-func (b *flitBuf) push(e flitEntry) {
-	if b.full() {
-		panic(fmt.Sprintf("noc: VC buffer overflow (credit protocol violation) pushing %v", e.pkt))
-	}
-	b.slots[(b.head+b.count)%len(b.slots)] = e
-	b.count++
-}
-
-func (b *flitBuf) front() flitEntry {
-	if b.count == 0 {
-		panic("noc: front of empty VC buffer")
-	}
-	return b.slots[b.head]
-}
-
-func (b *flitBuf) pop() flitEntry {
-	e := b.front()
-	b.slots[b.head] = flitEntry{}
-	b.head = (b.head + 1) % len(b.slots)
-	b.count--
-	return e
-}
-
 // linkFlit is a flit in flight on a link, carrying the downstream
 // virtual channel the sender allocated.
 type linkFlit struct {
@@ -100,60 +65,116 @@ type linkFlit struct {
 	vc  int16
 }
 
-// link is the wiring between an upstream router's output port and a
-// downstream router's input port. Flit slots are written by the
-// upstream router (traversal phase) and consumed by the downstream
-// router (ingress phase); credit slots flow the opposite way. Slots
-// are rings indexed by absolute cycle modulo the ring size, so no
-// per-cycle shifting is needed.
-type link struct {
-	flits   []linkFlit // ring of LinkLatency+1 slots
-	credits []int16    // ring of CreditLatency+1 slots; -1 = empty
+// The input-VC FIFOs live in one flat slice, Network.flits: VC i (see
+// the index formulas on Network) owns slots [i*depth, (i+1)*depth),
+// with its cursor in vcHead[i]/vcCount[i].
+
+// pushFlit appends a flit to input VC (r, p, v), to become switchable
+// once it has spent the router pipeline's depth in the buffer.
+func (n *Network) pushFlit(r, p, v int, pkt *Packet, seq int32, now sim.Cycle) {
+	i := r*n.pv + p*n.vcs + v
+	c := int(n.vcCount[i])
+	if c == n.depth {
+		panic(fmt.Sprintf("noc: VC buffer overflow (credit protocol violation) pushing %v", pkt))
+	}
+	s := int(n.vcHead[i]) + c
+	if s >= n.depth {
+		s -= n.depth
+	}
+	n.flits[i*n.depth+s] = flitEntry{pkt: pkt, seq: seq, ready: now + sim.Cycle(n.cfg.RouterStages-1)}
+	n.vcCount[i] = int32(c + 1)
+	n.masks[r*n.ports+p].buf |= 1 << uint(v)
+	n.bufWrites[r]++
 }
 
-func newLink(linkLatency, creditLatency int) *link {
-	l := &link{
-		flits:   make([]linkFlit, linkLatency+1),
-		credits: make([]int16, creditLatency+1),
+// front returns the oldest flit of input VC i, which must not be empty.
+func (n *Network) front(i int) *flitEntry {
+	if n.vcCount[i] == 0 {
+		panic("noc: front of empty VC buffer")
 	}
-	for i := range l.credits {
-		l.credits[i] = -1
-	}
-	return l
+	return &n.flits[i*n.depth+int(n.vcHead[i])]
 }
 
-func (l *link) sendFlit(now sim.Cycle, latency int, f linkFlit) {
-	slot := int(now+sim.Cycle(latency)) % len(l.flits)
-	if l.flits[slot].pkt != nil {
+// fifoAt returns the k-th oldest flit of input VC i.
+func (n *Network) fifoAt(i, k int) *flitEntry {
+	return &n.flits[i*n.depth+(int(n.vcHead[i])+k)%n.depth]
+}
+
+// popFlit removes and returns the oldest flit of input VC (r, p, v). The
+// vacated slot drops its packet reference, so only live entries carry
+// one (what Fork's packet remap and the collector both rely on).
+func (n *Network) popFlit(r, p, v int) flitEntry {
+	i := r*n.pv + p*n.vcs + v
+	slot := n.front(i)
+	e := *slot
+	slot.pkt = nil
+	if n.vcHead[i]++; int(n.vcHead[i]) == n.depth {
+		n.vcHead[i] = 0
+	}
+	if n.vcCount[i]--; n.vcCount[i] == 0 {
+		n.masks[r*n.ports+p].buf &^= 1 << uint(v)
+	}
+	return e
+}
+
+// Every (router, port) owns two inbound rings, indexed by absolute
+// cycle modulo the ring length so nothing shifts per cycle: flits
+// arriving at input port p, and credits arriving for what p sends (a
+// network port's output VCs; on a local port, the NI's view of the
+// router's input buffers). A sender writes into the ring of the port at
+// the far end (Network.peer) at slot tx; ingress reads only its own
+// router's rings, at slot rx. Both slots are computed once per stepped
+// cycle (setSlots), not per access.
+
+// sendFlit places a flit on the inbound flit ring of port record dst,
+// to arrive LinkLatency cycles from now.
+func (n *Network) sendFlit(dst int, f linkFlit) {
+	slot := &n.linkFlits[dst*n.flitRing+n.txFlit]
+	if slot.pkt != nil {
 		panic("noc: link flit slot collision")
 	}
-	l.flits[slot] = f
+	*slot = f
 }
 
-func (l *link) recvFlit(now sim.Cycle) (linkFlit, bool) {
-	slot := int(now) % len(l.flits)
-	f := l.flits[slot]
-	if f.pkt == nil {
+// recvFlit takes the flit arriving this cycle at port record rp, if any.
+func (n *Network) recvFlit(rp int) (linkFlit, bool) {
+	slot := &n.linkFlits[rp*n.flitRing+n.rxFlit]
+	if slot.pkt == nil {
 		return linkFlit{}, false
 	}
-	l.flits[slot] = linkFlit{}
+	f := *slot
+	*slot = linkFlit{}
 	return f, true
 }
 
-func (l *link) sendCredit(now sim.Cycle, latency int, vc int16) {
-	slot := int(now+sim.Cycle(latency)) % len(l.credits)
-	if l.credits[slot] != -1 {
+// sendCredit places a credit for VC vc on the inbound credit ring of
+// port record dst, to arrive CreditLatency cycles from now.
+func (n *Network) sendCredit(dst int, vc int16) {
+	slot := &n.linkCredits[dst*n.credRing+n.txCred]
+	if *slot != -1 {
 		panic("noc: link credit slot collision")
 	}
-	l.credits[slot] = vc
+	*slot = vc
 }
 
-func (l *link) recvCredit(now sim.Cycle) (int16, bool) {
-	slot := int(now) % len(l.credits)
-	vc := l.credits[slot]
+// recvCredit takes the credit arriving this cycle at port record rp,
+// if any.
+func (n *Network) recvCredit(rp int) (int16, bool) {
+	slot := &n.linkCredits[rp*n.credRing+n.rxCred]
+	vc := *slot
 	if vc == -1 {
 		return -1, false
 	}
-	l.credits[slot] = -1
+	*slot = -1
 	return vc, true
+}
+
+// setSlots computes the ring slots of the cycle about to be stepped. A
+// ring is one slot longer than its latency, so the slot a send lands in
+// is the one just behind the slot being received.
+func (n *Network) setSlots() {
+	n.rxFlit = int(n.cycle % sim.Cycle(n.flitRing))
+	n.txFlit = (n.rxFlit + n.flitRing - 1) % n.flitRing
+	n.rxCred = int(n.cycle % sim.Cycle(n.credRing))
+	n.txCred = (n.rxCred + n.credRing - 1) % n.credRing
 }

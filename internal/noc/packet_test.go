@@ -4,63 +4,83 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/noc/topology"
 	"repro/internal/sim"
 )
 
-func TestFlitBufFIFO(t *testing.T) {
-	b := newFlitBuf(3)
+// fifoNet returns a two-router network whose input-VC FIFOs hold depth
+// flits, for exercising the flat FIFO and ring primitives directly.
+func fifoNet(t *testing.T, depth, linkLat, credLat int) *Network {
+	t.Helper()
+	m := topology.NewMesh(2, 1, 1)
+	cfg := DefaultConfig()
+	cfg.BufDepth = depth
+	cfg.LinkLatency = linkLat
+	cfg.CreditLatency = credLat
+	return mustNet(t, cfg, m, topology.NewXY(m))
+}
+
+func TestFlitFIFO(t *testing.T) {
+	n := fifoNet(t, 3, 1, 1)
+	const r, port, vc = 1, 2, 4
+	i := r*n.pv + port*n.vcs + vc
 	p := &Packet{Size: 3}
 	for s := int32(0); s < 3; s++ {
-		b.push(flitEntry{pkt: p, seq: s})
+		n.pushFlit(r, port, vc, p, s, 0)
 	}
-	if !b.full() || b.len() != 3 {
-		t.Fatal("buffer should be full")
+	if n.vcCount[i] != 3 || n.masks[r*n.ports+port].buf != 1<<vc || n.BufferedFlits() != 3 {
+		t.Fatal("buffer should be full and flagged non-empty")
 	}
 	for s := int32(0); s < 3; s++ {
-		if e := b.pop(); e.seq != s {
+		if e := n.popFlit(r, port, vc); e.seq != s || e.pkt != p {
 			t.Fatalf("pop order: got %d want %d", e.seq, s)
 		}
 	}
-	if b.len() != 0 {
-		t.Fatal("buffer should be empty")
+	if n.vcCount[i] != 0 || n.masks[r*n.ports+port].buf != 0 {
+		t.Fatal("buffer should be empty and flagged so")
+	}
+	for k := range n.flits {
+		if n.flits[k].pkt != nil {
+			t.Fatalf("popped slot %d still references its packet", k)
+		}
 	}
 }
 
-func TestFlitBufWrapsAround(t *testing.T) {
-	b := newFlitBuf(2)
+func TestFlitFIFOWrapsAround(t *testing.T) {
+	n := fifoNet(t, 2, 1, 1)
 	p := &Packet{Size: 100}
 	for i := int32(0); i < 20; i++ {
-		b.push(flitEntry{pkt: p, seq: i})
+		n.pushFlit(0, 0, 0, p, i, 0)
 		if i%2 == 1 {
-			if e := b.pop(); e.seq != i-1 {
+			if e := n.popFlit(0, 0, 0); e.seq != i-1 {
 				t.Fatalf("wrap pop: got %d want %d", e.seq, i-1)
 			}
-			if e := b.pop(); e.seq != i {
+			if e := n.popFlit(0, 0, 0); e.seq != i {
 				t.Fatalf("wrap pop: got %d want %d", e.seq, i)
 			}
 		}
 	}
 }
 
-func TestFlitBufOverflowPanics(t *testing.T) {
-	b := newFlitBuf(1)
-	b.push(flitEntry{pkt: &Packet{Size: 1}})
+func TestFlitFIFOOverflowPanics(t *testing.T) {
+	n := fifoNet(t, 1, 1, 1)
+	n.pushFlit(0, 0, 0, &Packet{Size: 1}, 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overflow should panic")
 		}
 	}()
-	b.push(flitEntry{pkt: &Packet{Size: 1}})
+	n.pushFlit(0, 0, 0, &Packet{Size: 1}, 0, 0)
 }
 
-func TestFlitBufEmptyFrontPanics(t *testing.T) {
-	b := newFlitBuf(1)
+func TestFlitFIFOEmptyFrontPanics(t *testing.T) {
+	n := fifoNet(t, 1, 1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("front of empty buffer should panic")
 		}
 	}()
-	b.front()
+	n.front(0)
 }
 
 func TestHeadTailFlags(t *testing.T) {
@@ -77,26 +97,35 @@ func TestHeadTailFlags(t *testing.T) {
 	}
 }
 
+// at moves the network's clock to cycle c without stepping and selects
+// that cycle's ring slots.
+func (n *Network) at(c sim.Cycle) *Network {
+	n.cycle = c
+	n.setSlots()
+	return n
+}
+
 // Property: a flit sent on a link arrives exactly latency cycles later
 // and exactly once.
 func TestLinkLatencyProperty(t *testing.T) {
 	f := func(latency uint8, start uint16) bool {
 		lat := int(latency%8) + 1
-		l := newLink(lat, 1)
+		n := fifoNet(t, 4, lat, 1)
+		const rp = 3
 		t0 := sim.Cycle(start)
 		p := &Packet{Size: 1}
-		l.sendFlit(t0, lat, linkFlit{pkt: p})
+		n.at(t0).sendFlit(rp, linkFlit{pkt: p})
 		for c := t0; c < t0+sim.Cycle(lat); c++ {
-			if _, ok := l.recvFlit(c); ok && c != t0+sim.Cycle(lat) {
+			if _, ok := n.at(c).recvFlit(rp); ok {
 				return false // arrived early
 			}
 		}
-		got, ok := l.recvFlit(t0 + sim.Cycle(lat))
+		got, ok := n.at(t0 + sim.Cycle(lat)).recvFlit(rp)
 		if !ok || got.pkt != p {
 			return false
 		}
 		// Gone after receipt.
-		_, again := l.recvFlit(t0 + sim.Cycle(lat))
+		_, again := n.recvFlit(rp)
 		return !again
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -105,27 +134,28 @@ func TestLinkLatencyProperty(t *testing.T) {
 }
 
 func TestLinkCreditRoundTrip(t *testing.T) {
-	l := newLink(1, 2)
-	l.sendCredit(10, 2, 3)
-	if _, ok := l.recvCredit(11); ok {
+	n := fifoNet(t, 4, 1, 2)
+	const rp = 3
+	n.at(10).sendCredit(rp, 3)
+	if _, ok := n.at(11).recvCredit(rp); ok {
 		t.Fatal("credit arrived early")
 	}
-	vc, ok := l.recvCredit(12)
+	vc, ok := n.at(12).recvCredit(rp)
 	if !ok || vc != 3 {
 		t.Fatalf("credit = %d, %v", vc, ok)
 	}
 }
 
 func TestLinkCollisionPanics(t *testing.T) {
-	l := newLink(1, 1)
-	l.sendFlit(0, 1, linkFlit{pkt: &Packet{Size: 1}})
+	n := fifoNet(t, 4, 1, 1)
+	n.at(0).sendFlit(3, linkFlit{pkt: &Packet{Size: 1}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("slot collision should panic")
 		}
 	}()
 	// Same arrival slot without an intervening receive.
-	l.sendFlit(2, 1, linkFlit{pkt: &Packet{Size: 1}})
+	n.at(2).sendFlit(3, linkFlit{pkt: &Packet{Size: 1}})
 }
 
 func TestPacketLatencyAccessors(t *testing.T) {

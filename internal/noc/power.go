@@ -96,31 +96,23 @@ func (r PowerReport) Table(title string, ghz float64) *stats.Table {
 func (n *Network) Energy(p EnergyParams) PowerReport {
 	var r PowerReport
 	r.Cycles = uint64(n.cycle)
-	lp := n.topo.LocalPorts()
 	links := 0
-	for i := range n.routers {
-		rt := &n.routers[i]
-		r.BufWrites += rt.bufWrites
-		r.BufReads += rt.bufReads
-		r.Arbs += rt.arbGrants
-		for port, flits := range rt.outFlits {
-			r.XbarFlits += flits
-			if port >= lp {
-				if _, _, ok := n.topo.Link(i, port); ok {
-					r.LinkFlits += flits
-				}
-			}
+	for rp, flits := range n.outFlits {
+		r.XbarFlits += flits
+		if n.linked(rp) {
+			r.LinkFlits += flits
+			links++
 		}
-		for port := lp; port < n.topo.Ports(); port++ {
-			if _, _, ok := n.topo.Link(i, port); ok {
-				links++
-			}
-		}
+	}
+	for i := range n.bufWrites {
+		r.BufWrites += n.bufWrites[i]
+		r.BufReads += n.bufReads[i]
+		r.Arbs += n.arbGrants[i]
 	}
 	r.BufferPJ = float64(r.BufWrites)*p.BufWrite + float64(r.BufReads)*p.BufRead
 	r.XbarPJ = float64(r.XbarFlits) * p.Xbar
 	r.ArbPJ = float64(r.Arbs) * p.Arb
 	r.LinkPJ = float64(r.LinkFlits) * p.Link
-	r.LeakagePJ = float64(r.Cycles) * (float64(len(n.routers))*p.RouterLeak + float64(links)*p.LinkLeak)
+	r.LeakagePJ = float64(r.Cycles) * (float64(n.routers)*p.RouterLeak + float64(links)*p.LinkLeak)
 	return r
 }

@@ -143,24 +143,35 @@ func TestDeflectionConservationProperty(t *testing.T) {
 // traffic pattern and any worker count from the default to beyond the
 // router count, the gated run of either router engine matches the
 // exhaustive sequential sweep on fingerprints and on mid-run and
-// end-of-run checkpoint bytes, and every injected packet comes out.
+// end-of-run checkpoint bytes, and every injected packet comes out. The
+// VC router's shape varies too: one or four terminals per router, two
+// or four VCs per virtual network (up to 8 ports of 12 VCs, 96 input
+// VCs a router — more than one mask word) and buffers 1, 4 or 8 deep.
 func TestShardedEqualsExhaustiveProperty(t *testing.T) {
 	patterns := []string{"uniform", "hotspot", "bursty"}
-	f := func(wRaw, hRaw, workersRaw, patRaw uint8, torus, deflect bool) bool {
+	f := func(wRaw, hRaw, workersRaw, patRaw, shapeRaw uint8, torus, deflect bool) bool {
 		pattern := patterns[int(patRaw)%len(patterns)]
+		conc := 1
+		cfg := DefaultConfig()
+		if !deflect {
+			conc = []int{1, 4}[shapeRaw&1]
+			cfg.VCsPerVNet = []int{2, 4}[shapeRaw>>1&1]
+			cfg.BufDepth = []int{4, 1, 8}[int(shapeRaw>>2)%3]
+		}
 		var topo topology.Topology
 		var routing topology.Routing
 		if torus {
-			tor := topology.NewTorus(3+int(wRaw)%3, []int{1, 3}[int(hRaw)%2], 1)
+			tor := topology.NewTorus(3+int(wRaw)%3, []int{1, 3}[int(hRaw)%2], conc)
 			topo, routing = tor, topology.NewTorusDOR(tor)
 		} else {
-			m := topology.NewMesh(2+int(wRaw)%6, 1+int(hRaw)%3, 1)
+			m := topology.NewMesh(2+int(wRaw)%6, 1+int(hRaw)%3, conc)
 			topo, routing = m, topology.NewXY(m)
 		}
 		R := topo.NumRouters()
 		workers := int(workersRaw) % (R + 4) // 0 .. R+3: default, exact fit, and clamped
 		fail := func(what string) bool {
-			t.Logf("%s workers=%d pattern=%s deflect=%v: %s", topo.Name(), workers, pattern, deflect, what)
+			t.Logf("%s vcs=%d depth=%d workers=%d pattern=%s deflect=%v: %s",
+				topo.Name(), cfg.TotalVCs(), cfg.BufDepth, workers, pattern, deflect, what)
 			return false
 		}
 
@@ -183,13 +194,13 @@ func TestShardedEqualsExhaustiveProperty(t *testing.T) {
 			gotFP, gotMid, gotEnd = runDeflGatingLoad(t, g, pattern)
 			injected, delivered = g.Injected(), g.Delivered()
 		} else {
-			exCfg := DefaultConfig()
+			exCfg := cfg
 			exCfg.DisableGating = true
 			ex, err := New(exCfg, topo, routing)
 			if err != nil {
 				return fail(err.Error())
 			}
-			g, err := New(DefaultConfig(), topo, routing, WithWorkers(workers))
+			g, err := New(cfg, topo, routing, WithWorkers(workers))
 			if err != nil {
 				return fail(err.Error())
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/noc/topology"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
@@ -152,15 +151,16 @@ func resolveRef(d *snapshot.Decoder, pkts []*Packet) *Packet {
 // allocation state, output VC credits and ownership, persistent
 // round-robin pointers, counters), and every link's flit and credit
 // ring slots by index. Per-cycle scratch (allocation bids, drain
-// buffer) is recomputed and not written. pc serializes packet
-// payloads; pass nil when all payloads are nil.
+// buffer) and the VC masks are recomputed and not written. The wire
+// format predates the flat state layout and is organised by router, VC
+// and link, in that nesting. pc serializes packet payloads; pass nil
+// when all payloads are nil.
 func (n *Network) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
 	e.Section("noc")
-	ports := n.topo.Ports()
-	V := n.cfg.TotalVCs()
-	e.Int(len(n.routers))
-	e.Int(ports)
-	e.Int(V)
+	R := n.routers
+	e.Int(R)
+	e.Int(n.ports)
+	e.Int(n.vcs)
 	e.Int(len(n.ifaces))
 	e.Int(n.cfg.VNets)
 
@@ -177,24 +177,13 @@ func (n *Network) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
 			pt.add(ni.deliveries[i])
 		}
 	}
-	for r := range n.routers {
-		rt := &n.routers[r]
-		for i := range rt.in {
-			b := &rt.in[i].buf
-			for k := 0; k < b.count; k++ {
-				pt.add(b.slots[(b.head+k)%len(b.slots)].pkt)
-			}
+	for i := range n.vcCount {
+		for k := 0; k < int(n.vcCount[i]); k++ {
+			pt.add(n.fifoAt(i, k).pkt)
 		}
 	}
-	for r := range n.links {
-		for _, lnk := range n.links[r] {
-			if lnk == nil {
-				continue
-			}
-			for _, f := range lnk.flits {
-				pt.add(f.pkt)
-			}
-		}
+	for i := range n.linkFlits {
+		pt.add(n.linkFlits[i].pkt)
 	}
 	encodePacketTable(e, pt, pc)
 
@@ -220,7 +209,7 @@ func (n *Network) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
 		for _, c := range ni.credits {
 			e.I64(int64(c))
 		}
-		for _, c := range ni.creditRing.credits {
+		for _, c := range n.creditRingOf(ni.router*n.ports + ni.localPort) {
 			e.I64(int64(c))
 		}
 		e.U32(uint32(len(ni.deliveries) - ni.dHead))
@@ -232,67 +221,68 @@ func (n *Network) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
 	}
 
 	e.Section("routers")
-	for r := range n.routers {
-		rt := &n.routers[r]
-		for i := range rt.in {
-			ivc := &rt.in[i]
-			b := &ivc.buf
-			e.U32(uint32(b.count))
-			for k := 0; k < b.count; k++ {
-				f := b.slots[(b.head+k)%len(b.slots)]
+	for r := 0; r < R; r++ {
+		for i := r * n.pv; i < (r+1)*n.pv; i++ {
+			e.U32(uint32(n.vcCount[i]))
+			for k := 0; k < int(n.vcCount[i]); k++ {
+				f := n.fifoAt(i, k)
 				e.U32(pt.ref(f.pkt))
 				e.U32(uint32(f.seq))
 				e.U64(uint64(f.ready))
 			}
-			e.U8(ivc.state)
-			e.U32(uint32(len(ivc.choices)))
-			for _, c := range ivc.choices {
-				e.Int(c.Port)
-				e.Int(c.VCSet)
+			e.U8(n.vcState[i])
+			e.U32(uint32(n.vcHops[i]))
+			for _, h := range n.hops[i*maxHops:][:n.vcHops[i]] {
+				e.Int(int(h.port))
+				e.Int(int(h.set))
 			}
-			e.I64(int64(ivc.outPort))
-			e.I64(int64(ivc.outVC))
+			e.I64(int64(n.vcOutPort[i]))
+			e.I64(int64(n.vcOutVC[i]))
 		}
-		for i := range rt.out {
-			e.I64(int64(rt.out[i].credits))
-			e.I64(int64(rt.out[i].owner))
+		for i := r * n.pv; i < (r+1)*n.pv; i++ {
+			e.I64(int64(n.outCredits[i]))
+			e.I64(int64(n.outOwner[i]))
 		}
-		for _, v := range rt.vaPtr {
-			e.I64(int64(v))
+		ports := func(vals []int32) {
+			for _, v := range vals[r*n.ports : (r+1)*n.ports] {
+				e.I64(int64(v))
+			}
 		}
-		for _, v := range rt.saInPtr {
-			e.I64(int64(v))
-		}
-		for _, v := range rt.saOutPtr {
-			e.I64(int64(v))
-		}
-		for _, v := range rt.outFlits {
+		ports(n.vaPtr)
+		ports(n.saInPtr)
+		ports(n.saOutPtr)
+		for _, v := range n.outFlits[r*n.ports : (r+1)*n.ports] {
 			e.U64(v)
 		}
-		e.U64(rt.bufWrites)
-		e.U64(rt.bufReads)
-		e.U64(rt.arbGrants)
+		e.U64(n.bufWrites[r])
+		e.U64(n.bufReads[r])
+		e.U64(n.arbGrants[r])
 	}
 
 	e.Section("links")
-	for r := range n.links {
-		for _, lnk := range n.links[r] {
-			if lnk == nil {
-				continue
-			}
-			// Ring slots are indexed by absolute cycle modulo ring
-			// size; the clock is restored too, so positions must be
-			// preserved slot-for-slot.
-			for _, f := range lnk.flits {
-				e.U32(pt.ref(f.pkt))
-				e.U32(uint32(f.seq))
-				e.U16(uint16(f.vc))
-			}
-			for _, c := range lnk.credits {
-				e.I64(int64(c))
-			}
+	for rp := range n.peer {
+		if !n.linked(rp) {
+			continue
+		}
+		// Ring slots are indexed by absolute cycle modulo ring
+		// size; the clock is restored too, so positions must be
+		// preserved slot-for-slot.
+		for _, f := range n.linkFlits[rp*n.flitRing:][:n.flitRing] {
+			e.U32(pt.ref(f.pkt))
+			e.U32(uint32(f.seq))
+			e.U16(uint16(f.vc))
+		}
+		for _, c := range n.creditRingOf(rp) {
+			e.I64(int64(c))
 		}
 	}
+}
+
+// creditRingOf returns the ring that carries the credits port record rp
+// returns for its input buffers — the wire format files it under the
+// returning port, while the ring itself is inbound at the far end.
+func (n *Network) creditRingOf(rp int) []int16 {
+	return n.linkCredits[int(n.peer[rp].slot)*n.credRing:][:n.credRing]
 }
 
 // RestoreFrom rebuilds the state written by SnapshotTo into a network
@@ -300,15 +290,14 @@ func (n *Network) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
 // track (optional) is invoked once for every restored live packet.
 func (n *Network) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, track func(*Packet)) error {
 	d.Section("noc")
-	ports := n.topo.Ports()
-	V := n.cfg.TotalVCs()
+	R := n.routers
 	for _, g := range []struct {
 		name string
 		want int
 	}{
-		{"routers", len(n.routers)},
-		{"ports", ports},
-		{"VCs", V},
+		{"routers", R},
+		{"ports", n.ports},
+		{"VCs", n.vcs},
 		{"terminals", len(n.ifaces)},
 		{"vnets", n.cfg.VNets},
 	} {
@@ -362,8 +351,9 @@ func (n *Network) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, tra
 		for i := range ni.credits {
 			ni.credits[i] = int32(d.I64())
 		}
-		for i := range ni.creditRing.credits {
-			ni.creditRing.credits[i] = int16(d.I64())
+		ring := n.creditRingOf(ni.router*n.ports + ni.localPort)
+		for i := range ring {
+			ring[i] = int16(d.I64())
 		}
 		cnt := d.Count(4)
 		ni.deliveries = ni.deliveries[:0]
@@ -391,115 +381,117 @@ func (n *Network) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, tra
 	}
 
 	d.Section("routers")
-	for r := range n.routers {
-		rt := &n.routers[r]
+	for r := 0; r < R; r++ {
 		d.Enter(fmt.Sprintf("router[%d]", r))
-		for i := range rt.in {
-			ivc := &rt.in[i]
-			b := &ivc.buf
+		for i := r * n.pv; i < (r+1)*n.pv; i++ {
 			cnt := d.Count(16)
-			if d.Err() == nil && cnt > len(b.slots) {
-				d.Failf("VC buffer holds %d flits, capacity %d", cnt, len(b.slots))
+			if d.Err() == nil && cnt > n.depth {
+				d.Failf("VC buffer holds %d flits, capacity %d", cnt, n.depth)
 			}
 			if d.Err() != nil {
 				d.Leave()
 				return d.Err()
 			}
-			// FIFO contents are re-pushed from slot 0: the head offset
+			// FIFO contents are re-seated from slot 0: the head offset
 			// is unobservable, only entry order matters.
-			b.head = 0
-			b.count = 0
-			for k := range b.slots {
-				b.slots[k] = flitEntry{}
-			}
+			n.vcHead[i] = 0
+			n.vcCount[i] = int32(cnt)
+			fifo := n.flits[i*n.depth : (i+1)*n.depth]
+			clear(fifo)
 			for k := 0; k < cnt; k++ {
-				f := flitEntry{
+				fifo[k] = flitEntry{
 					pkt:   resolveRef(d, pkts),
 					seq:   int32(d.U32()),
 					ready: sim.Cycle(d.U64()),
 				}
-				if f.pkt == nil && d.Err() == nil {
-					d.Failf("nil packet in VC buffer %d slot %d", i, k)
+				if fifo[k].pkt == nil && d.Err() == nil {
+					d.Failf("nil packet in VC buffer %d slot %d", i-r*n.pv, k)
 				}
 				if d.Err() != nil {
 					d.Leave()
 					return d.Err()
 				}
-				b.push(f)
 			}
-			ivc.state = d.U8()
-			if d.Err() == nil && ivc.state > vcActive {
-				d.Failf("input VC state %d out of range", ivc.state)
+			n.vcState[i] = d.U8()
+			if d.Err() == nil && n.vcState[i] > vcActive {
+				d.Failf("input VC state %d out of range", n.vcState[i])
 				d.Leave()
 				return d.Err()
 			}
-			nc := d.Count(2)
-			ivc.choices = ivc.choices[:0]
-			for k := 0; k < nc; k++ {
-				ivc.choices = append(ivc.choices, topology.Choice{Port: d.Int(), VCSet: d.Int()})
+			nh := d.Count(2)
+			if d.Err() == nil && nh > maxHops {
+				d.Failf("input VC caches %d next hops, limit %d", nh, maxHops)
 			}
-			ivc.outPort = int16(d.I64())
-			ivc.outVC = int16(d.I64())
-		}
-		// occ is derived, not serialized: recount it from the restored
-		// input VCs.
-		rt.occ = 0
-		for i := range rt.in {
-			if rt.in[i].state != vcIdle || rt.in[i].buf.len() != 0 {
-				rt.occ++
+			if d.Err() != nil {
+				d.Leave()
+				return d.Err()
 			}
+			n.vcHops[i] = uint8(nh)
+			for k := 0; k < nh; k++ {
+				n.hops[i*maxHops+k] = hop{port: int16(d.Int()), set: int16(d.Int())}
+			}
+			n.vcOutPort[i] = int16(d.I64())
+			n.vcOutVC[i] = int16(d.I64())
 		}
-		for i := range rt.out {
-			rt.out[i].credits = int32(d.I64())
-			rt.out[i].owner = int32(d.I64())
-			if d.Err() == nil && rt.out[i].owner >= int32(len(rt.in)) {
-				d.Failf("output VC %d owner %d out of range", i, rt.out[i].owner)
+		for i := r * n.pv; i < (r+1)*n.pv; i++ {
+			n.outCredits[i] = int32(d.I64())
+			n.outOwner[i] = int32(d.I64())
+			if d.Err() == nil && n.outOwner[i] >= int32(n.pv) {
+				d.Failf("output VC %d owner %d out of range", i-r*n.pv, n.outOwner[i])
 				d.Leave()
 				return d.Err()
 			}
 		}
-		for i := range rt.vaPtr {
-			rt.vaPtr[i] = int32(d.I64())
+		// The round-robin pointers feed mask shifts and index math, so
+		// each must lie in the range its arbiter leaves it in.
+		ports := func(name string, vals []int32, limit int) {
+			for p := r * n.ports; p < (r+1)*n.ports; p++ {
+				vals[p] = int32(d.I64())
+				if d.Err() == nil && (vals[p] < 0 || int(vals[p]) > limit) {
+					d.Failf("%s pointer %d out of range [0,%d]", name, vals[p], limit)
+				}
+			}
 		}
-		for i := range rt.saInPtr {
-			rt.saInPtr[i] = int32(d.I64())
+		ports("VA", n.vaPtr, n.pv-1)
+		ports("SA input", n.saInPtr, n.vcs)
+		ports("SA output", n.saOutPtr, n.ports)
+		for p := r * n.ports; p < (r+1)*n.ports; p++ {
+			n.outFlits[p] = d.U64()
 		}
-		for i := range rt.saOutPtr {
-			rt.saOutPtr[i] = int32(d.I64())
-		}
-		for i := range rt.outFlits {
-			rt.outFlits[i] = d.U64()
-		}
-		rt.bufWrites = d.U64()
-		rt.bufReads = d.U64()
-		rt.arbGrants = d.U64()
+		n.bufWrites[r] = d.U64()
+		n.bufReads[r] = d.U64()
+		n.arbGrants[r] = d.U64()
 		d.Leave()
 		if d.Err() != nil {
 			return d.Err()
 		}
 	}
+	// The masks are derived, not serialized.
+	for rp := range n.masks {
+		n.masks[rp] = n.recountMask(rp)
+	}
 
 	d.Section("links")
-	for r := range n.links {
-		for p, lnk := range n.links[r] {
-			if lnk == nil {
-				continue
+	for rp := range n.peer {
+		if !n.linked(rp) {
+			continue
+		}
+		d.Enter(fmt.Sprintf("link[%d,%d]", rp/n.ports, rp%n.ports))
+		ring := n.linkFlits[rp*n.flitRing:][:n.flitRing]
+		for i := range ring {
+			ring[i] = linkFlit{
+				pkt: resolveRef(d, pkts),
+				seq: int32(d.U32()),
+				vc:  int16(d.U16()),
 			}
-			d.Enter(fmt.Sprintf("link[%d,%d]", r, p))
-			for i := range lnk.flits {
-				lnk.flits[i] = linkFlit{
-					pkt: resolveRef(d, pkts),
-					seq: int32(d.U32()),
-					vc:  int16(d.U16()),
-				}
-			}
-			for i := range lnk.credits {
-				lnk.credits[i] = int16(d.I64())
-			}
-			d.Leave()
-			if d.Err() != nil {
-				return d.Err()
-			}
+		}
+		credits := n.creditRingOf(rp)
+		for i := range credits {
+			credits[i] = int16(d.I64())
+		}
+		d.Leave()
+		if d.Err() != nil {
+			return d.Err()
 		}
 	}
 	n.drainBuf = n.drainBuf[:0]

@@ -29,6 +29,10 @@ type Routing interface {
 	// Adaptive reports whether Route may return multiple choices that
 	// the router should select among by congestion.
 	Adaptive() bool
+	// MaxChoices bounds the choices one Route call may append (1 for a
+	// deterministic function). Routers size their per-VC route cache by
+	// it and index past it if Route exceeds it.
+	MaxChoices() int
 }
 
 // XY is deterministic dimension-order routing on a mesh: fully traverse
@@ -38,9 +42,10 @@ type XY struct{ m *Mesh }
 // NewXY returns XY routing bound to a mesh.
 func NewXY(m *Mesh) *XY { return &XY{m: m} }
 
-func (r *XY) Name() string   { return "xy" }
-func (r *XY) VCSets() int    { return 1 }
-func (r *XY) Adaptive() bool { return false }
+func (r *XY) Name() string    { return "xy" }
+func (r *XY) VCSets() int     { return 1 }
+func (r *XY) Adaptive() bool  { return false }
+func (r *XY) MaxChoices() int { return 1 }
 
 func (r *XY) Route(router, src, dst, curSet int, buf []Choice) []Choice {
 	dr, _ := r.m.RouterOf(dst)
@@ -66,9 +71,10 @@ type YX struct{ m *Mesh }
 // NewYX returns YX routing bound to a mesh.
 func NewYX(m *Mesh) *YX { return &YX{m: m} }
 
-func (r *YX) Name() string   { return "yx" }
-func (r *YX) VCSets() int    { return 1 }
-func (r *YX) Adaptive() bool { return false }
+func (r *YX) Name() string    { return "yx" }
+func (r *YX) VCSets() int     { return 1 }
+func (r *YX) Adaptive() bool  { return false }
+func (r *YX) MaxChoices() int { return 1 }
 
 func (r *YX) Route(router, src, dst, curSet int, buf []Choice) []Choice {
 	dr, _ := r.m.RouterOf(dst)
@@ -98,9 +104,10 @@ type OddEven struct{ m *Mesh }
 // NewOddEven returns odd-even adaptive routing bound to a mesh.
 func NewOddEven(m *Mesh) *OddEven { return &OddEven{m: m} }
 
-func (r *OddEven) Name() string   { return "oddeven" }
-func (r *OddEven) VCSets() int    { return 1 }
-func (r *OddEven) Adaptive() bool { return true }
+func (r *OddEven) Name() string    { return "oddeven" }
+func (r *OddEven) VCSets() int     { return 1 }
+func (r *OddEven) Adaptive() bool  { return true }
+func (r *OddEven) MaxChoices() int { return 2 }
 
 func (r *OddEven) Route(router, src, dst, curSet int, buf []Choice) []Choice {
 	dr, _ := r.m.RouterOf(dst)
@@ -165,9 +172,10 @@ type TorusDOR struct{ t *Torus }
 // NewTorusDOR returns dateline dimension-order routing bound to a torus.
 func NewTorusDOR(t *Torus) *TorusDOR { return &TorusDOR{t: t} }
 
-func (r *TorusDOR) Name() string   { return "torus-dor" }
-func (r *TorusDOR) VCSets() int    { return 2 }
-func (r *TorusDOR) Adaptive() bool { return false }
+func (r *TorusDOR) Name() string    { return "torus-dor" }
+func (r *TorusDOR) VCSets() int     { return 2 }
+func (r *TorusDOR) Adaptive() bool  { return false }
+func (r *TorusDOR) MaxChoices() int { return 1 }
 
 func (r *TorusDOR) Route(router, src, dst, curSet int, buf []Choice) []Choice {
 	dr, _ := r.t.RouterOf(dst)
@@ -242,6 +250,9 @@ func Validate(t Topology, r Routing) error {
 				choices := r.Route(cur.router, src, dst, cur.set, nil)
 				if len(choices) == 0 {
 					return fmt.Errorf("routing %s: no choice at router %d for dst %d", r.Name(), cur.router, dst)
+				}
+				if len(choices) > r.MaxChoices() {
+					return fmt.Errorf("routing %s: %d choices at router %d, MaxChoices %d", r.Name(), len(choices), cur.router, r.MaxChoices())
 				}
 				for _, ch := range choices {
 					if ch.VCSet < 0 || ch.VCSet >= r.VCSets() {

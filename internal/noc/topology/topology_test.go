@@ -92,6 +92,21 @@ func TestValidateOddEven(t *testing.T) {
 	}
 }
 
+// underDeclared is odd-even routing claiming to be single-choice.
+type underDeclared struct{ *OddEven }
+
+func (underDeclared) MaxChoices() int { return 1 }
+
+// TestValidateHoldsMaxChoices: a routing function that returns more
+// choices than it declares is rejected (routers size their route cache
+// by the declaration).
+func TestValidateHoldsMaxChoices(t *testing.T) {
+	m := NewMesh(4, 4, 1)
+	if err := Validate(m, underDeclared{NewOddEven(m)}); err == nil {
+		t.Error("odd-even declared as MaxChoices 1 passed validation")
+	}
+}
+
 func TestOddEvenTurnRules(t *testing.T) {
 	// Directly check the turn-model restrictions: no EN/ES turn choice
 	// offered in even columns (unless at source column), no NW/SW turn

@@ -52,15 +52,16 @@ var outputFuncs = map[string]map[string]bool{
 
 // hotPathFunc reports whether a function name is one of the per-cycle
 // hot paths under the zero-alloc steady-state contract: the router
-// pipeline phases, the per-cycle Step/Tick entry points, the
-// deflection router's per-cycle workers, and the shard partition's
-// per-cycle passes, wake pass and merge.
+// pipeline phases and the per-flit helpers they call, the per-cycle
+// Step/Tick entry points, the deflection router's per-cycle workers,
+// and the shard partition's per-cycle passes, wake pass and merge.
 func hotPathFunc(name string) bool {
 	if strings.HasPrefix(name, "phase") {
 		return true
 	}
 	switch name {
 	case "Step", "Tick", "stepRouter", "swapRouter",
+		"pushFlit", "popFlit", "saNominate", "tryInject",
 		"stepSharded", "shardStep", "shardSwap", "wakePass":
 		return true
 	}

@@ -48,8 +48,11 @@
 //
 //   - alloc (deterministic packages): no make/append inside the
 //     per-cycle hot paths (methods named phase*, Step, Tick,
-//     stepRouter, swapRouter). The activity-gated simulator promises a
-//     zero-alloc steady state (BenchmarkStepIdleMesh under -benchmem);
+//     stepRouter, swapRouter, the per-flit helpers pushFlit, popFlit,
+//     saNominate and tryInject, and the shard passes stepSharded,
+//     shardStep, shardSwap and wakePass). The activity-gated
+//     simulator promises a zero-alloc steady state
+//     (BenchmarkStepIdleMesh under -benchmem);
 //     a make in a phase method silently re-allocates every cycle, and
 //     an append is legal only when it refills a preallocated scratch
 //     buffer — which is exactly the argument the annotation records.
@@ -97,7 +100,7 @@
 // field declaration, which doubles as documentation of why the field
 // is recomputed rather than serialized:
 //
-//	occ int32 //simlint:derived recounted from restored input VCs
+//	masks []portMask //simlint:derived rebuilt from vcState and vcCount on restore
 //
 // The reason is mandatory; a directive without one (or naming an
 // unknown rule) is itself reported. Test files (_test.go) are not
