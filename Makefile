@@ -30,12 +30,14 @@ fuzz-smoke:
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s
 
 # End-to-end smoke of the co-simulation server: starts cosimd on a
-# loopback port with a deliberately tiny resident limit, drives a
-# sweep through the HTTP API (submit, NDJSON progress streams, result
-# fetch), and verifies every served fingerprint against a direct
-# in-process run of the same config — plus a byte-identical,
-# zero-cycle cache hit on resubmission. Exits nonzero unless eviction
-# pressure was actually exercised.
+# loopback port with deliberately tiny limits (6 sessions, 3 resident,
+# 1 parked), drives a sweep through the HTTP API (submit, NDJSON
+# /events streams, status and result fetch), and verifies every served
+# fingerprint against a direct in-process run of the same config —
+# plus a byte-identical, zero-cycle cache hit on resubmission. Exits
+# nonzero unless both eviction tiers were exercised: warm_restores > 0
+# (a parked session adopted) and spills > 0 with disk restores (a
+# checkpoint written and resumed from).
 cosimd-smoke:
 	$(GO) run ./cmd/cosimd -smoke -quiet
 

@@ -1,7 +1,7 @@
 // Command cosimd serves co-simulations: a long-running server that
 // multiplexes many concurrent sessions over a bounded worker pool with
-// fair-share scheduling, checkpoint eviction, and a digest-keyed
-// result cache. See internal/cosimd for the subsystem itself.
+// fair-share scheduling, two-tier eviction (park in memory, spill to a
+// checkpoint), and a digest-keyed result cache. See internal/cosimd for the subsystem itself.
 //
 // Example:
 //
@@ -14,8 +14,8 @@
 //
 // -smoke runs a self-contained smoke test instead of serving: it
 // starts the server on a loopback port, drives a sweep through the
-// HTTP API with a deliberately tiny resident limit (forcing evictions
-// mid-run), and verifies every served fingerprint against a direct
+// HTTP API with deliberately tiny resident and warm limits (forcing
+// parks, spills and checkpoint fault-ins mid-run), and verifies every served fingerprint against a direct
 // in-process run of the same config. Exit status reports the verdict.
 package main
 
@@ -37,8 +37,8 @@ func main() {
 		addr     = flag.String("addr", "localhost:8080", "HTTP listen address")
 		workers  = flag.Int("workers", 4, "worker-pool size")
 		slice    = flag.Uint64("slice", 4096, "scheduling slice in simulated cycles")
-		resident = flag.Int("max-resident", 64, "max in-memory sessions before LRU eviction to checkpoints")
-		maxWarm  = flag.Int("max-warm", 0, "max evicted sessions kept as in-memory warm forks before spilling to checkpoint files (0 = max-resident, negative = disable the warm tier)")
+		resident = flag.Int("max-resident", 64, "max resident sessions (the ones that may own worker pools) before the LRU-idle one is parked")
+		maxWarm  = flag.Int("max-warm", 0, "max parked sessions held in memory, pools stopped, before the LRU one is spilled to a checkpoint file (0 = max-resident, negative = disable the warm tier)")
 		stateDir = flag.String("state", "", "checkpoint/manifest directory (default: fresh temp dir)")
 		aging    = flag.Uint64("aging", 0, "scheduler aging credit in cycles per tick (0 = one slice)")
 		events   = flag.Int("events-buffer", 0, "per-subscriber /events queue depth (0 = 256, negative = disable event streaming)")

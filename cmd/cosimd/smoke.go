@@ -10,13 +10,15 @@ import (
 	"os"
 
 	"repro/internal/cosimd"
+	"repro/internal/obsplane"
 	"repro/internal/sim"
 )
 
 // smokeSweep is the workload the smoke test pushes through the server:
 // small enough to finish in seconds, wide enough (6 points × several
 // slices each) to exercise scheduling, and run under a resident limit
-// far below the session count so evictions and fault-ins are certain.
+// far below the session count, and a one-slot warm tier, so parks,
+// adoptions, spills and checkpoint fault-ins are all certain.
 var smokeSweep = cosimd.SweepRequest{
 	Base:      cosimd.SubmitRequest{Tiles: 16, Ops: 200, Limit: 2_000_000, Tenant: "smoke"},
 	Workloads: []string{"fft", "radix"},
@@ -24,14 +26,17 @@ var smokeSweep = cosimd.SweepRequest{
 }
 
 // runSmoke drives the full client-visible contract end to end through
-// a real TCP listener: submit a sweep, stream progress to completion,
-// verify every fingerprint against a direct in-process run of the same
-// config, and verify a resubmission is a byte-identical cache hit that
-// burned zero simulated cycles.
+// a real TCP listener: submit a sweep, follow each session's event
+// stream to completion, verify every fingerprint against a direct
+// in-process run of the same config, and verify a resubmission is a
+// byte-identical cache hit that burned zero simulated cycles.
 func runSmoke(opts cosimd.Options) error {
-	// Force eviction pressure regardless of the command line.
+	// Force eviction pressure on both tiers regardless of the command
+	// line: with 6 sessions, 3 stay resident, 1 is parked in memory and
+	// the rest round-trip through checkpoint files.
 	opts.Workers = 2
 	opts.MaxResident = 3
+	opts.MaxWarm = 1
 	opts.SliceCycles = 2048
 	srv, err := cosimd.NewServer(opts)
 	if err != nil {
@@ -58,7 +63,7 @@ func runSmoke(opts cosimd.Options) error {
 
 	reqs := smokeSweep.Expand()
 	for i, id := range reply.IDs {
-		st, err := streamProgress(base, id)
+		st, err := followEvents(base, id)
 		if err != nil {
 			return err
 		}
@@ -81,16 +86,16 @@ func runSmoke(opts cosimd.Options) error {
 			id, reqs[i].Workload, reqs[i].Mode, st.Evictions, st.Restores)
 	}
 
-	stats, err := getStats(base)
-	if err != nil {
+	var stats cosimd.ServerStats
+	if err := getJSON(base+"/api/v1/stats", &stats); err != nil {
 		return err
 	}
-	if stats.Evictions == 0 || stats.Restores == 0 {
-		return fmt.Errorf("resident limit did not force evictions (evictions=%d restores=%d) — smoke proved nothing",
-			stats.Evictions, stats.Restores)
+	if stats.WarmRestores == 0 || stats.Spills == 0 || stats.Restores == stats.WarmRestores {
+		return fmt.Errorf("pool limits did not exercise both eviction tiers (evictions=%d restores=%d warm_restores=%d spills=%d) — smoke proved nothing",
+			stats.Evictions, stats.Restores, stats.WarmRestores, stats.Spills)
 	}
-	fmt.Printf("smoke: pool stats: evictions=%d restores=%d cache=%d/%d fairness-spread=%d cycles over %d samples\n",
-		stats.Evictions, stats.Restores, stats.CacheHits, stats.CacheHits+stats.CacheMiss,
+	fmt.Printf("smoke: pool stats: evictions=%d restores=%d (%d warm) spills=%d cache=%d/%d fairness-spread=%d cycles over %d samples\n",
+		stats.Evictions, stats.Restores, stats.WarmRestores, stats.Spills, stats.CacheHits, stats.CacheHits+stats.CacheMiss,
 		stats.Fairness.MaxSpread, stats.Fairness.Samples)
 
 	// Resubmit the first sweep point: must be served from the cache,
@@ -146,28 +151,35 @@ func postJSON(url string, body, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// streamProgress follows the session's NDJSON progress stream to its
-// final state — the stream blocks server-side between updates, so the
-// smoke test needs no polling loop and no timers.
-func streamProgress(base, id string) (cosimd.SessionStatus, error) {
-	resp, err := http.Get(base + "/api/v1/sessions/" + id + "/progress")
+// followEvents reads the session's NDJSON event stream until the
+// server closes it at the final state, then fetches the final status —
+// the stream blocks server-side between events, so the smoke test needs
+// no polling loop and no timers.
+func followEvents(base, id string) (cosimd.SessionStatus, error) {
+	var st cosimd.SessionStatus
+	resp, err := http.Get(base + "/api/v1/sessions/" + id + "/events")
 	if err != nil {
-		return cosimd.SessionStatus{}, err
+		return st, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return cosimd.SessionStatus{}, httpError("progress", resp)
+		return st, httpError("events", resp)
 	}
-	var st cosimd.SessionStatus
 	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
-		if err := json.Unmarshal(sc.Bytes(), &st); err != nil {
+		var ev obsplane.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			return st, err
 		}
-		fmt.Fprintf(os.Stderr, "smoke: %s %s cycle=%d/%d resident=%v\n",
-			st.ID, st.State, st.Cycle, st.Limit, st.Resident)
+		if ev.Kind == obsplane.KindProgress || ev.Kind == obsplane.KindState {
+			fmt.Fprintf(os.Stderr, "smoke: %s %s %s cycle=%d %s\n", id, ev.Kind, ev.State, ev.Cycle, ev.Note)
+		}
 	}
-	return st, sc.Err()
+	if err := sc.Err(); err != nil {
+		return st, err
+	}
+	return st, getJSON(base+"/api/v1/sessions/"+id, &st)
 }
 
 func getResult(base, id string) (cosimd.ResultEnvelope, error) {
@@ -195,17 +207,16 @@ func getResultBytes(base, id string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func getStats(base string) (cosimd.ServerStats, error) {
-	var st cosimd.ServerStats
-	resp, err := http.Get(base + "/api/v1/stats")
+func getJSON(url string, out any) error {
+	resp, err := http.Get(url)
 	if err != nil {
-		return st, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return st, httpError("stats", resp)
+		return httpError(url, resp)
 	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 func httpError(what string, resp *http.Response) error {

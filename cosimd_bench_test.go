@@ -65,14 +65,17 @@ func BenchmarkCosimdSession(b *testing.B) {
 	}
 }
 
-// BenchmarkCosimdEvictionChurn measures a session's end-to-end cost
-// under constant eviction pressure (MaxResident far below the pending
-// population, so nearly every slice dispatch pays a park plus a
-// fault-in). The warm variant parks live forks in memory with a warm
-// tier deep enough that nothing spills — the fork tier's hot path; the
-// disk variant (MaxWarm < 0) is the serialize-to-checkpoint round trip
-// it replaces.
+// BenchmarkCosimdEvictionChurn measures a batch of 8 sessions end to
+// end under constant eviction pressure (MaxResident 3 against 8
+// pending, so nearly every slice dispatch pays a park plus a fault-in).
+// One op is the whole batch: a single session never overflows the
+// resident set, so a per-session op at -benchtime=1x measured no
+// eviction at all. The warm variant parks every victim in memory — a
+// hand-over, nothing copied — with a tier deep enough that nothing
+// spills; the disk variant (MaxWarm < 0) serializes every eviction to a
+// checkpoint and rebuilds from it.
 func BenchmarkCosimdEvictionChurn(b *testing.B) {
+	const batch = 8
 	for _, tier := range []struct {
 		name    string
 		maxWarm int
@@ -89,20 +92,26 @@ func BenchmarkCosimdEvictionChurn(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, err := srv.Submit(cosimd.SubmitRequest{
-					Workload: "fft", Tiles: 4, Ops: 40, Seed: uint64(i + 1),
-					Mode: "reciprocal", Limit: 200_000,
-				})
-				if err != nil {
-					b.Fatal(err)
+				for j := 0; j < batch; j++ {
+					_, err := srv.Submit(cosimd.SubmitRequest{
+						Workload: "fft", Tiles: 4, Ops: 40, Seed: uint64(i*batch + j + 1),
+						Mode: "reciprocal", Limit: 200_000,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
+				srv.Wait()
 			}
-			srv.Wait()
 			b.StopTimer()
 			for _, st := range srv.Sessions() {
 				if st.State != cosimd.StateDone {
 					b.Fatalf("session %s: %+v", st.ID, st)
 				}
+			}
+			stats := srv.Stats()
+			if stats.Evictions == 0 || (tier.maxWarm < 0) != (stats.Spills > 0) {
+				b.Fatalf("%s tier not exercised: evictions=%d spills=%d", tier.name, stats.Evictions, stats.Spills)
 			}
 		})
 	}

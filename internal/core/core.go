@@ -56,7 +56,9 @@ type Component interface {
 	// switched during cycle c-1 reaches its NI at c (abstract
 	// components simply move their clock).
 	AdvanceTo(c sim.Cycle)
-	// Close releases component resources.
+	// Close stops the component's host workers. Simulated state stays
+	// readable, and a later AdvanceTo restarts what it needs, so Close
+	// also serves as "go idle" (Cosim.Park).
 	Close()
 }
 

@@ -134,9 +134,22 @@ func (c *Cosim) Components() []Component {
 	return out
 }
 
-// Close releases every registered component and the stepper, along
-// with the rollback point and any idle shells in the family fork
-// pool.
+// Park stops the worker pools of every registered component and keeps
+// everything else: simulated state, the observer, the rollback point,
+// the fork pool and the Stepper all stay, and the next Step restarts
+// whatever pools it needs (Component.Close). It is how a holder that
+// will leave the simulation idle for a while — cosimd's warm tier —
+// stops paying goroutines for it. Bit-identity across a Park is the
+// sharded stepper's, which holds for every worker count.
+func (c *Cosim) Park() {
+	for _, comp := range c.comps {
+		comp.Close()
+	}
+}
+
+// Close ends the simulation's use of host resources: Park, plus the
+// rollback point, the idle shells in the family fork pool and the
+// Stepper, which (unlike a component's pool) cannot restart.
 func (c *Cosim) Close() {
 	if c.rollback != nil {
 		r := c.rollback
@@ -146,9 +159,7 @@ func (c *Cosim) Close() {
 	if c.pool != nil {
 		c.pool.drain()
 	}
-	for _, comp := range c.comps {
-		comp.Close()
-	}
+	c.Park()
 	if c.Stepper != nil {
 		c.Stepper.Close()
 	}

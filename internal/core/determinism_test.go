@@ -107,6 +107,35 @@ func TestCosimShardedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCosimParkBitIdentical: Park stops the components' worker pools
+// and nothing else, so a run parked every few quanta — sharded NoC,
+// concurrent component stepping, the Stepper included — continues
+// bit-identically to the sequential run that never stopped.
+func TestCosimParkBitIdentical(t *testing.T) {
+	setMem := func(cfg *fullsys.Config) { cfg.MemModel = "ddr" }
+	seq := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem, nil)
+
+	cfg := fullsys.DefaultConfig(16)
+	setMem(&cfg)
+	cs, err := Build(cfg, workload.NewFFT(16, 250, 42), shardedMeshBackend(4)(t), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.Stepper = engine.NewParallel(4)
+	defer cs.Close()
+	var res Result
+	for parks := 0; !res.Finished; parks++ {
+		if parks > 10_000 {
+			t.Fatalf("workload did not finish: %+v", res)
+		}
+		res = cs.Run(cs.Cycle() + 512)
+		cs.Park()
+	}
+	if got := fingerprintOf(cs, res); got != seq {
+		t.Errorf("a run parked every 512 cycles diverged from the uninterrupted one\nseq:    %s\nparked: %s", seq, got)
+	}
+}
+
 // TestCosimDeterministic is the full-system determinism regression:
 // the same seeded workload through a freshly built system + detailed
 // NoC must produce a bit-identical outcome, at both the synchronous

@@ -48,7 +48,7 @@ type SubmitRequest struct {
 	// so this knob is excluded from the config digest.
 	Metrics bool `json:"metrics,omitempty"`
 	// NocWorkers shards the detailed NoC sweep across this many workers
-	// (<=1: one shard), and keeps doing so across warm park/adopt.
+	// (<=1: one shard), and keeps doing so across park/adopt.
 	// Runs are proven bit-identical for every worker count and their
 	// checkpoints interchange, so like Metrics this is a host-speed knob
 	// excluded from the config digest: requests differing only in
@@ -90,11 +90,10 @@ type State string
 // it is resident: eviction drops the in-memory simulation, not the
 // session's place in the scheduler.
 const (
-	StateReady    State = "ready"    // runnable, waiting for a worker
-	StateRunning  State = "running"  // a worker is stepping a slice
-	StateEvicting State = "evicting" // being parked: warm-forked or checkpointed
-	StateDone     State = "done"     // result available
-	StateFailed   State = "failed"   // build/restore error; see Error
+	StateReady   State = "ready"   // runnable, waiting for a worker
+	StateRunning State = "running" // a worker is stepping a slice
+	StateDone    State = "done"    // result available
+	StateFailed  State = "failed"  // build/restore error; see Error
 )
 
 // SessionStatus is the external view of one session.
@@ -116,10 +115,11 @@ type SessionStatus struct {
 	Cycles uint64 `json:"cycles"`
 	// Retired is the count of retired core operations so far.
 	Retired uint64 `json:"retired"`
-	// Resident reports whether the simulation is live in memory (false
-	// once evicted to a checkpoint, or after completion).
+	// Resident reports whether the session counts against
+	// max-resident (false once parked or spilled, or after completion).
 	Resident bool `json:"resident"`
-	// Evictions and Restores count checkpoint round trips.
+	// Evictions and Restores count trips out of and back into the
+	// resident set, through either tier.
 	Evictions int `json:"evictions"`
 	Restores  int `json:"restores"`
 	// Cached reports the result was served from the digest-keyed cache.
@@ -212,15 +212,15 @@ type ServerStats struct {
 	ByState  map[State]int `json:"by_state"`
 	Resident int           `json:"resident"`
 	// Warm counts evicted sessions parked in the in-memory warm tier
-	// (live forks, no checkpoint file).
+	// (simulation held, worker pools stopped, no checkpoint file).
 	Warm      int    `json:"warm"`
 	Workers   int    `json:"workers"`
 	Slice     uint64 `json:"slice_cycles"`
 	Evictions uint64 `json:"evictions"`
 	Restores  uint64 `json:"restores"`
 	// WarmRestores counts the subset of Restores served by adopting a
-	// warm clone (no rebuild, no decode); Spills counts warm clones
-	// written to checkpoint files under memory pressure.
+	// parked session (no rebuild, no decode); Spills counts parked
+	// sessions written to checkpoint files under memory pressure.
 	WarmRestores uint64         `json:"warm_restores"`
 	Spills       uint64         `json:"spills"`
 	CacheHits    uint64         `json:"cache_hits"`

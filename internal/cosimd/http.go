@@ -12,9 +12,8 @@ import (
 //	GET  /api/v1/sessions            list sessions   → []SessionStatus
 //	GET  /api/v1/sessions/{id}       session status  → SessionStatus
 //	GET  /api/v1/sessions/{id}/result   completed envelope (exact cached bytes)
-//	GET  /api/v1/sessions/{id}/progress NDJSON status stream until final state
 //	GET  /api/v1/sessions/{id}/metrics  latest obs metrics snapshot
-//	GET  /api/v1/sessions/{id}/events   NDJSON observability event stream (fan-out)
+//	GET  /api/v1/sessions/{id}/events   NDJSON event stream: a sync line, one progress event per slice, closed at the final state
 //	GET  /api/v1/sessions/{id}/flight   flight-recorder ring dump
 //	POST /api/v1/sweeps              expand + submit a sweep → SweepReply
 //	GET  /api/v1/stats               pool accounting → ServerStats
@@ -25,7 +24,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/sessions", s.handleList)
 	mux.HandleFunc("GET /api/v1/sessions/{id}", s.handleStatus)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /api/v1/sessions/{id}/progress", s.handleProgress)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /api/v1/sessions/{id}/flight", s.handleFlight)
@@ -113,63 +111,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	// to the original run's response body.
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(env)
-}
-
-// handleProgress streams one SessionStatus JSON line per state change
-// until the session reaches a final state or the client disconnects.
-// The stream is driven by the server's condition variable (no polling,
-// no wall-clock timers): every slice completion broadcasts.
-func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.Status(id); !ok {
-		writeError(w, http.StatusNotFound, "no such session")
-		return
-	}
-	flusher := streamPrep(w)
-
-	// Wake the cond loop when the client goes away.
-	ctx := r.Context()
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		case <-done:
-		}
-	}()
-
-	enc := json.NewEncoder(w)
-	var last SessionStatus
-	first := true
-	for {
-		s.mu.Lock()
-		sess := s.sessions[id]
-		for {
-			st := s.statusLocked(sess)
-			if first || st != last || ctx.Err() != nil || s.closed {
-				last, first = st, false
-				break
-			}
-			s.cond.Wait()
-		}
-		closed := s.closed
-		s.mu.Unlock()
-		if ctx.Err() != nil {
-			return
-		}
-		if err := enc.Encode(last); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if last.State == StateDone || last.State == StateFailed || closed {
-			return
-		}
-	}
 }
 
 // handleMetrics distinguishes the three failure shapes: unknown

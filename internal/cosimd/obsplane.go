@@ -71,39 +71,36 @@ func (s *Server) newSessionObs(id, tenant string, metrics bool) *sessionObs {
 	return so
 }
 
-// attach arms observability on a freshly resident simulation and
-// returns the observer (nil when the session was not submitted with
-// metrics). Called by the owning worker from faultIn; every path
-// through fault-in re-attaches, so all delta baselines reset with the
-// fresh registry.
-func (so *sessionObs) attach(cs *core.Cosim) *obs.Observer {
-	so.ob = nil
+// attach arms observability on a freshly built simulation. Called by
+// the owning worker from faultIn's build path only: a parked session
+// keeps everything attached. The observer is created once per session,
+// so a simulation rebuilt after a spill reports into the registry its
+// predecessor left and /metrics covers the whole run, not the cycles
+// since the last eviction.
+func (so *sessionObs) attach(cs *core.Cosim) {
 	if so.metrics {
-		so.ob = obs.New(obs.Options{
-			Metrics: true,
-			Calib:   true,
-			Trace:   so.hub != nil,
-			Wall:    true,
-		})
-		if so.hub != nil {
-			so.ob.Trace().SetSink(so.spanSink)
+		if so.ob == nil {
+			so.ob = obs.New(obs.Options{
+				Metrics: true,
+				Calib:   true,
+				Trace:   so.hub != nil,
+				Wall:    true,
+			})
+			if so.hub != nil {
+				so.ob.Trace().SetSink(so.spanSink)
+			}
+			reg := so.ob.Metrics()
+			so.delivered = reg.Counter("net.delivered")
+			so.memDone = reg.Counter("mem.completions")
+			so.clampNet = reg.Counter("fullsys.clamped_deliveries")
+			so.clampMem = reg.Counter("fullsys.clamped_mem_completions")
 		}
 		cs.SetObserver(so.ob)
 		so.trackNames = so.ob.Trace().TrackNames()
-		reg := so.ob.Metrics()
-		so.delivered = reg.Counter("net.delivered")
-		so.memDone = reg.Counter("mem.completions")
-		so.clampNet = reg.Counter("fullsys.clamped_deliveries")
-		so.clampMem = reg.Counter("fullsys.clamped_mem_completions")
-		so.lastDelivered, so.lastMemDone = 0, 0
-		so.lastClampNet, so.lastClampMem = 0, 0
-		so.lastVals = nil
-		so.lastCalib = 0
 	}
 	if so.flight != nil {
 		cs.Progress = func(c sim.Cycle) { so.quantum(cs, c) }
 	}
-	return so.ob
 }
 
 // beginSlice stamps the slice's wall-clock start (the baseline for
@@ -213,6 +210,24 @@ func (so *sessionObs) afterSlice(cs *core.Cosim, consumed uint64) []byte {
 	return blob
 }
 
+// metricsSnapshot marshals the observer's registry.
+func metricsSnapshot(ob *obs.Observer) []byte {
+	var buf jsonBuffer
+	if err := ob.WriteMetrics(&buf); err != nil {
+		return nil
+	}
+	return buf.bytes
+}
+
+// jsonBuffer is a minimal io.Writer (avoids importing bytes for one
+// call site).
+type jsonBuffer struct{ bytes []byte }
+
+func (b *jsonBuffer) Write(p []byte) (int, error) {
+	b.bytes = append(b.bytes, p...)
+	return len(p), nil
+}
+
 // publishMetricsDelta publishes what changed in the registry since the
 // last publish: counters and histogram counts as deltas, gauges as
 // current values.
@@ -304,9 +319,11 @@ func (so *sessionObs) finish(state State, cycle uint64, note string) {
 }
 
 // dumpFlight writes a session's flight ring beside its checkpoints
-// (<id>.flight.json) — the automatic postmortem on error,
-// eviction-spill, and drain. Best-effort; called without the server
-// lock.
+// (<id>.flight.json) — the automatic postmortem on error and drain. A
+// spill does not dump: the ring belongs to the session, not to the
+// simulation being dropped, so it stays in memory and on /flight, and
+// a second file write per eviction made the disk tier a quarter
+// slower. Best-effort; called without the server lock.
 func (s *Server) dumpFlight(so *sessionObs, why string) {
 	if so.flight == nil || so.flight.Total() == 0 {
 		return
@@ -324,8 +341,9 @@ func (s *Server) dumpFlight(so *sessionObs, why string) {
 }
 
 // telemetry is the server-wide wall-cost accounting behind /metrics:
-// per-phase histograms plus worker-utilization counters. Its own
-// mutex, never taken with the server lock held.
+// per-phase histograms plus worker-utilization counters. Its mutex is
+// a leaf: nothing is acquired under it, so it is safe with or without
+// the server lock held.
 type telemetry struct {
 	mu        sync.Mutex
 	phases    map[string]*obsplane.WallHist

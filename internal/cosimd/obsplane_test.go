@@ -428,12 +428,19 @@ func TestEventsStreamChurn(t *testing.T) {
 
 // gateBuilder blocks every Build until the gate opens — it pins
 // sessions in "no slice has completed yet" so handler status codes can
-// be asserted without racing the workers.
-type gateBuilder struct{ gate chan struct{} }
+// be asserted without racing the workers. next builds once the gate is
+// open (nil: StdBuilder).
+type gateBuilder struct {
+	gate chan struct{}
+	next Builder
+}
 
 func (g gateBuilder) Digest(req SubmitRequest) (uint64, error) { return StdBuilder{}.Digest(req) }
 func (g gateBuilder) Build(req SubmitRequest) (*core.Cosim, error) {
 	<-g.gate
+	if g.next != nil {
+		return g.next.Build(req)
+	}
 	return StdBuilder{}.Build(req)
 }
 
@@ -444,7 +451,7 @@ func (g gateBuilder) Build(req SubmitRequest) (*core.Cosim, error) {
 // (A regression test: the handler used to fold all three into one.)
 func TestMetricsHandlerStatusCodes(t *testing.T) {
 	gate := make(chan struct{})
-	srv := newTestServer(t, Options{Workers: 1, Builder: gateBuilder{gate}})
+	srv := newTestServer(t, Options{Workers: 1, Builder: gateBuilder{gate: gate}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -495,11 +502,11 @@ func TestMetricsHandlerStatusCodes(t *testing.T) {
 // streamPrep learned to tag the response.
 type noFlushWriter struct{ http.ResponseWriter }
 
-// TestProgressWithoutFlusher: when the ResponseWriter cannot flush,
-// the progress stream must still deliver every line (at the wrapper's
+// TestEventsWithoutFlusher: when the ResponseWriter cannot flush, the
+// events stream must still deliver every line (at the wrapper's
 // buffering mercy) and must say so up front via a Warning header
 // rather than degrade silently.
-func TestProgressWithoutFlusher(t *testing.T) {
+func TestEventsWithoutFlusher(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 1})
 	st, err := srv.Submit(tinyReq(31))
 	if err != nil {
@@ -508,24 +515,25 @@ func TestProgressWithoutFlusher(t *testing.T) {
 	srv.Wait()
 
 	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/api/v1/sessions/"+st.ID+"/progress", nil)
+	req := httptest.NewRequest("GET", "/api/v1/sessions/"+st.ID+"/events", nil)
 	srv.Handler().ServeHTTP(noFlushWriter{rec}, req)
 
 	if w := rec.Header().Get("Warning"); !strings.Contains(w, "does not support flushing") {
 		t.Errorf("no-flusher stream carried no Warning header (got %q)", w)
 	}
-	var final SessionStatus
+	// The session is done, so the stream is its sync line alone.
+	var final obsplane.Event
 	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil {
 		t.Fatalf("bad stream body %q: %v", rec.Body.String(), err)
 	}
-	if final.State != StateDone {
-		t.Errorf("stream did not reach the final state: %+v", final)
+	if final.Kind != obsplane.KindSync || final.State != string(StateDone) {
+		t.Errorf("stream did not report the final state: %+v", final)
 	}
 
 	// The plain path must not carry the warning (the recorder flushes).
 	rec = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/sessions/"+st.ID+"/progress", nil))
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/sessions/"+st.ID+"/events", nil))
 	if w := rec.Header().Get("Warning"); w != "" {
 		t.Errorf("flushing stream unexpectedly tagged with Warning %q", w)
 	}
@@ -580,8 +588,8 @@ func checkExposition(t *testing.T, text string) map[string]bool {
 // TestPromEndpoint drives the pool through evictions, warm restores,
 // spills, and a cache hit, then asserts GET /metrics is valid
 // Prometheus text exposition whose families reflect all of it:
-// scheduler skew, eviction tiers, cache hit rate, fork-pool occupancy,
-// per-tenant cycle accounting, and per-phase wall histograms.
+// scheduler skew, eviction tiers, cache hit rate, per-tenant cycle
+// accounting, and per-phase wall histograms.
 func TestPromEndpoint(t *testing.T) {
 	srv, release := newGatedServer(t, Options{
 		Workers: 2, MaxResident: 3, MaxWarm: 2, SliceCycles: 512,
@@ -640,7 +648,6 @@ func TestPromEndpoint(t *testing.T) {
 		"cosimd_spills_total",
 		"cosimd_cache_hits_total",
 		"cosimd_cache_misses_total",
-		"cosimd_fork_pool_shells",
 		"cosimd_tenant_simulated_cycles_total",
 		"cosimd_tenant_sessions",
 		"cosimd_events_published_total",

@@ -26,7 +26,6 @@ func (s *Server) WriteProm(w io.Writer) error {
 		cacheMiss    uint64
 		fairness     FairnessReport
 		tenants      []TenantStats
-		forkShells   int
 		obs          ObsStats
 	}
 	s.mu.Lock()
@@ -53,14 +52,6 @@ func (s *Server) WriteProm(w io.Writer) error {
 		g.obs.Published += hs.Published
 		g.obs.Dropped += hs.Dropped
 		g.obs.FlightRecords += sess.sobs.flight.Total()
-		// Fork-pool occupancy: parked warm clones always; resident
-		// simulations only when no worker owns them (ready under the
-		// lock means untouched until the next locked dispatch).
-		if sess.warm != nil {
-			g.forkShells += sess.warm.PooledShells()
-		} else if sess.resident && sess.state == StateReady && sess.cs != nil {
-			g.forkShells += sess.cs.PooledShells()
-		}
 	}
 	s.mu.Unlock()
 
@@ -88,7 +79,7 @@ func (s *Server) WriteProm(w io.Writer) error {
 	p.Sample("cosimd_slice_cycles", nil, float64(g.slice))
 
 	p.Header("cosimd_sessions", "gauge", "sessions by lifecycle state")
-	for _, st := range []State{StateReady, StateRunning, StateEvicting, StateDone, StateFailed} {
+	for _, st := range []State{StateReady, StateRunning, StateDone, StateFailed} {
 		p.Sample("cosimd_sessions", obsplane.L("state", string(st)), float64(g.byState[st]))
 	}
 	p.Header("cosimd_sched_ready_depth", "gauge", "sessions queued for dispatch")
@@ -98,26 +89,23 @@ func (s *Server) WriteProm(w io.Writer) error {
 	p.Header("cosimd_sched_fairness_samples_total", "counter", "steady-state fairness samples taken")
 	p.Sample("cosimd_sched_fairness_samples_total", nil, float64(g.fairness.Samples))
 
-	p.Header("cosimd_resident_sessions", "gauge", "sessions live in memory")
+	p.Header("cosimd_resident_sessions", "gauge", "sessions counted against max-resident (may own worker pools)")
 	p.Sample("cosimd_resident_sessions", nil, float64(g.resident))
-	p.Header("cosimd_warm_sessions", "gauge", "evicted sessions parked as in-memory forks")
+	p.Header("cosimd_warm_sessions", "gauge", "parked sessions: simulation held in memory, worker pools stopped")
 	p.Sample("cosimd_warm_sessions", nil, float64(g.warm))
-	p.Header("cosimd_evictions_total", "counter", "sessions evicted (warm parks and disk writes)")
+	p.Header("cosimd_evictions_total", "counter", "sessions evicted from the resident set (every one a park)")
 	p.Sample("cosimd_evictions_total", nil, float64(g.evictions))
 	p.Header("cosimd_restores_total", "counter", "evicted sessions faulted back in")
 	p.Sample("cosimd_restores_total", nil, float64(g.restores))
-	p.Header("cosimd_warm_restores_total", "counter", "restores served by adopting a warm fork")
+	p.Header("cosimd_warm_restores_total", "counter", "restores served by adopting a parked session as it is")
 	p.Sample("cosimd_warm_restores_total", nil, float64(g.warmRestores))
-	p.Header("cosimd_spills_total", "counter", "warm forks spilled to checkpoint files")
+	p.Header("cosimd_spills_total", "counter", "parked sessions written to checkpoint files and dropped")
 	p.Sample("cosimd_spills_total", nil, float64(g.spills))
 
 	p.Header("cosimd_cache_hits_total", "counter", "submissions served from the digest-keyed result cache")
 	p.Sample("cosimd_cache_hits_total", nil, float64(g.cacheHits))
 	p.Header("cosimd_cache_misses_total", "counter", "submissions that required simulation")
 	p.Sample("cosimd_cache_misses_total", nil, float64(g.cacheMiss))
-
-	p.Header("cosimd_fork_pool_shells", "gauge", "idle fork shells pooled across parked and ready sessions")
-	p.Sample("cosimd_fork_pool_shells", nil, float64(g.forkShells))
 
 	p.Header("cosimd_tenant_simulated_cycles_total", "counter", "simulated cycles consumed per tenant (the fair-share currency)")
 	for _, t := range g.tenants {
@@ -140,69 +128,12 @@ func (s *Server) WriteProm(w io.Writer) error {
 	p.Header("cosimd_flight_records_total", "counter", "entries recorded into flight rings")
 	p.Sample("cosimd_flight_records_total", nil, float64(g.obs.FlightRecords))
 
-	p.Header("cosimd_phase_wall_seconds", "histogram", "wall cost per server phase (slice, build, faultin_warm, faultin_disk, park_warm, evict_disk, spill)")
+	p.Header("cosimd_phase_wall_seconds", "histogram", "wall cost per server phase (slice, build, park_warm, spill, faultin_disk)")
 	for _, name := range obsplane.SortedKeys(phases) {
 		phases[name].WriteProm(p, "cosimd_phase_wall_seconds", obsplane.L("phase", name))
 	}
 
 	return p.Err()
-}
-
-// Events subscribes to a session's event stream. The returned sync
-// event is the stream's synthetic first line: the session's state and
-// cycle at subscription time plus the hub sequence already published,
-// so a reconnecting client can tell what it missed. sub is nil when
-// event streaming is disabled (Options.EventsBuffer < 0); ok reports
-// whether the session exists.
-func (s *Server) Events(id string) (sub *obsplane.Subscriber, syncEv obsplane.Event, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := s.sessions[id]
-	if sess == nil {
-		return nil, obsplane.Event{}, false
-	}
-	sub = sess.sobs.hub.Subscribe()
-	if sub == nil {
-		return nil, obsplane.Event{}, true
-	}
-	syncEv = obsplane.Event{
-		Seq:     sess.sobs.hub.Stats().Seq,
-		Kind:    obsplane.KindSync,
-		Session: sess.id,
-		Tenant:  sess.req.Tenant,
-		State:   string(sess.state),
-		Cycle:   sess.cycle,
-	}
-	return sub, syncEv, true
-}
-
-// FlightReply is the /flight payload: the session's identity and state
-// around its flight-ring dump.
-type FlightReply struct {
-	Session string `json:"session"`
-	Tenant  string `json:"tenant"`
-	State   State  `json:"state"`
-	obsplane.FlightDump
-}
-
-// Flight snapshots a session's flight ring. armed reports whether
-// flight recording is enabled (Options.FlightDepth >= 0); ok reports
-// whether the session exists.
-func (s *Server) Flight(id string) (reply FlightReply, armed, ok bool) {
-	s.mu.Lock()
-	sess := s.sessions[id]
-	if sess == nil {
-		s.mu.Unlock()
-		return FlightReply{}, false, false
-	}
-	reply = FlightReply{Session: sess.id, Tenant: sess.req.Tenant, State: sess.state}
-	flight := sess.sobs.flight
-	s.mu.Unlock()
-	if flight == nil {
-		return reply, false, true
-	}
-	reply.FlightDump = flight.Snapshot()
-	return reply, true, true
 }
 
 // promContentType is the exposition content type for /metrics.

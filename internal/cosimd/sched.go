@@ -36,7 +36,7 @@ type Sched struct {
 type tenantAcct struct {
 	name   string
 	cycles uint64
-	// live counts entries not yet retired (ready, running, evicting):
+	// live counts entries not yet retired (ready or running):
 	// the tenant is "active" while live > 0.
 	live int
 	done int
@@ -84,7 +84,7 @@ func (sc *Sched) Ready(e *Entry) {
 }
 
 // Block removes a queued entry from the ready list without retiring it
-// (eviction in progress). A later Ready re-queues it.
+// (a dispatch, or a spill in progress). A later Ready re-queues it.
 func (sc *Sched) Block(e *Entry) {
 	if e.readyIdx < 0 {
 		return

@@ -11,14 +11,17 @@
 //     cycles consumed per tenant, with priority aging — see sched.go.
 //   - LRU-idle sessions are evicted when the resident population
 //     exceeds Options.MaxResident, and are transparently faulted back
-//     in at their next dispatch. Eviction is two-tier, mirroring the
-//     state-capture contract: the victim's live state is parked in
-//     memory as a fork (microseconds — internal/core's fork tier) and
-//     spills to a checkpoint file (internal/ckpt) only when the warm
-//     tier itself overflows Options.MaxWarm. Bit-identical resume —
-//     the tested invariant of both tiers — is what makes eviction
-//     invisible: an evicted-and-resumed session's fingerprint equals
-//     an uninterrupted run's.
+//     in at their next dispatch. Eviction is two-tier. A victim is
+//     first parked: it keeps the simulation it already holds, with the
+//     worker pools stopped (core.Cosim.Park), and is merely counted
+//     against Options.MaxWarm instead of MaxResident — a hand-over,
+//     not a copy, and adopting it back is bookkeeping. Only when the
+//     parked population overflows MaxWarm is the LRU one serialized to
+//     a checkpoint file (internal/ckpt) and dropped. Bit-identical
+//     resume — stepping after a pool restart, and decode into a
+//     rebuilt simulation — is what makes eviction invisible: an
+//     evicted-and-resumed session's fingerprint equals an
+//     uninterrupted run's.
 //   - Completed results are cached by config digest: resubmitting an
 //     identical config is served byte-identically from the cache
 //     without consuming a worker or a single simulated cycle.
@@ -41,7 +44,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/obsplane"
 	"repro/internal/sim"
 )
@@ -54,19 +56,20 @@ type Options struct {
 	// most a session advances per dispatch (default 4096). The slice
 	// rounds up to the session's coupling quantum.
 	SliceCycles uint64
-	// MaxResident bounds in-memory sessions; beyond it, LRU-idle ready
-	// sessions are evicted to checkpoints (default 64; minimum
-	// Workers+1 is enforced so running sessions always fit).
+	// MaxResident bounds resident sessions: the ones that keep their
+	// worker pools (a noc_workers > 1 session's shard pool) between
+	// dispatches. Beyond it, LRU-idle ready sessions are parked
+	// (default 64; minimum Workers+1 is enforced so running sessions
+	// always fit).
 	MaxResident int
-	// MaxWarm bounds the warm tier: evicted sessions parked as live
-	// in-memory forks (internal/core's fork tier) instead of
-	// checkpoint files. A warm fault-in adopts the parked clone
-	// directly — no rebuild, no decode — and is bit-identical to an
-	// uninterrupted run (the fork tier's tested invariant). When the
-	// tier overflows, its LRU clone spills to a ckpt file — the only
-	// time eviction still pays for serialization. 0 defaults to
-	// MaxResident; negative disables the tier (every eviction
-	// serializes to disk).
+	// MaxWarm bounds the warm tier: parked sessions, which still hold
+	// their live simulation in memory but own no goroutines. A warm
+	// fault-in takes the session as it is — no copy, no rebuild, no
+	// decode. When the tier overflows, its LRU session is written to a
+	// ckpt file and its simulation dropped — the only time eviction
+	// pays for serialization. MaxResident + MaxWarm is therefore the
+	// bound on simulations held in memory. 0 defaults to MaxResident;
+	// negative disables the tier (every eviction serializes to disk).
 	MaxWarm int
 	// StateDir holds checkpoints and the shutdown manifest (default: a
 	// fresh temp dir).
@@ -82,8 +85,8 @@ type Options struct {
 	// FlightDepth is the per-session flight-recorder ring size in
 	// entries (default 64). The ring holds recent per-quantum samples
 	// and lifecycle transitions, served from /flight and dumped to
-	// <id>.flight.json on error, eviction-spill, and drain. Negative
-	// disables flight recording.
+	// <id>.flight.json on error and drain. Negative disables flight
+	// recording.
 	FlightDepth int
 	// Builder turns requests into co-simulations (default StdBuilder).
 	Builder Builder
@@ -129,17 +132,18 @@ type session struct {
 	digest uint64
 	entry  *Entry
 
-	state    State
-	resident bool
-	hasCkpt  bool
-	cs       *core.Cosim
-	ob       *obs.Observer
+	state   State
+	hasCkpt bool
 
-	// warm is the parked live clone of an evicted session (nil when
-	// none); spilling marks a worker mid-write of that clone to disk,
-	// so a concurrent fault-in waits instead of rebuilding from
-	// scratch.
-	warm     *core.Cosim
+	// cs is the live simulation: nil until the first dispatch builds
+	// it, and again once it is spilled, finished or failed. Resident,
+	// it counts against MaxResident; parked (cs != nil && !resident) it
+	// is the same object with its worker pools stopped, counted against
+	// MaxWarm. spilling marks a worker mid-write of a parked simulation
+	// to disk; the session is off the ready queue for the duration, so
+	// nobody steps state that is being encoded.
+	cs       *core.Cosim
+	resident bool
 	spilling bool
 
 	cycle   uint64
@@ -369,6 +373,63 @@ func (s *Server) Metrics(id string) (blob []byte, armed, ok bool) {
 	return sess.metricsJSON, sess.req.Metrics, true
 }
 
+// Events subscribes to a session's event stream. The returned sync
+// event is the stream's synthetic first line: the session's state and
+// cycle at subscription time plus the hub sequence already published,
+// so a reconnecting client can tell what it missed. sub is nil when
+// event streaming is disabled (Options.EventsBuffer < 0); ok reports
+// whether the session exists.
+func (s *Server) Events(id string) (sub *obsplane.Subscriber, syncEv obsplane.Event, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess := s.sessions[id]
+	if sess == nil {
+		return nil, obsplane.Event{}, false
+	}
+	sub = sess.sobs.hub.Subscribe()
+	if sub == nil {
+		return nil, obsplane.Event{}, true
+	}
+	syncEv = obsplane.Event{
+		Seq:     sess.sobs.hub.Stats().Seq,
+		Kind:    obsplane.KindSync,
+		Session: sess.id,
+		Tenant:  sess.req.Tenant,
+		State:   string(sess.state),
+		Cycle:   sess.cycle,
+	}
+	return sub, syncEv, true
+}
+
+// FlightReply is the /flight payload: the session's identity and state
+// around its flight-ring dump.
+type FlightReply struct {
+	Session string `json:"session"`
+	Tenant  string `json:"tenant"`
+	State   State  `json:"state"`
+	obsplane.FlightDump
+}
+
+// Flight snapshots a session's flight ring. armed reports whether
+// flight recording is enabled (Options.FlightDepth >= 0); ok reports
+// whether the session exists.
+func (s *Server) Flight(id string) (reply FlightReply, armed, ok bool) {
+	s.mu.Lock()
+	sess := s.sessions[id]
+	if sess == nil {
+		s.mu.Unlock()
+		return FlightReply{}, false, false
+	}
+	reply = FlightReply{Session: sess.id, Tenant: sess.req.Tenant, State: sess.state}
+	flight := sess.sobs.flight
+	s.mu.Unlock()
+	if flight == nil {
+		return reply, false, true
+	}
+	reply.FlightDump = flight.Snapshot()
+	return reply, true, true
+}
+
 // Stats reports pool-level accounting.
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
@@ -508,7 +569,7 @@ func (s *Server) finishSlice(sess *session, cycle, retired, consumed uint64, env
 	if sess.resident && (env != nil || err != nil) {
 		sess.resident = false
 		s.resident--
-		sess.cs, sess.ob = nil, nil
+		sess.cs = nil
 	}
 	sess.lastRun = s.sched.tick
 	sess.cycle, sess.retired = cycle, retired
@@ -546,30 +607,22 @@ func (s *Server) finishSlice(sess *session, cycle, retired, consumed uint64, env
 }
 
 // faultIn makes a session's co-simulation live on the calling worker.
-// A warm-parked session adopts its in-memory clone directly — no
-// rebuild, no decode. Otherwise the worker builds from the request;
-// dispatches after a disk eviction additionally restore the
-// checkpoint. All three paths continue bit-identically.
+// A parked session already holds it: adopting is bookkeeping. Otherwise
+// the worker builds from the request; dispatches after a spill
+// additionally restore the checkpoint. All three paths continue
+// bit-identically.
 func (s *Server) faultIn(sess *session) error {
 	s.mu.Lock()
-	for sess.spilling {
-		s.cond.Wait()
-	}
-	if w := sess.warm; w != nil {
-		sess.warm = nil
+	if sess.cs != nil {
 		s.warmCount--
-		sess.cs = w
 		sess.resident = true
 		s.resident++
 		sess.restores++
 		s.restores++
 		s.warmRestores++
 		s.mu.Unlock()
-		done := s.phaseTimer("faultin_warm")
-		sess.ob = sess.sobs.attach(w)
-		done()
-		sess.sobs.transition(obsplane.FlightFaultIn, StateRunning, uint64(w.Cycle()), "warm")
-		s.logf("session %s warm-restored at cycle %d", sess.id, w.Cycle())
+		sess.sobs.transition(obsplane.FlightFaultIn, StateRunning, sess.cycle, "warm")
+		s.logf("session %s warm-restored at cycle %d", sess.id, sess.cycle)
 		return nil
 	}
 	s.mu.Unlock()
@@ -588,11 +641,11 @@ func (s *Server) faultIn(sess *session) error {
 			return err
 		}
 	}
-	sess.ob = sess.sobs.attach(cs)
+	sess.sobs.attach(cs)
 	done()
 	sess.sobs.transition(obsplane.FlightFaultIn, StateRunning, uint64(cs.Cycle()), phase)
-	sess.cs = cs
 	s.mu.Lock()
+	sess.cs = cs
 	sess.resident = true
 	s.resident++
 	if sess.hasCkpt {
@@ -606,136 +659,82 @@ func (s *Server) faultIn(sess *session) error {
 	return nil
 }
 
-// evictOverflowLocked evicts LRU-idle ready sessions until the
-// resident population fits MaxResident. With a warm tier, eviction
-// parks the live state in memory (microseconds); without one — or
-// when the backend cannot fork — it serializes to a checkpoint file.
-// Called with the lock held; forks and saves run unlocked on the
-// calling worker, with the victim parked in StateEvicting so no other
-// worker can dispatch it.
+// evictOverflowLocked parks LRU-idle ready sessions until the resident
+// population fits MaxResident, then spills whatever no longer fits
+// MaxWarm. Parking hands the session's simulation over as it is: the
+// worker pools stop and the accounting moves from one bound to the
+// other. The victim is ready and the lock is held, so no worker owns
+// it.
 func (s *Server) evictOverflowLocked() {
 	for s.resident > s.opts.MaxResident {
-		victim := s.lruVictimLocked()
+		victim := s.lruLocked(true)
 		if victim == nil {
-			return // everything resident is running; nothing evictable
+			break // everything resident is running; nothing evictable
 		}
-		victim.state = StateEvicting
-		s.sched.Block(victim.entry)
-		if s.opts.MaxWarm > 0 && s.parkWarmLocked(victim) {
-			continue
-		}
-		s.mu.Unlock()
-		done := s.phaseTimer("evict_disk")
-		err := ckpt.Save(s.ckptPath(victim.id), victim.cs, victim.digest)
+		done := s.phaseTimer("park_warm")
+		victim.cs.Park()
 		done()
-		if err == nil {
-			victim.cs.Close()
-		}
-		s.mu.Lock()
-		if err != nil {
-			// Keep the session resident and runnable; eviction is an
-			// optimization, not a correctness step.
-			victim.state = StateReady
-			s.sched.Ready(victim.entry)
-			s.cond.Broadcast()
-			s.logf("evict %s failed: %v", victim.id, err)
-			return
-		}
-		victim.cs, victim.ob = nil, nil
 		victim.resident = false
-		victim.hasCkpt = true
 		victim.evictions++
 		s.evictions++
 		s.resident--
-		victim.state = StateReady
-		victim.sobs.transition(obsplane.FlightEvict, StateReady, victim.cycle, "disk")
-		s.sched.Ready(victim.entry)
-		s.cond.Broadcast()
+		s.warmCount++
+		victim.sobs.transition(obsplane.FlightEvict, StateReady, victim.cycle, "warm-park")
 	}
-}
-
-// parkWarmLocked moves victim's live simulation into the warm tier:
-// the worker forks it (microseconds) and closes the original, so the
-// parked clone carries no engine worker pools. Returns false — victim
-// untouched, still StateEvicting and blocked — when the backend
-// cannot fork; the caller falls back to the checkpoint path.
-func (s *Server) parkWarmLocked(victim *session) bool {
-	cs := victim.cs
-	s.mu.Unlock()
-	done := s.phaseTimer("park_warm")
-	clone, err := cs.Fork()
-	done()
-	if err == nil {
-		cs.Close()
-	}
-	s.mu.Lock()
-	if err != nil {
-		s.logf("warm-park %s falling back to checkpoint: %v", victim.id, err)
-		return false
-	}
-	victim.cs, victim.ob = nil, nil
-	victim.warm = clone
-	victim.resident = false
-	victim.evictions++
-	s.evictions++
-	s.warmCount++
-	s.resident--
-	victim.state = StateReady
-	victim.sobs.transition(obsplane.FlightEvict, StateReady, victim.cycle, "warm-park")
-	s.sched.Ready(victim.entry)
-	s.cond.Broadcast()
 	s.spillOverflowLocked()
-	return true
 }
 
-// spillOverflowLocked writes the warm tier's LRU clones to checkpoint
-// files until the tier fits MaxWarm — the memory-pressure escape
-// hatch, and the only point where warm eviction still serializes.
-// Saves run unlocked with the victim flagged spilling, so a
-// concurrent fault-in waits for the checkpoint instead of rebuilding
-// from scratch.
+// spillOverflowLocked writes the LRU parked sessions to checkpoint
+// files and drops their simulations until the warm tier fits MaxWarm —
+// the memory-pressure escape hatch, and the only point where eviction
+// serializes. Saves run unlocked with the session flagged spilling:
+// off the ready queue, so no worker is dispatched onto it and left
+// waiting for the disk, and off the warm count, so a second worker does
+// not spill one session too many.
 func (s *Server) spillOverflowLocked() {
 	for s.warmCount > s.opts.MaxWarm {
-		old := s.warmVictimLocked()
+		old := s.lruLocked(false)
 		if old == nil {
-			return // every warm session is being dispatched right now
+			return // every parked session is being dispatched or spilled right now
 		}
-		w := old.warm
-		old.warm = nil
+		cs := old.cs
 		old.spilling = true
+		s.sched.Block(old.entry)
 		s.warmCount--
 		s.mu.Unlock()
 		done := s.phaseTimer("spill")
-		err := ckpt.Save(s.ckptPath(old.id), w, old.digest)
+		err := ckpt.Save(s.ckptPath(old.id), cs, old.digest)
 		done()
 		if err == nil {
-			w.Close()
+			cs.Close()
 			old.sobs.transition(obsplane.FlightSpill, StateReady, old.cycle, "warm tier overflow")
-			s.dumpFlight(old.sobs, "spill")
+			s.logf("session %s spilled to disk at cycle %d", old.id, old.cycle)
+		} else {
+			s.logf("spill %s failed: %v", old.id, err)
 		}
 		s.mu.Lock()
 		old.spilling = false
+		s.sched.Ready(old.entry)
+		s.cond.Broadcast()
 		if err != nil {
-			// Keep the clone warm; spilling is an optimization.
-			old.warm = w
+			// Keep the session parked; spilling is an optimization, not
+			// a correctness step.
 			s.warmCount++
-			s.cond.Broadcast()
-			s.logf("spill %s failed: %v", old.id, err)
 			return
 		}
+		old.cs = nil
 		old.hasCkpt = true
 		s.spills++
-		s.cond.Broadcast()
-		s.logf("session %s spilled to disk at cycle %d", old.id, old.cycle)
 	}
 }
 
-// warmVictimLocked picks the warm-parked ready session that ran least
+// lruLocked picks, among the ready sessions holding a simulation on the
+// given side of the resident/parked line, the one that ran least
 // recently.
-func (s *Server) warmVictimLocked() *session {
+func (s *Server) lruLocked(resident bool) *session {
 	var victim *session
 	for _, sess := range s.order {
-		if sess.warm == nil || sess.state != StateReady {
+		if sess.cs == nil || sess.resident != resident || sess.spilling || sess.state != StateReady {
 			continue
 		}
 		if victim == nil || sess.lastRun < victim.lastRun ||
@@ -744,40 +743,6 @@ func (s *Server) warmVictimLocked() *session {
 		}
 	}
 	return victim
-}
-
-// lruVictimLocked picks the resident ready session that ran least
-// recently.
-func (s *Server) lruVictimLocked() *session {
-	var victim *session
-	for _, sess := range s.order {
-		if !sess.resident || sess.state != StateReady {
-			continue
-		}
-		if victim == nil || sess.lastRun < victim.lastRun ||
-			(sess.lastRun == victim.lastRun && sess.seq < victim.seq) {
-			victim = sess
-		}
-	}
-	return victim
-}
-
-// metricsSnapshot marshals the observer's registry.
-func metricsSnapshot(ob *obs.Observer) []byte {
-	var buf jsonBuffer
-	if err := ob.WriteMetrics(&buf); err != nil {
-		return nil
-	}
-	return buf.bytes
-}
-
-// jsonBuffer is a minimal io.Writer (avoids importing bytes for one
-// call site).
-type jsonBuffer struct{ bytes []byte }
-
-func (b *jsonBuffer) Write(p []byte) (int, error) {
-	b.bytes = append(b.bytes, p...)
-	return len(p), nil
 }
 
 // Close shuts the pool down gracefully: stop dispatching, wait out
@@ -796,14 +761,11 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 
 	// Workers are gone; only HTTP readers share the lock now. Drain
-	// resident and warm-parked sessions to checkpoints.
+	// resident and parked sessions to checkpoints.
 	s.mu.Lock()
 	var firstErr error
 	for _, sess := range s.order {
 		cs := sess.cs
-		if !sess.resident {
-			cs = sess.warm
-		}
 		if cs == nil {
 			continue
 		}
@@ -823,13 +785,12 @@ func (s *Server) Close() error {
 			s.evictions++
 			s.resident--
 		} else {
-			sess.warm = nil
 			s.warmCount--
 			s.spills++
 		}
-		sess.cs, sess.ob = nil, nil
+		sess.cs = nil
 		sess.hasCkpt = true
-		if sess.state == StateRunning || sess.state == StateEvicting {
+		if sess.state == StateRunning {
 			sess.state = StateReady
 		}
 	}

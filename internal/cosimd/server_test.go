@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/noc"
+	"repro/internal/obsplane"
 	"repro/internal/sim"
 )
 
@@ -56,7 +57,7 @@ func newTestServer(t *testing.T, opts Options) *Server {
 }
 
 // newGatedServer is newTestServer with the workers held at their first
-// Build until release is called. A fixture whose point is pool pressure
+// Build (by opts.Builder, when set) until release is called. A fixture whose point is pool pressure
 // — more sessions live at once than the resident (and warm) tier holds
 // — submits them all and then releases, so the pressure does not depend
 // on how fast a session simulates or how the host schedules the submit
@@ -64,7 +65,7 @@ func newTestServer(t *testing.T, opts Options) *Server {
 func newGatedServer(t *testing.T, opts Options) (srv *Server, release func()) {
 	t.Helper()
 	gate := make(chan struct{})
-	opts.Builder = gateBuilder{gate}
+	opts.Builder = gateBuilder{gate, opts.Builder}
 	srv = newTestServer(t, opts)
 	var once sync.Once
 	release = func() { once.Do(func() { close(gate) }) }
@@ -399,11 +400,10 @@ func TestShardedSessionMetrics(t *testing.T) {
 }
 
 // TestShardedSessionSurvivesWarmPark: a session submitted with
-// noc_workers: 2 keeps its two shards across warm park/adopt cycles
-// (the fork used to rebuild the network with no options, silently
-// running one shard ever after), and parked clones hold no worker
-// pool: however many sessions are parked, only resident ones own
-// goroutines, and a drained server owns none.
+// noc_workers: 2 keeps its two shards across park/adopt cycles, and a
+// parked session holds no worker pool: however many sessions are
+// parked, only resident ones own goroutines, and a drained server owns
+// none.
 func TestShardedSessionSurvivesWarmPark(t *testing.T) {
 	const n, maxResident, nocWorkers = 8, 3, 2
 	srv, release := newGatedServer(t, Options{
@@ -444,10 +444,10 @@ func TestShardedSessionSurvivesWarmPark(t *testing.T) {
 			if sess.resident {
 				resident++
 			}
-			if sess.warm != nil {
+			if sess.cs != nil && !sess.resident {
 				parked++
-				if got := shardsOf(sess.warm.Net); got != nocWorkers {
-					t.Errorf("parked clone of %s has %d shards, want %d", sess.id, got, nocWorkers)
+				if got := shardsOf(sess.cs.Net); got != nocWorkers {
+					t.Errorf("parked session %s has %d shards, want %d", sess.id, got, nocWorkers)
 				}
 			}
 			if sess.state == StateReady && sess.resident && sess.restores > 0 {
@@ -461,10 +461,10 @@ func TestShardedSessionSurvivesWarmPark(t *testing.T) {
 			maxParked = parked
 			// While the lock is held the one worker stops at the end of
 			// its slice and closed pools wind down, so the count settles
-			// at one pool per resident session; parked clones add none.
+			// at one pool per resident session; parked ones add none.
 			limit := base + resident*nocWorkers
 			if got := settleAt(limit); got > limit {
-				t.Errorf("%d goroutines with %d sessions resident and %d parked, want at most %d: parked clones hold worker pools",
+				t.Errorf("%d goroutines with %d sessions resident and %d parked, want at most %d: parked sessions hold worker pools",
 					got, resident, parked, limit)
 			}
 		}
@@ -525,29 +525,33 @@ func TestHTTPAPI(t *testing.T) {
 	var st SessionStatus
 	decode(resp, &st)
 
-	// Progress: stream until the final state (blocks, no polling).
-	resp = get("/api/v1/sessions/" + st.ID + "/progress")
+	// Events: the stream opens with a sync line and closes at the final
+	// state (blocks, no polling).
+	resp = get("/api/v1/sessions/" + st.ID + "/events")
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("progress content type %q", ct)
+		t.Errorf("events content type %q", ct)
 	}
-	var last SessionStatus
+	var last obsplane.Event
 	lines := 0
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
-			t.Fatalf("progress line %d: %v", lines, err)
+			t.Fatalf("events line %d: %v", lines, err)
+		}
+		if lines == 0 && last.Kind != obsplane.KindSync {
+			t.Errorf("events stream opened with %q, want a sync line", last.Kind)
 		}
 		lines++
 	}
 	resp.Body.Close()
-	if lines == 0 || last.State != StateDone {
-		t.Fatalf("progress stream ended after %d lines in state %s", lines, last.State)
+	if lines == 0 || last.State != string(StateDone) {
+		t.Fatalf("events stream ended after %d lines on %+v", lines, last)
 	}
 
 	// Status and list agree.
 	decode(get("/api/v1/sessions/"+st.ID), &st)
 	if st.State != StateDone {
-		t.Fatalf("status after progress end: %+v", st)
+		t.Fatalf("status after the events stream ended: %+v", st)
 	}
 	var list []SessionStatus
 	decode(get("/api/v1/sessions"), &list)
