@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race race-shard simcheck premerge bench benchdiff fuzz-smoke cosimd-smoke
+.PHONY: all build test vet lint race race-shard race-gating simcheck premerge bench benchdiff fuzz-smoke cosimd-smoke
 
 all: build test
 
@@ -22,12 +22,15 @@ lint:
 # A short coverage-guided run of the checkpoint-envelope fuzzer over
 # the committed seed corpus (internal/snapshot/testdata/fuzz), so CI
 # exercises real sealed/corrupted/truncated envelopes, not just the
-# in-code f.Add seeds — and one of the mask arbiters against their
+# in-code f.Add seeds — one of the mask arbiters against their
 # scan-based reference on random router states
-# (internal/noc/router_ref_test.go).
+# (internal/noc/router_ref_test.go), and one of the gated full-system
+# tile sweep against the exhaustive one on random machines
+# (internal/fullsys/gating_test.go).
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzTileGating$$' -fuzztime 10s
 
 # End-to-end smoke of the co-simulation server: starts cosimd on a
 # loopback port with deliberately tiny limits (6 sessions, 3 resident,
@@ -56,6 +59,14 @@ race:
 race-shard:
 	$(GO) test -race -run 'TestShardedBitIdenticalAllModes' -count=1 .
 	$(GO) test -race -run 'Shard' -count=1 ./internal/noc ./internal/core
+
+# The full-system tile gating under the race detector: random machines
+# stepped gated and exhaustive in lockstep, with a fork of the gated
+# system — taken while tiles sleep — advanced on its own goroutine
+# while its parent keeps stepping over the copy-on-write state they
+# share. Blocking in CI.
+race-gating:
+	$(GO) test -race -run 'TestGatedTickEqualsExhaustive' -count=1 ./internal/fullsys
 
 simcheck:
 	$(GO) test -tags simcheck ./...

@@ -19,8 +19,13 @@ import "repro/internal/sim"
 // is the identity; use NewAffine to get one with a bounded window.
 type Affine struct {
 	alpha, beta float64
-	pred, obs   []float64
-	maxWindow   int //simlint:derived construction-time capacity; restore validates the window against it
+	// pred and obs are the live window, oldest first. They are views
+	// that slide through predBuf/obsBuf — twice the window — and are
+	// copied back to the front once per maxWindow observations, so an
+	// observation costs one store, not a shift of the whole window.
+	pred, obs       []float64
+	predBuf, obsBuf []float64 //simlint:derived backing arrays of pred/obs; only the live window is state
+	maxWindow       int       //simlint:derived construction-time capacity; restore validates the window against it
 }
 
 // NewAffine returns an identity correction with a sliding observation
@@ -29,7 +34,14 @@ func NewAffine(window int) *Affine {
 	if window < 8 {
 		window = 8
 	}
-	return &Affine{alpha: 1, maxWindow: window}
+	a := &Affine{
+		alpha:     1,
+		predBuf:   make([]float64, 0, 2*window),
+		obsBuf:    make([]float64, 0, 2*window),
+		maxWindow: window,
+	}
+	a.setWindow(nil, nil)
+	return a
 }
 
 // Apply corrects a base prediction.
@@ -39,15 +51,24 @@ func (a *Affine) Apply(base float64) float64 { return a.alpha*base + a.beta }
 func (a *Affine) Coeffs() (alpha, beta float64) { return a.alpha, a.beta }
 
 // Observe records one (base-model prediction, detailed observation)
-// pair, dropping the oldest pairs beyond the window.
+// pair, dropping the oldest pair once the window is full.
 func (a *Affine) Observe(predicted, observed float64) {
+	if len(a.pred) == a.maxWindow {
+		a.pred, a.obs = a.pred[1:], a.obs[1:]
+		if len(a.pred) == cap(a.pred) {
+			// The views reached the end of the backing arrays.
+			a.setWindow(a.pred, a.obs)
+		}
+	}
 	a.pred = append(a.pred, predicted)
 	a.obs = append(a.obs, observed)
-	if len(a.pred) > a.maxWindow {
-		drop := len(a.pred) - a.maxWindow
-		a.pred = append(a.pred[:0], a.pred[drop:]...)
-		a.obs = append(a.obs[:0], a.obs[drop:]...)
-	}
+}
+
+// setWindow makes (pred, obs) the live window, stored at the front of
+// the backing arrays. The sources may alias them further along.
+func (a *Affine) setWindow(pred, obs []float64) {
+	a.pred = append(a.predBuf[:0], pred...)
+	a.obs = append(a.obsBuf[:0], obs...)
 }
 
 // Retune refits the correction by ordinary least squares over the

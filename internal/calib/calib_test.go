@@ -130,3 +130,74 @@ func TestCalibSnapshotRoundTrip(t *testing.T) {
 		t.Error("restored state re-encodes to different bytes")
 	}
 }
+
+// shiftingWindow is the window Affine kept before it stopped shifting:
+// append, then copy the newest maxWindow pairs down to the front. The
+// sliding views must be indistinguishable from it.
+type shiftingWindow struct {
+	pred, obs []float64
+	max       int
+}
+
+func (w *shiftingWindow) observe(p, o float64) {
+	w.pred = append(w.pred, p)
+	w.obs = append(w.obs, o)
+	if len(w.pred) > w.max {
+		drop := len(w.pred) - w.max
+		w.pred = append(w.pred[:0], w.pred[drop:]...)
+		w.obs = append(w.obs[:0], w.obs[drop:]...)
+	}
+}
+
+// TestAffineWindowMatchesShifting drives a window past three times its
+// capacity (several compactions of the backing arrays) and, at every
+// step, checks the live window, a refit over it, its checkpoint bytes
+// and a fork against the shifting reference: same pairs, oldest first,
+// so Retune adds in the same order and the fit is bit-identical.
+func TestAffineWindowMatchesShifting(t *testing.T) {
+	const window = 8
+	a := NewAffine(window)
+	ref := &shiftingWindow{max: window}
+	encode := func(a *Affine) string {
+		e := snapshot.NewEncoder(1)
+		a.SnapshotTo(e)
+		return string(e.Finish())
+	}
+	restored := NewAffine(window)
+	for i := 0; i < 3*window+5; i++ {
+		p := float64(i%7) + 0.25*float64(i)
+		o := 1.75*p + float64(i%3)
+		a.Observe(p, o)
+		ref.observe(p, o)
+
+		if a.ObservationCount() != len(ref.pred) {
+			t.Fatalf("step %d: window holds %d pairs, reference %d", i, a.ObservationCount(), len(ref.pred))
+		}
+		want := &Affine{alpha: 1, pred: ref.pred, obs: ref.obs, maxWindow: window}
+		want.Retune()
+		a.Retune()
+		wa, wb := want.Coeffs()
+		if ga, gb := a.Coeffs(); ga != wa || gb != wb {
+			t.Fatalf("step %d: fit (%v, %v), shifting reference (%v, %v)", i, ga, gb, wa, wb)
+		}
+		blob := encode(a)
+		if blob != encode(want) {
+			t.Fatalf("step %d: checkpoint bytes differ from the shifting reference", i)
+		}
+		if encode(a.Fork()) != blob {
+			t.Fatalf("step %d: fork encodes differently", i)
+		}
+		// Restore over a window that is itself mid-slide.
+		d, err := snapshot.NewDecoder([]byte(blob), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.RestoreFrom(d); err != nil {
+			t.Fatal(err)
+		}
+		if encode(restored) != blob {
+			t.Fatalf("step %d: restored window re-encodes differently", i)
+		}
+		restored.Observe(p, o) // keep its views sliding too
+	}
+}

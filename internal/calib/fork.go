@@ -6,13 +6,9 @@ package calib
 // Fork returns an independent deep copy of the correction, including
 // the sliding observation window.
 func (a *Affine) Fork() *Affine {
-	return &Affine{
-		alpha:     a.alpha,
-		beta:      a.beta,
-		pred:      append([]float64(nil), a.pred...),
-		obs:       append([]float64(nil), a.obs...),
-		maxWindow: a.maxWindow,
-	}
+	f := NewAffine(a.maxWindow)
+	f.RestoreFork(a)
+	return f
 }
 
 // RestoreFork copies f's state into a in place, reusing a's window
@@ -20,9 +16,7 @@ func (a *Affine) Fork() *Affine {
 func (a *Affine) RestoreFork(f *Affine) {
 	a.alpha = f.alpha
 	a.beta = f.beta
-	a.pred = append(a.pred[:0], f.pred...)
-	a.obs = append(a.obs[:0], f.obs...)
-	a.maxWindow = f.maxWindow
+	a.setWindow(f.pred, f.obs)
 }
 
 // ForkWith returns an independent deep copy of the pairing wired to

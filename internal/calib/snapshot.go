@@ -30,8 +30,7 @@ func (a *Affine) RestoreFrom(d *snapshot.Decoder) error {
 		d.Failf("affine fit window holds %d pairs, capacity %d", n, a.maxWindow)
 		return d.Err()
 	}
-	a.pred = a.pred[:0]
-	a.obs = a.obs[:0]
+	a.setWindow(nil, nil)
 	for i := 0; i < n; i++ {
 		a.pred = append(a.pred, d.F64())
 		a.obs = append(a.obs, d.F64())

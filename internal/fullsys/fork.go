@@ -107,6 +107,7 @@ func (s *System) copyStateFrom(src *System) {
 	for i := range s.tiles {
 		s.tiles[i].forkFrom(src.tiles[i])
 	}
+	s.rederive()
 }
 
 // forkFrom deep-copies src's state into t; t keeps its identity, its
@@ -148,7 +149,7 @@ func (t *Tile) forkFrom(src *Tile) {
 		t.pendingFwd[line] = append([]Msg(nil), msgs...)
 	}
 	t.prefetchOut = src.prefetchOut
-	t.stats = src.stats
+	t.stats = src.Stats()
 	// Copy-on-write: both parties alias the directory map and
 	// materialize (ownDir) on first access through dirLineOf.
 	t.dir = src.dir

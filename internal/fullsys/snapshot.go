@@ -176,6 +176,7 @@ func (s *System) RestoreFrom(d *snapshot.Decoder) error {
 			return err
 		}
 	}
+	s.rederive()
 	return d.Err()
 }
 
@@ -223,7 +224,7 @@ func (t *Tile) snapshotTo(e *snapshot.Encoder) {
 		}
 	}
 	e.Int(t.prefetchOut)
-	st := &t.stats
+	st := t.Stats()
 	e.U64(st.Retired)
 	e.U64(st.Loads)
 	e.U64(st.Stores)

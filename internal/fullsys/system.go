@@ -2,6 +2,7 @@ package fullsys
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/dram"
@@ -43,6 +44,22 @@ type System struct {
 	localMsgs  uint64
 	msgsByType [numMsgTypes]uint64
 
+	// Activity gating (DESIGN.md "Full-system stepping"). Tick sweeps
+	// only the tiles whose bit is set in awake; sweeps counts the
+	// sweeps made, which is what a sleeping tile's stall debt is
+	// measured against. halted, retired and finish are the running
+	// forms of Done, Retired and FinishCycle, kept at the halt and
+	// retire sites.
+	awake   []uint64  //simlint:derived recomputed from tile state by restore/fork (rederive)
+	sweeps  uint64    //simlint:derived recomputed from tile state by restore/fork: only differences against Tile.sleptAt matter, and every tile restarts awake
+	halted  int       //simlint:derived recomputed from tile state by restore/fork (rederive)
+	retired uint64    //simlint:derived recomputed from tile state by restore/fork (rederive)
+	finish  sim.Cycle //simlint:derived recomputed from tile state by restore/fork (rederive)
+	// exhaustive makes Tick sweep every tile and never put one to
+	// sleep: the reference the gated sweep is tested against. Set by
+	// in-package tests only.
+	exhaustive bool //simlint:derived test-only reference switch, not simulated state
+
 	// Observability handles (observe.go). nil handles are no-ops, so
 	// the counting sites below stay unconditional; nothing here feeds
 	// simulated state.
@@ -78,7 +95,86 @@ func New(cfg Config, wl Workload, send Sender) (*System, error) {
 		}
 		s.tiles[mc].memOracle = oracle
 	}
+	s.awake = make([]uint64, (cfg.Tiles+63)/64)
+	s.rederive()
 	return s, nil
+}
+
+// rederive rebuilds the gating state from the tiles after their state
+// was replaced wholesale (construction, restore, fork copy): every
+// running tile is awake and owed nothing, and the running totals are
+// recounted.
+func (s *System) rederive() {
+	clear(s.awake)
+	s.halted, s.retired, s.finish = 0, 0, 0
+	for i, t := range s.tiles {
+		t.sleep = awake
+		s.retired += t.stats.Retired
+		if t.stats.HaltedAt > s.finish {
+			s.finish = t.stats.HaltedAt
+		}
+		if t.coreState == coreHalted {
+			s.halted++
+		} else {
+			s.awake[i>>6] |= 1 << (i & 63)
+		}
+	}
+}
+
+// sleepTile takes t out of the sweep after a tick that only charged
+// the stall counter kind names.
+func (s *System) sleepTile(t *Tile, kind uint8) {
+	if s.exhaustive {
+		return
+	}
+	t.sleep, t.sleptAt = kind, s.sweeps
+	s.awake[t.id>>6] &^= 1 << (t.id & 63)
+}
+
+// wakeTile charges a sleeping tile the stall cycles it sat out and
+// returns it to the sweep. Messages fire between sweeps, so the tile
+// ticks in the very sweep it would have in an exhaustive one.
+func (s *System) wakeTile(t *Tile) {
+	if t.sleep == awake {
+		return
+	}
+	*t.stats.stallCounter(t.sleep) += s.sweeps - t.sleptAt
+	t.sleep = awake
+	s.awake[t.id>>6] |= 1 << (t.id & 63)
+}
+
+// checkSleepers re-derives, under the simcheck build tag, why every
+// tile outside the sweep is outside it: a wake source that bypassed
+// handleL1 would otherwise go on charging a stall the tile has left.
+// The comparisons guard the Assert calls so that a passing check boxes
+// no arguments.
+func (s *System) checkSleepers() {
+	for i, t := range s.tiles {
+		inSweep := s.awake[i>>6]>>(i&63)&1 != 0
+		switch {
+		case inSweep:
+			if t.sleep != awake || t.coreState == coreHalted {
+				sim.Assert(false, "fullsys: tile %d is swept with sleep reason %d, core state %d", i, t.sleep, t.coreState)
+			}
+		case t.coreState == coreHalted:
+			if t.sleep != awake || !t.fenced() {
+				sim.Assert(false, "fullsys: tile %d halted with sleep reason %d, %d buffered stores", i, t.sleep, len(t.storeBuf))
+			}
+		default:
+			if want := t.blocked(); want == awake || want != t.sleep {
+				sim.Assert(false, "fullsys: tile %d sleeps for reason %d, its state stalls for reason %d (0: none)", i, t.sleep, want)
+			}
+		}
+	}
+}
+
+// haltTile records a core's halt: it leaves the sweep for good.
+func (s *System) haltTile(t *Tile, now sim.Cycle) {
+	s.halted++
+	if now > s.finish {
+		s.finish = now
+	}
+	s.awake[t.id>>6] &^= 1 << (t.id & 63)
 }
 
 // newMemOracle builds one memory controller's oracle for the
@@ -141,8 +237,24 @@ func (s *System) Tick(now sim.Cycle) {
 			}
 		}
 	}
-	for _, t := range s.tiles {
-		t.tick(now)
+	s.sweeps++
+	if s.exhaustive {
+		for _, t := range s.tiles {
+			t.tick(now)
+		}
+		return
+	}
+	if sim.Checking {
+		s.checkSleepers()
+	}
+	// Ascending tile order, as the exhaustive sweep: the backends see
+	// the same injection order. A tick clears only its own tile's bit,
+	// and nothing sets one mid-sweep, so iterating a copy of each word
+	// is exact.
+	for wi, word := range s.awake {
+		for ; word != 0; word &= word - 1 {
+			s.tiles[wi<<6|bits.TrailingZeros64(word)].tick(now)
+		}
 	}
 }
 
@@ -255,35 +367,14 @@ func (s *System) sendAfter(now sim.Cycle, delay int, m Msg) {
 }
 
 // Done reports whether every core has halted.
-func (s *System) Done() bool {
-	for _, t := range s.tiles {
-		if !t.Halted() {
-			return false
-		}
-	}
-	return true
-}
+func (s *System) Done() bool { return s.halted == len(s.tiles) }
 
 // FinishCycle reports the cycle at which the last core halted (valid
 // once Done).
-func (s *System) FinishCycle() sim.Cycle {
-	var last sim.Cycle
-	for _, t := range s.tiles {
-		if t.stats.HaltedAt > last {
-			last = t.stats.HaltedAt
-		}
-	}
-	return last
-}
+func (s *System) FinishCycle() sim.Cycle { return s.finish }
 
 // Retired reports total retired operations across cores.
-func (s *System) Retired() uint64 {
-	var n uint64
-	for _, t := range s.tiles {
-		n += t.stats.Retired
-	}
-	return n
-}
+func (s *System) Retired() uint64 { return s.retired }
 
 // MsgsSent reports network messages emitted (excluding same-tile).
 func (s *System) MsgsSent() uint64 { return s.msgsSent }
@@ -405,7 +496,7 @@ func (s *System) StatsTable(title string) *stats.Table {
 	var retired, loads, stores, atomics, loadStall, barStall, sbStall, compute uint64
 	var prefIss, prefUse uint64
 	for _, tile := range s.tiles {
-		st := tile.stats
+		st := tile.Stats()
 		retired += st.Retired
 		loads += st.Loads
 		stores += st.Stores

@@ -16,6 +16,15 @@ const (
 	coreHalted
 )
 
+// Sleep reasons: the stall counter a sleeping tile is owed one cycle of
+// per tile sweep it sits out (DESIGN.md "Full-system stepping").
+const (
+	awake uint8 = iota
+	sleepLoad
+	sleepBar
+	sleepSB
+)
+
 // mshrKind distinguishes outstanding miss transactions.
 const (
 	mshrLoad uint8 = iota
@@ -65,6 +74,18 @@ type tileStats struct {
 	PrefUseful uint64 // demand hits on prefetched lines
 }
 
+// stallCounter maps a sleep reason to the counter it charges.
+func (st *tileStats) stallCounter(kind uint8) *uint64 {
+	switch kind {
+	case sleepLoad:
+		return &st.LoadStall
+	case sleepBar:
+		return &st.BarStall
+	default:
+		return &st.SBStall
+	}
+}
+
 // Tile is one node of the target machine: core + L1 on the request
 // side, L2 bank + directory slice on the home side, and optionally a
 // memory controller.
@@ -89,6 +110,13 @@ type Tile struct {
 	pendingFwd  map[uint64][]Msg
 	prefetchOut int
 	stats       tileStats
+
+	// A tile whose tick was a pure stall leaves System.awake until the
+	// next message reaches handleL1. sleep is the counter it is owed
+	// one cycle of for every sweep after sleptAt; Stats adds the debt
+	// on read, wake settles it.
+	sleep   uint8  //simlint:derived recomputed from tile state by restore/fork: every tile starts awake
+	sleptAt uint64 //simlint:derived recomputed from tile state by restore/fork: every tile starts awake
 
 	// Home (directory + L2 bank) side. dir supports copy-on-write
 	// sharing with a fork, materialized by dirLineOf.
@@ -130,49 +158,123 @@ func newTile(id int, sys *System) *Tile {
 // Halted reports whether the core has retired its halt op.
 func (t *Tile) Halted() bool { return t.coreState == coreHalted }
 
-// Stats reports the tile's counters.
-func (t *Tile) Stats() tileStats { return t.stats }
+// Stats reports the tile's counters, including the stall cycles a
+// sleeping tile has not been charged yet.
+func (t *Tile) Stats() tileStats {
+	st := t.stats
+	if t.sleep != awake {
+		*st.stallCounter(t.sleep) += t.sys.sweeps - t.sleptAt
+	}
+	return st
+}
 
-// tick advances the core by one cycle.
+// tick advances the core by one cycle. A cycle that only charged a
+// stall counter, with the store buffer unable to drain, repeats
+// unchanged until a message reaches handleL1 — every other writer of
+// the state read here is the tick itself — so the tile sleeps.
 func (t *Tile) tick(now sim.Cycle) {
 	if t.coreState == coreHalted {
 		return
 	}
-	t.drainStoreBuffer(now)
+	drained := t.drainStoreBuffer(now)
+	if stall := t.step(now); stall != awake && !drained {
+		t.sys.sleepTile(t, stall)
+	}
+}
 
+// step runs the core for one cycle and reports the stall counter it
+// charged when that was all it did, awake otherwise.
+func (t *Tile) step(now sim.Cycle) uint8 {
 	switch t.coreState {
 	case coreLoadWait, coreAtomicWait:
-		t.stats.LoadStall++
-		return
+		return t.stall(sleepLoad)
 	case coreBarrierWait:
-		t.stats.BarStall++
-		return
+		return t.stall(sleepBar)
 	}
 	if t.compute > 0 {
 		t.compute--
 		t.stats.Compute++
-		return
+		return awake
 	}
 	if !t.opValid {
 		t.curOp = t.sys.wl.Next(t.id)
 		t.opValid = true
 	}
-	t.execute(now)
+	return t.execute(now)
+}
+
+// blocked is the sleep predicate stated on its own: the stall counter
+// a tick of t would charge while changing nothing else, awake if the
+// tick would change state. It reads what tick reads and writes
+// nothing; simcheck builds hold every sleeping tile to it each cycle.
+func (t *Tile) blocked() uint8 {
+	if !t.storeTxn && len(t.storeBuf) > 0 && !t.lineBusy(LineOf(t.storeBuf[0].addr)) {
+		return awake // the head store can drain
+	}
+	switch t.coreState {
+	case coreLoadWait, coreAtomicWait:
+		return sleepLoad
+	case coreBarrierWait:
+		return sleepBar
+	case coreHalted:
+		return awake
+	}
+	if t.compute > 0 || !t.opValid {
+		return awake
+	}
+	switch op := t.curOp; op.Kind {
+	case OpLoad:
+		line := LineOf(op.Addr)
+		for _, se := range t.storeBuf {
+			if LineOf(se.addr) == line {
+				return awake // forwarded
+			}
+		}
+		if t.lineBusy(line) {
+			return sleepLoad
+		}
+	case OpStore:
+		if len(t.storeBuf) >= t.sys.cfg.StoreBuf {
+			return sleepSB
+		}
+	case OpAtomic:
+		if !t.fenced() || t.lineBusy(LineOf(op.Addr)) {
+			return sleepLoad
+		}
+	case OpBarrier, OpHalt:
+		if !t.fenced() {
+			return sleepLoad
+		}
+	}
+	return awake
+}
+
+// lineBusy reports whether line has a miss or a writeback in flight.
+func (t *Tile) lineBusy(line uint64) bool {
+	if _, busy := t.mshrs[line]; busy {
+		return true
+	}
+	_, wb := t.wbBuf[line]
+	return wb
+}
+
+// stall charges one cycle to the counter kind names.
+func (t *Tile) stall(kind uint8) uint8 {
+	*t.stats.stallCounter(kind)++
+	return kind
 }
 
 // drainStoreBuffer tries to retire the head store (at most one per
-// cycle, at most one store transaction in flight).
-func (t *Tile) drainStoreBuffer(now sim.Cycle) {
+// cycle, at most one store transaction in flight) and reports whether
+// it changed anything.
+func (t *Tile) drainStoreBuffer(now sim.Cycle) bool {
 	if t.storeTxn || len(t.storeBuf) == 0 {
-		return
+		return false
 	}
 	head := t.storeBuf[0]
 	line := LineOf(head.addr)
-	if _, busy := t.mshrs[line]; busy {
-		return
-	}
-	if _, wb := t.wbBuf[line]; wb {
-		return
+	if t.lineBusy(line) {
+		return false
 	}
 	var haveLine uint64
 	if w := t.l1.lookup(line); w != nil {
@@ -181,7 +283,7 @@ func (t *Tile) drainStoreBuffer(now sim.Cycle) {
 			w.state = l1Modified
 			w.value = head.value
 			t.popStore()
-			return
+			return true
 		case l1Shared:
 			// Pin the S copy so the upgrade can be granted without
 			// data; the claim travels in the GetM.
@@ -192,6 +294,7 @@ func (t *Tile) drainStoreBuffer(now sim.Cycle) {
 	t.mshrs[line] = &mshrEntry{kind: mshrStore, addr: head.addr, arg: head.value}
 	t.storeTxn = true
 	t.sys.sendAfter(now, 0, Msg{Type: GetM, Line: line, Src: t.id, Dst: t.sys.cfg.HomeOf(line), Value: haveLine})
+	return true
 }
 
 func (t *Tile) popStore() {
@@ -203,8 +306,9 @@ func (t *Tile) popStore() {
 func (t *Tile) fenced() bool { return len(t.storeBuf) == 0 && !t.storeTxn }
 
 // execute attempts the current op; ops that cannot proceed this cycle
-// simply leave opValid set and retry next cycle.
-func (t *Tile) execute(now sim.Cycle) {
+// simply leave opValid set and retry next cycle, reporting the stall
+// counter they charged (awake when the op made progress).
+func (t *Tile) execute(now sim.Cycle) uint8 {
 	op := t.curOp
 	switch op.Kind {
 	case OpCompute:
@@ -222,16 +326,11 @@ func (t *Tile) execute(now sim.Cycle) {
 			if LineOf(t.storeBuf[i].addr) == line {
 				t.observeLoad(op.Addr, t.storeBuf[i].value)
 				t.retire()
-				return
+				return awake
 			}
 		}
-		if _, busy := t.mshrs[line]; busy {
-			t.stats.LoadStall++
-			return
-		}
-		if _, wb := t.wbBuf[line]; wb {
-			t.stats.LoadStall++
-			return
+		if t.lineBusy(line) {
+			return t.stall(sleepLoad)
 		}
 		if w := t.l1.lookup(line); w != nil {
 			if w.prefetched {
@@ -241,7 +340,7 @@ func (t *Tile) execute(now sim.Cycle) {
 			t.observeLoad(op.Addr, w.value)
 			t.compute = uint64(t.sys.cfg.L1HitLat - 1)
 			t.retire()
-			return
+			return awake
 		}
 		t.l1.misses++
 		t.mshrs[line] = &mshrEntry{kind: mshrLoad, addr: op.Addr}
@@ -252,8 +351,7 @@ func (t *Tile) execute(now sim.Cycle) {
 
 	case OpStore:
 		if len(t.storeBuf) >= t.sys.cfg.StoreBuf {
-			t.stats.SBStall++
-			return
+			return t.stall(sleepSB)
 		}
 		t.storeBuf = append(t.storeBuf, storeEntry{addr: op.Addr, value: op.Arg})
 		t.stats.Stores++
@@ -261,17 +359,11 @@ func (t *Tile) execute(now sim.Cycle) {
 
 	case OpAtomic:
 		if !t.fenced() {
-			t.stats.LoadStall++
-			return
+			return t.stall(sleepLoad)
 		}
 		line := LineOf(op.Addr)
-		if _, busy := t.mshrs[line]; busy {
-			t.stats.LoadStall++
-			return
-		}
-		if _, wb := t.wbBuf[line]; wb {
-			t.stats.LoadStall++
-			return
+		if t.lineBusy(line) {
+			return t.stall(sleepLoad)
 		}
 		if w := t.l1.lookup(line); w != nil && w.state >= l1Exclusive {
 			w.state = l1Modified
@@ -280,7 +372,7 @@ func (t *Tile) execute(now sim.Cycle) {
 			t.compute = uint64(t.sys.cfg.L1HitLat - 1)
 			t.stats.Atomics++
 			t.retire()
-			return
+			return awake
 		}
 		var haveLine uint64
 		if w := t.l1.probe(line); w != nil {
@@ -295,8 +387,7 @@ func (t *Tile) execute(now sim.Cycle) {
 
 	case OpBarrier:
 		if !t.fenced() {
-			t.stats.LoadStall++
-			return
+			return t.stall(sleepLoad)
 		}
 		t.coreState = coreBarrierWait
 		t.opValid = false
@@ -305,16 +396,17 @@ func (t *Tile) execute(now sim.Cycle) {
 
 	case OpHalt:
 		if !t.fenced() {
-			t.stats.LoadStall++
-			return
+			return t.stall(sleepLoad)
 		}
 		t.coreState = coreHalted
 		t.stats.HaltedAt = now
 		t.opValid = false
+		t.sys.haltTile(t, now)
 
 	default:
 		panic(fmt.Sprintf("fullsys: unknown op kind %v", op.Kind))
 	}
+	return awake
 }
 
 // issuePrefetches sends next-line read requests after a demand miss,
@@ -350,6 +442,7 @@ func (t *Tile) observeLoad(addr, value uint64) {
 
 func (t *Tile) retire() {
 	t.stats.Retired++
+	t.sys.retired++
 	t.opValid = false
 }
 
@@ -384,8 +477,11 @@ func (t *Tile) evict(now sim.Cycle, w *l1Line) {
 	w.state = l1Invalid
 }
 
-// handleL1 processes messages addressed to the tile's request side.
+// handleL1 processes messages addressed to the tile's request side. It
+// is the only writer of core, L1, MSHR, writeback and store-buffer
+// state besides the tile's own tick, so it is the one wake site.
 func (t *Tile) handleL1(now sim.Cycle, m Msg) {
+	t.sys.wakeTile(t)
 	switch m.Type {
 	case DataS, DataE, DataM, GrantM:
 		t.completeMiss(now, m)
@@ -447,7 +543,7 @@ func (t *Tile) handleL1(now sim.Cycle, m Msg) {
 	case BarRelease:
 		if t.coreState == coreBarrierWait {
 			t.coreState = coreRunning
-			t.stats.Retired++
+			t.retire()
 		}
 
 	default:
@@ -489,7 +585,7 @@ func (t *Tile) completeMiss(now sim.Cycle, m Msg) {
 			// value, which our GetS serialized before the writer) and
 			// discard it.
 			t.stats.Loads++
-			t.stats.Retired++
+			t.retire()
 			t.sys.wl.Observe(t.id, e.addr, m.Value)
 			t.coreState = coreRunning
 			return
@@ -500,7 +596,7 @@ func (t *Tile) completeMiss(now sim.Cycle, m Msg) {
 		}
 		t.install(now, m.Line, state, m.Value)
 		t.stats.Loads++
-		t.stats.Retired++
+		t.retire()
 		t.sys.wl.Observe(t.id, e.addr, m.Value)
 		t.coreState = coreRunning
 		t.replayFwds(now, m.Line)
@@ -536,7 +632,7 @@ func (t *Tile) completeMiss(now sim.Cycle, m Msg) {
 		w.value += e.arg
 		t.sys.wl.Observe(t.id, e.addr, w.value)
 		t.stats.Atomics++
-		t.stats.Retired++
+		t.retire()
 		t.coreState = coreRunning
 		t.replayFwds(now, m.Line)
 	}

@@ -54,7 +54,9 @@ var outputFuncs = map[string]map[string]bool{
 // hot paths under the zero-alloc steady-state contract: the router
 // pipeline phases and the per-flit helpers they call, the per-cycle
 // Step/Tick entry points, the deflection router's per-cycle workers,
-// and the shard partition's per-cycle passes, wake pass and merge.
+// the shard partition's per-cycle passes, wake pass and merge, and the
+// full-system gated sweep (per-tile tick, sleep and wake sites, and the
+// simcheck recount that must stay alloc-free when it passes).
 func hotPathFunc(name string) bool {
 	if strings.HasPrefix(name, "phase") {
 		return true
@@ -62,7 +64,8 @@ func hotPathFunc(name string) bool {
 	switch name {
 	case "Step", "Tick", "stepRouter", "swapRouter",
 		"pushFlit", "popFlit", "saNominate", "tryInject",
-		"stepSharded", "shardStep", "shardSwap", "wakePass":
+		"stepSharded", "shardStep", "shardSwap", "wakePass",
+		"tick", "sleepTile", "wakeTile", "checkSleepers":
 		return true
 	}
 	return false
@@ -134,6 +137,8 @@ func lintFile(m *Module, p *Package, f *ast.File, det, inInternal bool) []Findin
 		}
 	}
 
+	lintAssertArgs(m, p, f, report)
+
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
@@ -198,4 +203,95 @@ func lintFile(m *Module, p *Package, f *ast.File, det, inInternal bool) []Findin
 		return true
 	})
 	return out
+}
+
+// lintAssertArgs applies the assertarg rule to one file: a call inside
+// a sim.Assert argument runs in production builds too, where Assert is
+// an empty function but its arguments are still evaluated — a Name()
+// that formats a string costs every caller of the hot path it sits
+// in. Builtins and conversions are free and stay legal; so does any
+// call the simcheck build alone reaches, which the rule recognises in
+// the two shapes the tree uses: the body of `if sim.Checking [&& ...]`
+// and a function that opens with `if !sim.Checking { return }`.
+func lintAssertArgs(m *Module, p *Package, f *ast.File, report func(ast.Node, string, string)) {
+	simName := ""
+	for local, path := range m.imports[f] {
+		if path == "sim" || strings.HasSuffix(path, "/sim") {
+			simName = local
+		}
+	}
+	if simName == "" || p.info == nil {
+		return
+	}
+	isSim := func(e ast.Expr, name string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != name {
+			return false
+		}
+		id, ok := sel.X.(*ast.Ident)
+		return ok && id.Name == simName && id.Obj == nil
+	}
+	// checking reports whether cond holds only in simcheck builds.
+	var checking func(cond ast.Expr) bool
+	checking = func(cond ast.Expr) bool {
+		switch c := cond.(type) {
+		case *ast.ParenExpr:
+			return checking(c.X)
+		case *ast.BinaryExpr:
+			return c.Op == token.LAND && (checking(c.X) || checking(c.Y))
+		}
+		return isSim(cond, "Checking")
+	}
+	type span struct{ from, to token.Pos }
+	var guarded []span
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			if checking(n.Cond) {
+				guarded = append(guarded, span{n.Body.Pos(), n.Body.End()})
+			}
+		case *ast.BlockStmt:
+			// `if !sim.Checking { return }` guards the rest of its block.
+			for _, st := range n.List {
+				ifs, ok := st.(*ast.IfStmt)
+				if !ok || ifs.Init != nil || ifs.Else != nil || len(ifs.Body.List) != 1 {
+					continue
+				}
+				not, ok := ifs.Cond.(*ast.UnaryExpr)
+				if !ok || not.Op != token.NOT || !isSim(not.X, "Checking") {
+					continue
+				}
+				if _, ok := ifs.Body.List[0].(*ast.ReturnStmt); ok {
+					guarded = append(guarded, span{ifs.End(), n.End()})
+				}
+			}
+		}
+		return true
+	})
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || !isSim(call.Fun, "Assert") {
+			return true
+		}
+		for _, g := range guarded {
+			if g.from <= call.Pos() && call.Pos() < g.to {
+				return true
+			}
+		}
+		for _, arg := range call.Args {
+			ast.Inspect(arg, func(n ast.Node) bool {
+				inner, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if tv, ok := p.info.Types[inner.Fun]; ok && !tv.IsBuiltin() && !tv.IsType() {
+					report(inner, RuleAssertArg, fmt.Sprintf(
+						"call inside a %s.Assert argument is evaluated in production builds, where Assert is a no-op; wrap the assertion in `if %s.Checking`",
+						simName, simName))
+				}
+				return true
+			})
+		}
+		return true
+	})
 }

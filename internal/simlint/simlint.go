@@ -14,14 +14,14 @@
 // resolved from source, the standard library through the source
 // importer, so the analyzer works offline with nothing but the
 // toolchain) and collects every //simlint: directive. Phase two runs
-// the rules over that shared typed view: the five local rules walk one
+// the rules over that shared typed view: the six local rules walk one
 // file at a time, while statecov and taint consume whole-module
 // indexes (the method table and the static call graph) built from the
 // same type information. Rules never re-parse or re-type-check, which
-// is what keeps an eight-rule whole-module pass as cheap as the old
+// is what keeps a nine-rule whole-module pass as cheap as the old
 // five-rule syntactic one.
 //
-// Eight rules are enforced:
+// Nine rules are enforced:
 //
 //   - wallclock (whole module): no calls to time.Now, time.Since, and
 //     the other wall-clock/timer entry points, and no import of
@@ -49,13 +49,23 @@
 //   - alloc (deterministic packages): no make/append inside the
 //     per-cycle hot paths (methods named phase*, Step, Tick,
 //     stepRouter, swapRouter, the per-flit helpers pushFlit, popFlit,
-//     saNominate and tryInject, and the shard passes stepSharded,
-//     shardStep, shardSwap and wakePass). The activity-gated
+//     saNominate and tryInject, the shard passes stepSharded,
+//     shardStep, shardSwap and wakePass, and the full-system gated
+//     sweep's tick, sleepTile, wakeTile and checkSleepers). The
+//     activity-gated
 //     simulator promises a zero-alloc steady state
 //     (BenchmarkStepIdleMesh under -benchmem);
 //     a make in a phase method silently re-allocates every cycle, and
 //     an append is legal only when it refills a preallocated scratch
 //     buffer — which is exactly the argument the annotation records.
+//
+//   - assertarg (whole module): no function or method call inside an
+//     argument of sim.Assert unless an `if sim.Checking` guard (or a
+//     function that opens with `if !sim.Checking { return }`) encloses
+//     the assertion. The production Assert is an empty function, but
+//     Go still evaluates its arguments: a Name() that formats a string
+//     is then paid per packet in every build. Builtins and conversions
+//     are free and stay legal.
 //
 //   - statecov (whole module): for every type with SnapshotTo and
 //     RestoreFrom methods, every struct field of the receiver must be
@@ -121,6 +131,7 @@ const (
 	RuleMapRange    = "maprange"
 	RuleConcurrency = "concurrency"
 	RuleAlloc       = "alloc"
+	RuleAssertArg   = "assertarg"
 	RuleStatecov    = "statecov"
 	RuleTaint       = "taint"
 	// RuleClassify reports internal/ packages that appear in neither
@@ -142,6 +153,7 @@ var knownRules = map[string]bool{
 	RuleMapRange:    true,
 	RuleConcurrency: true,
 	RuleAlloc:       true,
+	RuleAssertArg:   true,
 	RuleStatecov:    true,
 	RuleTaint:       true,
 	RuleClassify:    true,

@@ -55,6 +55,14 @@ func TestFixtureFindings(t *testing.T) {
 		// annotated scratch refill and the cold helper stay silent.
 		"det/det.go:68:alloc",
 		"det/det.go:69:alloc",
+		// assertarg: calls in the arguments of an unguarded sim.Assert
+		// fire (nested ones once each), as does the else branch of a
+		// guard; builtins, conversions, both guard shapes and the
+		// annotated site stay silent.
+		"det/assertarg.go:16:assertarg", // b.Name()
+		"det/assertarg.go:17:assertarg", // wrap(...)
+		"det/assertarg.go:17:assertarg", // b.Name() inside it
+		"det/assertarg.go:34:assertarg", // else branch of a guard
 		// output: global-stream prints in an internal/ package fire,
 		// including through a renamed log import; the annotated print,
 		// the writer-explicit Fprintf, and the shadowing local value
