@@ -24,13 +24,16 @@ lint:
 # exercises real sealed/corrupted/truncated envelopes, not just the
 # in-code f.Add seeds — one of the mask arbiters against their
 # scan-based reference on random router states
-# (internal/noc/router_ref_test.go), and one of the gated full-system
+# (internal/noc/router_ref_test.go), one of the gated full-system
 # tile sweep against the exhaustive one on random machines
-# (internal/fullsys/gating_test.go).
+# (internal/fullsys/gating_test.go), and one of the calendar queue
+# against the binary heap it replaced on random schedule/pop/capture
+# programs (internal/sim/typedq_test.go).
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzTileGating$$' -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueue$$' -fuzztime 10s
 
 # End-to-end smoke of the co-simulation server: starts cosimd on a
 # loopback port with deliberately tiny limits (6 sessions, 3 resident,
@@ -46,7 +49,8 @@ cosimd-smoke:
 
 # Dynamic pre-merge gates: the race detector across the whole module,
 # and the simcheck build, which arms sim.Assert and the event-queue
-# self-checks (schedule-into-the-past, heap invariant).
+# self-checks (schedule-into-the-past, the calendar's structural
+# recount).
 race:
 	$(GO) test -race ./...
 

@@ -255,16 +255,19 @@ func BenchmarkCosimReciprocal(b *testing.B) {
 	b.ReportMetric(float64(cfg.Quantum), "target-cycles/op")
 }
 
-// BenchmarkEventQueue measures the simulation kernel's scheduling
+// BenchmarkTypedQueue measures the simulation kernel's scheduling
 // throughput.
-func BenchmarkEventQueue(b *testing.B) {
-	var q sim.EventQueue
-	fn := func() {}
+func BenchmarkTypedQueue(b *testing.B) {
+	var q sim.TypedQueue[int]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Schedule(sim.Cycle(i+10), fn)
+		q.Schedule(sim.Cycle(i+10), i)
 		if i%4 == 3 {
-			q.RunUntil(sim.Cycle(i))
+			for {
+				if _, ok := q.PopUntil(sim.Cycle(i)); !ok {
+					break
+				}
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/noc"
-	"repro/internal/sim"
 )
 
 // In-memory forking (second tier of the state capture contract; see
@@ -102,17 +101,9 @@ func (n *Network) copyStateFrom(src *Network, remap noc.PacketRemap) {
 	n.delivered = src.delivered
 	n.nextID = src.nextID
 	n.tracker.RestoreFork(src.tracker)
-	// The heap is copied verbatim: any valid layout pops in the same
-	// total (DeliveredAt, ID) order, and the snapshot encoder sorts,
-	// so a verbatim copy re-encodes to identical bytes.
-	n.pending = n.pending[:0]
-	for _, p := range src.pending {
-		n.pending = append(n.pending, remap.Clone(p))
-	}
-	n.srcFree = make(map[int]sim.Cycle, len(src.srcFree))
-	//simlint:allow maprange map-to-map rebuild; insertion order immaterial
-	for s, free := range src.srcFree {
-		n.srcFree[s] = free
-	}
+	n.pending.ForkFrom(&src.pending)
+	n.pending.Map(remap.Clone)
+	n.srcFree = append(n.srcFree[:0], src.srcFree...)
 	n.drainBuf = n.drainBuf[:0]
+	n.pool = noc.PacketPool{}
 }

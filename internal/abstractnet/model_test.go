@@ -191,3 +191,49 @@ func TestAbstractNetworkDrainTiming(t *testing.T) {
 		t.Fatal("not drained at delivery time")
 	}
 }
+
+// TestAbstractNetworkSteadyStateAllocs: once the free list, the
+// delivery queue's buckets and the drain buffer have grown to the
+// traffic's shape, a message's whole life — NewPacket, Inject,
+// AdvanceTo, Drain, Recycle — allocates nothing.
+func TestAbstractNetworkSteadyStateAllocs(t *testing.T) {
+	if sim.Checking {
+		t.Skip("simcheck build: the queue recount's failure paths box their arguments")
+	}
+	net := NewNetwork(NewContention(mesh8(), DefaultParams()))
+	now := sim.Cycle(0)
+	cycle := func() {
+		for i := 0; i < 3; i++ {
+			p := net.NewPacket()
+			p.Src, p.Dst, p.Size = (int(now)+i)%64, (int(now)+17*i+5)%64, 1+4*(i&1)
+			net.Inject(p, now)
+		}
+		now++
+		net.AdvanceTo(now)
+		for _, p := range net.Drain() {
+			net.Recycle(p)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
+		t.Fatalf("steady-state message path allocates %v per cycle, want 0", a)
+	}
+}
+
+// TestRecycledPacketIsReused: Recycle feeds NewPacket, zeroed.
+func TestRecycledPacketIsReused(t *testing.T) {
+	net := NewNetwork(NewFixed(mesh8(), DefaultParams()))
+	p := net.NewPacket()
+	p.Src, p.Dst, p.Size = 1, 2, 5
+	net.Inject(p, 0)
+	net.AdvanceTo(p.DeliveredAt)
+	if got := net.Drain(); len(got) != 1 || got[0] != p {
+		t.Fatalf("drain: %v", got)
+	}
+	net.Recycle(p)
+	if q := net.NewPacket(); q != p || *q != (noc.Packet{}) {
+		t.Fatalf("NewPacket after Recycle = %p %+v, want the recycled %p zeroed", q, *q, p)
+	}
+}

@@ -1,8 +1,6 @@
 package abstractnet
 
 import (
-	"container/heap"
-
 	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -17,14 +15,20 @@ type Network struct {
 	model   Model
 	tracker *stats.LatencyTracker
 
-	pending deliveryHeap
-	srcFree map[int]sim.Cycle // per source: cycle the NI frees up
+	// pending is keyed by DeliveredAt. Packet IDs are assigned in
+	// injection order, so the queue's (When, Seq) order is (DeliveredAt,
+	// ID).
+	pending sim.TypedQueue[*noc.Packet]
+	// srcFree[s] is the cycle source s's NI frees up; 0 = never used (a
+	// used NI is busy for at least one flit). Grown on demand.
+	srcFree []sim.Cycle
 
 	cycle     sim.Cycle
 	injected  uint64
 	delivered uint64
 	nextID    uint64
-	drainBuf  []*noc.Packet //simlint:derived drain scratch, cleared on restore before reuse
+	drainBuf  []*noc.Packet  //simlint:derived drain scratch, cleared on restore before reuse
+	pool      noc.PacketPool //simlint:derived host-side free list, this network's own; emptied on restore, never simulated state
 }
 
 // NewNetwork returns an abstract backend over the given model.
@@ -32,7 +36,6 @@ func NewNetwork(model Model) *Network {
 	return &Network{
 		model:   model,
 		tracker: stats.NewLatencyTracker(4, 512),
-		srcFree: make(map[int]sim.Cycle),
 	}
 }
 
@@ -46,10 +49,10 @@ func (n *Network) Inject(p *noc.Packet, at sim.Cycle) {
 	p.ID = n.nextID
 	n.nextID++
 	p.CreatedAt = at
-	start := at
-	if free, ok := n.srcFree[p.Src]; ok && free > start {
-		start = free
+	for len(n.srcFree) <= p.Src {
+		n.srcFree = append(n.srcFree, 0)
 	}
+	start := max(at, n.srcFree[p.Src])
 	n.srcFree[p.Src] = start + sim.Cycle(p.Size)
 	p.InjectedAt = start
 	lat := n.model.Latency(p.Src, p.Dst, p.Size, start)
@@ -58,7 +61,7 @@ func (n *Network) Inject(p *noc.Packet, at sim.Cycle) {
 	}
 	p.DeliveredAt = start + sim.Cycle(lat+0.5)
 	p.Hops = 0 // the abstract model does not traverse routers
-	heap.Push(&n.pending, p)
+	n.pending.Schedule(p.DeliveredAt, p)
 	n.injected++
 }
 
@@ -76,8 +79,12 @@ func (n *Network) Cycle() sim.Cycle { return n.cycle }
 // recording latency statistics. The returned slice is reused.
 func (n *Network) Drain() []*noc.Packet {
 	out := n.drainBuf[:0]
-	for n.pending.Len() > 0 && n.pending[0].DeliveredAt <= n.cycle {
-		p := heap.Pop(&n.pending).(*noc.Packet)
+	for {
+		d, ok := n.pending.PopUntil(n.cycle)
+		if !ok {
+			break
+		}
+		p := d.Item
 		n.tracker.Record(p.Class,
 			float64(p.QueueingLatency()), float64(p.NetworkLatency()), p.Hops)
 		out = append(out, p)
@@ -86,6 +93,15 @@ func (n *Network) Drain() []*noc.Packet {
 	n.drainBuf = out
 	return out
 }
+
+// NewPacket returns a zeroed packet, recycled from the network's free
+// list when one is available. Callers that use it hand drained packets
+// back through Recycle once they are done with them.
+func (n *Network) NewPacket() *noc.Packet { return n.pool.Get() }
+
+// Recycle returns a drained packet to the free list. The caller must
+// hold the only remaining reference.
+func (n *Network) Recycle(p *noc.Packet) { n.pool.Put(p) }
 
 // Tracker reports latency statistics of drained packets.
 func (n *Network) Tracker() *stats.LatencyTracker { return n.tracker }
@@ -101,24 +117,3 @@ func (n *Network) InFlight() int { return int(n.injected - n.delivered) }
 
 // Quiescent reports whether all injected packets have been drained.
 func (n *Network) Quiescent() bool { return n.pending.Len() == 0 }
-
-// deliveryHeap orders packets by delivery time, then id.
-type deliveryHeap []*noc.Packet
-
-func (h deliveryHeap) Len() int { return len(h) }
-func (h deliveryHeap) Less(i, j int) bool {
-	if h[i].DeliveredAt != h[j].DeliveredAt {
-		return h[i].DeliveredAt < h[j].DeliveredAt
-	}
-	return h[i].ID < h[j].ID
-}
-func (h deliveryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *deliveryHeap) Push(x interface{}) { *h = append(*h, x.(*noc.Packet)) }
-func (h *deliveryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return p
-}

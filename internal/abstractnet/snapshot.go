@@ -1,9 +1,7 @@
 package abstractnet
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -85,6 +83,10 @@ func (t *Tuned) RestoreFrom(d *snapshot.Decoder) error {
 	return base.RestoreFrom(d)
 }
 
+// maxSources bounds the source ids a snapshot may name, so a corrupt
+// one cannot size srcFree: far beyond any network this module builds.
+const maxSources = 1 << 20
+
 // SnapshotTo writes the abstract backend's state: the analytical
 // model (including any tuned-correction fit), the pending-delivery
 // set, per-source serialization horizons, and statistics. pc
@@ -108,19 +110,12 @@ func (n *Network) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
 	e.U64(n.nextID)
 	n.tracker.SnapshotTo(e)
 
-	// The heap's internal layout is not observable (pops follow the
-	// total (DeliveredAt, ID) order); encode a sorted view so equal
-	// states always produce equal bytes.
-	pending := make([]*noc.Packet, len(n.pending))
-	copy(pending, n.pending)
-	sort.Slice(pending, func(i, j int) bool {
-		if pending[i].DeliveredAt != pending[j].DeliveredAt {
-			return pending[i].DeliveredAt < pending[j].DeliveredAt
-		}
-		return pending[i].ID < pending[j].ID
-	})
+	// Firing order is (DeliveredAt, ID) whatever the queue's layout, so
+	// equal states always produce equal bytes.
+	pending := n.pending.Pending()
 	e.U32(uint32(len(pending)))
-	for _, p := range pending {
+	for _, d := range pending {
+		p := d.Item
 		e.U64(p.ID)
 		e.Int(p.Src)
 		e.Int(p.Dst)
@@ -138,16 +133,19 @@ func (n *Network) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
 		}
 	}
 
-	srcs := make([]int, 0, len(n.srcFree))
-	//simlint:allow maprange keys collected here are sorted before use
-	for s := range n.srcFree {
-		srcs = append(srcs, s)
+	// Only the sources that have injected, in ascending order.
+	used := 0
+	for _, free := range n.srcFree {
+		if free != 0 {
+			used++
+		}
 	}
-	sort.Ints(srcs)
-	e.U32(uint32(len(srcs)))
-	for _, s := range srcs {
-		e.Int(s)
-		e.U64(uint64(n.srcFree[s]))
+	e.U32(uint32(used))
+	for s, free := range n.srcFree {
+		if free != 0 {
+			e.Int(s)
+			e.U64(uint64(free))
+		}
 	}
 }
 
@@ -177,8 +175,10 @@ func (n *Network) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, tra
 		return err
 	}
 
+	// A fresh queue: its wheel anchors at the first Drain, and the
+	// restored deliveries pop from the far tier in the same order.
 	np := d.Count(41)
-	n.pending = n.pending[:0]
+	n.pending = sim.TypedQueue[*noc.Packet]{}
 	for i := 0; i < np; i++ {
 		d.Enter(fmt.Sprintf("pending[%d]", i))
 		p := &noc.Packet{
@@ -208,18 +208,30 @@ func (n *Network) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, tra
 		if d.Err() != nil {
 			return d.Err()
 		}
-		heap.Push(&n.pending, p)
+		n.pending.Schedule(p.DeliveredAt, p)
 		if track != nil {
 			track(p)
 		}
 	}
 
 	ns := d.Count(16)
-	n.srcFree = make(map[int]sim.Cycle, ns)
+	clear(n.srcFree)
 	for i := 0; i < ns; i++ {
 		s := d.Int()
-		n.srcFree[s] = sim.Cycle(d.U64())
+		free := sim.Cycle(d.U64())
+		if d.Err() != nil {
+			return d.Err()
+		}
+		if s < 0 || s >= maxSources {
+			d.Failf("source %d outside [0, %d)", s, maxSources)
+			return d.Err()
+		}
+		for len(n.srcFree) <= s {
+			n.srcFree = append(n.srcFree, 0)
+		}
+		n.srcFree[s] = free
 	}
 	n.drainBuf = n.drainBuf[:0]
+	n.pool = noc.PacketPool{}
 	return d.Err()
 }

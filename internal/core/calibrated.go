@@ -33,6 +33,12 @@ type Calibrated struct {
 	// refits once per RetunePeriod.
 	pair     *calib.Reciprocal[*noc.Packet]
 	shadowed uint64
+
+	// shadowSrc and shadowSink are the detailed backend's packet free
+	// list, when it has one: shadows come from it and go back once
+	// observed.
+	shadowSrc  packetSource   //simlint:derived re-resolved from the detailed backend's capabilities by NewCalibrated
+	shadowSink packetRecycler //simlint:derived re-resolved from the detailed backend's capabilities by NewCalibrated
 }
 
 // NewCalibrated builds the calibrated backend over a detailed backend
@@ -41,13 +47,23 @@ func NewCalibrated(detailed Backend, model *abstractnet.Tuned, retunePeriod sim.
 	if retunePeriod < 1 {
 		return nil, fmt.Errorf("core: retune period must be >= 1, got %d", retunePeriod)
 	}
-	return &Calibrated{
+	return newCalibrated(detailed, abstractnet.NewNetwork(model), retunePeriod,
+		calib.NewReciprocal[*noc.Packet](model.Fit(), retunePeriod)), nil
+}
+
+// newCalibrated wires a calibrated backend over its parts (shared with
+// ForkBackend, which brings forked ones).
+func newCalibrated(detailed Backend, timing *abstractnet.Network, retunePeriod sim.Cycle, pair *calib.Reciprocal[*noc.Packet]) *Calibrated {
+	c := &Calibrated{
 		detailed:     detailed,
-		model:        model,
-		timing:       abstractnet.NewNetwork(model),
+		model:        timing.Model().(*abstractnet.Tuned),
+		timing:       timing,
 		RetunePeriod: retunePeriod,
-		pair:         calib.NewReciprocal[*noc.Packet](model.Fit(), retunePeriod),
-	}, nil
+		pair:         pair,
+	}
+	c.shadowSrc, _ = detailed.(packetSource)
+	c.shadowSink, _ = detailed.(packetRecycler)
+	return c
 }
 
 // Name implements Backend.
@@ -57,9 +73,8 @@ func (c *Calibrated) Name() string { return "calibrated" }
 // model; a shadow copy carries the measurement through the detailed
 // network.
 func (c *Calibrated) Inject(p *noc.Packet, at sim.Cycle) {
-	shadow := &noc.Packet{
-		Src: p.Src, Dst: p.Dst, VNet: p.VNet, Class: p.Class, Size: p.Size,
-	}
+	shadow := newPacket(c.shadowSrc)
+	shadow.Src, shadow.Dst, shadow.VNet, shadow.Class, shadow.Size = p.Src, p.Dst, p.VNet, p.Class, p.Size
 	c.timing.Inject(p, at)
 	c.pair.Predict(shadow, float64(p.DeliveredAt-p.CreatedAt))
 	c.detailed.Inject(shadow, at)
@@ -78,7 +93,13 @@ func (c *Calibrated) AdvanceTo(cy sim.Cycle) {
 	}
 	c.detailed.AdvanceTo(cy)
 	for _, p := range c.detailed.Drain() {
+		// Observe drops the pairing entry (a shadow restored without one
+		// has none) and the tracker recorded at Drain: the last
+		// reference is this one.
 		c.pair.Observe(p, float64(p.TotalLatency()))
+		if c.shadowSink != nil {
+			c.shadowSink.Recycle(p)
+		}
 	}
 	c.pair.MaybeRetune(cy)
 }
@@ -86,6 +107,15 @@ func (c *Calibrated) AdvanceTo(cy sim.Cycle) {
 // Drain implements Backend with the system-visible (model-timed)
 // deliveries.
 func (c *Calibrated) Drain() []*noc.Packet { return c.timing.Drain() }
+
+// NewPacket implements the coordinator's optional packetSource
+// interface with the timing network's free list: the model-timed
+// original lives in the timing network alone — the pairing is keyed
+// by its shadow — so nothing retains it past Deliver.
+func (c *Calibrated) NewPacket() *noc.Packet { return c.timing.NewPacket() }
+
+// Recycle implements the optional packetRecycler interface.
+func (c *Calibrated) Recycle(p *noc.Packet) { c.timing.Recycle(p) }
 
 // Tracker implements Backend with the DETAILED network's measured
 // statistics: the reported packet latencies come from cycle-level

@@ -175,6 +175,13 @@ func (a *Abstract) Inject(p *noc.Packet, at sim.Cycle) { a.Net.Inject(p, at) }
 // AdvanceTo implements Backend.
 func (a *Abstract) AdvanceTo(c sim.Cycle) { a.Net.AdvanceTo(c) }
 
+// NewPacket implements the coordinator's optional packetSource
+// interface, backing SenderFor allocations with the network free list.
+func (a *Abstract) NewPacket() *noc.Packet { return a.Net.NewPacket() }
+
+// Recycle implements the optional packetRecycler interface.
+func (a *Abstract) Recycle(p *noc.Packet) { a.Net.Recycle(p) }
+
 // Drain implements Backend.
 func (a *Abstract) Drain() []*noc.Packet { return a.Net.Drain() }
 

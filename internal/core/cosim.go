@@ -76,12 +76,24 @@ type Cosim struct {
 }
 
 // packetSource is the optional Backend surface exposing a packet free
-// list (noc's recycling pool). Backends that retain packet pointers
-// past delivery — the hybrid/calibrated pair tracking and the
-// recorder — simply don't implement it, which keeps pooling safe by
-// construction.
+// list (the detailed and abstract networks' recycling pools). Backends
+// that retain packet pointers past delivery — the hybrid pair
+// tracking, which keys predictions by the system's own packets, and
+// the recorder — simply don't implement it, which keeps pooling safe
+// by construction. The calibrated backend does implement it: its
+// pairing is keyed by shadow packets it recycles itself, and nothing
+// holds the model-timed original once Deliver has run.
 type packetSource interface {
 	NewPacket() *noc.Packet
+}
+
+// newPacket takes a packet from src's free list, or from the heap when
+// the backend has none.
+func newPacket(src packetSource) *noc.Packet {
+	if src != nil {
+		return src.NewPacket()
+	}
+	return &noc.Packet{}
 }
 
 // packetRecycler is the matching return surface: the coordinator hands
@@ -182,12 +194,7 @@ func SenderFor(backend Backend) fullsys.Sender {
 				m.Src, at, lastInject[m.Src])
 			lastInject[m.Src] = at
 		}
-		var p *noc.Packet
-		if src != nil {
-			p = src.NewPacket()
-		} else {
-			p = &noc.Packet{}
-		}
+		p := newPacket(src)
 		p.Src = m.Src
 		p.Dst = m.Dst
 		p.VNet = m.Type.VNet()

@@ -162,15 +162,10 @@ func (c *Calibrated) ForkBackend(remap noc.PacketRemap) (any, error) {
 		return nil, err
 	}
 	timing := c.timing.Fork(remap)
-	model := timing.Model().(*abstractnet.Tuned)
-	return &Calibrated{
-		detailed:     df.(Backend),
-		model:        model,
-		timing:       timing,
-		RetunePeriod: c.RetunePeriod,
-		pair:         c.pair.ForkWith(model.Fit(), remap.Clone),
-		shadowed:     c.shadowed,
-	}, nil
+	fit := timing.Model().(*abstractnet.Tuned).Fit()
+	f := newCalibrated(df.(Backend), timing, c.RetunePeriod, c.pair.ForkWith(fit, remap.Clone))
+	f.shadowed = c.shadowed
+	return f, nil
 }
 
 // RestoreForkBackend implements BackendForker for the calibrated

@@ -285,17 +285,18 @@ func (a ActivityStats) PoolHitRate() float64 {
 	return float64(a.PoolHits) / float64(total)
 }
 
-// packetPool is a free list of recycled Packets. Get and Put run only
-// between steps, never inside a shard pass, so the pool needs no
-// synchronization.
-type packetPool struct {
+// PacketPool is a free list of recycled Packets, one per network (the
+// abstract network keeps one too). Get and Put run only between steps,
+// never inside a shard pass, so the pool needs no synchronization. The
+// zero value is an empty pool.
+type PacketPool struct {
 	free   []*Packet
 	hits   uint64
 	misses uint64
 }
 
-// get returns a zeroed packet, recycled when possible.
-func (pp *packetPool) get() *Packet {
+// Get returns a zeroed packet, recycled when possible.
+func (pp *PacketPool) Get() *Packet {
 	if n := len(pp.free); n > 0 {
 		p := pp.free[n-1]
 		pp.free[n-1] = nil
@@ -307,10 +308,10 @@ func (pp *packetPool) get() *Packet {
 	return &Packet{}
 }
 
-// put recycles a packet the caller no longer references. The packet is
+// Put recycles a packet the caller no longer references. The packet is
 // zeroed here so a pooled get never leaks a previous life's fields
 // (Hops and the timestamps are cumulative at their use sites).
-func (pp *packetPool) put(p *Packet) {
+func (pp *PacketPool) Put(p *Packet) {
 	if p == nil {
 		return
 	}

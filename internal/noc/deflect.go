@@ -39,7 +39,7 @@ type Deflection struct {
 	partition             //simlint:derived recomputed at construction; wake schedules re-seeded by resetWake after restore, counters restart at zero
 	stepFn    func(i int) //simlint:derived shardStep, bound once at construction
 	swapFn    func(i int) //simlint:derived shardSwap, bound once at construction
-	pool      packetPool  //simlint:derived host-side free list, never simulated state
+	pool      PacketPool  //simlint:derived host-side free list, never simulated state
 	// nbrOf[r*4+d] is the router across direction d (-1 when the edge
 	// port has no link); the swap pass walks it every stepped cycle.
 	nbrOf []int32 //simlint:derived precomputed from the topology at construction
@@ -203,11 +203,11 @@ func (n *Deflection) Inject(p *Packet, at sim.Cycle) {
 
 // NewPacket returns a zeroed packet, recycled when possible (see
 // Network.NewPacket).
-func (n *Deflection) NewPacket() *Packet { return n.pool.get() }
+func (n *Deflection) NewPacket() *Packet { return n.pool.Get() }
 
 // Recycle returns a drained packet to the free list (see
 // Network.Recycle).
-func (n *Deflection) Recycle(p *Packet) { n.pool.put(p) }
+func (n *Deflection) Recycle(p *Packet) { n.pool.Put(p) }
 
 // Cycle reports the next cycle to simulate.
 func (n *Deflection) Cycle() sim.Cycle { return n.cycle }

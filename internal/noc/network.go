@@ -103,7 +103,7 @@ type Network struct {
 	partition                 //simlint:derived recomputed at construction; wake schedules re-seeded by rebuildWake after restore, counters restart at zero
 	shardFn   func(i int)     //simlint:derived shardStep, bound once at construction
 	scratch   []routerScratch //simlint:derived per-shard phase scratch, all zero between phases
-	pool      packetPool      //simlint:derived host-side free list, never simulated state
+	pool      PacketPool      //simlint:derived host-side free list, never simulated state
 	// peer[r*ports+p] is the far end of port p of router r: where r's
 	// sent flits and returned credits land, and whom they wake. niAt
 	// maps (r*lp + local port) to its terminal. The per-cycle sweeps
@@ -304,12 +304,12 @@ func (n *Network) Inject(p *Packet, at sim.Cycle) {
 // NewPacket returns a zeroed packet, recycled from the network's free
 // list when one is available. Callers that use it must hand delivered
 // packets back through Recycle once they are done with them.
-func (n *Network) NewPacket() *Packet { return n.pool.get() }
+func (n *Network) NewPacket() *Packet { return n.pool.Get() }
 
 // Recycle returns a drained packet to the free list. The caller must
 // hold the only remaining reference: a recycled packet is zeroed and
 // will be reused by a future NewPacket.
-func (n *Network) Recycle(p *Packet) { n.pool.put(p) }
+func (n *Network) Recycle(p *Packet) { n.pool.Put(p) }
 
 // Step simulates one cycle (the cycle reported by Cycle) and advances
 // the clock. With activity gating enabled (the default) each shard

@@ -246,7 +246,7 @@ func (p *partition) Close() {
 }
 
 // activityStats reports the gating layer's work accounting.
-func (p *partition) activityStats(pool *packetPool) ActivityStats {
+func (p *partition) activityStats(pool *PacketPool) ActivityStats {
 	return ActivityStats{
 		Stepped:    p.stepped,
 		Skipped:    p.skipped,

@@ -9,7 +9,3 @@ const Checking = false
 
 // Assert is a no-op unless built with -tags simcheck.
 func Assert(bool, string, ...any) {}
-
-func (q *EventQueue) debugSchedule(Cycle) {}
-
-func (q *EventQueue) debugHeap() {}

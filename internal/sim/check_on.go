@@ -17,31 +17,3 @@ func Assert(cond bool, format string, args ...any) {
 		panic("sim: invariant violated: " + fmt.Sprintf(format, args...))
 	}
 }
-
-// debugSchedule panics when an event is scheduled before the time of
-// an event that has already fired: time travel into the past is the
-// canonical way a co-simulation coupling bug corrupts results while
-// still "finishing".
-func (q *EventQueue) debugSchedule(when Cycle) {
-	if q.fired && when < q.watermark {
-		panic(fmt.Sprintf("sim: schedule into the past: %v < watermark %v", when, q.watermark))
-	}
-}
-
-// debugHeap verifies the heap ordering property and the index
-// back-pointers after every mutation. O(n) per operation — simcheck
-// builds trade speed for proof.
-func (q *EventQueue) debugHeap() {
-	for i := range q.heap {
-		if q.heap[i].index != i {
-			panic(fmt.Sprintf("sim: event queue index corrupt at %d (index=%d)", i, q.heap[i].index))
-		}
-		if i > 0 {
-			parent := (i - 1) / 2
-			if q.less(i, parent) {
-				panic(fmt.Sprintf("sim: event queue heap property violated at %d (when=%v parent=%v)",
-					i, q.heap[i].When, q.heap[parent].When))
-			}
-		}
-	}
-}

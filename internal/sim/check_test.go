@@ -26,27 +26,27 @@ func mustPanic(t *testing.T, fn func()) (msg string) {
 	return ""
 }
 
-// TestSchedulePastPanics: once an event has fired, scheduling before
+// TestSchedulePastPanics: once an item has fired, scheduling before
 // its cycle is time travel and must panic under simcheck.
 func TestSchedulePastPanics(t *testing.T) {
-	var q EventQueue
-	q.Schedule(10, func() {})
-	if n := q.RunUntil(10); n != 1 {
-		t.Fatalf("fired %d, want 1", n)
+	var q TypedQueue[int]
+	q.Schedule(10, 0)
+	if _, ok := q.PopUntil(10); !ok {
+		t.Fatal("nothing fired")
 	}
-	msg := mustPanic(t, func() { q.Schedule(5, func() {}) })
-	if !strings.Contains(msg, "schedule into the past") {
+	msg := mustPanic(t, func() { q.Schedule(5, 1) })
+	if !strings.Contains(msg, "into the past") {
 		t.Errorf("panic message %q", msg)
 	}
 }
 
 // TestSchedulePastAllowedBeforeFirstFire: the watermark only arms once
-// an event has actually fired; arbitrary schedule order before that is
+// an item has actually fired; arbitrary schedule order before that is
 // fine (construction time).
 func TestSchedulePastAllowedBeforeFirstFire(t *testing.T) {
-	var q EventQueue
-	q.Schedule(10, func() {})
-	q.Schedule(2, func() {}) // earlier than a pending event: legal
+	var q TypedQueue[int]
+	q.Schedule(10, 0)
+	q.Schedule(2, 1) // earlier than a pending item: legal
 	if q.Len() != 2 {
 		t.Fatalf("len = %d", q.Len())
 	}
@@ -65,27 +65,44 @@ func TestAssertArmed(t *testing.T) {
 	}
 }
 
-// TestHeapCheckPassesUnderLoad: exercise schedule/cancel/pop mixes so
-// debugHeap's O(n) verification sweeps real shapes.
-func TestHeapCheckPassesUnderLoad(t *testing.T) {
-	var q EventQueue
-	rng := NewRNG(7, 7)
-	var live []*Event
-	for i := 0; i < 2000; i++ {
-		switch rng.Intn(3) {
-		case 0, 1:
-			live = append(live, q.Schedule(q.watermark+Cycle(rng.Intn(50)), func() {}))
-		case 2:
-			if len(live) > 0 {
-				k := rng.Intn(len(live))
-				q.Cancel(live[k])
-				live = append(live[:k], live[k+1:]...)
-			}
-		}
-		if i%17 == 0 {
-			q.Pop()
+// loadedQueue returns a queue with items in both tiers and a partly
+// consumed cursor bucket.
+func loadedQueue() *TypedQueue[int] {
+	q := &TypedQueue[int]{}
+	for i := 0; i < 64; i++ {
+		q.Schedule(Cycle(3+i%7), i)
+		q.Schedule(Cycle(wheelSize+i), i)
+	}
+	for i := 0; i < 5; i++ {
+		q.PopUntil(3)
+	}
+	return q
+}
+
+// TestRecountCatchesCorruption: each structural fault the recount
+// exists for panics at the next operation.
+func TestRecountCatchesCorruption(t *testing.T) {
+	faults := map[string]func(q *TypedQueue[int]){
+		"wrong slot":   func(q *TypedQueue[int]) { q.wheel[5][0].When = 6 },
+		"seq order":    func(q *TypedQueue[int]) { b := q.wheel[5]; b[0], b[1] = b[1], b[0] },
+		"tier count":   func(q *TypedQueue[int]) { q.near-- },
+		"stale head":   func(q *TypedQueue[int]) { q.head = len(q.wheel[q.cursor&wheelMask]) },
+		"far not heap": func(q *TypedQueue[int]) { q.far[0], q.far[len(q.far)-1] = q.far[len(q.far)-1], q.far[0] },
+	}
+	for name, corrupt := range faults {
+		q := loadedQueue()
+		corrupt(q)
+		if msg := mustPanic(t, func() { q.Schedule(50, 0) }); !strings.Contains(msg, "TypedQueue") {
+			t.Errorf("%s: panic message %q", name, msg)
 		}
 	}
-	for q.Pop() != nil {
+}
+
+// TestRecountIsAllocFree: the passing recount must not allocate, or
+// simcheck runs would measure a different program.
+func TestRecountIsAllocFree(t *testing.T) {
+	q := loadedQueue()
+	if a := testing.AllocsPerRun(100, q.check); a != 0 {
+		t.Fatalf("passing recount allocates %v per run, want 0", a)
 	}
 }

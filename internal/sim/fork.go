@@ -15,11 +15,23 @@ func (r *RNG) Fork() *RNG {
 }
 
 // ForkFrom makes q an independent deep copy of src, reusing q's
-// backing array where possible. The heap is copied verbatim — the
-// snapshot encoder canonicalizes ordering, so any valid heap layout
+// backing arrays where possible. Both tiers are copied verbatim — the
+// snapshot encoder canonicalizes ordering, so any valid layout
 // re-encodes to identical bytes.
 func (q *TypedQueue[T]) ForkFrom(src *TypedQueue[T]) {
-	q.heap = append(q.heap[:0], src.heap...)
+	q.reset()
+	if src.near > 0 {
+		if q.wheel == nil {
+			q.wheel = make([][]Deferred[T], wheelSize)
+		}
+		for i, b := range src.wheel {
+			q.wheel[i] = append(q.wheel[i], b...)
+		}
+	}
+	q.cursor = src.cursor
+	q.head = src.head
+	q.near = src.near
+	q.far = append(q.far, src.far...)
 	q.seq = src.seq
 	q.watermark = src.watermark
 	q.fired = src.fired

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterministicStreams(t *testing.T) {
@@ -91,94 +90,5 @@ func TestExpMean(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-10) > 0.5 {
 		t.Errorf("exp mean %v, want ~10", mean)
-	}
-}
-
-func TestEventQueueOrdering(t *testing.T) {
-	var q EventQueue
-	var fired []int
-	q.Schedule(5, func() { fired = append(fired, 5) })
-	q.Schedule(1, func() { fired = append(fired, 1) })
-	q.Schedule(3, func() { fired = append(fired, 30) })
-	q.Schedule(3, func() { fired = append(fired, 31) }) // same-cycle FIFO
-	q.Schedule(2, func() { fired = append(fired, 2) })
-	if n := q.RunUntil(3); n != 4 {
-		t.Fatalf("fired %d events, want 4", n)
-	}
-	want := []int{1, 2, 30, 31}
-	for i, w := range want {
-		if fired[i] != w {
-			t.Fatalf("order %v, want %v", fired, want)
-		}
-	}
-	if when, ok := q.NextTime(); !ok || when != 5 {
-		t.Errorf("next = %v %v", when, ok)
-	}
-}
-
-func TestEventQueueCascade(t *testing.T) {
-	var q EventQueue
-	var fired []string
-	q.Schedule(1, func() {
-		fired = append(fired, "a")
-		q.Schedule(2, func() { fired = append(fired, "b") })
-	})
-	q.RunUntil(10)
-	if len(fired) != 2 || fired[0] != "a" || fired[1] != "b" {
-		t.Fatalf("cascade: %v", fired)
-	}
-}
-
-func TestEventQueueCancel(t *testing.T) {
-	var q EventQueue
-	ran := false
-	e := q.Schedule(1, func() { ran = true })
-	q.Cancel(e)
-	q.Cancel(e) // idempotent
-	q.Cancel(nil)
-	q.RunUntil(10)
-	if ran {
-		t.Error("cancelled event fired")
-	}
-	if q.Len() != 0 {
-		t.Errorf("len = %d", q.Len())
-	}
-}
-
-// Property: events fire in nondecreasing time order regardless of
-// insertion order.
-func TestEventQueueHeapProperty(t *testing.T) {
-	f := func(times []uint16) bool {
-		var q EventQueue
-		var fired []Cycle
-		for _, tm := range times {
-			when := Cycle(tm)
-			q.Schedule(when, func() { fired = append(fired, when) })
-		}
-		q.RunUntil(Cycle(math.MaxUint16))
-		if len(fired) != len(times) {
-			return false
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEventQueuePop(t *testing.T) {
-	var q EventQueue
-	if q.Pop() != nil {
-		t.Error("pop of empty queue should be nil")
-	}
-	q.Schedule(9, func() {})
-	q.Schedule(4, func() {})
-	if e := q.Pop(); e.When != 4 {
-		t.Errorf("pop = %v", e.When)
 	}
 }

@@ -56,7 +56,8 @@ var outputFuncs = map[string]map[string]bool{
 // Step/Tick entry points, the deflection router's per-cycle workers,
 // the shard partition's per-cycle passes, wake pass and merge, and the
 // full-system gated sweep (per-tile tick, sleep and wake sites, and the
-// simcheck recount that must stay alloc-free when it passes).
+// simcheck recount that must stay alloc-free when it passes), and the
+// calendar queue's per-message Schedule (with its insert) and PopUntil.
 func hotPathFunc(name string) bool {
 	if strings.HasPrefix(name, "phase") {
 		return true
@@ -65,7 +66,8 @@ func hotPathFunc(name string) bool {
 	case "Step", "Tick", "stepRouter", "swapRouter",
 		"pushFlit", "popFlit", "saNominate", "tryInject",
 		"stepSharded", "shardStep", "shardSwap", "wakePass",
-		"tick", "sleepTile", "wakeTile", "checkSleepers":
+		"tick", "sleepTile", "wakeTile", "checkSleepers",
+		"Schedule", "insert", "PopUntil":
 		return true
 	}
 	return false

@@ -278,6 +278,11 @@ func (w *covWalker) call(fr *funcRef, call *ast.CallExpr, self map[types.Object]
 		callee, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
 		callee, _ = info.Uses[fun.Sel].(*types.Func)
+		if callee != nil {
+			// A generic type's method, called on its own receiver, is an
+			// instantiation; the declaration is its origin.
+			callee = callee.Origin()
+		}
 		// A method called on the receiver: every field the helper
 		// touches counts for the calling method.
 		if id, ok := fun.X.(*ast.Ident); ok && callee != nil {

@@ -277,8 +277,9 @@ func ModeQuantum(cfg Config, mode Mode) int {
 		// cheap), so their deliveries land at exact model-predicted
 		// cycles with no quantum skew — that is how a latency-model
 		// baseline really integrates into a full-system simulator.
-		// Calibrated mode still advances its shadow NoC per call, so
-		// this also gives it per-cycle feeding.
+		// Calibrated mode's shadow NoC is not stepped per call:
+		// Calibrated.AdvanceTo gates it on the pairing's retune period
+		// (cfg.Quantum cycles) and advances it one such batch at a time.
 		return 1
 	}
 	return cfg.Quantum
