@@ -102,7 +102,7 @@ func (g *gate) markNext(r int32) {
 	g.carry[lr>>6] |= 1 << (uint(lr) & 63)
 }
 
-// wakeAt schedules router r to run at cycle `at` from a wake pass
+// wakeAt schedules router r to run at cycle `at` from a shard pass
 // running at cycle `now` (whose carry bits force cycle now+1 to run).
 // Next-cycle wakes — all flit and credit arrivals under the common
 // single-cycle link latency — go to the carry bitmap directly.

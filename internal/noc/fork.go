@@ -92,6 +92,7 @@ func (n *Network) copyStateFrom(src *Network, remap PacketRemap) {
 			}
 			dst.qHead[v] = 0
 		}
+		dst.queued = s.queued
 		dst.rr = s.rr
 		dst.cur = remap.Clone(s.cur)
 		dst.curSeq = s.curSeq
@@ -134,9 +135,10 @@ func (n *Network) copyStateFrom(src *Network, remap PacketRemap) {
 	copy(n.arbGrants, src.arbGrants)
 	copy(n.linkFlits, src.linkFlits)
 	copy(n.linkCredits, src.linkCredits)
-	for rp, m := range n.masks {
-		for w := m.buf; w != 0; w &= w - 1 {
-			i := rp*n.vcs + bits.TrailingZeros64(w)
+	for rw, m := range n.masks {
+		base := rw/n.mw*n.pv + rw%n.mw*n.wordVCs
+		for x := m.buf; x != 0; x &= x - 1 {
+			i := base + bits.TrailingZeros64(x)
 			for k := 0; k < int(n.vcCount[i]); k++ {
 				f := n.fifoAt(i, k)
 				f.pkt = remap.Clone(f.pkt)

@@ -10,6 +10,19 @@ import (
 // injection queues, the flit serializer that feeds the attached
 // router's local input port, and the delivery buffer the client drains.
 type Iface struct {
+	// What an idle NI's cycle reads comes first, in one cache line.
+	cur    *Packet // packet currently being serialized, or nil
+	curSeq int32
+	curVC  int16
+	// queued counts the packets in queues past their qHead, eligible or
+	// not: what pending() recounts. An NI with nothing queued and
+	// nothing serializing leaves tryInject and rearm after one compare.
+	queued int //simlint:derived recounted from the queues on restore
+
+	// credits counts free slots per VC of the router's local input port;
+	// returns arrive on that port record's credit ring.
+	credits []int32
+
 	terminal  int
 	router    int
 	localPort int
@@ -17,14 +30,6 @@ type Iface struct {
 	queues [][]*Packet // per vnet, time-ordered by CreatedAt
 	qHead  []int       // consumed prefix per queue
 	rr     int         // round-robin pointer over vnets
-
-	cur    *Packet // packet currently being serialized, or nil
-	curSeq int32
-	curVC  int16
-
-	// credits counts free slots per VC of the router's local input port;
-	// returns arrive on that port record's credit ring.
-	credits []int32
 
 	deliveries []*Packet // tail-ejected packets, DeliveredAt ascending
 	dHead      int
@@ -64,10 +69,11 @@ func (ni *Iface) enqueue(p *Packet) {
 		ni.qHead[p.VNet] = 0
 	}
 	ni.queues[p.VNet] = append(q, p)
+	ni.queued++
 }
 
 // pending reports queued-but-not-yet-serialized packets, regardless of
-// their creation time.
+// their creation time, by counting them: what queued must equal.
 func (ni *Iface) pending() int {
 	n := 0
 	for v := range ni.queues {
@@ -81,10 +87,12 @@ func (ni *Iface) pending() int {
 // local input port if a credit is available.
 func (ni *Iface) tryInject(n *Network, now sim.Cycle) {
 	if ni.cur == nil {
-		ni.selectNext(n, now)
-	}
-	if ni.cur == nil {
-		return
+		if ni.queued == 0 {
+			return
+		}
+		if ni.selectNext(n, now); ni.cur == nil {
+			return
+		}
 	}
 	if ni.credits[ni.curVC] <= 0 {
 		return
@@ -103,8 +111,10 @@ func (ni *Iface) tryInject(n *Network, now sim.Cycle) {
 // a creditable VC in the vnet's set-0 range. The head flit stamps
 // InjectedAt when selected.
 func (ni *Iface) selectNext(n *Network, now sim.Cycle) {
-	for k := 0; k < len(ni.queues); k++ {
-		v := (ni.rr + k) % len(ni.queues)
+	for k, v := 0, ni.rr; k < len(ni.queues); k, v = k+1, v+1 {
+		if v == len(ni.queues) {
+			v = 0
+		}
 		if ni.qHead[v] >= len(ni.queues[v]) {
 			continue
 		}
@@ -117,7 +127,10 @@ func (ni *Iface) selectNext(n *Network, now sim.Cycle) {
 			continue
 		}
 		ni.qHead[v]++
-		ni.rr = (v + 1) % len(ni.queues)
+		ni.queued--
+		if ni.rr = v + 1; ni.rr == len(ni.queues) {
+			ni.rr = 0
+		}
 		ni.cur = p
 		ni.curSeq = 0
 		ni.curVC = vc
@@ -160,4 +173,4 @@ func (ni *Iface) drainInto(out []*Packet, now sim.Cycle) []*Packet {
 
 // idle reports whether the NI has no queued packets (eligible or not)
 // and no packet in serialization.
-func (ni *Iface) idle() bool { return ni.cur == nil && ni.pending() == 0 }
+func (ni *Iface) idle() bool { return ni.cur == nil && ni.queued == 0 }

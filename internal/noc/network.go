@@ -22,13 +22,14 @@ const ejectionCredits = 1 << 20
 //
 // Router state is laid out as flat per-field arrays, one element per
 // record, so a router's state is a few contiguous runs and a fork is
-// one copy per field. With R routers of P ports, V VCs per port and
-// D-deep buffers, the record indices are
+// one copy per field. With R routers of P ports, V VCs per port,
+// D-deep buffers and W mask words per router, the record indices are
 //
-//	port record  r*P + p          masks, arbiter pointers, saGrant, outFlits, peer, rings
+//	port record  r*P + p          arbiter pointers, saGrant, outFlits, peer, rings
 //	VC record    r*P*V + p*V + v  input-VC and output-VC fields
 //	flit slot    VC record * D + k
 //	ring slot    port record * ring length + cycle mod ring length
+//	mask word    r*W + w          bit b is input VC w*wordVCs + b of router r
 //
 // (see DESIGN.md "Router state layout and mask arbiters").
 type Network struct {
@@ -38,9 +39,11 @@ type Network struct {
 
 	// Geometry, fixed at construction: routers, ports and local ports per
 	// router, VCs per port, input VCs per router (ports*vcs), buffer
-	// depth, link ring lengths (latency + 1), VCs per routing VC set.
+	// depth, link ring lengths (latency + 1), VCs per routing VC set,
+	// mask words per router and input VCs per full mask word.
 	routers, ports, lp, vcs, pv, depth int //simlint:derived recomputed from cfg and the topology at construction
 	flitRing, credRing, vcsPerSet      int //simlint:derived recomputed from cfg at construction
+	mw, wordVCs                        int //simlint:derived recomputed from the geometry at construction
 
 	// Input VCs, by VC record: packet-progress state, the cached route
 	// (vcHops entries of hops[i*maxHops:], valid in vcWaitVA), the held
@@ -60,12 +63,14 @@ type Network struct {
 	outCredits []int32
 	outOwner   []int32
 
-	// By port record: the VC masks, the round-robin pointers (vaPtr per
-	// output port over input VCs p*V + v; saInPtr per input port over
-	// its VCs; saOutPtr per output port over input ports), the input VC
-	// each granted output port switches this cycle, and flits traversed
-	// per output port (utilization).
-	masks    []portMask //simlint:derived rebuilt from vcState and vcCount on restore
+	// By mask word: the router-wide input-VC masks.
+	masks []vcMask //simlint:derived rebuilt from vcState and vcCount on restore
+
+	// By port record: the round-robin pointers (vaPtr per output port
+	// over input VCs p*V + v; saInPtr per input port over its VCs;
+	// saOutPtr per output port over input ports), the input VC each
+	// granted output port switches this cycle, and flits traversed per
+	// output port (utilization).
 	vaPtr    []int32
 	saInPtr  []int32
 	saOutPtr []int32
@@ -110,22 +115,41 @@ type Network struct {
 	// must not redo the topology's coordinate math.
 	peer []portRef //simlint:derived precomputed from the topology at construction
 	niAt []int32   //simlint:derived precomputed from the topology at construction
+	// The same for every router, so the phases never divide: vcInfo
+	// decomposes an input-VC id p*V + v, and portBit[p] is where port p's
+	// VC 0 sits in the router's masks, as word<<6 | bit.
+	vcInfo  []vcInfo //simlint:derived precomputed from the geometry at construction
+	portBit []int16  //simlint:derived precomputed from the geometry at construction
 }
 
-// maxVCs bounds the virtual channels per port (Config.TotalVCs) and the
-// ports per router: both index bits of one uint64 mask word.
+// maxVCs bounds the virtual channels per port (Config.TotalVCs), so
+// that one port's VCs are a field of one mask word, and the ports per
+// router, which index the bits of the one-word switch-allocation masks
+// (grants, bids, VA's requested-ports set). Their product is unbounded:
+// a router's VC masks take as many words as its ports need.
 const maxVCs = 64
 
 // maxHops bounds a routing function's MaxChoices: the admissible next
 // hops cached per input VC (the stride of Network.hops).
 const maxHops = 4
 
-// portMask holds, for one (router, input port), one bit per VC: buf is
-// set while the VC's FIFO is non-empty, wait while it is in vcWaitVA,
-// act while it is in vcActive. The arbiters walk these words instead of
-// scanning VC state; a router with all of them zero has no work.
-type portMask struct {
+// vcMask is one word of a router's input-VC masks, one bit per input
+// VC: buf is set while the VC's FIFO is non-empty, wait while it is in
+// vcWaitVA, act while it is in vcActive. The arbiters walk these words
+// instead of scanning VC state; a router with all of them zero has no
+// work. A word holds as many whole ports as fit (64/V of them, V bits
+// each, no port straddling two words), so bit b of word w is input VC
+// w*wordVCs + b — the id p*V + v itself wherever P*V <= 64, which is
+// every configuration this repository ships — and ascending (word, bit)
+// order is ascending id order.
+type vcMask struct {
 	buf, wait, act uint64
+}
+
+// vcInfo decomposes the input-VC id p*V + v: its port, its VC within
+// the port, and that VC's virtual network and routing VC set.
+type vcInfo struct {
+	port, vc, vnet, set uint8
 }
 
 // hop is one cached admissible next hop of a routed head flit.
@@ -152,7 +176,7 @@ type portRef struct {
 type routerScratch struct {
 	route []topology.Choice // routing-function output, before packing into hops
 	set   []int16           // per input VC: the VC set of the hop it requests this cycle
-	req   []uint64          // [out port][in port]: VCs requesting an output VC
+	req   []uint64          // [out port][mask word]: input VCs requesting an output VC
 	saReq []int16           // per input port: the VC it nominates
 	bid   []uint64          // per output port: input ports bidding for it
 }
@@ -195,6 +219,21 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 	for _, o := range opts {
 		o(n)
 	}
+	perWord := 64 / n.vcs // whole ports per mask word
+	n.mw = (n.ports + perWord - 1) / perWord
+	n.wordVCs = perWord * n.vcs
+	n.portBit = make([]int16, n.ports)
+	n.vcInfo = make([]vcInfo, n.pv)
+	for p := 0; p < n.ports; p++ {
+		n.portBit[p] = int16(p/perWord<<6 + p%perWord*n.vcs)
+		for v := 0; v < n.vcs; v++ {
+			n.vcInfo[p*n.vcs+v] = vcInfo{
+				port: uint8(p), vc: uint8(v),
+				vnet: uint8(v / cfg.VCsPerVNet),
+				set:  uint8(v % cfg.VCsPerVNet / n.vcsPerSet),
+			}
+		}
+	}
 
 	R := n.routers
 	n.vcState = make([]uint8, R*n.pv)
@@ -207,7 +246,7 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 	n.flits = make([]flitEntry, R*n.pv*n.depth)
 	n.outCredits = make([]int32, R*n.pv)
 	n.outOwner = make([]int32, R*n.pv)
-	n.masks = make([]portMask, R*n.ports)
+	n.masks = make([]vcMask, R*n.mw)
 	n.vaPtr = make([]int32, R*n.ports)
 	n.saInPtr = make([]int32, R*n.ports)
 	n.saOutPtr = make([]int32, R*n.ports)
@@ -262,7 +301,7 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 		n.scratch[si] = routerScratch{
 			route: make([]topology.Choice, 0, maxHops),
 			set:   make([]int16, n.pv),
-			req:   make([]uint64, n.ports*n.ports),
+			req:   make([]uint64, n.ports*n.mw),
 			saReq: make([]int16, n.ports),
 			bid:   make([]uint64, n.ports),
 		}
@@ -295,10 +334,10 @@ func (n *Network) Inject(p *Packet, at sim.Cycle) {
 	p.ID = n.nextID
 	n.nextID++
 	p.CreatedAt = at
-	n.ifaces[p.Src].enqueue(p)
+	ni := &n.ifaces[p.Src]
+	ni.enqueue(p)
 	n.injected++
-	r, _ := n.topo.RouterOf(p.Src)
-	n.wakeRouter(int32(r), at, n.cycle)
+	n.wakeRouter(int32(ni.router), at, n.cycle)
 }
 
 // NewPacket returns a zeroed packet, recycled from the network's free
@@ -314,8 +353,9 @@ func (n *Network) Recycle(p *Packet) { n.pool.Put(p) }
 // Step simulates one cycle (the cycle reported by Cycle) and advances
 // the clock. With activity gating enabled (the default) each shard
 // sweeps only its active set, in ascending router order, all five
-// phases of a router fused (stepRouter); a skipped router is a
-// byte-level no-op under every phase (see active.go). The exhaustive
+// phases of a router fused (stepRouter) and its wakes scheduled right
+// behind them (rearm); a skipped router is a byte-level no-op under
+// every phase (see active.go). The exhaustive
 // path keeps the original five-barrier structure over every router: it
 // is the reference the gated path is tested against, kept structurally
 // simple rather than fast.
@@ -344,67 +384,68 @@ func (n *Network) Step() {
 	n.cycle++
 }
 
-// shardStep runs one shard's cycle: drain its wake schedule, sweep the
-// active routers' fused pipelines, and run the shard's wake pass.
+// shardStep runs one shard's cycle: drain its wake schedule and sweep
+// the active routers, each one's fused pipeline followed at once by its
+// own wakes.
 func (n *Network) shardStep(si int) {
 	s := &n.shards[si]
 	s.active = s.gate.due(n.cycle)
-	if len(s.active) == 0 {
-		return
-	}
 	for _, r := range s.active {
 		n.stepRouter(int(r))
+		n.rearm(s, r)
 	}
-	n.wakePass(s)
 }
 
-// wakePass runs after a shard's sweep and converts this cycle's sends
-// and the active routers' residual state into future wakes. It reads
-// only freshly written per-cycle scratch (grants, saGrant) and
-// persistent state, and writes only its own shard's schedule: wakes
-// addressed outside the shard's range are buffered through wakeOut.
-func (n *Network) wakePass(s *shard) {
+// rearm converts router r's sends of this cycle and its residual state
+// into future wakes. It runs right after stepRouter(r), while r's
+// records are still in cache. That is safe because it reads only r's
+// own records — the per-cycle scratch stepRouter(r) just wrote (grants,
+// saGrant), r's masks and r's NIs, none of which another router's step
+// writes — and writes only the shard's own schedule (bits of cycles
+// after this one: due() has already folded and cleared this cycle's)
+// and outbox, which no stepRouter reads. Wakes addressed outside the
+// shard's range are buffered through wakeOut.
+func (n *Network) rearm(s *shard, r32 int32) {
 	now := n.cycle
-	linkLat := sim.Cycle(n.cfg.LinkLatency)
-	credLat := sim.Cycle(n.cfg.CreditLatency)
-	for _, r32 := range s.active {
-		r := int(r32)
-		rp := r * n.ports
-		// Every switch traversal this cycle produced up to two future
-		// events: a flit arriving at the downstream router and a credit
-		// arriving at the freed input slot's upstream consumer (the
-		// neighbour across the input port, or this router itself for
-		// its NI's credit ring on a local port).
-		for g := n.grants[r]; g != 0; g &= g - 1 {
-			p := bits.TrailingZeros64(g)
-			if p >= n.lp {
-				s.wakeOut(n.peer[rp+p].router, now+linkLat, now)
+	r := int(r32)
+	rp := r * n.ports
+	// Every switch traversal this cycle produced up to two future
+	// events: a flit arriving at the downstream router and a credit
+	// arriving at the freed input slot's upstream consumer (the
+	// neighbour across the input port, or this router itself for its
+	// NI's credit ring on a local port).
+	for g := n.grants[r]; g != 0; g &= g - 1 {
+		p := bits.TrailingZeros64(g)
+		if p >= n.lp {
+			s.wakeOut(n.peer[rp+p].router, now+sim.Cycle(n.cfg.LinkLatency), now)
+		}
+		s.wakeOut(n.peer[rp+int(n.saGrant[rp+p].port)].router, now+sim.Cycle(n.cfg.CreditLatency), now)
+	}
+	// A router whose local state can still make progress re-arms for
+	// the next cycle: buffered or mid-allocation input VCs retry
+	// RC/VA/SA, and a serializing or eligible NI retries injection.
+	// Conservative (a blocked VC spins), but spinning is exactly what
+	// the exhaustive sweep does, so state matches. A queued packet not
+	// yet created wakes the router at its creation cycle instead.
+	busy := n.occupied(r)
+	for p := 0; p < n.lp && !busy; p++ {
+		ni := &n.ifaces[n.niAt[r*n.lp+p]]
+		if busy = ni.cur != nil; busy || ni.queued == 0 {
+			continue
+		}
+		for v := 0; v < len(ni.queues) && !busy; v++ {
+			if ni.qHead[v] >= len(ni.queues[v]) {
+				continue
 			}
-			s.wakeOut(n.peer[rp+int(n.saGrant[rp+p].port)].router, now+credLat, now)
-		}
-		// A router whose local state can still make progress re-arms
-		// for the next cycle: buffered or mid-allocation input VCs
-		// retry RC/VA/SA, and a serializing or eligible NI retries
-		// injection. Conservative (a blocked VC spins), but spinning is
-		// exactly what the exhaustive sweep does, so state matches.
-		busy := n.occupied(r)
-		for p := 0; p < n.lp && !busy; p++ {
-			ni := &n.ifaces[n.niAt[r*n.lp+p]]
-			busy = ni.cur != nil
-			for v := 0; v < len(ni.queues) && !busy; v++ {
-				if ni.qHead[v] >= len(ni.queues[v]) {
-					continue
-				}
-				if at := ni.queues[v][ni.qHead[v]].CreatedAt; at > now+1 {
-					s.gate.wake(r32, at, now)
-				} else {
-					busy = true
-				}
+			if at := ni.queues[v][ni.qHead[v]].CreatedAt; at > now+1 {
+				s.gate.wake(r32, at, now)
+			} else {
+				busy = true
 			}
 		}
-		if busy {
-			s.gate.markNext(r32)
-		}
+	}
+	if busy {
+		s.gate.markNext(r32)
 	}
 }
 
@@ -427,7 +468,7 @@ func (n *Network) ActivityStats() ActivityStats { return n.activityStats(&n.pool
 // re-arm a wake for every flit or credit already in flight on a ring,
 // addressed to the ring's router — its consumer — at its arrival
 // cycle. NI injection queues need no scan: every router runs the first
-// post-restore cycle, and its wake pass re-arms future injections.
+// post-restore cycle, and its rearm schedules future injections.
 func (n *Network) rebuildWake() {
 	n.resetWake()
 	now := n.cycle

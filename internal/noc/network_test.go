@@ -304,12 +304,12 @@ type fiveWay struct{ *topology.XY }
 
 func (fiveWay) MaxChoices() int { return 5 }
 
-// TestVCAndPortWidthLimits: the VC masks are one uint64 per port and
-// the switch arbiters one per router, so 64 VCs per port and 64 ports
-// per router are the widest shapes accepted — and they do run; one more
-// of either is rejected with the limit in the message, and so is a
-// routing function declaring more next hops than the per-VC route cache
-// holds.
+// TestVCAndPortWidthLimits: a port's VCs are a field of one mask word
+// and the switch arbiters' port sets are one word per router, so 64 VCs
+// per port and 64 ports per router are the widest shapes accepted — and
+// together they do run, on 64 mask words per router; one more of either
+// is rejected with the limit in the message, and so is a routing
+// function declaring more next hops than the per-VC route cache holds.
 func TestVCAndPortWidthLimits(t *testing.T) {
 	m := topology.NewMesh(2, 2, 1)
 	cfg := DefaultConfig()
@@ -328,6 +328,9 @@ func TestVCAndPortWidthLimits(t *testing.T) {
 	m = topology.NewMesh(2, 1, 60) // 64 ports
 	cfg.VNets, cfg.VCsPerVNet = 4, 16
 	n := mustNet(t, cfg, m, topology.NewXY(m))
+	if n.mw != 64 {
+		t.Fatalf("64 ports of 64 VCs take %d mask words per router, want 64", n.mw)
+	}
 	last := m.NumTerminals() - 1
 	n.Inject(&Packet{Src: 0, Dst: last, VNet: 3, Size: 3}, 0)
 	n.Inject(&Packet{Src: last, Dst: 59, VNet: 3, Size: 3}, 0)

@@ -83,8 +83,16 @@ func (n *Network) pushFlit(r, p, v int, pkt *Packet, seq int32, now sim.Cycle) {
 	}
 	n.flits[i*n.depth+s] = flitEntry{pkt: pkt, seq: seq, ready: now + sim.Cycle(n.cfg.RouterStages-1)}
 	n.vcCount[i] = int32(c + 1)
-	n.masks[r*n.ports+p].buf |= 1 << uint(v)
+	m, bit := n.maskBit(r, p, v)
+	m.buf |= bit
 	n.bufWrites[r]++
+}
+
+// maskBit locates input VC (r, p, v) in router r's masks: the mask word
+// holding port p's VCs, and the VC's bit in it.
+func (n *Network) maskBit(r, p, v int) (*vcMask, uint64) {
+	b := int(n.portBit[p]) + v
+	return &n.masks[r*n.mw+b>>6], 1 << uint(b&63)
 }
 
 // front returns the oldest flit of input VC i, which must not be empty.
@@ -112,7 +120,8 @@ func (n *Network) popFlit(r, p, v int) flitEntry {
 		n.vcHead[i] = 0
 	}
 	if n.vcCount[i]--; n.vcCount[i] == 0 {
-		n.masks[r*n.ports+p].buf &^= 1 << uint(v)
+		m, bit := n.maskBit(r, p, v)
+		m.buf &^= bit
 	}
 	return e
 }

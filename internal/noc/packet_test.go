@@ -28,7 +28,7 @@ func TestFlitFIFO(t *testing.T) {
 	for s := int32(0); s < 3; s++ {
 		n.pushFlit(r, port, vc, p, s, 0)
 	}
-	if n.vcCount[i] != 3 || n.masks[r*n.ports+port].buf != 1<<vc || n.BufferedFlits() != 3 {
+	if n.vcCount[i] != 3 || n.masks[r*n.mw].buf != 1<<(port*n.vcs+vc) || n.BufferedFlits() != 3 {
 		t.Fatal("buffer should be full and flagged non-empty")
 	}
 	for s := int32(0); s < 3; s++ {
@@ -36,7 +36,7 @@ func TestFlitFIFO(t *testing.T) {
 			t.Fatalf("pop order: got %d want %d", e.seq, s)
 		}
 	}
-	if n.vcCount[i] != 0 || n.masks[r*n.ports+port].buf != 0 {
+	if n.vcCount[i] != 0 || n.masks[r*n.mw].buf != 0 {
 		t.Fatal("buffer should be empty and flagged so")
 	}
 	for k := range n.flits {

@@ -27,12 +27,12 @@ func below(k int32) uint64 { return uint64(1)<<uint(k) - 1 }
 // consume a credit, say — cannot route, allocate, bid, or traverse:
 // RC/VA/SA/ST are byte-level no-ops, so the gated sweep skips them.
 // Only the switch-allocation output needs care: clearing grants
-// rewrites what phaseSA would have, so the wake pass never reads a
-// stale grant.
+// rewrites what phaseSA would have, so rearm never reads a stale grant.
 func (n *Network) stepRouter(r int) {
 	n.phaseIngress(r)
 	if !n.occupied(r) {
 		n.grants[r] = 0
+		n.checkMasks(r)
 		return
 	}
 	n.phaseRC(r)
@@ -42,10 +42,11 @@ func (n *Network) stepRouter(r int) {
 }
 
 // occupied reports whether any input VC of router r is non-idle or
-// non-empty — the busy predicate of the gated sweep and the wake pass.
+// non-empty — the busy predicate of the gated sweep and of rearm: one
+// mask record wherever the router's VCs fit a word.
 func (n *Network) occupied(r int) bool {
 	var any uint64
-	for _, m := range n.masks[r*n.ports : (r+1)*n.ports] {
+	for _, m := range n.masks[r*n.mw : (r+1)*n.mw] {
 		any |= m.buf | m.wait | m.act
 	}
 	return any != 0
@@ -87,11 +88,12 @@ func (n *Network) phaseIngress(r int) {
 func (n *Network) phaseRC(r int) {
 	now := n.cycle
 	sc := &n.scratch[n.shardOf[r]]
-	for p := 0; p < n.ports; p++ {
-		m := &n.masks[r*n.ports+p]
-		for w := m.buf &^ (m.wait | m.act); w != 0; w &= w - 1 {
-			v := bits.TrailingZeros64(w)
-			i := r*n.pv + p*n.vcs + v
+	for w := 0; w < n.mw; w++ {
+		m := &n.masks[r*n.mw+w]
+		for x := m.buf &^ (m.wait | m.act); x != 0; x &= x - 1 {
+			b := bits.TrailingZeros64(x)
+			id := w*n.wordVCs + b
+			i := r*n.pv + id
 			e := n.front(i)
 			if e.ready > now {
 				continue
@@ -105,15 +107,14 @@ func (n *Network) phaseRC(r int) {
 				hops[0] = hop{port: int16(dstPort)}
 				n.vcHops[i] = 1
 			} else {
-				curSet := (v % n.cfg.VCsPerVNet) / n.vcsPerSet
-				route := n.routing.Route(r, e.pkt.Src, e.pkt.Dst, curSet, sc.route[:0])
+				route := n.routing.Route(r, e.pkt.Src, e.pkt.Dst, int(n.vcInfo[id].set), sc.route[:0])
 				for k, ch := range route { // at most MaxChoices() <= maxHops (Validate)
 					hops[k] = hop{port: int16(ch.Port), set: int16(ch.VCSet)}
 				}
 				n.vcHops[i] = uint8(len(route))
 			}
 			n.vcState[i] = vcWaitVA
-			m.wait |= 1 << uint(v)
+			m.wait |= 1 << uint(b)
 		}
 	}
 }
@@ -123,22 +124,22 @@ func (n *Network) phaseRC(r int) {
 // for adaptive routing) and joins that output port's request mask, then
 // a per-output-port round-robin arbiter grants free VCs in the
 // requested virtual network and VC-set range. The arbiter walks the
-// request mask upward from vaPtr and wraps — the order a scan of
-// (vaPtr + k) mod inputVCs visits the requesters in — and may grant
-// several requesters per port per cycle; the pointer moves past the
-// first one granted.
+// requesters at or above vaPtr in ascending id order, then the ones
+// below it — the order a scan of (vaPtr + k) mod inputVCs visits them
+// in — and may grant several requesters per port per cycle; the pointer
+// moves past the first one granted.
 func (n *Network) phaseVA(r int) {
 	sc := &n.scratch[n.shardOf[r]]
-	rp, vb := r*n.ports, r*n.pv
+	rp, vb, mb := r*n.ports, r*n.pv, r*n.mw
 
 	var reqPorts uint64
-	for p := 0; p < n.ports; p++ {
-		for w := n.masks[rp+p].wait; w != 0; w &= w - 1 {
-			v := bits.TrailingZeros64(w)
-			i := p*n.vcs + v
-			vnet := v / n.cfg.VCsPerVNet
+	for w := 0; w < n.mw; w++ {
+		for x := n.masks[mb+w].wait; x != 0; x &= x - 1 {
+			b := bits.TrailingZeros64(x)
+			id := w*n.wordVCs + b
+			vnet := int(n.vcInfo[id].vnet)
 			best, bestScore := hop{port: -1}, int64(-1)
-			for _, h := range n.hops[(vb+i)*maxHops:][:n.vcHops[vb+i]] {
+			for _, h := range n.hops[(vb+id)*maxHops:][:n.vcHops[vb+id]] {
 				free, creditSum := n.vcRangeAvail(vb, int(h.port), vnet, int(h.set))
 				if free != 0 && creditSum > bestScore {
 					best, bestScore = h, creditSum
@@ -147,51 +148,52 @@ func (n *Network) phaseVA(r int) {
 			if best.port < 0 {
 				continue // no free VC on any admissible hop; retry next cycle
 			}
-			sc.set[i] = best.set
-			sc.req[int(best.port)*n.ports+p] |= 1 << uint(v)
+			sc.set[id] = best.set
+			sc.req[int(best.port)*n.mw+w] |= 1 << uint(b)
 			reqPorts |= 1 << uint(best.port)
 		}
 	}
 
 	for ; reqPorts != 0; reqPorts &= reqPorts - 1 {
 		op := bits.TrailingZeros64(reqPorts)
-		req := sc.req[op*n.ports : (op+1)*n.ports]
+		req := sc.req[op*n.mw : (op+1)*n.mw]
 		ptr := int(n.vaPtr[rp+op])
-		ip, lo := ptr/n.vcs, below(int32(ptr%n.vcs))
 		granted := false
-		// Input ports from the pointer's upward and around: the
-		// pointer's own port is visited twice, first for its VCs at or
-		// above the pointer and last for those below it.
-		for k := 0; k <= n.ports; k++ {
-			w := req[ip]
-			switch k {
-			case 0:
-				w &^= lo
-			case n.ports:
-				w &= lo
-			}
-			for ; w != 0; w &= w - 1 {
-				v := bits.TrailingZeros64(w)
-				id := ip*n.vcs + v
-				vc, found := n.freeVCInRange(vb, op, v/n.cfg.VCsPerVNet, int(sc.set[id]))
-				if !found {
-					continue
+		// Two passes over the request words: the ids at or above the
+		// pointer, then the ids below it.
+		for pass := 0; pass < 2; pass++ {
+			for w, x := range req {
+				base := w * n.wordVCs
+				lo := below(int32(max(ptr-base, 0))) // the word's ids below the pointer
+				if pass == 0 {
+					x &^= lo
+				} else {
+					x &= lo
 				}
-				n.vcState[vb+id] = vcActive
-				n.vcOutPort[vb+id] = int16(op)
-				n.vcOutVC[vb+id] = int16(vc)
-				n.outOwner[vb+op*n.vcs+vc] = int32(id)
-				m := &n.masks[rp+ip]
-				m.wait &^= 1 << uint(v)
-				m.act |= 1 << uint(v)
-				n.arbGrants[r]++
-				if !granted {
-					n.vaPtr[rp+op] = int32((id + 1) % n.pv)
-					granted = true
+				for ; x != 0; x &= x - 1 {
+					b := bits.TrailingZeros64(x)
+					id := base + b
+					vc, found := n.freeVCInRange(vb, op, int(n.vcInfo[id].vnet), int(sc.set[id]))
+					if !found {
+						continue
+					}
+					n.vcState[vb+id] = vcActive
+					n.vcOutPort[vb+id] = int16(op)
+					n.vcOutVC[vb+id] = int16(vc)
+					n.outOwner[vb+op*n.vcs+vc] = int32(id)
+					m := &n.masks[mb+w]
+					m.wait &^= 1 << uint(b)
+					m.act |= 1 << uint(b)
+					n.arbGrants[r]++
+					if !granted {
+						next := id + 1
+						if next == n.pv {
+							next = 0
+						}
+						n.vaPtr[rp+op] = int32(next)
+						granted = true
+					}
 				}
-			}
-			if ip++; ip == n.ports {
-				ip = 0
 			}
 		}
 		clear(req)
@@ -226,33 +228,38 @@ func (n *Network) freeVCInRange(vb, port, vnet, set int) (int, bool) {
 }
 
 // phaseSA performs separable input-first switch allocation: each input
-// port nominates one of its active, buffered VCs, then each output port
-// grants one nominating input port. Both arbiters are round-robin: the
-// candidates at or above the pointer in ascending order, then the ones
-// below it — the order a scan of (pointer + k) mod size finds them in.
+// port with a candidate — an active, buffered VC — nominates one of
+// them, then each output port grants one nominating input port. Both
+// arbiters are round-robin: the candidates at or above the pointer in
+// ascending order, then the ones below it — the order a scan of
+// (pointer + k) mod size finds them in.
 func (n *Network) phaseSA(r int) {
 	sc := &n.scratch[n.shardOf[r]]
 	rp := r * n.ports
+	field := below(int32(n.vcs)) // one port's VCs, shifted down to bit 0
 
 	var bidPorts uint64
-	for ip := 0; ip < n.ports; ip++ {
-		m := n.masks[rp+ip]
-		cand := m.act & m.buf
-		if cand == 0 {
-			continue
-		}
-		lo := below(n.saInPtr[rp+ip])
-		v := n.saNominate(r, ip, cand&^lo)
-		if v < 0 {
-			if v = n.saNominate(r, ip, cand&lo); v < 0 {
+	for w := 0; w < n.mw; w++ {
+		m := n.masks[r*n.mw+w]
+		for x := m.act & m.buf; x != 0; {
+			// The lowest candidate names its port; take the port's whole
+			// field out of the word at once.
+			b := bits.TrailingZeros64(x)
+			vi := n.vcInfo[w*n.wordVCs+b]
+			ip, shift := int(vi.port), uint(b)-uint(vi.vc)
+			cand := x >> shift & field
+			x &^= field << shift
+
+			v := n.saNominate(r, ip, cand, below(n.saInPtr[rp+ip]))
+			if v < 0 {
 				continue
 			}
+			op := n.vcOutPort[r*n.pv+ip*n.vcs+v]
+			sc.saReq[ip] = int16(v)
+			sc.bid[op] |= 1 << uint(ip)
+			bidPorts |= 1 << uint(op)
+			n.saInPtr[rp+ip] = int32(v + 1)
 		}
-		op := n.vcOutPort[r*n.pv+ip*n.vcs+v]
-		sc.saReq[ip] = int16(v)
-		sc.bid[op] |= 1 << uint(ip)
-		bidPorts |= 1 << uint(op)
-		n.saInPtr[rp+ip] = int32(v + 1)
 	}
 
 	n.grants[r] = bidPorts
@@ -270,23 +277,27 @@ func (n *Network) phaseSA(r int) {
 	}
 }
 
-// saNominate returns the lowest VC in cand, a mask over input port ip's
-// VCs, that can traverse the switch this cycle — its front flit is
+// saNominate returns the first VC of cand, a mask over input port ip's
+// VCs, in round-robin order — those not under lo ascending, then those
+// under it — that can traverse the switch this cycle: its front flit is
 // through the router pipeline and, on a network output port, holds a
-// downstream credit (ejection ports sink flits unconditionally) — or -1.
-func (n *Network) saNominate(r, ip int, cand uint64) int {
+// downstream credit (ejection ports sink flits unconditionally). -1 if
+// none can.
+func (n *Network) saNominate(r, ip int, cand, lo uint64) int {
 	vb := r * n.pv
-	for ; cand != 0; cand &= cand - 1 {
-		v := bits.TrailingZeros64(cand)
-		i := vb + ip*n.vcs + v
-		if n.front(i).ready > n.cycle {
-			continue
+	for _, x := range [2]uint64{cand &^ lo, cand & lo} {
+		for ; x != 0; x &= x - 1 {
+			v := bits.TrailingZeros64(x)
+			i := vb + ip*n.vcs + v
+			if n.front(i).ready > n.cycle {
+				continue
+			}
+			op := int(n.vcOutPort[i])
+			if op >= n.lp && n.outCredits[vb+op*n.vcs+int(n.vcOutVC[i])] <= 0 {
+				continue
+			}
+			return v
 		}
-		op := int(n.vcOutPort[i])
-		if op >= n.lp && n.outCredits[vb+op*n.vcs+int(n.vcOutVC[i])] <= 0 {
-			continue
-		}
-		return v
 	}
 	return -1
 }
@@ -337,18 +348,21 @@ func (n *Network) phaseST(r int) {
 		if e.tail() {
 			n.outOwner[o] = -1
 			n.vcState[i] = vcIdle
-			n.masks[rp+int(in.port)].act &^= 1 << uint(in.vc)
+			m, bit := n.maskBit(r, int(in.port), int(in.vc))
+			m.act &^= bit
 		}
 	}
 	n.checkMasks(r)
 }
 
-// recountMask derives port record rp's masks from its input VCs' states
-// and FIFO counts: how a restore rebuilds them, and what checkMasks
-// holds the incrementally maintained ones to.
-func (n *Network) recountMask(rp int) (m portMask) {
-	for v := 0; v < n.vcs; v++ {
-		i, bit := rp*n.vcs+v, uint64(1)<<uint(v)
+// recountMask derives mask word rw (router rw/W, word rw%W) from its
+// input VCs' states and FIFO counts: how a restore rebuilds the masks,
+// and what checkMasks holds the incrementally maintained ones to.
+func (n *Network) recountMask(rw int) (m vcMask) {
+	r, w := rw/n.mw, rw%n.mw
+	lo := w * n.wordVCs
+	for id := lo; id < min(lo+n.wordVCs, n.pv); id++ {
+		i, bit := r*n.pv+id, uint64(1)<<uint(id-lo)
 		if n.vcCount[i] != 0 {
 			m.buf |= bit
 		}
@@ -363,10 +377,11 @@ func (n *Network) recountMask(rp int) (m portMask) {
 }
 
 // checkMasks asserts, under the simcheck build tag, that router r's
-// masks equal a recount and that the busy predicate agrees with a count
-// of its non-idle or non-empty input VCs. The comparisons guard the
-// Assert calls so that a passing check boxes no arguments: simcheck
-// builds keep the zero-alloc steady state.
+// derived state equals a recount: its masks, the busy predicate against
+// a count of its non-idle or non-empty input VCs, and its NIs' queued
+// counts. The comparisons guard the Assert calls so that a passing
+// check boxes no arguments: simcheck builds keep the zero-alloc steady
+// state.
 func (n *Network) checkMasks(r int) {
 	if !sim.Checking {
 		return
@@ -380,9 +395,14 @@ func (n *Network) checkMasks(r int) {
 	if n.occupied(r) != (occ > 0) {
 		sim.Assert(false, "noc: router %d busy predicate %v with %d occupied input VCs", r, n.occupied(r), occ)
 	}
-	for rp := r * n.ports; rp < (r+1)*n.ports; rp++ {
-		if want := n.recountMask(rp); n.masks[rp] != want {
-			sim.Assert(false, "noc: router %d port %d masks %+v, VC state recounts to %+v", r, rp-r*n.ports, n.masks[rp], want)
+	for rw := r * n.mw; rw < (r+1)*n.mw; rw++ {
+		if want := n.recountMask(rw); n.masks[rw] != want {
+			sim.Assert(false, "noc: router %d masks word %d %+v, VC state recounts to %+v", r, rw-r*n.mw, n.masks[rw], want)
+		}
+	}
+	for _, t := range n.niAt[r*n.lp : (r+1)*n.lp] {
+		if ni := &n.ifaces[t]; ni.queued != ni.pending() {
+			sim.Assert(false, "noc: terminal %d NI counts %d queued packets, its queues hold %d", t, ni.queued, ni.pending())
 		}
 	}
 }

@@ -315,8 +315,10 @@ func randomizeRouter(n *Network, r int, rng *sim.RNG) {
 			}
 		}
 	}
+	for rw := r * n.mw; rw < (r+1)*n.mw; rw++ {
+		n.masks[rw] = n.recountMask(rw)
+	}
 	for rp := r * n.ports; rp < (r+1)*n.ports; rp++ {
-		n.masks[rp] = n.recountMask(rp)
 		n.vaPtr[rp] = int32(rng.Intn(n.pv))
 		n.saInPtr[rp] = int32(rng.Intn(n.vcs + 1))
 		n.saOutPtr[rp] = int32(rng.Intn(n.ports + 1))
@@ -325,17 +327,26 @@ func randomizeRouter(n *Network, r int, rng *sim.RNG) {
 
 // FuzzArbiterEquivalence checks phaseRC, phaseVA and phaseSA against
 // the scan-based reference on random states of one router with 1-4
-// local ports, 1-3 VC sets and 1-2 VCs per set, after each phase.
+// local ports, 1-13 virtual networks, 1-3 VC sets and 1-2 VCs per set,
+// after each phase: 5-8 ports of 1-64 VCs, so a router's masks take one
+// word or several. vnetsRaw 0 is the default three virtual networks; a
+// nonzero ptrRaw puts every output port's vaPtr on input VC ptrRaw-1
+// (the committed corpus holds the word-boundary cases: the last bit of
+// a mask word and bit 0 of the next).
 func FuzzArbiterEquivalence(f *testing.F) {
 	for seed := uint64(0); seed < 48; seed++ {
-		f.Add(seed, uint8(seed), uint8(seed/4), uint8(seed/12))
+		f.Add(seed, uint8(seed), uint8(seed/4), uint8(seed/12), uint8(0), uint16(0))
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, lpRaw, setsRaw, perSetRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, lpRaw, setsRaw, perSetRaw, vnetsRaw uint8, ptrRaw uint16) {
 		m := topology.NewMesh(2, 1, 1+int(lpRaw)%4)
 		cfg := DefaultConfig()
 		cfg.BufDepth = 1 + int(seed%4)
+		cfg.VNets = 1 + (int(vnetsRaw)+2)%13
 		sets := 1 + int(setsRaw)%3
 		cfg.VCsPerVNet = sets * (1 + int(perSetRaw)%2)
+		if cfg.TotalVCs() > maxVCs {
+			t.Skip("more VCs per port than a mask word holds")
+		}
 		n, err := New(cfg, m, fuzzRouting{sets: sets, ports: m.Ports()})
 		if err != nil {
 			t.Fatal(err)
@@ -345,6 +356,11 @@ func FuzzArbiterEquivalence(f *testing.F) {
 		const r = 0
 		for round := 0; round < 8; round++ {
 			randomizeRouter(n, r, rng)
+			if ptrRaw != 0 {
+				for rp := r * n.ports; rp < (r+1)*n.ports; rp++ {
+					n.vaPtr[rp] = int32(int(ptrRaw-1) % n.pv)
+				}
+			}
 			ref := loadRef(n, r)
 			check := func(phase string) {
 				t.Helper()

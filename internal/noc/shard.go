@@ -23,10 +23,10 @@ import (
 // exist only to coordinate more than one shard, so the choice is made
 // from S itself, not from a setting.
 //
-// Wakes that a shard's wake pass addresses to a router outside its
-// range cannot be written into the owning shard's schedule directly
-// (that would race with the owner's own wake pass); they are buffered
-// into a per-shard outbox and merged sequentially after the barrier.
+// Wakes that a shard's pass addresses to a router outside its range
+// cannot be written into the owning shard's schedule directly (that
+// would race with the owner's own pass); they are buffered into a
+// per-shard outbox and merged sequentially after the barrier.
 // Merge order cannot leak into simulated state: wake scheduling is
 // bitmap ORs (commutative, idempotent) plus a heap whose drain order is
 // normalized by due()'s bitmap fold, so every partition yields a
@@ -49,7 +49,7 @@ type shard struct {
 	active []int32 // this cycle's active list, valid until the next due()
 
 	// outbox buffers cross-shard wakes (packed cycle<<wakeShift|router,
-	// the heap encoding) produced by this shard's wake pass; the merge
+	// the heap encoding) produced by this shard's pass; the merge
 	// after the barrier drains it into the owning shards' schedules.
 	outbox []uint64
 
@@ -72,7 +72,7 @@ type shard struct {
 	_ [64]byte // cache-line pad between neighbouring shards
 }
 
-// wakeOut routes a wake for router t from this shard's wake pass:
+// wakeOut routes a wake for router t from this shard's pass:
 // in-range wakes go straight into the shard's own schedule, cross-shard
 // wakes are packed into the outbox for the post-barrier merge.
 func (s *shard) wakeOut(t int32, at, now sim.Cycle) {

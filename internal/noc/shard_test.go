@@ -384,3 +384,126 @@ func TestShardStats(t *testing.T) {
 		t.Errorf("deflection ShardStats = %+v, want 4 busy shards with boundary traffic", dst)
 	}
 }
+
+// TestShardedCaptureWithBackloggedNI: the NI's queued count and the wake
+// for a packet not yet created are derived state that a capture must
+// rebuild, so all three captures — snapshot restored into a fresh
+// network, snapshot restored over a used one, Fork — are taken while NIs
+// hold a backlog, a packet mid-serialisation, and (on otherwise idle
+// NIs) only future-dated packets, one inside the wake ring's horizon and
+// one beyond it. Resumed must equal uninterrupted, fork-then-encode must
+// equal direct encode, and the fork steps on its own goroutine beside
+// its parent (the race detector's view of what a fork shares).
+func TestShardedCaptureWithBackloggedNI(t *testing.T) {
+	m := topology.NewMesh(4, 4, 1)
+	load := func(n *Network) {
+		for s := 0; s < 8; s++ {
+			for k := 0; k < 3; k++ {
+				for v := 0; v < 3; v++ {
+					n.Inject(&Packet{Src: s, Dst: 15 - s, VNet: v, Size: 5}, 0)
+				}
+			}
+		}
+		for s := 8; s < 12; s++ {
+			n.Inject(&Packet{Src: s, Dst: s - 8, VNet: 1, Size: 2}, 40)
+			n.Inject(&Packet{Src: s, Dst: s - 8, VNet: 1, Size: 2}, 40+2*ringHorizon)
+		}
+		n.Run(7)
+	}
+	snapOf := func(n *Network) []byte {
+		e := snapshot.NewEncoder(1)
+		n.SnapshotTo(e, nil)
+		return e.Finish()
+	}
+	// drain runs n dry; it reports instead of failing so a forked child
+	// can run it off the test goroutine.
+	drain := func(n *Network) (string, bool) {
+		var delivered []*Packet
+		for i := 0; i < 5000 && !n.Quiescent(); i++ {
+			n.Step()
+			delivered = append(delivered, n.Drain()...)
+		}
+		return fingerprint(n, delivered), n.Quiescent()
+	}
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			mk := func() *Network { return mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(w)) }
+			check := func(what string, n *Network, want string) {
+				t.Helper()
+				if got, ok := drain(n); !ok {
+					t.Errorf("%s never drained: a queued packet was not injected", what)
+				} else if got != want {
+					t.Errorf("%s diverged from the uninterrupted run", what)
+				}
+			}
+			ref := mk()
+			load(ref)
+			want, ok := drain(ref)
+			if !ok {
+				t.Fatal("uninterrupted run failed to drain")
+			}
+
+			src := mk()
+			load(src)
+			var midSer, backlog, futureOnly bool
+			for i := range src.ifaces {
+				ni := &src.ifaces[i]
+				midSer = midSer || ni.cur != nil && ni.curSeq > 0
+				backlog = backlog || ni.queued > 1 && ni.queues[0][ni.qHead[0]].CreatedAt <= src.cycle
+				futureOnly = futureOnly || ni.cur == nil && ni.queued == 2 && ni.queues[1][ni.qHead[1]].CreatedAt > src.cycle+1
+			}
+			if !midSer || !backlog || !futureOnly {
+				t.Fatalf("capture point has mid-serialisation %v, backlog %v, future-only NI %v: want all three", midSer, backlog, futureOnly)
+			}
+			blob := snapOf(src)
+
+			used := mk()
+			runGatingLoad(t, used, "hotspot")
+			load(used)
+			for _, c := range []struct {
+				what string
+				dst  *Network
+			}{{"fresh", mk()}, {"used", used}} {
+				what, dst := c.what, c.dst
+				d, err := snapshot.NewDecoder(blob, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dst.RestoreFrom(d, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(snapOf(dst), blob) {
+					t.Errorf("snapshot restored into a %s network re-encodes to different bytes", what)
+				}
+				check("snapshot restored into a "+what+" network", dst, want)
+			}
+
+			f, err := src.Fork(NewPacketRemap())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if !bytes.Equal(snapOf(f), blob) {
+				t.Error("fork encodes to different bytes than its parent")
+			}
+			over := mk()
+			runGatingLoad(t, over, "hotspot")
+			load(over)
+			over.RestoreFork(f, NewPacketRemap())
+			type result struct {
+				fp string
+				ok bool
+			}
+			child := make(chan result)
+			go func() {
+				fp, ok := drain(f)
+				child <- result{fp, ok}
+			}()
+			check("forked parent", src, want)
+			if c := <-child; !c.ok || c.fp != want {
+				t.Errorf("forked child (drained %v) diverged from the uninterrupted run", c.ok)
+			}
+			check("fork restored over a used network", over, want)
+		})
+	}
+}

@@ -344,6 +344,7 @@ func (n *Network) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, tra
 				ni.queues[v] = append(ni.queues[v], p)
 			}
 		}
+		ni.queued = ni.pending() // derived, not serialized
 		ni.rr = d.Int()
 		ni.cur = resolveRef(d, pkts)
 		ni.curSeq = int32(d.U32())
@@ -467,8 +468,8 @@ func (n *Network) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, tra
 		}
 	}
 	// The masks are derived, not serialized.
-	for rp := range n.masks {
-		n.masks[rp] = n.recountMask(rp)
+	for rw := range n.masks {
+		n.masks[rw] = n.recountMask(rw)
 	}
 
 	d.Section("links")

@@ -215,7 +215,10 @@ func (r *TorusDOR) Route(router, src, dst, curSet int, buf []Choice) []Choice {
 // wrap edge between position n-1 and 0 (eastbound) or 0 and n-1
 // (westbound).
 func torusStep(cur, dst, n int) (dir int, crossesDateline bool) {
-	fwd := (dst - cur + n) % n // hops going +1 (east/south)
+	fwd := dst - cur // hops going +1 (east/south)
+	if fwd < 0 {
+		fwd += n
+	}
 	bwd := n - fwd
 	if fwd != 0 && (fwd < bwd || (fwd == bwd && cur%2 == 0)) {
 		// Tie-break by parity so equidistant traffic spreads both ways.

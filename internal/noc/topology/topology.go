@@ -55,6 +55,9 @@ type grid struct {
 	w, h int
 	conc int // terminals per router
 	wrap bool
+	// xs and ys hold every router's grid coordinates, so the routing
+	// functions' per-hop Coord calls are loads, not a div and a mod.
+	xs, ys []int32
 }
 
 func newGrid(name string, w, h, conc int, wrap bool) *grid {
@@ -72,7 +75,12 @@ func newGrid(name string, w, h, conc int, wrap bool) *grid {
 			panic("topology: torus width must be >= 3")
 		}
 	}
-	return &grid{name: name, w: w, h: h, conc: conc, wrap: wrap}
+	g := &grid{name: name, w: w, h: h, conc: conc, wrap: wrap,
+		xs: make([]int32, w*h), ys: make([]int32, w*h)}
+	for r := range g.xs {
+		g.xs[r], g.ys[r] = int32(r%w), int32(r/w)
+	}
+	return g
 }
 
 func (g *grid) Name() string      { return fmt.Sprintf("%s-%dx%dc%d", g.name, g.w, g.h, g.conc) }
@@ -91,12 +99,15 @@ func (g *grid) Height() int { return g.h }
 func (g *grid) Wrap() bool { return g.wrap }
 
 // Coord reports a router's (x, y) grid coordinates.
-func (g *grid) Coord(router int) (x, y int) { return router % g.w, router / g.w }
+func (g *grid) Coord(router int) (x, y int) { return int(g.xs[router]), int(g.ys[router]) }
 
 // RouterAt reports the router at grid coordinates (x, y).
 func (g *grid) RouterAt(x, y int) int { return y*g.w + x }
 
 func (g *grid) RouterOf(terminal int) (router, localPort int) {
+	if g.conc == 1 {
+		return terminal, 0
+	}
 	return terminal / g.conc, terminal % g.conc
 }
 

@@ -49,8 +49,9 @@
 //   - alloc (deterministic packages): no make/append inside the
 //     per-cycle hot paths (methods named phase*, Step, Tick,
 //     stepRouter, swapRouter, the per-flit helpers pushFlit, popFlit,
-//     saNominate and tryInject, the shard passes stepSharded,
-//     shardStep, shardSwap and wakePass, and the full-system gated
+//     saNominate, tryInject, selectNext and bestVC, the shard passes
+//     stepSharded, shardStep and shardSwap with the per-router wake
+//     scheduling rearm and wakeOut, and the full-system gated
 //     sweep's tick, sleepTile, wakeTile and checkSleepers). The
 //     activity-gated
 //     simulator promises a zero-alloc steady state
@@ -110,7 +111,7 @@
 // field declaration, which doubles as documentation of why the field
 // is recomputed rather than serialized:
 //
-//	masks []portMask //simlint:derived rebuilt from vcState and vcCount on restore
+//	masks []vcMask //simlint:derived rebuilt from vcState and vcCount on restore
 //
 // The reason is mandatory; a directive without one (or naming an
 // unknown rule) is itself reported. Test files (_test.go) are not
