@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race race-shard race-gating simcheck premerge bench benchdiff fuzz-smoke cosimd-smoke
+.PHONY: all build test vet lint race race-shard race-gating simcheck premerge fuzz-smoke cosimd-smoke
 
 all: build test
 
@@ -65,30 +65,15 @@ race-shard:
 	$(GO) test -race -run 'Shard' -count=1 ./internal/noc ./internal/core
 
 # The full-system tile gating under the race detector: random machines
-# stepped gated and exhaustive in lockstep, with a fork of the gated
-# system — taken while tiles sleep — advanced on its own goroutine
-# while its parent keeps stepping over the copy-on-write state they
-# share. Blocking in CI.
+# stepped gated and exhaustive in lockstep, with a snapshot of the
+# gated system — taken while tiles sleep — restored and stepped beside
+# them. -run-scoped so a gating regression fails with its own name.
+# Blocking in CI.
 race-gating:
 	$(GO) test -race -run 'TestGatedTickEqualsExhaustive' -count=1 ./internal/fullsys
 
 simcheck:
 	$(GO) test -tags simcheck ./...
-
-# One pass over the tier-1 benchmark suite (one iteration each, so it
-# tracks trend, not noise) in machine-readable test2json form. CI
-# uploads the file as a non-blocking artifact; compare runs with e.g.
-# `jq -r 'select(.Action=="output") .Output' BENCH_cosim.json | grep ns/op`.
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem -json . > BENCH_cosim.json
-
-# Compare a fresh bench run against the committed baseline
-# (testdata/bench-baseline.json): warns on >20% ns/op regression or
-# any allocs/op growth. Non-blocking for now (single-iteration runs
-# are noisy); `go run ./cmd/benchdiff -strict` makes warnings fatal,
-# and `-update` refreshes the baseline after an intentional change.
-benchdiff: bench
-	$(GO) run ./cmd/benchdiff
 
 # Everything a PR must pass.
 premerge: build vet lint test race simcheck

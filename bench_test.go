@@ -168,7 +168,7 @@ func benchQuantumMesh(b *testing.B, width, workers int, rate float64, disableGat
 // BenchmarkStepIdleMesh is the activity-gating headline: a 64-tile
 // mesh at 1% injection, where most routers are idle most cycles. Its
 // exhaustive twin below sweeps all 64 routers every cycle; the gated
-// run must come in at least ~3x faster (tracked by cmd/benchdiff).
+// run must come in at least ~3x faster.
 func BenchmarkStepIdleMesh(b *testing.B) { benchQuantum(b, 0.01, false) }
 
 // BenchmarkStepIdleMeshExhaustive is the same load with
@@ -178,10 +178,10 @@ func BenchmarkStepIdleMeshExhaustive(b *testing.B) { benchQuantum(b, 0.01, true)
 // BenchmarkStepSaturated keeps every router busy (45% injection): the
 // gating bookkeeping must cost within a few percent of the exhaustive
 // sweep here, since there is nothing to skip. The mesh-size × worker
-// axes make the sharded sweep's intra-mesh scaling curve visible in
-// BENCH_cosim.json: on a multi-core host the w4/w8 rows speed up
-// near-linearly, while w1 is byte-for-byte the sequential path (on a
-// single-core host all rows cost about the same; see EXPERIMENTS.md).
+// axes make the sharded sweep's intra-mesh scaling curve visible: on a
+// multi-core host the w4/w8 rows speed up near-linearly, while w1 is
+// byte-for-byte the sequential path (on a single-core host all rows
+// cost about the same; see EXPERIMENTS.md).
 // Under -benchmem the 16x16 and 32x32 rows print 0 allocs/op with a few
 // kB/op (under one NI-queue growth per quantum left after the warm-up);
 // 64x64 is further from its steady state and prints about 8.

@@ -3,8 +3,7 @@ package repro_test
 // Benchmarks for the cosimd multi-session server: raw scheduler
 // dispatch cost at realistic pool occupancies, and the end-to-end
 // server path (submit → slice → complete) against its cache-hit
-// fast path. Compared against testdata/bench-baseline.json by
-// `make bench-check`.
+// fast path.
 
 import (
 	"fmt"

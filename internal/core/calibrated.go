@@ -47,23 +47,16 @@ func NewCalibrated(detailed Backend, model *abstractnet.Tuned, retunePeriod sim.
 	if retunePeriod < 1 {
 		return nil, fmt.Errorf("core: retune period must be >= 1, got %d", retunePeriod)
 	}
-	return newCalibrated(detailed, abstractnet.NewNetwork(model), retunePeriod,
-		calib.NewReciprocal[*noc.Packet](model.Fit(), retunePeriod)), nil
-}
-
-// newCalibrated wires a calibrated backend over its parts (shared with
-// ForkBackend, which brings forked ones).
-func newCalibrated(detailed Backend, timing *abstractnet.Network, retunePeriod sim.Cycle, pair *calib.Reciprocal[*noc.Packet]) *Calibrated {
 	c := &Calibrated{
 		detailed:     detailed,
-		model:        timing.Model().(*abstractnet.Tuned),
-		timing:       timing,
+		model:        model,
+		timing:       abstractnet.NewNetwork(model),
 		RetunePeriod: retunePeriod,
-		pair:         pair,
+		pair:         calib.NewReciprocal[*noc.Packet](model.Fit(), retunePeriod),
 	}
 	c.shadowSrc, _ = detailed.(packetSource)
 	c.shadowSink, _ = detailed.(packetRecycler)
-	return c
+	return c, nil
 }
 
 // Name implements Backend.

@@ -151,6 +151,53 @@ func TestCosimRunsScriptToCompletion(t *testing.T) {
 	}
 }
 
+// TestForkRunsTheRecipe: Fork has no way to build a twin but the
+// recorded recipe — without one it refuses; with one it runs it over a
+// fresh instance of the workload and restores into what comes back, and
+// parent and twin then finish alike.
+func TestForkRunsTheRecipe(t *testing.T) {
+	ops := [][]fullsys.Op{
+		{{Kind: fullsys.OpStore, Addr: 64 * 100, Arg: 7}, {Kind: fullsys.OpBarrier, Arg: 1}, {Kind: fullsys.OpLoad, Addr: 64 * 300}},
+		{{Kind: fullsys.OpStore, Addr: 64 * 300, Arg: 9}, {Kind: fullsys.OpBarrier, Arg: 1}, {Kind: fullsys.OpLoad, Addr: 64 * 100}},
+	}
+	build := func(wl fullsys.Workload) (*Cosim, error) {
+		return Build(fullsys.DefaultConfig(len(ops)), wl, abstractBackend(), 1)
+	}
+	cs, err := build(fullsys.NewScript(ops))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Fork(); err == nil {
+		t.Fatal("a co-simulation wired by hand forked without a recipe")
+	}
+	cs.Recipe = build
+	for cs.Net.InFlight() == 0 {
+		cs.Step()
+	}
+	f, err := cs.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Sys.Workload() == cs.Sys.Workload() {
+		t.Fatal("the twin runs its parent's workload instance")
+	}
+	if f.Cycle() != cs.Cycle() || f.Net.InFlight() != cs.Net.InFlight() {
+		t.Fatalf("fork is at cycle %d with %d packets in flight, parent at %d with %d",
+			f.Cycle(), f.Net.InFlight(), cs.Cycle(), cs.Net.InFlight())
+	}
+	want, got := cs.Run(100000), f.Run(100000)
+	if !want.Finished || got.Finished != want.Finished || got.ExecCycles != want.ExecCycles ||
+		got.Packets != want.Packets || got.Retired != want.Retired {
+		t.Errorf("fork finished with %+v, parent with %+v", got, want)
+	}
+	wl, fwl := cs.Sys.Workload().(*fullsys.Script), f.Sys.Workload().(*fullsys.Script)
+	for c := range ops {
+		if g, w := fwl.Observed(c), wl.Observed(c); len(g) != 1 || len(w) != 1 || g[0] != w[0] {
+			t.Errorf("core %d observed %v in the fork, %v in the parent", c, g, w)
+		}
+	}
+}
+
 func TestCosimRejectsBadQuantum(t *testing.T) {
 	if _, err := New(nil, abstractBackend(), 0); err == nil {
 		t.Fatal("quantum 0 should be rejected")

@@ -43,6 +43,13 @@ type Cosim struct {
 	// not mutate simulated state.
 	Progress func(sim.Cycle) //simlint:derived observer hook re-attached per run, never simulated state
 
+	// Recipe rebuilds this co-simulation's object graph over a given
+	// workload: the constructor calls that built it, recorded by
+	// whoever made them (repro.BuildCosim does). Fork runs it over a
+	// fresh instance of the workload to get the twin it restores into;
+	// without one Fork reports an error.
+	Recipe func(fullsys.Workload) (*Cosim, error) //simlint:derived construction input, re-recorded on every twin it builds
+
 	// comps is the component registry: Net first, then one component
 	// per memory controller oracle, in deterministic controller order.
 	comps    []Component       //simlint:derived rebuilt by New from the system's claimed memory ports
@@ -55,14 +62,6 @@ type Cosim struct {
 	// recycler, when the backend implements packetRecycler, receives
 	// every packet back after its delivery is applied.
 	recycler packetRecycler //simlint:derived re-resolved from the backend's capabilities by New
-
-	// rollback is the in-memory restore point taken by SaveRollback; a
-	// private fork, not part of the simulated state.
-	rollback *Cosim //simlint:derived host-side rollback point, re-taken per run, never simulated state
-
-	// pool caches released fork shells, shared by pointer across the
-	// whole fork family (see forkPool).
-	pool *forkPool //simlint:derived family-wide shell cache, never simulated state
 
 	cycle       sim.Cycle
 	skewSum     uint64
@@ -147,12 +146,12 @@ func (c *Cosim) Components() []Component {
 }
 
 // Park stops the worker pools of every registered component and keeps
-// everything else: simulated state, the observer, the rollback point,
-// the fork pool and the Stepper all stay, and the next Step restarts
-// whatever pools it needs (Component.Close). It is how a holder that
-// will leave the simulation idle for a while — cosimd's warm tier —
-// stops paying goroutines for it. Bit-identity across a Park is the
-// sharded stepper's, which holds for every worker count.
+// everything else: simulated state, the observer and the Stepper all
+// stay, and the next Step restarts whatever pools it needs
+// (Component.Close). It is how a holder that will leave the simulation
+// idle for a while — cosimd's warm tier — stops paying goroutines for
+// it. Bit-identity across a Park is the sharded stepper's, which holds
+// for every worker count.
 func (c *Cosim) Park() {
 	for _, comp := range c.comps {
 		comp.Close()
@@ -160,17 +159,8 @@ func (c *Cosim) Park() {
 }
 
 // Close ends the simulation's use of host resources: Park, plus the
-// rollback point, the idle shells in the family fork pool and the
 // Stepper, which (unlike a component's pool) cannot restart.
 func (c *Cosim) Close() {
-	if c.rollback != nil {
-		r := c.rollback
-		c.rollback = nil
-		r.Close()
-	}
-	if c.pool != nil {
-		c.pool.drain()
-	}
 	c.Park()
 	if c.Stepper != nil {
 		c.Stepper.Close()

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/abstractnet"
-	"repro/internal/noc"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -79,11 +78,10 @@ func encodeBackend(t *testing.T, b Backend) []byte {
 }
 
 // TestPooledBackendCapture: with deliveries pending in both calendar
-// tiers and packets on the free list, a fork encodes to the parent's
-// bytes, a restored backend resumes to the uninterrupted run's
-// deliveries and bytes, and a forked child does the same while its
-// parent keeps stepping on another goroutine (data-race proof under
-// -race: the free list and the queue buckets are per network).
+// tiers and packets on the free list, a backend restored from the
+// capture — a fresh one and a used one, whose own queue and free list
+// must not survive — resumes to the uninterrupted run's deliveries and
+// bytes, and so does the captured parent.
 func TestPooledBackendCapture(t *testing.T) {
 	const mid, end = 330, 900
 	for name, build := range pooledBackends {
@@ -100,73 +98,33 @@ func TestPooledBackendCapture(t *testing.T) {
 			// A burst has drained and been recycled, another is mid-flight.
 			direct := encodeBackend(t, parent)
 
-			fb, err := parent.(BackendForker).ForkBackend(noc.NewPacketRemap())
-			if err != nil {
-				t.Fatal(err)
-			}
-			child := fb.(Backend)
-			defer child.Close()
-			if got := encodeBackend(t, child); !bytes.Equal(got, direct) {
-				t.Fatalf("fork encodes differently from its parent (first diff at byte %d)", firstDiff(got, direct))
-			}
-
-			resumed := build(t)
-			driveBackend(resumed, 0, 40) // a used target: its own queue and free list must not survive
-			d, err := snapshot.NewDecoder(direct, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := resumed.(BackendStater).RestoreFrom(d, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Finish(); err != nil {
-				t.Fatal(err)
-			}
-
-			childLog := make(chan []string)
-			go func() { childLog <- driveBackend(child, mid, end) }()
-			parentLog := append(head, driveBackend(parent, mid, end)...)
-			tails := map[string][]string{
-				"parent":  parentLog[len(head):],
-				"child":   <-childLog,
-				"resumed": driveBackend(resumed, mid, end),
-			}
-			for who, tail := range tails {
-				if got, want := fmt.Sprint(tail), fmt.Sprint(wantLog[len(head):]); got != want {
-					t.Errorf("%s delivered differently from the uninterrupted run after cycle %d", who, mid)
+			fresh, used := build(t), build(t)
+			driveBackend(used, 0, 40)
+			for _, b := range []Backend{fresh, used} {
+				d, err := snapshot.NewDecoder(direct, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b.(BackendStater).RestoreFrom(d, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Finish(); err != nil {
+					t.Fatal(err)
+				}
+				if got := encodeBackend(t, b); !bytes.Equal(got, direct) {
+					t.Fatalf("restored backend re-encodes differently (first diff at byte %d)", firstDiff(got, direct))
 				}
 			}
+
 			if fmt.Sprint(head) != fmt.Sprint(wantLog[:len(head)]) {
 				t.Error("the run is not deterministic up to the capture")
 			}
-			for who, b := range map[string]Backend{"parent": parent, "child": child, "resumed": resumed} {
+			for who, b := range map[string]Backend{"parent": parent, "restored into fresh": fresh, "restored into used": used} {
+				if got, want := fmt.Sprint(driveBackend(b, mid, end)), fmt.Sprint(wantLog[len(head):]); got != want {
+					t.Errorf("%s delivered differently from the uninterrupted run after cycle %d", who, mid)
+				}
 				if got := encodeBackend(t, b); !bytes.Equal(got, wantBytes) {
 					t.Errorf("%s ends in a different state from the uninterrupted run (first diff at byte %d)", who, firstDiff(got, wantBytes))
-				}
-			}
-		})
-	}
-}
-
-// TestFreeListIsPerNetwork: a fork starts with an empty free list — it
-// never hands out a packet its parent could also hand out.
-func TestFreeListIsPerNetwork(t *testing.T) {
-	for name, build := range pooledBackends {
-		t.Run(name, func(t *testing.T) {
-			parent := build(t)
-			driveBackend(parent, 0, 200)
-			fb, err := parent.(BackendForker).ForkBackend(noc.NewPacketRemap())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fb.(Backend).Close()
-			mine := map[*noc.Packet]bool{}
-			for i := 0; i < 64; i++ {
-				mine[parent.(packetSource).NewPacket()] = true
-			}
-			for i := 0; i < 64; i++ {
-				if p := fb.(packetSource).NewPacket(); mine[p] {
-					t.Fatalf("fork handed out packet %p, which is on its parent's free list", p)
 				}
 			}
 		})

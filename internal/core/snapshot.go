@@ -171,6 +171,15 @@ func (c *Cosim) SnapshotTo(e *snapshot.Encoder) error {
 	if !ok {
 		return fmt.Errorf("core: backend %q does not support checkpointing", c.Net.Name())
 	}
+	c.snapshotSystem(e)
+	bs.SnapshotTo(e, fullsys.MsgCodec{Tiles: c.Sys.Cfg().Tiles})
+	return nil
+}
+
+// snapshotSystem writes everything but the backend: the coordinator
+// counters and the system simulator. On a quiescent network that is
+// the whole state, which is what ForkInto carries across backends.
+func (c *Cosim) snapshotSystem(e *snapshot.Encoder) {
 	e.Section("cosim")
 	e.U64(uint64(c.cycle))
 	e.U64(c.skewSum)
@@ -180,8 +189,6 @@ func (c *Cosim) SnapshotTo(e *snapshot.Encoder) error {
 	e.Int(c.stuckFor)
 	e.Bool(c.stalled)
 	c.Sys.SnapshotTo(e)
-	bs.SnapshotTo(e, fullsys.MsgCodec{Tiles: c.Sys.Cfg().Tiles})
-	return nil
 }
 
 // RestoreFrom reloads state written by SnapshotTo into a co-simulation
@@ -192,6 +199,14 @@ func (c *Cosim) RestoreFrom(d *snapshot.Decoder) error {
 	if !ok {
 		return fmt.Errorf("core: backend %q does not support checkpointing", c.Net.Name())
 	}
+	if err := c.restoreSystem(d); err != nil {
+		return err
+	}
+	return bs.RestoreFrom(d, fullsys.MsgCodec{Tiles: c.Sys.Cfg().Tiles}, nil)
+}
+
+// restoreSystem reloads what snapshotSystem wrote.
+func (c *Cosim) restoreSystem(d *snapshot.Decoder) error {
 	d.Section("cosim")
 	c.cycle = sim.Cycle(d.U64())
 	c.skewSum = d.U64()
@@ -203,8 +218,10 @@ func (c *Cosim) RestoreFrom(d *snapshot.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if err := c.Sys.RestoreFrom(d); err != nil {
-		return err
+	if sim.Checking {
+		// The send closure carries the simcheck inject-order history;
+		// a restore can rewind simulated time, so install a fresh one.
+		c.Sys.SetSender(SenderFor(c.Net))
 	}
-	return bs.RestoreFrom(d, fullsys.MsgCodec{Tiles: c.Sys.Cfg().Tiles}, nil)
+	return c.Sys.RestoreFrom(d)
 }

@@ -162,8 +162,8 @@ func TestSpilledCheckpointBytes(t *testing.T) {
 	}
 }
 
-// opaqueBackend hides everything but the Backend contract — the fork
-// and snapshot tiers included.
+// opaqueBackend hides everything but the Backend contract — state
+// capture (core.BackendStater) included.
 type opaqueBackend struct{ core.Backend }
 
 // opaqueBuilder builds what StdBuilder builds, over an opaqueBackend.
@@ -188,11 +188,11 @@ func (opaqueBuilder) Build(req SubmitRequest) (*core.Cosim, error) {
 	return core.Build(sysCfg, wl, opaqueBackend{backend}, repro.ModeQuantum(cfg, mode))
 }
 
-// TestParkNeedsNoForkTier: parking asks nothing of the backend beyond
-// the Component contract, so a session whose backend can neither fork
-// nor snapshot still parks and is adopted — nothing is copied, nothing
+// TestParkNeedsNoCaptureSupport: parking asks nothing of the backend
+// beyond the Component contract, so a session whose backend cannot be
+// snapshotted still parks and is adopted — nothing is copied, nothing
 // is written — and finishes with the direct run's fingerprint.
-func TestParkNeedsNoForkTier(t *testing.T) {
+func TestParkNeedsNoCaptureSupport(t *testing.T) {
 	const n = 6
 	srv, release := newGatedServer(t, Options{
 		Workers: 1, MaxResident: 2, MaxWarm: n, SliceCycles: 512, Builder: opaqueBuilder{},
@@ -203,8 +203,8 @@ func TestParkNeedsNoForkTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := probe.Net.(core.BackendForker); ok {
-		t.Fatal("the opaque backend still exposes the fork tier — the test proves nothing")
+	if _, ok := probe.Net.(core.BackendStater); ok {
+		t.Fatal("the opaque backend still supports state capture — the test proves nothing")
 	}
 	probe.Close()
 

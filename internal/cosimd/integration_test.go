@@ -33,9 +33,9 @@ func TestIntegrationManySessions(t *testing.T) {
 		maxWarm     = 8
 		slice       = 512
 	)
-	// maxWarm far below the eviction churn keeps BOTH capture tiers
-	// under pressure: evictions park in-memory forks, and the warm
-	// tier's own overflow exercises the spill-to-checkpoint path.
+	// maxWarm far below the eviction churn keeps BOTH eviction tiers
+	// under pressure: evictions park the live session as it is, and the
+	// warm tier's own overflow exercises the spill-to-checkpoint path.
 	srv := newTestServer(t, Options{
 		Workers: workers, MaxResident: maxResident, MaxWarm: maxWarm, SliceCycles: slice,
 	})

@@ -127,9 +127,10 @@ func TestEvictResumeFingerprint(t *testing.T) {
 }
 
 // TestWarmEvictResume: with a warm tier wide enough for the whole
-// session population, evictions park live forks in memory and every
-// fault-in adopts one — fingerprints still match uninterrupted runs,
-// no restore touches disk, and no checkpoint file is ever written.
+// session population, evictions park the live sessions in memory and
+// every fault-in adopts one — fingerprints still match uninterrupted
+// runs, no restore touches disk, and no checkpoint file is ever
+// written.
 func TestWarmEvictResume(t *testing.T) {
 	const n = 8
 	srv, release := newGatedServer(t, Options{

@@ -35,17 +35,8 @@ type l1Line struct {
 }
 
 // l1Cache is a set-associative writeback L1 with true-LRU replacement.
-//
-// The set arrays support copy-on-write sharing with a fork: forkFrom
-// aliases the backing arrays in both parties and marks them shared,
-// and the first write to a set (any path that can mutate a way or
-// hand out a way pointer) materializes a private copy. This makes a
-// fork O(sets) pointer copies instead of an O(sets*ways) data copy —
-// the L1 arrays are the bulk of a tile's state.
 type l1Cache struct {
 	sets    [][]l1Line
-	shared  []bool //simlint:derived copy-on-write bookkeeping, re-seeded by every fork, never serialized
-	nshared int    //simlint:derived count of set bits in shared, maintained alongside it
 	setMask uint64
 	tick    uint64
 
@@ -65,42 +56,12 @@ func newL1(sets, ways int) *l1Cache {
 
 func (c *l1Cache) set(line uint64) []l1Line { return c.sets[line&c.setMask] }
 
-// ownSet returns line's set for writing, materializing a private copy
-// first when the backing array is shared with a fork. Every path that
-// can mutate a way — or return a way pointer a caller may mutate —
-// must go through this, never set.
-func (c *l1Cache) ownSet(line uint64) []l1Line {
-	i := line & c.setMask
-	if c.nshared != 0 && c.shared[i] {
-		s := make([]l1Line, len(c.sets[i]))
-		copy(s, c.sets[i])
-		c.sets[i] = s
-		c.shared[i] = false
-		c.nshared--
-	}
-	return c.sets[i]
-}
-
-// ownAll drops every copy-on-write alias without preserving contents
-// (for restores that overwrite every way).
-func (c *l1Cache) ownAll() {
-	if c.nshared == 0 {
-		return
-	}
-	for i, sh := range c.shared {
-		if sh {
-			c.sets[i] = make([]l1Line, len(c.sets[i]))
-			c.shared[i] = false
-		}
-	}
-	c.nshared = 0
-}
-
 // lookup returns the way holding line, or nil. It refreshes LRU state
 // on hit.
 func (c *l1Cache) lookup(line uint64) *l1Line {
-	for i := range c.ownSet(line) {
-		w := &c.ownSet(line)[i]
+	set := c.set(line)
+	for i := range set {
+		w := &set[i]
 		if w.state != l1Invalid && w.line == line {
 			c.tick++
 			w.lru = c.tick
@@ -113,8 +74,9 @@ func (c *l1Cache) lookup(line uint64) *l1Line {
 // probe is lookup without LRU update or hit accounting (for handlers
 // that must not perturb replacement, e.g. invalidations).
 func (c *l1Cache) probe(line uint64) *l1Line {
-	for i := range c.ownSet(line) {
-		w := &c.ownSet(line)[i]
+	set := c.set(line)
+	for i := range set {
+		w := &set[i]
 		if w.state != l1Invalid && w.line == line {
 			return w
 		}
@@ -126,7 +88,7 @@ func (c *l1Cache) probe(line uint64) *l1Line {
 // way if one exists, else the least-recently-used unpinned way. It
 // returns nil when every way is pinned (caller must retry later).
 func (c *l1Cache) victim(line uint64) *l1Line {
-	set := c.ownSet(line)
+	set := c.set(line)
 	var lru *l1Line
 	for i := range set {
 		w := &set[i]
@@ -168,14 +130,9 @@ func (c *l1Cache) countState(state uint8) int {
 // LRU replacement. The directory tracks ownership independently, so
 // evicting data never requires recalling L1 copies; dirty victims are
 // written back to memory through a victim buffer.
-// The lines map supports copy-on-write sharing with a fork: forkFrom
-// aliases the map (and its entries) in both parties, and the first
-// mutating access materializes a private deep copy, making a fork
-// O(1) for the bank.
 type l2Bank struct {
 	capacity int
 	lines    map[uint64]*l2Line
-	shared   bool //simlint:derived copy-on-write bookkeeping, re-seeded by every fork, never serialized
 	tick     uint64
 
 	hits, misses uint64
@@ -191,27 +148,8 @@ func newL2(capacity int) *l2Bank {
 	return &l2Bank{capacity: capacity, lines: make(map[uint64]*l2Line)}
 }
 
-// own materializes a private copy of the lines map when it is shared
-// with a fork. Every mutating path — including any that returns a
-// line pointer a caller may write through — must call it first.
-func (b *l2Bank) own() {
-	if !b.shared {
-		return
-	}
-	lines := make(map[uint64]*l2Line, len(b.lines))
-	slab := make([]l2Line, 0, len(b.lines))
-	//simlint:allow maprange map-to-map rebuild; insertion order immaterial
-	for line, l := range b.lines {
-		slab = append(slab, *l)
-		lines[line] = &slab[len(slab)-1]
-	}
-	b.lines = lines
-	b.shared = false
-}
-
 // get returns the bank's copy of line, refreshing LRU, or nil.
 func (b *l2Bank) get(line uint64) *l2Line {
-	b.own()
 	l := b.lines[line]
 	if l != nil {
 		b.tick++
@@ -224,7 +162,6 @@ func (b *l2Bank) get(line uint64) *l2Line {
 // full. It returns the evicted line and its value if the victim was
 // dirty and must be written back.
 func (b *l2Bank) put(line uint64, value uint64, dirty bool) (evictedLine uint64, evictedValue uint64, writeback bool) {
-	b.own()
 	if l := b.lines[line]; l != nil {
 		b.tick++
 		l.value = value
@@ -255,6 +192,5 @@ func (b *l2Bank) put(line uint64, value uint64, dirty bool) (evictedLine uint64,
 
 // drop removes a line without writeback (it became stale).
 func (b *l2Bank) drop(line uint64) {
-	b.own()
 	delete(b.lines, line)
 }

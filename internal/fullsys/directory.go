@@ -63,31 +63,8 @@ func (d *dirLine) hasSharer(t int) bool {
 	return false
 }
 
-// ownDir materializes a private deep copy of the directory map when
-// it is shared with a fork. All directory access flows through
-// dirLineOf, which returns mutable entries, so it must own the map
-// first.
-func (t *Tile) ownDir() {
-	if !t.dirShared {
-		return
-	}
-	dir := make(map[uint64]*dirLine, len(t.dir))
-	slab := make([]dirLine, 0, len(t.dir))
-	//simlint:allow maprange map-to-map rebuild; insertion order immaterial
-	for line, d := range t.dir {
-		slab = append(slab, *d)
-		c := &slab[len(slab)-1]
-		c.sharers = append([]int32(nil), d.sharers...)
-		c.waitq = append([]Msg(nil), d.waitq...)
-		dir[line] = c
-	}
-	t.dir = dir
-	t.dirShared = false
-}
-
 // dirLineOf returns (creating if needed) the directory entry for line.
 func (t *Tile) dirLineOf(line uint64) *dirLine {
-	t.ownDir()
 	d := t.dir[line]
 	if d == nil {
 		d = &dirLine{line: line, state: dirU, owner: -1}

@@ -14,12 +14,9 @@ import (
 // (System.exhaustive): same workload, same loopback network, stepped
 // in lockstep, and required to agree on every checkpoint byte and
 // every counter a caller can read — mid-run, while tiles are asleep
-// and owe stall cycles, not only at the end. A snapshot→restore and a
-// Fork are taken from the gated run at moments when tiles sleep; the
-// restored copy continues in lockstep, the fork runs to completion on
-// its own goroutine while its parent keeps stepping (they share
-// copy-on-write cache and directory state, which is what -race is
-// pointed at in CI).
+// and owe stall cycles, not only at the end. A snapshot→restore is
+// taken from the gated run at a moment when tiles sleep, and the
+// restored copy continues in lockstep.
 
 // gateCase is one randomly shaped machine and workload.
 type gateCase struct {
@@ -74,9 +71,9 @@ func (c gateCase) config() Config {
 	return cfg
 }
 
-// ForkWorkload deep-copies the generator (Forker), so a forked or
-// restored system continues the same op streams independently.
-func (w *randomWorkload) ForkWorkload() Workload {
+// clone deep-copies the generator (it is not part of a checkpoint), so
+// a restored system continues the same op streams independently.
+func (w *randomWorkload) clone() *randomWorkload {
 	f := *w
 	f.opsLeft = append([]int(nil), w.opsLeft...)
 	f.lastLoad = append([]uint64(nil), w.lastLoad...)
@@ -95,10 +92,6 @@ func (w *randomWorkload) ForkWorkload() Workload {
 	}
 	return &f
 }
-
-// RestoreForkWorkload completes Forker; the gating tests never roll a
-// workload back.
-func (w *randomWorkload) RestoreForkWorkload(Workload) { panic("not used") }
 
 // gateRun is one system with its loopback network and workload.
 type gateRun struct {
@@ -143,21 +136,10 @@ func (r *gateRun) cloneNet() *loopback {
 	}
 }
 
-// fork continues r's state in a System.Fork.
-func (r *gateRun) fork() (*gateRun, error) {
-	f := &gateRun{lb: r.cloneNet()}
-	sys, err := r.sys.Fork(f.lb.send)
-	if err != nil {
-		return nil, err
-	}
-	f.sys, f.lb.sys, f.wl = sys, sys, sys.wl.(*randomWorkload)
-	return f, nil
-}
-
 // viaSnapshot continues r's state in a fresh system restored from r's
 // checkpoint bytes.
 func (r *gateRun) viaSnapshot() (*gateRun, error) {
-	f := &gateRun{lb: r.cloneNet(), wl: r.wl.ForkWorkload().(*randomWorkload)}
+	f := &gateRun{lb: r.cloneNet(), wl: r.wl.clone()}
 	sys, err := New(r.sys.cfg, f.wl, f.lb.send)
 	if err != nil {
 		return nil, err
@@ -212,8 +194,8 @@ func diffSystems(got, want *System) error {
 const gateCycleLimit = 400_000
 
 // checkGating runs one case and returns how many tiles were asleep at
-// the moments the fork and the snapshot were taken (so callers can
-// require that the interesting situation actually arose).
+// the moment the snapshot was taken (so callers can require that the
+// interesting situation actually arose).
 func checkGating(c gateCase) (asleepAtCapture int, err error) {
 	ref, err := newGateRun(c, true)
 	if err != nil {
@@ -224,11 +206,8 @@ func checkGating(c gateCase) (asleepAtCapture int, err error) {
 		return 0, err
 	}
 	rng := sim.NewRNG(c.seed, 0x9a7e)
-	forkAt := sim.Cycle(1 + rng.Intn(600))
 	snapAt := sim.Cycle(1 + rng.Intn(600))
 	var restored *gateRun
-	var forkDone chan error
-	var forked *gateRun
 
 	for now := sim.Cycle(0); ; now++ {
 		if now >= gateCycleLimit {
@@ -243,23 +222,6 @@ func checkGating(c gateCase) (asleepAtCapture int, err error) {
 
 		// Capture at the first cycle past the drawn one with a sleeping
 		// tile (or at the end, if none ever sleeps again).
-		if forkDone == nil && now >= forkAt && (gated.sleepers() > 0 || done) {
-			asleepAtCapture += gated.sleepers()
-			if forked, err = gated.fork(); err != nil {
-				return 0, err
-			}
-			forkDone = make(chan error, 1) // one send, never blocks the goroutine
-			go func(f *gateRun, from sim.Cycle) {
-				for t := from; !f.sys.Done(); t++ {
-					if t >= gateCycleLimit {
-						forkDone <- fmt.Errorf("fork not finished after %d cycles", gateCycleLimit)
-						return
-					}
-					f.step(t)
-				}
-				forkDone <- nil
-			}(forked, now+1)
-		}
 		if restored == nil && now >= snapAt && (gated.sleepers() > 0 || done) {
 			asleepAtCapture += gated.sleepers()
 			if restored, err = gated.viaSnapshot(); err != nil {
@@ -281,13 +243,7 @@ func checkGating(c gateCase) (asleepAtCapture int, err error) {
 			break
 		}
 	}
-	if err := <-forkDone; err != nil {
-		return 0, err
-	}
-	if err := diffSystems(forked.sys, ref.sys); err != nil {
-		return 0, fmt.Errorf("finished fork vs exhaustive: %w", err)
-	}
-	for _, r := range []*gateRun{ref, gated, restored, forked} {
+	for _, r := range []*gateRun{ref, gated, restored} {
 		if len(r.wl.errs) > 0 {
 			return 0, fmt.Errorf("%d data errors, first: %s", len(r.wl.errs), r.wl.errs[0])
 		}
@@ -314,7 +270,7 @@ func TestGatedTickEqualsExhaustive(t *testing.T) {
 		asleep += n
 	}
 	if asleep == 0 {
-		t.Fatal("no fork or snapshot was ever taken with a tile asleep: the test did not reach the state it exists for")
+		t.Fatal("no snapshot was ever taken with a tile asleep: the test did not reach the state it exists for")
 	}
 }
 

@@ -365,7 +365,6 @@ func (t *Tile) restoreFrom(d *snapshot.Decoder) error {
 
 	// Home side.
 	t.dir = make(map[uint64]*dirLine)
-	t.dirShared = false
 	nd := d.Count(40)
 	for i := 0; i < nd; i++ {
 		line := d.U64()
@@ -521,7 +520,6 @@ func (c *l1Cache) restoreFrom(d *snapshot.Decoder) error {
 		d.Failf("L1 geometry mismatch: snapshot %dx%d, target %dx%d", sets, ways, len(c.sets), wantWays)
 		return d.Err()
 	}
-	c.ownAll()
 	for _, set := range c.sets {
 		for i := range set {
 			w := &set[i]
@@ -568,7 +566,6 @@ func (b *l2Bank) restoreFrom(d *snapshot.Decoder) error {
 	b.hits = d.U64()
 	b.misses = d.U64()
 	b.lines = make(map[uint64]*l2Line)
-	b.shared = false
 	n := d.Count(25)
 	if d.Err() == nil && n > b.capacity {
 		d.Failf("L2 bank holds %d lines, capacity %d", n, b.capacity)

@@ -50,11 +50,11 @@ type System struct {
 	// measured against. halted, retired and finish are the running
 	// forms of Done, Retired and FinishCycle, kept at the halt and
 	// retire sites.
-	awake   []uint64  //simlint:derived recomputed from tile state by restore/fork (rederive)
-	sweeps  uint64    //simlint:derived recomputed from tile state by restore/fork: only differences against Tile.sleptAt matter, and every tile restarts awake
-	halted  int       //simlint:derived recomputed from tile state by restore/fork (rederive)
-	retired uint64    //simlint:derived recomputed from tile state by restore/fork (rederive)
-	finish  sim.Cycle //simlint:derived recomputed from tile state by restore/fork (rederive)
+	awake   []uint64  //simlint:derived recomputed from tile state by restore (rederive)
+	sweeps  uint64    //simlint:derived recomputed from tile state by restore: only differences against Tile.sleptAt matter, and every tile restarts awake
+	halted  int       //simlint:derived recomputed from tile state by restore (rederive)
+	retired uint64    //simlint:derived recomputed from tile state by restore (rederive)
+	finish  sim.Cycle //simlint:derived recomputed from tile state by restore (rederive)
 	// exhaustive makes Tick sweep every tile and never put one to
 	// sleep: the reference the gated sweep is tested against. Set by
 	// in-package tests only.
@@ -101,7 +101,7 @@ func New(cfg Config, wl Workload, send Sender) (*System, error) {
 }
 
 // rederive rebuilds the gating state from the tiles after their state
-// was replaced wholesale (construction, restore, fork copy): every
+// was replaced wholesale (construction, restore): every
 // running tile is awake and owed nothing, and the running totals are
 // recounted.
 func (s *System) rederive() {
@@ -197,6 +197,15 @@ func newMemOracle(cfg Config) (dram.Oracle, error) {
 
 // Cfg reports the system configuration.
 func (s *System) Cfg() Config { return s.cfg }
+
+// Workload reports the workload the system was built over.
+func (s *System) Workload() Workload { return s.wl }
+
+// SetSender replaces the send callback. A restore that can rewind
+// simulated time installs a fresh one, because the simcheck
+// inject-order history lives inside the closure and must restart with
+// the restored clock.
+func (s *System) SetSender(send Sender) { s.send = send }
 
 // Tile exposes a tile for inspection (tests, invariant checkers).
 func (s *System) Tile(i int) *Tile { return s.tiles[i] }

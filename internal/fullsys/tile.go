@@ -115,13 +115,11 @@ type Tile struct {
 	// next message reaches handleL1. sleep is the counter it is owed
 	// one cycle of for every sweep after sleptAt; Stats adds the debt
 	// on read, wake settles it.
-	sleep   uint8  //simlint:derived recomputed from tile state by restore/fork: every tile starts awake
-	sleptAt uint64 //simlint:derived recomputed from tile state by restore/fork: every tile starts awake
+	sleep   uint8  //simlint:derived recomputed from tile state by restore: every tile starts awake
+	sleptAt uint64 //simlint:derived recomputed from tile state by restore: every tile starts awake
 
-	// Home (directory + L2 bank) side. dir supports copy-on-write
-	// sharing with a fork, materialized by dirLineOf.
+	// Home (directory + L2 bank) side.
 	dir       map[uint64]*dirLine
-	dirShared bool //simlint:derived copy-on-write bookkeeping, re-seeded by every fork, never serialized
 	l2        *l2Bank
 	victimBuf map[uint64]*vbEntry
 

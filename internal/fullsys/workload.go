@@ -80,6 +80,10 @@ func NewScript(ops [][]Op) *Script {
 	}
 }
 
+// Fresh returns an unstarted script over the same op lists (what
+// core.Cosim.Fork builds its twin over).
+func (s *Script) Fresh() Workload { return NewScript(s.Ops) }
+
 // Next implements Workload.
 func (s *Script) Next(core int) Op {
 	if core >= len(s.Ops) || s.pos[core] >= len(s.Ops[core]) {

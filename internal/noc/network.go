@@ -21,9 +21,9 @@ const ejectionCredits = 1 << 20
 // of the embedded partition.
 //
 // Router state is laid out as flat per-field arrays, one element per
-// record, so a router's state is a few contiguous runs and a fork is
-// one copy per field. With R routers of P ports, V VCs per port,
-// D-deep buffers and W mask words per router, the record indices are
+// record, so a router's state is a few contiguous runs. With R routers
+// of P ports, V VCs per port, D-deep buffers and W mask words per
+// router, the record indices are
 //
 //	port record  r*P + p          arbiter pointers, saGrant, outFlits, peer, rings
 //	VC record    r*P*V + p*V + v  input-VC and output-VC fields

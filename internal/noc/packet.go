@@ -110,7 +110,7 @@ func (n *Network) fifoAt(i, k int) *flitEntry {
 
 // popFlit removes and returns the oldest flit of input VC (r, p, v). The
 // vacated slot drops its packet reference, so only live entries carry
-// one (what Fork's packet remap and the collector both rely on).
+// one (what the collector relies on).
 func (n *Network) popFlit(r, p, v int) flitEntry {
 	i := r*n.pv + p*n.vcs + v
 	slot := n.front(i)

@@ -94,15 +94,15 @@ type partition struct {
 	// nothing is scheduled and every cycle is an event.
 	exhaustive bool
 	// workers is the worker count requested at construction (the
-	// WithWorkers options set it before init), carried through Fork.
+	// WithWorkers options set it before init).
 	workers int
 
 	shards  []shard
 	shardOf []int16
 
 	// pool runs the passes of a multi-shard cycle. It starts on the
-	// first such cycle, so a network that is built, forked or restored
-	// but never stepped holds no goroutines.
+	// first such cycle, so a network that is built or restored but
+	// never stepped holds no goroutines.
 	pool      *engine.Parallel
 	pass      func(si int) // the pass timedPass is dispatching
 	timedPass func(si int)
@@ -138,7 +138,7 @@ func (p *partition) init(R int, exhaustive bool) {
 
 // resetWake conservatively re-seeds every wake schedule: wake
 // everything once, drop all scheduled events, clear outboxes. The
-// derived-state reset shared by construction, snapshot restore and fork.
+// derived-state reset shared by construction and snapshot restore.
 func (p *partition) resetWake() {
 	for si := range p.shards {
 		s := &p.shards[si]

@@ -160,21 +160,6 @@ func TestShardedRestoreBitIdentical(t *testing.T) {
 			t.Errorf("restored run (workers=%d) diverged from uninterrupted exhaustive run", w)
 		}
 	}
-
-	// Fork transfer: fork the sharded network mid-run and restore the
-	// fork back into another sharded network; same continuation.
-	shd2 := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(4))
-	load(shd2)
-	f, err := shd2.Fork(NewPacketRemap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	dst := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(8))
-	dst.RestoreFork(f, NewPacketRemap())
-	if got := finish(t, dst); got != want {
-		t.Error("fork restored into a sharded network diverged from the exhaustive run")
-	}
 }
 
 // TestShardedSteadyStateZeroAlloc pins the zero-alloc steady state of
@@ -280,11 +265,11 @@ func goroutinesSettleAt(want int) int {
 	return got
 }
 
-// TestShardedForkKeepsWorkersHoldsNoGoroutines: a fork is sharded like
-// its parent, but a network's worker pool starts on its first
-// multi-shard Step — so a fork that is only held (a parked session, a
-// rollback point) owns no goroutines, and Close gives them back.
-func TestShardedForkKeepsWorkersHoldsNoGoroutines(t *testing.T) {
+// TestShardedRestoredNetworkHoldsNoGoroutines: a network's worker pool
+// starts on its first multi-shard Step — so one that is built and
+// restored into but only held (the twin of a forked co-simulation, a
+// parked session) owns no goroutines, and Close gives them back.
+func TestShardedRestoredNetworkHoldsNoGoroutines(t *testing.T) {
 	m := topology.NewMesh(4, 4, 1)
 	// Earlier tests' pools may still be winding down: let the count
 	// settle before taking the baseline.
@@ -295,11 +280,15 @@ func TestShardedForkKeepsWorkersHoldsNoGoroutines(t *testing.T) {
 			base, calm = got, 0
 		}
 	}
-	n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(2))
-	d, err := NewDeflection(DefaultDeflectConfig(), m, WithDeflectWorkers(2))
-	if err != nil {
-		t.Fatal(err)
+	mk := func() (*Network, *Deflection) {
+		n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(2))
+		d, err := NewDeflection(DefaultDeflectConfig(), m, WithDeflectWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, d
 	}
+	n, d := mk()
 	if got := runtime.NumGoroutine(); got != base {
 		t.Fatalf("construction started %d goroutines, want none before the first Step", got-base)
 	}
@@ -309,32 +298,37 @@ func TestShardedForkKeepsWorkersHoldsNoGoroutines(t *testing.T) {
 		t.Fatalf("two stepped 2-worker networks hold %d goroutines, want 4", got-base)
 	}
 
-	nf, err := n.Fork(NewPacketRemap())
-	if err != nil {
-		t.Fatal(err)
+	nt, dt := mk()
+	transfer := func(snap func(*snapshot.Encoder, snapshot.PayloadCodec),
+		restore func(*snapshot.Decoder, snapshot.PayloadCodec, func(*Packet)) error) {
+		t.Helper()
+		e := snapshot.NewEncoder(1)
+		snap(e, nil)
+		d, err := snapshot.NewDecoder(e.Finish(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restore(d, nil, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	df, err := d.Fork(NewPacketRemap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns, ds := nf.ShardStats().Shards, df.ShardStats().Shards; ns != 2 || ds != 2 {
-		t.Errorf("forks of 2-shard networks have %d and %d shards, want 2 and 2", ns, ds)
-	}
+	transfer(n.SnapshotTo, nt.RestoreFrom)
+	transfer(d.SnapshotTo, dt.RestoreFrom)
 	if got := runtime.NumGoroutine(); got != base+4 {
-		t.Errorf("held forks own %d goroutines, want none", got-base-4)
+		t.Errorf("held restored twins own %d goroutines, want none", got-base-4)
 	}
 	n.Close()
 	d.Close()
 	if got := goroutinesSettleAt(base); got != base {
-		t.Errorf("%d goroutines left after closing the parents while the forks are parked", got-base)
+		t.Errorf("%d goroutines left after closing the originals while the twins are held", got-base)
 	}
-	nf.Step()
-	df.Step()
+	nt.Step()
+	dt.Step()
 	if got := runtime.NumGoroutine(); got != base+4 {
-		t.Errorf("stepped forks hold %d goroutines, want 4", got-base)
+		t.Errorf("stepped twins hold %d goroutines, want 4", got-base)
 	}
-	nf.Close()
-	df.Close()
+	nt.Close()
+	dt.Close()
 	if got := goroutinesSettleAt(base); got != base {
 		t.Errorf("%d goroutines leaked after Close", got-base)
 	}
@@ -387,13 +381,12 @@ func TestShardStats(t *testing.T) {
 
 // TestShardedCaptureWithBackloggedNI: the NI's queued count and the wake
 // for a packet not yet created are derived state that a capture must
-// rebuild, so all three captures — snapshot restored into a fresh
-// network, snapshot restored over a used one, Fork — are taken while NIs
-// hold a backlog, a packet mid-serialisation, and (on otherwise idle
-// NIs) only future-dated packets, one inside the wake ring's horizon and
-// one beyond it. Resumed must equal uninterrupted, fork-then-encode must
-// equal direct encode, and the fork steps on its own goroutine beside
-// its parent (the race detector's view of what a fork shares).
+// rebuild, so both captures — snapshot restored into a fresh network,
+// snapshot restored over a used one — are taken while NIs hold a
+// backlog, a packet mid-serialisation, and (on otherwise idle NIs) only
+// future-dated packets, one inside the wake ring's horizon and one
+// beyond it. Resumed must equal uninterrupted and re-encode to the
+// captured bytes, and the captured network itself must finish the same.
 func TestShardedCaptureWithBackloggedNI(t *testing.T) {
 	m := topology.NewMesh(4, 4, 1)
 	load := func(n *Network) {
@@ -415,8 +408,6 @@ func TestShardedCaptureWithBackloggedNI(t *testing.T) {
 		n.SnapshotTo(e, nil)
 		return e.Finish()
 	}
-	// drain runs n dry; it reports instead of failing so a forked child
-	// can run it off the test goroutine.
 	drain := func(n *Network) (string, bool) {
 		var delivered []*Packet
 		for i := 0; i < 5000 && !n.Quiescent(); i++ {
@@ -478,32 +469,7 @@ func TestShardedCaptureWithBackloggedNI(t *testing.T) {
 				check("snapshot restored into a "+what+" network", dst, want)
 			}
 
-			f, err := src.Fork(NewPacketRemap())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			if !bytes.Equal(snapOf(f), blob) {
-				t.Error("fork encodes to different bytes than its parent")
-			}
-			over := mk()
-			runGatingLoad(t, over, "hotspot")
-			load(over)
-			over.RestoreFork(f, NewPacketRemap())
-			type result struct {
-				fp string
-				ok bool
-			}
-			child := make(chan result)
-			go func() {
-				fp, ok := drain(f)
-				child <- result{fp, ok}
-			}()
-			check("forked parent", src, want)
-			if c := <-child; !c.ok || c.fp != want {
-				t.Errorf("forked child (drained %v) diverged from the uninterrupted run", c.ok)
-			}
-			check("fork restored over a used network", over, want)
+			check("captured network", src, want)
 		})
 	}
 }

@@ -92,9 +92,9 @@ func escapeHelp(s string) string {
 
 // wallBuckets is the fixed WallHist shape: upper bounds in seconds
 // from 1 µs, ×4 per bucket (1 µs … ~16.8 s), then +Inf. Thirteen
-// finite buckets span every phase cost the server sees — sub-ms park
-// and fork operations through multi-second drains — at a resolution
-// good enough to tell tiers apart.
+// finite buckets span every phase cost the server sees — sub-ms parks
+// through multi-second drains — at a resolution good enough to tell
+// tiers apart.
 const wallBuckets = 13
 
 func wallBound(i int) float64 {

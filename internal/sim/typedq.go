@@ -156,20 +156,6 @@ func (q *TypedQueue[T]) Pending() []Deferred[T] {
 	return out
 }
 
-// Map replaces every pending item by fn(item), in no particular order.
-// A fork uses it to swap copied pointers for the clone's own.
-func (q *TypedQueue[T]) Map(fn func(T) T) {
-	for i := range q.wheel {
-		b := q.live(i)
-		for j := range b {
-			b[j].Item = fn(b[j].Item)
-		}
-	}
-	for i := range q.far {
-		q.far[i].Item = fn(q.far[i].Item)
-	}
-}
-
 // SnapshotTo writes the queue — pending items in firing order plus the
 // sequencing state — using enc for each item. The tier layout is not
 // written: RestoreFrom re-buckets.

@@ -277,7 +277,7 @@ const (
 	opIdleJump        // if empty: an empty pop 1000+ cycles on
 	opSnapshot        // compare Len and snapshot bytes
 	opRestore         // replace a queue by its snapshot→restore image
-	opFork            // add (or replace a queue by) a ForkFrom of another
+	opFork            // grow the family by (or replace a member with) a snapshot→restore copy of another, as core.Cosim.Fork makes one
 	numCalOps
 )
 
@@ -340,6 +340,16 @@ func runCalendarProgram(prog []byte) (calendarTiers, error) {
 		snap(e, encInt)
 		return e.Finish()
 	}
+	restore := func(dst, src *TypedQueue[int]) error {
+		d, err := snapshot.NewDecoder(encode(src.SnapshotTo), 0)
+		if err != nil {
+			return err
+		}
+		if err := dst.RestoreFrom(d, decInt); err != nil {
+			return err
+		}
+		return d.Finish()
+	}
 	for pc := 0; pc+1 < len(prog); pc += 2 {
 		op, arg := prog[pc]%numCalOps, Cycle(prog[pc+1])
 		var err error
@@ -389,20 +399,13 @@ func runCalendarProgram(prog []byte) (calendarTiers, error) {
 				}
 			}
 		case opRestore:
-			src := qs[int(arg)%len(qs)]
-			d, derr := snapshot.NewDecoder(encode(src.SnapshotTo), 0)
-			if derr != nil {
-				return seen, derr
-			}
 			// Into a used queue half the time: restore must not keep
 			// anything of what it replaces.
 			dst := &TypedQueue[int]{}
 			if arg&0x80 != 0 {
 				dst = qs[int(arg>>2)%len(qs)]
 			}
-			if err = dst.RestoreFrom(d, decInt); err == nil {
-				err = d.Finish()
-			}
+			err = restore(dst, qs[int(arg)%len(qs)])
 			qs[int(arg>>2)%len(qs)] = dst
 			seen.restores++
 		case opFork:
@@ -411,10 +414,10 @@ func runCalendarProgram(prog []byte) (calendarTiers, error) {
 			src := qs[int(arg)%len(qs)]
 			if len(qs) < 3 {
 				qs = append(qs, &TypedQueue[int]{})
-				qs[len(qs)-1].ForkFrom(src)
+				err = restore(qs[len(qs)-1], src)
 				seen.forks++
 			} else if f := qs[1+int(arg>>4)%2]; f != src {
-				f.ForkFrom(src)
+				err = restore(f, src)
 				seen.forks++
 			}
 		}

@@ -14,17 +14,6 @@ import (
 // annotation on its declaration. A type with only one method of the
 // pair is itself a finding: half a round trip is not a round trip.
 //
-// Fork-tier methods (Fork/RestoreFork/ForkFrom — the in-memory second
-// tier of the state capture contract) count as snapshot-pair field
-// references under the same helper following: when a snapshotting type
-// also forks, a field serialized by the envelope pair but never copied
-// by any fork method — or copied by a fork method but absent from the
-// envelope — is a finding, because the two tiers must capture the same
-// state. A whole-struct receiver dereference (`*dst = *src`) in a fork
-// body counts as copying every field. Types with fork methods but no
-// snapshot pair are left alone: in-memory cloning without an
-// interchange format is legitimate.
-//
 // The rule resolves receivers and call targets through go/types, so it
 // never confuses fields with locals and follows helpers across files.
 // Where type information is missing (tolerated type errors), a method
@@ -34,28 +23,13 @@ import (
 const (
 	snapshotMethod = "SnapshotTo"
 	restoreMethod  = "RestoreFrom"
-	forkMethod     = "Fork"
 )
 
-// forkMethods are the fork-tier entry points whose bodies count as
-// state-capture field references.
-var forkMethods = map[string]bool{
-	forkMethod:    true,
-	"RestoreFork": true,
-	"ForkFrom":    true,
-}
-
-// wholeStruct is the fieldRefs marker for a whole-struct receiver
-// dereference; it cannot collide with a field name.
-const wholeStruct = "*"
-
-// covPair collects the snapshot/restore method pair — and any
-// fork-tier methods — of one named type.
+// covPair collects the snapshot/restore method pair of one named type.
 type covPair struct {
-	tn    *types.TypeName
-	snap  *funcRef
-	rest  *funcRef
-	forks []*funcRef
+	tn   *types.TypeName
+	snap *funcRef
+	rest *funcRef
 }
 
 func statecov(m *Module) []Finding {
@@ -66,7 +40,7 @@ func statecov(m *Module) []Finding {
 	var order []*types.TypeName
 	for _, fr := range m.funcList {
 		name := fr.decl.Name.Name
-		if (name != snapshotMethod && name != restoreMethod && !forkMethods[name]) || fr.decl.Recv == nil {
+		if (name != snapshotMethod && name != restoreMethod) || fr.decl.Recv == nil {
 			continue
 		}
 		tn := receiverTypeName(fr)
@@ -79,22 +53,16 @@ func statecov(m *Module) []Finding {
 			pairs[tn] = p
 			order = append(order, tn)
 		}
-		switch name {
-		case snapshotMethod:
+		if name == snapshotMethod {
 			p.snap = fr
-		case restoreMethod:
+		} else {
 			p.rest = fr
-		default:
-			p.forks = append(p.forks, fr)
 		}
 	}
 
 	for _, tn := range order {
 		p := pairs[tn]
 		switch {
-		case p.snap == nil && p.rest == nil:
-			// Fork-only type: no envelope tier to cross-check.
-			continue
 		case p.snap == nil:
 			m.report(&out, p.rest.decl.Name, RuleStatecov, fmt.Sprintf(
 				"type %s has %s but no %s; snapshot state must round-trip",
@@ -112,25 +80,13 @@ func statecov(m *Module) []Finding {
 		}
 		snapRefs := fieldRefs(m, p.snap)
 		restRefs := fieldRefs(m, p.rest)
-		var forkRefs map[string]bool
-		if len(p.forks) > 0 {
-			forkRefs = map[string]bool{}
-			for _, fr := range p.forks {
-				for name := range fieldRefs(m, fr) {
-					forkRefs[name] = true
-				}
-			}
-		}
 		for i := 0; i < st.NumFields(); i++ {
 			field := st.Field(i)
 			if field.Name() == "_" {
 				continue
 			}
 			inSnap, inRest := snapRefs[field.Name()], restRefs[field.Name()]
-			// No fork tier → nothing to cross-check; with one, a
-			// whole-struct receiver dereference copies every field.
-			inFork := forkRefs == nil || forkRefs[field.Name()] || forkRefs[wholeStruct]
-			if inSnap && inRest && inFork {
+			if inSnap && inRest {
 				continue
 			}
 			pos := m.relPos(field.Pos())
@@ -139,10 +95,6 @@ func statecov(m *Module) []Finding {
 			}
 			var msg string
 			switch {
-			case !inSnap && !inRest && forkRefs != nil && (forkRefs[field.Name()] || forkRefs[wholeStruct]):
-				msg = fmt.Sprintf(
-					"field %s.%s is copied by the fork tier but referenced in neither %s nor %s; a snapshot would silently lose it — serialize it or annotate //simlint:derived <how it is recomputed>",
-					tn.Name(), field.Name(), snapshotMethod, restoreMethod)
 			case !inSnap && !inRest:
 				msg = fmt.Sprintf(
 					"field %s.%s is referenced in neither %s nor %s; serialize it or annotate //simlint:derived <how it is recomputed>",
@@ -151,14 +103,10 @@ func statecov(m *Module) []Finding {
 				msg = fmt.Sprintf(
 					"field %s.%s is touched by %s but never written by %s; encode it or annotate //simlint:derived <how it is recomputed>",
 					tn.Name(), field.Name(), restoreMethod, snapshotMethod)
-			case !inRest:
+			default:
 				msg = fmt.Sprintf(
 					"field %s.%s is written by %s but never restored by %s; decode it or annotate //simlint:derived <how it is recomputed>",
 					tn.Name(), field.Name(), snapshotMethod, restoreMethod)
-			default:
-				msg = fmt.Sprintf(
-					"field %s.%s round-trips through %s/%s but is never copied by %s/%s; a fork would silently drop it — copy it or annotate //simlint:derived <how it is recomputed>",
-					tn.Name(), field.Name(), snapshotMethod, restoreMethod, forkMethod, "RestoreFork")
 			}
 			if m.dirs.allowed(RuleStatecov, pos) {
 				continue
@@ -249,14 +197,6 @@ func (w *covWalker) walk(fr *funcRef, self map[types.Object]bool) {
 			if id, ok := n.X.(*ast.Ident); ok {
 				if obj := info.Uses[id]; obj != nil && self[obj] {
 					w.refs[n.Sel.Name] = true
-				}
-			}
-		case *ast.StarExpr:
-			// *recv: a whole-struct read or write touches every field
-			// (the fork tier's `*dst = *src` and `c := *r` idioms).
-			if id, ok := n.X.(*ast.Ident); ok {
-				if obj := info.Uses[id]; obj != nil && self[obj] {
-					w.refs[wholeStruct] = true
 				}
 			}
 		case *ast.CallExpr:

@@ -89,81 +89,6 @@ type Half struct{ x uint64 }
 // SnapshotTo writes the lone field into the void.
 func (h *Half) SnapshotTo(e *snap.Encoder) { e.U64(h.x) }
 
-// ForkedGood carries both capture tiers fully covered: Fork copies the
-// fields by name, RestoreFork by whole-struct dereference (which
-// counts as touching every field). The cross-tier check stays silent.
-type ForkedGood struct {
-	x uint64
-	y uint64
-}
-
-// SnapshotTo writes both fields.
-func (g *ForkedGood) SnapshotTo(e *snap.Encoder) { e.U64(g.x); e.U64(g.y) }
-
-// RestoreFrom reads both fields.
-func (g *ForkedGood) RestoreFrom(d *snap.Decoder) error {
-	g.x = d.U64()
-	g.y = d.U64()
-	return d.Err()
-}
-
-// Fork deep-copies both fields by name.
-func (g *ForkedGood) Fork() *ForkedGood { return &ForkedGood{x: g.x, y: g.y} }
-
-// RestoreFork copies in place through a whole-struct dereference.
-func (g *ForkedGood) RestoreFork(f *ForkedGood) { *g = *f }
-
-// ForkedMissing desynchronizes the two tiers: skipped round-trips
-// through the envelope but the fork drops it; phantom is copied by the
-// fork but never serialized.
-type ForkedMissing struct {
-	kept    uint64
-	skipped uint64
-	phantom uint64
-}
-
-// SnapshotTo writes kept and skipped.
-func (m *ForkedMissing) SnapshotTo(e *snap.Encoder) { e.U64(m.kept); e.U64(m.skipped) }
-
-// RestoreFrom reads kept and skipped.
-func (m *ForkedMissing) RestoreFrom(d *snap.Decoder) error {
-	m.kept = d.U64()
-	m.skipped = d.U64()
-	return d.Err()
-}
-
-// Fork copies kept and phantom, forgetting skipped.
-func (m *ForkedMissing) Fork() *ForkedMissing {
-	return &ForkedMissing{kept: m.kept, phantom: m.phantom}
-}
-
-// Refilled's fork tier is an in-place ForkFrom, which counts like
-// Fork; it forgets m, so only that field fires.
-type Refilled struct {
-	n uint64
-	m uint64
-}
-
-// SnapshotTo writes both fields.
-func (r *Refilled) SnapshotTo(e *snap.Encoder) { e.U64(r.n); e.U64(r.m) }
-
-// RestoreFrom reads both fields.
-func (r *Refilled) RestoreFrom(d *snap.Decoder) error {
-	r.n = d.U64()
-	r.m = d.U64()
-	return d.Err()
-}
-
-// ForkFrom copies only n.
-func (r *Refilled) ForkFrom(src *Refilled) { r.n = src.n }
-
-// CloneOnly forks without an envelope: in-memory cloning with no
-// interchange format is legitimate and stays silent.
-type CloneOnly struct{ v uint64 }
-
-// Fork deep-copies the value.
-func (c *CloneOnly) Fork() *CloneOnly { return &CloneOnly{v: c.v} }
-
 // Generic reaches its fields through sibling helpers: a method called
 // on a generic type's own receiver is an instantiation, and the rule
 // must follow it to the declaration. held stays silent; missed, which

@@ -94,6 +94,14 @@ func (s *Synthetic) init() {
 	}
 }
 
+// Fresh returns an unstarted kernel with the same configuration (what
+// core.Cosim.Fork builds its twin over).
+func (s *Synthetic) Fresh() fullsys.Workload {
+	f := *s
+	f.rngs, f.done, f.phase, f.nextBar, f.state = nil, nil, nil, nil, nil
+	return &f
+}
+
 // Next implements fullsys.Workload.
 func (s *Synthetic) Next(core int) fullsys.Op {
 	s.init()

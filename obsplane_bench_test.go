@@ -5,7 +5,6 @@ package repro_test
 // subscriber count) and flight-ring recording (paid once per coupling
 // quantum). Both must be allocation-free at steady state — the plane's
 // cost model is "a worker never allocates or blocks to be observed".
-// Compared against testdata/bench-baseline.json by `make bench-check`.
 
 import (
 	"fmt"

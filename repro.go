@@ -302,10 +302,11 @@ func BuildCosim(cfg Config, mode Mode, wl fullsys.Workload) (*core.Cosim, error)
 	if cfg.ComponentWorkers > 1 {
 		cs.Stepper = engine.NewParallel(cfg.ComponentWorkers)
 	}
+	cs.Recipe = func(wl fullsys.Workload) (*core.Cosim, error) { return BuildCosim(cfg, mode, wl) }
 	return cs, nil
 }
 
-// ForkCosim transplants a fork of warm's system state onto a freshly
+// ForkCosim transplants a copy of warm's system state onto a freshly
 // built backend for (cfg, mode) — the warm-fork sweep primitive: run
 // one simulation through the warmup phase, then fork the warmed system
 // across N network configurations instead of repeating N identical

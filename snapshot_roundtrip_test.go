@@ -153,6 +153,46 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRestoreIntoFinishedCosim rewinds: a checkpoint taken mid-run is
+// decoded into the co-simulation that wrote it after that one has run
+// to the end, twice over. Each time the restored state must re-encode
+// to the blob and finish with the uninterrupted fingerprint. Nothing
+// may survive a restore that a fresh build would not have — under
+// -tags simcheck that includes the inject-order history in the send
+// closure, which a rewind would otherwise trip.
+func TestRestoreIntoFinishedCosim(t *testing.T) {
+	for _, c := range checkpointCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			cs := buildCkptCosim(t, c, 42)
+			if res := cs.Run(ckptAt); res.Finished {
+				t.Fatalf("workload finished before the save point; rewind test is vacuous: %+v", res)
+			}
+			digest := ConfigDigest(ckptConfig(c), c.mode, "fft-16-250-42")
+			blob, err := EncodeCheckpoint(cs, digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ckptFingerprint(t, cs, cs.Run(ckptLimit))
+			for i := 1; i <= 2; i++ {
+				if err := DecodeCheckpoint(blob, cs, digest); err != nil {
+					t.Fatalf("rewind %d: %v", i, err)
+				}
+				again, err := EncodeCheckpoint(cs, digest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(again) != string(blob) {
+					t.Errorf("rewind %d re-encodes to different bytes", i)
+				}
+				if got := ckptFingerprint(t, cs, cs.Run(ckptLimit)); got != want {
+					t.Errorf("replay %d diverged\nwant %s\ngot  %s", i, want, got)
+				}
+			}
+		})
+	}
+}
+
 // TestCheckpointConfigMismatch proves the digest guard: a snapshot
 // must not restore into a co-simulation built differently.
 func TestCheckpointConfigMismatch(t *testing.T) {
