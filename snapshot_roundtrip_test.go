@@ -65,7 +65,7 @@ func ckptConfig(c ckptCase) Config {
 	return cfg
 }
 
-func buildCkptCosim(t *testing.T, c ckptCase, seed uint64) *core.Cosim {
+func buildCkptCosim(t testing.TB, c ckptCase, seed uint64) *core.Cosim {
 	t.Helper()
 	cs, err := BuildCosim(ckptConfig(c), c.mode, workload.NewFFT(16, 250, seed))
 	if err != nil {
