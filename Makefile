@@ -28,12 +28,16 @@ lint:
 # tile sweep against the exhaustive one on random machines
 # (internal/fullsys/gating_test.go), and one of the calendar queue
 # against the binary heap it replaced on random schedule/pop/capture
-# programs (internal/sim/typedq_test.go).
+# programs (internal/sim/typedq_test.go) — and one of the restore
+# bodies behind the envelope: one payload position of a mid-run
+# checkpoint mutated and the CRC re-sealed, over every mode
+# (payload_fuzz_test.go).
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzTileGating$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueue$$' -fuzztime 10s
+	$(GO) test . -run '^$$' -fuzz '^FuzzCheckpointPayload$$' -fuzztime 10s
 
 # End-to-end smoke of the co-simulation server: starts cosimd on a
 # loopback port with deliberately tiny limits (6 sessions, 3 resident,
