@@ -31,13 +31,14 @@ lint:
 # programs (internal/sim/typedq_test.go) — and one of the restore
 # bodies behind the envelope: one payload position of a mid-run
 # checkpoint mutated and the CRC re-sealed, over every mode
-# (payload_fuzz_test.go).
+# (payload_fuzz_test.go; twenty seconds, because replaying its 1 081
+# committed seeds for baseline coverage takes most of ten).
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzTileGating$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueue$$' -fuzztime 10s
-	$(GO) test . -run '^$$' -fuzz '^FuzzCheckpointPayload$$' -fuzztime 10s
+	$(GO) test . -run '^$$' -fuzz '^FuzzCheckpointPayload$$' -fuzztime 20s
 
 # End-to-end smoke of the co-simulation server: starts cosimd on a
 # loopback port with deliberately tiny limits (6 sessions, 3 resident,

@@ -240,7 +240,7 @@ func TestForkInto(t *testing.T) {
 	// event queue, memory oracles and workload position encode equal.
 	sysBytes := func(cs *core.Cosim) string {
 		e := snapshot.NewEncoder(0)
-		cs.Sys.SnapshotTo(e)
+		cs.Sys.State(e.Codec())
 		return string(e.Finish())
 	}
 	if sysBytes(child) != sysBytes(parent) {

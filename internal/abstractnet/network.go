@@ -27,8 +27,8 @@ type Network struct {
 	injected  uint64
 	delivered uint64
 	nextID    uint64
-	drainBuf  []*noc.Packet  //simlint:derived drain scratch, cleared on restore before reuse
-	pool      noc.PacketPool //simlint:derived host-side free list, this network's own; emptied on restore, never simulated state
+	drainBuf  []*noc.Packet  //simlint:derived drain scratch, emptied by rederive
+	pool      noc.PacketPool //simlint:derived host-side free list, this network's own; emptied by rederive, never simulated state
 }
 
 // NewNetwork returns an abstract backend over the given model.

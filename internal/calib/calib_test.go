@@ -99,12 +99,15 @@ func TestCalibSnapshotRoundTrip(t *testing.T) {
 	r.Predict(3, 8.25)
 	r.MaybeRetune(128)
 
+	state := func(c *snapshot.Codec, a *Affine, r *Reciprocal[uint64]) {
+		a.State(c)
+		r.State(c,
+			func(x, y uint64) bool { return x < y },
+			func(c *snapshot.Codec, req *uint64) { c.U64(req) })
+	}
 	encode := func(a *Affine, r *Reciprocal[uint64]) []byte {
 		e := snapshot.NewEncoder(1)
-		a.SnapshotTo(e)
-		r.SnapshotTo(e,
-			func(x, y uint64) bool { return x < y },
-			func(e *snapshot.Encoder, req uint64) { e.U64(req) })
+		state(e.Codec(), a, r)
 		return e.Finish()
 	}
 	blob := encode(a, r)
@@ -115,14 +118,7 @@ func TestCalibSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a2.RestoreFrom(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.RestoreFrom(d, func(d *snapshot.Decoder) (uint64, error) {
-		return d.U64(), d.Err()
-	}); err != nil {
-		t.Fatal(err)
-	}
+	state(d.Codec(), a2, r2)
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +156,7 @@ func TestAffineWindowMatchesShifting(t *testing.T) {
 	ref := &shiftingWindow{max: window}
 	encode := func(a *Affine) string {
 		e := snapshot.NewEncoder(1)
-		a.SnapshotTo(e)
+		a.State(e.Codec())
 		return string(e.Finish())
 	}
 	restored := NewAffine(window)
@@ -189,8 +185,8 @@ func TestAffineWindowMatchesShifting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := restored.RestoreFrom(d); err != nil {
-			t.Fatal(err)
+		if restored.State(d.Codec()); d.Err() != nil {
+			t.Fatal(d.Err())
 		}
 		if encode(restored) != blob {
 			t.Fatalf("step %d: restored window re-encodes differently", i)

@@ -9,7 +9,7 @@ import (
 )
 
 // Fork, RestoreFork and ForkInto are compositions over the one state
-// capture tier (SnapshotTo/RestoreFrom; DESIGN.md "State capture"):
+// description (Cosim.state; DESIGN.md "State capture"):
 // construct a twin with the constructors that built the original,
 // encode the source into an in-memory envelope, decode it into the
 // twin. Nothing here knows what the state is.
@@ -108,8 +108,11 @@ func (c *Cosim) ForkInto(backend Backend, quantum int) (*Cosim, error) {
 	}
 	f.WatchdogQuanta = c.WatchdogQuanta
 	e := snapshot.NewEncoder(forkDigest)
-	c.snapshotSystem(e)
-	if err := decodeFork(e, f.restoreSystem); err != nil {
+	if err := c.state(e.Codec(), false); err != nil {
+		return nil, err
+	}
+	restore := func(d *snapshot.Decoder) error { return f.state(d.Codec(), false) }
+	if err := decodeFork(e, restore); err != nil {
 		return nil, err
 	}
 	return f, nil

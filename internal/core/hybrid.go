@@ -30,7 +30,7 @@ type Hybrid struct {
 	// the shared fit per Period.
 	pair     *calib.Reciprocal[*noc.Packet]
 	tracker  *stats.LatencyTracker
-	drainBuf []*noc.Packet //simlint:derived drain scratch, cleared on restore before reuse
+	drainBuf []*noc.Packet //simlint:derived drain scratch, emptied by rederive
 }
 
 // NewHybrid builds a hybrid backend over a detailed backend and a

@@ -73,7 +73,7 @@ func driveBackend(b Backend, from, to sim.Cycle) []string {
 func encodeBackend(t *testing.T, b Backend) []byte {
 	t.Helper()
 	e := snapshot.NewEncoder(0)
-	b.(BackendStater).SnapshotTo(e, nil)
+	b.(BackendStater).State(e.Codec(), nil, nil)
 	return e.Finish()
 }
 
@@ -105,9 +105,7 @@ func TestPooledBackendCapture(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := b.(BackendStater).RestoreFrom(d, nil, nil); err != nil {
-					t.Fatal(err)
-				}
+				b.(BackendStater).State(d.Codec(), nil, nil)
 				if err := d.Finish(); err != nil {
 					t.Fatal(err)
 				}

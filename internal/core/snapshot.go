@@ -10,154 +10,92 @@ import (
 )
 
 // BackendStater is implemented by network backends that support
-// checkpointing. pc serializes packet payloads (the system's Msg
-// values); track, when non-nil, observes every restored in-flight
+// checkpointing. pc describes packet payloads (the system's Msg
+// values); track, when non-nil, observes every decoded in-flight
 // packet so pointer-keyed caller state can be rebuilt.
 type BackendStater interface {
-	SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec)
-	RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, track func(*noc.Packet)) error
+	State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet))
 }
 
-// SnapshotTo implements BackendStater for the cycle-level adapter.
-func (d *Detailed) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
-	switch net := d.Net.(type) {
-	case *noc.Network:
-		net.SnapshotTo(e, pc)
-	case *noc.Deflection:
-		net.SnapshotTo(e, pc)
-	default:
-		panic(fmt.Sprintf("core: cycle-level network %T does not support checkpointing", d.Net))
+// stateOf walks a backend nested in another, which must support
+// checkpointing: both cycle-level networks and every Backend in this
+// module do.
+func stateOf(c *snapshot.Codec, backend interface{}, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
+	bs, ok := backend.(BackendStater)
+	if !ok {
+		c.Failf("backend %T does not support checkpointing", backend)
+		return
 	}
+	bs.State(c, pc, track)
 }
 
-// RestoreFrom implements BackendStater for the cycle-level adapter.
-func (d *Detailed) RestoreFrom(dec *snapshot.Decoder, pc snapshot.PayloadCodec, track func(*noc.Packet)) error {
-	switch net := d.Net.(type) {
-	case *noc.Network:
-		return net.RestoreFrom(dec, pc, track)
-	case *noc.Deflection:
-		return net.RestoreFrom(dec, pc, track)
-	default:
-		dec.Failf("cycle-level network %T does not support checkpointing", d.Net)
-		return dec.Err()
-	}
+// State implements BackendStater for the cycle-level adapter.
+func (d *Detailed) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
+	stateOf(c, d.Net, pc, track)
 }
 
-// SnapshotTo implements BackendStater for the analytical adapter.
-func (a *Abstract) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
-	a.Net.SnapshotTo(e, pc)
-}
-
-// RestoreFrom implements BackendStater for the analytical adapter.
-func (a *Abstract) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, track func(*noc.Packet)) error {
-	return a.Net.RestoreFrom(d, pc, track)
+// State implements BackendStater for the analytical adapter.
+func (a *Abstract) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
+	a.Net.State(c, pc, track)
 }
 
 // packetLess orders packets by ID for byte-stable snapshots of
 // packet-keyed calibration state.
 func packetLess(a, b *noc.Packet) bool { return a.ID < b.ID }
 
-// encodePacketKey writes a packet-keyed calibration entry as the packet
-// ID. The packets are live in the network whose snapshot precedes this
-// in the stream, so IDs resolve on restore.
-func encodePacketKey(e *snapshot.Encoder, p *noc.Packet) { e.U64(p.ID) }
-
-// decodePacketKey resolves a written packet ID against the restored
-// in-flight packets collected in byID.
-func decodePacketKey(byID map[uint64]*noc.Packet) func(*snapshot.Decoder) (*noc.Packet, error) {
-	return func(d *snapshot.Decoder) (*noc.Packet, error) {
-		id := d.U64()
-		if d.Err() != nil {
-			return nil, d.Err()
+// packetKey walks a packet-keyed calibration entry as the packet ID.
+// The packets are live in the network whose state precedes this in the
+// stream, so decoding resolves the ID against byID, the in-flight
+// packets that network's track callback collected.
+func packetKey(byID map[uint64]*noc.Packet) func(*snapshot.Codec, **noc.Packet) {
+	return func(c *snapshot.Codec, p **noc.Packet) {
+		var id uint64
+		if !c.Decoding() {
+			id = (*p).ID
 		}
-		p, ok := byID[id]
-		if !ok {
-			d.Failf("prediction refers to packet %d, which is not in flight", id)
-			return nil, d.Err()
+		if c.U64(&id); c.Decoding() && c.Err() == nil {
+			if *p = byID[id]; *p == nil {
+				c.Failf("prediction refers to packet %d, which is not in flight", id)
+			}
 		}
-		return p, nil
 	}
 }
 
-// SnapshotTo implements BackendStater for the sampling backend. The
-// tuned model's state is carried inside the abstract network's
-// snapshot (they share the object), so it is not written separately.
-func (h *Hybrid) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
-	e.Section("hybrid")
-	h.tracker.SnapshotTo(e)
-	bs, ok := h.detailed.(BackendStater)
-	if !ok {
-		panic(fmt.Sprintf("core: hybrid detailed backend %q does not support checkpointing", h.detailed.Name()))
-	}
-	bs.SnapshotTo(e, pc)
-	h.abstract.SnapshotTo(e, pc)
-	h.pair.SnapshotTo(e, packetLess, encodePacketKey)
-}
-
-// RestoreFrom implements BackendStater for the sampling backend.
-func (h *Hybrid) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, track func(*noc.Packet)) error {
-	d.Section("hybrid")
-	if err := h.tracker.RestoreFrom(d); err != nil {
-		return err
-	}
-	bs, ok := h.detailed.(BackendStater)
-	if !ok {
-		d.Failf("hybrid detailed backend %q does not support checkpointing", h.detailed.Name())
-		return d.Err()
-	}
+// State implements BackendStater for the sampling backend. The tuned
+// model's state is carried inside the abstract network's (they share
+// the object), so it is not walked separately.
+func (h *Hybrid) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
+	c.Section("hybrid")
+	h.tracker.State(c)
 	byID := make(map[uint64]*noc.Packet)
-	collect := func(p *noc.Packet) {
+	stateOf(c, h.detailed, pc, func(p *noc.Packet) {
 		byID[p.ID] = p
 		if track != nil {
 			track(p)
 		}
+	})
+	h.abstract.State(c, pc, track)
+	h.pair.State(c, packetLess, packetKey(byID))
+	if c.Decoding() && c.Err() == nil {
+		h.rederive()
 	}
-	if err := bs.RestoreFrom(d, pc, collect); err != nil {
-		return err
-	}
-	if err := h.abstract.RestoreFrom(d, pc, track); err != nil {
-		return err
-	}
-	if err := h.pair.RestoreFrom(d, decodePacketKey(byID)); err != nil {
-		return err
-	}
-	h.drainBuf = h.drainBuf[:0]
-	return d.Err()
 }
 
-// SnapshotTo implements BackendStater for the calibrated backend. The
+// rederive empties the drain scratch after a successful decode, as
+// NewHybrid leaves it.
+func (h *Hybrid) rederive() { h.drainBuf = h.drainBuf[:0] }
+
+// State implements BackendStater for the calibrated backend. The
 // timing network carries the shared tuned model's state; the shadow
-// detailed network's packets have no payloads, so it is written with
-// a nil codec regardless of pc.
-func (c *Calibrated) SnapshotTo(e *snapshot.Encoder, pc snapshot.PayloadCodec) {
-	e.Section("calibrated")
-	e.U64(c.shadowed)
-	c.timing.SnapshotTo(e, pc)
-	bs, ok := c.detailed.(BackendStater)
-	if !ok {
-		panic(fmt.Sprintf("core: calibrated detailed backend %q does not support checkpointing", c.detailed.Name()))
-	}
-	bs.SnapshotTo(e, nil)
-	c.pair.SnapshotTo(e, packetLess, encodePacketKey)
-}
-
-// RestoreFrom implements BackendStater for the calibrated backend.
-func (c *Calibrated) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, track func(*noc.Packet)) error {
-	d.Section("calibrated")
-	c.shadowed = d.U64()
-	if err := c.timing.RestoreFrom(d, pc, track); err != nil {
-		return err
-	}
-	bs, ok := c.detailed.(BackendStater)
-	if !ok {
-		d.Failf("calibrated detailed backend %q does not support checkpointing", c.detailed.Name())
-		return d.Err()
-	}
+// detailed network's packets have no payloads, so it is walked with a
+// nil codec regardless of pc.
+func (cb *Calibrated) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
+	c.Section("calibrated")
+	c.U64(&cb.shadowed)
+	cb.timing.State(c, pc, track)
 	byID := make(map[uint64]*noc.Packet)
-	if err := bs.RestoreFrom(d, nil, func(p *noc.Packet) { byID[p.ID] = p }); err != nil {
-		return err
-	}
-	return c.pair.RestoreFrom(d, decodePacketKey(byID))
+	stateOf(c, cb.detailed, nil, func(p *noc.Packet) { byID[p.ID] = p })
+	cb.pair.State(c, packetLess, packetKey(byID))
 }
 
 // SnapshotTo writes the full co-simulation state: coordinator
@@ -166,62 +104,37 @@ func (c *Calibrated) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, 
 // deliberately excluded — it restarts at zero on resume — so equal
 // target states always serialize to equal bytes. It fails when the
 // backend does not support checkpointing.
-func (c *Cosim) SnapshotTo(e *snapshot.Encoder) error {
-	bs, ok := c.Net.(BackendStater)
-	if !ok {
-		return fmt.Errorf("core: backend %q does not support checkpointing", c.Net.Name())
-	}
-	c.snapshotSystem(e)
-	bs.SnapshotTo(e, fullsys.MsgCodec{Tiles: c.Sys.Cfg().Tiles})
-	return nil
-}
-
-// snapshotSystem writes everything but the backend: the coordinator
-// counters and the system simulator. On a quiescent network that is
-// the whole state, which is what ForkInto carries across backends.
-func (c *Cosim) snapshotSystem(e *snapshot.Encoder) {
-	e.Section("cosim")
-	e.U64(uint64(c.cycle))
-	e.U64(c.skewSum)
-	e.U64(uint64(c.skewMax))
-	e.U64(c.delivered)
-	e.U64(c.lastRetired)
-	e.Int(c.stuckFor)
-	e.Bool(c.stalled)
-	c.Sys.SnapshotTo(e)
-}
+func (cs *Cosim) SnapshotTo(e *snapshot.Encoder) error { return cs.state(e.Codec(), true) }
 
 // RestoreFrom reloads state written by SnapshotTo into a co-simulation
 // built with the same configuration, workload, backend construction,
 // and quantum.
-func (c *Cosim) RestoreFrom(d *snapshot.Decoder) error {
-	bs, ok := c.Net.(BackendStater)
-	if !ok {
-		return fmt.Errorf("core: backend %q does not support checkpointing", c.Net.Name())
-	}
-	if err := c.restoreSystem(d); err != nil {
-		return err
-	}
-	return bs.RestoreFrom(d, fullsys.MsgCodec{Tiles: c.Sys.Cfg().Tiles}, nil)
-}
+func (cs *Cosim) RestoreFrom(d *snapshot.Decoder) error { return cs.state(d.Codec(), true) }
 
-// restoreSystem reloads what snapshotSystem wrote.
-func (c *Cosim) restoreSystem(d *snapshot.Decoder) error {
-	d.Section("cosim")
-	c.cycle = sim.Cycle(d.U64())
-	c.skewSum = d.U64()
-	c.skewMax = sim.Cycle(d.U64())
-	c.delivered = d.U64()
-	c.lastRetired = d.U64()
-	c.stuckFor = d.Int()
-	c.stalled = d.Bool()
-	if d.Err() != nil {
-		return d.Err()
+// state is the one description SnapshotTo and RestoreFrom walk: the
+// coordinator counters and the system simulator, then — withNet — the
+// backend. On a quiescent network the first part is the whole state,
+// which is what ForkInto carries across backends.
+func (cs *Cosim) state(c *snapshot.Codec, withNet bool) error {
+	bs, ok := cs.Net.(BackendStater)
+	if withNet && !ok {
+		return fmt.Errorf("core: backend %q does not support checkpointing", cs.Net.Name())
 	}
-	if sim.Checking {
+	c.Section("cosim")
+	snapshot.As64(c, &cs.cycle)
+	c.U64(&cs.skewSum)
+	snapshot.As64(c, &cs.skewMax)
+	c.U64(&cs.delivered)
+	c.U64(&cs.lastRetired)
+	c.Int(&cs.stuckFor)
+	c.Bool(&cs.stalled)
+	if c.Decoding() && sim.Checking {
 		// The send closure carries the simcheck inject-order history;
 		// a restore can rewind simulated time, so install a fresh one.
-		c.Sys.SetSender(SenderFor(c.Net))
+		cs.Sys.SetSender(SenderFor(cs.Net))
 	}
-	return c.Sys.RestoreFrom(d)
+	if cs.Sys.State(c); withNet && c.Err() == nil {
+		bs.State(c, fullsys.MsgCodec{Tiles: cs.Sys.Cfg().Tiles}, nil)
+	}
+	return c.Err()
 }

@@ -52,6 +52,83 @@ func TestSchedFairShareByCycles(t *testing.T) {
 	}
 }
 
+// TestSchedFairShareWithinFewSlices holds the scheduler to its
+// few-slices promise on an interleaving the test controls: the
+// integration run's population (8 symmetric tenants x 32 sessions of
+// ~14 slices, 512-cycle slices) with `workers` slices in flight,
+// completing oldest first, each consuming a slice plus a seeded
+// quantum overshoot. A slice is charged when it completes, so up to
+// `workers` dispatches see the same stale totals and can all land on
+// one tenant: the worst gap sampled at any dispatch is about one slice
+// per worker, never more than two beyond that. With the server's
+// default aging (one slice of credit per tick) the credit of ~250
+// waiting entries exceeds a tenant's whole consumption for the first
+// half of the run, dispatch there is submit order, and the gap is
+// wider but still inside (2*workers+4) slices — the bound the
+// integration run used to assert on wall-clock interleavings, where
+// it failed about one run in twenty.
+func TestSchedFairShareWithinFewSlices(t *testing.T) {
+	const (
+		tenants   = 8
+		perTenant = 32
+		slice     = 512
+		length    = 14 * slice
+	)
+	run := func(aging uint64, workers int) FairnessReport {
+		sc := NewSched(aging)
+		left := map[*Entry]uint64{}
+		for i := 0; i < tenants*perTenant; i++ {
+			e := sc.Add(string(rune('a'+i%tenants)), uint64(i), nil)
+			left[e] = length + uint64(i%5)*100
+			sc.Ready(e)
+		}
+		rng := uint64(12345)
+		var flight []*Entry
+		for {
+			for len(flight) < workers {
+				e := sc.Pick()
+				if e == nil {
+					break
+				}
+				flight = append(flight, e)
+			}
+			if len(flight) == 0 {
+				return sc.Fairness()
+			}
+			e := flight[0]
+			flight = flight[1:]
+			rng = rng*6364136223846793005 + 1442695040888963407
+			used := slice + rng>>33%64
+			if used >= left[e] {
+				sc.Retire(e, left[e])
+				continue
+			}
+			left[e] -= used
+			sc.Account(e, used)
+			sc.Ready(e)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		aging   uint64
+		workers int
+		slices  uint64
+	}{
+		{"fair share alone, one worker", 0, 1, 2},
+		{"fair share alone, eight workers", 0, 8, 8 + 2},
+		{"default aging, eight workers", slice, 8, 2*8 + 4},
+	} {
+		rep := run(c.aging, c.workers)
+		if rep.Samples < 3000 {
+			t.Errorf("%s: only %d steady-state samples", c.name, rep.Samples)
+		}
+		if bound := c.slices * slice; rep.MaxSpread > bound {
+			t.Errorf("%s: spread %d cycles exceeds %d slices (%d)", c.name, rep.MaxSpread, c.slices, bound)
+		}
+		t.Logf("%s: spread %d cycles over %d samples", c.name, rep.MaxSpread, rep.Samples)
+	}
+}
+
 // TestSchedAging: with aging enabled, a tenant far ahead in consumed
 // cycles is still dispatched once its waiting credit catches up —
 // no session waits unboundedly.

@@ -8,162 +8,80 @@ import (
 )
 
 // OracleStater is implemented by every oracle in this package: the
-// caller supplies codecs for the opaque request metadata (the fullsys
-// memory message), which the oracle cannot serialize itself.
+// caller supplies the walk of the opaque request metadata (the fullsys
+// memory message), which the oracle cannot describe itself.
 type OracleStater interface {
-	SnapshotTo(e *snapshot.Encoder, metaEnc func(*snapshot.Encoder, interface{}))
-	RestoreFrom(d *snapshot.Decoder, metaDec func(*snapshot.Decoder) (interface{}, error)) error
+	State(c *snapshot.Codec, meta func(*snapshot.Codec, *interface{}))
 }
 
-// SnapshotTo writes the detailed oracle's clock, undrained
-// completions, and the full controller state.
-func (o *DetailedOracle) SnapshotTo(e *snapshot.Encoder, metaEnc func(*snapshot.Encoder, interface{})) {
-	e.Section("oracle-detailed")
-	e.U64(uint64(o.cycle))
-	e.U32(uint32(len(o.buf)))
-	for _, c := range o.buf {
-		e.U64(uint64(c.At))
-		metaEnc(e, c.Meta)
-	}
-	o.ctl.SnapshotTo(e, func(e *snapshot.Encoder, r *Request) {
-		metaEnc(e, r.Meta)
+// State walks the detailed oracle's clock, undrained completions, and
+// the full controller state; decoding, each queued request's
+// completion callback is rebuilt against this oracle's buffer.
+func (o *DetailedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *interface{})) {
+	c.Section("oracle-detailed")
+	snapshot.As64(c, &o.cycle)
+	snapshot.Slice(c, &o.buf, 17, func(c *snapshot.Codec, done *Completion) {
+		snapshot.As64(c, &done.At)
+		meta(c, &done.Meta)
+	})
+	o.ctl.State(c, func(c *snapshot.Codec, r *Request) {
+		meta(c, &r.Meta)
+		if c.Decoding() {
+			r.Done = o.done(r.Meta)
+		}
 	})
 }
 
-// RestoreFrom reloads the state written by SnapshotTo, rebuilding each
-// queued request's completion callback against this oracle's buffer.
-func (o *DetailedOracle) RestoreFrom(d *snapshot.Decoder, metaDec func(*snapshot.Decoder) (interface{}, error)) error {
-	d.Section("oracle-detailed")
-	o.cycle = sim.Cycle(d.U64())
-	n := d.Count(17)
-	o.buf = o.buf[:0]
-	for i := 0; i < n; i++ {
-		at := sim.Cycle(d.U64())
-		meta, err := metaDec(d)
-		if err != nil {
-			return err
-		}
-		o.buf = append(o.buf, Completion{At: at, Meta: meta})
+// State walks the abstract oracle's fit, serialization horizon, and
+// analytically timed in-flight requests. The heap's internal layout is
+// not observable (pops follow the total (At, seq) order), so encoding
+// walks a sorted view for byte-stable snapshots — which, read back in
+// that order, is a valid min-heap layout already.
+func (o *AbstractOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *interface{})) {
+	c.Section("oracle-abstract")
+	o.fit.State(c)
+	snapshot.As64(c, &o.nextFree)
+	snapshot.As64(c, &o.cycle)
+	c.U64(&o.seq)
+	c.U64(&o.reads)
+	c.U64(&o.writes)
+	o.latency.State(c)
+	pending := []absPending(o.pending)
+	if !c.Decoding() {
+		pending = append([]absPending(nil), pending...)
+		sort.Sort(absHeap(pending))
 	}
-	return o.ctl.RestoreFrom(d, func(d *snapshot.Decoder, r *Request) error {
-		meta, err := metaDec(d)
-		if err != nil {
-			return err
-		}
-		r.Meta = meta
-		r.Done = o.done(meta)
-		return d.Err()
+	snapshot.Slice(c, &pending, 17, func(c *snapshot.Codec, p *absPending) {
+		snapshot.As64(c, &p.at)
+		c.U64(&p.seq)
+		meta(c, &p.meta)
 	})
-}
-
-// SnapshotTo writes the abstract oracle's fit, serialization horizon,
-// and analytically timed in-flight requests. The heap's internal
-// layout is not observable (pops follow the total (At, seq) order), so
-// a sorted view is encoded for byte-stable snapshots.
-func (o *AbstractOracle) SnapshotTo(e *snapshot.Encoder, metaEnc func(*snapshot.Encoder, interface{})) {
-	e.Section("oracle-abstract")
-	o.fit.SnapshotTo(e)
-	e.U64(uint64(o.nextFree))
-	e.U64(uint64(o.cycle))
-	e.U64(o.seq)
-	e.U64(o.reads)
-	e.U64(o.writes)
-	o.latency.SnapshotTo(e)
-	pending := make([]absPending, len(o.pending))
-	copy(pending, o.pending)
-	sort.Slice(pending, func(i, j int) bool {
-		if pending[i].at != pending[j].at {
-			return pending[i].at < pending[j].at
-		}
-		return pending[i].seq < pending[j].seq
-	})
-	e.U32(uint32(len(pending)))
-	for _, p := range pending {
-		e.U64(uint64(p.at))
-		e.U64(p.seq)
-		metaEnc(e, p.meta)
+	if c.Decoding() {
+		o.pending = pending
 	}
 }
 
-// RestoreFrom reloads the state written by SnapshotTo.
-func (o *AbstractOracle) RestoreFrom(d *snapshot.Decoder, metaDec func(*snapshot.Decoder) (interface{}, error)) error {
-	d.Section("oracle-abstract")
-	if err := o.fit.RestoreFrom(d); err != nil {
-		return err
-	}
-	o.nextFree = sim.Cycle(d.U64())
-	o.cycle = sim.Cycle(d.U64())
-	o.seq = d.U64()
-	o.reads = d.U64()
-	o.writes = d.U64()
-	if err := o.latency.RestoreFrom(d); err != nil {
-		return err
-	}
-	n := d.Count(17)
-	o.pending = o.pending[:0]
-	for i := 0; i < n; i++ {
-		p := absPending{at: sim.Cycle(d.U64()), seq: d.U64()}
-		meta, err := metaDec(d)
-		if err != nil {
-			return err
-		}
-		p.meta = meta
-		// Sorted (at, seq) order is a valid min-heap layout already.
-		o.pending = append(o.pending, p)
-	}
-	o.out = o.out[:0]
-	return d.Err()
-}
-
-// SnapshotTo writes both fidelities plus the pairing state. The shadow
+// State walks both fidelities plus the pairing state. The shadow
 // side's metadata are this oracle's own shadow-request ids, so only
-// the abstract (caller-visible) side uses the caller's codec.
-func (o *CalibratedOracle) SnapshotTo(e *snapshot.Encoder, metaEnc func(*snapshot.Encoder, interface{})) {
-	e.Section("oracle-calibrated")
-	e.U64(o.shadowSeq)
-	o.abs.SnapshotTo(e, metaEnc)
-	o.det.SnapshotTo(e, func(e *snapshot.Encoder, meta interface{}) {
-		e.U64(meta.(uint64))
+// the abstract (caller-visible) side uses the caller's meta.
+func (o *CalibratedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *interface{})) {
+	c.Section("oracle-calibrated")
+	c.U64(&o.shadowSeq)
+	o.abs.State(c, meta)
+	o.det.State(c, func(c *snapshot.Codec, meta *interface{}) {
+		var id uint64
+		if !c.Decoding() {
+			id = (*meta).(uint64)
+		}
+		if c.U64(&id); c.Decoding() {
+			*meta = id
+		}
 	})
-	o.pair.SnapshotTo(e,
+	o.pair.State(c,
 		func(a, b uint64) bool { return a < b },
-		func(e *snapshot.Encoder, id uint64) { e.U64(id) })
-	ids := make([]uint64, 0, len(o.arrived))
-	//simlint:allow maprange keys collected here are sorted before use
-	for id := range o.arrived {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.U32(uint32(len(ids)))
-	for _, id := range ids {
-		e.U64(id)
-		e.U64(uint64(o.arrived[id]))
-	}
-}
-
-// RestoreFrom reloads the state written by SnapshotTo.
-func (o *CalibratedOracle) RestoreFrom(d *snapshot.Decoder, metaDec func(*snapshot.Decoder) (interface{}, error)) error {
-	d.Section("oracle-calibrated")
-	o.shadowSeq = d.U64()
-	if err := o.abs.RestoreFrom(d, metaDec); err != nil {
-		return err
-	}
-	err := o.det.RestoreFrom(d, func(d *snapshot.Decoder) (interface{}, error) {
-		return d.U64(), d.Err()
+		func(c *snapshot.Codec, id *uint64) { c.U64(id) })
+	snapshot.Map(c, &o.arrived, 16, func(c *snapshot.Codec, id *uint64, at *sim.Cycle) {
+		c.U64(id)
+		snapshot.As64(c, at)
 	})
-	if err != nil {
-		return err
-	}
-	if err := o.pair.RestoreFrom(d, func(d *snapshot.Decoder) (uint64, error) {
-		return d.U64(), d.Err()
-	}); err != nil {
-		return err
-	}
-	n := d.Count(16)
-	o.arrived = make(map[uint64]sim.Cycle, n)
-	for i := 0; i < n; i++ {
-		id := d.U64()
-		o.arrived[id] = sim.Cycle(d.U64())
-	}
-	return d.Err()
 }

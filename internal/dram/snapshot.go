@@ -1,81 +1,46 @@
 package dram
 
 import (
-	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
-// SnapshotTo writes the controller's complete timing and queue state.
-// Queued requests carry an opaque completion callback that cannot be
-// serialized, so the caller supplies meta, which encodes enough of
-// Request.Meta for RestoreFrom's rebuild callback to reconstruct Done.
-func (c *Controller) SnapshotTo(e *snapshot.Encoder, meta func(*snapshot.Encoder, *Request)) {
-	e.Section("dram")
-	e.U32(uint32(len(c.banks)))
-	for _, b := range c.banks {
-		e.I64(b.openRow)
-		e.U64(uint64(b.readyAt))
+// State walks the controller's complete timing and queue state. Queued
+// requests carry an opaque completion callback that cannot be
+// serialized, so the caller supplies meta, which walks enough of
+// Request.Meta to reconstruct Done — and, decoding, must set it;
+// bank/row decode is re-derived from the line address.
+func (ctl *Controller) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request)) {
+	c.Section("dram")
+	snapshot.Match(c, snapshot.As32[int], len(ctl.banks), "DRAM banks")
+	if c.Err() != nil {
+		return
 	}
-	e.U64(uint64(c.busFreeAt))
-	e.U64(c.rowHits)
-	e.U64(c.rowMisses)
-	e.U64(c.rowConflicts)
-	e.U64(c.reads)
-	e.U64(c.writes)
-	c.latency.SnapshotTo(e)
-	c.queueSamples.SnapshotTo(e)
-	e.U32(uint32(len(c.queue)))
-	for _, r := range c.queue {
-		e.U64(r.Line)
-		e.Bool(r.Write)
-		e.U64(uint64(r.arrived))
-		meta(e, r)
+	for i := range ctl.banks {
+		snapshot.As64(c, &ctl.banks[i].openRow)
+		snapshot.As64(c, &ctl.banks[i].readyAt)
 	}
-}
-
-// RestoreFrom reloads a state written by SnapshotTo. rebuild decodes
-// the per-request metadata written by the snapshot's meta callback and
-// must set Request.Done (and Meta); bank/row decode is re-derived from
-// the line address.
-func (c *Controller) RestoreFrom(d *snapshot.Decoder, rebuild func(*snapshot.Decoder, *Request) error) error {
-	d.Section("dram")
-	n := d.Count(16)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(c.banks) {
-		d.Failf("controller has %d banks, snapshot has %d", len(c.banks), n)
-		return d.Err()
-	}
-	for i := range c.banks {
-		c.banks[i].openRow = d.I64()
-		c.banks[i].readyAt = sim.Cycle(d.U64())
-	}
-	c.busFreeAt = sim.Cycle(d.U64())
-	c.rowHits = d.U64()
-	c.rowMisses = d.U64()
-	c.rowConflicts = d.U64()
-	c.reads = d.U64()
-	c.writes = d.U64()
-	if err := c.latency.RestoreFrom(d); err != nil {
-		return err
-	}
-	if err := c.queueSamples.RestoreFrom(d); err != nil {
-		return err
-	}
-	qn := d.Count(17)
-	c.queue = c.queue[:0]
-	for i := 0; i < qn; i++ {
-		r := &Request{Line: d.U64(), Write: d.Bool(), arrived: sim.Cycle(d.U64())}
-		if err := rebuild(d, r); err != nil {
-			return err
+	snapshot.As64(c, &ctl.busFreeAt)
+	c.U64(&ctl.rowHits)
+	c.U64(&ctl.rowMisses)
+	c.U64(&ctl.rowConflicts)
+	c.U64(&ctl.reads)
+	c.U64(&ctl.writes)
+	ctl.latency.State(c)
+	ctl.queueSamples.State(c)
+	snapshot.Slice(c, &ctl.queue, 17, func(c *snapshot.Codec, rp **Request) {
+		if c.Decoding() {
+			*rp = &Request{}
 		}
-		if d.Err() == nil && r.Done == nil {
-			d.Failf("queued request %d restored without a completion callback", i)
-			return d.Err()
+		r := *rp
+		c.U64(&r.Line)
+		c.Bool(&r.Write)
+		snapshot.As64(c, &r.arrived)
+		meta(c, r)
+		if r.Done == nil {
+			c.Failf("queued request for line %#x has no completion callback", r.Line)
 		}
-		r.bank, r.row = c.decode(r.Line)
-		c.queue = append(c.queue, r)
-	}
-	return d.Err()
+		if c.Decoding() {
+			r.bank, r.row = ctl.decode(r.Line)
+		}
+	})
 }

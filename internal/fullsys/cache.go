@@ -37,7 +37,7 @@ type l1Line struct {
 // l1Cache is a set-associative writeback L1 with true-LRU replacement.
 type l1Cache struct {
 	sets    [][]l1Line
-	setMask uint64
+	setMask uint64 //simlint:derived recomputed from the set count at construction; decode matches the geometry
 	tick    uint64
 
 	hits, misses uint64

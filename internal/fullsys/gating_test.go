@@ -148,9 +148,7 @@ func (r *gateRun) viaSnapshot() (*gateRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.RestoreFrom(d); err != nil {
-		return nil, err
-	}
+	sys.State(d.Codec())
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
@@ -160,7 +158,7 @@ func (r *gateRun) viaSnapshot() (*gateRun, error) {
 
 func encodeSystem(s *System) []byte {
 	e := snapshot.NewEncoder(0)
-	s.SnapshotTo(e)
+	s.State(e.Codec())
 	return e.Finish()
 }
 

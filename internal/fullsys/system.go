@@ -50,11 +50,11 @@ type System struct {
 	// measured against. halted, retired and finish are the running
 	// forms of Done, Retired and FinishCycle, kept at the halt and
 	// retire sites.
-	awake   []uint64  //simlint:derived recomputed from tile state by restore (rederive)
-	sweeps  uint64    //simlint:derived recomputed from tile state by restore: only differences against Tile.sleptAt matter, and every tile restarts awake
-	halted  int       //simlint:derived recomputed from tile state by restore (rederive)
-	retired uint64    //simlint:derived recomputed from tile state by restore (rederive)
-	finish  sim.Cycle //simlint:derived recomputed from tile state by restore (rederive)
+	awake   []uint64  //simlint:derived rebuilt by rederive from tile state
+	sweeps  uint64    //simlint:derived only differences against Tile.sleptAt matter, and rederive restarts every tile awake
+	halted  int       //simlint:derived rebuilt by rederive from tile state
+	retired uint64    //simlint:derived rebuilt by rederive from tile state
+	finish  sim.Cycle //simlint:derived rebuilt by rederive from tile state
 	// exhaustive makes Tick sweep every tile and never put one to
 	// sleep: the reference the gated sweep is tested against. Set by
 	// in-package tests only.

@@ -115,8 +115,8 @@ type Tile struct {
 	// next message reaches handleL1. sleep is the counter it is owed
 	// one cycle of for every sweep after sleptAt; Stats adds the debt
 	// on read, wake settles it.
-	sleep   uint8  //simlint:derived recomputed from tile state by restore: every tile starts awake
-	sleptAt uint64 //simlint:derived recomputed from tile state by restore: every tile starts awake
+	sleep   uint8  //simlint:derived rebuilt by rederive: every tile restarts awake
+	sleptAt uint64 //simlint:derived rebuilt by rederive: every tile restarts awake, owed nothing
 
 	// Home (directory + L2 bank) side.
 	dir       map[uint64]*dirLine

@@ -32,11 +32,11 @@ type Deflection struct {
 	injected  uint64
 	delivered uint64
 	nextID    uint64
-	drainBuf  []*Packet //simlint:derived drain scratch, cleared on restore before reuse
+	drainBuf  []*Packet //simlint:derived drain scratch, emptied by rederive
 
 	// The step path (shard.go; see Network's fields) and the packet
 	// free list. All derived or host-side state, excluded from snapshots.
-	partition             //simlint:derived recomputed at construction; wake schedules re-seeded by resetWake after restore, counters restart at zero
+	partition             //simlint:derived recomputed at construction; wake schedules rebuilt by rederive, counters restart at zero
 	stepFn    func(i int) //simlint:derived shardStep, bound once at construction
 	swapFn    func(i int) //simlint:derived shardSwap, bound once at construction
 	pool      PacketPool  //simlint:derived host-side free list, never simulated state
@@ -85,9 +85,9 @@ type deflFlit struct {
 // via double buffering).
 type deflRouter struct {
 	in   [4]deflFlit // current-cycle arrivals, indexed by direction
-	next [4]deflFlit // next-cycle arrivals (staged by neighbours)
+	next [4]deflFlit //simlint:derived next-cycle arrivals staged by neighbours; empty between steps, cleared by rederive
 
-	scratch []deflFlit // assignment working set
+	scratch []deflFlit //simlint:derived assignment working set, rebuilt by every router step before it is read
 
 	// Per-router counters (aggregated on demand) so concurrent shards
 	// never contend on shared state.
@@ -166,7 +166,21 @@ func NewDeflection(cfg DeflectConfig, topo topology.Topology, opts ...DeflectOpt
 	}
 	n.stepFn = n.shardStep
 	n.swapFn = n.shardSwap
+	n.rederive()
 	return n, nil
+}
+
+// rederive rebuilds what is not part of the network's state;
+// construction and a successful decode both end with it. The staging
+// slots are empty between steps and the drain scratch is emptied; the
+// wake schedule conservatively wakes every router once (the first wake
+// pass re-arms queued future injections).
+func (n *Deflection) rederive() {
+	for r := range n.routers {
+		n.routers[r].next = [4]deflFlit{}
+	}
+	n.drainBuf = n.drainBuf[:0]
+	n.resetWake()
 }
 
 // DeflectOption configures a Deflection network.

@@ -56,7 +56,7 @@ func runGatingLoad(t *testing.T, n *Network, pattern string) (fp string, mid, en
 	for q := 0; q < 8; q++ {
 		if q == 4 {
 			e := snapshot.NewEncoder(1)
-			n.SnapshotTo(e, nil)
+			n.State(e.Codec(), nil, nil)
 			mid = e.Finish()
 		}
 		base := n.Cycle()
@@ -85,7 +85,7 @@ func runGatingLoad(t *testing.T, n *Network, pattern string) (fp string, mid, en
 		t.Fatal("network failed to drain")
 	}
 	e := snapshot.NewEncoder(1)
-	n.SnapshotTo(e, nil)
+	n.State(e.Codec(), nil, nil)
 	return fingerprint(n, delivered), mid, e.Finish()
 }
 
@@ -147,7 +147,7 @@ func runDeflGatingLoad(t *testing.T, n *Deflection, pattern string) (fp string, 
 	for q := 0; q < 8; q++ {
 		if q == 4 {
 			e := snapshot.NewEncoder(1)
-			n.SnapshotTo(e, nil)
+			n.State(e.Codec(), nil, nil)
 			mid = e.Finish()
 		}
 		base := n.Cycle()
@@ -176,7 +176,7 @@ func runDeflGatingLoad(t *testing.T, n *Deflection, pattern string) (fp string, 
 		t.Fatal("deflection network failed to drain")
 	}
 	e := snapshot.NewEncoder(1)
-	n.SnapshotTo(e, nil)
+	n.State(e.Codec(), nil, nil)
 	return deflFingerprint(n, delivered), mid, e.Finish()
 }
 
@@ -262,7 +262,7 @@ func TestGatingRestoreBitIdentical(t *testing.T) {
 	src := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
 	load(src)
 	e := snapshot.NewEncoder(1)
-	src.SnapshotTo(e, nil)
+	src.State(e.Codec(), nil, nil)
 	blob := e.Finish()
 
 	for _, gated := range []bool{true, false} {
@@ -273,8 +273,8 @@ func TestGatingRestoreBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.RestoreFrom(d, nil, nil); err != nil {
-			t.Fatal(err)
+		if n.State(d.Codec(), nil, nil); d.Err() != nil {
+			t.Fatal(d.Err())
 		}
 		if got := finish(t, n); got != want {
 			t.Errorf("restored run (gated=%v) diverged from uninterrupted exhaustive run", gated)

@@ -17,15 +17,15 @@ type Iface struct {
 	// queued counts the packets in queues past their qHead, eligible or
 	// not: what pending() recounts. An NI with nothing queued and
 	// nothing serializing leaves tryInject and rearm after one compare.
-	queued int //simlint:derived recounted from the queues on restore
+	queued int //simlint:derived recounted from the queues by rederive
 
 	// credits counts free slots per VC of the router's local input port;
 	// returns arrive on that port record's credit ring.
 	credits []int32
 
-	terminal  int
-	router    int
-	localPort int
+	terminal  int //simlint:derived construction input: the NI's place in the topology
+	router    int //simlint:derived construction input: the NI's place in the topology
+	localPort int //simlint:derived construction input: the NI's place in the topology
 
 	queues [][]*Packet // per vnet, time-ordered by CreatedAt
 	qHead  []int       // consumed prefix per queue

@@ -64,7 +64,7 @@ type Network struct {
 	outOwner   []int32
 
 	// By mask word: the router-wide input-VC masks.
-	masks []vcMask //simlint:derived rebuilt from vcState and vcCount on restore
+	masks []vcMask //simlint:derived rebuilt by rederive from vcState and vcCount
 
 	// By port record: the round-robin pointers (vaPtr per output port
 	// over input VCs p*V + v; saInPtr per input port over its VCs;
@@ -99,13 +99,13 @@ type Network struct {
 	injected  uint64
 	delivered uint64
 	nextID    uint64
-	drainBuf  []*Packet //simlint:derived drain scratch, cleared on restore before reuse
+	drainBuf  []*Packet //simlint:derived drain scratch, emptied by rederive
 
 	// The step path (shard.go): shard partition, per-shard wake
 	// schedules, worker pool and work counters — all derived or
 	// host-side state, excluded from snapshots — the per-shard router
 	// scratch, and the packet free list.
-	partition                 //simlint:derived recomputed at construction; wake schedules re-seeded by rebuildWake after restore, counters restart at zero
+	partition                 //simlint:derived recomputed at construction; wake schedules rebuilt by rederive, counters restart at zero
 	shardFn   func(i int)     //simlint:derived shardStep, bound once at construction
 	scratch   []routerScratch //simlint:derived per-shard phase scratch, all zero between phases
 	pool      PacketPool      //simlint:derived host-side free list, never simulated state
@@ -306,6 +306,7 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 			bid:   make([]uint64, n.ports),
 		}
 	}
+	n.rederive()
 	return n, nil
 }
 
@@ -463,13 +464,23 @@ func (n *Network) AdvanceTo(c sim.Cycle) { n.advanceTo(&n.cycle, c, n.Step) }
 // ActivityStats reports the gating layer's work accounting.
 func (n *Network) ActivityStats() ActivityStats { return n.activityStats(&n.pool) }
 
-// rebuildWake reconstructs the wake schedule from restored state: wake
-// every router once (idle ones no-op and retire after one sweep) and
-// re-arm a wake for every flit or credit already in flight on a ring,
-// addressed to the ring's router — its consumer — at its arrival
-// cycle. NI injection queues need no scan: every router runs the first
-// post-restore cycle, and its rearm schedules future injections.
-func (n *Network) rebuildWake() {
+// rederive rebuilds what is not part of the network's state from what
+// is; construction and a successful decode both end with it. The NI
+// backlog counts and the VC masks are recounted, the drain scratch is
+// emptied, and the wake schedule is reconstructed: wake every router
+// once (idle ones no-op and retire after one sweep) and re-arm a wake
+// for every flit or credit already in flight on a ring, addressed to
+// the ring's router — its consumer — at its arrival cycle. NI
+// injection queues need no scan: every router runs the next cycle, and
+// its rearm schedules future injections.
+func (n *Network) rederive() {
+	for t := range n.ifaces {
+		n.ifaces[t].queued = n.ifaces[t].pending()
+	}
+	for rw := range n.masks {
+		n.masks[rw] = n.recountMask(rw)
+	}
+	n.drainBuf = n.drainBuf[:0]
 	n.resetWake()
 	now := n.cycle
 	for i := range n.linkFlits {

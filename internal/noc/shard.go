@@ -35,7 +35,7 @@ import (
 //
 // Everything here is derived state: shard assignment, wake schedules,
 // outboxes, and counters are recomputed on construction and
-// conservatively re-seeded on restore (resetWake), never serialized.
+// conservatively re-seeded after a decode (rederive), never serialized.
 // Sharding is a speed knob, never an accuracy knob.
 
 // shard is one contiguous router range [lo, hi) with its own wake
@@ -117,7 +117,7 @@ type partition struct {
 
 // init partitions R routers into max(1, min(workers, R)) near-equal
 // contiguous shards — one for the exhaustive sweep, which never steps
-// them — and wakes every router once.
+// them. The wake schedules are the owner's rederive's to seed.
 func (p *partition) init(R int, exhaustive bool) {
 	p.exhaustive = exhaustive
 	S := 1
@@ -133,12 +133,11 @@ func (p *partition) init(R int, exhaustive bool) {
 			p.shardOf[r] = int16(si)
 		}
 	}
-	p.resetWake()
 }
 
 // resetWake conservatively re-seeds every wake schedule: wake
-// everything once, drop all scheduled events, clear outboxes. The
-// derived-state reset shared by construction and snapshot restore.
+// everything once, drop all scheduled events, clear outboxes. Both
+// networks' rederive starts from it.
 func (p *partition) resetWake() {
 	for si := range p.shards {
 		s := &p.shards[si]

@@ -132,7 +132,7 @@ func TestShardedRestoreBitIdentical(t *testing.T) {
 
 	snapOf := func(n *Network) []byte {
 		e := snapshot.NewEncoder(1)
-		n.SnapshotTo(e, nil)
+		n.State(e.Codec(), nil, nil)
 		return e.Finish()
 	}
 
@@ -153,8 +153,8 @@ func TestShardedRestoreBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.RestoreFrom(d, nil, nil); err != nil {
-			t.Fatal(err)
+		if n.State(d.Codec(), nil, nil); d.Err() != nil {
+			t.Fatal(d.Err())
 		}
 		if got := finish(t, n); got != want {
 			t.Errorf("restored run (workers=%d) diverged from uninterrupted exhaustive run", w)
@@ -299,21 +299,21 @@ func TestShardedRestoredNetworkHoldsNoGoroutines(t *testing.T) {
 	}
 
 	nt, dt := mk()
-	transfer := func(snap func(*snapshot.Encoder, snapshot.PayloadCodec),
-		restore func(*snapshot.Decoder, snapshot.PayloadCodec, func(*Packet)) error) {
+	type stater func(*snapshot.Codec, snapshot.PayloadCodec, func(*Packet))
+	transfer := func(from, to stater) {
 		t.Helper()
 		e := snapshot.NewEncoder(1)
-		snap(e, nil)
+		from(e.Codec(), nil, nil)
 		d, err := snapshot.NewDecoder(e.Finish(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := restore(d, nil, nil); err != nil {
-			t.Fatal(err)
+		if to(d.Codec(), nil, nil); d.Err() != nil {
+			t.Fatal(d.Err())
 		}
 	}
-	transfer(n.SnapshotTo, nt.RestoreFrom)
-	transfer(d.SnapshotTo, dt.RestoreFrom)
+	transfer(n.State, nt.State)
+	transfer(d.State, dt.State)
 	if got := runtime.NumGoroutine(); got != base+4 {
 		t.Errorf("held restored twins own %d goroutines, want none", got-base-4)
 	}
@@ -405,7 +405,7 @@ func TestShardedCaptureWithBackloggedNI(t *testing.T) {
 	}
 	snapOf := func(n *Network) []byte {
 		e := snapshot.NewEncoder(1)
-		n.SnapshotTo(e, nil)
+		n.State(e.Codec(), nil, nil)
 		return e.Finish()
 	}
 	drain := func(n *Network) (string, bool) {
@@ -460,8 +460,8 @@ func TestShardedCaptureWithBackloggedNI(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := dst.RestoreFrom(d, nil, nil); err != nil {
-					t.Fatal(err)
+				if dst.State(d.Codec(), nil, nil); d.Err() != nil {
+					t.Fatal(d.Err())
 				}
 				if !bytes.Equal(snapOf(dst), blob) {
 					t.Errorf("snapshot restored into a %s network re-encodes to different bytes", what)

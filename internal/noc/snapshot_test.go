@@ -76,7 +76,7 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("checkpoint taken with nothing in flight; test would be vacuous")
 	}
 	e := snapshot.NewEncoder(1)
-	a.SnapshotTo(e, nil)
+	a.State(e.Codec(), nil, nil)
 	blob := e.Finish()
 
 	b := build()
@@ -85,8 +85,8 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("decode envelope: %v", err)
 	}
 	tracked := 0
-	if err := b.RestoreFrom(d, nil, func(*Packet) { tracked++ }); err != nil {
-		t.Fatalf("restore: %v", err)
+	if b.State(d.Codec(), nil, func(*Packet) { tracked++ }); d.Err() != nil {
+		t.Fatalf("restore: %v", d.Err())
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("trailing data: %v", err)
@@ -101,7 +101,7 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 
 	// The same snapshot must also be byte-stable across encodes.
 	e2 := snapshot.NewEncoder(1)
-	a.SnapshotTo(e2, nil)
+	a.State(e2.Codec(), nil, nil)
 	if string(e2.Finish()) != string(blob) {
 		t.Error("re-encoding the same network state produced different bytes")
 	}
@@ -152,7 +152,7 @@ func TestDeflectionSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("checkpoint taken with nothing in flight; test would be vacuous")
 	}
 	e := snapshot.NewEncoder(2)
-	a.SnapshotTo(e, nil)
+	a.State(e.Codec(), nil, nil)
 	blob := e.Finish()
 
 	b := build()
@@ -160,8 +160,8 @@ func TestDeflectionSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode envelope: %v", err)
 	}
-	if err := b.RestoreFrom(d, nil, nil); err != nil {
-		t.Fatalf("restore: %v", err)
+	if b.State(d.Codec(), nil, nil); d.Err() != nil {
+		t.Fatalf("restore: %v", d.Err())
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("trailing data: %v", err)
@@ -172,7 +172,7 @@ func TestDeflectionSnapshotRoundTrip(t *testing.T) {
 	}
 
 	e2 := snapshot.NewEncoder(2)
-	a.SnapshotTo(e2, nil)
+	a.State(e2.Codec(), nil, nil)
 	if string(e2.Finish()) != string(blob) {
 		t.Error("re-encoding the same deflection state produced different bytes")
 	}
@@ -187,7 +187,7 @@ func TestRestoreRejectsOutOfRangeIfaceRR(t *testing.T) {
 	m := topology.NewMesh(2, 2, 1)
 	n := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
 	e := snapshot.NewEncoder(1)
-	n.SnapshotTo(e, nil)
+	n.State(e.Codec(), nil, nil)
 	blob := e.Finish()
 
 	// An idle network's first iface record is one empty-queue count (a
@@ -208,8 +208,8 @@ func TestRestoreRejectsOutOfRangeIfaceRR(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode envelope: %v", err)
 	}
-	err = mustNet(t, DefaultConfig(), m, topology.NewXY(m)).RestoreFrom(d, nil, nil)
-	if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "iface rr pointer") {
+	mustNet(t, DefaultConfig(), m, topology.NewXY(m)).State(d.Codec(), nil, nil)
+	if err = d.Err(); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "iface rr pointer") {
 		t.Fatalf("restore with rr = VNets returned %v, want ErrCorrupt naming the iface rr pointer", err)
 	}
 }

@@ -2,21 +2,13 @@ package sim
 
 import "repro/internal/snapshot"
 
-// SnapshotTo writes the generator's exact stream position. The stream
+// State walks the generator's exact stream position. The stream
 // identity (inc) is included so restoring into a differently-keyed
 // component fails validation instead of silently splicing streams.
-func (r *RNG) SnapshotTo(e *snapshot.Encoder) {
-	e.U64(r.state)
-	e.U64(r.inc)
-}
-
-// RestoreFrom resumes the generator at a saved stream position.
-func (r *RNG) RestoreFrom(d *snapshot.Decoder) error {
-	r.state = d.U64()
-	inc := d.U64()
-	if d.Err() == nil && inc&1 == 0 {
-		d.Failf("RNG stream increment %#x is even; PCG increments are always odd", inc)
+func (r *RNG) State(c *snapshot.Codec) {
+	c.U64(&r.state)
+	c.U64(&r.inc)
+	if r.inc&1 == 0 {
+		c.Failf("RNG stream increment %#x is even; PCG increments are always odd", r.inc)
 	}
-	r.inc = inc
-	return d.Err()
 }

@@ -31,7 +31,7 @@ const (
 // everything else (due beyond the wheel's span, or behind the cursor)
 // sits in a binary heap. PopUntil merges the two tiers by (When, Seq),
 // so the firing order is that total order whatever tier an item
-// landed in; the tier layout is unobservable, and SnapshotTo's bytes
+// landed in; the tier layout is unobservable, and State's bytes
 // do not depend on it. It holds plain data, not closures, so its
 // pending contents can be enumerated into a snapshot and reloaded with
 // identical firing order. The zero value is an empty queue.
@@ -156,56 +156,43 @@ func (q *TypedQueue[T]) Pending() []Deferred[T] {
 	return out
 }
 
-// SnapshotTo writes the queue — pending items in firing order plus the
-// sequencing state — using enc for each item. The tier layout is not
-// written: RestoreFrom re-buckets.
-func (q *TypedQueue[T]) SnapshotTo(e *snapshot.Encoder, enc func(*snapshot.Encoder, T)) {
-	e.U64(q.seq)
-	e.U64(uint64(q.watermark))
-	e.Bool(q.fired)
-	pending := q.Pending()
-	e.U32(uint32(len(pending)))
-	for _, d := range pending {
-		e.U64(uint64(d.When))
-		e.U64(d.Seq)
-		enc(e, d.Item)
+// State walks the queue — the sequencing state, then the pending items
+// in firing order, item walking each payload. The tier layout is not
+// part of it: encoding writes the merged order (Pending), decoding
+// re-files every entry from a wheel anchored at the watermark, which no
+// pending item of a valid snapshot precedes. Original sequence numbers
+// are kept, so same-cycle firing order is exactly that of the saved
+// run.
+func (q *TypedQueue[T]) State(c *snapshot.Codec, item func(*snapshot.Codec, *T)) {
+	c.U64(&q.seq)
+	snapshot.As64(c, &q.watermark)
+	c.Bool(&q.fired)
+	var pending []Deferred[T]
+	if c.Decoding() {
+		q.reset()
+		q.cursor = q.watermark
+	} else {
+		pending = q.Pending()
 	}
-}
-
-// RestoreFrom replaces the queue contents with a snapshot written by
-// SnapshotTo, using dec for each item. Original sequence numbers are
-// preserved, so same-cycle firing order is exactly that of the saved
-// run. The wheel is anchored at the watermark, which no pending item
-// of a valid snapshot precedes.
-func (q *TypedQueue[T]) RestoreFrom(d *snapshot.Decoder, dec func(*snapshot.Decoder) (T, error)) error {
-	q.reset()
-	q.seq = d.U64()
-	q.watermark = Cycle(d.U64())
-	q.fired = d.Bool()
-	q.cursor = q.watermark
-	n := d.Count(17) // when + seq + at least one item byte
+	i := 0
 	var prev Deferred[T]
-	for i := 0; i < n; i++ {
-		when := Cycle(d.U64())
-		seq := d.U64()
-		item, err := dec(d)
-		if err != nil {
-			return err
+	snapshot.Slice(c, &pending, 17, func(c *snapshot.Codec, d *Deferred[T]) { // when + seq + at least one item byte
+		snapshot.As64(c, &d.When)
+		c.U64(&d.Seq)
+		if item(c, &d.Item); c.Err() != nil {
+			return
 		}
-		if seq >= q.seq {
-			d.Failf("queue entry %d has seq %d >= next seq %d", i, seq, q.seq)
-			return d.Err()
-		}
-		it := Deferred[T]{When: when, Seq: seq, Item: item}
 		// Firing order is what lets insert rebuild a bucket in Seq order.
-		if i > 0 && !before(&prev, &it) {
-			d.Failf("queue entry %d (%v, seq %d) is not after entry %d (%v, seq %d)", i, when, seq, i-1, prev.When, prev.Seq)
-			return d.Err()
+		if d.Seq >= q.seq {
+			c.Failf("queue entry %d has seq %d >= next seq %d", i, d.Seq, q.seq)
+		} else if i > 0 && !before(&prev, d) {
+			c.Failf("queue entry %d (%v, seq %d) is not after entry %d (%v, seq %d)", i, d.When, d.Seq, i-1, prev.When, prev.Seq)
+		} else if c.Decoding() {
+			q.insert(*d)
 		}
-		prev = it
-		q.insert(it)
-	}
-	return d.Err()
+		prev = *d
+		i++
+	})
 }
 
 // reset empties both tiers, keeping their capacity.

@@ -200,7 +200,9 @@ func (q *refQueue[T]) PopUntil(until Cycle) (d Deferred[T], ok bool) {
 	return d, true
 }
 
-func (q *refQueue[T]) SnapshotTo(e *snapshot.Encoder, enc func(*snapshot.Encoder, T)) {
+// encodeTo writes the reference queue field by field, straight to the
+// encoder: the bytes TypedQueue.State must produce.
+func (q *refQueue[T]) encodeTo(e *snapshot.Encoder, enc func(*snapshot.Encoder, T)) {
 	e.U64(q.seq)
 	e.U64(uint64(q.watermark))
 	e.Bool(q.fired)
@@ -260,7 +262,7 @@ func (q *refQueue[T]) down(i int) {
 
 func encInt(e *snapshot.Encoder, v int) { e.Int(v) }
 
-func decInt(d *snapshot.Decoder) (int, error) { return d.Int(), d.Err() }
+func stateInt(c *snapshot.Codec, v *int) { c.Int(v) }
 
 // Calendar-program opcodes; an op is two bytes, (opcode, argument).
 const (
@@ -335,19 +337,17 @@ func runCalendarProgram(prog []byte) (calendarTiers, error) {
 			}
 		}
 	}
-	encode := func(snap func(*snapshot.Encoder, func(*snapshot.Encoder, int))) []byte {
+	encode := func(q *TypedQueue[int]) []byte {
 		e := snapshot.NewEncoder(0)
-		snap(e, encInt)
+		q.State(e.Codec(), stateInt)
 		return e.Finish()
 	}
 	restore := func(dst, src *TypedQueue[int]) error {
-		d, err := snapshot.NewDecoder(encode(src.SnapshotTo), 0)
+		d, err := snapshot.NewDecoder(encode(src), 0)
 		if err != nil {
 			return err
 		}
-		if err := dst.RestoreFrom(d, decInt); err != nil {
-			return err
-		}
+		dst.State(d.Codec(), stateInt)
 		return d.Finish()
 	}
 	for pc := 0; pc+1 < len(prog); pc += 2 {
@@ -392,9 +392,11 @@ func runCalendarProgram(prog []byte) (calendarTiers, error) {
 				_, err = pop(now)
 			}
 		case opSnapshot:
-			want := encode(ref.SnapshotTo)
+			e := snapshot.NewEncoder(0)
+			ref.encodeTo(e, encInt)
+			want := e.Finish()
 			for i, q := range qs {
-				if got := encode(q.SnapshotTo); !bytes.Equal(got, want) {
+				if got := encode(q); !bytes.Equal(got, want) {
 					err = fmt.Errorf("queue %d snapshot differs from the reference's (%d vs %d bytes)", i, len(got), len(want))
 				}
 			}

@@ -68,15 +68,17 @@
 //     is then paid per packet in every build. Builtins and conversions
 //     are free and stay legal.
 //
-//   - statecov (whole module): for every type with SnapshotTo and
-//     RestoreFrom methods, every struct field of the receiver must be
-//     referenced in *both* method bodies — directly, through sibling
-//     helper methods, or through package-level helpers the receiver is
-//     passed to — or carry a //simlint:derived <reason> annotation on
-//     its declaration. This catches the "added a field, forgot the
-//     encoder" bug class at compile time instead of waiting for a
-//     round-trip test to happen to exercise the field. A type with one
-//     method of the pair but not the other is also a finding.
+//   - statecov (whole module): a type describes its state to the
+//     checkpoint codec in methods whose first parameter is a
+//     *snapshot.Codec (exported or not, whatever their name), and every
+//     struct field of such a type must be referenced in that
+//     description — directly, through sibling helper methods, or
+//     through package-level helpers the receiver is passed to — or
+//     carry a //simlint:derived <reason> annotation on its declaration.
+//     This catches the "added a field, forgot to walk it" bug class at
+//     compile time instead of waiting for a round-trip test to happen
+//     to exercise the field, for every type that carries state, nested
+//     records included.
 //
 //   - taint (deterministic packages): no function may *transitively*
 //     reach time.Now/time.Since (and the other wall-clock entry
@@ -111,7 +113,7 @@
 // field declaration, which doubles as documentation of why the field
 // is recomputed rather than serialized:
 //
-//	masks []vcMask //simlint:derived rebuilt from vcState and vcCount on restore
+//	masks []vcMask //simlint:derived rebuilt by rederive from vcState and vcCount
 //
 // The reason is mandatory; a directive without one (or naming an
 // unknown rule) is itself reported. Test files (_test.go) are not

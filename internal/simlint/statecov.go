@@ -4,117 +4,90 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
-// statecov is the snapshot-coverage rule: for every type with
-// SnapshotTo/RestoreFrom methods, each struct field of the receiver
-// must be referenced in both method bodies — directly, through sibling
-// helper methods called on the receiver, or through package-level
-// helpers the receiver is passed to — or carry a //simlint:derived
-// annotation on its declaration. A type with only one method of the
-// pair is itself a finding: half a round trip is not a round trip.
+// statecov is the snapshot-coverage rule: a type describes its state
+// to the checkpoint codec in methods whose first parameter is a
+// *snapshot.Codec — exported or not, whatever their name — and each
+// struct field of such a type must be referenced in that description:
+// directly, through sibling methods called on the receiver, or through
+// package-level helpers the receiver is passed to. A field that is
+// recomputed instead carries a //simlint:derived annotation on its
+// declaration. One body walks both directions, so there is no pair to
+// cross-check: a field is either in the description or it is not.
 //
-// The rule resolves receivers and call targets through go/types, so it
-// never confuses fields with locals and follows helpers across files.
-// Where type information is missing (tolerated type errors), a method
-// body yields no references and the absence is reported — the rule can
-// over-report on broken code but never silently under-covers.
-
-const (
-	snapshotMethod = "SnapshotTo"
-	restoreMethod  = "RestoreFrom"
-)
-
-// covPair collects the snapshot/restore method pair of one named type.
-type covPair struct {
-	tn   *types.TypeName
-	snap *funcRef
-	rest *funcRef
-}
+// The codec parameter is recognised syntactically, through the file's
+// imports; receivers and call targets are resolved through go/types, so
+// the rule never confuses fields with locals and follows helpers across
+// files. Where type information is missing (tolerated type errors), a
+// method body yields no references and the absence is reported — the
+// rule can over-report on broken code but never silently under-covers.
 
 func statecov(m *Module) []Finding {
-	var out []Finding
-
-	// Pair the methods by receiver base type, in declaration order.
-	pairs := map[*types.TypeName]*covPair{}
+	// The describing methods by receiver base type, in declaration order.
+	bodies := map[*types.TypeName][]*funcRef{}
 	var order []*types.TypeName
 	for _, fr := range m.funcList {
-		name := fr.decl.Name.Name
-		if (name != snapshotMethod && name != restoreMethod) || fr.decl.Recv == nil {
+		if fr.decl.Recv == nil || !takesCodec(m, fr) {
 			continue
 		}
 		tn := receiverTypeName(fr)
 		if tn == nil {
 			continue
 		}
-		p := pairs[tn]
-		if p == nil {
-			p = &covPair{tn: tn}
-			pairs[tn] = p
+		if bodies[tn] == nil {
 			order = append(order, tn)
 		}
-		if name == snapshotMethod {
-			p.snap = fr
-		} else {
-			p.rest = fr
-		}
+		bodies[tn] = append(bodies[tn], fr)
 	}
 
+	var out []Finding
 	for _, tn := range order {
-		p := pairs[tn]
-		switch {
-		case p.snap == nil:
-			m.report(&out, p.rest.decl.Name, RuleStatecov, fmt.Sprintf(
-				"type %s has %s but no %s; snapshot state must round-trip",
-				tn.Name(), restoreMethod, snapshotMethod))
-			continue
-		case p.rest == nil:
-			m.report(&out, p.snap.decl.Name, RuleStatecov, fmt.Sprintf(
-				"type %s has %s but no %s; snapshot state must round-trip",
-				tn.Name(), snapshotMethod, restoreMethod))
-			continue
-		}
 		st, ok := tn.Type().Underlying().(*types.Struct)
 		if !ok {
 			continue
 		}
-		snapRefs := fieldRefs(m, p.snap)
-		restRefs := fieldRefs(m, p.rest)
+		refs := fieldRefs(m, bodies[tn])
 		for i := 0; i < st.NumFields(); i++ {
 			field := st.Field(i)
-			if field.Name() == "_" {
-				continue
-			}
-			inSnap, inRest := snapRefs[field.Name()], restRefs[field.Name()]
-			if inSnap && inRest {
+			if field.Name() == "_" || refs[field.Name()] {
 				continue
 			}
 			pos := m.relPos(field.Pos())
-			if m.dirs.derivedAt(pos) {
+			if m.dirs.derivedAt(pos) || m.dirs.allowed(RuleStatecov, pos) {
 				continue
 			}
-			var msg string
-			switch {
-			case !inSnap && !inRest:
-				msg = fmt.Sprintf(
-					"field %s.%s is referenced in neither %s nor %s; serialize it or annotate //simlint:derived <how it is recomputed>",
-					tn.Name(), field.Name(), snapshotMethod, restoreMethod)
-			case !inSnap:
-				msg = fmt.Sprintf(
-					"field %s.%s is touched by %s but never written by %s; encode it or annotate //simlint:derived <how it is recomputed>",
-					tn.Name(), field.Name(), restoreMethod, snapshotMethod)
-			default:
-				msg = fmt.Sprintf(
-					"field %s.%s is written by %s but never restored by %s; decode it or annotate //simlint:derived <how it is recomputed>",
-					tn.Name(), field.Name(), snapshotMethod, restoreMethod)
-			}
-			if m.dirs.allowed(RuleStatecov, pos) {
-				continue
-			}
-			out = append(out, Finding{Pos: pos, Rule: RuleStatecov, Msg: msg})
+			out = append(out, Finding{Pos: pos, Rule: RuleStatecov, Msg: fmt.Sprintf(
+				"field %s.%s is not referenced by the type's state description (%s); walk it or annotate //simlint:derived <how it is recomputed>",
+				tn.Name(), field.Name(), bodies[tn][0].decl.Name.Name)})
 		}
 	}
 	return out
+}
+
+// takesCodec reports whether the function's first parameter is a
+// *snapshot.Codec: a pointer to the type Codec of an imported package
+// whose path ends in "snapshot".
+func takesCodec(m *Module, fr *funcRef) bool {
+	params := fr.decl.Type.Params
+	if params == nil || len(params.List) == 0 {
+		return false
+	}
+	star, ok := params.List[0].Type.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := star.X.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Codec" {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	path := m.imports[fr.file][pkg.Name]
+	return path == "snapshot" || strings.HasSuffix(path, "/snapshot")
 }
 
 // receiverTypeName resolves a method's receiver to the defining
@@ -147,16 +120,18 @@ func receiverTypeName(fr *funcRef) *types.TypeName {
 }
 
 // fieldRefs returns the set of receiver field names referenced by the
-// method, following sibling helper methods and package-level helper
+// methods, following sibling helper methods and package-level helper
 // functions the receiver is passed to.
-func fieldRefs(m *Module, fr *funcRef) map[string]bool {
+func fieldRefs(m *Module, methods []*funcRef) map[string]bool {
 	w := &covWalker{
 		m:       m,
 		refs:    map[string]bool{},
 		visited: map[*ast.FuncDecl]bool{},
 	}
-	if selfs := receiverObjs(fr); len(selfs) > 0 {
-		w.walk(fr, selfs)
+	for _, fr := range methods {
+		if selfs := receiverObjs(fr); len(selfs) > 0 {
+			w.walk(fr, selfs)
+		}
 	}
 	return w.refs
 }
@@ -176,7 +151,7 @@ func receiverObjs(fr *funcRef) map[types.Object]bool {
 }
 
 // covWalker accumulates field references across the helper-call
-// closure of one snapshot/restore method.
+// closure of one type's describing methods.
 type covWalker struct {
 	m       *Module
 	refs    map[string]bool

@@ -40,8 +40,7 @@ func copyRepoPackage(t *testing.T, srcDir, dstDir, modPath string) {
 // TestStatecovMutation is the acceptance gate for the snapshot-coverage
 // rule on production code: a copy of internal/stats (plus its only
 // dependency, internal/snapshot) lints clean, and deleting one field's
-// encode line from Running.SnapshotTo makes statecov report exactly
-// that field.
+// walk from Running.State makes statecov report exactly that field.
 func TestStatecovMutation(t *testing.T) {
 	root := t.TempDir()
 	if err := os.WriteFile(filepath.Join(root, "go.mod"),
@@ -67,16 +66,16 @@ func TestStatecovMutation(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Delete the m2 encode from Running.SnapshotTo: the snapshot now
-	// silently loses the variance accumulator.
+	// Delete the m2 walk from Running.State: the snapshot now silently
+	// loses the variance accumulator.
 	snapPath := filepath.Join(root, "internal", "stats", "snapshot.go")
 	src, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated := bytes.Replace(src, []byte("e.F64(r.m2)\n"), nil, 1)
+	mutated := bytes.Replace(src, []byte("c.F64(&r.m2)\n"), nil, 1)
 	if bytes.Equal(mutated, src) {
-		t.Fatal("mutation target line e.F64(r.m2) not found in stats/snapshot.go copy")
+		t.Fatal("mutation target line c.F64(&r.m2) not found in stats/snapshot.go copy")
 	}
 	if err := os.WriteFile(snapPath, mutated, 0o644); err != nil {
 		t.Fatal(err)
@@ -98,7 +97,7 @@ func TestStatecovMutation(t *testing.T) {
 		for _, f := range findings {
 			got = append(got, f.String())
 		}
-		t.Fatalf("statecov missed the deleted m2 encode; findings:\n  %s",
+		t.Fatalf("statecov missed the deleted m2 walk; findings:\n  %s",
 			strings.Join(got, "\n  "))
 	}
 }

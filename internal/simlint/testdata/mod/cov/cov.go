@@ -1,14 +1,15 @@
 // Package cov holds the statecov fixtures: a fully covered type
 // (partly through cross-file helpers), a derived-annotated cache, a
-// type with every flavour of missing field, and a half-paired type.
-// Line numbers are asserted by internal/simlint's tests; keep edits
-// appended or update the tests.
+// type with every flavour of missing field, a nested type that only
+// an unexported method describes, and a generic one. Line numbers are
+// asserted by internal/simlint's tests; keep edits appended or update
+// the tests.
 package cov
 
-import "fixture/snap"
+import "fixture/snapshot"
 
-// Good round-trips every field — a directly, b through a sibling
-// method in cov_helpers.go, note through a package-level function the
+// Good describes every field — a directly, b through a sibling method
+// in cov_helpers.go, note through a package-level function the
 // receiver is passed to. The rule must follow both across files.
 type Good struct {
 	a    uint64
@@ -16,52 +17,35 @@ type Good struct {
 	note string
 }
 
-// SnapshotTo writes all three fields.
-func (g *Good) SnapshotTo(e *snap.Encoder) {
-	e.U64(g.a)
-	g.encodeRest(e)
-	writeNote(e, g)
-}
-
-// RestoreFrom reads all three fields back.
-func (g *Good) RestoreFrom(d *snap.Decoder) error {
-	g.a = d.U64()
-	g.decodeRest(d)
-	restoreNote(d, g)
-	return d.Err()
+// State walks all three fields.
+func (g *Good) State(c *snapshot.Codec) {
+	c.U64(&g.a)
+	g.restState(c)
+	noteState(c, g)
 }
 
 // Cached carries a derived cache whose annotation suppresses the
 // finding.
 type Cached struct {
 	vals []uint64
-	sum  uint64 //simlint:derived recomputed from vals after restore
+	sum  uint64 //simlint:derived recomputed from vals after a decode
 }
 
-// SnapshotTo writes only the underlying values.
-func (c *Cached) SnapshotTo(e *snap.Encoder) {
-	e.U64(uint64(len(c.vals)))
-	for _, v := range c.vals {
-		e.U64(v)
+// State walks only the underlying values.
+func (cc *Cached) State(c *snapshot.Codec) {
+	n := uint64(len(cc.vals))
+	c.U64(&n)
+	if c.Decoding() {
+		cc.vals = make([]uint64, n)
+	}
+	for i := range cc.vals {
+		c.U64(&cc.vals[i])
 	}
 }
 
-// RestoreFrom reloads the values and recomputes the cache.
-func (c *Cached) RestoreFrom(d *snap.Decoder) error {
-	n := int(d.U64())
-	c.vals = c.vals[:0]
-	c.sum = 0
-	for i := 0; i < n; i++ {
-		v := d.U64()
-		c.vals = append(c.vals, v)
-		c.sum += v
-	}
-	return d.Err()
-}
-
-// Missing is the positive case: kept round-trips; dropped is encoded
-// but never decoded; ghost is decoded but never encoded; lost appears
-// in neither method.
+// Missing is the positive case: kept is walked; dropped is touched
+// only by a method State never reaches; ghost only on another value of
+// the type, never on the receiver; lost appears nowhere.
 type Missing struct {
 	kept    uint64
 	dropped uint64
@@ -69,25 +53,35 @@ type Missing struct {
 	lost    uint64
 }
 
-// SnapshotTo forgets ghost and lost.
-func (m *Missing) SnapshotTo(e *snap.Encoder) {
-	e.U64(m.kept)
-	e.U64(m.dropped)
+func (m *Missing) reset() { m.dropped = 0 }
+
+// State forgets dropped, ghost and lost.
+func (m *Missing) State(c *snapshot.Codec) {
+	var other Missing
+	c.U64(&m.kept)
+	c.U64(&other.ghost)
 }
 
-// RestoreFrom forgets dropped and lost.
-func (m *Missing) RestoreFrom(d *snap.Decoder) error {
-	m.kept = d.U64()
-	m.ghost = d.U64()
-	return d.Err()
+// Outer hands its nested record to that record's own description.
+type Outer struct {
+	id    uint64
+	inner inner
 }
 
-// Half has SnapshotTo but no RestoreFrom: itself a finding, because
-// half a round trip is not a round trip.
-type Half struct{ x uint64 }
+// State covers id and inner.
+func (o *Outer) State(c *snapshot.Codec) {
+	c.U64(&o.id)
+	o.inner.state(c)
+}
 
-// SnapshotTo writes the lone field into the void.
-func (h *Half) SnapshotTo(e *snap.Encoder) { e.U64(h.x) }
+// inner is described only by an unexported method; the rule keys on
+// the codec parameter, not the method's name, so forgot still fires.
+type inner struct {
+	walked uint64
+	forgot uint64
+}
+
+func (in *inner) state(c *snapshot.Codec) { c.U64(&in.walked) }
 
 // Generic reaches its fields through sibling helpers: a method called
 // on a generic type's own receiver is an instantiation, and the rule
@@ -100,14 +94,8 @@ type Generic[T any] struct {
 
 func (g *Generic[T]) count() int { return len(g.held) }
 
-func (g *Generic[T]) clear() { g.held = g.held[:0] }
-
-// SnapshotTo covers held through count.
-func (g *Generic[T]) SnapshotTo(e *snap.Encoder) { e.U64(uint64(g.count())) }
-
-// RestoreFrom covers held through clear.
-func (g *Generic[T]) RestoreFrom(d *snap.Decoder) error {
-	g.clear()
-	_ = d.U64()
-	return d.Err()
+// State covers held through count.
+func (g *Generic[T]) State(c *snapshot.Codec) {
+	n := uint64(g.count())
+	c.U64(&n)
 }

@@ -1,15 +1,11 @@
 package cov
 
-import "fixture/snap"
+import "fixture/snapshot"
 
-// encodeRest / decodeRest are sibling helpers invoked on the receiver;
-// the fields they touch count for the calling snapshot method.
-func (g *Good) encodeRest(e *snap.Encoder) { e.F64(g.b) }
+// restState is a sibling helper invoked on the receiver; the fields it
+// touches count for the calling State.
+func (g *Good) restState(c *snapshot.Codec) { c.F64(&g.b) }
 
-func (g *Good) decodeRest(d *snap.Decoder) { g.b = d.F64() }
-
-// writeNote / restoreNote take the receiver as an argument; the rule
-// tracks field references through the parameter.
-func writeNote(e *snap.Encoder, g *Good) { e.Str(g.note) }
-
-func restoreNote(d *snap.Decoder, g *Good) { g.note = d.Str() }
+// noteState takes the receiver as an argument; the rule tracks field
+// references through the parameter.
+func noteState(c *snapshot.Codec, g *Good) { c.Str(&g.note) }

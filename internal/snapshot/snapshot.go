@@ -11,11 +11,11 @@
 //	20      ...   payload (explicit per-package field writes)
 //	end-4   4     CRC32 (IEEE) over everything before it
 //
-// The payload is produced by explicit SnapshotTo/RestoreFrom methods in
-// each simulator package — state is enumerated in code, never via
-// reflection — so the byte stream for a given simulation state is
-// itself deterministic and can be compared or checked in as a golden
-// file. The envelope makes the failure modes loud: wrong file type,
+// The payload is produced by explicit State(*Codec) methods in each
+// simulator package, one body per type walked in either direction
+// (codec.go) — state is enumerated in code, never via reflection — so
+// the byte stream for a given simulation state is itself deterministic
+// and can be compared or checked in as a golden file. The envelope makes the failure modes loud: wrong file type,
 // wrong format version, bit corruption, and restoring into a different
 // configuration are each distinct errors, detected before any field is
 // decoded.
@@ -86,23 +86,6 @@ func Digest(parts ...string) uint64 {
 		h.Write([]byte{0})
 	}
 	return h.Sum64()
-}
-
-// PayloadCodec serializes the opaque Payload field of network packets.
-// The network layers are payload-agnostic; the co-simulation layer
-// supplies a codec for its message type.
-type PayloadCodec interface {
-	// EncodePayload writes one payload (which may be nil).
-	EncodePayload(e *Encoder, payload interface{})
-	// DecodePayload reads one payload written by EncodePayload.
-	DecodePayload(d *Decoder) (interface{}, error)
-}
-
-// Stater is implemented by components that can enumerate their mutable
-// state into a snapshot and restore it.
-type Stater interface {
-	SnapshotTo(e *Encoder)
-	RestoreFrom(d *Decoder) error
 }
 
 // Encoder appends fixed-width little-endian fields to a checkpoint

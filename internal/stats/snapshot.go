@@ -2,103 +2,42 @@ package stats
 
 import "repro/internal/snapshot"
 
-// SnapshotTo writes the accumulator's exact streaming state.
-func (r *Running) SnapshotTo(e *snapshot.Encoder) {
-	e.U64(r.n)
-	e.F64(r.mean)
-	e.F64(r.m2)
-	e.F64(r.min)
-	e.F64(r.max)
+// State walks the accumulator's exact streaming state.
+func (r *Running) State(c *snapshot.Codec) {
+	c.U64(&r.n)
+	c.F64(&r.mean)
+	c.F64(&r.m2)
+	c.F64(&r.min)
+	c.F64(&r.max)
 }
 
-// RestoreFrom reloads a state written by SnapshotTo.
-func (r *Running) RestoreFrom(d *snapshot.Decoder) error {
-	r.n = d.U64()
-	r.mean = d.F64()
-	r.m2 = d.F64()
-	r.min = d.F64()
-	r.max = d.F64()
-	return d.Err()
+// State walks the histogram counts and moments. Geometry (bin width,
+// bin count) is included so a restore into a histogram built with
+// different parameters fails instead of shifting mass.
+func (h *Histogram) State(c *snapshot.Codec) {
+	snapshot.Match(c, (*snapshot.Codec).F64, h.binWidth, "histogram bin width")
+	snapshot.Match(c, snapshot.As32[int], len(h.bins), "histogram bins")
+	if c.Err() != nil {
+		return
+	}
+	for i := range h.bins {
+		c.U64(&h.bins[i])
+	}
+	c.U64(&h.overflow)
+	h.moments.State(c)
 }
 
-// SnapshotTo writes the histogram counts and moments. Geometry
-// (bin width, bin count) is included so a restore into a histogram
-// built with different parameters fails instead of shifting mass.
-func (h *Histogram) SnapshotTo(e *snapshot.Encoder) {
-	e.F64(h.binWidth)
-	e.U32(uint32(len(h.bins)))
-	for _, c := range h.bins {
-		e.U64(c)
-	}
-	e.U64(h.overflow)
-	h.moments.SnapshotTo(e)
-}
-
-// RestoreFrom reloads a state written by SnapshotTo into a histogram
-// with matching geometry.
-func (h *Histogram) RestoreFrom(d *snapshot.Decoder) error {
-	bw := d.F64()
-	n := d.Count(8)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if bw != h.binWidth || n != len(h.bins) {
-		d.Failf("histogram geometry mismatch: snapshot has %d bins of width %v, target has %d of width %v",
-			n, bw, len(h.bins), h.binWidth)
-		return d.Err()
-	}
-	for i := 0; i < n; i++ {
-		h.bins[i] = d.U64()
-	}
-	h.overflow = d.U64()
-	return h.moments.RestoreFrom(d)
-}
-
-// SnapshotTo writes all per-class and aggregate accumulators.
-func (t *LatencyTracker) SnapshotTo(e *snapshot.Encoder) {
-	t.total.SnapshotTo(e)
-	t.network.SnapshotTo(e)
-	t.queueing.SnapshotTo(e)
-	t.hops.SnapshotTo(e)
-	for i := range t.byClass {
-		t.byClass[i].SnapshotTo(e)
-	}
-	e.Bool(t.hist != nil)
-	if t.hist != nil {
-		t.hist.SnapshotTo(e)
-	}
-}
-
-// RestoreFrom reloads a state written by SnapshotTo. Histogram
+// State walks all per-class and aggregate accumulators. Histogram
 // presence must match the target tracker's construction.
-func (t *LatencyTracker) RestoreFrom(d *snapshot.Decoder) error {
-	if err := t.total.RestoreFrom(d); err != nil {
-		return err
-	}
-	if err := t.network.RestoreFrom(d); err != nil {
-		return err
-	}
-	if err := t.queueing.RestoreFrom(d); err != nil {
-		return err
-	}
-	if err := t.hops.RestoreFrom(d); err != nil {
-		return err
-	}
+func (t *LatencyTracker) State(c *snapshot.Codec) {
+	t.total.State(c)
+	t.network.State(c)
+	t.queueing.State(c)
+	t.hops.State(c)
 	for i := range t.byClass {
-		if err := t.byClass[i].RestoreFrom(d); err != nil {
-			return err
-		}
+		t.byClass[i].State(c)
 	}
-	hasHist := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
+	if c.Present(t.hist != nil, "latency tracker histogram") {
+		t.hist.State(c)
 	}
-	if hasHist != (t.hist != nil) {
-		d.Failf("latency tracker histogram presence mismatch: snapshot %v, target %v", hasHist, t.hist != nil)
-		return d.Err()
-	}
-	if t.hist != nil {
-		return t.hist.RestoreFrom(d)
-	}
-	return nil
 }

@@ -4,44 +4,22 @@ import (
 	"repro/internal/snapshot"
 )
 
-// SnapshotTo writes the kernel's generator position: every per-core
-// RNG stream and the op-budget / phase / state machine counters. The
-// configuration fields are not written — they are part of the run
+// State walks the kernel's generator position: every per-core RNG
+// stream and the op-budget / phase / state machine counters. The
+// configuration fields are not part of it — they are part of the run
 // description covered by the config digest.
-func (s *Synthetic) SnapshotTo(e *snapshot.Encoder) {
+func (s *Synthetic) State(c *snapshot.Codec) {
 	s.init()
-	e.Section("workload")
-	e.U32(uint32(s.Cores))
-	for c := 0; c < s.Cores; c++ {
-		s.rngs[c].SnapshotTo(e)
-		e.Int(s.done[c])
-		e.Int(s.phase[c])
-		e.U64(s.nextBar[c])
-		e.U8(s.state[c])
-	}
-}
-
-// RestoreFrom reloads a position written by SnapshotTo into a kernel
-// constructed with the same configuration.
-func (s *Synthetic) RestoreFrom(d *snapshot.Decoder) error {
-	s.init()
-	d.Section("workload")
-	if n := int(d.U32()); d.Err() == nil && n != s.Cores {
-		d.Failf("workload snapshot has %d cores, kernel has %d", n, s.Cores)
-		return d.Err()
-	}
-	for c := 0; c < s.Cores; c++ {
-		if err := s.rngs[c].RestoreFrom(d); err != nil {
-			return err
-		}
-		s.done[c] = d.Int()
-		s.phase[c] = d.Int()
-		s.nextBar[c] = d.U64()
-		s.state[c] = d.U8()
-		if d.Err() == nil && s.state[c] > wHalted {
-			d.Failf("core %d workload state %d out of range", c, s.state[c])
-			return d.Err()
+	c.Section("workload")
+	snapshot.Match(c, snapshot.As32[int], s.Cores, "workload cores")
+	for i := 0; i < s.Cores && c.Err() == nil; i++ {
+		s.rngs[i].State(c)
+		c.Int(&s.done[i])
+		c.Int(&s.phase[i])
+		c.U64(&s.nextBar[i])
+		c.U8(&s.state[i])
+		if s.state[i] > wHalted {
+			c.Failf("core %d workload state %d out of range", i, s.state[i])
 		}
 	}
-	return d.Err()
 }
