@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race race-shard race-gating simcheck premerge fuzz-smoke cosimd-smoke
+.PHONY: all build test fmt vet lint race race-shard race-gating simcheck premerge fuzz-smoke cosimd-smoke
 
 all: build test
 
@@ -9,6 +9,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Fails when any file is not gofmt-clean, naming the files.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # The stock static analysis passes.
 vet:
@@ -81,4 +85,4 @@ simcheck:
 	$(GO) test -tags simcheck ./...
 
 # Everything a PR must pass.
-premerge: build vet lint test race simcheck
+premerge: build fmt vet lint test race simcheck

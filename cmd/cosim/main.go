@@ -29,7 +29,7 @@ func main() {
 	var (
 		tiles     = flag.Int("tiles", 64, "number of tiles (cores)")
 		wlName    = flag.String("workload", "fft", "workload kernel: fft|lu|barnes|ocean|radix|water|raytrace|canneal")
-		mode      = flag.String("mode", "reciprocal", "network abstraction: synchronous|abstract|contention|reciprocal|reciprocal-gpu|hybrid")
+		mode      = flag.String("mode", "reciprocal", "network abstraction: "+modeNames())
 		quantum   = flag.Int("quantum", 64, "synchronization quantum in cycles")
 		ops       = flag.Int("ops", 1000, "memory operations per core")
 		seed      = flag.Uint64("seed", 42, "workload seed")
@@ -37,7 +37,6 @@ func main() {
 		torus     = flag.Bool("torus", false, "use a torus instead of a mesh")
 		routing   = flag.String("routing", "xy", "mesh routing: xy|yx|oddeven")
 		memModel  = flag.String("mem", "fixed", "memory model: fixed|ddr|abstract|calibrated")
-		compWork  = flag.Int("component-workers", 0, "step co-simulation components (network, memory) concurrently with this many workers (0/1 = sequential)")
 		nocWork   = flag.Int("noc-workers", 0, "shard the detailed NoC sweep across this many workers in every detailed mode (0/1 = one shard on the calling goroutine; bit-identical results)")
 		router    = flag.String("router", "vc", "router architecture for detailed modes: vc|deflect")
 		sysStats  = flag.Bool("sysstats", false, "print system-level execution statistics")
@@ -95,7 +94,6 @@ func main() {
 	cfg.System.MemModel = *memModel
 	cfg.System.PrefetchDegree = *prefetch
 	cfg.RouterArch = *router
-	cfg.ComponentWorkers = *compWork
 	cfg.NocWorkers = *nocWork
 	cfg.DisableGating = *noFF
 
@@ -168,16 +166,21 @@ func main() {
 				fatal(err)
 			}
 		}
-		var ob *obs.Observer
+		// With nothing else asked for, the observer only times the run:
+		// the table's sys-wall/net-wall columns are measured under Wall
+		// alone (a deterministic -trace-out without -trace-wall leaves
+		// them "-").
+		opts := obs.Options{Wall: true}
 		if *traceOut != "" || *metricOut != "" || wantMetricsTable || wantCalibTable {
-			ob = obs.New(obs.Options{
+			opts = obs.Options{
 				Trace:   *traceOut != "",
 				Metrics: *metricOut != "" || wantMetricsTable,
 				Calib:   true,
 				Wall:    *traceWall,
-			})
-			cs.SetObserver(ob)
+			}
 		}
+		ob := obs.New(opts)
+		cs.SetObserver(ob)
 		if *progress > 0 {
 			hb := obs.NewHeartbeat(os.Stderr, *progress, sim.Cycle(*limit))
 			cs.Progress = hb.Tick
@@ -229,28 +232,26 @@ func main() {
 			cs.Sys.StatsTable("system statistics (" + m + ")").WriteText(os.Stdout)
 			fmt.Println()
 		}
-		if ob != nil {
-			// Per-mode output files when several modes run, like the
-			// checkpoint files above.
-			multi := strings.Contains(*mode, ",")
-			if *traceOut != "" {
-				if err := writeFileWith(modePath(*traceOut, m, multi), ob.WriteTrace); err != nil {
-					fatal(err)
-				}
+		// Per-mode output files when several modes run, like the
+		// checkpoint files above.
+		multi := strings.Contains(*mode, ",")
+		if *traceOut != "" {
+			if err := writeFileWith(modePath(*traceOut, m, multi), ob.WriteTrace); err != nil {
+				fatal(err)
 			}
-			if *metricOut != "" {
-				if err := writeFileWith(modePath(*metricOut, m, multi), ob.WriteMetrics); err != nil {
-					fatal(err)
-				}
+		}
+		if *metricOut != "" {
+			if err := writeFileWith(modePath(*metricOut, m, multi), ob.WriteMetrics); err != nil {
+				fatal(err)
 			}
-			if wantMetricsTable {
-				ob.MetricsTable("metrics (" + m + ")").WriteText(os.Stdout)
-				fmt.Println()
-			}
-			if wantCalibTable {
-				ob.CalibTable("calibration retunes (" + m + ")").WriteText(os.Stdout)
-				fmt.Println()
-			}
+		}
+		if wantMetricsTable {
+			ob.MetricsTable("metrics (" + m + ")").WriteText(os.Stdout)
+			fmt.Println()
+		}
+		if wantCalibTable {
+			ob.CalibTable("calibration retunes (" + m + ")").WriteText(os.Stdout)
+			fmt.Println()
 		}
 		cs.Close()
 	}
@@ -259,6 +260,15 @@ func main() {
 	if !allFinished {
 		fatal(fmt.Errorf("a workload did not finish within %d cycles", *limit))
 	}
+}
+
+// modeNames lists every co-simulation mode for the -mode help text.
+func modeNames() string {
+	var names []string
+	for _, m := range repro.Modes() {
+		names = append(names, string(m))
+	}
+	return strings.Join(names, "|")
 }
 
 // modePath suffixes an output path with the mode name when several

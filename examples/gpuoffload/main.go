@@ -22,6 +22,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -51,6 +52,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			// Host time is measured only when an observer asks for it.
+			cs.SetObserver(obs.New(obs.Options{Wall: true}))
 			res := cs.Run(100_000_000)
 			if !res.Finished {
 				log.Fatalf("%d cores: %s did not finish", size, mode)

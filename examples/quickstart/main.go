@@ -11,6 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -31,6 +32,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The table's sys-wall/net-wall columns are measured only when
+		// an observer asks for host timing.
+		cs.SetObserver(obs.New(obs.Options{Wall: true}))
 		res := cs.Run(10_000_000)
 		cs.Net.Close()
 		if !res.Finished {

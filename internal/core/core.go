@@ -45,9 +45,8 @@ import (
 // advanced to the next quantum boundary in one batch, and timestamped
 // completions come back out at the boundary. The network Backend below
 // and the memory oracles (internal/dram.Oracle, adapted in cosim.go)
-// are its two instances. Components advance over disjoint state, so a
-// multi-component Cosim may step them concurrently (see Cosim.Stepper)
-// with bit-identical results.
+// are its two instances. Components advance over disjoint state; Cosim
+// steps them in registry order at every quantum boundary.
 type Component interface {
 	// Name identifies the component in tables and logs.
 	Name() string
@@ -58,7 +57,7 @@ type Component interface {
 	AdvanceTo(c sim.Cycle)
 	// Close stops the component's host workers. Simulated state stays
 	// readable, and a later AdvanceTo restarts what it needs, so Close
-	// also serves as "go idle" (Cosim.Park).
+	// also serves as "go idle" (Cosim.Close).
 	Close()
 }
 

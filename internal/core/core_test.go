@@ -39,7 +39,7 @@ func TestSenderForEnforcesInjectionOrder(t *testing.T) {
 	send := SenderFor(abstractBackend())
 	m := fullsys.Msg{Type: fullsys.GetS, Src: 3, Dst: 7}
 	send(m, 10)
-	send(m, 10) // equal times are allowed
+	send(m, 10)                                              // equal times are allowed
 	send(fullsys.Msg{Type: fullsys.GetS, Src: 4, Dst: 7}, 2) // other sources are independent
 	defer func() {
 		if recover() == nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fullsys"
 	"repro/internal/noc"
-	"repro/internal/noc/engine"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -28,14 +27,6 @@ type Cosim struct {
 	// protocol or coupling deadlocks into diagnosable errors instead
 	// of silent cycle-limit exhaustion.
 	WatchdogQuanta int //simlint:derived host-side abort policy, not simulated state
-
-	// Stepper advances the registered components at each quantum
-	// boundary. nil steps them in registry order on the calling
-	// goroutine; engine.NewParallel(n) steps them concurrently.
-	// Components advance over disjoint state and their completions are
-	// applied sequentially in registry order after the barrier, so both
-	// are bit-identical (asserted by determinism tests).
-	Stepper *engine.Parallel //simlint:derived host worker pool; bit-identical to sequential stepping, so never snapshotted
 
 	// Progress, when set, is called after every quantum with the
 	// current cycle — the hook the observability heartbeat (and the
@@ -137,33 +128,16 @@ func New(sys *fullsys.System, backend Backend, quantum int) (*Cosim, error) {
 	return c, nil
 }
 
-// Components lists the registered components (the network backend
-// first, then memory) in scheduling order.
-func (c *Cosim) Components() []Component {
-	out := make([]Component, len(c.comps))
-	copy(out, c.comps)
-	return out
-}
-
-// Park stops the worker pools of every registered component and keeps
-// everything else: simulated state, the observer and the Stepper all
-// stay, and the next Step restarts whatever pools it needs
-// (Component.Close). It is how a holder that will leave the simulation
-// idle for a while — cosimd's warm tier — stops paying goroutines for
-// it. Bit-identity across a Park is the sharded stepper's, which holds
-// for every worker count.
-func (c *Cosim) Park() {
+// Close stops the worker pools of every registered component and
+// keeps everything else: simulated state and the observer stay, and
+// the next Step restarts whatever pools it needs (Component.Close). It
+// ends a finished simulation's use of host resources, and it is how a
+// holder that will leave a live one idle for a while — cosimd's warm
+// tier — stops paying goroutines for it. Bit-identity across a Close
+// is the sharded stepper's, which holds for every worker count.
+func (c *Cosim) Close() {
 	for _, comp := range c.comps {
 		comp.Close()
-	}
-}
-
-// Close ends the simulation's use of host resources: Park, plus the
-// Stepper, which (unlike a component's pool) cannot restart.
-func (c *Cosim) Close() {
-	c.Park()
-	if c.Stepper != nil {
-		c.Stepper.Close()
 	}
 }
 
@@ -231,6 +205,8 @@ type Result struct {
 	AvgSkew float64
 	MaxSkew sim.Cycle
 	// SysWall and NetWall split host time between the two simulators.
+	// The clock is read only under an observer with Wall set
+	// (obs.Options.Wall); both are zero otherwise.
 	SysWall, NetWall time.Duration
 	// Retired is the number of retired core operations.
 	Retired uint64
@@ -239,69 +215,52 @@ type Result struct {
 // Cycle reports the next cycle to simulate.
 func (c *Cosim) Cycle() sim.Cycle { return c.cycle }
 
-// advance moves every registered component to the quantum boundary —
-// through the stepper when one is set, in registry order otherwise.
-// Components own disjoint state, so the two paths are bit-identical.
+// advance moves every registered component to the quantum boundary,
+// in registry order.
 func (c *Cosim) advance(end sim.Cycle) {
 	h := c.obsH
-	start := c.cycle
-	if c.Stepper == nil {
-		for i, comp := range c.comps {
-			if h == nil {
-				comp.AdvanceTo(end)
-				continue
-			}
-			var t0 time.Time
-			if h.wall {
-				t0 = time.Now() //simlint:allow wallclock per-component advance cost annotation, observed only
-			}
+	for i, comp := range c.comps {
+		if h == nil {
 			comp.AdvanceTo(end)
-			var d time.Duration
-			if h.wall {
-				d = time.Since(t0) //simlint:allow wallclock per-component advance cost annotation, observed only
-			}
-			h.advSpan(i, start, end, d)
+			continue
 		}
-		return
-	}
-	comps := c.comps
-	if h == nil {
-		c.Stepper.Run(len(comps), func(i int) { comps[i].AdvanceTo(end) })
-		return
-	}
-	// Parallel + observed: each closure writes only its own duration
-	// slot; spans are appended sequentially after the barrier, in
-	// registry order, so the trace is identical to the sequential
-	// engine's.
-	durs := h.durs
-	wall := h.wall
-	c.Stepper.Run(len(comps), func(i int) {
-		if !wall {
-			comps[i].AdvanceTo(end)
-			return
+		// Timed only when the time has somewhere to go, a trace span or
+		// a registry histogram: a Wall-only observer wants Step's split
+		// and nothing finer.
+		timed := h.wall && (h.tr != nil || h.advWall[i] != nil)
+		var t0 time.Time
+		if timed {
+			t0 = time.Now() //simlint:allow wallclock per-component advance cost annotation, observed only
 		}
-		t0 := time.Now() //simlint:allow wallclock per-component advance cost annotation, observed only
-		comps[i].AdvanceTo(end)
-		durs[i] = time.Since(t0) //simlint:allow wallclock per-component advance cost annotation, observed only
-	})
-	for i := range comps {
-		h.advSpan(i, start, end, durs[i])
+		comp.AdvanceTo(end)
+		var d time.Duration
+		if timed {
+			d = time.Since(t0) //simlint:allow wallclock per-component advance cost annotation, observed only
+		}
+		h.span(h.tids[i], "advance", h.advWall[i], c.cycle, end, d)
 	}
 }
 
 // Step advances the co-simulation by one quantum (or less, if the
 // workload finishes mid-quantum). It returns false when the workload
-// has completed.
+// has completed. The host clock is read only when the attached
+// observer has Wall set; an unwatched Step pays for no timing.
 func (c *Cosim) Step() bool {
 	h := c.obsH
+	wall := h != nil && h.wall
 	end := c.cycle + sim.Cycle(c.Quantum)
-	t0 := time.Now() //simlint:allow wallclock host-time split between the two simulators, never fed back into simulated state
+	var t0, t1 time.Time
+	if wall {
+		t0 = time.Now() //simlint:allow wallclock host-time split between the two simulators, never fed back into simulated state
+	}
 	for t := c.cycle; t < end; t++ {
 		c.Sys.Tick(t)
 	}
-	t1 := time.Now() //simlint:allow wallclock host-time split between the two simulators, never fed back into simulated state
+	if wall {
+		t1 = time.Now() //simlint:allow wallclock host-time split between the two simulators, never fed back into simulated state
+	}
 	if h != nil {
-		h.sysSpan(c.cycle, end, t1.Sub(t0))
+		h.span(h.sysTid, "tick", h.sysWall, c.cycle, end, t1.Sub(t0))
 	}
 	c.advance(end)
 	// Memory completions apply before network deliveries: completions
@@ -355,8 +314,10 @@ func (c *Cosim) Step() bool {
 	if h != nil {
 		h.endQuantum(c, end, memDone, netDone)
 	}
-	c.netWall += time.Since(t1) //simlint:allow wallclock host-time split between the two simulators, never fed back into simulated state
-	c.sysWall += t1.Sub(t0)
+	if wall {
+		c.netWall += time.Since(t1) //simlint:allow wallclock host-time split between the two simulators, never fed back into simulated state
+		c.sysWall += t1.Sub(t0)
+	}
 	c.cycle = end
 	return !c.Sys.Done()
 }
@@ -413,6 +374,15 @@ func (c *Cosim) result(limit sim.Cycle) Result {
 	return r
 }
 
+// wallCell formats one half of the host-time split; "-" marks a run
+// nobody timed (Result.SysWall/NetWall).
+func wallCell(d time.Duration) string {
+	if d == 0 {
+		return "-"
+	}
+	return d.Round(time.Millisecond).String()
+}
+
 // LatencyTable formats a set of results as a comparison table.
 func LatencyTable(title string, results []Result) *stats.Table {
 	t := stats.NewTable(title,
@@ -420,8 +390,7 @@ func LatencyTable(title string, results []Result) *stats.Table {
 	for _, r := range results {
 		t.AddRow(r.Mode, r.Finished, uint64(r.ExecCycles), r.Packets,
 			r.AvgLatency, r.AvgNetLatency, r.P95Latency, r.AvgSkew,
-			r.SysWall.Round(time.Millisecond).String(),
-			r.NetWall.Round(time.Millisecond).String())
+			wallCell(r.SysWall), wallCell(r.NetWall))
 	}
 	return t
 }

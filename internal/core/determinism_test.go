@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fullsys"
 	"repro/internal/noc"
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
@@ -23,13 +22,13 @@ import (
 // the system half of the coupling.
 func cosimFingerprint(t *testing.T, seed uint64, quantum int, backend func(t *testing.T) Backend) string {
 	t.Helper()
-	return cosimFingerprintCfg(t, seed, quantum, backend, nil, nil)
+	return cosimFingerprintCfg(t, seed, quantum, backend, nil)
 }
 
 // cosimFingerprintCfg is cosimFingerprint with a config mutation (e.g.
-// a non-default memory model) and an optional component stepper.
+// a non-default memory model).
 func cosimFingerprintCfg(t *testing.T, seed uint64, quantum int, backend func(t *testing.T) Backend,
-	mutate func(*fullsys.Config), stepper *engine.Parallel) string {
+	mutate func(*fullsys.Config)) string {
 	t.Helper()
 	wl := workload.NewFFT(16, 250, seed)
 	cfg := fullsys.DefaultConfig(16)
@@ -40,7 +39,6 @@ func cosimFingerprintCfg(t *testing.T, seed uint64, quantum int, backend func(t 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.Stepper = stepper
 	res := cs.Run(2_000_000)
 	if !res.Finished {
 		t.Fatalf("workload did not finish: %+v", res)
@@ -87,33 +85,26 @@ func shardedMeshBackend(workers int) func(t *testing.T) Backend {
 }
 
 // TestCosimShardedBitIdentical is the co-simulation-level shard
-// guarantee (the intra-NoC companion of TestCosimStepperBitIdentical):
-// sharding the NoC sweep must leave the full-system outcome
-// bit-identical to the default one-shard sweep, including when
-// component stepping is concurrent too.
+// guarantee: sharding the NoC sweep must leave the full-system outcome
+// bit-identical to the default one-shard sweep.
 func TestCosimShardedBitIdentical(t *testing.T) {
 	setMem := func(cfg *fullsys.Config) { cfg.MemModel = "ddr" }
-	seq := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem, nil)
+	seq := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem)
 	// 32 exceeds the 16-router mesh: the shard clamp.
 	for _, w := range []int{1, 2, 4, 32} {
-		if got := cosimFingerprintCfg(t, 42, 8, shardedMeshBackend(w), setMem, nil); got != seq {
+		if got := cosimFingerprintCfg(t, 42, 8, shardedMeshBackend(w), setMem); got != seq {
 			t.Errorf("sharded NoC stepping (workers=%d) diverged from sequential\nseq: %s\nshd: %s", w, seq, got)
 		}
 	}
-	par := engine.NewParallel(4)
-	defer par.Close()
-	if got := cosimFingerprintCfg(t, 42, 8, shardedMeshBackend(4), setMem, par); got != seq {
-		t.Errorf("sharded NoC under parallel component stepping diverged from sequential\nseq: %s\nshd: %s", seq, got)
-	}
 }
 
-// TestCosimParkBitIdentical: Park stops the components' worker pools
-// and nothing else, so a run parked every few quanta — sharded NoC,
-// concurrent component stepping, the Stepper included — continues
-// bit-identically to the sequential run that never stopped.
-func TestCosimParkBitIdentical(t *testing.T) {
+// TestCosimCloseBitIdentical: Close stops the components' worker pools
+// and nothing else, and the next Step restarts them, so a run over the
+// sharded NoC that is closed every few quanta and continued ends
+// bit-identically to the one-shard run that never stopped.
+func TestCosimCloseBitIdentical(t *testing.T) {
 	setMem := func(cfg *fullsys.Config) { cfg.MemModel = "ddr" }
-	seq := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem, nil)
+	seq := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem)
 
 	cfg := fullsys.DefaultConfig(16)
 	setMem(&cfg)
@@ -121,18 +112,16 @@ func TestCosimParkBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.Stepper = engine.NewParallel(4)
-	defer cs.Close()
 	var res Result
-	for parks := 0; !res.Finished; parks++ {
-		if parks > 10_000 {
+	for closes := 0; !res.Finished; closes++ {
+		if closes > 10_000 {
 			t.Fatalf("workload did not finish: %+v", res)
 		}
 		res = cs.Run(cs.Cycle() + 512)
-		cs.Park()
+		cs.Close()
 	}
 	if got := fingerprintOf(cs, res); got != seq {
-		t.Errorf("a run parked every 512 cycles diverged from the uninterrupted one\nseq:    %s\nparked: %s", seq, got)
+		t.Errorf("a run closed every 512 cycles and continued diverged from the uninterrupted one\nseq:    %s\nclosed: %s", seq, got)
 	}
 }
 
@@ -162,30 +151,12 @@ func TestCosimDeterministic(t *testing.T) {
 		mem := mem
 		t.Run("mem-"+mem+"/q8", func(t *testing.T) {
 			setMem := func(cfg *fullsys.Config) { cfg.MemModel = mem }
-			a := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem, nil)
-			b := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem, nil)
+			a := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem)
+			b := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem)
 			if a != b {
 				t.Errorf("co-simulation with the %s memory model diverged\nrun1: %s\nrun2: %s", mem, a, b)
 			}
 		})
-	}
-}
-
-// TestCosimStepperBitIdentical is the concurrency guarantee of the
-// component framework: stepping the network and the memory oracles
-// with the parallel engine must produce outcomes bit-identical to the
-// sequential registry-order loop, because components advance over
-// disjoint state and completions are applied sequentially after the
-// barrier.
-func TestCosimStepperBitIdentical(t *testing.T) {
-	setMem := func(cfg *fullsys.Config) { cfg.MemModel = "ddr" }
-	seq := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem, nil)
-
-	par := engine.NewParallel(4)
-	defer par.Close()
-	got := cosimFingerprintCfg(t, 42, 8, detailedMeshBackend, setMem, par)
-	if got != seq {
-		t.Errorf("parallel component stepping diverged from sequential\nseq: %s\npar: %s", seq, got)
 	}
 }
 
@@ -196,15 +167,24 @@ func TestCosimStepperBitIdentical(t *testing.T) {
 // calibrated memory model is used so the retune-sink wiring — the one
 // place observability touches the calibration loop — is exercised.
 func TestObservabilityZeroPerturbation(t *testing.T) {
+	full := obs.Options{Trace: true, Metrics: true, Calib: true}
+	timed := full
+	timed.Wall = true
 	variants := []struct {
 		name    string
 		backend func(t *testing.T) Backend
+		opts    obs.Options
 	}{
-		{"sequential", detailedMeshBackend},
+		{"sequential", detailedMeshBackend, full},
 		// The sharded NoC registers extra gauges (net.shards etc.) whose
 		// sampling must be just as invisible — and with wall timing off,
 		// the wall-derived barrier-share gauge must not register at all.
-		{"sharded", shardedMeshBackend(4)},
+		{"sharded", shardedMeshBackend(4), full},
+		// Wall turns on the only clock reads of the step path (and the
+		// wall.* histograms and barrier-share gauge): host time is
+		// recorded, never fed back.
+		{"sequential-wall", detailedMeshBackend, timed},
+		{"sharded-wall", shardedMeshBackend(4), timed},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -218,7 +198,7 @@ func TestObservabilityZeroPerturbation(t *testing.T) {
 				}
 				var ob *obs.Observer
 				if observe {
-					ob = obs.New(obs.Options{Trace: true, Metrics: true, Calib: true})
+					ob = obs.New(v.opts)
 					cs.SetObserver(ob)
 				}
 				// Snapshot mid-run, with packets in flight and (in the observed

@@ -52,7 +52,6 @@ type obsHandles struct {
 
 	sysWall *obs.Histogram
 	advWall []*obs.Histogram
-	durs    []time.Duration
 
 	// flits samples switching activity when the backend exposes it
 	// (detailed cycle-level networks); nil otherwise.
@@ -159,7 +158,6 @@ func (c *Cosim) SetObserver(o *obs.Observer) {
 			ro.SetRetuneSink(o.RetuneSink(comp.Name()))
 		}
 	}
-	h.durs = make([]time.Duration, len(c.comps))
 	c.Sys.SetObserver(o)
 	c.obsH = h
 }
@@ -181,24 +179,23 @@ func (c *Cosim) ObserveSnapshotBytes(n int) {
 	c.obsH.snapBytes.Set(float64(n))
 }
 
-// sysSpan records the full-system leg of one quantum.
-func (h *obsHandles) sysSpan(start, end sim.Cycle, wall time.Duration) {
+// span records one leg of a quantum (the full-system tick, or one
+// component's advance) on track tid: its host time into hist when wall
+// timing is on, and a trace span when a trace is attached. The wall_ns
+// annotation is built only for a trace that will keep it, so a
+// metrics-only observer allocates nothing per quantum.
+func (h *obsHandles) span(tid int, name string, hist *obs.Histogram, start, end sim.Cycle, wall time.Duration) {
+	if h.wall {
+		hist.Observe(float64(wall.Nanoseconds()))
+	}
+	if h.tr == nil {
+		return
+	}
 	var args map[string]interface{}
 	if h.wall {
-		h.sysWall.Observe(float64(wall.Nanoseconds()))
 		args = map[string]interface{}{"wall_ns": float64(wall.Nanoseconds())}
 	}
-	h.tr.Span(h.sysTid, "tick", start, end, args)
-}
-
-// advSpan records one component's advance over a quantum.
-func (h *obsHandles) advSpan(i int, start, end sim.Cycle, wall time.Duration) {
-	var args map[string]interface{}
-	if h.wall {
-		h.advWall[i].Observe(float64(wall.Nanoseconds()))
-		args = map[string]interface{}{"wall_ns": float64(wall.Nanoseconds())}
-	}
-	h.tr.Span(h.tids[i], "advance", start, end, args)
+	h.tr.Span(tid, name, start, end, args)
 }
 
 // endQuantum folds one quantum's totals into metrics and trace

@@ -13,9 +13,10 @@
 //     exceeds Options.MaxResident, and are transparently faulted back
 //     in at their next dispatch. Eviction is two-tier. A victim is
 //     first parked: it keeps the simulation it already holds, with the
-//     worker pools stopped (core.Cosim.Park), and is merely counted
-//     against Options.MaxWarm instead of MaxResident — a hand-over,
-//     not a copy, and adopting it back is bookkeeping. Only when the
+//     worker pools stopped (core.Cosim.Close, which the next Step
+//     undoes), and is merely counted against Options.MaxWarm instead
+//     of MaxResident — a hand-over, not a copy, and adopting it back
+//     is bookkeeping. Only when the
 //     parked population overflows MaxWarm is the LRU one serialized to
 //     a checkpoint file (internal/ckpt) and dropped. Bit-identical
 //     resume — stepping after a pool restart, and decode into a
@@ -672,7 +673,7 @@ func (s *Server) evictOverflowLocked() {
 			break // everything resident is running; nothing evictable
 		}
 		done := s.phaseTimer("park_warm")
-		victim.cs.Park()
+		victim.cs.Close()
 		done()
 		victim.resident = false
 		victim.evictions++

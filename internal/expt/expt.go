@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -88,21 +89,29 @@ type runKey struct {
 	quantum int
 	seed    uint64
 	mem     string
-	// nocWorkers splits the memo even though sharded and sequential
-	// results are bit-identical: Result carries wall-clock timings,
-	// and the speed experiments compare exactly those.
-	nocWorkers int
 }
 
 var runMemo = map[runKey]core.Result{}
 
 // run executes one co-simulation of the named workload under a mode,
-// memoizing by configuration.
+// memoizing by configuration. Memoized runs are unobserved, so their
+// host-time split is zero; the speed experiments that report it use
+// mustRunTimed.
 func (s Scale) run(mode repro.Mode, wlName string) (core.Result, error) {
-	key := runKey{mode, wlName, s.Cores, s.OpsPerCore, s.Quantum, s.Seed, s.MemModel, s.NocWorkers}
+	key := runKey{mode, wlName, s.Cores, s.OpsPerCore, s.Quantum, s.Seed, s.MemModel}
 	if r, ok := runMemo[key]; ok {
 		return r, nil
 	}
+	res, err := s.runObserved(mode, wlName, nil)
+	if err == nil {
+		runMemo[key] = res
+	}
+	return res, err
+}
+
+// runObserved executes one co-simulation under the given observer
+// (nil: none), unmemoized.
+func (s Scale) runObserved(mode repro.Mode, wlName string, ob *obs.Observer) (core.Result, error) {
 	cfg := repro.DefaultConfig(s.Cores)
 	cfg.Quantum = s.Quantum
 	cfg.NocWorkers = s.NocWorkers
@@ -118,11 +127,11 @@ func (s Scale) run(mode repro.Mode, wlName string) (core.Result, error) {
 		return core.Result{}, err
 	}
 	defer cs.Close()
+	cs.SetObserver(ob)
 	res := cs.Run(s.CycleLimit)
 	if !res.Finished {
 		return res, fmt.Errorf("expt: %s/%s hit the cycle limit", mode, wlName)
 	}
-	runMemo[key] = res
 	return res, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/noc/topology"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -236,6 +237,7 @@ func runForkedT2(warm *core.Cosim, cfg repro.Config, s Scale) core.Result {
 		panic(err)
 	}
 	defer f.Close()
+	f.SetObserver(obs.New(obs.Options{Wall: true}))
 	res := f.Run(s.CycleLimit)
 	if !res.Finished {
 		panic("expt: T2 run hit cycle limit")

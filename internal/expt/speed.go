@@ -10,6 +10,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/noc"
 	"repro/internal/noc/topology"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/internal/workload"
@@ -25,7 +26,7 @@ func FigureF6(s Scale) []*stats.Table {
 	for _, q := range []int{1, 16, 64, 256, 1024} {
 		sq := s
 		sq.Quantum = q
-		res := sq.mustRun(repro.ModeReciprocal, wlName)
+		res := sq.mustRunTimed(repro.ModeReciprocal, wlName)
 		t.AddRow(q, uint64(res.ExecCycles),
 			stats.AbsPctErr(float64(res.ExecCycles), float64(truth.ExecCycles)),
 			stats.AbsPctErr(res.AvgLatency, truth.AvgLatency),
@@ -57,10 +58,10 @@ func FigureF7(s Scale) []*stats.Table {
 		sz.OpsPerCore = s.SpeedOps
 		// Use a network-heavy kernel so the NoC is a meaningful share
 		// of total time, as in the paper's co-simulation runs.
-		cpuRes := sz.mustRun(repro.ModeReciprocal, "radix")
+		cpuRes := sz.mustRunTimed(repro.ModeReciprocal, "radix")
 		shz := sz
 		shz.NocWorkers = s.shardWorkers()
-		shardRes := shz.mustRun(repro.ModeReciprocal, "radix")
+		shardRes := shz.mustRunTimed(repro.ModeReciprocal, "radix")
 		if shardRes.ExecCycles != cpuRes.ExecCycles || shardRes.Packets != cpuRes.Packets {
 			panic(fmt.Sprintf("expt: F7 %d cores: sharded and sequential runs diverged", size))
 		}
@@ -80,8 +81,19 @@ func FigureF7(s Scale) []*stats.Table {
 	return []*stats.Table{t}
 }
 
-// runGPU runs one GPU-offloaded co-simulation and returns the result
-// plus the modelled device time.
+// mustRunTimed is mustRun under a wall-clock observer, for the rows
+// that report host time: Result.SysWall/NetWall are measured only when
+// somebody watches. It bypasses the memo, whose runs nobody timed.
+func (s Scale) mustRunTimed(mode repro.Mode, wlName string) core.Result {
+	r, err := s.runObserved(mode, wlName, obs.New(obs.Options{Wall: true}))
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// runGPU runs one GPU-offloaded co-simulation (timed, like
+// mustRunTimed) and returns the result plus the modelled device time.
 func (s Scale) runGPU(wlName string) (core.Result, time.Duration) {
 	cfg := repro.DefaultConfig(s.Cores)
 	cfg.Quantum = s.Quantum
@@ -97,6 +109,7 @@ func (s Scale) runGPU(wlName string) (core.Result, time.Duration) {
 	if err != nil {
 		panic(err)
 	}
+	cs.SetObserver(obs.New(obs.Options{Wall: true}))
 	res := cs.Run(s.CycleLimit)
 	dev := backend.(*gpu.Backend).ModeledTotal()
 	backend.Close()

@@ -79,16 +79,16 @@ type Config struct {
 // 1 MiB L2 banks, 100-cycle memory.
 func DefaultConfig(tiles int) Config {
 	return Config{
-		Tiles:       tiles,
-		L1Sets:      64,
-		L1Ways:      8,
-		L2Lines:     16384,
-		StoreBuf:    8,
-		L1HitLat:    2,
-		LocalLat:    4,
-		DirLat:      4,
-		MemLat:      100,
-		MCOccupancy: 4,
+		Tiles:         tiles,
+		L1Sets:        64,
+		L1Ways:        8,
+		L2Lines:       16384,
+		StoreBuf:      8,
+		L1HitLat:      2,
+		LocalLat:      4,
+		DirLat:        4,
+		MemLat:        100,
+		MCOccupancy:   4,
 		MemModel:      "fixed",
 		DRAM:          dram.DefaultConfig(),
 		MemTuneWindow: 1024,

@@ -153,9 +153,6 @@ func newTile(id int, sys *System) *Tile {
 	return t
 }
 
-// Halted reports whether the core has retired its halt op.
-func (t *Tile) Halted() bool { return t.coreState == coreHalted }
-
 // Stats reports the tile's counters, including the stall cycles a
 // sleeping tile has not been charged yet.
 func (t *Tile) Stats() tileStats {

@@ -1,12 +1,10 @@
-// Package engine provides the worker pool behind the simulator's two
-// sanctioned forms of host parallelism: the cycle-level NoC dispatches
+// Package engine provides the worker pool behind the simulator's one
+// sanctioned form of host parallelism: the cycle-level NoC dispatches
 // one item per shard of its router partition for every pass of a
-// multi-shard cycle (internal/noc, shard.go), and core.Cosim.Stepper
-// dispatches one item per co-simulation component at each quantum
-// boundary.
+// multi-shard cycle (internal/noc, shard.go).
 //
-// In both uses an item only writes state it owns (plus slots that are
-// read exclusively after the barrier at the end of Run), so applying fn
+// An item only writes state it owns (plus slots that are read
+// exclusively after the barrier at the end of Run), so applying fn
 // to the items in any order — or concurrently — produces identical
 // results. That discipline, not the scheduling, is what keeps parallel
 // runs bit-identical to sequential ones; tests assert the equivalence.

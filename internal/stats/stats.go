@@ -160,9 +160,6 @@ func (h *Histogram) Overflow() uint64 { return h.overflow }
 // Bin reports the count in bin i.
 func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
 
-// NumBins reports the number of regular bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
 // Percentile estimates the p-quantile (0 < p <= 1) from the binned counts,
 // attributing each bin's mass to its upper edge. Overflow mass resolves to
 // the exact observed maximum.

@@ -29,7 +29,6 @@ import (
 	"repro/internal/fullsys"
 	"repro/internal/gpu"
 	"repro/internal/noc"
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 )
@@ -99,18 +98,13 @@ type Config struct {
 
 	// Quantum is the reciprocal-abstraction synchronization interval.
 	Quantum int
-	// ComponentWorkers > 1 steps independent co-simulation components
-	// (network backend, memory oracles) concurrently at each quantum
-	// boundary; 0 or 1 steps them sequentially. Results are
-	// bit-identical either way.
-	ComponentWorkers int
 	// NocWorkers > 1 shards the cycle-level NoC spatially and steps the
 	// shards concurrently inside each quantum (cmd/cosim -noc-workers).
-	// Composes with ComponentWorkers (across components) and applies to
-	// both router architectures in every detailed mode; 0 or 1 steps one
-	// shard on the calling goroutine. Results are bit-identical either
-	// way: sharding is a speed knob, never an accuracy knob, and shard
-	// assignment is derived state that never enters checkpoints.
+	// Applies to both router architectures in every detailed mode; 0 or
+	// 1 steps one shard on the calling goroutine. Results are
+	// bit-identical either way: sharding is a speed knob, never an
+	// accuracy knob, and shard assignment is derived state that never
+	// enters checkpoints.
 	NocWorkers int
 	// Device is the modelled coprocessor for GPU mode.
 	Device gpu.Device
@@ -299,9 +293,6 @@ func BuildCosim(cfg Config, mode Mode, wl fullsys.Workload) (*core.Cosim, error)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ComponentWorkers > 1 {
-		cs.Stepper = engine.NewParallel(cfg.ComponentWorkers)
-	}
 	cs.Recipe = func(wl fullsys.Workload) (*core.Cosim, error) { return BuildCosim(cfg, mode, wl) }
 	return cs, nil
 }
@@ -318,12 +309,5 @@ func ForkCosim(warm *core.Cosim, cfg Config, mode Mode) (*core.Cosim, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := warm.ForkInto(backend, ModeQuantum(cfg, mode))
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ComponentWorkers > 1 {
-		f.Stepper = engine.NewParallel(cfg.ComponentWorkers)
-	}
-	return f, nil
+	return warm.ForkInto(backend, ModeQuantum(cfg, mode))
 }

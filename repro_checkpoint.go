@@ -28,20 +28,18 @@ func ConfigDigest(cfg Config, mode Mode, workloadDesc string) uint64 {
 	cfg.DisableGating = false
 	cfg.Router.DisableGating = false
 	cfg.Deflect.DisableGating = false
-	// The worker counts are the same kind of speed knob (sharded and
-	// one-shard NoC runs, concurrent and sequential component stepping
-	// are all bit-identical and their checkpoints interchange), so they
-	// are excluded too. The hashed string is the printed form of the
-	// Config as it was when the first checkpoints were written, which
-	// existing checkpoint files and persisted cosimd manifests carry
-	// (the golden checkpoint pins this): it had no NocWorkers field, so
-	// that is stripped, and it had a Workers field (the GPU mode's
-	// engine width, since removed; always 0 in anything persisted by
-	// default), so its token stays.
-	cfg.ComponentWorkers = 0
+	// The NoC worker count is the same kind of speed knob (sharded and
+	// one-shard runs are bit-identical and their checkpoints
+	// interchange), so it is excluded too. The hashed string is the
+	// printed form of the Config as it was when the first checkpoints
+	// were written, which existing checkpoint files and persisted cosimd
+	// manifests carry (the golden checkpoint pins this): it had no
+	// NocWorkers field, and in its place two worker counts since removed
+	// (the GPU mode's engine width, and concurrent component stepping),
+	// always 0 in anything persisted by default, so their tokens stay.
 	cfg.NocWorkers = 0
 	desc := strings.Replace(fmt.Sprintf("%+v", cfg),
-		" ComponentWorkers:0 NocWorkers:0", " Workers:0 ComponentWorkers:0", 1)
+		" NocWorkers:0", " Workers:0 ComponentWorkers:0", 1)
 	return snapshot.Digest("repro-ckpt", string(mode), workloadDesc, desc)
 }
 

@@ -298,17 +298,17 @@ func TestCheckpointStaleVersion(t *testing.T) {
 // keeps the hashed string stable; this constant is what notices.
 const goldenDigest = 0x19937b5f0f510cb
 
-// TestHostSpeedKnobsInterchangeCheckpoints: the worker counts change
-// host speed only, so they stay out of the digest and a checkpoint
-// written under one setting resumes under another.
+// TestHostSpeedKnobsInterchangeCheckpoints: the NoC worker count
+// changes host speed only, so it stays out of the digest and a
+// checkpoint written under one setting resumes under another.
 func TestHostSpeedKnobsInterchangeCheckpoints(t *testing.T) {
 	c := ckptCase{"reciprocal", ModeReciprocal, "", ""}
 	fast := ckptConfig(c)
-	fast.ComponentWorkers, fast.NocWorkers = 4, 2
+	fast.NocWorkers = 2
 	digest := ConfigDigest(fast, c.mode, "fft-16-250-42")
 	plain := ConfigDigest(ckptConfig(c), c.mode, "fft-16-250-42")
 	if digest != plain {
-		t.Fatalf("-component-workers 4 -noc-workers 2 moved the digest: %#x vs %#x", digest, plain)
+		t.Fatalf("-noc-workers 2 moved the digest: %#x vs %#x", digest, plain)
 	}
 
 	ref := buildCkptCosim(t, c, 42)
@@ -326,7 +326,7 @@ func TestHostSpeedKnobsInterchangeCheckpoints(t *testing.T) {
 	}
 	resumed := buildCkptCosim(t, c, 42)
 	if err := DecodeCheckpoint(blob, resumed, plain); err != nil {
-		t.Fatalf("checkpoint written with 4 component workers and 2 NoC workers does not resume under 0/0: %v", err)
+		t.Fatalf("checkpoint written with 2 NoC workers does not resume under 0: %v", err)
 	}
 	if got := ckptFingerprint(t, resumed, resumed.Run(ckptLimit)); got != want {
 		t.Errorf("resumed run diverged from the uninterrupted one\nwant %s\ngot  %s", want, got)
