@@ -30,9 +30,12 @@ lint:
 # scan-based reference on random router states
 # (internal/noc/router_ref_test.go), one of the gated full-system
 # tile sweep against the exhaustive one on random machines
-# (internal/fullsys/gating_test.go), and one of the calendar queue
+# (internal/fullsys/gating_test.go), one of the calendar queue
 # against the binary heap it replaced on random schedule/pop/capture
-# programs (internal/sim/typedq_test.go) — and one of the restore
+# programs (internal/sim/typedq_test.go), one of the gated DRAM
+# controller tick against the two-walk tick it replaced on random
+# timings, bank counts, arrival bursts and mid-queue captures
+# (internal/dram/dram_test.go) — and one of the restore
 # bodies behind the envelope: one payload position of a mid-run
 # checkpoint mutated and the CRC re-sealed, over every mode
 # (payload_fuzz_test.go; twenty seconds, because replaying its 1 081
@@ -42,6 +45,7 @@ fuzz-smoke:
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzTileGating$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueue$$' -fuzztime 10s
+	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzDRAMGating$$' -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz '^FuzzCheckpointPayload$$' -fuzztime 20s
 
 # End-to-end smoke of the co-simulation server: starts cosimd on a

@@ -13,6 +13,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // Params are the timing constants shared by the analytical models;
@@ -44,7 +45,8 @@ func DefaultParams() Params {
 	}
 }
 
-// Model estimates packet latency analytically.
+// Model estimates packet latency analytically. Its implementations are
+// this package's models, each built over a topology.
 type Model interface {
 	// Name identifies the model in tables and logs.
 	Name() string
@@ -54,6 +56,11 @@ type Model interface {
 	Latency(src, dst, flits int, now sim.Cycle) float64
 	// AdvanceTo moves internal time forward (window rollover).
 	AdvanceTo(now sim.Cycle)
+	// State walks the model's mutable state for a checkpoint.
+	State(c *snapshot.Codec)
+	// terminals reports the terminal count of the topology the model is
+	// built over: the source ids a Network over it can see.
+	terminals() int
 }
 
 // Fixed is the zero-load analytical model: hop count times per-hop
@@ -77,6 +84,8 @@ func (f *Fixed) Latency(src, dst, flits int, now sim.Cycle) float64 {
 }
 
 func (f *Fixed) AdvanceTo(now sim.Cycle) {}
+
+func (f *Fixed) terminals() int { return f.topo.NumTerminals() }
 
 // Contention adds a per-link queueing term: it accumulates offered
 // flits per directed link along each packet's dimension-order path,
@@ -108,6 +117,8 @@ func NewContention(topo topology.Topology, p Params) Model {
 }
 
 func (c *Contention) Name() string { return "contention" }
+
+func (c *Contention) terminals() int { return c.topo.g.NumTerminals() }
 
 func (c *Contention) AdvanceTo(now sim.Cycle) {
 	w := sim.Cycle(c.p.Window)
@@ -159,6 +170,8 @@ func NewTuned(base Model, window int) *Tuned {
 func (t *Tuned) Name() string { return fmt.Sprintf("tuned(%s)", t.Base.Name()) }
 
 func (t *Tuned) AdvanceTo(now sim.Cycle) { t.Base.AdvanceTo(now) }
+
+func (t *Tuned) terminals() int { return t.Base.terminals() }
 
 func (t *Tuned) Latency(src, dst, flits int, now sim.Cycle) float64 {
 	lat := t.fit.Apply(t.Base.Latency(src, dst, flits, now))

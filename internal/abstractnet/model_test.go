@@ -8,6 +8,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 func mesh8() *topology.Mesh { return topology.NewMesh(8, 8, 1) }
@@ -235,5 +236,33 @@ func TestRecycledPacketIsReused(t *testing.T) {
 	net.Recycle(p)
 	if q := net.NewPacket(); q != p || *q != (noc.Packet{}) {
 		t.Fatalf("NewPacket after Recycle = %p %+v, want the recycled %p zeroed", q, *q, p)
+	}
+}
+
+// TestRestoreRejectsSourceOutsideTopology: a checkpoint can name only
+// the sources of the topology it is restored over, whatever the id.
+func TestRestoreRejectsSourceOutsideTopology(t *testing.T) {
+	big := NewNetwork(NewFixed(mesh8(), DefaultParams()))
+	big.Inject(&noc.Packet{Src: 63, Dst: 0, Size: 1}, 0)
+	e := snapshot.NewEncoder(0)
+	big.State(e.Codec(), nil, nil)
+	blob := e.Finish()
+
+	for _, tc := range []struct {
+		side int
+		ok   bool
+	}{{8, true}, {4, false}} {
+		small := NewNetwork(NewFixed(topology.NewMesh(tc.side, tc.side, 1), DefaultParams()))
+		d, err := snapshot.NewDecoder(blob, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small.State(d.Codec(), nil, nil)
+		if err := d.Finish(); (err == nil) != tc.ok {
+			t.Errorf("%dx%d mesh: restore error %v, want ok=%v", tc.side, tc.side, err, tc.ok)
+		}
+		if len(small.srcFree) != tc.side*tc.side {
+			t.Errorf("%dx%d mesh: %d source horizons, want one per terminal", tc.side, tc.side, len(small.srcFree))
+		}
 	}
 }

@@ -20,7 +20,7 @@ type Network struct {
 	// ID).
 	pending sim.TypedQueue[*noc.Packet]
 	// srcFree[s] is the cycle source s's NI frees up; 0 = never used (a
-	// used NI is busy for at least one flit). Grown on demand.
+	// used NI is busy for at least one flit). One entry per terminal.
 	srcFree []sim.Cycle
 
 	cycle     sim.Cycle
@@ -31,11 +31,13 @@ type Network struct {
 	pool      noc.PacketPool //simlint:derived host-side free list, this network's own; emptied by rederive, never simulated state
 }
 
-// NewNetwork returns an abstract backend over the given model.
+// NewNetwork returns an abstract backend over the given model, with one
+// source NI per terminal of the model's topology.
 func NewNetwork(model Model) *Network {
 	return &Network{
 		model:   model,
 		tracker: stats.NewLatencyTracker(4, 512),
+		srcFree: make([]sim.Cycle, model.terminals()),
 	}
 }
 
@@ -49,9 +51,6 @@ func (n *Network) Inject(p *noc.Packet, at sim.Cycle) {
 	p.ID = n.nextID
 	n.nextID++
 	p.CreatedAt = at
-	for len(n.srcFree) <= p.Src {
-		n.srcFree = append(n.srcFree, 0)
-	}
 	start := max(at, n.srcFree[p.Src])
 	n.srcFree[p.Src] = start + sim.Cycle(p.Size)
 	p.InjectedAt = start

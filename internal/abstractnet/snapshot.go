@@ -6,11 +6,6 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Every analytical model in this package is a snapshot.Stater. That is
-// deliberately not part of the Model interface, so external or
-// test-local Model implementations keep compiling; Network.State fails
-// loudly when handed a model it cannot describe.
-
 // State walks nothing beyond the marker: the zero-load model has no
 // mutable state.
 func (f *Fixed) State(c *snapshot.Codec) {
@@ -37,17 +32,8 @@ func (m *Contention) State(c *snapshot.Codec) {
 func (t *Tuned) State(c *snapshot.Codec) {
 	c.Section("model-tuned")
 	t.fit.State(c)
-	base, ok := t.Base.(snapshot.Stater)
-	if !ok {
-		c.Failf("tuned base model %s does not support checkpointing", t.Base.Name())
-		return
-	}
-	base.State(c)
+	t.Base.State(c)
 }
-
-// maxSources bounds the source ids a snapshot may name, so a corrupt
-// one cannot size srcFree: far beyond any network this module builds.
-const maxSources = 1 << 20
 
 // State walks the abstract backend's state: the analytical model
 // (including any tuned-correction fit), the pending-delivery set,
@@ -61,16 +47,11 @@ const maxSources = 1 << 20
 // the coordinators must not walk it again.
 func (n *Network) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
 	c.Section("absnet")
-	ms, ok := n.model.(snapshot.Stater)
-	if !ok {
-		c.Failf("model %s does not support checkpointing", n.model.Name())
-		return
-	}
 	snapshot.Match(c, (*snapshot.Codec).String, n.model.Name(), "model")
 	if c.Err() != nil {
 		return
 	}
-	ms.State(c)
+	n.model.State(c)
 
 	snapshot.As64(c, &n.cycle)
 	c.U64(&n.injected)
@@ -128,12 +109,9 @@ func (n *Network) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(
 		if c.Err() != nil {
 			return
 		}
-		if h.src < 0 || h.src >= maxSources {
-			c.Failf("source %d outside [0, %d)", h.src, maxSources)
+		if h.src < 0 || h.src >= len(n.srcFree) {
+			c.Failf("source %d outside [0, %d)", h.src, len(n.srcFree))
 		} else if c.Decoding() {
-			for len(n.srcFree) <= h.src {
-				n.srcFree = append(n.srcFree, 0)
-			}
 			n.srcFree[h.src] = h.free
 		}
 	})

@@ -34,7 +34,10 @@ type Config struct {
 	TRP int
 	// TBurst is the data-bus occupancy per 64B line.
 	TBurst int
-	// QueueDepth bounds the request queue (0 = unbounded).
+	// QueueDepth bounds the request queue (0 = unbounded). It counts
+	// requests the controller's clock has not reached, so under
+	// quantum-batched advancement a bounded queue rejects earlier than
+	// under per-cycle coupling. No shipped configuration sets it.
 	QueueDepth int
 }
 
@@ -98,6 +101,11 @@ type Controller struct {
 
 	busFreeAt sim.Cycle
 
+	// seen counts the queue prefix that has arrived by the last tick;
+	// nextIssue is the first cycle pick can find a request. See Tick.
+	seen      int       //simlint:derived arrived-prefix count, recounted by the first tick after rederive
+	nextIssue sim.Cycle //simlint:derived recomputed from the queue and bank state by rederive
+
 	// Statistics.
 	rowHits, rowMisses, rowConflicts uint64
 	reads, writes                    uint64
@@ -110,12 +118,14 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, banks: make([]bank, cfg.Banks)}
+	c := &Controller{cfg: cfg, banks: make([]bank, cfg.Banks), nextIssue: never}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
 	}
 	return c, nil
 }
+
+const never = ^sim.Cycle(0) // nextIssue of an empty queue
 
 // decode splits a line address into (bank, row): lines interleave
 // across banks, then fill rows.
@@ -134,9 +144,14 @@ func (c *Controller) Enqueue(r *Request, now sim.Cycle) bool {
 	if r.Done == nil {
 		panic("dram: request without completion callback")
 	}
+	if n := len(c.queue); sim.Checking && n > 0 {
+		sim.Assert(c.queue[n-1].arrived <= now, "dram: request arriving at %d enqueued behind one arriving at %d",
+			now, c.queue[n-1].arrived)
+	}
 	r.arrived = now
 	r.bank, r.row = c.decode(r.Line)
 	c.queue = append(c.queue, r)
+	c.nextIssue = min(c.nextIssue, max(now, c.banks[r.bank].readyAt))
 	return true
 }
 
@@ -145,25 +160,54 @@ func (c *Controller) Pending() int { return len(c.queue) }
 
 // Tick advances the controller one core cycle: it issues at most one
 // request whose bank and the data bus are available, preferring row
-// hits over older requests (FR-FCFS), and fires completions.
+// hits over older requests (FR-FCFS), and fires completions. A tick
+// before nextIssue cannot issue and costs only the queue-depth sample.
 func (c *Controller) Tick(now sim.Cycle) {
 	// Sample only requests that have arrived by this tick, so the
 	// queue-depth statistic means the same thing under per-cycle and
-	// quantum-batched advancement.
+	// quantum-batched advancement. Arrivals are in nondecreasing order,
+	// so they are a prefix that grows with now and shrinks per issue.
+	for c.seen < len(c.queue) && c.queue[c.seen].arrived <= now {
+		c.seen++
+	}
+	c.queueSamples.Add(float64(c.seen))
+	if now < c.nextIssue {
+		c.checkSkip(now)
+		return
+	}
+	idx := c.pick(now)
+	r := c.queue[idx]
+	c.queue = append(c.queue[:idx], c.queue[idx+1:]...) //simlint:allow alloc in-place removal within the existing backing array, never grows
+	c.seen--
+	c.issue(r, now)
+	c.nextIssue = c.earliestIssue()
+}
+
+// earliestIssue is the minimum over the queue of max(arrived, bank
+// readyAt), or never for an empty queue: the first cycle pick can find
+// a request, which only Enqueue and issue can move.
+func (c *Controller) earliestIssue() sim.Cycle {
+	next := never
+	for _, r := range c.queue {
+		next = min(next, max(r.arrived, c.banks[r.bank].readyAt))
+	}
+	return next
+}
+
+// checkSkip asserts, under -tags simcheck, what a skipped tick relies
+// on: nothing can issue, and seen equals a recount of the arrivals.
+func (c *Controller) checkSkip(now sim.Cycle) {
+	if !sim.Checking {
+		return
+	}
 	depth := 0
 	for _, r := range c.queue {
 		if r.arrived <= now {
 			depth++
 		}
 	}
-	c.queueSamples.Add(float64(depth))
-	idx := c.pick(now)
-	if idx < 0 {
-		return
-	}
-	r := c.queue[idx]
-	c.queue = append(c.queue[:idx], c.queue[idx+1:]...) //simlint:allow alloc in-place removal within the existing backing array, never grows
-	c.issue(r, now)
+	sim.Assert(depth == c.seen, "dram: %d requests arrived by %d, seen says %d", depth, now, c.seen)
+	sim.Assert(c.pick(now) < 0, "dram: tick %d skipped before nextIssue %d with a request ready", now, c.nextIssue)
 }
 
 // pick selects the next request index under FR-FCFS: the oldest

@@ -342,6 +342,11 @@ func (d *Decoder) Count(perItemMin int) int {
 	return n
 }
 
+// maxQuotedName bounds how much of a mismatched section name a decode
+// error quotes: a corrupt length can make the "name" the rest of the
+// payload.
+const maxQuotedName = 64
+
 // Section consumes a marker written by Encoder.Section and verifies its
 // name, anchoring decode errors to the named region.
 func (d *Decoder) Section(name string) {
@@ -349,8 +354,9 @@ func (d *Decoder) Section(name string) {
 		d.Failf("expected section marker for %q, found byte %#x — stream out of sync", name, tag)
 		return
 	}
-	if got := d.String(); d.err == nil && got != name {
-		d.Failf("expected section %q, found section %q — stream out of sync", name, got)
+	if got := d.take(int(d.U32()), "bytes body"); d.err == nil && string(got) != name {
+		d.Failf("expected section %q, found a %d-byte section %q — stream out of sync",
+			name, len(got), got[:min(len(got), maxQuotedName)])
 	}
 }
 

@@ -214,6 +214,25 @@ func TestSectionMismatch(t *testing.T) {
 	}
 }
 
+// A corrupt name length can make a section's "name" the whole rest of
+// the payload; the error quotes a bounded prefix of it.
+func TestSectionMismatchQuotesBoundedName(t *testing.T) {
+	e := NewEncoder(1)
+	e.U8(sectionTag)
+	e.Bytes(make([]byte, 1<<16))
+	d, err := NewDecoder(e.Finish(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Section("expected")
+	if !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("error %v, want ErrCorrupt", d.Err())
+	}
+	if msg := d.Err().Error(); len(msg) > 512 || !strings.Contains(msg, "65536-byte") {
+		t.Errorf("mismatch message is %d bytes or lacks the name's length: %.200s", len(msg), msg)
+	}
+}
+
 func TestCountRejectsHugeValues(t *testing.T) {
 	e := NewEncoder(1)
 	e.U32(1 << 30) // claims a billion elements with no bytes behind them

@@ -92,14 +92,12 @@ func decodeMutated(t testing.TB, c ckptCase, blob []byte, offset uint32, kind ui
 	runtime.ReadMemStats(&before)
 	err = ckpt.Decode(mutated, twin, 1)
 	runtime.ReadMemStats(&after)
-	// An intact decode allocates under half the blob's size. The worst
-	// bounded cases are a corrupt section-name length, whose error
-	// message quotes the rest of the payload (about 30x the blob once
-	// formatted and wrapped), and an abstract-network source id just
-	// under its 2^20 cap, which grows the per-source table by doubling
-	// (about 170x). A count that sized a slice unchecked would ask for
-	// gigabytes.
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(blob)); got > limit {
+	// An intact decode allocates under half the blob's size; the worst
+	// mutation measured over the committed seeds and a minute of
+	// fuzzing allocated 2.05x (a tile geometry mismatch reached after
+	// most of the payload decoded). A count that sized a slice
+	// unchecked would ask for gigabytes.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(blob)); got > limit {
 		t.Errorf("%s: decode of a %d-byte blob mutated at %d (kind %d, value %#x) allocated %d bytes, limit %d",
 			c.name, len(blob), offset, kind%4, value, got, limit)
 	}
