@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fmt vet lint race race-shard race-gating simcheck premerge fuzz-smoke cosimd-smoke
+.PHONY: all build test fmt vet lint loc race race-shard race-gating simcheck premerge fuzz-smoke cosimd-smoke
 
 all: build test
 
@@ -22,6 +22,14 @@ vet:
 # contract"). Stdlib-only, so this needs nothing beyond the toolchain.
 lint:
 	$(GO) run ./cmd/simlint ./...
+
+# Non-test Go lines per package and in total, outside bench/ and any
+# testdata/ directory: the code-size figure ROADMAP.md and CHANGES.md
+# quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 | \
+		xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); lines[d] += $$1; sum += $$1 } \
+		END { for (d in lines) printf "%7d %s\n", lines[d], d; printf "%7d total\n", sum }' | sort -k2
 
 # A short coverage-guided run of the checkpoint-envelope fuzzer over
 # the committed seed corpus (internal/snapshot/testdata/fuzz), so CI

@@ -15,14 +15,9 @@
 //	-json
 //		write findings as a JSON array on stdout (stable field
 //		order), the format CI archives and diff tools consume
-//	-baseline file
-//		suppress findings accepted by a baseline file previously
-//		written with -write-baseline; new findings still fail
-//	-write-baseline file
-//		write the current findings to a baseline file and exit 0
 //
-// Exit status is 0 when clean (or all findings are baselined), 1 when
-// any new finding is reported, and 2 when the module cannot be loaded.
+// Exit status is 0 when clean, 1 when any finding is reported, and 2
+// when the module cannot be loaded.
 //
 // See internal/simlint for the rules and the //simlint:allow and
 // //simlint:derived directive syntax, and the "Determinism contract"
@@ -40,8 +35,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "write findings as JSON on stdout")
-	baselinePath := flag.String("baseline", "", "suppress findings accepted by this baseline `file`")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline `file` and exit 0")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: simlint [flags] [module-root]\n")
 		flag.PrintDefaults()
@@ -67,25 +60,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *writeBaseline != "" {
-		if err := simlint.WriteBaseline(*writeBaseline, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "simlint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-
-	suppressed := 0
-	if *baselinePath != "" {
-		base, err := simlint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			os.Exit(2)
-		}
-		findings, suppressed = base.Filter(findings)
-	}
-
 	if *jsonOut {
 		if err := simlint.WriteJSON(os.Stdout, findings); err != nil {
 			fmt.Fprintln(os.Stderr, "simlint:", err)
@@ -97,11 +71,7 @@ func main() {
 		}
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)", len(findings))
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, " (%d baselined)", suppressed)
-		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

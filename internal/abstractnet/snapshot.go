@@ -53,11 +53,7 @@ func (n *Network) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(
 	}
 	n.model.State(c)
 
-	snapshot.As64(c, &n.cycle)
-	c.U64(&n.injected)
-	c.U64(&n.delivered)
-	c.U64(&n.nextID)
-	n.tracker.State(c)
+	n.Ledger.State(c, &n.cycle)
 
 	// Firing order is (DeliveredAt, ID) whatever the queue's layout, so
 	// equal states always produce equal bytes. Decoding fills a fresh
@@ -115,15 +111,4 @@ func (n *Network) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(
 			n.srcFree[h.src] = h.free
 		}
 	})
-	if c.Decoding() && c.Err() == nil {
-		n.rederive()
-	}
-}
-
-// rederive resets what is not part of the state after a successful
-// decode: an empty drain scratch and an empty packet free list, as
-// NewNetwork leaves them.
-func (n *Network) rederive() {
-	n.drainBuf = n.drainBuf[:0]
-	n.pool = noc.PacketPool{}
 }

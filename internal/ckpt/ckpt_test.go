@@ -26,7 +26,7 @@ func buildCosim(t *testing.T, seed uint64) *core.Cosim {
 		t.Fatal(err)
 	}
 	wl := workload.NewFFT(16, 250, seed)
-	cs, err := core.Build(fullsys.DefaultConfig(16), wl, core.NewDetailed(net), 8)
+	cs, err := core.Build(fullsys.DefaultConfig(16), wl, net, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

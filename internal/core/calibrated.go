@@ -33,12 +33,6 @@ type Calibrated struct {
 	// refits once per RetunePeriod.
 	pair     *calib.Reciprocal[*noc.Packet]
 	shadowed uint64
-
-	// shadowSrc and shadowSink are the detailed backend's packet free
-	// list, when it has one: shadows come from it and go back once
-	// observed.
-	shadowSrc  packetSource   //simlint:derived re-resolved from the detailed backend's capabilities by NewCalibrated
-	shadowSink packetRecycler //simlint:derived re-resolved from the detailed backend's capabilities by NewCalibrated
 }
 
 // NewCalibrated builds the calibrated backend over a detailed backend
@@ -47,16 +41,13 @@ func NewCalibrated(detailed Backend, model *abstractnet.Tuned, retunePeriod sim.
 	if retunePeriod < 1 {
 		return nil, fmt.Errorf("core: retune period must be >= 1, got %d", retunePeriod)
 	}
-	c := &Calibrated{
+	return &Calibrated{
 		detailed:     detailed,
 		model:        model,
 		timing:       abstractnet.NewNetwork(model),
 		RetunePeriod: retunePeriod,
 		pair:         calib.NewReciprocal[*noc.Packet](model.Fit(), retunePeriod),
-	}
-	c.shadowSrc, _ = detailed.(packetSource)
-	c.shadowSink, _ = detailed.(packetRecycler)
-	return c, nil
+	}, nil
 }
 
 // Name implements Backend.
@@ -64,9 +55,9 @@ func (c *Calibrated) Name() string { return "calibrated" }
 
 // Inject implements Backend: the original packet is timed by the
 // model; a shadow copy carries the measurement through the detailed
-// network.
+// network, drawn from its free list and returned to it once observed.
 func (c *Calibrated) Inject(p *noc.Packet, at sim.Cycle) {
-	shadow := newPacket(c.shadowSrc)
+	shadow := c.detailed.NewPacket()
 	shadow.Src, shadow.Dst, shadow.VNet, shadow.Class, shadow.Size = p.Src, p.Dst, p.VNet, p.Class, p.Size
 	c.timing.Inject(p, at)
 	c.pair.Predict(shadow, float64(p.DeliveredAt-p.CreatedAt))
@@ -90,9 +81,7 @@ func (c *Calibrated) AdvanceTo(cy sim.Cycle) {
 		// has none) and the tracker recorded at Drain: the last
 		// reference is this one.
 		c.pair.Observe(p, float64(p.TotalLatency()))
-		if c.shadowSink != nil {
-			c.shadowSink.Recycle(p)
-		}
+		c.detailed.Recycle(p)
 	}
 	c.pair.MaybeRetune(cy)
 }
@@ -101,13 +90,12 @@ func (c *Calibrated) AdvanceTo(cy sim.Cycle) {
 // deliveries.
 func (c *Calibrated) Drain() []*noc.Packet { return c.timing.Drain() }
 
-// NewPacket implements the coordinator's optional packetSource
-// interface with the timing network's free list: the model-timed
-// original lives in the timing network alone — the pairing is keyed
-// by its shadow — so nothing retains it past Deliver.
+// NewPacket implements Backend with the timing network's free list:
+// the model-timed original lives in the timing network alone — the
+// pairing is keyed by its shadow — so nothing retains it past Deliver.
 func (c *Calibrated) NewPacket() *noc.Packet { return c.timing.NewPacket() }
 
-// Recycle implements the optional packetRecycler interface.
+// Recycle implements Backend.
 func (c *Calibrated) Recycle(p *noc.Packet) { c.timing.Recycle(p) }
 
 // Tracker implements Backend with the DETAILED network's measured

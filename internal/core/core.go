@@ -30,10 +30,14 @@
 // oracle (internal/dram.Oracle) whose detailed, abstract, and
 // calibrated implementations mirror the network backend lineup, with
 // the same calib.Reciprocal pairing driving online re-fit.
+//
+// There are no adapters between a network and the coordinator: each
+// packet network is a Backend as it stands, and the coordinator draws
+// every packet it injects from the backend's free list and hands it
+// back after delivery (Backend.NewPacket, Backend.Recycle).
 package core
 
 import (
-	"repro/internal/abstractnet"
 	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -64,7 +68,11 @@ type Component interface {
 // Backend is a network implementation usable for co-simulation: the
 // network instance of the Component contract. The coordinator injects
 // timestamped packets, advances the backend to a cycle, and drains
-// timestamped deliveries.
+// timestamped deliveries. The packet networks are backends themselves
+// — noc.Network, noc.Deflection and abstractnet.Network, whose shared
+// noc.Ledger provides the counting, latency and free-list half of the
+// contract — and the composite backends (the GPU offload, Hybrid,
+// Calibrated, Recorder) are built over them.
 type Backend interface {
 	Component
 	// Inject queues a packet created at cycle `at`. Injections at each
@@ -77,118 +85,11 @@ type Backend interface {
 	Tracker() *stats.LatencyTracker
 	// InFlight reports injected-but-undrained packets.
 	InFlight() int
-}
-
-// CycleNet is the cycle-level network behaviour the Detailed adapter
-// needs; both the virtual-channel network (*noc.Network) and the
-// bufferless deflection network (*noc.Deflection) satisfy it.
-type CycleNet interface {
-	Inject(p *noc.Packet, at sim.Cycle)
-	Step()
-	// AdvanceTo simulates through the end of cycle c-1, fast-forwarding
-	// idle spans when activity gating is enabled (bit-identical to
-	// stepping every cycle).
-	AdvanceTo(c sim.Cycle)
-	// NextEventCycle reports the earliest cycle at or after the current
-	// one at which any router must run (false: nothing pending).
-	NextEventCycle() (sim.Cycle, bool)
-	Cycle() sim.Cycle
-	Drain() []*noc.Packet
-	Tracker() *stats.LatencyTracker
-	InFlight() int
-	// FlitsSwitched reports total flits traversed across all router
-	// output ports including ejection — the switching-activity measure
-	// the observability layer samples per quantum.
-	FlitsSwitched() uint64
-	// NewPacket and Recycle expose the network's packet free list (see
-	// noc.Network.NewPacket); ActivityStats its gating work accounting.
+	// NewPacket returns a zeroed packet for the coordinator to inject,
+	// from the backend's free list; Recycle takes a drained packet
+	// back once its delivery has been applied. A backend may reuse a
+	// recycled packet for any later NewPacket, so it must not hold a
+	// drained packet past the Drain that returned it.
 	NewPacket() *noc.Packet
 	Recycle(p *noc.Packet)
-	ActivityStats() noc.ActivityStats
-	// ShardStats reports the shard partition's work accounting (one
-	// shard by default).
-	ShardStats() noc.ShardStats
-	Close()
 }
-
-// Detailed adapts a cycle-level network to the Backend contract.
-type Detailed struct {
-	Net CycleNet
-}
-
-// NewDetailed wraps a cycle-level network.
-func NewDetailed(net CycleNet) *Detailed { return &Detailed{Net: net} }
-
-// Name implements Backend.
-func (d *Detailed) Name() string { return "detailed" }
-
-// Inject implements Backend.
-func (d *Detailed) Inject(p *noc.Packet, at sim.Cycle) { d.Net.Inject(p, at) }
-
-// AdvanceTo implements Backend; the network fast-forwards idle spans.
-func (d *Detailed) AdvanceTo(c sim.Cycle) { d.Net.AdvanceTo(c) }
-
-// NewPacket implements the coordinator's optional packetSource
-// interface, backing SenderFor allocations with the network free list.
-func (d *Detailed) NewPacket() *noc.Packet { return d.Net.NewPacket() }
-
-// Recycle implements the optional packetRecycler interface: the
-// coordinator hands packets back after applying their deliveries.
-func (d *Detailed) Recycle(p *noc.Packet) { d.Net.Recycle(p) }
-
-// ActivityStats reports the wrapped network's gating work accounting.
-func (d *Detailed) ActivityStats() noc.ActivityStats { return d.Net.ActivityStats() }
-
-// ShardStats reports the wrapped network's shard-partition accounting.
-func (d *Detailed) ShardStats() noc.ShardStats { return d.Net.ShardStats() }
-
-// Drain implements Backend.
-func (d *Detailed) Drain() []*noc.Packet { return d.Net.Drain() }
-
-// Tracker implements Backend.
-func (d *Detailed) Tracker() *stats.LatencyTracker { return d.Net.Tracker() }
-
-// InFlight implements Backend.
-func (d *Detailed) InFlight() int { return d.Net.InFlight() }
-
-// FlitsSwitched reports the wrapped network's switching activity.
-func (d *Detailed) FlitsSwitched() uint64 { return d.Net.FlitsSwitched() }
-
-// Close implements Backend.
-func (d *Detailed) Close() { d.Net.Close() }
-
-// Abstract adapts the analytical network to the Backend contract.
-type Abstract struct {
-	Net *abstractnet.Network
-}
-
-// NewAbstract wraps an abstract network.
-func NewAbstract(net *abstractnet.Network) *Abstract { return &Abstract{Net: net} }
-
-// Name implements Backend.
-func (a *Abstract) Name() string { return "abstract-" + a.Net.Model().Name() }
-
-// Inject implements Backend.
-func (a *Abstract) Inject(p *noc.Packet, at sim.Cycle) { a.Net.Inject(p, at) }
-
-// AdvanceTo implements Backend.
-func (a *Abstract) AdvanceTo(c sim.Cycle) { a.Net.AdvanceTo(c) }
-
-// NewPacket implements the coordinator's optional packetSource
-// interface, backing SenderFor allocations with the network free list.
-func (a *Abstract) NewPacket() *noc.Packet { return a.Net.NewPacket() }
-
-// Recycle implements the optional packetRecycler interface.
-func (a *Abstract) Recycle(p *noc.Packet) { a.Net.Recycle(p) }
-
-// Drain implements Backend.
-func (a *Abstract) Drain() []*noc.Packet { return a.Net.Drain() }
-
-// Tracker implements Backend.
-func (a *Abstract) Tracker() *stats.LatencyTracker { return a.Net.Tracker() }
-
-// InFlight implements Backend.
-func (a *Abstract) InFlight() int { return a.Net.InFlight() }
-
-// Close implements Backend.
-func (a *Abstract) Close() {}

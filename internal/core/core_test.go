@@ -12,7 +12,7 @@ import (
 	"repro/internal/sim"
 )
 
-func detailedBackend(t *testing.T) *Detailed {
+func detailedBackend(t *testing.T) *noc.Network {
 	t.Helper()
 	m := topology.NewMesh(4, 4, 1)
 	net, err := noc.New(noc.DefaultConfig(), m, topology.NewXY(m))
@@ -20,12 +20,12 @@ func detailedBackend(t *testing.T) *Detailed {
 		t.Fatal(err)
 	}
 	t.Cleanup(net.Close)
-	return NewDetailed(net)
+	return net
 }
 
-func abstractBackend() *Abstract {
+func abstractBackend() *abstractnet.Network {
 	m := topology.NewMesh(4, 4, 1)
-	return NewAbstract(abstractnet.NewNetwork(abstractnet.NewFixed(m, abstractnet.DefaultParams())))
+	return abstractnet.NewNetwork(abstractnet.NewFixed(m, abstractnet.DefaultParams()))
 }
 
 // TestSenderForEnforcesInjectionOrder proves the documented
@@ -138,7 +138,7 @@ func TestCosimRunsScriptToCompletion(t *testing.T) {
 		{{Kind: fullsys.OpBarrier, Arg: 1}},
 		{{Kind: fullsys.OpBarrier, Arg: 1}},
 	}
-	cs := scriptedSystem(t, NewDetailed(net), 8, ops)
+	cs := scriptedSystem(t, net, 8, ops)
 	res := cs.Run(100000)
 	if !res.Finished {
 		t.Fatalf("script did not finish: %+v", res)
@@ -311,7 +311,7 @@ func TestCalibratedRejectsBadPeriod(t *testing.T) {
 // stuckWorkload never completes: its only op references a line whose
 // coherence reply will never arrive because the backend swallows
 // everything.
-type blackholeBackend struct{ *Abstract }
+type blackholeBackend struct{ *abstractnet.Network }
 
 func (b blackholeBackend) Drain() []*noc.Packet { return nil }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/fullsys"
-	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -50,10 +49,6 @@ type Cosim struct {
 	// is the uninstrumented fast path — one branch per site.
 	obsH *obsHandles //simlint:derived observer handles re-resolved per run, never simulated state
 
-	// recycler, when the backend implements packetRecycler, receives
-	// every packet back after its delivery is applied.
-	recycler packetRecycler //simlint:derived re-resolved from the backend's capabilities by New
-
 	cycle       sim.Cycle
 	skewSum     uint64
 	skewMax     sim.Cycle
@@ -63,33 +58,6 @@ type Cosim struct {
 	lastRetired uint64
 	stuckFor    int
 	stalled     bool
-}
-
-// packetSource is the optional Backend surface exposing a packet free
-// list (the detailed and abstract networks' recycling pools). Backends
-// that retain packet pointers past delivery — the hybrid pair
-// tracking, which keys predictions by the system's own packets, and
-// the recorder — simply don't implement it, which keeps pooling safe
-// by construction. The calibrated backend does implement it: its
-// pairing is keyed by shadow packets it recycles itself, and nothing
-// holds the model-timed original once Deliver has run.
-type packetSource interface {
-	NewPacket() *noc.Packet
-}
-
-// newPacket takes a packet from src's free list, or from the heap when
-// the backend has none.
-func newPacket(src packetSource) *noc.Packet {
-	if src != nil {
-		return src.NewPacket()
-	}
-	return &noc.Packet{}
-}
-
-// packetRecycler is the matching return surface: the coordinator hands
-// a packet back once its delivery has been applied to the system.
-type packetRecycler interface {
-	Recycle(p *noc.Packet)
 }
 
 // memComponent adapts one fullsys memory port (a tile's dram.Oracle)
@@ -119,7 +87,6 @@ func New(sys *fullsys.System, backend Backend, quantum int) (*Cosim, error) {
 		return nil, fmt.Errorf("core: quantum must be >= 1, got %d", quantum)
 	}
 	c := &Cosim{Sys: sys, Net: backend, Quantum: quantum, WatchdogQuanta: 1 << 20}
-	c.recycler, _ = backend.(packetRecycler)
 	c.memPorts = sys.ClaimMemory()
 	c.comps = append(c.comps, backend)
 	for _, p := range c.memPorts {
@@ -147,7 +114,6 @@ func (c *Cosim) Close() {
 // be in nondecreasing time order.
 func SenderFor(backend Backend) fullsys.Sender {
 	var lastInject []sim.Cycle
-	src, _ := backend.(packetSource)
 	return func(m fullsys.Msg, at sim.Cycle) {
 		if sim.Checking {
 			for len(lastInject) <= m.Src {
@@ -158,7 +124,7 @@ func SenderFor(backend Backend) fullsys.Sender {
 				m.Src, at, lastInject[m.Src])
 			lastInject[m.Src] = at
 		}
-		p := newPacket(src)
+		p := backend.NewPacket()
 		p.Src = m.Src
 		p.Dst = m.Dst
 		p.VNet = m.Type.VNet()
@@ -307,9 +273,7 @@ func (c *Cosim) Step() bool {
 		netDone++
 		c.delivered++
 		c.Sys.Deliver(p.Payload.(fullsys.Msg), p.DeliveredAt)
-		if c.recycler != nil {
-			c.recycler.Recycle(p)
-		}
+		c.Net.Recycle(p)
 	}
 	if h != nil {
 		h.endQuantum(c, end, memDone, netDone)

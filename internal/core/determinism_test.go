@@ -66,7 +66,7 @@ func detailedMeshBackend(t *testing.T) Backend {
 		t.Fatal(err)
 	}
 	t.Cleanup(net.Close)
-	return NewDetailed(net)
+	return net
 }
 
 // shardedMeshBackend is detailedMeshBackend with the NoC sharded
@@ -80,7 +80,7 @@ func shardedMeshBackend(workers int) func(t *testing.T) Backend {
 			t.Fatal(err)
 		}
 		t.Cleanup(net.Close)
-		return NewDetailed(net)
+		return net
 	}
 }
 
@@ -269,7 +269,7 @@ func BenchmarkStepObserved(b *testing.B) {
 			}
 			defer net.Close()
 			wl := workload.NewFFT(16, 1<<30, 5) // effectively endless
-			cs, err := Build(fullsys.DefaultConfig(16), wl, NewDetailed(net), 8)
+			cs, err := Build(fullsys.DefaultConfig(16), wl, net, 8)
 			if err != nil {
 				b.Fatal(err)
 			}

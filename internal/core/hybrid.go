@@ -95,6 +95,14 @@ func (h *Hybrid) Drain() []*noc.Packet {
 	return out
 }
 
+// NewPacket implements Backend with the abstract side's free list. A
+// packet may take either side, and neither keeps it past Drain: the
+// pairing drops a sampled packet's prediction when Drain observes it.
+func (h *Hybrid) NewPacket() *noc.Packet { return h.abstract.NewPacket() }
+
+// Recycle implements Backend.
+func (h *Hybrid) Recycle(p *noc.Packet) { h.abstract.Recycle(p) }
+
 // Tracker implements Backend with the merged latency statistics.
 func (h *Hybrid) Tracker() *stats.LatencyTracker { return h.tracker }
 

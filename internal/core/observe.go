@@ -80,15 +80,16 @@ type obsHandles struct {
 }
 
 // flitSwitcher is the optional switching-activity surface of a
-// backend (satisfied by Detailed over either cycle-level network).
+// backend (satisfied by either cycle-level network).
 type flitSwitcher interface{ FlitsSwitched() uint64 }
 
 // activityReporter is the optional activity-gating telemetry surface
-// of a backend (satisfied by Detailed and the GPU offload).
+// of a backend (satisfied by either cycle-level network and the GPU
+// offload).
 type activityReporter interface{ ActivityStats() noc.ActivityStats }
 
 // shardReporter is the optional sharded-stepping telemetry surface of
-// a backend (satisfied by Detailed over either cycle-level network).
+// a backend (satisfied by either cycle-level network).
 type shardReporter interface{ ShardStats() noc.ShardStats }
 
 // wallHistBins sizes the host-time histograms: 10us bins up to 10ms.

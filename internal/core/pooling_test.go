@@ -6,18 +6,50 @@ import (
 	"testing"
 
 	"repro/internal/abstractnet"
+	"repro/internal/gpu"
+	"repro/internal/noc"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
-// The backends whose delivery queue is the calendar queue and whose
-// packets are pooled: state capture must not see either.
-var pooledBackends = map[string]func(t *testing.T) Backend{
+// Every packet network is a Backend as it stands, and so is every
+// backend built over them.
+var (
+	_ Backend = (*noc.Network)(nil)
+	_ Backend = (*noc.Deflection)(nil)
+	_ Backend = (*abstractnet.Network)(nil)
+	_ Backend = (*gpu.Backend)(nil)
+	_ Backend = (*Hybrid)(nil)
+	_ Backend = (*Calibrated)(nil)
+	_ Backend = (*Recorder)(nil)
+)
+
+// everyBackend builds each backend the module has over a 4x4 mesh.
+var everyBackend = map[string]func(t *testing.T) Backend{
 	"abstract": func(*testing.T) Backend { return abstractBackend() },
 	"contention": func(*testing.T) Backend {
 		m := topology.NewMesh(4, 4, 1)
-		return NewAbstract(abstractnet.NewNetwork(abstractnet.NewContention(m, abstractnet.DefaultParams())))
+		return abstractnet.NewNetwork(abstractnet.NewContention(m, abstractnet.DefaultParams()))
+	},
+	"detailed": func(t *testing.T) Backend { return detailedBackend(t) },
+	"deflection": func(t *testing.T) Backend {
+		net, err := noc.NewDeflection(noc.DefaultDeflectConfig(), topology.NewMesh(4, 4, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(net.Close)
+		return net
+	},
+	"gpu": func(t *testing.T) Backend { return gpu.NewBackend(detailedBackend(t), gpu.DefaultDevice()) },
+	"hybrid": func(t *testing.T) Backend {
+		m := topology.NewMesh(4, 4, 1)
+		tuned := abstractnet.NewTuned(abstractnet.NewContention(m, abstractnet.DefaultParams()), 256)
+		h, err := NewHybrid(detailedBackend(t), tuned, 200, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	},
 	"calibrated": func(t *testing.T) Backend {
 		m := topology.NewMesh(4, 4, 1)
@@ -28,16 +60,20 @@ var pooledBackends = map[string]func(t *testing.T) Backend{
 		}
 		return cal
 	},
+	"recorder": func(t *testing.T) Backend { return NewRecorder(detailedBackend(t)) },
 }
 
 // scriptedTraffic injects cycle c's packets: a light random background,
 // and every 150 cycles a 70-packet burst from one source, which NI
 // serialization spreads over the next 350 cycles — deliveries well
-// beyond the calendar's near tier beside ones inside it.
-func scriptedTraffic(b Backend, c sim.Cycle) {
-	src, _ := b.(packetSource)
+// beyond the calendar's near tier beside ones inside it. Packets come
+// from the backend's free list when pooled, from the heap otherwise.
+func scriptedTraffic(b Backend, c sim.Cycle, pooled bool) {
 	inject := func(s, d, size int) {
-		p := src.NewPacket()
+		p := &noc.Packet{}
+		if pooled {
+			p = b.NewPacket()
+		}
 		p.Src, p.Dst, p.Size = s, d, size
 		b.Inject(p, c)
 	}
@@ -55,74 +91,88 @@ func scriptedTraffic(b Backend, c sim.Cycle) {
 }
 
 // driveBackend plays the Q=1 coordinator over [from, to): inject,
-// advance, drain, recycle. It returns one line per delivery.
-func driveBackend(b Backend, from, to sim.Cycle) []string {
-	sink, _ := b.(packetRecycler)
+// advance, drain and, when pooled, recycle. It returns one line per
+// delivery.
+func driveBackend(b Backend, from, to sim.Cycle, pooled bool) []string {
 	var log []string
 	for c := from; c < to; c++ {
-		scriptedTraffic(b, c)
+		scriptedTraffic(b, c, pooled)
 		b.AdvanceTo(c + 1)
 		for _, p := range b.Drain() {
 			log = append(log, fmt.Sprintf("%d:%d>%d@%d", p.ID, p.Src, p.Dst, p.DeliveredAt))
-			sink.Recycle(p)
+			if pooled {
+				b.Recycle(p)
+			}
 		}
 	}
 	return log
 }
 
+// stater is the checkpointable part of b: a Recorder is captured
+// through the backend it wraps.
+func stater(b Backend) BackendStater {
+	if r, ok := b.(*Recorder); ok {
+		b = r.Backend
+	}
+	return b.(BackendStater)
+}
+
 func encodeBackend(t *testing.T, b Backend) []byte {
 	t.Helper()
 	e := snapshot.NewEncoder(0)
-	b.(BackendStater).State(e.Codec(), nil, nil)
+	stater(b).State(e.Codec(), nil, nil)
 	return e.Finish()
 }
 
-// TestPooledBackendCapture: with deliveries pending in both calendar
-// tiers and packets on the free list, a backend restored from the
-// capture — a fresh one and a used one, whose own queue and free list
-// must not survive — resumes to the uninterrupted run's deliveries and
-// bytes, and so does the captured parent.
+// TestPooledBackendCapture: with deliveries pending and packets on the
+// free list, a backend restored from the capture — a fresh one and a
+// used one, whose own queue and free list must not survive — resumes
+// to the uninterrupted run's deliveries and bytes, and so does the
+// captured parent. Every backend is driven with and without pooling,
+// and both match the one pooled reference run.
 func TestPooledBackendCapture(t *testing.T) {
 	const mid, end = 330, 900
-	for name, build := range pooledBackends {
+	for name, build := range everyBackend {
 		t.Run(name, func(t *testing.T) {
 			ref := build(t)
-			wantLog := driveBackend(ref, 0, end)
+			wantLog := driveBackend(ref, 0, end, true)
 			wantBytes := encodeBackend(t, ref)
 
-			parent := build(t)
-			head := driveBackend(parent, 0, mid)
-			if spread := parent.InFlight(); spread < 40 {
-				t.Fatalf("only %d deliveries pending at the capture: the burst is not straddling the tiers", spread)
-			}
-			// A burst has drained and been recycled, another is mid-flight.
-			direct := encodeBackend(t, parent)
+			for _, pooled := range []bool{true, false} {
+				parent := build(t)
+				head := driveBackend(parent, 0, mid, pooled)
+				if spread := parent.InFlight(); spread < 40 {
+					t.Fatalf("pooled=%v: only %d deliveries pending at the capture: the burst is not straddling the tiers", pooled, spread)
+				}
+				// A burst has drained, another is mid-flight.
+				direct := encodeBackend(t, parent)
 
-			fresh, used := build(t), build(t)
-			driveBackend(used, 0, 40)
-			for _, b := range []Backend{fresh, used} {
-				d, err := snapshot.NewDecoder(direct, 0)
-				if err != nil {
-					t.Fatal(err)
+				fresh, used := build(t), build(t)
+				driveBackend(used, 0, 40, pooled)
+				for _, b := range []Backend{fresh, used} {
+					d, err := snapshot.NewDecoder(direct, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stater(b).State(d.Codec(), nil, nil)
+					if err := d.Finish(); err != nil {
+						t.Fatal(err)
+					}
+					if got := encodeBackend(t, b); !bytes.Equal(got, direct) {
+						t.Fatalf("pooled=%v: restored backend re-encodes differently (first diff at byte %d)", pooled, firstDiff(got, direct))
+					}
 				}
-				b.(BackendStater).State(d.Codec(), nil, nil)
-				if err := d.Finish(); err != nil {
-					t.Fatal(err)
-				}
-				if got := encodeBackend(t, b); !bytes.Equal(got, direct) {
-					t.Fatalf("restored backend re-encodes differently (first diff at byte %d)", firstDiff(got, direct))
-				}
-			}
 
-			if fmt.Sprint(head) != fmt.Sprint(wantLog[:len(head)]) {
-				t.Error("the run is not deterministic up to the capture")
-			}
-			for who, b := range map[string]Backend{"parent": parent, "restored into fresh": fresh, "restored into used": used} {
-				if got, want := fmt.Sprint(driveBackend(b, mid, end)), fmt.Sprint(wantLog[len(head):]); got != want {
-					t.Errorf("%s delivered differently from the uninterrupted run after cycle %d", who, mid)
+				if fmt.Sprint(head) != fmt.Sprint(wantLog[:len(head)]) {
+					t.Errorf("pooled=%v: the run up to the capture differs from the reference", pooled)
 				}
-				if got := encodeBackend(t, b); !bytes.Equal(got, wantBytes) {
-					t.Errorf("%s ends in a different state from the uninterrupted run (first diff at byte %d)", who, firstDiff(got, wantBytes))
+				for who, b := range map[string]Backend{"parent": parent, "restored into fresh": fresh, "restored into used": used} {
+					if got, want := fmt.Sprint(driveBackend(b, mid, end, pooled)), fmt.Sprint(wantLog[len(head):]); got != want {
+						t.Errorf("pooled=%v: %s delivered differently from the reference after cycle %d", pooled, who, mid)
+					}
+					if got := encodeBackend(t, b); !bytes.Equal(got, wantBytes) {
+						t.Errorf("pooled=%v: %s ends in a different state from the reference (first diff at byte %d)", pooled, who, firstDiff(got, wantBytes))
+					}
 				}
 			}
 		})

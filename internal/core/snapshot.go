@@ -18,8 +18,8 @@ type BackendStater interface {
 }
 
 // stateOf walks a backend nested in another, which must support
-// checkpointing: both cycle-level networks and every Backend in this
-// module do.
+// checkpointing: every packet network and every Backend in this
+// module but Recorder does.
 func stateOf(c *snapshot.Codec, backend interface{}, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
 	bs, ok := backend.(BackendStater)
 	if !ok {
@@ -27,16 +27,6 @@ func stateOf(c *snapshot.Codec, backend interface{}, pc snapshot.PayloadCodec, t
 		return
 	}
 	bs.State(c, pc, track)
-}
-
-// State implements BackendStater for the cycle-level adapter.
-func (d *Detailed) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
-	stateOf(c, d.Net, pc, track)
-}
-
-// State implements BackendStater for the analytical adapter.
-func (a *Abstract) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
-	a.Net.State(c, pc, track)
 }
 
 // packetLess orders packets by ID for byte-stable snapshots of

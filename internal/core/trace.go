@@ -19,7 +19,9 @@ type TraceEntry struct {
 	Class stats.LatencyClass
 }
 
-// Recorder wraps a backend and records every injection.
+// Recorder wraps a backend and records every injection. It pools
+// packets through the wrapped backend's free list: the trace holds
+// TraceEntry values, never the packets themselves.
 type Recorder struct {
 	Backend
 	Trace []TraceEntry

@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/calib"
@@ -124,33 +123,11 @@ func (o *DetailedOracle) Controller() *Controller { return o.ctl }
 // Close implements Oracle.
 func (o *DetailedOracle) Close() {}
 
-// absPending is one analytically timed in-flight request.
+// absPending is one analytically timed in-flight request: the caller's
+// metadata and its arrival sequence, which the snapshot carries.
 type absPending struct {
-	at   sim.Cycle
 	seq  uint64
 	meta interface{}
-}
-
-// absHeap orders pending completions by (completion time, arrival
-// sequence), the total order every drain follows.
-type absHeap []absPending
-
-func (h absHeap) Len() int { return len(h) }
-func (h absHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h absHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *absHeap) Push(x interface{}) { *h = append(*h, x.(absPending)) }
-func (h *absHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = absPending{}
-	*h = old[:n-1]
-	return p
 }
 
 // AbstractOracle is the analytical memory model: a fixed base access
@@ -167,7 +144,10 @@ type AbstractOracle struct {
 	cycle    sim.Cycle
 	seq      uint64
 
-	pending absHeap
+	// pending is keyed by completion time; requests are scheduled in
+	// arrival order, so the queue's (When, Seq) order is (completion
+	// time, seq).
+	pending sim.TypedQueue[absPending]
 	out     []Completion //simlint:derived drain scratch, valid only until the next Drain call
 
 	reads, writes uint64
@@ -206,7 +186,7 @@ func (o *AbstractOracle) enqueue(write bool, meta interface{}, now sim.Cycle) fl
 		lat = 1
 	}
 	at := start + sim.Cycle(lat+0.5)
-	heap.Push(&o.pending, absPending{at: at, seq: o.seq, meta: meta})
+	o.pending.Schedule(at, absPending{seq: o.seq, meta: meta})
 	o.seq++
 	if write {
 		o.writes++
@@ -230,9 +210,12 @@ func (o *AbstractOracle) AdvanceTo(c sim.Cycle) { o.cycle = c }
 // Drain implements Oracle, popping completions due by the clock.
 func (o *AbstractOracle) Drain() []Completion {
 	out := o.out[:0]
-	for o.pending.Len() > 0 && o.pending[0].at <= o.cycle {
-		p := heap.Pop(&o.pending).(absPending)
-		out = append(out, Completion{At: p.at, Meta: p.meta})
+	for {
+		d, ok := o.pending.PopUntil(o.cycle)
+		if !ok {
+			break
+		}
+		out = append(out, Completion{At: d.When, Meta: d.Item.meta})
 	}
 	o.out = out
 	return out

@@ -1,8 +1,6 @@
 package dram
 
 import (
-	"sort"
-
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
@@ -33,10 +31,11 @@ func (o *DetailedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *in
 }
 
 // State walks the abstract oracle's fit, serialization horizon, and
-// analytically timed in-flight requests. The heap's internal layout is
-// not observable (pops follow the total (At, seq) order), so encoding
-// walks a sorted view for byte-stable snapshots — which, read back in
-// that order, is a valid min-heap layout already.
+// analytically timed in-flight requests in firing order, (completion
+// time, seq), whatever the queue's layout, so equal states produce
+// equal bytes. Decoding rejects entries out of that order and
+// re-schedules the rest, in order, into a fresh queue, which then pops
+// them in the same order.
 func (o *AbstractOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *interface{})) {
 	c.Section("oracle-abstract")
 	o.fit.State(c)
@@ -46,19 +45,26 @@ func (o *AbstractOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *in
 	c.U64(&o.reads)
 	c.U64(&o.writes)
 	o.latency.State(c)
-	pending := []absPending(o.pending)
-	if !c.Decoding() {
-		pending = append([]absPending(nil), pending...)
-		sort.Sort(absHeap(pending))
-	}
-	snapshot.Slice(c, &pending, 17, func(c *snapshot.Codec, p *absPending) {
-		snapshot.As64(c, &p.at)
-		c.U64(&p.seq)
-		meta(c, &p.meta)
-	})
+	var pending []sim.Deferred[absPending]
 	if c.Decoding() {
-		o.pending = pending
+		o.pending = sim.TypedQueue[absPending]{}
+	} else {
+		pending = o.pending.Pending()
 	}
+	i := 0
+	var prev sim.Deferred[absPending]
+	snapshot.Slice(c, &pending, 17, func(c *snapshot.Codec, d *sim.Deferred[absPending]) {
+		snapshot.As64(c, &d.When)
+		c.U64(&d.Item.seq)
+		meta(c, &d.Item.meta)
+		if i > 0 && (d.When < prev.When || d.When == prev.When && d.Item.seq <= prev.Item.seq) {
+			c.Failf("pending request (%v, seq %d) is not after (%v, seq %d)", d.When, d.Item.seq, prev.When, prev.Item.seq)
+		} else if c.Decoding() && c.Err() == nil {
+			o.pending.Schedule(d.When, d.Item)
+		}
+		prev = *d
+		i++
+	})
 }
 
 // State walks both fidelities plus the pairing state. The shadow

@@ -1,10 +1,13 @@
 package dram
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // access is one scripted request for oracle tests.
@@ -121,6 +124,52 @@ func TestAbstractOracleTiming(t *testing.T) {
 	}
 	if o.Pending() != 0 {
 		t.Errorf("pending %d after full drain", o.Pending())
+	}
+}
+
+// TestAbstractOracleRejectsDisorderedQueue: the pending requests are
+// encoded in firing order, so a decoded queue out of (completion time,
+// seq) order is corrupt, not reordered.
+func TestAbstractOracleRejectsDisorderedQueue(t *testing.T) {
+	o, err := NewAbstractOracle(100, 4, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Enqueue(1, false, uint64(7), 10) // completes at 110
+	o.Enqueue(2, false, uint64(8), 10) // completes at 114
+	meta := func(c *snapshot.Codec, m *interface{}) {
+		var v uint64
+		if !c.Decoding() {
+			v = (*m).(uint64)
+		}
+		if c.U64(&v); c.Decoding() {
+			*m = v
+		}
+	}
+	e := snapshot.NewEncoder(0)
+	o.State(e.Codec(), meta)
+	blob := e.Finish()
+
+	// The payload ends with the two (at, seq, meta) entries: swap their
+	// completion times and re-seal the CRC.
+	body := blob[:len(blob)-4]
+	first, second := body[len(body)-48:][:8], body[len(body)-24:][:8]
+	at := binary.LittleEndian.Uint64(first)
+	copy(first, second)
+	binary.LittleEndian.PutUint64(second, at)
+	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.ChecksumIEEE(body))
+
+	d, err := snapshot.NewDecoder(blob, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewAbstractOracle(100, 4, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.State(d.Codec(), meta)
+	if err := d.Finish(); err == nil {
+		t.Fatal("a pending queue out of firing order decoded without error")
 	}
 }
 

@@ -2,7 +2,6 @@ package expt
 
 import (
 	"repro"
-	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -32,7 +31,7 @@ func FigureA5(s Scale) []*stats.Table {
 			panic(err)
 		}
 		res := cs.Run(s.CycleLimit)
-		dnet := cs.Net.(*core.Detailed).Net.(*noc.Deflection)
+		dnet := cs.Net.(*noc.Deflection)
 		rate := dnet.DeflectionRate() * 100
 		cs.Net.Close()
 		if !res.Finished {

@@ -31,7 +31,7 @@ func FigureA4(s Scale) []*stats.Table {
 			panic(err)
 		}
 		res := cs.Run(s.CycleLimit)
-		net := backend.(*core.Detailed).Net.(*noc.Network)
+		net := backend.(*noc.Network)
 		r := net.Energy(noc.DefaultEnergy())
 		backend.Close()
 		if !res.Finished {

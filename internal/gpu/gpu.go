@@ -181,8 +181,8 @@ func (b *Backend) Tracker() *stats.LatencyTracker { return b.net.Tracker() }
 // InFlight implements the backend contract.
 func (b *Backend) InFlight() int { return b.net.InFlight() }
 
-// NewPacket implements the coordinator's optional packet-pool surface
-// by delegating to the wrapped network's free list.
+// NewPacket implements the backend contract with the wrapped
+// network's free list.
 func (b *Backend) NewPacket() *noc.Packet { return b.net.NewPacket() }
 
 // Recycle returns a delivered packet to the network's free list.

@@ -285,8 +285,9 @@ func (a ActivityStats) PoolHitRate() float64 {
 	return float64(a.PoolHits) / float64(total)
 }
 
-// PacketPool is a free list of recycled Packets, one per network (the
-// abstract network keeps one too). Get and Put run only between steps,
+// PacketPool is a free list of recycled Packets. Each packet network
+// owns one through its Ledger, which a co-simulation backend exposes
+// as NewPacket/Recycle. Get and Put run only between steps,
 // never inside a shard pass, so the pool needs no synchronization. The
 // zero value is an empty pool.
 type PacketPool struct {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Deflection is a bufferless, deflection-routed network (BLESS/CHIPPER
@@ -27,19 +26,14 @@ type Deflection struct {
 	routers []deflRouter
 	ifaces  []deflIface
 
-	cycle     sim.Cycle
-	tracker   *stats.LatencyTracker
-	injected  uint64
-	delivered uint64
-	nextID    uint64
-	drainBuf  []*Packet //simlint:derived drain scratch, emptied by rederive
+	cycle sim.Cycle
+	Ledger
 
-	// The step path (shard.go; see Network's fields) and the packet
-	// free list. All derived or host-side state, excluded from snapshots.
+	// The step path (shard.go; see Network's fields): all derived or
+	// host-side state, excluded from snapshots.
 	partition             //simlint:derived recomputed at construction; wake schedules rebuilt by rederive, counters restart at zero
 	stepFn    func(i int) //simlint:derived shardStep, bound once at construction
 	swapFn    func(i int) //simlint:derived shardSwap, bound once at construction
-	pool      PacketPool  //simlint:derived host-side free list, never simulated state
 	// nbrOf[r*4+d] is the router across direction d (-1 when the edge
 	// port has no link); the swap pass walks it every stepped cycle.
 	nbrOf []int32 //simlint:derived precomputed from the topology at construction
@@ -123,8 +117,10 @@ func NewDeflection(cfg DeflectConfig, topo topology.Topology, opts ...DeflectOpt
 		topo:    g,
 		routers: make([]deflRouter, topo.NumRouters()),
 		ifaces:  make([]deflIface, topo.NumTerminals()),
-		tracker: stats.NewLatencyTracker(4, 512),
+		Ledger:  NewLedger(),
 	}
+	// Every flit of a packet counts its own router visits.
+	n.hopsPerFlit = true
 	for i := range n.ifaces {
 		n.ifaces[i].reassembly = make(map[*Packet]int32)
 	}
@@ -172,14 +168,13 @@ func NewDeflection(cfg DeflectConfig, topo topology.Topology, opts ...DeflectOpt
 
 // rederive rebuilds what is not part of the network's state;
 // construction and a successful decode both end with it. The staging
-// slots are empty between steps and the drain scratch is emptied; the
-// wake schedule conservatively wakes every router once (the first wake
-// pass re-arms queued future injections).
+// slots are empty between steps; the wake schedule conservatively
+// wakes every router once (the first wake pass re-arms queued future
+// injections).
 func (n *Deflection) rederive() {
 	for r := range n.routers {
 		n.routers[r].next = [4]deflFlit{}
 	}
-	n.drainBuf = n.drainBuf[:0]
 	n.resetWake()
 }
 
@@ -204,27 +199,20 @@ func (n *Deflection) Inject(p *Packet, at sim.Cycle) {
 	if n.cfg.InjectQueueCap > 0 && len(ni.queue)-ni.qHead+p.Size > n.cfg.InjectQueueCap {
 		panic("noc: deflection inject queue overflow")
 	}
-	p.ID = n.nextID
-	n.nextID++
-	p.CreatedAt = at
+	n.Admit(p, at)
 	for s := int32(0); s < int32(p.Size); s++ {
 		ni.queue = append(ni.queue, deflFlit{pkt: p, seq: s})
 	}
-	n.injected++
 	r, _ := n.topo.RouterOf(p.Src)
 	n.wakeRouter(int32(r), at, n.cycle)
 }
 
-// NewPacket returns a zeroed packet, recycled when possible (see
-// Network.NewPacket).
-func (n *Deflection) NewPacket() *Packet { return n.pool.Get() }
-
-// Recycle returns a drained packet to the free list (see
-// Network.Recycle).
-func (n *Deflection) Recycle(p *Packet) { n.pool.Put(p) }
-
 // Cycle reports the next cycle to simulate.
 func (n *Deflection) Cycle() sim.Cycle { return n.cycle }
+
+// Name identifies the network as a co-simulation backend: a
+// cycle-level network like Network.
+func (n *Deflection) Name() string { return "detailed" }
 
 // Step simulates one cycle in two passes with a barrier between them.
 // The router pass (eject, inject, assign outputs) reads only the
@@ -341,7 +329,7 @@ func (n *Deflection) NextEventCycle() (sim.Cycle, bool) { return n.nextEvent(n.c
 func (n *Deflection) AdvanceTo(c sim.Cycle) { n.advanceTo(&n.cycle, c, n.Step) }
 
 // ActivityStats reports the gating layer's work accounting.
-func (n *Deflection) ActivityStats() ActivityStats { return n.activityStats(&n.pool) }
+func (n *Deflection) ActivityStats() ActivityStats { return n.activityStats(&n.packets) }
 
 // Run simulates the given number of cycles, fast-forwarding idle
 // spans.
@@ -565,7 +553,7 @@ func flitAfter(a, b deflFlit) bool {
 // Drain returns packets fully reassembled at or before the current
 // cycle, recording latency statistics.
 func (n *Deflection) Drain() []*Packet {
-	out := n.drainBuf[:0]
+	out := n.Scratch()
 	for t := range n.ifaces {
 		ni := &n.ifaces[t]
 		for ni.dHead < len(ni.deliveries) && ni.deliveries[ni.dHead].DeliveredAt <= n.cycle {
@@ -578,26 +566,8 @@ func (n *Deflection) Drain() []*Packet {
 			ni.dHead = 0
 		}
 	}
-	for _, p := range out {
-		hops := p.Hops / p.Size // average router visits per flit
-		n.tracker.Record(p.Class, float64(p.QueueingLatency()), float64(p.NetworkLatency()), hops)
-	}
-	n.delivered += uint64(len(out))
-	n.drainBuf = out
-	return out
+	return n.Settle(out)
 }
-
-// Tracker reports latency statistics of drained packets.
-func (n *Deflection) Tracker() *stats.LatencyTracker { return n.tracker }
-
-// Injected reports accepted packets.
-func (n *Deflection) Injected() uint64 { return n.injected }
-
-// Delivered reports drained packets.
-func (n *Deflection) Delivered() uint64 { return n.delivered }
-
-// InFlight reports packets injected but not drained.
-func (n *Deflection) InFlight() int { return int(n.injected - n.delivered) }
 
 // Deflections reports non-productive port assignments so far.
 func (n *Deflection) Deflections() uint64 {
@@ -611,7 +581,7 @@ func (n *Deflection) Deflections() uint64 {
 // FlitsSwitched reports total flits traversed across all router
 // output ports including ejection — the same switching-activity
 // measure *Network exposes, so either cycle-level network can report
-// it uniformly through core.CycleNet.
+// it uniformly.
 func (n *Deflection) FlitsSwitched() uint64 {
 	var total uint64
 	for r := range n.routers {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // ejectionCredits is the effectively-infinite credit count given to
@@ -94,21 +93,15 @@ type Network struct {
 	ifaces []Iface
 
 	cycle sim.Cycle
-
-	tracker   *stats.LatencyTracker
-	injected  uint64
-	delivered uint64
-	nextID    uint64
-	drainBuf  []*Packet //simlint:derived drain scratch, emptied by rederive
+	Ledger
 
 	// The step path (shard.go): shard partition, per-shard wake
 	// schedules, worker pool and work counters — all derived or
-	// host-side state, excluded from snapshots — the per-shard router
-	// scratch, and the packet free list.
+	// host-side state, excluded from snapshots — and the per-shard
+	// router scratch.
 	partition                 //simlint:derived recomputed at construction; wake schedules rebuilt by rederive, counters restart at zero
 	shardFn   func(i int)     //simlint:derived shardStep, bound once at construction
 	scratch   []routerScratch //simlint:derived per-shard phase scratch, all zero between phases
-	pool      PacketPool      //simlint:derived host-side free list, never simulated state
 	// peer[r*ports+p] is the far end of port p of router r: where r's
 	// sent flits and returned credits land, and whom they wake. niAt
 	// maps (r*lp + local port) to its terminal. The per-cycle sweeps
@@ -214,7 +207,7 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 		flitRing:  cfg.LinkLatency + 1,
 		credRing:  cfg.CreditLatency + 1,
 		vcsPerSet: cfg.VCsPerVNet / routing.VCSets(),
-		tracker:   stats.NewLatencyTracker(4, 512),
+		Ledger:    NewLedger(),
 	}
 	for _, o := range opts {
 		o(n)
@@ -319,6 +312,9 @@ func (n *Network) Topology() topology.Topology { return n.topo }
 // Cycle reports the next cycle to be simulated (0 before the first Step).
 func (n *Network) Cycle() sim.Cycle { return n.cycle }
 
+// Name identifies the network as a co-simulation backend.
+func (n *Network) Name() string { return "detailed" }
+
 // Inject queues a packet for injection at its source NI at cycle `at`
 // (which must not precede already-queued packets at the same NI and
 // vnet). The packet's ID and CreatedAt are assigned here.
@@ -332,24 +328,11 @@ func (n *Network) Inject(p *Packet, at sim.Cycle) {
 	if p.Src < 0 || p.Src >= len(n.ifaces) || p.Dst < 0 || p.Dst >= len(n.ifaces) {
 		panic(fmt.Sprintf("noc: packet endpoints %d->%d out of range", p.Src, p.Dst))
 	}
-	p.ID = n.nextID
-	n.nextID++
-	p.CreatedAt = at
+	n.Admit(p, at)
 	ni := &n.ifaces[p.Src]
 	ni.enqueue(p)
-	n.injected++
 	n.wakeRouter(int32(ni.router), at, n.cycle)
 }
-
-// NewPacket returns a zeroed packet, recycled from the network's free
-// list when one is available. Callers that use it must hand delivered
-// packets back through Recycle once they are done with them.
-func (n *Network) NewPacket() *Packet { return n.pool.Get() }
-
-// Recycle returns a drained packet to the free list. The caller must
-// hold the only remaining reference: a recycled packet is zeroed and
-// will be reused by a future NewPacket.
-func (n *Network) Recycle(p *Packet) { n.pool.Put(p) }
 
 // Step simulates one cycle (the cycle reported by Cycle) and advances
 // the clock. With activity gating enabled (the default) each shard
@@ -462,13 +445,13 @@ func (n *Network) NextEventCycle() (sim.Cycle, bool) { return n.nextEvent(n.cycl
 func (n *Network) AdvanceTo(c sim.Cycle) { n.advanceTo(&n.cycle, c, n.Step) }
 
 // ActivityStats reports the gating layer's work accounting.
-func (n *Network) ActivityStats() ActivityStats { return n.activityStats(&n.pool) }
+func (n *Network) ActivityStats() ActivityStats { return n.activityStats(&n.packets) }
 
 // rederive rebuilds what is not part of the network's state from what
 // is; construction and a successful decode both end with it. The NI
-// backlog counts and the VC masks are recounted, the drain scratch is
-// emptied, and the wake schedule is reconstructed: wake every router
-// once (idle ones no-op and retire after one sweep) and re-arm a wake
+// backlog counts and the VC masks are recounted, and the wake schedule
+// is reconstructed: wake every router once (idle ones no-op and retire
+// after one sweep) and re-arm a wake
 // for every flit or credit already in flight on a ring, addressed to
 // the ring's router — its consumer — at its arrival cycle. NI
 // injection queues need no scan: every router runs the next cycle, and
@@ -480,7 +463,6 @@ func (n *Network) rederive() {
 	for rw := range n.masks {
 		n.masks[rw] = n.recountMask(rw)
 	}
-	n.drainBuf = n.drainBuf[:0]
 	n.resetWake()
 	now := n.cycle
 	for i := range n.linkFlits {
@@ -511,30 +493,12 @@ func (n *Network) Run(cycles int) {
 // that have not been returned before, recording their latency
 // statistics. The returned slice is reused by the next Drain call.
 func (n *Network) Drain() []*Packet {
-	out := n.drainBuf[:0]
+	out := n.Scratch()
 	for t := range n.ifaces {
 		out = n.ifaces[t].drainInto(out, n.cycle)
 	}
-	for _, p := range out {
-		n.tracker.Record(p.Class,
-			float64(p.QueueingLatency()), float64(p.NetworkLatency()), p.Hops)
-	}
-	n.delivered += uint64(len(out))
-	n.drainBuf = out
-	return out
+	return n.Settle(out)
 }
-
-// Tracker reports latency statistics of drained packets.
-func (n *Network) Tracker() *stats.LatencyTracker { return n.tracker }
-
-// Injected reports packets accepted by Inject.
-func (n *Network) Injected() uint64 { return n.injected }
-
-// Delivered reports packets returned by Drain.
-func (n *Network) Delivered() uint64 { return n.delivered }
-
-// InFlight reports packets injected but not yet drained.
-func (n *Network) InFlight() int { return int(n.injected - n.delivered) }
 
 // FlitsSwitched reports total flits traversed across all router
 // output ports (including ejection).

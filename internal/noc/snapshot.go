@@ -200,11 +200,7 @@ func (n *Network) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(
 	}
 	pt.state(c, pc, len(n.ifaces), n.cfg.VNets, track)
 
-	snapshot.As64(c, &n.cycle)
-	c.U64(&n.injected)
-	c.U64(&n.delivered)
-	c.U64(&n.nextID)
-	n.tracker.State(c)
+	n.Ledger.State(c, &n.cycle)
 
 	c.Section("ifaces")
 	for t := range n.ifaces {
@@ -395,11 +391,7 @@ func (n *Deflection) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track fu
 	}
 	pt.state(c, pc, len(n.ifaces), 1<<30, track)
 
-	snapshot.As64(c, &n.cycle)
-	c.U64(&n.injected)
-	c.U64(&n.delivered)
-	c.U64(&n.nextID)
-	n.tracker.State(c)
+	n.Ledger.State(c, &n.cycle)
 
 	c.Section("difaces")
 	for t := range n.ifaces {

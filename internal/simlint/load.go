@@ -94,7 +94,7 @@ func load(rootArg string) (*Module, error) {
 
 // relPos converts a token.Pos to a Position whose Filename is
 // module-root-relative and slash-separated — the stable spelling used
-// in findings, baselines, and directive lookups.
+// in findings and directive lookups.
 func (m *Module) relPos(pos token.Pos) token.Position {
 	p := m.fset.Position(pos)
 	if rel, err := filepath.Rel(m.root, p.Filename); err == nil && !strings.HasPrefix(rel, "..") {

@@ -121,8 +121,10 @@
 package simlint
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/token"
+	"io"
 	"sort"
 	"strings"
 )
@@ -175,7 +177,7 @@ func knownRuleList() string {
 
 // Finding is one rule violation at a source position. Filenames are
 // module-root-relative (slash-separated), so findings are stable
-// across checkouts and usable as baseline keys.
+// across checkouts.
 type Finding struct {
 	Pos  token.Position
 	Rule string
@@ -184,6 +186,35 @@ type Finding struct {
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg)
+}
+
+// jsonFinding is the stable machine-readable spelling of one finding.
+// File is module-root-relative and slash-separated.
+type jsonFinding struct {
+	File string `json:"file"`
+	Line int    `json:"line"`
+	Col  int    `json:"col"`
+	Rule string `json:"rule"`
+	Msg  string `json:"msg"`
+}
+
+// WriteJSON writes findings as an indented JSON array (stable field
+// order, trailing newline), the format consumed by CI and diffable in
+// review.
+func WriteJSON(w io.Writer, findings []Finding) error {
+	out := make([]jsonFinding, 0, len(findings))
+	for _, f := range findings {
+		out = append(out, jsonFinding{
+			File: f.Pos.Filename,
+			Line: f.Pos.Line,
+			Col:  f.Pos.Column,
+			Rule: f.Rule,
+			Msg:  f.Msg,
+		})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
 }
 
 // Config selects what to analyze.

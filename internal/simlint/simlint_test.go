@@ -1,7 +1,10 @@
 package simlint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"go/token"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -229,5 +232,42 @@ func TestDefaultListsDisjoint(t *testing.T) {
 		if host[p] {
 			t.Errorf("package %s is in both default lists", p)
 		}
+	}
+}
+
+func fakeFindings() []Finding {
+	return []Finding{
+		{Pos: token.Position{Filename: "a/x.go", Line: 3, Column: 2}, Rule: RuleWallclock, Msg: "m1"},
+		{Pos: token.Position{Filename: "a/x.go", Line: 9, Column: 4}, Rule: RuleWallclock, Msg: "m1"},
+		{Pos: token.Position{Filename: "b/y.go", Line: 1, Column: 1}, Rule: RuleTaint, Msg: "m2"},
+	}
+}
+
+// TestWriteJSON pins the machine-readable spelling: an array of
+// {file,line,col,rule,msg} objects.
+func TestWriteJSON(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, fakeFindings()); err != nil {
+		t.Fatal(err)
+	}
+	var decoded []map[string]interface{}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
+	}
+	if len(decoded) != 3 {
+		t.Fatalf("got %d entries, want 3", len(decoded))
+	}
+	first := decoded[0]
+	if first["file"] != "a/x.go" || first["line"] != float64(3) ||
+		first["col"] != float64(2) || first["rule"] != "wallclock" || first["msg"] != "m1" {
+		t.Errorf("unexpected first entry: %v", first)
+	}
+
+	var empty bytes.Buffer
+	if err := WriteJSON(&empty, nil); err != nil {
+		t.Fatal(err)
+	}
+	if strings.TrimSpace(empty.String()) != "[]" {
+		t.Errorf("no findings must encode as an empty array, got %q", empty.String())
 	}
 }

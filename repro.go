@@ -211,17 +211,9 @@ func BuildBackend(cfg Config, mode Mode) (core.Backend, error) {
 	case ModeSynchronous, ModeReciprocal:
 		switch cfg.RouterArch {
 		case "", "vc":
-			net, err := noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
-			if err != nil {
-				return nil, err
-			}
-			return core.NewDetailed(net), nil
+			return noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
 		case "deflect":
-			net, err := noc.NewDeflection(cfg.Deflect, topo, noc.WithDeflectWorkers(cfg.NocWorkers))
-			if err != nil {
-				return nil, err
-			}
-			return core.NewDetailed(net), nil
+			return noc.NewDeflection(cfg.Deflect, topo, noc.WithDeflectWorkers(cfg.NocWorkers))
 		default:
 			return nil, fmt.Errorf("repro: unknown router architecture %q", cfg.RouterArch)
 		}
@@ -232,16 +224,16 @@ func BuildBackend(cfg Config, mode Mode) (core.Backend, error) {
 		}
 		return gpu.NewBackend(net, cfg.Device), nil
 	case ModeAbstract:
-		return core.NewAbstract(abstractnet.NewNetwork(abstractnet.NewFixed(topo, cfg.Abstract))), nil
+		return abstractnet.NewNetwork(abstractnet.NewFixed(topo, cfg.Abstract)), nil
 	case ModeContention:
-		return core.NewAbstract(abstractnet.NewNetwork(abstractnet.NewContention(topo, cfg.Abstract))), nil
+		return abstractnet.NewNetwork(abstractnet.NewContention(topo, cfg.Abstract)), nil
 	case ModeHybrid:
 		net, err := noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
 		if err != nil {
 			return nil, err
 		}
 		tuned := abstractnet.NewTuned(abstractnet.NewContention(topo, cfg.Abstract), 4096)
-		return core.NewHybrid(core.NewDetailed(net), tuned,
+		return core.NewHybrid(net, tuned,
 			sim.Cycle(cfg.HybridPeriod), sim.Cycle(cfg.HybridSample))
 	case ModeCalibrated:
 		net, err := noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
@@ -253,7 +245,7 @@ func BuildBackend(cfg Config, mode Mode) (core.Backend, error) {
 		if retune < 1 {
 			retune = 1
 		}
-		return core.NewCalibrated(core.NewDetailed(net), tuned, retune)
+		return core.NewCalibrated(net, tuned, retune)
 	default:
 		return nil, fmt.Errorf("repro: unknown mode %q", mode)
 	}
