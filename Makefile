@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fmt vet lint loc race race-shard race-gating simcheck premerge fuzz-smoke cosimd-smoke
+.PHONY: all build test fmt vet lint loc race race-shard race-gating simcheck premerge fuzz-smoke cosimd-smoke ci
 
 all: build test
 
@@ -96,5 +96,10 @@ race-gating:
 simcheck:
 	$(GO) test -tags simcheck ./...
 
-# Everything a PR must pass.
+# The static gates, the test suite, the race detector and the simcheck
+# build: CI's first blocking step. CI blocks on more; see ci.
 premerge: build fmt vet lint test race simcheck
+
+# Exactly what CI blocks on, in CI's order (.github/workflows/ci.yml;
+# its separate simlint job runs the lint premerge runs too).
+ci: premerge fuzz-smoke race-shard race-gating cosimd-smoke

@@ -659,6 +659,51 @@ func TestPromEndpoint(t *testing.T) {
 			t.Errorf("family %s missing from the exposition", family)
 		}
 	}
+	// Every sample rendered from the server's accounting equals the
+	// Stats() field /api/v1/stats serves, so the two cannot disagree.
+	stats = srv.Stats()
+	got := map[string]string{}
+	for _, line := range strings.Split(text, "\n") {
+		if m := promSampleRE.FindStringSubmatch(line); m != nil {
+			got[m[1]+m[2]] = m[3]
+		}
+	}
+	type sample struct {
+		series string
+		want   float64
+	}
+	want := []sample{
+		{"cosimd_workers", float64(stats.Workers)},
+		{"cosimd_slice_cycles", float64(stats.Slice)},
+		{"cosimd_sched_fairness_spread_cycles", float64(stats.Fairness.MaxSpread)},
+		{"cosimd_sched_fairness_samples_total", float64(stats.Fairness.Samples)},
+		{"cosimd_resident_sessions", float64(stats.Resident)},
+		{"cosimd_warm_sessions", float64(stats.Warm)},
+		{"cosimd_evictions_total", float64(stats.Evictions)},
+		{"cosimd_restores_total", float64(stats.Restores)},
+		{"cosimd_warm_restores_total", float64(stats.WarmRestores)},
+		{"cosimd_spills_total", float64(stats.Spills)},
+		{"cosimd_cache_hits_total", float64(stats.CacheHits)},
+		{"cosimd_cache_misses_total", float64(stats.CacheMiss)},
+		{"cosimd_events_subscribers", float64(stats.Obs.Subscribers)},
+		{"cosimd_events_published_total", float64(stats.Obs.Published)},
+		{"cosimd_events_dropped_total", float64(stats.Obs.Dropped)},
+		{"cosimd_flight_records_total", float64(stats.Obs.FlightRecords)},
+	}
+	for _, st := range []State{StateReady, StateRunning, StateDone, StateFailed} {
+		want = append(want, sample{`cosimd_sessions{state="` + string(st) + `"}`, float64(stats.ByState[st])})
+	}
+	for _, tn := range stats.Tenants {
+		want = append(want,
+			sample{`cosimd_tenant_simulated_cycles_total{tenant="` + tn.Tenant + `"}`, float64(tn.Cycles)},
+			sample{`cosimd_tenant_sessions{tenant="` + tn.Tenant + `",phase="active"}`, float64(tn.Active)},
+			sample{`cosimd_tenant_sessions{tenant="` + tn.Tenant + `",phase="finished"}`, float64(tn.Finished)})
+	}
+	for _, w := range want {
+		if v, err := strconv.ParseFloat(got[w.series], 64); err != nil || v != w.want {
+			t.Errorf("%s = %q on /metrics, Stats() has %v", w.series, got[w.series], w.want)
+		}
+	}
 	// Spot-check label shapes: tenants and phases reached the page.
 	if !strings.Contains(text, `cosimd_tenant_simulated_cycles_total{tenant="tenant-0"}`) {
 		t.Error("per-tenant cycle accounting missing tenant-0")

@@ -2,7 +2,7 @@ package noc
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
@@ -33,9 +33,8 @@ type Deflection struct {
 	// host-side state, excluded from snapshots.
 	partition             //simlint:derived recomputed at construction; wake schedules rebuilt by rederive, counters restart at zero
 	stepFn    func(i int) //simlint:derived shardStep, bound once at construction
-	swapFn    func(i int) //simlint:derived shardSwap, bound once at construction
 	// nbrOf[r*4+d] is the router across direction d (-1 when the edge
-	// port has no link); the swap pass walks it every stepped cycle.
+	// port has no link): where r's flits land, and whom they wake.
 	nbrOf []int32 //simlint:derived precomputed from the topology at construction
 }
 
@@ -74,14 +73,15 @@ type deflFlit struct {
 	age sim.Cycle // injection cycle: smaller = older = higher priority
 }
 
-// deflRouter holds the per-router link-slot state: in[dir] is the flit
-// arriving this cycle (written by the upstream neighbour last cycle
-// via double buffering).
+// deflRouter holds the per-router link-slot state: slots[c&1][dir] is
+// the flit arriving from direction dir at cycle c. A router stepping
+// cycle c reads and empties slots[c&1]; its neighbours' sends of cycle
+// c write slots[(c+1)&1], so no slot is read and written in one cycle.
 type deflRouter struct {
-	in   [4]deflFlit // current-cycle arrivals, indexed by direction
-	next [4]deflFlit //simlint:derived next-cycle arrivals staged by neighbours; empty between steps, cleared by rederive
+	slots [2][4]deflFlit
 
 	scratch []deflFlit //simlint:derived assignment working set, rebuilt by every router step before it is read
+	sent    uint8      //simlint:derived directions sent to this cycle, rewritten by every router step before rearm reads it
 
 	// Per-router counters (aggregated on demand) so concurrent shards
 	// never contend on shared state.
@@ -137,43 +137,19 @@ func NewDeflection(cfg DeflectConfig, topo topology.Topology, opts ...DeflectOpt
 		}
 	}
 	n.partition.init(len(n.routers), cfg.DisableGating)
-	// Each shard's boundary routers and neighbouring shards, for the
-	// cross-shard arrival scan in shardSwap.
-	for si := range n.shards {
-		s := &n.shards[si]
-		isNbr := make([]bool, len(n.shards))
-		for r := s.lo; r < s.hi; r++ {
-			cross := false
-			for d := int32(0); d < 4; d++ {
-				if nb := n.nbrOf[r*4+d]; nb >= 0 && (nb < s.lo || nb >= s.hi) {
-					cross = true
-					isNbr[n.shardOf[nb]] = true
-				}
-			}
-			if cross {
-				s.boundary = append(s.boundary, r)
-			}
-		}
-		for t, is := range isNbr {
-			if is {
-				s.nbrShards = append(s.nbrShards, int32(t))
-			}
-		}
-	}
 	n.stepFn = n.shardStep
-	n.swapFn = n.shardSwap
 	n.rederive()
 	return n, nil
 }
 
 // rederive rebuilds what is not part of the network's state;
-// construction and a successful decode both end with it. The staging
-// slots are empty between steps; the wake schedule conservatively
-// wakes every router once (the first wake pass re-arms queued future
-// injections).
+// construction and a successful decode both end with it. The slots of
+// the cycle after the clock are empty between steps; the wake schedule
+// conservatively wakes every router once (its first rearm re-arms
+// queued future injections).
 func (n *Deflection) rederive() {
 	for r := range n.routers {
-		n.routers[r].next = [4]deflFlit{}
+		n.routers[r].slots[(n.cycle+1)&1] = [4]deflFlit{}
 	}
 	n.resetWake()
 }
@@ -214,108 +190,71 @@ func (n *Deflection) Cycle() sim.Cycle { return n.cycle }
 // cycle-level network like Network.
 func (n *Deflection) Name() string { return "detailed" }
 
-// Step simulates one cycle in two passes with a barrier between them.
-// The router pass (eject, inject, assign outputs) reads only the
-// router's own arrival slots and writes only its neighbours' staging
-// slots plus terminal-local state — each staging slot has a unique
-// writer — so shards of routers may run it in parallel; the swap pass
-// then promotes staged flits. The exhaustive path runs both passes
-// over every router: the reference the gated path is tested against.
+// Step simulates one cycle in one pass. A router step (eject, inject,
+// assign outputs) reads only its own arrival slots of this cycle and
+// writes only its neighbours' slots of the next cycle plus
+// terminal-local state — each slot has a unique writer — so shards of
+// routers may run it in parallel; the sender wakes each receiver
+// (rearm). The exhaustive path steps every router: the reference the
+// gated path is tested against.
 func (n *Deflection) Step() {
 	if n.exhaustive {
 		for r := range n.routers {
 			n.stepRouter(r)
 		}
-		for r := range n.routers {
-			n.swapRouter(r)
-		}
 		n.stepped++
 	} else {
-		n.stepSharded(n.cycle, n.stepFn, n.swapFn)
+		n.stepSharded(n.cycle, n.stepFn)
 	}
+	n.checkArrivals()
 	n.cycle++
 }
 
-// shardStep runs one shard's router pass: drain the shard's wake
-// schedule and step each active router, staging sends into neighbours'
-// next-cycle slots (which may belong to other shards).
+// shardStep runs one shard's cycle: drain its wake schedule and step
+// each active router, each one followed at once by its own wakes.
 func (n *Deflection) shardStep(si int) {
 	s := &n.shards[si]
 	s.active = s.gate.due(n.cycle)
 	for _, r := range s.active {
 		n.stepRouter(int(r))
+		n.rearm(s, r)
 	}
 }
 
-// shardSwap runs one shard's swap pass — the deflection wake pass. A
-// staged arrival can exist only at an active router or one of its
-// neighbours; swap exactly this shard's routers that hold one (once
-// each — a second swap would wipe the promoted arrivals), then re-arm
-// wakes for next-cycle work. Staged arrivals at an own router were
-// written either by an own active router (covered by the in-range
-// neighbour scan) or by an active router in a neighbouring shard
-// (covered by the boundary list, scanned only when such a shard was
-// active — reading a peer's active length here is safe: it was
-// published before the inter-pass barrier). Every wake targets the
-// shard's own schedule, so this pass never uses the outbox.
-func (n *Deflection) shardSwap(si int) {
-	s := &n.shards[si]
+// rearm converts router r's sends of this cycle and its NI backlog into
+// wakes, as Network.rearm does: every neighbour sent a flit runs next
+// cycle (through wakeOut, so a neighbour in another shard is woken by
+// the post-barrier merge), and an NI with queued flits re-arms its
+// router — immediately when the head is (or next cycle becomes)
+// eligible, at its creation cycle otherwise. It reads only r's own
+// records and writes only the shard's schedule and outbox.
+func (n *Deflection) rearm(s *shard, r32 int32) {
 	now := n.cycle
-	cand := s.swapBuf[:0]
-	for _, r32 := range s.active {
-		r := int(r32)
-		cand = append(cand, r32) //simlint:allow alloc swapBuf capacity is retained across cycles; steady state appends in place
-		for d := 0; d < 4; d++ {
-			if nb := n.nbrOf[r*4+d]; nb >= s.lo && nb < s.hi {
-				cand = append(cand, nb) //simlint:allow alloc swapBuf capacity is retained across cycles; steady state appends in place
-			}
+	r := int(r32)
+	for m := n.routers[r].sent; m != 0; m &= m - 1 {
+		s.wakeOut(n.nbrOf[r*4+bits.TrailingZeros8(m)], now+1, now)
+	}
+	ni := &n.ifaces[n.topo.TerminalAt(r, 0)]
+	if ni.qHead < len(ni.queue) {
+		if at := ni.queue[ni.qHead].pkt.CreatedAt; at > now+1 {
+			s.gate.wake(r32, at, now)
+		} else {
+			s.gate.markNext(r32)
 		}
 	}
-	for _, as := range s.nbrShards {
-		if len(n.shards[as].active) > 0 {
-			cand = append(cand, s.boundary...) //simlint:allow alloc swapBuf capacity is retained across cycles; steady state appends in place
-			break
-		}
+}
+
+// checkArrivals asserts, under the simcheck build tag, that the cycle
+// just stepped left no arrival behind: a flit in a slot of this cycle
+// reached a router nobody woke, and would sit there until a later send
+// collided with it.
+func (n *Deflection) checkArrivals() {
+	if !sim.Checking {
+		return
 	}
-	slices.Sort(cand)
-	out := cand[:0]
-	prev := int32(-1)
-	for _, c := range cand {
-		if c == prev {
-			continue
-		}
-		prev = c
-		rt := &n.routers[c]
-		if rt.next[0].pkt != nil || rt.next[1].pkt != nil ||
-			rt.next[2].pkt != nil || rt.next[3].pkt != nil {
-			out = append(out, c) //simlint:allow alloc in-place filter of cand; never exceeds swapBuf's retained capacity
-		}
-	}
-	s.swapBuf = out
-	// A router that just received arrivals must run next cycle.
-	for _, r32 := range out {
-		rt := &n.routers[r32]
-		for d := 0; d < 4; d++ {
-			if rt.next[d].pkt != nil {
-				if nb := n.nbrOf[int(r32)*4+d]; nb >= 0 && (nb < s.lo || nb >= s.hi) {
-					s.boundaryWakes++
-				}
-			}
-		}
-		n.swapRouter(int(r32))
-		s.gate.markNext(r32)
-	}
-	// An NI with queued flits re-arms its router: immediately when the
-	// head is (or next cycle becomes) eligible, at its creation cycle
-	// otherwise.
-	for _, r32 := range s.active {
-		ni := &n.ifaces[n.topo.TerminalAt(int(r32), 0)]
-		if ni.qHead < len(ni.queue) {
-			if at := ni.queue[ni.qHead].pkt.CreatedAt; at > now+1 {
-				s.gate.wake(r32, at, now)
-			} else {
-				s.gate.markNext(r32)
-			}
+	for r := range n.routers {
+		if n.routers[r].slots[n.cycle&1] != [4]deflFlit{} {
+			sim.Assert(false, "noc: deflection router %d left an arrival of cycle %d unstepped", r, n.cycle)
 		}
 	}
 }
@@ -380,12 +319,14 @@ func (n *Deflection) stepRouter(r int) {
 	now := n.cycle
 	term := n.topo.TerminalAt(r, 0)
 	ni := &n.ifaces[term]
+	rt.sent = 0
 
 	flits := rt.scratch[:0]
-	for d := 0; d < 4; d++ {
-		if rt.in[d].pkt != nil {
-			flits = append(flits, rt.in[d]) //simlint:allow alloc refills rt.scratch, whose capacity covers links+1 flits after first use
-			rt.in[d] = deflFlit{}
+	in := &rt.slots[now&1]
+	for d := range in {
+		if in[d].pkt != nil {
+			flits = append(flits, in[d]) //simlint:allow alloc refills rt.scratch, whose capacity covers links+1 flits after first use
+			in[d] = deflFlit{}
 		}
 	}
 
@@ -461,19 +402,18 @@ func (n *Deflection) stepRouter(r int) {
 				r, len(flits), n.linkCount(r)))
 		}
 		taken[assigned] = true
-		nb, _, _ := n.topo.Link(r, 1+assigned)
-		n.sendTo(nb, assigned, f)
+		n.sendTo(int(n.nbrOf[r*4+assigned]), assigned, f)
+		rt.sent |= 1 << assigned
 		rt.flitHops++
 	}
 }
 
-// sendTo stages a flit into the receiving router's next-cycle slot for
+// sendTo writes a flit into the receiving router's next-cycle slot for
 // the arrival direction (the opposite of the travel direction).
 func (n *Deflection) sendTo(nb, travelDir int, f deflFlit) {
-	arriveDir := oppositeDir(travelDir)
-	slot := &n.routers[nb].next[arriveDir]
+	slot := &n.routers[nb].slots[(n.cycle+1)&1][oppositeDir(travelDir)]
 	if slot.pkt != nil {
-		panic("noc: deflection staging collision")
+		panic("noc: deflection arrival collision")
 	}
 	*slot = f
 }
@@ -491,16 +431,7 @@ func oppositeDir(d int) int {
 	}
 }
 
-// swapRouter promotes staged arrivals for the next cycle.
-func (n *Deflection) swapRouter(r int) {
-	rt := &n.routers[r]
-	rt.in, rt.next = rt.next, [4]deflFlit{}
-}
-
-func (n *Deflection) hasLink(r, dir int) bool {
-	_, _, ok := n.topo.Link(r, 1+dir)
-	return ok
-}
+func (n *Deflection) hasLink(r, dir int) bool { return n.nbrOf[r*4+dir] >= 0 }
 
 func (n *Deflection) linkCount(r int) int {
 	c := 0
@@ -612,10 +543,8 @@ func (n *Deflection) DeflectionRate() float64 {
 // drain.
 func (n *Deflection) Quiescent() bool {
 	for r := range n.routers {
-		for d := 0; d < 4; d++ {
-			if n.routers[r].in[d].pkt != nil || n.routers[r].next[d].pkt != nil {
-				return false
-			}
+		if n.routers[r].slots[n.cycle&1] != [4]deflFlit{} {
+			return false
 		}
 	}
 	for t := range n.ifaces {

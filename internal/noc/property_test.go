@@ -144,16 +144,20 @@ func TestDeflectionConservationProperty(t *testing.T) {
 // router count, the gated run of either router engine matches the
 // exhaustive sequential sweep on fingerprints and on mid-run and
 // end-of-run checkpoint bytes, and every injected packet comes out. The
-// VC router's shape varies too: one or four terminals per router, two
-// or four VCs per virtual network (up to 8 ports of 12 VCs, 96 input
-// VCs a router — more than one mask word) and buffers 1, 4 or 8 deep.
+// router's shape varies too: for the VC router one or four terminals per
+// router, two or four VCs per virtual network (up to 8 ports of 12 VCs,
+// 96 input VCs a router — more than one mask word) and buffers 1, 4 or
+// 8 deep; for the deflection router an ejector one or two flits wide.
 func TestShardedEqualsExhaustiveProperty(t *testing.T) {
 	patterns := []string{"uniform", "hotspot", "bursty"}
 	f := func(wRaw, hRaw, workersRaw, patRaw, shapeRaw uint8, torus, deflect bool) bool {
 		pattern := patterns[int(patRaw)%len(patterns)]
 		conc := 1
 		cfg := DefaultConfig()
-		if !deflect {
+		dcfg := DefaultDeflectConfig()
+		if deflect {
+			dcfg.EjectWidth = []int{1, 2}[shapeRaw&1]
+		} else {
 			conc = []int{1, 4}[shapeRaw&1]
 			cfg.VCsPerVNet = []int{2, 4}[shapeRaw>>1&1]
 			cfg.BufDepth = []int{4, 1, 8}[int(shapeRaw>>2)%3]
@@ -170,8 +174,8 @@ func TestShardedEqualsExhaustiveProperty(t *testing.T) {
 		R := topo.NumRouters()
 		workers := int(workersRaw) % (R + 4) // 0 .. R+3: default, exact fit, and clamped
 		fail := func(what string) bool {
-			t.Logf("%s vcs=%d depth=%d workers=%d pattern=%s deflect=%v: %s",
-				topo.Name(), cfg.TotalVCs(), cfg.BufDepth, workers, pattern, deflect, what)
+			t.Logf("%s vcs=%d depth=%d eject=%d workers=%d pattern=%s deflect=%v: %s",
+				topo.Name(), cfg.TotalVCs(), cfg.BufDepth, dcfg.EjectWidth, workers, pattern, deflect, what)
 			return false
 		}
 
@@ -179,13 +183,13 @@ func TestShardedEqualsExhaustiveProperty(t *testing.T) {
 		var wantMid, wantEnd, gotMid, gotEnd []byte
 		var injected, delivered uint64
 		if deflect {
-			exCfg := DefaultDeflectConfig()
+			exCfg := dcfg
 			exCfg.DisableGating = true
 			ex, err := NewDeflection(exCfg, topo)
 			if err != nil {
 				return fail(err.Error())
 			}
-			g, err := NewDeflection(DefaultDeflectConfig(), topo, WithDeflectWorkers(workers))
+			g, err := NewDeflection(dcfg, topo, WithDeflectWorkers(workers))
 			if err != nil {
 				return fail(err.Error())
 			}

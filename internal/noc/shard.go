@@ -11,11 +11,12 @@ import (
 // partitioned into S = max(1, min(workers, R)) contiguous shards, each
 // with its own wake schedule, and a gated cycle steps every shard's
 // active routers. The partition leans on the future-addressing
-// discipline of the router model: every cross-router interaction
-// travels through a link/credit ring slot (or a staging slot) addressed
-// at least one cycle ahead, so a shard never reads another shard's
-// same-cycle state and the only synchronization is the barrier between
-// per-cycle passes.
+// discipline of both router models: every cross-router interaction
+// travels through a link/credit ring slot (or a deflection arrival
+// slot) addressed at least one cycle ahead, and its sender schedules
+// the receiver's wake, so a shard never reads another shard's
+// same-cycle state and one pass per cycle, closed by a barrier, is the
+// only synchronization.
 //
 // There is one gated step path for every S. The default network is the
 // one-shard case: its single shard steps inline on the caller, with no
@@ -52,16 +53,6 @@ type shard struct {
 	// the heap encoding) produced by this shard's pass; the merge
 	// after the barrier drains it into the owning shards' schedules.
 	outbox []uint64
-
-	// swapBuf is the deflection swap-candidate scratch.
-	swapBuf []int32
-
-	// boundary lists this shard's routers with at least one neighbour in
-	// another shard; nbrShards lists the shards those neighbours live
-	// in. The deflection swap pass scans boundary only when a
-	// neighbouring shard was active this cycle.
-	boundary  []int32
-	nbrShards []int32
 
 	// Host-side accounting: boundaryWakes counts events that crossed a
 	// shard boundary, busyNanos accumulates this shard's in-pass wall
@@ -100,7 +91,7 @@ type partition struct {
 	shards  []shard
 	shardOf []int16
 
-	// pool runs the passes of a multi-shard cycle. It starts on the
+	// pool runs the pass of a multi-shard cycle. It starts on the
 	// first such cycle, so a network that is built or restored but
 	// never stepped holds no goroutines.
 	pool      *engine.Parallel
@@ -191,16 +182,14 @@ func (p *partition) advanceTo(clock *sim.Cycle, c sim.Cycle, step func()) {
 	}
 }
 
-// stepSharded runs one gated cycle: every pass over every shard with a
-// barrier after each, then the sequential merge of cross-shard wakes
-// into their owners' schedules — the only code that writes across shard
-// ranges — and the accounting. One shard needs none of the coordination.
-func (p *partition) stepSharded(now sim.Cycle, passes ...func(si int)) {
+// stepSharded runs one gated cycle: the pass over every shard, a
+// barrier, then the sequential merge of cross-shard wakes into their
+// owners' schedules — the only code that writes across shard ranges —
+// and the accounting. One shard needs none of the coordination.
+func (p *partition) stepSharded(now sim.Cycle, pass func(si int)) {
 	p.stepped++
 	if len(p.shards) == 1 {
-		for _, pass := range passes {
-			pass(0)
-		}
+		pass(0)
 		if k := len(p.shards[0].active); k > 0 {
 			p.activeSum += uint64(k)
 			p.shardsActiveSum++
@@ -216,10 +205,8 @@ func (p *partition) stepSharded(now sim.Cycle, passes ...func(si int)) {
 			p.shards[si].busyNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
 		}
 	}
-	for _, pass := range passes {
-		p.pass = pass
-		p.pool.Run(len(p.shards), p.timedPass)
-	}
+	p.pass = pass
+	p.pool.Run(len(p.shards), p.timedPass)
 	for si := range p.shards {
 		s := &p.shards[si]
 		if k := len(s.active); k > 0 {
@@ -285,9 +272,9 @@ type ShardStats struct {
 	// ShardsActiveSum accumulates, per stepped cycle, the number of
 	// shards whose active set was non-empty.
 	ShardsActiveSum uint64
-	// BoundaryWakes counts events that crossed a shard boundary: wakes
-	// addressed to another shard's router (VC) or flits staged across a
-	// boundary (deflection).
+	// BoundaryWakes counts wakes addressed to another shard's router:
+	// one per cross-boundary flit or credit (VC), one per
+	// cross-boundary flit (deflection).
 	BoundaryWakes uint64
 	// BusyNanos sums per-shard in-pass wall time; StepNanos is the wall
 	// time of the whole multi-shard step path, barriers included.

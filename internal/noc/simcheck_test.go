@@ -5,6 +5,8 @@ package noc
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/noc/topology"
 )
 
 // busyRouter steps a 4x4 mesh carrying one long packet until some router
@@ -26,9 +28,9 @@ func busyRouter(t *testing.T) (*Network, int) {
 	return nil, 0
 }
 
-// wantInvariantPanic steps n once and fails unless the step stops on a
+// wantInvariantPanic calls step once and fails unless it stops on a
 // simcheck invariant panic naming what.
-func wantInvariantPanic(t *testing.T, n *Network, what string) {
+func wantInvariantPanic(t *testing.T, step func(), what string) {
 	t.Helper()
 	defer func() {
 		msg, _ := recover().(string)
@@ -36,7 +38,7 @@ func wantInvariantPanic(t *testing.T, n *Network, what string) {
 			t.Fatalf("stepping with corrupt derived state: recovered %q, want the %s invariant panic", msg, what)
 		}
 	}()
-	n.Step()
+	step()
 }
 
 // TestMaskInvariantPanics: under simcheck every stepped router recounts
@@ -53,7 +55,7 @@ func TestMaskInvariantPanics(t *testing.T) {
 		t.Fatal("no idle input VC to corrupt")
 	}
 	m.wait |= idle & -idle
-	wantInvariantPanic(t, n, "masks")
+	wantInvariantPanic(t, n.Step, "masks")
 }
 
 // TestQueuedInvariantPanics is the same for the NI's queued-packet
@@ -63,6 +65,18 @@ func TestQueuedInvariantPanics(t *testing.T) {
 	for _, delta := range []int{+1, -1} {
 		n, busy := busyRouter(t)
 		n.ifaces[n.niAt[busy*n.lp]].queued += delta
-		wantInvariantPanic(t, n, "queued")
+		wantInvariantPanic(t, n.Step, "queued")
 	}
+}
+
+// TestUnwokenArrivalPanics: under simcheck every deflection Step ends by
+// asserting that no router holds an arrival of the cycle just stepped.
+// A flit planted at a router nobody woke — as a send without its rearm
+// would leave it — stops the run at that cycle, instead of sitting in
+// the slot until a later send collides with it or it is lost.
+func TestUnwokenArrivalPanics(t *testing.T) {
+	n := deflMesh(t, 4)
+	n.Step() // retire construction's conservative wake-everything
+	n.routers[5].slots[n.cycle&1][topology.West] = deflFlit{pkt: &Packet{Src: 4, Dst: 6, Size: 1}}
+	wantInvariantPanic(t, n.Step, "arrival")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
@@ -353,8 +354,8 @@ func (n *Network) creditRingOf(rp int) []int16 {
 }
 
 // State walks the deflection network's mutable state: the packet
-// table, per-router arrival slots (the staging slots are empty between
-// Steps), per-NI source queues, reassembly counters, and delivery
+// table, per-router arrival slots of the current cycle (the next
+// cycle's are empty between Steps), per-NI source queues, reassembly counters, and delivery
 // buffers, plus the clock and statistics. pc describes payloads; nil
 // requires all payloads nil. The target of a decode is a deflection
 // network constructed with the same configuration and topology; track
@@ -379,7 +380,7 @@ func (n *Deflection) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track fu
 			}
 		}
 		for r := range n.routers {
-			for _, f := range n.routers[r].in {
+			for _, f := range n.routers[r].slots[n.cycle&1] {
 				pt.add(f.pkt)
 			}
 		}
@@ -406,7 +407,7 @@ func (n *Deflection) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track fu
 	c.Section("drouters")
 	for r := range n.routers {
 		c.Enter("drouter", r)
-		n.routers[r].state(c, pt)
+		n.routers[r].state(c, pt, n.cycle)
 		c.Leave()
 	}
 	if c.Decoding() && c.Err() == nil {
@@ -438,9 +439,12 @@ func (ni *deflIface) state(c *snapshot.Codec, pt *packetTable) {
 	})
 }
 
-func (rt *deflRouter) state(c *snapshot.Codec, pt *packetTable) {
-	for d := range rt.in {
-		rt.in[d].state(c, pt)
+// state walks the arrivals of cycle now: the clock is decoded before
+// the routers, so a decode fills the slots the next Step reads.
+func (rt *deflRouter) state(c *snapshot.Codec, pt *packetTable, now sim.Cycle) {
+	in := &rt.slots[now&1]
+	for d := range in {
+		in[d].state(c, pt)
 	}
 	c.U64(&rt.deflects)
 	c.U64(&rt.flitHops)

@@ -53,9 +53,9 @@ var outputFuncs = map[string]map[string]bool{
 // hotPathFunc reports whether a function name is one of the per-cycle
 // hot paths under the zero-alloc steady-state contract: the router
 // pipeline phases and the per-flit helpers they call (the NI's packet
-// selection among them), the per-cycle Step/Tick entry points, the
-// deflection router's per-cycle workers, the shard partition's
-// per-cycle passes, per-router wake scheduling and merge, and the
+// selection among them), the per-cycle Step/Tick entry points, both
+// router engines' per-router step, the shard partition's per-cycle
+// pass, per-router wake scheduling and merge, and the
 // full-system gated sweep (per-tile tick, sleep and wake sites, and the
 // simcheck recount that must stay alloc-free when it passes), and the
 // calendar queue's per-message Schedule (with its insert) and PopUntil.
@@ -64,9 +64,9 @@ func hotPathFunc(name string) bool {
 		return true
 	}
 	switch name {
-	case "Step", "Tick", "stepRouter", "swapRouter",
+	case "Step", "Tick", "stepRouter",
 		"pushFlit", "popFlit", "saNominate", "tryInject", "selectNext", "bestVC",
-		"stepSharded", "shardStep", "shardSwap", "rearm", "wakeOut",
+		"stepSharded", "shardStep", "rearm", "wakeOut",
 		"tick", "sleepTile", "wakeTile", "checkSleepers",
 		"Schedule", "insert", "PopUntil":
 		return true

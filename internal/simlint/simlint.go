@@ -48,10 +48,10 @@
 //
 //   - alloc (deterministic packages): no make/append inside the
 //     per-cycle hot paths (methods named phase*, Step, Tick,
-//     stepRouter, swapRouter, the per-flit helpers pushFlit, popFlit,
-//     saNominate, tryInject, selectNext and bestVC, the shard passes
-//     stepSharded, shardStep and shardSwap with the per-router wake
-//     scheduling rearm and wakeOut, and the full-system gated
+//     stepRouter, the per-flit helpers pushFlit, popFlit, saNominate,
+//     tryInject, selectNext and bestVC, the shard pass stepSharded and
+//     shardStep with the per-router wake scheduling rearm and
+//     wakeOut, and the full-system gated
 //     sweep's tick, sleepTile, wakeTile and checkSleepers). The
 //     activity-gated
 //     simulator promises a zero-alloc steady state
