@@ -38,7 +38,10 @@ loc:
 # scan-based reference on random router states
 # (internal/noc/router_ref_test.go), one of the gated full-system
 # tile sweep against the exhaustive one on random machines
-# (internal/fullsys/gating_test.go), one of the calendar queue
+# (internal/fullsys/gating_test.go), one of the tag-major L1 arrays
+# against the array-of-structs L1 they replaced on random
+# lookup/probe/fill/pin/invalidate programs
+# (internal/fullsys/cache_ref_test.go), one of the calendar queue
 # against the binary heap it replaced on random schedule/pop/capture
 # programs (internal/sim/typedq_test.go), one of the gated DRAM
 # controller tick against the two-walk tick it replaced on random
@@ -52,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzTileGating$$' -fuzztime 10s
+	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzL1Equivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueue$$' -fuzztime 10s
 	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzDRAMGating$$' -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz '^FuzzCheckpointPayload$$' -fuzztime 20s

@@ -1,13 +1,25 @@
 package fullsys
 
-import "fmt"
+import (
+	"fmt"
 
-// L1 line states.
+	"repro/internal/sim"
+)
+
+// L1 line states, held in the low bits of a way's flag byte.
 const (
 	l1Invalid uint8 = iota
 	l1Shared
 	l1Exclusive
 	l1Modified
+)
+
+// A way's flag byte: the state under l1StateBits, and two flags.
+const (
+	l1StateBits  uint8 = 3
+	l1Pinned     uint8 = 1 << 2 // mid-transaction (e.g. S->M upgrade); not evictable
+	l1Prefetched uint8 = 1 << 3 // filled by the prefetcher, not yet demanded
+	l1FlagBits         = l1StateBits | l1Pinned | l1Prefetched
 )
 
 func l1StateName(s uint8) string {
@@ -24,81 +36,92 @@ func l1StateName(s uint8) string {
 	return fmt.Sprintf("state(%d)", s)
 }
 
-// l1Line is one L1 cache way.
-type l1Line struct {
-	line       uint64
-	state      uint8
-	pinned     bool // mid-transaction (e.g. S->M upgrade); not evictable
-	prefetched bool // filled by the prefetcher, not yet demanded
-	value      uint64
-	lru        uint64
-}
-
-// l1Cache is a set-associative writeback L1 with true-LRU replacement.
+// l1Cache is a set-associative writeback L1 with true-LRU replacement,
+// stored tag-major: way i of set s is index s*ways+i of every array,
+// so the tags of a set share a host cache line. Methods name a way by
+// that index, -1 for none.
 type l1Cache struct {
-	sets    [][]l1Line
-	setMask uint64 //simlint:derived recomputed from the set count at construction; decode matches the geometry
-	tick    uint64
+	line, value, lru []uint64 // three windows of one allocation
+	flags            []uint8
+	ways             int    //simlint:derived construction geometry; decode matches it
+	setMask          uint64 //simlint:derived recomputed from the set count at construction; decode matches the geometry
+	tick             uint64
 
 	hits, misses uint64
 }
 
-func newL1(sets, ways int) *l1Cache {
+func newL1(sets, ways int) l1Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("fullsys: L1 sets must be a power of two, got %d", sets))
 	}
-	c := &l1Cache{sets: make([][]l1Line, sets), setMask: uint64(sets - 1)}
-	for i := range c.sets {
-		c.sets[i] = make([]l1Line, ways)
+	n := sets * ways
+	words := make([]uint64, 3*n)
+	return l1Cache{
+		line:    words[:n:n],
+		value:   words[n : 2*n : 2*n],
+		lru:     words[2*n:],
+		flags:   make([]uint8, n),
+		ways:    ways,
+		setMask: uint64(sets - 1),
 	}
-	return c
 }
 
-func (c *l1Cache) set(line uint64) []l1Line { return c.sets[line&c.setMask] }
+// set returns the index range of line's set.
+func (c *l1Cache) set(line uint64) (lo, hi int) {
+	lo = int(line&c.setMask) * c.ways
+	return lo, lo + c.ways
+}
 
-// lookup returns the way holding line, or nil. It refreshes LRU state
-// on hit.
-func (c *l1Cache) lookup(line uint64) *l1Line {
-	set := c.set(line)
-	for i := range set {
-		w := &set[i]
-		if w.state != l1Invalid && w.line == line {
-			c.tick++
-			w.lru = c.tick
-			return w
-		}
+// stateOf decodes a way's state from its flag byte. Under the
+// simcheck build tag a byte with bits outside the three fields stops
+// the run.
+func (c *l1Cache) stateOf(w int) uint8 {
+	if sim.Checking && c.flags[w]&^l1FlagBits != 0 {
+		sim.Assert(false, "fullsys: L1 way %d has flag byte %#x", w, c.flags[w])
 	}
-	return nil
+	return c.flags[w] & l1StateBits
+}
+
+// setState changes a way's state, keeping its other flags.
+func (c *l1Cache) setState(w int, s uint8) { c.flags[w] = c.flags[w]&^l1StateBits | s }
+
+// lookup returns the way holding line, or -1. It refreshes LRU state
+// on hit.
+func (c *l1Cache) lookup(line uint64) int {
+	w := c.probe(line)
+	if w >= 0 {
+		c.tick++
+		c.lru[w] = c.tick
+	}
+	return w
 }
 
 // probe is lookup without LRU update or hit accounting (for handlers
 // that must not perturb replacement, e.g. invalidations).
-func (c *l1Cache) probe(line uint64) *l1Line {
-	set := c.set(line)
-	for i := range set {
-		w := &set[i]
-		if w.state != l1Invalid && w.line == line {
-			return w
+func (c *l1Cache) probe(line uint64) int {
+	lo, hi := c.set(line)
+	for w, tag := range c.line[lo:hi] {
+		if tag == line && c.stateOf(lo+w) != l1Invalid {
+			return lo + w
 		}
 	}
-	return nil
+	return -1
 }
 
 // victim selects the way to evict for an install of line: an invalid
 // way if one exists, else the least-recently-used unpinned way. It
-// returns nil when every way is pinned (caller must retry later).
-func (c *l1Cache) victim(line uint64) *l1Line {
-	set := c.set(line)
-	var lru *l1Line
-	for i := range set {
-		w := &set[i]
-		if w.state == l1Invalid {
+// returns -1 when every way is pinned (caller must retry later).
+func (c *l1Cache) victim(line uint64) int {
+	lo, hi := c.set(line)
+	lru := -1
+	for w := lo; w < hi; w++ {
+		if c.stateOf(w) == l1Invalid {
 			return w
 		}
-		if w.pinned {
+		if c.flags[w]&l1Pinned != 0 {
 			continue
 		}
-		if lru == nil || w.lru < lru.lru {
+		if lru < 0 || c.lru[w] < c.lru[lru] {
 			lru = w
 		}
 	}
@@ -106,21 +129,20 @@ func (c *l1Cache) victim(line uint64) *l1Line {
 }
 
 // install places line into the chosen way (which the caller obtained
-// from victim and has already written back if needed).
-func (c *l1Cache) install(w *l1Line, line uint64, state uint8, value uint64) {
+// from victim and has already written back if needed), clearing its
+// pinned and prefetched flags.
+func (c *l1Cache) install(w int, line uint64, state uint8, value uint64) {
 	c.tick++
-	*w = l1Line{line: line, state: state, value: value, lru: c.tick}
+	c.line[w], c.value[w], c.lru[w], c.flags[w] = line, value, c.tick, state
 }
 
 // countState reports how many lines are in the given state (testing
 // and invariant checks).
 func (c *l1Cache) countState(state uint8) int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state == state {
-				n++
-			}
+	for w := range c.flags {
+		if c.stateOf(w) == state {
+			n++
 		}
 	}
 	return n

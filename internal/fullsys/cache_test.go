@@ -13,12 +13,12 @@ func TestL1LookupAndLRU(t *testing.T) {
 	w = c.victim(2)
 	c.install(w, 2, l1Shared, 102)
 	// Touch line 0 so line 2 becomes LRU.
-	if got := c.lookup(0); got == nil || got.value != 100 {
-		t.Fatalf("lookup(0) = %+v", got)
+	if got := c.lookup(0); got < 0 || c.value[got] != 100 {
+		t.Fatalf("lookup(0) = way %d", got)
 	}
 	v := c.victim(4) // set 0 again; must pick line 2
-	if v.line != 2 {
-		t.Fatalf("victim picked line %d, want 2 (LRU)", v.line)
+	if c.line[v] != 2 {
+		t.Fatalf("victim picked line %d, want 2 (LRU)", c.line[v])
 	}
 }
 
@@ -28,12 +28,12 @@ func TestL1VictimSkipsPinned(t *testing.T) {
 	c.install(w, 0, l1Shared, 0)
 	w = c.victim(1)
 	c.install(w, 1, l1Shared, 0)
-	c.probe(0).pinned = true
-	if v := c.victim(2); v.line != 1 {
-		t.Fatalf("victim picked pinned line? got %d", v.line)
+	c.flags[c.probe(0)] |= l1Pinned
+	if v := c.victim(2); c.line[v] != 1 {
+		t.Fatalf("victim picked pinned line? got %d", c.line[v])
 	}
-	c.probe(1).pinned = true
-	if v := c.victim(2); v != nil {
+	c.flags[c.probe(1)] |= l1Pinned
+	if v := c.victim(2); v >= 0 {
 		t.Fatal("all-pinned set should return nil")
 	}
 }
@@ -43,8 +43,8 @@ func TestL1ProbeDoesNotPerturbLRU(t *testing.T) {
 	c.install(c.victim(0), 0, l1Shared, 0)
 	c.install(c.victim(1), 1, l1Shared, 0)
 	c.probe(0) // must NOT refresh
-	if v := c.victim(2); v.line != 0 {
-		t.Fatalf("probe perturbed LRU: victim %d, want 0", v.line)
+	if v := c.victim(2); c.line[v] != 0 {
+		t.Fatalf("probe perturbed LRU: victim %d, want 0", c.line[v])
 	}
 }
 

@@ -2,6 +2,7 @@ package fullsys
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -23,54 +24,104 @@ const (
 	txnFwdM                 // GetM, ownership transfers owner -> req
 )
 
-// dirLine is the directory state for one line homed at this tile.
+// dirLine is the directory state for one line homed at this tile,
+// keyed by the line in Tile.dir. It holds no pointers, so the collector
+// never scans it: the line's sharers live in the tile's sharer pool,
+// requests waiting on a busy line in Tile.waitq.
 type dirLine struct {
-	line    uint64
-	state   uint8
+	txn     dirTxn
 	owner   int32
-	sharers []int32
-
-	busy  bool
-	waitq []Msg
-	txn   dirTxn
+	sharers int32 // handle into Tile.sharers, 0 for none
+	state   uint8
+	busy    bool
 }
 
+// dirTxn is a line's blocking transaction. It outlives its end: the
+// last one stays in the record, and in its checkpoint bytes.
 type dirTxn struct {
-	kind         uint8
+	value        uint64
 	req          int32
-	acks         int
+	acks         int32
+	kind         uint8
 	needData     bool
 	haveData     bool
-	value        uint64
 	reqWasSharer bool
 }
 
-func (d *dirLine) addSharer(t int) {
-	for _, s := range d.sharers {
-		if s == int32(t) {
-			return
-		}
-	}
-	d.sharers = append(d.sharers, int32(t))
+// sharerPool holds the sharer lists of one tile's directory entries.
+// An entry names its list by handle, 0 for none; emptying a list
+// frees the handle, and keeps its backing array, for reuse.
+type sharerPool struct {
+	lists [][]int32
+	// lines is the line each handle is issued to, freeHandle while it
+	// is free: what simcheck holds an entry's handle to.
+	lines []uint64
+	free  []int32
 }
 
-func (d *dirLine) hasSharer(t int) bool {
-	for _, s := range d.sharers {
-		if s == int32(t) {
-			return true
-		}
+// freeHandle marks a free pool slot; no line address reaches it.
+const freeHandle = ^uint64(0)
+
+func (p *sharerPool) list(h int32) []int32 {
+	if h == 0 {
+		return nil
 	}
-	return false
+	return p.lists[h-1]
+}
+
+// issue hands out a handle for line's list, recycling a free one.
+func (p *sharerPool) issue(line uint64) int32 {
+	if n := len(p.free); n > 0 {
+		h := p.free[n-1]
+		p.free, p.lines[h-1] = p.free[:n-1], line
+		return h
+	}
+	p.lists, p.lines = append(p.lists, nil), append(p.lines, line)
+	return int32(len(p.lists))
+}
+
+// add appends sharer s to the list *h names, unless it is there.
+func (p *sharerPool) add(h *int32, line uint64, s int) {
+	if slices.Contains(p.list(*h), int32(s)) {
+		return
+	}
+	if *h == 0 {
+		*h = p.issue(line)
+	}
+	p.lists[*h-1] = append(p.lists[*h-1], int32(s))
+}
+
+// clear empties the list *h names and frees its handle.
+func (p *sharerPool) clear(h *int32) {
+	if *h != 0 {
+		p.lists[*h-1], p.lines[*h-1] = p.lists[*h-1][:0], freeHandle
+		p.free = append(p.free, *h)
+		*h = 0
+	}
 }
 
 // dirLineOf returns (creating if needed) the directory entry for line.
 func (t *Tile) dirLineOf(line uint64) *dirLine {
 	d := t.dir[line]
 	if d == nil {
-		d = &dirLine{line: line, state: dirU, owner: -1}
+		d = &dirLine{state: dirU, owner: -1}
 		t.dir[line] = d
 	}
 	return d
+}
+
+// checkLine holds a directory entry, under the simcheck build tag, to
+// what its side tables promise: a queue is kept only while it is
+// non-empty and the line busy, and the entry's sharer handle was issued
+// to this line, so no two lines share one. The comparisons guard the
+// Assert calls so that a passing check boxes no arguments.
+func (t *Tile) checkLine(line uint64, d *dirLine) {
+	if q, ok := t.waitq[line]; ok && (len(q) == 0 || !d.busy) {
+		sim.Assert(false, "fullsys: home %d queues %d requests on line %#x, busy %v", t.id, len(q), line, d.busy)
+	}
+	if h := d.sharers; h != 0 && (h < 0 || int(h) > len(t.sharers.lines) || t.sharers.lines[h-1] != line) {
+		sim.Assert(false, "fullsys: home %d line %#x holds sharer handle %d issued elsewhere", t.id, line, h)
+	}
 }
 
 // handleHome processes a message addressed to this tile's directory /
@@ -80,14 +131,17 @@ func (t *Tile) handleHome(now sim.Cycle, m Msg) {
 	switch m.Type {
 	case GetS, GetM, PutM, PutE:
 		if d.busy {
-			d.waitq = append(d.waitq, m)
-			return
+			t.waitq[m.Line] = append(t.waitq[m.Line], m)
+		} else {
+			t.homeRequest(now, d, m)
 		}
-		t.homeRequest(now, d, m)
 	case DataWB, InvAck, FwdAck, MemData, MemWAck:
 		t.homeResponse(now, d, m)
 	default:
 		panic(fmt.Sprintf("fullsys: home %d got unexpected %v", t.id, m))
+	}
+	if sim.Checking {
+		t.checkLine(m.Line, d)
 	}
 }
 
@@ -109,7 +163,7 @@ func (t *Tile) homeRequest(now sim.Cycle, d *dirLine, m Msg) {
 			t.memRead(now, m.Line)
 		case dirS:
 			if v, ok := t.readBank(m.Line); ok {
-				d.addSharer(req)
+				t.sharers.add(&d.sharers, m.Line, req)
 				t.reply(now, DataS, m.Line, req, v)
 				return
 			}
@@ -140,9 +194,10 @@ func (t *Tile) homeRequest(now sim.Cycle, d *dirLine, m Msg) {
 			// the line (m.Value == 1, set when it pinned its S copy).
 			// Silent S evictions make the home's sharer list alone
 			// unsound: a stale sharer asking for M has no data.
-			was := d.hasSharer(req) && m.Value == 1
+			sharers := t.sharers.list(d.sharers)
+			was := slices.Contains(sharers, int32(req)) && m.Value == 1
 			txn := dirTxn{kind: txnInvM, req: int32(req), reqWasSharer: was, needData: !was}
-			for _, s := range d.sharers {
+			for _, s := range sharers {
 				if int(s) == req {
 					continue
 				}
@@ -156,11 +211,11 @@ func (t *Tile) homeRequest(now sim.Cycle, d *dirLine, m Msg) {
 			}
 			if txn.acks == 0 && (!txn.needData || txn.haveData) {
 				// No invalidations outstanding and data on hand.
-				t.finishInvM(now, d, txn)
+				t.finishInvM(now, d, m.Line, txn)
 				return
 			}
 			t.beginTxn(d, txn)
-			for _, s := range d.sharers {
+			for _, s := range sharers {
 				if int(s) != req {
 					t.reply(now, Inv, m.Line, int(s), 0)
 				}
@@ -221,7 +276,7 @@ func (t *Tile) homeResponse(now sim.Cycle, d *dirLine, m Msg) {
 			t.reply(now, DataE, m.Line, int(d.txn.req), m.Value)
 			t.endTxn(now, d, m.Line)
 		case txnFetchS:
-			d.addSharer(int(d.txn.req))
+			t.sharers.add(&d.sharers, m.Line, int(d.txn.req))
 			t.reply(now, DataS, m.Line, int(d.txn.req), m.Value)
 			t.endTxn(now, d, m.Line)
 		case txnFetchM:
@@ -246,9 +301,9 @@ func (t *Tile) homeResponse(now sim.Cycle, d *dirLine, m Msg) {
 		owner := d.owner
 		d.state = dirS
 		d.owner = -1
-		d.sharers = d.sharers[:0]
-		d.addSharer(int(owner))
-		d.addSharer(int(d.txn.req))
+		t.sharers.clear(&d.sharers)
+		t.sharers.add(&d.sharers, m.Line, int(owner))
+		t.sharers.add(&d.sharers, m.Line, int(d.txn.req))
 		t.reply(now, DataS, m.Line, int(d.txn.req), m.Value)
 		t.endTxn(now, d, m.Line)
 		return
@@ -280,19 +335,19 @@ func (t *Tile) maybeFinishInvM(now sim.Cycle, d *dirLine, line uint64) {
 		return
 	}
 	txn := d.txn
-	t.finishInvM(now, d, txn)
+	t.finishInvM(now, d, line, txn)
 	t.endTxn(now, d, line)
 }
 
 // finishInvM grants M to the requester once all sharers are gone.
-func (t *Tile) finishInvM(now sim.Cycle, d *dirLine, txn dirTxn) {
+func (t *Tile) finishInvM(now sim.Cycle, d *dirLine, line uint64, txn dirTxn) {
 	d.state = dirEM
 	d.owner = txn.req
-	d.sharers = d.sharers[:0]
+	t.sharers.clear(&d.sharers)
 	if txn.reqWasSharer {
-		t.reply(now, GrantM, d.line, int(txn.req), 0)
+		t.reply(now, GrantM, line, int(txn.req), 0)
 	} else {
-		t.reply(now, DataM, d.line, int(txn.req), txn.value)
+		t.reply(now, DataM, line, int(txn.req), txn.value)
 	}
 }
 
@@ -305,9 +360,14 @@ func (t *Tile) beginTxn(d *dirLine, txn dirTxn) {
 // them blocks it again.
 func (t *Tile) endTxn(now sim.Cycle, d *dirLine, line uint64) {
 	d.busy = false
-	for !d.busy && len(d.waitq) > 0 {
-		m := d.waitq[0]
-		d.waitq = d.waitq[:copy(d.waitq, d.waitq[1:])]
+	for !d.busy && len(t.waitq[line]) > 0 {
+		q := t.waitq[line]
+		m := q[0]
+		if q = q[:copy(q, q[1:])]; len(q) == 0 {
+			delete(t.waitq, line)
+		} else {
+			t.waitq[line] = q
+		}
 		t.homeRequest(now, d, m)
 	}
 }

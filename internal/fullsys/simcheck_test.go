@@ -48,3 +48,55 @@ func TestSleepInvariantPanics(t *testing.T) {
 	}()
 	sys.Tick(now)
 }
+
+// TestStateLayoutInvariantPanics plants one violation of each promise
+// the compact full-system state keeps — a request queue on an idle
+// line, a sharer handle shared by two lines, an L1 flag byte with a
+// bit outside its three fields — and expects the simcheck panic at the
+// next access: the home's next message on the line, the core's next
+// lookup.
+func TestStateLayoutInvariantPanics(t *testing.T) {
+	const line, other = 4, 6 // both homed at tile 0 of two
+	for _, tc := range []struct {
+		name, want string
+		plant      func(tile *Tile)
+		trigger    func(sys *System, tile *Tile)
+	}{
+		{"queue-on-idle-line", "queues 1 requests", func(tile *Tile) {
+			tile.dirLineOf(line)
+			tile.waitq[line] = []Msg{{Type: GetS, Line: line, Src: 1, Dst: 0}}
+		}, putE},
+		{"shared-sharer-handle", "issued elsewhere", func(tile *Tile) {
+			d := tile.dirLineOf(other)
+			tile.sharers.add(&d.sharers, other, 1)
+			tile.dirLineOf(line).sharers = d.sharers
+		}, putE},
+		{"stray-l1-flag", "flag byte 0x80", func(tile *Tile) {
+			tile.l1.flags[0] |= 0x80
+		}, func(sys *System, _ *Tile) { sys.Tick(0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wl := NewScript([][]Op{{{Kind: OpLoad, Addr: addr(0)}}, {}})
+			lb := &loopback{latency: 5}
+			sys, err := New(DefaultConfig(2), wl, lb.send)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb.sys = sys
+			tile := sys.Tile(0)
+			tc.plant(tile)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "invariant violated") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("recovered %q, want the invariant panic naming %q", msg, tc.want)
+				}
+			}()
+			tc.trigger(sys, tile)
+		})
+	}
+}
+
+// putE delivers a PutE for line 4 from tile 1 to its home, tile 0.
+func putE(_ *System, tile *Tile) {
+	tile.handleHome(0, Msg{Type: PutE, Line: 4, Src: 1, Dst: 0})
+}

@@ -160,19 +160,22 @@ func (t *Tile) state(c *snapshot.Codec) {
 	st.state(c)
 
 	// Home side.
+	if c.Decoding() {
+		t.waitq = make(map[uint64][]Msg)
+		t.sharers = sharerPool{}
+	}
 	snapshot.Map(c, &t.dir, 40, func(c *snapshot.Codec, line *uint64, dl **dirLine) {
 		if c.Decoding() {
 			*dl = &dirLine{}
 		}
-		(*dl).walk(c, tiles)
-		*line = (*dl).line
+		t.walkDir(c, line, *dl)
 	})
-	t.l2.state(c)
+	t.l2.state(c, t)
 	snapshot.Map(c, &t.victimBuf, 24, func(c *snapshot.Codec, line *uint64, vp **vbEntry) {
 		if c.Decoding() {
 			*vp = &vbEntry{}
 		}
-		c.U64(line)
+		t.homeLine(c, line, "victim-buffer")
 		c.U64(&(*vp).value)
 		c.Int(&(*vp).outstanding)
 	})
@@ -217,25 +220,60 @@ func (st *tileStats) state(c *snapshot.Codec) {
 	c.U64(&st.PrefUseful)
 }
 
-// walk is the directory entry's state description (state is a field):
-// its line address, which is the map key, first.
-func (dl *dirLine) walk(c *snapshot.Codec, tiles int) {
-	c.U64(&dl.line)
+// homeLine walks the key of a home-side table, which must be a line
+// homed at this tile.
+func (t *Tile) homeLine(c *snapshot.Codec, line *uint64, what string) {
+	c.U64(line)
+	if home := t.sys.cfg.HomeOf(*line); home != t.id {
+		c.Failf("%s line %#x is homed at tile %d", what, *line, home)
+	}
+}
+
+// tileID walks a tile number held in an int32, checking the full
+// stored width against [lo, tiles).
+func tileID(c *snapshot.Codec, id *int32, lo, tiles int, what string) {
+	v := int64(*id)
+	snapshot.As64(c, &v)
+	if v < int64(lo) || v >= int64(tiles) {
+		c.Failf("%s %d outside [%d, %d)", what, v, lo, tiles)
+	}
+	*id = int32(v)
+}
+
+// walkDir is a directory entry's state description: its line, the map
+// key, first, then the record with its sharer list and request queue
+// in the places the record once held them.
+func (t *Tile) walkDir(c *snapshot.Codec, line *uint64, dl *dirLine) {
+	tiles := t.sys.cfg.Tiles
+	t.homeLine(c, line, "directory")
 	c.U8(&dl.state)
 	if dl.state > dirEM {
 		c.Failf("directory state %d out of range", dl.state)
 	}
-	snapshot.As64(c, &dl.owner)
-	snapshot.Slice(c, &dl.sharers, 8, func(c *snapshot.Codec, sh *int32) { snapshot.As64(c, sh) })
+	tileID(c, &dl.owner, -1, tiles, "directory owner")
+	sharers := t.sharers.list(dl.sharers)
+	snapshot.Slice(c, &sharers, 8, func(c *snapshot.Codec, sh *int32) { tileID(c, sh, 0, tiles, "sharer") })
 	c.Bool(&dl.busy)
-	msgs(c, &dl.waitq, tiles)
+	queue := t.waitq[*line]
+	msgs(c, &queue, tiles)
+	if c.Decoding() {
+		if len(sharers) > 0 {
+			dl.sharers = t.sharers.issue(*line)
+			t.sharers.lists[dl.sharers-1] = sharers
+		}
+		if len(queue) > 0 {
+			t.waitq[*line] = queue
+		}
+	}
 	txn := &dl.txn
 	c.U8(&txn.kind)
 	if txn.kind > txnFwdM {
 		c.Failf("directory transaction kind %d out of range", txn.kind)
 	}
-	snapshot.As64(c, &txn.req)
-	c.Int(&txn.acks)
+	tileID(c, &txn.req, 0, tiles, "transaction requester")
+	acks := int(txn.acks)
+	c.Int(&acks)
+	txn.acks = int32(acks)
 	c.Bool(&txn.needData)
 	c.Bool(&txn.haveData)
 	c.U64(&txn.value)
@@ -259,28 +297,35 @@ func (s *Script) State(c *snapshot.Codec) {
 	}
 }
 
+// state walks the ways set by set, each as the array-of-structs L1
+// laid it out: line, state, pinned, prefetched, value, lru.
 func (l1 *l1Cache) state(c *snapshot.Codec) {
-	ways := 0
-	if len(l1.sets) > 0 {
-		ways = len(l1.sets[0])
-	}
-	snapshot.Match(c, snapshot.As32[int], len(l1.sets), "L1 sets")
-	snapshot.Match(c, snapshot.As32[int], ways, "L1 ways")
+	snapshot.Match(c, snapshot.As32[int], len(l1.flags)/l1.ways, "L1 sets")
+	snapshot.Match(c, snapshot.As32[int], l1.ways, "L1 ways")
 	if c.Err() != nil {
 		return
 	}
-	for _, set := range l1.sets {
-		for i := range set {
-			w := &set[i]
-			c.U64(&w.line)
-			c.U8(&w.state)
-			if w.state > l1Modified {
-				c.Failf("L1 state %d out of range", w.state)
+	for w, f := range l1.flags {
+		state, pinned, prefetched := f&l1StateBits, f&l1Pinned != 0, f&l1Prefetched != 0
+		c.U64(&l1.line[w])
+		c.U8(&state)
+		if state > l1Modified {
+			c.Failf("L1 state %d out of range", state)
+		} else if state != l1Invalid && int(l1.line[w]&l1.setMask) != w/l1.ways {
+			c.Failf("L1 line %#x in set %d", l1.line[w], w/l1.ways)
+		}
+		c.Bool(&pinned)
+		c.Bool(&prefetched)
+		c.U64(&l1.value[w])
+		c.U64(&l1.lru[w])
+		if c.Decoding() {
+			l1.flags[w] = state
+			if pinned {
+				l1.flags[w] |= l1Pinned
 			}
-			c.Bool(&w.pinned)
-			c.Bool(&w.prefetched)
-			c.U64(&w.value)
-			c.U64(&w.lru)
+			if prefetched {
+				l1.flags[w] |= l1Prefetched
+			}
 		}
 	}
 	c.U64(&l1.tick)
@@ -288,7 +333,7 @@ func (l1 *l1Cache) state(c *snapshot.Codec) {
 	c.U64(&l1.misses)
 }
 
-func (b *l2Bank) state(c *snapshot.Codec) {
+func (b *l2Bank) state(c *snapshot.Codec, home *Tile) {
 	snapshot.Match(c, (*snapshot.Codec).Int, b.capacity, "L2 capacity")
 	c.U64(&b.tick)
 	c.U64(&b.hits)
@@ -298,7 +343,7 @@ func (b *l2Bank) state(c *snapshot.Codec) {
 			*lp = &l2Line{}
 		}
 		l := *lp
-		c.U64(line)
+		home.homeLine(c, line, "L2")
 		c.U64(&l.value)
 		c.Bool(&l.dirty)
 		c.U64(&l.lru)

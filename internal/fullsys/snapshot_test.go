@@ -1,0 +1,102 @@
+package fullsys
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/snapshot"
+)
+
+// placementSystem is a four-tile machine that never ran, with plant
+// applied to tile 0.
+func placementSystem(t *testing.T, plant func(tile *Tile)) *System {
+	t.Helper()
+	sys, err := New(DefaultConfig(4), NewScript(make([][]Op, 4)), func(Msg, sim.Cycle) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plant != nil {
+		plant(sys.Tile(0))
+	}
+	return sys
+}
+
+// decodeInto restores blob into a fresh machine and returns the error.
+func decodeInto(t *testing.T, blob []byte) error {
+	d, err := snapshot.NewDecoder(blob, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placementSystem(t, nil).State(d.Codec())
+	return d.Finish()
+}
+
+// TestDecodeRejectsMisplacedState: a restore rejects a line where the
+// machine could never have put it — an L1 way holding a line of
+// another set, a directory, L2 or victim-buffer line homed at another
+// tile — and a directory entry naming a tile outside the machine as
+// owner, sharer or transaction requester. Each case plants one field
+// with two valid values, finds the field as the first byte where the
+// two checkpoints differ, and rewrites it to a valid value (accepted)
+// and to the misplaced one (rejected with the named check).
+func TestDecodeRejectsMisplacedState(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		plant     func(tile *Tile, v uint64)
+		a, b      uint64 // two valid values, differing in the low byte
+		good, bad uint64
+		want      string
+	}{
+		{"l1-set", func(tile *Tile, v uint64) {
+			tile.l1.install(tile.l1.victim(v), v, l1Shared, 7)
+		}, 64, 128, 192, 65, "L1 line 0x41 in set 0"},
+		{"directory-home", func(tile *Tile, v uint64) { tile.dirLineOf(v) }, 4, 8, 12, 5, "directory line 0x5 is homed at tile 1"},
+		{"l2-home", func(tile *Tile, v uint64) { tile.l2.put(v, 7, false) }, 4, 8, 12, 6, "L2 line 0x6 is homed at tile 2"},
+		{"victim-buffer-home", func(tile *Tile, v uint64) {
+			tile.victimBuf[v] = &vbEntry{value: 7, outstanding: 1}
+		}, 4, 8, 12, 7, "victim-buffer line 0x7 is homed at tile 3"},
+		{"owner", func(tile *Tile, v uint64) {
+			d := tile.dirLineOf(4)
+			d.state, d.owner = dirEM, int32(v)
+		}, 0, 1, 3, 4, "directory owner 4 outside [-1, 4)"},
+		{"owner-beyond-int32", func(tile *Tile, v uint64) {
+			d := tile.dirLineOf(4)
+			d.state, d.owner = dirEM, int32(v)
+		}, 0, 1, ^uint64(0), 1 << 32, "directory owner 4294967296 outside [-1, 4)"},
+		{"sharer", func(tile *Tile, v uint64) {
+			d := tile.dirLineOf(4)
+			d.state = dirS
+			tile.sharers.add(&d.sharers, 4, int(v))
+		}, 0, 1, 2, ^uint64(0), "sharer -1 outside [0, 4)"},
+		{"requester", func(tile *Tile, v uint64) { tile.dirLineOf(4).txn.req = int32(v) }, 0, 1, 2, 9, "transaction requester 9 outside [0, 4)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob := encodeSystem(placementSystem(t, func(tile *Tile) { tc.plant(tile, tc.a) }))
+			other := encodeSystem(placementSystem(t, func(tile *Tile) { tc.plant(tile, tc.b) }))
+			at := 0
+			for at < len(blob) && blob[at] == other[at] {
+				at++
+			}
+			if at+8 > len(blob)-4 {
+				t.Fatal("the planted field is not in the checkpoint")
+			}
+			patch := func(v uint64) []byte {
+				out := append([]byte(nil), blob...)
+				binary.LittleEndian.PutUint64(out[at:], v)
+				body := out[:len(out)-4]
+				binary.LittleEndian.PutUint32(out[len(body):], crc32.ChecksumIEEE(body))
+				return out
+			}
+			if err := decodeInto(t, patch(tc.good)); err != nil {
+				t.Fatalf("valid value %#x rejected: %v", tc.good, err)
+			}
+			err := decodeInto(t, patch(tc.bad))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("misplaced value %#x: got %v, want an error containing %q", tc.bad, err, tc.want)
+			}
+		})
+	}
+}

@@ -465,12 +465,9 @@ func (s *System) CheckCoherence() error {
 	}
 	lines := make(map[uint64][]holder)
 	for _, t := range s.tiles {
-		for _, set := range t.l1.sets {
-			for i := range set {
-				w := &set[i]
-				if w.state != l1Invalid {
-					lines[w.line] = append(lines[w.line], holder{t.id, w.state})
-				}
+		for w := range t.l1.flags {
+			if state := t.l1.stateOf(w); state != l1Invalid {
+				lines[t.l1.line[w]] = append(lines[t.l1.line[w]], holder{t.id, state})
 			}
 		}
 	}

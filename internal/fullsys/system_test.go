@@ -97,8 +97,8 @@ func TestColdLoadReturnsZeroAndExclusive(t *testing.T) {
 		t.Fatalf("cold load observed %v, want [0]", got)
 	}
 	// MESI: sole reader should hold the line in E.
-	if w := sys.Tile(0).l1.probe(7); w == nil || w.state != l1Exclusive {
-		t.Fatalf("sole reader should hold E, got %+v", w)
+	if l1, w := &sys.Tile(0).l1, sys.Tile(0).l1.probe(7); w < 0 || l1.stateOf(w) != l1Exclusive {
+		t.Fatalf("sole reader should hold E, got way %d", w)
 	}
 }
 

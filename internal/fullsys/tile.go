@@ -100,7 +100,7 @@ type Tile struct {
 	opValid   bool
 	storeBuf  []storeEntry
 	storeTxn  bool
-	l1        *l1Cache
+	l1        l1Cache
 	mshrs     map[uint64]*mshrEntry
 	wbBuf     map[uint64]wbEntry
 	// pendingFwd stalls forwarded requests that raced ahead of the
@@ -118,8 +118,11 @@ type Tile struct {
 	sleep   uint8  //simlint:derived rebuilt by rederive: every tile restarts awake
 	sleptAt uint64 //simlint:derived rebuilt by rederive: every tile restarts awake, owed nothing
 
-	// Home (directory + L2 bank) side.
+	// Home (directory + L2 bank) side. waitq holds the requests that
+	// arrived while their line was busy, for the lines that have any.
 	dir       map[uint64]*dirLine
+	waitq     map[uint64][]Msg
+	sharers   sharerPool
 	l2        *l2Bank
 	victimBuf map[uint64]*vbEntry
 
@@ -147,6 +150,7 @@ func newTile(id int, sys *System) *Tile {
 		wbBuf:      make(map[uint64]wbEntry),
 		pendingFwd: make(map[uint64][]Msg),
 		dir:        make(map[uint64]*dirLine),
+		waitq:      make(map[uint64][]Msg),
 		l2:         newL2(sys.cfg.L2Lines),
 		victimBuf:  make(map[uint64]*vbEntry),
 	}
@@ -272,17 +276,17 @@ func (t *Tile) drainStoreBuffer(now sim.Cycle) bool {
 		return false
 	}
 	var haveLine uint64
-	if w := t.l1.lookup(line); w != nil {
-		switch w.state {
+	if w := t.l1.lookup(line); w >= 0 {
+		switch t.l1.stateOf(w) {
 		case l1Modified, l1Exclusive:
-			w.state = l1Modified
-			w.value = head.value
+			t.l1.setState(w, l1Modified)
+			t.l1.value[w] = head.value
 			t.popStore()
 			return true
 		case l1Shared:
 			// Pin the S copy so the upgrade can be granted without
 			// data; the claim travels in the GetM.
-			w.pinned = true
+			t.l1.flags[w] |= l1Pinned
 			haveLine = 1
 		}
 	}
@@ -327,12 +331,12 @@ func (t *Tile) execute(now sim.Cycle) uint8 {
 		if t.lineBusy(line) {
 			return t.stall(sleepLoad)
 		}
-		if w := t.l1.lookup(line); w != nil {
-			if w.prefetched {
-				w.prefetched = false
+		if w := t.l1.lookup(line); w >= 0 {
+			if t.l1.flags[w]&l1Prefetched != 0 {
+				t.l1.flags[w] &^= l1Prefetched
 				t.stats.PrefUseful++
 			}
-			t.observeLoad(op.Addr, w.value)
+			t.observeLoad(op.Addr, t.l1.value[w])
 			t.compute = uint64(t.sys.cfg.L1HitLat - 1)
 			t.retire()
 			return awake
@@ -360,18 +364,18 @@ func (t *Tile) execute(now sim.Cycle) uint8 {
 		if t.lineBusy(line) {
 			return t.stall(sleepLoad)
 		}
-		if w := t.l1.lookup(line); w != nil && w.state >= l1Exclusive {
-			w.state = l1Modified
-			w.value += op.Arg
-			t.sys.wl.Observe(t.id, op.Addr, w.value)
+		if w := t.l1.lookup(line); w >= 0 && t.l1.stateOf(w) >= l1Exclusive {
+			t.l1.setState(w, l1Modified)
+			t.l1.value[w] += op.Arg
+			t.sys.wl.Observe(t.id, op.Addr, t.l1.value[w])
 			t.compute = uint64(t.sys.cfg.L1HitLat - 1)
 			t.stats.Atomics++
 			t.retire()
 			return awake
 		}
 		var haveLine uint64
-		if w := t.l1.probe(line); w != nil {
-			w.pinned = true
+		if w := t.l1.probe(line); w >= 0 {
+			t.l1.flags[w] |= l1Pinned
 			haveLine = 1
 		}
 		t.l1.misses++
@@ -419,7 +423,7 @@ func (t *Tile) issuePrefetches(now sim.Cycle, line uint64) {
 		if _, wb := t.wbBuf[next]; wb {
 			continue
 		}
-		if t.l1.probe(next) != nil {
+		if t.l1.probe(next) >= 0 {
 			continue
 		}
 		t.mshrs[next] = &mshrEntry{kind: mshrPrefetch, addr: next << LineShift}
@@ -444,12 +448,12 @@ func (t *Tile) retire() {
 // install places a filled line into the L1, evicting (and writing
 // back) a victim if necessary. It panics if every way is pinned, which
 // cannot happen with >= 2 ways and the two-transaction MSHR bound.
-func (t *Tile) install(now sim.Cycle, line uint64, state uint8, value uint64) *l1Line {
+func (t *Tile) install(now sim.Cycle, line uint64, state uint8, value uint64) int {
 	w := t.l1.victim(line)
-	if w == nil {
+	if w < 0 {
 		panic(fmt.Sprintf("fullsys: tile %d cannot install line %#x, all ways pinned", t.id, line))
 	}
-	if w.state != l1Invalid {
+	if t.l1.stateOf(w) != l1Invalid {
 		t.evict(now, w)
 	}
 	t.l1.install(w, line, state, value)
@@ -458,18 +462,19 @@ func (t *Tile) install(now sim.Cycle, line uint64, state uint8, value uint64) *l
 
 // evict removes a valid line from the L1, issuing the writeback
 // protocol for E/M lines. S lines drop silently.
-func (t *Tile) evict(now sim.Cycle, w *l1Line) {
-	switch w.state {
+func (t *Tile) evict(now sim.Cycle, w int) {
+	line, value := t.l1.line[w], t.l1.value[w]
+	switch t.l1.stateOf(w) {
 	case l1Modified:
-		t.wbBuf[w.line] = wbEntry{value: w.value, dirty: true}
-		t.sys.sendAfter(now, 0, Msg{Type: PutM, Line: w.line, Src: t.id,
-			Dst: t.sys.cfg.HomeOf(w.line), Value: w.value})
+		t.wbBuf[line] = wbEntry{value: value, dirty: true}
+		t.sys.sendAfter(now, 0, Msg{Type: PutM, Line: line, Src: t.id,
+			Dst: t.sys.cfg.HomeOf(line), Value: value})
 	case l1Exclusive:
-		t.wbBuf[w.line] = wbEntry{value: w.value, dirty: false}
-		t.sys.sendAfter(now, 0, Msg{Type: PutE, Line: w.line, Src: t.id,
-			Dst: t.sys.cfg.HomeOf(w.line)})
+		t.wbBuf[line] = wbEntry{value: value, dirty: false}
+		t.sys.sendAfter(now, 0, Msg{Type: PutE, Line: line, Src: t.id,
+			Dst: t.sys.cfg.HomeOf(line)})
 	}
-	w.state = l1Invalid
+	t.l1.setState(w, l1Invalid)
 }
 
 // handleL1 processes messages addressed to the tile's request side. It
@@ -485,9 +490,9 @@ func (t *Tile) handleL1(now sim.Cycle, m Msg) {
 		if t.stallFwd(m) {
 			return
 		}
-		if w := t.l1.probe(m.Line); w != nil && w.state >= l1Exclusive {
-			w.state = l1Shared
-			t.sys.sendAfter(now, 0, Msg{Type: DataWB, Line: m.Line, Src: t.id, Dst: m.Src, Value: w.value})
+		if w := t.l1.probe(m.Line); w >= 0 && t.l1.stateOf(w) >= l1Exclusive {
+			t.l1.setState(w, l1Shared)
+			t.sys.sendAfter(now, 0, Msg{Type: DataWB, Line: m.Line, Src: t.id, Dst: m.Src, Value: t.l1.value[w]})
 			return
 		}
 		if wb, ok := t.wbBuf[m.Line]; ok {
@@ -501,9 +506,9 @@ func (t *Tile) handleL1(now sim.Cycle, m Msg) {
 			return
 		}
 		req := int(m.Value)
-		if w := t.l1.probe(m.Line); w != nil && w.state >= l1Exclusive {
-			value := w.value
-			w.state = l1Invalid
+		if w := t.l1.probe(m.Line); w >= 0 && t.l1.stateOf(w) >= l1Exclusive {
+			value := t.l1.value[w]
+			t.l1.setState(w, l1Invalid)
 			t.sys.sendAfter(now, 0, Msg{Type: DataM, Line: m.Line, Src: t.id, Dst: req, Value: value})
 			t.sys.sendAfter(now, 0, Msg{Type: FwdAck, Line: m.Line, Src: t.id, Dst: m.Src, Value: uint64(req)})
 			return
@@ -516,13 +521,12 @@ func (t *Tile) handleL1(now sim.Cycle, m Msg) {
 		panic(fmt.Sprintf("fullsys: tile %d got %v without owning the line", t.id, m))
 
 	case Inv:
-		if w := t.l1.probe(m.Line); w != nil {
-			if w.state >= l1Exclusive {
+		if w := t.l1.probe(m.Line); w >= 0 {
+			if s := t.l1.stateOf(w); s >= l1Exclusive {
 				panic(fmt.Sprintf("fullsys: tile %d got Inv while holding line %#x in %s",
-					t.id, m.Line, l1StateName(w.state)))
+					t.id, m.Line, l1StateName(s)))
 			}
-			w.state = l1Invalid
-			w.pinned = false
+			t.l1.flags[w] &^= l1StateBits | l1Pinned
 		} else if e := t.mshrs[m.Line]; e != nil && (e.kind == mshrLoad || e.kind == mshrPrefetch) {
 			// The Inv may belong to a write serialized after our GetS
 			// but whose invalidation overtook our DataS; the incoming
@@ -565,7 +569,7 @@ func (t *Tile) completeMiss(now sim.Cycle, m Msg) {
 			state = l1Exclusive
 		}
 		w := t.install(now, m.Line, state, m.Value)
-		w.prefetched = true
+		t.l1.flags[w] |= l1Prefetched
 		t.replayFwds(now, m.Line)
 
 	case mshrLoad:
@@ -598,13 +602,8 @@ func (t *Tile) completeMiss(now sim.Cycle, m Msg) {
 
 	case mshrStore:
 		if m.Type == GrantM {
-			w := t.l1.probe(m.Line)
-			if w == nil {
-				panic(fmt.Sprintf("fullsys: tile %d GrantM for absent line %#x", t.id, m.Line))
-			}
-			w.state = l1Modified
-			w.pinned = false
-			w.value = e.arg
+			w := t.grant(m.Line)
+			t.l1.value[w] = e.arg
 		} else {
 			t.install(now, m.Line, l1Modified, e.arg)
 		}
@@ -613,24 +612,30 @@ func (t *Tile) completeMiss(now sim.Cycle, m Msg) {
 		t.replayFwds(now, m.Line)
 
 	case mshrAtomic:
-		var w *l1Line
+		var w int
 		if m.Type == GrantM {
-			w = t.l1.probe(m.Line)
-			if w == nil {
-				panic(fmt.Sprintf("fullsys: tile %d GrantM for absent line %#x", t.id, m.Line))
-			}
-			w.state = l1Modified
-			w.pinned = false
+			w = t.grant(m.Line)
 		} else {
 			w = t.install(now, m.Line, l1Modified, m.Value)
 		}
-		w.value += e.arg
-		t.sys.wl.Observe(t.id, e.addr, w.value)
+		t.l1.value[w] += e.arg
+		t.sys.wl.Observe(t.id, e.addr, t.l1.value[w])
 		t.stats.Atomics++
 		t.retire()
 		t.coreState = coreRunning
 		t.replayFwds(now, m.Line)
 	}
+}
+
+// grant upgrades the pinned S copy of line to M on a GrantM and
+// returns its way.
+func (t *Tile) grant(line uint64) int {
+	w := t.l1.probe(line)
+	if w < 0 {
+		panic(fmt.Sprintf("fullsys: tile %d GrantM for absent line %#x", t.id, line))
+	}
+	t.l1.flags[w] = t.l1.flags[w]&l1Prefetched | l1Modified
+	return w
 }
 
 // stallFwd queues a forwarded request that arrived before the data
