@@ -49,7 +49,7 @@ loc:
 # (internal/dram/dram_test.go) — and one of the restore
 # bodies behind the envelope: one payload position of a mid-run
 # checkpoint mutated and the CRC re-sealed, over every mode
-# (payload_fuzz_test.go; twenty seconds, because replaying its 1 081
+# (payload_fuzz_test.go; twenty seconds, because replaying its 961
 # committed seeds for baseline coverage takes most of ten).
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s
@@ -80,9 +80,9 @@ race:
 	$(GO) test -race ./...
 
 # The NoC step path's bit-identity matrix under the race detector: every
-# mode x both router architectures x worker counts 0 (the default one
-# shard) / 2 / 4 / 8 against the exhaustive sequential sweep (checkpoint
-# bytes + final results), plus the internal/noc shard property tests.
+# mode x worker counts 0 (the default one shard) / 2 / 4 / 8 against the
+# exhaustive sequential sweep (checkpoint bytes + final results), plus
+# the internal/noc shard property tests.
 # Every gated run steps through the shard partition, so this is the
 # data-race proof for the code all of them execute — blocking in CI.
 race-shard:

@@ -286,6 +286,4 @@ func BenchmarkA3DRAM(b *testing.B) { benchExperiment(b, "A3") }
 
 func BenchmarkA4Power(b *testing.B) { benchExperiment(b, "A4") }
 
-func BenchmarkA5RouterArch(b *testing.B) { benchExperiment(b, "A5") }
-
 func BenchmarkA6CalibTelemetry(b *testing.B) { benchExperiment(b, "A6") }

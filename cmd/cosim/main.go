@@ -38,7 +38,6 @@ func main() {
 		routing   = flag.String("routing", "xy", "mesh routing: xy|yx|oddeven")
 		memModel  = flag.String("mem", "fixed", "memory model: fixed|ddr|abstract|calibrated")
 		nocWork   = flag.Int("noc-workers", 0, "shard the detailed NoC sweep across this many workers in every detailed mode (0/1 = one shard on the calling goroutine; bit-identical results)")
-		router    = flag.String("router", "vc", "router architecture for detailed modes: vc|deflect")
 		sysStats  = flag.Bool("sysstats", false, "print system-level execution statistics")
 		saveTrace = flag.String("savetrace", "", "write the injection trace of the first mode to this file (JSON lines)")
 		prefetch  = flag.Int("prefetch", 0, "next-line L1 prefetch degree (0 = off)")
@@ -93,7 +92,6 @@ func main() {
 	cfg.Routing = *routing
 	cfg.System.MemModel = *memModel
 	cfg.System.PrefetchDegree = *prefetch
-	cfg.RouterArch = *router
 	cfg.NocWorkers = *nocWork
 	cfg.DisableGating = *noFF
 

@@ -16,8 +16,7 @@ import (
 // checkpoint test constructs: the twin that BuildCosim's recorded
 // recipe builds over a fresh workload instance, and that it shares
 // nothing with its parent. The case matrix is the checkpoint
-// round-trip tests': every co-simulation mode, both detailed router
-// engines, and every memory model.
+// round-trip tests': every co-simulation mode and every memory model.
 
 // TestForkRunBitIdentical is Fork's core guarantee: running
 // to cycle T, forking, and finishing the fork produces statistics
@@ -184,7 +183,7 @@ func TestForkConcurrentAdvance(t *testing.T) {
 // TestForkGoldenEncode pins Fork against the golden checkpoint: a fork
 // of the restored golden state must re-encode to the golden bytes.
 func TestForkGoldenEncode(t *testing.T) {
-	c := ckptCase{"reciprocal", ModeReciprocal, "", ""}
+	c := ckptCase{"reciprocal", ModeReciprocal, ""}
 	digest := ConfigDigest(ckptConfig(c), c.mode, "fft-16-250-42")
 	blob, err := os.ReadFile(filepath.Join("testdata", "reciprocal-16t.ckpt"))
 	if err != nil {
@@ -212,7 +211,7 @@ func TestForkGoldenEncode(t *testing.T) {
 // quiescent, the whole warmed system state carries onto a freshly
 // built backend and the pair runs on independently.
 func TestForkInto(t *testing.T) {
-	c := ckptCase{"reciprocal", ModeReciprocal, "", ""}
+	c := ckptCase{"reciprocal", ModeReciprocal, ""}
 	cfg := ckptConfig(c)
 	parent := buildCkptCosim(t, c, 42)
 	parent.Run(ckptAt)

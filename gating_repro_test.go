@@ -27,44 +27,40 @@ func det(r core.Result) detResult {
 }
 
 // TestGatingBitIdenticalAllModes is the end-to-end half of the gating
-// property: for every co-simulation mode and both router
-// architectures, a run with activity gating must produce the same
-// mid-run checkpoint bytes and the same final result as the exhaustive
-// -no-fastforward sweep.
+// property: for every co-simulation mode, a run with activity gating
+// must produce the same mid-run checkpoint bytes and the same final
+// result as the exhaustive -no-fastforward sweep.
 func TestGatingBitIdenticalAllModes(t *testing.T) {
-	for _, arch := range []string{"vc", "deflect"} {
-		for _, mode := range Modes() {
-			t.Run(arch+"/"+string(mode), func(t *testing.T) {
-				run := func(disable bool) ([]byte, detResult) {
-					cfg := DefaultConfig(16)
-					cfg.RouterArch = arch
-					cfg.DisableGating = disable
-					cs, err := BuildCosim(cfg, mode, workload.NewOcean(16, 300, 7))
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer cs.Net.Close()
-					cs.Run(2000)
-					blob, err := EncodeCheckpoint(cs, ConfigDigest(cfg, mode, "gating-test"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					res := cs.Run(5_000_000)
-					if !res.Finished {
-						t.Fatalf("mode %s (gating disabled=%v) did not finish", mode, disable)
-					}
-					return blob, det(res)
+	for _, mode := range Modes() {
+		t.Run("vc/"+string(mode), func(t *testing.T) {
+			run := func(disable bool) ([]byte, detResult) {
+				cfg := DefaultConfig(16)
+				cfg.DisableGating = disable
+				cs, err := BuildCosim(cfg, mode, workload.NewOcean(16, 300, 7))
+				if err != nil {
+					t.Fatal(err)
 				}
-				gatedBlob, gatedRes := run(false)
-				exBlob, exRes := run(true)
-				if !bytes.Equal(gatedBlob, exBlob) {
-					t.Error("mid-run checkpoint bytes differ between gated and exhaustive runs")
+				defer cs.Net.Close()
+				cs.Run(2000)
+				blob, err := EncodeCheckpoint(cs, ConfigDigest(cfg, mode, "gating-test"))
+				if err != nil {
+					t.Fatal(err)
 				}
-				if gatedRes != exRes {
-					t.Errorf("gated result diverged from exhaustive:\ngated: %+v\nexh:   %+v", gatedRes, exRes)
+				res := cs.Run(5_000_000)
+				if !res.Finished {
+					t.Fatalf("mode %s (gating disabled=%v) did not finish", mode, disable)
 				}
-			})
-		}
+				return blob, det(res)
+			}
+			gatedBlob, gatedRes := run(false)
+			exBlob, exRes := run(true)
+			if !bytes.Equal(gatedBlob, exBlob) {
+				t.Error("mid-run checkpoint bytes differ between gated and exhaustive runs")
+			}
+			if gatedRes != exRes {
+				t.Errorf("gated result diverged from exhaustive:\ngated: %+v\nexh:   %+v", gatedRes, exRes)
+			}
+		})
 	}
 }
 

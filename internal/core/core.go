@@ -69,10 +69,10 @@ type Component interface {
 // network instance of the Component contract. The coordinator injects
 // timestamped packets, advances the backend to a cycle, and drains
 // timestamped deliveries. The packet networks are backends themselves
-// — noc.Network, noc.Deflection and abstractnet.Network, whose shared
-// noc.Ledger provides the counting, latency and free-list half of the
-// contract — and the composite backends (the GPU offload, Hybrid,
-// Calibrated, Recorder) are built over them.
+// — noc.Network and abstractnet.Network, whose shared noc.Ledger
+// provides the counting, latency and free-list half of the contract —
+// and the composite backends (the GPU offload, Hybrid, Calibrated,
+// Recorder) are built over them.
 type Backend interface {
 	Component
 	// Inject queues a packet created at cycle `at`. Injections at each

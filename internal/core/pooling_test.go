@@ -17,7 +17,6 @@ import (
 // backend built over them.
 var (
 	_ Backend = (*noc.Network)(nil)
-	_ Backend = (*noc.Deflection)(nil)
 	_ Backend = (*abstractnet.Network)(nil)
 	_ Backend = (*gpu.Backend)(nil)
 	_ Backend = (*Hybrid)(nil)
@@ -33,15 +32,7 @@ var everyBackend = map[string]func(t *testing.T) Backend{
 		return abstractnet.NewNetwork(abstractnet.NewContention(m, abstractnet.DefaultParams()))
 	},
 	"detailed": func(t *testing.T) Backend { return detailedBackend(t) },
-	"deflection": func(t *testing.T) Backend {
-		net, err := noc.NewDeflection(noc.DefaultDeflectConfig(), topology.NewMesh(4, 4, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(net.Close)
-		return net
-	},
-	"gpu": func(t *testing.T) Backend { return gpu.NewBackend(detailedBackend(t), gpu.DefaultDevice()) },
+	"gpu":      func(t *testing.T) Backend { return gpu.NewBackend(detailedBackend(t), gpu.DefaultDevice()) },
 	"hybrid": func(t *testing.T) Backend {
 		m := topology.NewMesh(4, 4, 1)
 		tuned := abstractnet.NewTuned(abstractnet.NewContention(m, abstractnet.DefaultParams()), 256)

@@ -37,7 +37,11 @@ type SubmitRequest struct {
 	// MemModel selects the memory oracle (fixed|ddr|abstract|
 	// calibrated; default fixed).
 	MemModel string `json:"mem,omitempty"`
-	// Router selects the detailed router architecture (vc|deflect).
+	// Router names the detailed router: "" or "vc", the only one. The
+	// field stays so a request naming a removed router is refused at
+	// submit instead of being decoded past (the decoder ignores unknown
+	// fields) and silently run on the VC router. Like an omitted field,
+	// "vc" leaves the config digest as it is.
 	Router string `json:"router,omitempty"`
 	// Routing selects the mesh routing function (xy|yx|oddeven).
 	Routing string `json:"routing,omitempty"`

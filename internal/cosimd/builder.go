@@ -26,7 +26,11 @@ type Builder interface {
 // production builder used by cmd/cosimd.
 type StdBuilder struct{}
 
-// config translates a normalized request into the facade's types.
+// config translates a normalized request into the facade's types and
+// validates the result the way building it would: the topology and
+// routing, the full-system parameters and the router. Digest and Build
+// both go through it, so a request a worker would reject is refused at
+// submit time instead.
 func (StdBuilder) config(req SubmitRequest) (repro.Config, repro.Mode, string, error) {
 	mode := repro.Mode(req.Mode)
 	known := false
@@ -46,15 +50,21 @@ func (StdBuilder) config(req SubmitRequest) (repro.Config, repro.Mode, string, e
 	if req.MemModel != "" {
 		cfg.System.MemModel = req.MemModel
 	}
-	if req.Router != "" {
-		cfg.RouterArch = req.Router
-	}
 	if req.Routing != "" {
 		cfg.Routing = req.Routing
 	}
 	cfg.Torus = req.Torus
 	if req.NocWorkers > 1 {
 		cfg.NocWorkers = req.NocWorkers
+	}
+	if req.Router != "" && req.Router != "vc" {
+		return repro.Config{}, "", "", fmt.Errorf("cosimd: unknown router %q: the deflection router was removed; vc is the only router", req.Router)
+	}
+	if _, _, err := repro.BuildTopology(cfg); err != nil {
+		return repro.Config{}, "", "", err
+	}
+	if err := cfg.System.Validate(); err != nil {
+		return repro.Config{}, "", "", err
 	}
 	// The workload description mirrors cmd/cosim's, plus the cycle
 	// limit: two runs that stop at different limits are different

@@ -246,17 +246,33 @@ func TestCacheByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: bad requests are rejected at submit time with
-// no session created.
+// TestSubmitValidation: every request a worker would reject is
+// answered 400 at submit, and creates no session.
 func TestSubmitValidation(t *testing.T) {
 	srv := newTestServer(t, Options{Workers: 1})
-	for _, req := range []SubmitRequest{
-		{Mode: "warp-drive"},
-		{Workload: "quake"},
-		{Tiles: -1},
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, c := range []struct{ body, want string }{
+		{`{`, "bad request body"},
+		{`{"mode":"warp-drive"}`, "unknown mode"},
+		{`{"workload":"quake"}`, "quake"},
+		{`{"tiles":-1}`, "must be positive"},
+		{`{"routing":"weird"}`, "unknown routing"},
+		{`{"mem":"weird"}`, "unknown memory model"},
+		{`{"torus":true,"tiles":4}`, "torus"},
+		{`{"router":"weird"}`, "deflection router was removed"},
+		{`{"router":"deflect"}`, "deflection router was removed"},
+		{`{"mode":"abstract","router":"deflect"}`, "deflection router was removed"},
 	} {
-		if _, err := srv.Submit(req); err == nil {
-			t.Errorf("request %+v accepted", req)
+		resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, c.want) {
+			t.Errorf("%s: HTTP %d %q, want 400 naming %q", c.body, resp.StatusCode, apiErr.Error, c.want)
 		}
 	}
 	if n := len(srv.Sessions()); n != 0 {
@@ -321,6 +337,69 @@ func TestDrainRestart(t *testing.T) {
 	}
 	if !st.Cached {
 		t.Error("restarted server did not re-seed the result cache")
+	}
+}
+
+// TestRestartFailsRemovedRouterSession: a drained manifest written
+// before the deflection router was removed may hold an unfinished
+// session that asks for it. On restart that session must end failed,
+// naming the removal, instead of running on the VC router, and every
+// other session must resume to its uninterrupted fingerprint.
+func TestRestartFailsRemovedRouterSession(t *testing.T) {
+	dir := t.TempDir()
+	srv1 := newTestServer(t, Options{Workers: 2, SliceCycles: 512, StateDir: dir})
+	var pending []string
+	for i := 2; i <= 4; i++ {
+		st, err := srv1.Submit(tinyReq(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, st.ID)
+	}
+	if err := srv1.Close(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	path := filepath.Join(dir, "manifest.json")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	req := tinyReq(9)
+	req.Normalize()
+	req.Router = "deflect"
+	const removedID = "s-deflect"
+	m.Sessions = append(m.Sessions, manifestSession{
+		ID: removedID, Seq: m.NextSeq, Req: req, Digest: 0x5eed, State: StateRunning,
+	})
+	m.NextSeq++
+	if blob, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := newTestServer(t, Options{Workers: 2, SliceCycles: 512, StateDir: dir})
+	srv2.Wait()
+	st, ok := srv2.Status(removedID)
+	if !ok || st.State != StateFailed || !strings.Contains(st.Error, "deflection router was removed") {
+		t.Errorf("removed-router session after restart: ok=%v %+v, want failed naming the removal", ok, st)
+	}
+	for i, id := range pending {
+		st, ok := srv2.Status(id)
+		if !ok || st.State != StateDone {
+			t.Fatalf("restored session %s: ok=%v %+v", id, ok, st)
+		}
+		_, env := envelope(t, srv2, id)
+		if want := directFingerprint(t, tinyReq(uint64(i+2))); env.Fingerprint != want {
+			t.Errorf("restored session %s fingerprint diverged\n got %s\nwant %s",
+				id, env.Fingerprint, want)
+		}
 	}
 }
 
@@ -608,6 +687,23 @@ func TestHTTPAPI(t *testing.T) {
 		t.Errorf("bad mode: HTTP %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestDefaultRequestDigest pins the digest of the minimal request `{}`
+// (as ConfigDigest computed it before the router selector left the
+// Config) and checks that naming the VC router leaves it unchanged.
+func TestDefaultRequestDigest(t *testing.T) {
+	const want = 0xc72788df88edd7de
+	for _, req := range []SubmitRequest{{}, {Router: "vc"}} {
+		req.Normalize()
+		got, err := StdBuilder{}.Digest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("router %q: digest %#x, want %#x", req.Router, got, uint64(want))
+		}
+	}
 }
 
 // TestSubmitAfterClose: a drained server refuses new work instead of

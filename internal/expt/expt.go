@@ -179,7 +179,6 @@ func All() []Experiment {
 		{"A2", "Sharded NoC stepping scaling", FigureA2},
 		{"A3", "Memory abstraction levels under co-simulation", FigureA3},
 		{"A4", "NoC energy under co-simulation", FigureA4},
-		{"A5", "Router architecture: VC vs deflection under co-simulation", FigureA5},
 		{"A6", "Calibration telemetry: reciprocal-pairing divergence history", FigureA6},
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Activity gating (see DESIGN.md "NoC stepping"): both cycle-level
-// networks maintain a deterministic set of routers that can possibly
+// Activity gating (see DESIGN.md "NoC stepping"): the cycle-level
+// network maintains a deterministic set of routers that can possibly
 // change state in the current cycle, and the per-cycle sweep visits
 // only that set. The discipline has two halves:
 //
@@ -249,9 +249,9 @@ func (g *gate) reset(base int32, R int) {
 }
 
 // ActivityStats is the gating layer's host-side work accounting,
-// exposed uniformly by both cycle-level networks (and sampled per
-// quantum by the observability layer). It never enters snapshots or
-// fingerprints: it measures simulator effort, not simulated state.
+// exposed by the cycle-level network (and sampled per quantum by the
+// observability layer). It never enters snapshots or fingerprints: it
+// measures simulator effort, not simulated state.
 type ActivityStats struct {
 	// Stepped counts cycles simulated by a phase sweep; Skipped counts
 	// cycles fast-forwarded without one. Their sum is the simulated

@@ -128,95 +128,6 @@ func TestGatingBitIdentical(t *testing.T) {
 	}
 }
 
-// deflFingerprint summarizes a deflection run's observable outcome.
-func deflFingerprint(n *Deflection, pkts []*Packet) string {
-	s := fmt.Sprintf("hops=%d defl=%d flits=%d ", n.FlitHops(), n.Deflections(), n.FlitsSwitched())
-	for _, p := range pkts {
-		s += fmt.Sprintf("[%d:%d@%d h%d]", p.ID, p.Dst, p.DeliveredAt, p.Hops)
-	}
-	return s
-}
-
-// runDeflGatingLoad is the deflection twin of runGatingLoad.
-func runDeflGatingLoad(t *testing.T, n *Deflection, pattern string) (fp string, mid, end []byte) {
-	t.Helper()
-	terms := n.topo.NumTerminals()
-	rng := sim.NewRNG(7, 99)
-	var delivered []*Packet
-	const quantum = 64
-	for q := 0; q < 8; q++ {
-		if q == 4 {
-			e := snapshot.NewEncoder(1)
-			n.State(e.Codec(), nil, nil)
-			mid = e.Finish()
-		}
-		base := n.Cycle()
-		for c := 0; c < quantum; c++ {
-			cyc := int(base) + c
-			for s := 0; s < terms; s++ {
-				rate, dst := patternRate(rng, pattern, cyc, s, terms)
-				if !rng.Bernoulli(rate) {
-					continue
-				}
-				size := 1
-				if rng.Bernoulli(0.5) {
-					size = 3
-				}
-				n.Inject(&Packet{Src: s, Dst: dst, Size: size}, sim.Cycle(cyc))
-			}
-		}
-		n.AdvanceTo(base + quantum)
-		delivered = append(delivered, n.Drain()...)
-	}
-	for i := 0; i < 5000 && !n.Quiescent(); i++ {
-		n.Step()
-		delivered = append(delivered, n.Drain()...)
-	}
-	if !n.Quiescent() {
-		t.Fatal("deflection network failed to drain")
-	}
-	e := snapshot.NewEncoder(1)
-	n.State(e.Codec(), nil, nil)
-	return deflFingerprint(n, delivered), mid, e.Finish()
-}
-
-// TestDeflectionGatingBitIdentical is the deflection-router twin of
-// TestGatingBitIdentical.
-func TestDeflectionGatingBitIdentical(t *testing.T) {
-	mk := func(disable bool, opts ...DeflectOption) *Deflection {
-		m := topology.NewMesh(6, 6, 1)
-		cfg := DefaultDeflectConfig()
-		cfg.DisableGating = disable
-		n, err := NewDeflection(cfg, m, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Close)
-		return n
-	}
-	for _, pattern := range []string{"uniform", "hotspot", "bursty"} {
-		for _, w := range gatingWorkerCounts {
-			t.Run(fmt.Sprintf("%s/w%d", pattern, w), func(t *testing.T) {
-				ex := mk(true, WithDeflectWorkers(w))
-				wantFP, wantMid, wantEnd := runDeflGatingLoad(t, ex, pattern)
-
-				g := mk(false, WithDeflectWorkers(w))
-				gotFP, gotMid, gotEnd := runDeflGatingLoad(t, g, pattern)
-
-				if gotFP != wantFP {
-					t.Errorf("gated deflection run diverged from exhaustive\nexh: %.160s\ngat: %.160s", wantFP, gotFP)
-				}
-				if !bytes.Equal(gotMid, wantMid) {
-					t.Error("mid-run checkpoint bytes differ between gated and exhaustive runs")
-				}
-				if !bytes.Equal(gotEnd, wantEnd) {
-					t.Error("end-of-run checkpoint bytes differ between gated and exhaustive runs")
-				}
-			})
-		}
-	}
-}
-
 // TestGatingRestoreBitIdentical checks that gating survives
 // checkpoint/restore: restore a mid-run gated snapshot (with flits and
 // credits in flight on the links) into a fresh gated network and into a

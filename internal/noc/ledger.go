@@ -6,8 +6,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Ledger is the packet bookkeeping every packet network shares — both
-// cycle-level routers and the abstract network (internal/abstractnet)
+// Ledger is the packet bookkeeping every packet network shares — the
+// cycle-level network and the abstract network (internal/abstractnet)
 // embed one: it stamps each admitted packet with its ID and creation
 // cycle, counts packets in and out, records every drained packet's
 // latency, and owns the network's packet free list. What a network
@@ -17,11 +17,8 @@ type Ledger struct {
 	injected  uint64
 	delivered uint64
 	nextID    uint64
-	// hopsPerFlit records a drained packet's hops divided by its size:
-	// the deflection router counts every flit's router visits.
-	hopsPerFlit bool       //simlint:derived construction input; set by the network that embeds the ledger
-	drainBuf    []*Packet  //simlint:derived drain scratch, emptied by every decode
-	packets     PacketPool //simlint:derived host-side free list, never simulated state
+	drainBuf  []*Packet  //simlint:derived drain scratch, emptied by every decode
+	packets   PacketPool //simlint:derived host-side free list, never simulated state
 }
 
 // NewLedger returns an empty ledger.
@@ -46,11 +43,7 @@ func (l *Ledger) Scratch() []*Packet { return l.drainBuf[:0] }
 // them out, keeps out as the next Drain's scratch and returns it.
 func (l *Ledger) Settle(out []*Packet) []*Packet {
 	for _, p := range out {
-		hops := p.Hops
-		if l.hopsPerFlit {
-			hops /= p.Size
-		}
-		l.tracker.Record(p.Class, float64(p.QueueingLatency()), float64(p.NetworkLatency()), hops)
+		l.tracker.Record(p.Class, float64(p.QueueingLatency()), float64(p.NetworkLatency()), p.Hops)
 	}
 	l.delivered += uint64(len(out))
 	l.drainBuf = out

@@ -93,75 +93,23 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
-// TestDeflectionConservationProperty: the bufferless network preserves
-// the same conservation invariant under random load.
-func TestDeflectionConservationProperty(t *testing.T) {
-	f := func(seed uint64, sideRaw, rateRaw uint8) bool {
-		side := 3 + int(sideRaw)%3
-		rate := 0.05 + float64(rateRaw%25)/100.0
-		m := topology.NewMesh(side, side, 1)
-		n, err := NewDeflection(DefaultDeflectConfig(), m)
-		if err != nil {
-			return false
-		}
-		defer n.Close()
-		rng := sim.NewRNG(seed, 99)
-		terms := m.NumTerminals()
-		injected := 0
-		delivered := 0
-		for cyc := 0; cyc < 150; cyc++ {
-			for s := 0; s < terms; s++ {
-				if rng.Bernoulli(rate) {
-					d := rng.Intn(terms - 1)
-					if d >= s {
-						d++
-					}
-					n.Inject(&Packet{Src: s, Dst: d, Size: 1 + rng.Intn(4)}, n.Cycle())
-					injected++
-				}
-			}
-			n.Step()
-			delivered += len(n.Drain())
-		}
-		for i := 0; i < 200000 && !n.Quiescent(); i++ {
-			n.Step()
-			delivered += len(n.Drain())
-		}
-		return n.Quiescent() && delivered == injected
-	}
-	cfg := &quick.Config{MaxCount: 15}
-	if testing.Short() {
-		cfg.MaxCount = 3
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestShardedEqualsExhaustiveProperty: on random grids — prime router
 // counts (single-row meshes and rings) and tori included — with a random
 // traffic pattern and any worker count from the default to beyond the
-// router count, the gated run of either router engine matches the
-// exhaustive sequential sweep on fingerprints and on mid-run and
-// end-of-run checkpoint bytes, and every injected packet comes out. The
-// router's shape varies too: for the VC router one or four terminals per
-// router, two or four VCs per virtual network (up to 8 ports of 12 VCs,
-// 96 input VCs a router — more than one mask word) and buffers 1, 4 or
-// 8 deep; for the deflection router an ejector one or two flits wide.
+// router count, the gated run matches the exhaustive sequential sweep
+// on fingerprints and on mid-run and end-of-run checkpoint bytes, and
+// every injected packet comes out. The router's shape varies too: one
+// or four terminals per router, two or four VCs per virtual network (up
+// to 8 ports of 12 VCs, 96 input VCs a router — more than one mask
+// word) and buffers 1, 4 or 8 deep.
 func TestShardedEqualsExhaustiveProperty(t *testing.T) {
 	patterns := []string{"uniform", "hotspot", "bursty"}
-	f := func(wRaw, hRaw, workersRaw, patRaw, shapeRaw uint8, torus, deflect bool) bool {
+	f := func(wRaw, hRaw, workersRaw, patRaw, shapeRaw uint8, torus bool) bool {
 		pattern := patterns[int(patRaw)%len(patterns)]
-		conc := 1
 		cfg := DefaultConfig()
-		dcfg := DefaultDeflectConfig()
-		if deflect {
-			dcfg.EjectWidth = []int{1, 2}[shapeRaw&1]
-		} else {
-			conc = []int{1, 4}[shapeRaw&1]
-			cfg.VCsPerVNet = []int{2, 4}[shapeRaw>>1&1]
-			cfg.BufDepth = []int{4, 1, 8}[int(shapeRaw>>2)%3]
-		}
+		conc := []int{1, 4}[shapeRaw&1]
+		cfg.VCsPerVNet = []int{2, 4}[shapeRaw>>1&1]
+		cfg.BufDepth = []int{4, 1, 8}[int(shapeRaw>>2)%3]
 		var topo topology.Topology
 		var routing topology.Routing
 		if torus {
@@ -174,45 +122,25 @@ func TestShardedEqualsExhaustiveProperty(t *testing.T) {
 		R := topo.NumRouters()
 		workers := int(workersRaw) % (R + 4) // 0 .. R+3: default, exact fit, and clamped
 		fail := func(what string) bool {
-			t.Logf("%s vcs=%d depth=%d eject=%d workers=%d pattern=%s deflect=%v: %s",
-				topo.Name(), cfg.TotalVCs(), cfg.BufDepth, dcfg.EjectWidth, workers, pattern, deflect, what)
+			t.Logf("%s vcs=%d depth=%d workers=%d pattern=%s: %s",
+				topo.Name(), cfg.TotalVCs(), cfg.BufDepth, workers, pattern, what)
 			return false
 		}
 
-		var wantFP, gotFP string
-		var wantMid, wantEnd, gotMid, gotEnd []byte
-		var injected, delivered uint64
-		if deflect {
-			exCfg := dcfg
-			exCfg.DisableGating = true
-			ex, err := NewDeflection(exCfg, topo)
-			if err != nil {
-				return fail(err.Error())
-			}
-			g, err := NewDeflection(dcfg, topo, WithDeflectWorkers(workers))
-			if err != nil {
-				return fail(err.Error())
-			}
-			defer g.Close()
-			wantFP, wantMid, wantEnd = runDeflGatingLoad(t, ex, pattern)
-			gotFP, gotMid, gotEnd = runDeflGatingLoad(t, g, pattern)
-			injected, delivered = g.Injected(), g.Delivered()
-		} else {
-			exCfg := cfg
-			exCfg.DisableGating = true
-			ex, err := New(exCfg, topo, routing)
-			if err != nil {
-				return fail(err.Error())
-			}
-			g, err := New(cfg, topo, routing, WithWorkers(workers))
-			if err != nil {
-				return fail(err.Error())
-			}
-			defer g.Close()
-			wantFP, wantMid, wantEnd = runGatingLoad(t, ex, pattern)
-			gotFP, gotMid, gotEnd = runGatingLoad(t, g, pattern)
-			injected, delivered = g.Injected(), g.Delivered()
+		exCfg := cfg
+		exCfg.DisableGating = true
+		ex, err := New(exCfg, topo, routing)
+		if err != nil {
+			return fail(err.Error())
 		}
+		g, err := New(cfg, topo, routing, WithWorkers(workers))
+		if err != nil {
+			return fail(err.Error())
+		}
+		defer g.Close()
+		wantFP, wantMid, wantEnd := runGatingLoad(t, ex, pattern)
+		gotFP, gotMid, gotEnd := runGatingLoad(t, g, pattern)
+		injected, delivered := g.Injected(), g.Delivered()
 		switch {
 		case gotFP != wantFP:
 			return fail("fingerprint diverged from the exhaustive sweep")

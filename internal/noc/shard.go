@@ -10,13 +10,12 @@ import (
 // NoC stepping (see DESIGN.md "NoC stepping"): the router range is
 // partitioned into S = max(1, min(workers, R)) contiguous shards, each
 // with its own wake schedule, and a gated cycle steps every shard's
-// active routers. The partition leans on the future-addressing
-// discipline of both router models: every cross-router interaction
-// travels through a link/credit ring slot (or a deflection arrival
-// slot) addressed at least one cycle ahead, and its sender schedules
-// the receiver's wake, so a shard never reads another shard's
-// same-cycle state and one pass per cycle, closed by a barrier, is the
-// only synchronization.
+// active routers. The partition leans on the router's
+// future-addressing discipline: every cross-router interaction travels
+// through a link/credit ring slot addressed at least one cycle ahead,
+// and its sender schedules the receiver's wake, so a shard never reads
+// another shard's same-cycle state and one pass per cycle, closed by a
+// barrier, is the only synchronization.
 //
 // There is one gated step path for every S. The default network is the
 // one-shard case: its single shard steps inline on the caller, with no
@@ -75,7 +74,7 @@ func (s *shard) wakeOut(t int32, at, now sim.Cycle) {
 	s.boundaryWakes++
 }
 
-// partition is the step-path state both cycle-level networks embed: the
+// partition is the step-path state the cycle-level network embeds: the
 // shards, the router-to-shard table, the lazily started worker pool and
 // the host-side work counters. The exhaustive reference sweep keeps a
 // (never stepped) one-shard partition too, so no caller branches on
@@ -85,7 +84,7 @@ type partition struct {
 	// nothing is scheduled and every cycle is an event.
 	exhaustive bool
 	// workers is the worker count requested at construction (the
-	// WithWorkers options set it before init).
+	// WithWorkers option sets it before init).
 	workers int
 
 	shards  []shard
@@ -127,8 +126,8 @@ func (p *partition) init(R int, exhaustive bool) {
 }
 
 // resetWake conservatively re-seeds every wake schedule: wake
-// everything once, drop all scheduled events, clear outboxes. Both
-// networks' rederive starts from it.
+// everything once, drop all scheduled events, clear outboxes. The
+// network's rederive starts from it.
 func (p *partition) resetWake() {
 	for si := range p.shards {
 		s := &p.shards[si]
@@ -273,8 +272,7 @@ type ShardStats struct {
 	// shards whose active set was non-empty.
 	ShardsActiveSum uint64
 	// BoundaryWakes counts wakes addressed to another shard's router:
-	// one per cross-boundary flit or credit (VC), one per
-	// cross-boundary flit (deflection).
+	// one per cross-boundary flit or credit.
 	BoundaryWakes uint64
 	// BusyNanos sums per-shard in-pass wall time; StepNanos is the wall
 	// time of the whole multi-shard step path, barriers included.

@@ -14,9 +14,9 @@ import (
 
 // The sharded-stepping property: a sharded gated run must be
 // bit-identical to the exhaustive sequential sweep — same fingerprints,
-// same checkpoint bytes — for every worker count, on both router
-// engines. Run under -race these tests also prove the shard passes
-// share no same-cycle state (see `make race-shard`).
+// same checkpoint bytes — for every worker count. Run under -race
+// these tests also prove the shard passes share no same-cycle state
+// (see `make race-shard`).
 
 var shardWorkerCounts = []int{2, 4, 8, 64}
 
@@ -39,44 +39,6 @@ func TestShardedBitIdentical(t *testing.T) {
 				gotFP, gotMid, gotEnd := runGatingLoad(t, g, pattern)
 				if gotFP != wantFP {
 					t.Errorf("sharded run diverged from exhaustive\nexh: %.160s\nshd: %.160s", wantFP, gotFP)
-				}
-				if !bytes.Equal(gotMid, wantMid) {
-					t.Error("mid-run checkpoint bytes differ between sharded and exhaustive runs")
-				}
-				if !bytes.Equal(gotEnd, wantEnd) {
-					t.Error("end-of-run checkpoint bytes differ between sharded and exhaustive runs")
-				}
-			})
-		}
-	}
-}
-
-// TestDeflectionShardedBitIdentical is the deflection-router twin of
-// TestShardedBitIdentical.
-func TestDeflectionShardedBitIdentical(t *testing.T) {
-	mk := func(t *testing.T, disable bool, opts ...DeflectOption) *Deflection {
-		m := topology.NewMesh(6, 6, 1)
-		cfg := DefaultDeflectConfig()
-		cfg.DisableGating = disable
-		n, err := NewDeflection(cfg, m, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Close)
-		return n
-	}
-	for _, pattern := range []string{"uniform", "hotspot", "bursty"} {
-		ex := mk(t, true)
-		wantFP, wantMid, wantEnd := runDeflGatingLoad(t, ex, pattern)
-		for _, w := range shardWorkerCounts {
-			t.Run(fmt.Sprintf("%s/w%d", pattern, w), func(t *testing.T) {
-				g := mk(t, false, WithDeflectWorkers(w))
-				if got := g.ShardStats().Shards; got < 2 {
-					t.Fatalf("WithDeflectWorkers(%d) built %d shards", w, got)
-				}
-				gotFP, gotMid, gotEnd := runDeflGatingLoad(t, g, pattern)
-				if gotFP != wantFP {
-					t.Errorf("sharded deflection run diverged from exhaustive\nexh: %.160s\nshd: %.160s", wantFP, gotFP)
 				}
 				if !bytes.Equal(gotMid, wantMid) {
 					t.Error("mid-run checkpoint bytes differ between sharded and exhaustive runs")
@@ -194,43 +156,9 @@ func TestShardedSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDeflectionShardedSteadyStateZeroAlloc is the deflection twin.
-func TestDeflectionShardedSteadyStateZeroAlloc(t *testing.T) {
-	m := topology.NewMesh(4, 4, 1)
-	n, err := NewDeflection(DefaultDeflectConfig(), m, WithDeflectWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(n.Close)
-	rng := sim.NewRNG(3, 3)
-	quantum := func() {
-		base := n.Cycle()
-		for s := 0; s < 16; s++ {
-			if rng.Bernoulli(0.2) {
-				p := n.NewPacket()
-				p.Src = s
-				p.Dst = (s + 5) % 16
-				p.Size = 3
-				n.Inject(p, base)
-			}
-		}
-		n.AdvanceTo(base + 64)
-		for _, p := range n.Drain() {
-			n.Recycle(p)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		quantum()
-	}
-	if avg := testing.AllocsPerRun(100, quantum); avg != 0 {
-		t.Errorf("sharded deflection steady-state quantum loop allocates %.2f allocs/op, want 0", avg)
-	}
-}
-
 // TestShardPartition pins the partition width: S = max(1, min(workers,
-// R)) shards always exist, for both router engines — the default
-// network has exactly one, and a worker count above the router count
-// clamps to one router per shard.
+// R)) shards always exist — the default network has exactly one, and a
+// worker count above the router count clamps to one router per shard.
 func TestShardPartition(t *testing.T) {
 	m := topology.NewMesh(3, 3, 1)
 	for _, c := range []struct{ workers, want int }{
@@ -239,13 +167,6 @@ func TestShardPartition(t *testing.T) {
 		n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(c.workers))
 		if got := n.ShardStats().Shards; got != c.want {
 			t.Errorf("WithWorkers(%d) on 9 routers built %d shards, want %d", c.workers, got, c.want)
-		}
-		d, err := NewDeflection(DefaultDeflectConfig(), m, WithDeflectWorkers(c.workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := d.ShardStats().Shards; got != c.want {
-			t.Errorf("WithDeflectWorkers(%d) on 9 routers built %d shards, want %d", c.workers, got, c.want)
 		}
 	}
 	def := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
@@ -280,55 +201,38 @@ func TestShardedRestoredNetworkHoldsNoGoroutines(t *testing.T) {
 			base, calm = got, 0
 		}
 	}
-	mk := func() (*Network, *Deflection) {
-		n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(2))
-		d, err := NewDeflection(DefaultDeflectConfig(), m, WithDeflectWorkers(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n, d
-	}
-	n, d := mk()
+	mk := func() *Network { return mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(2)) }
+	n := mk()
 	if got := runtime.NumGoroutine(); got != base {
 		t.Fatalf("construction started %d goroutines, want none before the first Step", got-base)
 	}
 	n.Step()
-	d.Step()
-	if got := runtime.NumGoroutine(); got != base+4 {
-		t.Fatalf("two stepped 2-worker networks hold %d goroutines, want 4", got-base)
+	if got := runtime.NumGoroutine(); got != base+2 {
+		t.Fatalf("a stepped 2-worker network holds %d goroutines, want 2", got-base)
 	}
 
-	nt, dt := mk()
-	type stater func(*snapshot.Codec, snapshot.PayloadCodec, func(*Packet))
-	transfer := func(from, to stater) {
-		t.Helper()
-		e := snapshot.NewEncoder(1)
-		from(e.Codec(), nil, nil)
-		d, err := snapshot.NewDecoder(e.Finish(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if to(d.Codec(), nil, nil); d.Err() != nil {
-			t.Fatal(d.Err())
-		}
+	nt := mk()
+	e := snapshot.NewEncoder(1)
+	n.State(e.Codec(), nil, nil)
+	d, err := snapshot.NewDecoder(e.Finish(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	transfer(n.State, nt.State)
-	transfer(d.State, dt.State)
-	if got := runtime.NumGoroutine(); got != base+4 {
-		t.Errorf("held restored twins own %d goroutines, want none", got-base-4)
+	if nt.State(d.Codec(), nil, nil); d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	if got := runtime.NumGoroutine(); got != base+2 {
+		t.Errorf("held restored twin owns %d goroutines, want none", got-base-2)
 	}
 	n.Close()
-	d.Close()
 	if got := goroutinesSettleAt(base); got != base {
-		t.Errorf("%d goroutines left after closing the originals while the twins are held", got-base)
+		t.Errorf("%d goroutines left after closing the original while the twin is held", got-base)
 	}
 	nt.Step()
-	dt.Step()
-	if got := runtime.NumGoroutine(); got != base+4 {
-		t.Errorf("stepped twins hold %d goroutines, want 4", got-base)
+	if got := runtime.NumGoroutine(); got != base+2 {
+		t.Errorf("stepped twin holds %d goroutines, want 2", got-base)
 	}
 	nt.Close()
-	dt.Close()
 	if got := goroutinesSettleAt(base); got != base {
 		t.Errorf("%d goroutines leaked after Close", got-base)
 	}
@@ -365,17 +269,6 @@ func TestShardStats(t *testing.T) {
 	if st := one.ShardStats(); st.Shards != 1 || st.Stepped == 0 ||
 		st.BoundaryWakes != 0 || st.BusyNanos != 0 || st.StepNanos != 0 {
 		t.Errorf("default ShardStats = %+v, want one busy shard with no boundary traffic and no wall time", st)
-	}
-
-	d, err := NewDeflection(DefaultDeflectConfig(), m, WithDeflectWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Close)
-	runDeflGatingLoad(t, d, "uniform")
-	dst := d.ShardStats()
-	if dst.Shards != 4 || dst.Stepped == 0 || dst.BoundaryWakes == 0 {
-		t.Errorf("deflection ShardStats = %+v, want 4 busy shards with boundary traffic", dst)
 	}
 }
 

@@ -2,25 +2,22 @@ package noc
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
 
 // Checkpointing the cycle-level network has one structural problem:
 // live *Packet values are shared by pointer across injection queues,
-// VC buffers, link slots, delivery buffers, and (for the deflection
-// router) the reassembly map — and the co-simulation layer keys its
-// own maps by the same pointers. The state therefore holds a packet
-// *table* — every live packet once, collected by a fixed deterministic
-// traversal — and every other reference is an index into that table
-// (offset by one so 0 means nil). Decoding, each table entry becomes
-// one fresh Packet and all references are rewired to it, preserving
-// the sharing structure exactly. The optional track callback hands
-// every decoded packet to the caller so pointer-keyed client state
-// (e.g. hybrid-mode latency predictions) can be rebuilt.
+// VC buffers, link slots and delivery buffers — and the co-simulation
+// layer keys its own maps by the same pointers. The state therefore
+// holds a packet *table* — every live packet once, collected by a fixed
+// deterministic traversal — and every other reference is an index into
+// that table (offset by one so 0 means nil). Decoding, each table entry
+// becomes one fresh Packet and all references are rewired to it,
+// preserving the sharing structure exactly. The optional track callback
+// hands every decoded packet to the caller so pointer-keyed client
+// state (e.g. hybrid-mode latency predictions) can be rebuilt.
 
 // State walks the packet's fields and, through pc, its opaque payload;
 // with a nil codec every payload must be nil. It is the one
@@ -69,21 +66,6 @@ func (pt *packetTable) add(p *Packet) {
 	pt.idx[p] = uint32(len(pt.list))
 	pt.list = append(pt.list, p)
 }
-
-// addByID adds the keys of a packet-keyed map in packet-ID order.
-func (pt *packetTable) addByID(m map[*Packet]int32) {
-	res := make([]*Packet, 0, len(m))
-	//simlint:allow maprange entries are sorted by packet ID before use
-	for p := range m {
-		res = append(res, p)
-	}
-	sort.Slice(res, func(i, j int) bool { return packetBefore(res[i], res[j]) })
-	for _, p := range res {
-		pt.add(p)
-	}
-}
-
-func packetBefore(a, b *Packet) bool { return a.ID < b.ID }
 
 // state walks the table itself. terminals/vnets bound the endpoint
 // fields; track (optional) observes every decoded packet.
@@ -351,102 +333,4 @@ func (n *Network) routerState(c *snapshot.Codec, pt *packetTable, r int) {
 // returning port, while the ring itself is inbound at the far end.
 func (n *Network) creditRingOf(rp int) []int16 {
 	return n.linkCredits[int(n.peer[rp].slot)*n.credRing:][:n.credRing]
-}
-
-// State walks the deflection network's mutable state: the packet
-// table, per-router arrival slots of the current cycle (the next
-// cycle's are empty between Steps), per-NI source queues, reassembly counters, and delivery
-// buffers, plus the clock and statistics. pc describes payloads; nil
-// requires all payloads nil. The target of a decode is a deflection
-// network constructed with the same configuration and topology; track
-// (optional) observes every decoded packet.
-func (n *Deflection) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*Packet)) {
-	c.Section("deflect")
-	snapshot.Match(c, (*snapshot.Codec).Int, len(n.routers), "deflection routers")
-	snapshot.Match(c, (*snapshot.Codec).Int, len(n.ifaces), "deflection terminals")
-	if c.Err() != nil {
-		return
-	}
-
-	pt := newPacketTable()
-	if !c.Decoding() {
-		for t := range n.ifaces {
-			ni := &n.ifaces[t]
-			for _, f := range ni.queue[ni.qHead:] {
-				pt.add(f.pkt)
-			}
-			for _, p := range ni.deliveries[ni.dHead:] {
-				pt.add(p)
-			}
-		}
-		for r := range n.routers {
-			for _, f := range n.routers[r].slots[n.cycle&1] {
-				pt.add(f.pkt)
-			}
-		}
-		// Packets mid-reassembly may have every remaining flit in
-		// flight (already collected) or be referenced only here.
-		for t := range n.ifaces {
-			pt.addByID(n.ifaces[t].reassembly)
-		}
-	}
-	pt.state(c, pc, len(n.ifaces), 1<<30, track)
-
-	n.Ledger.State(c, &n.cycle)
-
-	c.Section("difaces")
-	for t := range n.ifaces {
-		c.Enter("diface", t)
-		n.ifaces[t].state(c, pt)
-		c.Leave()
-		if c.Err() != nil {
-			return
-		}
-	}
-
-	c.Section("drouters")
-	for r := range n.routers {
-		c.Enter("drouter", r)
-		n.routers[r].state(c, pt, n.cycle)
-		c.Leave()
-	}
-	if c.Decoding() && c.Err() == nil {
-		n.rederive()
-	}
-}
-
-func (f *deflFlit) state(c *snapshot.Codec, pt *packetTable) {
-	pt.ref(c, &f.pkt)
-	snapshot.As32(c, &f.seq)
-	snapshot.As64(c, &f.age)
-}
-
-func (ni *deflIface) state(c *snapshot.Codec, pt *packetTable) {
-	fifo(c, &ni.queue, &ni.qHead, 20, func(c *snapshot.Codec, f *deflFlit) {
-		if f.state(c, pt); f.pkt == nil {
-			c.Failf("nil packet in source queue")
-		}
-	})
-	snapshot.MapBy(c, &ni.reassembly, 8, packetBefore, func(c *snapshot.Codec, p **Packet, got *int32) {
-		pt.live(c, p, "reassembly entry")
-		snapshot.As32(c, got)
-		if *p != nil && (*got < 1 || int(*got) >= (*p).Size) {
-			c.Failf("reassembly count %d out of range for %d-flit packet", *got, (*p).Size)
-		}
-	})
-	fifo(c, &ni.deliveries, &ni.dHead, 4, func(c *snapshot.Codec, p **Packet) {
-		pt.live(c, p, "delivery buffer")
-	})
-}
-
-// state walks the arrivals of cycle now: the clock is decoded before
-// the routers, so a decode fills the slots the next Step reads.
-func (rt *deflRouter) state(c *snapshot.Codec, pt *packetTable, now sim.Cycle) {
-	in := &rt.slots[now&1]
-	for d := range in {
-		in[d].state(c, pt)
-	}
-	c.U64(&rt.deflects)
-	c.U64(&rt.flitHops)
-	c.U64(&rt.ejects)
 }

@@ -107,77 +107,6 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeflectionSnapshotRoundTrip is the same property for the
-// bufferless network, whose reassembly map is pointer-keyed.
-func TestDeflectionSnapshotRoundTrip(t *testing.T) {
-	m := topology.NewMesh(4, 4, 1)
-	build := func() *Deflection {
-		n, err := NewDeflection(DefaultDeflectConfig(), m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-
-	run := func(n *Deflection, rng *sim.RNG, cycles int) []*Packet {
-		var out []*Packet
-		for i := 0; i < cycles; i++ {
-			injectSome(n.Inject, m.NumTerminals(), rng, n.Cycle(), 1)
-			n.Step()
-			out = append(out, append([]*Packet(nil), n.Drain()...)...)
-		}
-		return out
-	}
-
-	state := func(n *Deflection, drained []*Packet) string {
-		s := fmt.Sprintf("cyc=%v inj=%d del=%d defl=%d hops=%d lat=%x ",
-			n.Cycle(), n.Injected(), n.Delivered(), n.Deflections(), n.FlitHops(),
-			n.Tracker().Mean())
-		for _, p := range drained {
-			s += fmt.Sprintf("[%d:%d@%v]", p.ID, p.Dst, p.DeliveredAt)
-		}
-		return s
-	}
-
-	ref := build()
-	refRNG := sim.NewRNG(11, 1)
-	refDrained := run(ref, refRNG, 100)
-	refDrained = append(refDrained, run(ref, refRNG, 200)...)
-	want := state(ref, refDrained)
-
-	a := build()
-	rng := sim.NewRNG(11, 1)
-	drainedA := run(a, rng, 100)
-	if a.InFlight() == 0 {
-		t.Fatal("checkpoint taken with nothing in flight; test would be vacuous")
-	}
-	e := snapshot.NewEncoder(2)
-	a.State(e.Codec(), nil, nil)
-	blob := e.Finish()
-
-	b := build()
-	d, err := snapshot.NewDecoder(blob, 2)
-	if err != nil {
-		t.Fatalf("decode envelope: %v", err)
-	}
-	if b.State(d.Codec(), nil, nil); d.Err() != nil {
-		t.Fatalf("restore: %v", d.Err())
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatalf("trailing data: %v", err)
-	}
-	drainedB := append(drainedA, run(b, rng, 200)...)
-	if got := state(b, drainedB); got != want {
-		t.Errorf("restored run diverged\nwant %.200s\ngot  %.200s", want, got)
-	}
-
-	e2 := snapshot.NewEncoder(2)
-	a.State(e2.Codec(), nil, nil)
-	if string(e2.Finish()) != string(blob) {
-		t.Error("re-encoding the same deflection state produced different bytes")
-	}
-}
-
 // TestRestoreRejectsOutOfRangeIfaceRR overwrites the first NI's
 // round-robin pointer in an otherwise valid snapshot (and re-seals the
 // CRC, so only the semantic check can catch it): restore must fail with

@@ -53,8 +53,8 @@ var outputFuncs = map[string]map[string]bool{
 // hotPathFunc reports whether a function name is one of the per-cycle
 // hot paths under the zero-alloc steady-state contract: the router
 // pipeline phases and the per-flit helpers they call (the NI's packet
-// selection among them), the per-cycle Step/Tick entry points, both
-// router engines' per-router step, the shard partition's per-cycle
+// selection among them), the per-cycle Step/Tick entry points, the
+// router's per-router step, the shard partition's per-cycle
 // pass, per-router wake scheduling and merge, and the
 // full-system gated sweep (per-tile tick, sleep and wake sites, and the
 // simcheck recount that must stay alloc-free when it passes), and the

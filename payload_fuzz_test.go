@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -164,15 +165,24 @@ func payloadSeeds(t testing.TB, cases []ckptCase) []payloadSeed {
 // FuzzCheckpointPayload mutates one payload position of a case's
 // mid-run checkpoint, re-seals the CRC and restores it into a fresh
 // twin: an error or a usable state, never a panic or a runaway
-// allocation. Plain `go test` replays the committed seed set.
+// allocation. A rewrite that leaves the payload as it was must be
+// accepted: every verdict is judged against that intact decode. Plain
+// `go test` replays the committed seed set, then one intact seed per
+// case (its first payload byte rewritten to itself).
 func FuzzCheckpointPayload(f *testing.F) {
 	cases, blobs := midRunCases(f)
 	for _, s := range payloadSeeds(f, cases) {
 		f.Add(uint8(s.caseIdx), s.offset, s.kind, s.value)
 	}
+	for i, blob := range blobs {
+		f.Add(uint8(i), uint32(0), uint8(0), uint64(blob[envelopeHeader]))
+	}
 	f.Fuzz(func(t *testing.T, caseIdx uint8, offset uint32, kind uint8, value uint64) {
 		i := int(caseIdx) % len(cases)
-		decodeMutated(t, cases[i], blobs[i], offset, kind, value)
+		accepted := decodeMutated(t, cases[i], blobs[i], offset, kind, value)
+		if !accepted && bytes.Equal(mutatePayload(blobs[i], offset, kind, value), blobs[i]) {
+			t.Errorf("%s: an unchanged payload (rewrite at %d, kind %d, value %#x) was rejected", cases[i].name, offset, kind%4, value)
+		}
 	})
 }
 

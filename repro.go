@@ -82,12 +82,6 @@ type Config struct {
 	// Routing selects the routing function: "xy" (default), "yx",
 	// "oddeven" (mesh only); tori always use dateline dimension-order.
 	Routing string
-	// RouterArch selects the router microarchitecture for detailed
-	// modes: "vc" (default, buffered virtual-channel wormhole) or
-	// "deflect" (bufferless deflection routing).
-	RouterArch string
-	// Deflect parameterizes the deflection router.
-	Deflect noc.DeflectConfig
 
 	// Router holds the NoC microarchitecture parameters.
 	Router noc.Config
@@ -100,11 +94,10 @@ type Config struct {
 	Quantum int
 	// NocWorkers > 1 shards the cycle-level NoC spatially and steps the
 	// shards concurrently inside each quantum (cmd/cosim -noc-workers).
-	// Applies to both router architectures in every detailed mode; 0 or
-	// 1 steps one shard on the calling goroutine. Results are
-	// bit-identical either way: sharding is a speed knob, never an
-	// accuracy knob, and shard assignment is derived state that never
-	// enters checkpoints.
+	// Applies in every detailed mode; 0 or 1 steps one shard on the
+	// calling goroutine. Results are bit-identical either way: sharding
+	// is a speed knob, never an accuracy knob, and shard assignment is
+	// derived state that never enters checkpoints.
 	NocWorkers int
 	// Device is the modelled coprocessor for GPU mode.
 	Device gpu.Device
@@ -112,9 +105,9 @@ type Config struct {
 	HybridPeriod, HybridSample int
 	// DisableGating forces the exhaustive every-router-every-cycle NoC
 	// sweep in all detailed modes (cmd/cosim -no-fastforward), fanning
-	// out to Router.DisableGating and Deflect.DisableGating. Simulated
-	// results are bit-identical either way; this exists so perf
-	// regressions can be bisected against the exhaustive sweep.
+	// out to Router.DisableGating. Simulated results are bit-identical
+	// either way; this exists so perf regressions can be bisected
+	// against the exhaustive sweep.
 	DisableGating bool
 }
 
@@ -125,9 +118,7 @@ func DefaultConfig(tiles int) Config {
 		Tiles:         tiles,
 		Concentration: 1,
 		Routing:       "xy",
-		RouterArch:    "vc",
 		Router:        noc.DefaultConfig(),
-		Deflect:       noc.DefaultDeflectConfig(),
 		System:        fullsys.DefaultConfig(tiles),
 		Abstract:      abstractnet.DefaultParams(),
 		Quantum:       64,
@@ -169,6 +160,9 @@ func BuildTopology(cfg Config) (topology.Topology, topology.Routing, error) {
 		return nil, nil, err
 	}
 	if cfg.Torus {
+		if w < 3 {
+			return nil, nil, fmt.Errorf("repro: a %dx%d torus is too narrow; dateline routing needs width >= 3", w, h)
+		}
 		t := topology.NewTorus(w, h, cfg.Concentration)
 		return t, topology.NewTorusDOR(t), nil
 	}
@@ -205,18 +199,10 @@ func BuildBackend(cfg Config, mode Mode) (core.Backend, error) {
 	}
 	if cfg.DisableGating {
 		cfg.Router.DisableGating = true
-		cfg.Deflect.DisableGating = true
 	}
 	switch mode {
 	case ModeSynchronous, ModeReciprocal:
-		switch cfg.RouterArch {
-		case "", "vc":
-			return noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
-		case "deflect":
-			return noc.NewDeflection(cfg.Deflect, topo, noc.WithDeflectWorkers(cfg.NocWorkers))
-		default:
-			return nil, fmt.Errorf("repro: unknown router architecture %q", cfg.RouterArch)
-		}
+		return noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
 	case ModeReciprocalGPU:
 		net, err := noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
 		if err != nil {

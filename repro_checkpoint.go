@@ -27,7 +27,6 @@ func ConfigDigest(cfg Config, mode Mode, workloadDesc string) uint64 {
 	// vice versa: the escape-hatch flags are excluded from the digest.
 	cfg.DisableGating = false
 	cfg.Router.DisableGating = false
-	cfg.Deflect.DisableGating = false
 	// The NoC worker count is the same kind of speed knob (sharded and
 	// one-shard runs are bit-identical and their checkpoints
 	// interchange), so it is excluded too. The hashed string is the
@@ -37,9 +36,16 @@ func ConfigDigest(cfg Config, mode Mode, workloadDesc string) uint64 {
 	// NocWorkers field, and in its place two worker counts since removed
 	// (the GPU mode's engine width, and concurrent component stepping),
 	// always 0 in anything persisted by default, so their tokens stay.
+	// Likewise, ahead of Router it had the router-architecture selector
+	// and the parameters of the bufferless deflection router, both
+	// since removed with that router; every run is now the VC router at
+	// their defaults (gating flag cleared as above), so their tokens
+	// stay too.
 	cfg.NocWorkers = 0
-	desc := strings.Replace(fmt.Sprintf("%+v", cfg),
-		" NocWorkers:0", " Workers:0 ComponentWorkers:0", 1)
+	desc := strings.NewReplacer(
+		" NocWorkers:0", " Workers:0 ComponentWorkers:0",
+		" Router:{", " RouterArch:vc Deflect:{EjectWidth:1 InjectQueueCap:0 DisableGating:false} Router:{",
+	).Replace(fmt.Sprintf("%+v", cfg))
 	return snapshot.Digest("repro-ckpt", string(mode), workloadDesc, desc)
 }
 

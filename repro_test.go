@@ -188,31 +188,6 @@ func TestCalibratedExecAccuracy(t *testing.T) {
 	}
 }
 
-// TestDeflectionRouterCosim runs a full co-simulation over the
-// bufferless deflection network.
-func TestDeflectionRouterCosim(t *testing.T) {
-	cfg := DefaultConfig(16)
-	cfg.RouterArch = "deflect"
-	cs, err := BuildCosim(cfg, ModeReciprocal, workload.NewOcean(16, 300, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Net.Close()
-	res := cs.Run(5_000_000)
-	if !res.Finished {
-		t.Fatalf("deflection co-simulation did not finish: %+v", res)
-	}
-	if res.Packets == 0 {
-		t.Error("no packets delivered")
-	}
-
-	bad := DefaultConfig(16)
-	bad.RouterArch = "weird"
-	if _, err := BuildCosim(bad, ModeReciprocal, workload.NewOcean(16, 10, 7)); err == nil {
-		t.Error("unknown router architecture should be rejected")
-	}
-}
-
 // TestDDRMemoryCosim runs a full co-simulation with the detailed DRAM
 // model behind the memory controllers.
 func TestDDRMemoryCosim(t *testing.T) {

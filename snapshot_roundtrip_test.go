@@ -19,46 +19,38 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"regenerate testdata golden checkpoint and fingerprint")
 
-// ckptCase is one (mode, router architecture, memory model)
-// co-simulation variant.
+// ckptCase is one (mode, memory model) co-simulation variant.
 type ckptCase struct {
 	name string
 	mode Mode
-	arch string // RouterArch; "" keeps the vc default
 	mem  string // System.MemModel; "" keeps the fixed default
 }
 
-// checkpointCases covers every co-simulation mode, both detailed
-// router engines for the modes that run one, and every memory model:
-// the detailed DRAM oracle under all seven network modes, plus the
-// abstract and calibrated memory oracles.
+// checkpointCases covers every co-simulation mode and every memory
+// model: the detailed DRAM oracle under all seven network modes, plus
+// the abstract and calibrated memory oracles.
 func checkpointCases() []ckptCase {
 	cases := []ckptCase{
-		{"synchronous", ModeSynchronous, "", ""},
-		{"abstract", ModeAbstract, "", ""},
-		{"contention", ModeContention, "", ""},
-		{"reciprocal", ModeReciprocal, "", ""},
-		{"reciprocal-gpu", ModeReciprocalGPU, "", ""},
-		{"hybrid", ModeHybrid, "", ""},
-		{"calibrated", ModeCalibrated, "", ""},
-		{"synchronous/deflect", ModeSynchronous, "deflect", ""},
-		{"reciprocal/deflect", ModeReciprocal, "deflect", ""},
+		{"synchronous", ModeSynchronous, ""},
+		{"abstract", ModeAbstract, ""},
+		{"contention", ModeContention, ""},
+		{"reciprocal", ModeReciprocal, ""},
+		{"reciprocal-gpu", ModeReciprocalGPU, ""},
+		{"hybrid", ModeHybrid, ""},
+		{"calibrated", ModeCalibrated, ""},
 	}
 	for _, m := range Modes() {
-		cases = append(cases, ckptCase{string(m) + "/ddr", m, "", "ddr"})
+		cases = append(cases, ckptCase{string(m) + "/ddr", m, "ddr"})
 	}
 	cases = append(cases,
-		ckptCase{"reciprocal/mem-abstract", ModeReciprocal, "", "abstract"},
-		ckptCase{"reciprocal/mem-calibrated", ModeReciprocal, "", "calibrated"},
+		ckptCase{"reciprocal/mem-abstract", ModeReciprocal, "abstract"},
+		ckptCase{"reciprocal/mem-calibrated", ModeReciprocal, "calibrated"},
 	)
 	return cases
 }
 
 func ckptConfig(c ckptCase) Config {
 	cfg := DefaultConfig(16)
-	if c.arch != "" {
-		cfg.RouterArch = c.arch
-	}
 	if c.mem != "" {
 		cfg.System.MemModel = c.mem
 	}
@@ -98,10 +90,10 @@ const (
 )
 
 // TestCheckpointResumeBitIdentical is the subsystem's core guarantee:
-// for every co-simulation mode and both detailed router engines,
-// running to cycle T, checkpointing, restoring into a freshly built
-// co-simulation, and running to completion produces statistics
-// bit-identical to an uninterrupted run.
+// for every co-simulation mode and memory model, running to cycle T,
+// checkpointing, restoring into a freshly built co-simulation, and
+// running to completion produces statistics bit-identical to an
+// uninterrupted run.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, c := range checkpointCases() {
 		c := c
@@ -196,7 +188,7 @@ func TestRestoreIntoFinishedCosim(t *testing.T) {
 // TestCheckpointConfigMismatch proves the digest guard: a snapshot
 // must not restore into a co-simulation built differently.
 func TestCheckpointConfigMismatch(t *testing.T) {
-	c := ckptCase{"reciprocal", ModeReciprocal, "", ""}
+	c := ckptCase{"reciprocal", ModeReciprocal, ""}
 	cs := buildCkptCosim(t, c, 42)
 	cs.Run(ckptAt)
 	digest := ConfigDigest(ckptConfig(c), c.mode, "fft-16-250-42")
@@ -218,7 +210,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 // interrupted at a checkpoint file and resumed by a second process
 // reports the same statistics as an uninterrupted run.
 func TestRunResumable(t *testing.T) {
-	c := ckptCase{"reciprocal", ModeReciprocal, "", ""}
+	c := ckptCase{"reciprocal", ModeReciprocal, ""}
 	digest := ConfigDigest(ckptConfig(c), c.mode, "fft-16-250-42")
 
 	ref := buildCkptCosim(t, c, 42)
@@ -262,7 +254,7 @@ func TestRunResumable(t *testing.T) {
 // versioned error — not a CRC mismatch or a decode panic — so users
 // learn to regenerate the checkpoint rather than suspect corruption.
 func TestCheckpointStaleVersion(t *testing.T) {
-	c := ckptCase{"reciprocal", ModeReciprocal, "", ""}
+	c := ckptCase{"reciprocal", ModeReciprocal, ""}
 	cs := buildCkptCosim(t, c, 42)
 	cs.Run(ckptAt)
 	digest := ConfigDigest(ckptConfig(c), c.mode, "fft-16-250-42")
@@ -298,11 +290,71 @@ func TestCheckpointStaleVersion(t *testing.T) {
 // keeps the hashed string stable; this constant is what notices.
 const goldenDigest = 0x19937b5f0f510cb
 
+// TestConfigDigestsPinned widens the golden digest to a table: the
+// digest of every checkpoint case's config and of the topology, quantum
+// and host-speed variants, as ConfigDigest computed them while Config
+// still had its router-architecture fields. A wrong splice of the
+// retired tokens moves every row; the host-speed rows must equal the
+// plain reciprocal one.
+func TestConfigDigestsPinned(t *testing.T) {
+	want := map[string]uint64{
+		"synchronous":               0x2fb60f5d909c07e4,
+		"abstract":                  0x3f6f36772584b879,
+		"contention":                0x52f761dced2245ac,
+		"reciprocal":                goldenDigest,
+		"reciprocal-gpu":            0xd3de8bcd4781c416,
+		"hybrid":                    0xc3bcc443d8df9849,
+		"calibrated":                0xac2f76de59acf9f6,
+		"synchronous/ddr":           0xe64f479d937a14f0,
+		"abstract/ddr":              0x56a2025a875adc05,
+		"contention/ddr":            0x531bd67c3d776a78,
+		"reciprocal/ddr":            0xd99943d57eac52a7,
+		"reciprocal-gpu/ddr":        0xb5dc8b0f716f278a,
+		"hybrid/ddr":                0xbfa3ff815352d715,
+		"calibrated/ddr":            0x4e6eb3f2aa1f1ea,
+		"reciprocal/mem-abstract":   0x9d99c05cd9f7ffb1,
+		"reciprocal/mem-calibrated": 0xeabe2ae6b0ca4bd8,
+		"torus":                     0x37429688d0de55b6,
+		"oddeven":                   0xf472cd4ac702db0b,
+		"quantum16":                 0x274bf61ac5a44c4,
+		"noc-workers2":              goldenDigest,
+		"disable-gating":            goldenDigest,
+	}
+	type row struct {
+		name string
+		mode Mode
+		cfg  Config
+	}
+	var rows []row
+	for _, c := range checkpointCases() {
+		rows = append(rows, row{c.name, c.mode, ckptConfig(c)})
+	}
+	variant := func(name string, edit func(*Config)) {
+		cfg := DefaultConfig(16)
+		edit(&cfg)
+		rows = append(rows, row{name, ModeReciprocal, cfg})
+	}
+	variant("torus", func(c *Config) { c.Torus = true })
+	variant("oddeven", func(c *Config) { c.Routing = "oddeven" })
+	variant("quantum16", func(c *Config) { c.Quantum = 16 })
+	variant("noc-workers2", func(c *Config) { c.NocWorkers = 2 })
+	variant("disable-gating", func(c *Config) { c.DisableGating = true })
+	if len(rows) != len(want) {
+		t.Errorf("%d digests computed, %d pinned", len(rows), len(want))
+	}
+	for _, r := range rows {
+		w, ok := want[r.name]
+		if got := ConfigDigest(r.cfg, r.mode, "fft-16-250-42"); !ok || got != w {
+			t.Errorf("%s: digest %#x, want %#x (pinned: %v)", r.name, got, w, ok)
+		}
+	}
+}
+
 // TestHostSpeedKnobsInterchangeCheckpoints: the NoC worker count
 // changes host speed only, so it stays out of the digest and a
 // checkpoint written under one setting resumes under another.
 func TestHostSpeedKnobsInterchangeCheckpoints(t *testing.T) {
-	c := ckptCase{"reciprocal", ModeReciprocal, "", ""}
+	c := ckptCase{"reciprocal", ModeReciprocal, ""}
 	fast := ckptConfig(c)
 	fast.NocWorkers = 2
 	digest := ConfigDigest(fast, c.mode, "fft-16-250-42")
@@ -338,7 +390,7 @@ func TestHostSpeedKnobsInterchangeCheckpoints(t *testing.T) {
 // statistics. Regenerate with `go test -run TestGoldenCheckpoint
 // -update-golden` after a deliberate, version-bumped format change.
 func TestGoldenCheckpoint(t *testing.T) {
-	c := ckptCase{"reciprocal", ModeReciprocal, "", ""}
+	c := ckptCase{"reciprocal", ModeReciprocal, ""}
 	digest := ConfigDigest(ckptConfig(c), c.mode, "fft-16-250-42")
 	if digest != goldenDigest {
 		t.Fatalf("the golden config's digest moved from %#x to %#x: existing checkpoints are orphaned", uint64(goldenDigest), digest)

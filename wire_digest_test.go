@@ -32,8 +32,8 @@ func midRunBlob(t testing.TB, c ckptCase) []byte {
 }
 
 // TestWireDigests pins the checkpoint bytes of every co-simulation
-// mode, both router engines and every memory model: the golden file
-// covers one VC-router case, this table the other seventeen.
+// mode and every memory model: the golden file covers one case, this
+// table the other fifteen.
 // testdata/wire-digests.txt holds one "name length sha256" line per
 // case; regenerate it with -update-golden only after a deliberate,
 // version-bumped format change.
