@@ -149,8 +149,8 @@ func (c *Contention) Latency(src, dst, flits int, now sim.Cycle) float64 {
 
 // Tuned wraps a base model with an affine correction fit from
 // detailed-simulator observations: latency = alpha*base + beta. The
-// co-simulation coordinator feeds it (predicted, observed) pairs at
-// every synchronization quantum; Retune refits by least squares over
+// co-simulation coordinator feeds its Fit (predicted, observed) pairs
+// at every synchronization quantum and refits it by least squares over
 // a sliding window. This is the "reciprocal" direction in which the
 // detailed component abstracts itself back to the system simulator.
 // The fit itself is the generic calib.Affine, shared with the abstract
@@ -184,17 +184,3 @@ func (t *Tuned) Latency(src, dst, flits int, now sim.Cycle) float64 {
 // Fit exposes the underlying affine correction, so a calibration
 // pairing (calib.Reciprocal) can feed it directly.
 func (t *Tuned) Fit() *calib.Affine { return t.fit }
-
-// Coeffs reports the current correction coefficients (telemetry,
-// tests, tables).
-func (t *Tuned) Coeffs() (alpha, beta float64) { return t.fit.Coeffs() }
-
-// Observe records one (base-model prediction, detailed observation)
-// latency pair.
-func (t *Tuned) Observe(predicted, observed float64) { t.fit.Observe(predicted, observed) }
-
-// Retune refits the affine correction over the observation window.
-func (t *Tuned) Retune() { t.fit.Retune() }
-
-// ObservationCount reports how many pairs are in the fit window.
-func (t *Tuned) ObservationCount() int { return t.fit.ObservationCount() }

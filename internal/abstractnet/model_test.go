@@ -102,10 +102,10 @@ func TestTunedRetuneFitsAffine(t *testing.T) {
 	tuned := NewTuned(NewFixed(m, DefaultParams()), 64)
 	// Observations follow observed = 2*pred + 10 exactly.
 	for pred := 10.0; pred <= 50; pred += 2 {
-		tuned.Observe(pred, 2*pred+10)
+		tuned.Fit().Observe(pred, 2*pred+10)
 	}
-	tuned.Retune()
-	a, b := tuned.Coeffs()
+	tuned.Fit().Retune()
+	a, b := tuned.Fit().Coeffs()
 	if !almostEq(a, 2) || !almostEq(b, 10) {
 		t.Errorf("fit = %v, %v; want 2, 10", a, b)
 	}
@@ -120,10 +120,10 @@ func TestTunedDegenerateWindow(t *testing.T) {
 	// Constant predictions: slope is unidentifiable; fall back to
 	// offset-only correction.
 	for i := 0; i < 10; i++ {
-		tuned.Observe(20, 35)
+		tuned.Fit().Observe(20, 35)
 	}
-	tuned.Retune()
-	a, b := tuned.Coeffs()
+	tuned.Fit().Retune()
+	a, b := tuned.Fit().Coeffs()
 	if !almostEq(a, 1) || !almostEq(b, 15) {
 		t.Errorf("degenerate fit = %v, %v; want 1, 15", a, b)
 	}
@@ -132,20 +132,20 @@ func TestTunedDegenerateWindow(t *testing.T) {
 func TestTunedWindowSliding(t *testing.T) {
 	tuned := NewTuned(NewFixed(mesh8(), DefaultParams()), 16)
 	for i := 0; i < 100; i++ {
-		tuned.Observe(float64(i), float64(i))
+		tuned.Fit().Observe(float64(i), float64(i))
 	}
-	if tuned.ObservationCount() != 16 {
-		t.Errorf("window size = %d, want 16", tuned.ObservationCount())
+	if tuned.Fit().ObservationCount() != 16 {
+		t.Errorf("window size = %d, want 16", tuned.Fit().ObservationCount())
 	}
 }
 
 func TestTunedGuardsAgainstWildFits(t *testing.T) {
 	tuned := NewTuned(NewFixed(mesh8(), DefaultParams()), 64)
 	// A pathological window that would fit a negative slope.
-	tuned.Observe(10, 1000)
-	tuned.Observe(10.0001, 1)
-	tuned.Retune()
-	a, _ := tuned.Coeffs()
+	tuned.Fit().Observe(10, 1000)
+	tuned.Fit().Observe(10.0001, 1)
+	tuned.Fit().Retune()
+	a, _ := tuned.Fit().Coeffs()
 	if a < 0.1 || a > 10 {
 		t.Errorf("guard failed: alpha = %v", a)
 	}

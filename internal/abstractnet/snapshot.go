@@ -37,15 +37,15 @@ func (t *Tuned) State(c *snapshot.Codec) {
 
 // State walks the abstract backend's state: the analytical model
 // (including any tuned-correction fit), the pending-delivery set,
-// per-source serialization horizons, and statistics. pc describes
-// packet payloads; nil requires all payloads nil. The target of a
+// per-source serialization horizons, and statistics. walk describes
+// packet payloads; nil requires every payload zero. The target of a
 // decode is a network built over the same model construction; track
 // (optional) observes every decoded pending packet.
 //
 // The tuned model owned by the hybrid and calibrated coordinators is
 // the same object this network holds, so its state travels here and
 // the coordinators must not walk it again.
-func (n *Network) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
+func (n *Network) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet)) {
 	c.Section("absnet")
 	snapshot.Match(c, (*snapshot.Codec).String, n.model.Name(), "model")
 	if c.Err() != nil {
@@ -74,7 +74,7 @@ func (n *Network) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(
 		}
 		p := *pp
 		c.Enter("pending", i)
-		p.State(c, pc)
+		p.State(c, walk)
 		c.Leave()
 		if i++; c.Decoding() && c.Err() == nil {
 			n.pending.Schedule(p.DeliveredAt, p)

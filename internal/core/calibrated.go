@@ -116,3 +116,9 @@ func (c *Calibrated) InFlight() int { return c.timing.InFlight() }
 
 // Close implements Backend.
 func (c *Calibrated) Close() { c.detailed.Close() }
+
+// ActivityStats reports the detailed side's activity gating.
+func (c *Calibrated) ActivityStats() noc.ActivityStats { return detailedActivity(c.detailed) }
+
+// FlitsSwitched reports the detailed side's switching activity.
+func (c *Calibrated) FlitsSwitched() uint64 { return detailedFlits(c.detailed) }

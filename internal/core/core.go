@@ -35,6 +35,14 @@
 // packet network is a Backend as it stands, and the coordinator draws
 // every packet it injects from the backend's free list and hands it
 // back after delivery (Backend.NewPacket, Backend.Recycle).
+//
+// Messages cross both component boundaries as values. A system message
+// travels in its packet's fixed payload (Kind, Line, Value beside the
+// endpoints), which SenderFor fills and Step reads back; a memory
+// access is a dram.Request holding the requester's tag and a data
+// word, and its completion comes back as a dram.Completion. Nothing
+// crossing either boundary is boxed or carries a closure, so there is
+// nothing to rebuild when a checkpoint is restored.
 package core
 
 import (
@@ -44,12 +52,12 @@ import (
 )
 
 // Component is the contract every reciprocally abstracted component
-// presents to the quantum scheduler: typed requests go in mid-window
-// (through a component-specific enqueue surface), the component is
-// advanced to the next quantum boundary in one batch, and timestamped
-// completions come back out at the boundary. The network Backend below
-// and the memory oracles (internal/dram.Oracle, adapted in cosim.go)
-// are its two instances. Components advance over disjoint state; Cosim
+// presents to the quantum scheduler: requests go in mid-window as
+// values (through a component-specific enqueue surface), the component
+// is advanced to the next quantum boundary in one batch, and
+// timestamped completions come back out at the boundary as values. The
+// network Backend below and the memory oracles (internal/dram.Oracle,
+// adapted in cosim.go) are its two instances. Components advance over disjoint state; Cosim
 // steps them in registry order at every quantum boundary.
 type Component interface {
 	// Name identifies the component in tables and logs.

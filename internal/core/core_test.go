@@ -207,8 +207,13 @@ func TestCosimRejectsBadQuantum(t *testing.T) {
 func TestSenderForMapsMessages(t *testing.T) {
 	b := abstractBackend()
 	send := SenderFor(b)
-	send(fullsys.Msg{Type: fullsys.DataM, Src: 1, Dst: 2}, 5)
-	send(fullsys.Msg{Type: fullsys.GetS, Src: 2, Dst: 1}, 5)
+	sent := []fullsys.Msg{
+		{Type: fullsys.DataM, Line: 0x40, Src: 1, Dst: 2, Value: 7},
+		{Type: fullsys.GetS, Line: 0x80, Src: 2, Dst: 1},
+	}
+	for _, m := range sent {
+		send(m, 5)
+	}
 	if b.InFlight() != 2 {
 		t.Fatalf("in-flight = %d", b.InFlight())
 	}
@@ -218,13 +223,43 @@ func TestSenderForMapsMessages(t *testing.T) {
 		t.Fatalf("drained %d", len(pkts))
 	}
 	for _, p := range pkts {
-		msg := p.Payload.(fullsys.Msg)
+		msg := unpack(p)
+		if msg != sent[0] && msg != sent[1] {
+			t.Errorf("packet %+v carries %v, which was not sent", p, msg)
+		}
 		if p.VNet != msg.Type.VNet() || p.Size != msg.Flits() {
 			t.Errorf("mapping wrong: %+v from %v", p, msg)
 		}
 		if msg.Type == fullsys.DataM && p.Size != 5 {
 			t.Errorf("data message should be 5 flits, got %d", p.Size)
 		}
+	}
+}
+
+// A message rides in its packet by value: with the backend's free list
+// warm, a send, its delivery and the packet's recycling allocate
+// nothing.
+func TestSenderForAllocatesNothing(t *testing.T) {
+	if sim.Checking {
+		t.Skip("simcheck build: the inject-order and queue asserts box their arguments")
+	}
+	b := abstractBackend()
+	send := SenderFor(b)
+	at := sim.Cycle(0)
+	roundTrip := func() {
+		send(fullsys.Msg{Type: fullsys.DataM, Line: 0x40, Src: 1, Dst: 2, Value: 7}, at)
+		at += 100
+		b.AdvanceTo(at)
+		for _, p := range b.Drain() {
+			if unpack(p).Value != 7 {
+				t.Fatalf("packet %+v lost its message", p)
+			}
+			b.Recycle(p)
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Errorf("a message round trip allocates %v times, want 0", allocs)
 	}
 }
 
@@ -250,8 +285,8 @@ func TestHybridRoutesBySchedule(t *testing.T) {
 	if share := h.DetailedShare(); share != 0.5 {
 		t.Errorf("detailed share = %v, want 0.5", share)
 	}
-	if tuned.ObservationCount() != 1 {
-		t.Errorf("observations = %d, want 1 (only the sampled packet)", tuned.ObservationCount())
+	if tuned.Fit().ObservationCount() != 1 {
+		t.Errorf("observations = %d, want 1 (only the sampled packet)", tuned.Fit().ObservationCount())
 	}
 }
 
@@ -289,7 +324,7 @@ func TestCalibratedShadowsAndObserves(t *testing.T) {
 	if cal.Tracker().Count() != 20 {
 		t.Fatalf("shadow measured %d packets", cal.Tracker().Count())
 	}
-	if tuned.ObservationCount() == 0 {
+	if tuned.Fit().ObservationCount() == 0 {
 		t.Error("no calibration observations collected")
 	}
 	if cal.TimingTracker().Count() != 20 {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/fullsys"
+	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -125,14 +126,25 @@ func SenderFor(backend Backend) fullsys.Sender {
 			lastInject[m.Src] = at
 		}
 		p := backend.NewPacket()
-		p.Src = m.Src
-		p.Dst = m.Dst
 		p.VNet = m.Type.VNet()
 		p.Class = m.Type.Class()
 		p.Size = m.Flits()
-		p.Payload = m
+		pack(p, m)
 		backend.Inject(p, at)
 	}
+}
+
+// pack stores message m in packet p: its endpoints as the packet's,
+// the type as Kind (offset by one, so Kind 0 stays "no payload"), the
+// line and the value.
+func pack(p *noc.Packet, m fullsys.Msg) {
+	p.Src, p.Dst = m.Src, m.Dst
+	p.Kind, p.Line, p.Value = uint8(m.Type)+1, m.Line, m.Value
+}
+
+// unpack rebuilds the message a packet carries.
+func unpack(p *noc.Packet) fullsys.Msg {
+	return fullsys.Msg{Type: fullsys.MsgType(p.Kind - 1), Line: p.Line, Src: p.Src, Dst: p.Dst, Value: p.Value}
 }
 
 // Build constructs the system over the workload and couples it to the
@@ -242,7 +254,7 @@ func (c *Cosim) Step() bool {
 					mp.Oracle.Name(), done.At, c.cycle)
 			}
 			memDone++
-			c.Sys.CompleteMem(done.Meta, done.At)
+			c.Sys.CompleteMem(mp.Tile, done)
 		}
 	}
 	for _, p := range c.Net.Drain() {
@@ -272,7 +284,7 @@ func (c *Cosim) Step() bool {
 		}
 		netDone++
 		c.delivered++
-		c.Sys.Deliver(p.Payload.(fullsys.Msg), p.DeliveredAt)
+		c.Sys.Deliver(unpack(p), p.DeliveredAt)
 		c.Net.Recycle(p)
 	}
 	if h != nil {

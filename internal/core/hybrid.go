@@ -122,3 +122,9 @@ func (h *Hybrid) DetailedShare() float64 {
 
 // Close implements Backend.
 func (h *Hybrid) Close() { h.detailed.Close() }
+
+// ActivityStats reports the detailed side's activity gating.
+func (h *Hybrid) ActivityStats() noc.ActivityStats { return detailedActivity(h.detailed) }
+
+// FlitsSwitched reports the detailed side's switching activity.
+func (h *Hybrid) FlitsSwitched() uint64 { return detailedFlits(h.detailed) }

@@ -80,17 +80,36 @@ type obsHandles struct {
 }
 
 // flitSwitcher is the optional switching-activity surface of a
-// backend (satisfied by either cycle-level network).
+// backend (satisfied by the cycle-level network, and by Hybrid and
+// Calibrated for their detailed side).
 type flitSwitcher interface{ FlitsSwitched() uint64 }
 
 // activityReporter is the optional activity-gating telemetry surface
-// of a backend (satisfied by either cycle-level network and the GPU
-// offload).
+// of a backend (satisfied by the cycle-level network, the GPU offload,
+// and by Hybrid and Calibrated for their detailed side).
 type activityReporter interface{ ActivityStats() noc.ActivityStats }
 
 // shardReporter is the optional sharded-stepping telemetry surface of
-// a backend (satisfied by either cycle-level network).
+// a backend (satisfied by the cycle-level network).
 type shardReporter interface{ ShardStats() noc.ShardStats }
+
+// detailedActivity and detailedFlits read the NoC telemetry of a
+// composite backend's detailed side (zero when it exposes none): a
+// hybrid or calibrated run reports those numbers as its own, because
+// that side does most of the run's work.
+func detailedActivity(b Backend) noc.ActivityStats {
+	if ar, ok := b.(activityReporter); ok {
+		return ar.ActivityStats()
+	}
+	return noc.ActivityStats{}
+}
+
+func detailedFlits(b Backend) uint64 {
+	if fs, ok := b.(flitSwitcher); ok {
+		return fs.FlitsSwitched()
+	}
+	return 0
+}
 
 // wallHistBins sizes the host-time histograms: 10us bins up to 10ms.
 const (

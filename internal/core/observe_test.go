@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"repro/internal/abstractnet"
 	"repro/internal/fullsys"
+	"repro/internal/noc/topology"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -69,5 +71,48 @@ func TestMetricsWallObserverAddsNoAllocs(t *testing.T) {
 	observed := allocs(&obs.Options{Metrics: true, Wall: true})
 	if observed > plain {
 		t.Errorf("a Metrics+Wall observer allocates on the step path: %.0f allocs/Step against %.0f unobserved", observed, plain)
+	}
+}
+
+// TestCompositeReportsDetailedNoC: in hybrid and calibrated runs the
+// detailed side does most of the work, so its NoC numbers are the
+// run's: the registry carries the stepping and switching the detailed
+// network did.
+func TestCompositeReportsDetailedNoC(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(det Backend, tuned *abstractnet.Tuned) (Backend, error)
+	}{
+		{"calibrated", func(det Backend, tuned *abstractnet.Tuned) (Backend, error) {
+			return NewCalibrated(det, tuned, 500)
+		}},
+		{"hybrid", func(det Backend, tuned *abstractnet.Tuned) (Backend, error) {
+			return NewHybrid(det, tuned, 1000, 500)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := topology.NewMesh(4, 4, 1)
+			tuned := abstractnet.NewTuned(abstractnet.NewFixed(m, abstractnet.DefaultParams()), 64)
+			b, err := c.build(detailedMeshBackend(t), tuned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, err := Build(fullsys.DefaultConfig(16), workload.NewFFT(16, 100, 42), b, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ob := obs.New(obs.Options{Metrics: true})
+			cs.SetObserver(ob)
+			if res := cs.Run(2_000_000); !res.Finished {
+				t.Fatalf("workload did not finish: %+v", res)
+			}
+			got := map[string]float64{}
+			ob.Metrics().Visit(func(v obs.MetricView) { got[v.Name] = v.Value })
+			for _, name := range []string{"net.cycles_stepped", "net.flits_switched", "net.active_occupancy"} {
+				if got[name] <= 0 {
+					t.Errorf("%s = %v, want > 0 from the detailed side", name, got[name])
+				}
+			}
+		})
 	}
 }

@@ -3,30 +3,29 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/fullsys"
 	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
 // BackendStater is implemented by network backends that support
-// checkpointing. pc describes packet payloads (the system's Msg
-// values); track, when non-nil, observes every decoded in-flight
-// packet so pointer-keyed caller state can be rebuilt.
+// checkpointing. walk describes packet payloads (the system's
+// messages, msgWalk); track, when non-nil, observes every decoded
+// in-flight packet so pointer-keyed caller state can be rebuilt.
 type BackendStater interface {
-	State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet))
+	State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet))
 }
 
 // stateOf walks a backend nested in another, which must support
 // checkpointing: every packet network and every Backend in this
 // module but Recorder does.
-func stateOf(c *snapshot.Codec, backend interface{}, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
+func stateOf(c *snapshot.Codec, backend interface{}, walk noc.PayloadWalk, track func(*noc.Packet)) {
 	bs, ok := backend.(BackendStater)
 	if !ok {
 		c.Failf("backend %T does not support checkpointing", backend)
 		return
 	}
-	bs.State(c, pc, track)
+	bs.State(c, walk, track)
 }
 
 // packetLess orders packets by ID for byte-stable snapshots of
@@ -54,17 +53,17 @@ func packetKey(byID map[uint64]*noc.Packet) func(*snapshot.Codec, **noc.Packet) 
 // State implements BackendStater for the sampling backend. The tuned
 // model's state is carried inside the abstract network's (they share
 // the object), so it is not walked separately.
-func (h *Hybrid) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
+func (h *Hybrid) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet)) {
 	c.Section("hybrid")
 	h.tracker.State(c)
 	byID := make(map[uint64]*noc.Packet)
-	stateOf(c, h.detailed, pc, func(p *noc.Packet) {
+	stateOf(c, h.detailed, walk, func(p *noc.Packet) {
 		byID[p.ID] = p
 		if track != nil {
 			track(p)
 		}
 	})
-	h.abstract.State(c, pc, track)
+	h.abstract.State(c, walk, track)
 	h.pair.State(c, packetLess, packetKey(byID))
 	if c.Decoding() && c.Err() == nil {
 		h.rederive()
@@ -77,15 +76,32 @@ func (h *Hybrid) rederive() { h.drainBuf = h.drainBuf[:0] }
 
 // State implements BackendStater for the calibrated backend. The
 // timing network carries the shared tuned model's state; the shadow
-// detailed network's packets have no payloads, so it is walked with a
-// nil codec regardless of pc.
-func (cb *Calibrated) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
+// detailed network's packets carry no payload, so it is walked without
+// a payload walk, whatever walk is.
+func (cb *Calibrated) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet)) {
 	c.Section("calibrated")
 	c.U64(&cb.shadowed)
-	cb.timing.State(c, pc, track)
+	cb.timing.State(c, walk, track)
 	byID := make(map[uint64]*noc.Packet)
 	stateOf(c, cb.detailed, nil, func(p *noc.Packet) { byID[p.ID] = p })
 	cb.pair.State(c, packetLess, packetKey(byID))
+}
+
+// msgWalk is the payload walk of the system's packets: a presence
+// byte, then the message (fullsys.Msg.State) with the packet's
+// endpoints in it. Decoding checks that second copy of the endpoints
+// and keeps it: delivery has always gone by it, and the abstract
+// network checks no endpoints of its own.
+func msgWalk(tiles int) noc.PayloadWalk {
+	return func(c *snapshot.Codec, p *noc.Packet) {
+		present := p.Kind != 0
+		if c.Bool(&present); !present {
+			return
+		}
+		m := unpack(p)
+		m.State(c, tiles)
+		pack(p, m)
+	}
 }
 
 // SnapshotTo writes the full co-simulation state: coordinator
@@ -124,7 +140,7 @@ func (cs *Cosim) state(c *snapshot.Codec, withNet bool) error {
 		cs.Sys.SetSender(SenderFor(cs.Net))
 	}
 	if cs.Sys.State(c); withNet && c.Err() == nil {
-		bs.State(c, fullsys.MsgCodec{Tiles: cs.Sys.Cfg().Tiles}, nil)
+		bs.State(c, msgWalk(cs.Sys.Cfg().Tiles), nil)
 	}
 	return c.Err()
 }

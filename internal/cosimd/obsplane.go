@@ -3,6 +3,7 @@
 package cosimd
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
 	"runtime/pprof"
@@ -212,20 +213,11 @@ func (so *sessionObs) afterSlice(cs *core.Cosim, consumed uint64) []byte {
 
 // metricsSnapshot marshals the observer's registry.
 func metricsSnapshot(ob *obs.Observer) []byte {
-	var buf jsonBuffer
+	var buf bytes.Buffer
 	if err := ob.WriteMetrics(&buf); err != nil {
 		return nil
 	}
-	return buf.bytes
-}
-
-// jsonBuffer is a minimal io.Writer (avoids importing bytes for one
-// call site).
-type jsonBuffer struct{ bytes []byte }
-
-func (b *jsonBuffer) Write(p []byte) (int, error) {
-	b.bytes = append(b.bytes, p...)
-	return len(p), nil
+	return buf.Bytes()
 }
 
 // publishMetricsDelta publishes what changed in the registry since the
@@ -328,12 +320,12 @@ func (s *Server) dumpFlight(so *sessionObs, why string) {
 	if so.flight == nil || so.flight.Total() == 0 {
 		return
 	}
-	var buf jsonBuffer
+	var buf bytes.Buffer
 	if err := so.flight.WriteJSON(&buf); err != nil {
 		return
 	}
 	path := filepath.Join(s.opts.StateDir, so.id+".flight.json")
-	if err := ckpt.WriteFile(path, buf.bytes); err != nil {
+	if err := ckpt.WriteFile(path, buf.Bytes()); err != nil {
 		s.logf("flight dump %s (%s) failed: %v", so.id, why, err)
 		return
 	}

@@ -9,6 +9,13 @@
 // Timing parameters are expressed in core cycles (the DRAM clock is
 // folded into the constants), which keeps the model in the single
 // clock domain the rest of the simulator uses.
+//
+// Requests and completions are plain values. A Request names its line,
+// direction, the requester's tag and a data word; the controller queues
+// it by value and returns a Completion (the finish cycle and the
+// request) from the tick that issues it. The caller's identity is the
+// tag, not a callback, so a checkpoint holds everything a restore
+// needs.
 package dram
 
 import (
@@ -67,20 +74,31 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Request is one outstanding memory access.
+// Request is one memory access. Tag and Data belong to the caller: the
+// controller hands them back with the completion and never reads them.
 type Request struct {
 	// Line is the cache-line address.
 	Line uint64
 	// Write marks a writeback (read-for-fill otherwise).
 	Write bool
-	// Done is called exactly once, at the core cycle the data transfer
-	// completes.
-	Done func(at sim.Cycle)
-	// Meta carries the caller's identity for the request. The
-	// controller never reads it; checkpointing uses it to re-derive
-	// Done, which cannot itself be serialized.
-	Meta interface{}
+	// Tag names the requester: the full-system model's requesting home
+	// tile, the calibrated oracle's shadow-request id.
+	Tag uint64
+	// Data is the word a write carries.
+	Data uint64
+}
 
+// Completion is one finished access: the core cycle its data transfer
+// completed, and the request.
+type Completion struct {
+	At sim.Cycle
+	Request
+}
+
+// queued is a request waiting in the controller: its arrival cycle and
+// the bank and row its line decodes to.
+type queued struct {
+	Request
 	arrived sim.Cycle
 	bank    int
 	row     uint64
@@ -97,7 +115,7 @@ type bank struct {
 type Controller struct {
 	cfg   Config //simlint:derived construction input; restore validates bank count against it
 	banks []bank
-	queue []*Request
+	queue []queued
 
 	busFreeAt sim.Cycle
 
@@ -135,23 +153,21 @@ func (c *Controller) decode(line uint64) (bankIdx int, row uint64) {
 	return bankIdx, row
 }
 
-// Enqueue accepts a request; it reports false when the queue is full
-// (the caller must retry — the fullsys MC retries next cycle).
-func (c *Controller) Enqueue(r *Request, now sim.Cycle) bool {
+// Enqueue accepts a request arriving at cycle now; it reports false
+// when the queue is full (the caller must retry — the fullsys MC
+// retries next cycle).
+func (c *Controller) Enqueue(r Request, now sim.Cycle) bool {
 	if c.cfg.QueueDepth > 0 && len(c.queue) >= c.cfg.QueueDepth {
 		return false
-	}
-	if r.Done == nil {
-		panic("dram: request without completion callback")
 	}
 	if n := len(c.queue); sim.Checking && n > 0 {
 		sim.Assert(c.queue[n-1].arrived <= now, "dram: request arriving at %d enqueued behind one arriving at %d",
 			now, c.queue[n-1].arrived)
 	}
-	r.arrived = now
-	r.bank, r.row = c.decode(r.Line)
-	c.queue = append(c.queue, r)
-	c.nextIssue = min(c.nextIssue, max(now, c.banks[r.bank].readyAt))
+	q := queued{Request: r, arrived: now}
+	q.bank, q.row = c.decode(r.Line)
+	c.queue = append(c.queue, q)
+	c.nextIssue = min(c.nextIssue, max(now, c.banks[q.bank].readyAt))
 	return true
 }
 
@@ -160,9 +176,10 @@ func (c *Controller) Pending() int { return len(c.queue) }
 
 // Tick advances the controller one core cycle: it issues at most one
 // request whose bank and the data bus are available, preferring row
-// hits over older requests (FR-FCFS), and fires completions. A tick
-// before nextIssue cannot issue and costs only the queue-depth sample.
-func (c *Controller) Tick(now sim.Cycle) {
+// hits over older requests (FR-FCFS), and returns the issued request's
+// completion (ok false when nothing issued). A tick before nextIssue
+// cannot issue and costs only the queue-depth sample.
+func (c *Controller) Tick(now sim.Cycle) (done Completion, ok bool) {
 	// Sample only requests that have arrived by this tick, so the
 	// queue-depth statistic means the same thing under per-cycle and
 	// quantum-batched advancement. Arrivals are in nondecreasing order,
@@ -173,14 +190,15 @@ func (c *Controller) Tick(now sim.Cycle) {
 	c.queueSamples.Add(float64(c.seen))
 	if now < c.nextIssue {
 		c.checkSkip(now)
-		return
+		return Completion{}, false
 	}
 	idx := c.pick(now)
 	r := c.queue[idx]
 	c.queue = append(c.queue[:idx], c.queue[idx+1:]...) //simlint:allow alloc in-place removal within the existing backing array, never grows
 	c.seen--
-	c.issue(r, now)
+	done = c.issue(r, now)
 	c.nextIssue = c.earliestIssue()
+	return done, true
 }
 
 // earliestIssue is the minimum over the queue of max(arrived, bank
@@ -188,7 +206,8 @@ func (c *Controller) Tick(now sim.Cycle) {
 // a request, which only Enqueue and issue can move.
 func (c *Controller) earliestIssue() sim.Cycle {
 	next := never
-	for _, r := range c.queue {
+	for i := range c.queue {
+		r := &c.queue[i]
 		next = min(next, max(r.arrived, c.banks[r.bank].readyAt))
 	}
 	return next
@@ -201,8 +220,8 @@ func (c *Controller) checkSkip(now sim.Cycle) {
 		return
 	}
 	depth := 0
-	for _, r := range c.queue {
-		if r.arrived <= now {
+	for i := range c.queue {
+		if c.queue[i].arrived <= now {
 			depth++
 		}
 	}
@@ -219,7 +238,8 @@ func (c *Controller) checkSkip(now sim.Cycle) {
 // requests from the tick's future.
 func (c *Controller) pick(now sim.Cycle) int {
 	oldest := -1
-	for i, r := range c.queue {
+	for i := range c.queue {
+		r := &c.queue[i]
 		if r.arrived > now {
 			continue
 		}
@@ -237,9 +257,9 @@ func (c *Controller) pick(now sim.Cycle) int {
 	return oldest
 }
 
-// issue models the request's command sequence and schedules its
+// issue models the request's command sequence and returns its
 // completion.
-func (c *Controller) issue(r *Request, now sim.Cycle) {
+func (c *Controller) issue(r queued, now sim.Cycle) Completion {
 	b := &c.banks[r.bank]
 	start := now
 	if c.busFreeAt > start {
@@ -271,7 +291,7 @@ func (c *Controller) issue(r *Request, now sim.Cycle) {
 	b.readyAt = done
 	c.busFreeAt = done // burst occupies the shared data bus at the end
 	c.latency.Add(float64(done - r.arrived))
-	r.Done(done)
+	return Completion{At: done, Request: r.Request}
 }
 
 // Stats summarizes the controller's behaviour.

@@ -17,15 +17,12 @@ import (
 // the completion cycle.
 func runAccess(t *testing.T, c *Controller, line uint64, write bool, start sim.Cycle) sim.Cycle {
 	t.Helper()
-	var done sim.Cycle
-	ok := c.Enqueue(&Request{Line: line, Write: write, Done: func(at sim.Cycle) { done = at }}, start)
-	if !ok {
+	if !c.Enqueue(Request{Line: line, Write: write}, start) {
 		t.Fatal("enqueue rejected")
 	}
 	for cyc := start; cyc < start+100000; cyc++ {
-		c.Tick(cyc)
-		if done != 0 {
-			return done
+		if done, ok := c.Tick(cyc); ok {
+			return done.At
 		}
 	}
 	t.Fatal("request never completed")
@@ -91,19 +88,21 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	// Open row 0 of bank 0.
 	runAccess(t, c, 0, false, 0)
 
-	var doneConflict, doneHit sim.Cycle
+	var done [2]sim.Cycle // by tag: conflict, hit
 	otherRow := uint64(cfg.Banks * cfg.RowLines)
 	// Older request conflicts; younger request hits the open row.
-	c.Enqueue(&Request{Line: otherRow, Done: func(at sim.Cycle) { doneConflict = at }}, 1000)
-	c.Enqueue(&Request{Line: 8, Done: func(at sim.Cycle) { doneHit = at }}, 1001)
-	for cyc := sim.Cycle(1002); doneConflict == 0 || doneHit == 0; cyc++ {
-		c.Tick(cyc)
+	c.Enqueue(Request{Line: otherRow, Tag: 0}, 1000)
+	c.Enqueue(Request{Line: 8, Tag: 1}, 1001)
+	for cyc := sim.Cycle(1002); done[0] == 0 || done[1] == 0; cyc++ {
+		if comp, ok := c.Tick(cyc); ok {
+			done[comp.Tag] = comp.At
+		}
 		if cyc > 100000 {
 			t.Fatal("requests stuck")
 		}
 	}
-	if doneHit >= doneConflict {
-		t.Errorf("FR-FCFS should complete the row hit first: hit@%d conflict@%d", doneHit, doneConflict)
+	if done[1] >= done[0] {
+		t.Errorf("FR-FCFS should complete the row hit first: hit@%d conflict@%d", done[1], done[0])
 	}
 }
 
@@ -114,15 +113,13 @@ func TestBankParallelismBeatsSerialBank(t *testing.T) {
 		remaining := len(lines)
 		var last sim.Cycle
 		for _, ln := range lines {
-			c.Enqueue(&Request{Line: ln, Done: func(at sim.Cycle) {
-				remaining--
-				if at > last {
-					last = at
-				}
-			}}, 0)
+			c.Enqueue(Request{Line: ln}, 0)
 		}
 		for cyc := sim.Cycle(0); remaining > 0; cyc++ {
-			c.Tick(cyc)
+			if done, ok := c.Tick(cyc); ok {
+				remaining--
+				last = max(last, done.At)
+			}
 			if cyc > 1000000 {
 				panic("stuck")
 			}
@@ -143,8 +140,8 @@ func TestBoundedQueueRejects(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.QueueDepth = 1
 	c, _ := NewController(cfg)
-	ok1 := c.Enqueue(&Request{Line: 0, Done: func(sim.Cycle) {}}, 0)
-	ok2 := c.Enqueue(&Request{Line: 1, Done: func(sim.Cycle) {}}, 0)
+	ok1 := c.Enqueue(Request{Line: 0}, 0)
+	ok2 := c.Enqueue(Request{Line: 1}, 0)
 	if !ok1 || ok2 {
 		t.Errorf("bounded queue: %v %v", ok1, ok2)
 	}
@@ -164,13 +161,6 @@ func TestValidation(t *testing.T) {
 	if _, err := NewController(bad); err == nil {
 		t.Error("zero tCAS should be rejected")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("nil Done should panic")
-		}
-	}()
-	c, _ := NewController(DefaultConfig())
-	c.Enqueue(&Request{Line: 0}, 0)
 }
 
 func TestRowHitRate(t *testing.T) {
@@ -189,11 +179,12 @@ func TestDeterministicSchedule(t *testing.T) {
 		var done []sim.Cycle
 		for i := uint64(0); i < 40; i++ {
 			line := i * 37 % 4096
-			c.Enqueue(&Request{Line: line, Write: i%3 == 0,
-				Done: func(at sim.Cycle) { done = append(done, at) }}, sim.Cycle(i))
+			c.Enqueue(Request{Line: line, Write: i%3 == 0}, sim.Cycle(i))
 		}
 		for cyc := sim.Cycle(0); len(done) < 40; cyc++ {
-			c.Tick(cyc)
+			if comp, ok := c.Tick(cyc); ok {
+				done = append(done, comp.At)
+			}
 		}
 		return done
 	}
@@ -214,7 +205,7 @@ func TestDeterministicSchedule(t *testing.T) {
 
 // tickExhaustive is the tick before gating: a depth walk and a full
 // FR-FCFS pick on every cycle.
-func (c *Controller) tickExhaustive(now sim.Cycle) {
+func (c *Controller) tickExhaustive(now sim.Cycle) (Completion, bool) {
 	depth := 0
 	for _, r := range c.queue {
 		if r.arrived <= now {
@@ -224,11 +215,11 @@ func (c *Controller) tickExhaustive(now sim.Cycle) {
 	c.queueSamples.Add(float64(depth))
 	idx := c.pick(now)
 	if idx < 0 {
-		return
+		return Completion{}, false
 	}
 	r := c.queue[idx]
 	c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
-	c.issue(r, now)
+	return c.issue(r, now), true
 }
 
 // dramCase is one randomly shaped controller and request program.
@@ -279,32 +270,22 @@ func newDRAMRun(cfg Config, exhaustive bool) (*dramRun, error) {
 	return &dramRun{ctl: ctl, exhaustive: exhaustive}, err
 }
 
-func (r *dramRun) done(id uint64) func(sim.Cycle) {
-	return func(at sim.Cycle) { r.log = append(r.log, completion{id, at}) }
-}
-
 func (r *dramRun) enqueue(id, line uint64, write bool, at sim.Cycle) bool {
-	return r.ctl.Enqueue(&Request{Line: line, Write: write, Done: r.done(id), Meta: id}, at)
+	return r.ctl.Enqueue(Request{Line: line, Write: write, Tag: id}, at)
 }
 
 func (r *dramRun) tick(now sim.Cycle) {
+	tick := r.ctl.Tick
 	if r.exhaustive {
-		r.ctl.tickExhaustive(now)
-	} else {
-		r.ctl.Tick(now)
+		tick = r.ctl.tickExhaustive
+	}
+	if done, ok := tick(now); ok {
+		r.log = append(r.log, completion{done.Tag, done.At})
 	}
 }
 
 func (r *dramRun) state(c *snapshot.Codec) {
-	r.ctl.State(c, func(c *snapshot.Codec, q *Request) {
-		var id uint64
-		if !c.Decoding() {
-			id = q.Meta.(uint64)
-		}
-		if c.U64(&id); c.Decoding() {
-			q.Meta, q.Done = id, r.done(id)
-		}
-	})
+	r.ctl.State(c, func(c *snapshot.Codec, q *Request) { c.U64(&q.Tag) })
 }
 
 func (r *dramRun) encode() []byte {

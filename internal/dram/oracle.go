@@ -8,14 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Completion is one finished memory access surfaced at a drain point:
-// the core cycle the data transfer completed, and the caller's opaque
-// request identity (the fullsys memory message).
-type Completion struct {
-	At   sim.Cycle
-	Meta interface{}
-}
-
 // Oracle is the memory-side component contract of reciprocal
 // abstraction, mirroring the network Backend: the directory enqueues
 // typed requests, the coordinator (or the standalone system) advances
@@ -31,13 +23,13 @@ type Oracle interface {
 	// Enqueue accepts a request arriving at cycle now; it reports
 	// false when a bounded queue is full (the caller retries).
 	// Arrivals must be in nondecreasing time order.
-	Enqueue(line uint64, write bool, meta interface{}, now sim.Cycle) bool
+	Enqueue(r Request, now sim.Cycle) bool
 	// AdvanceTo simulates through the end of cycle c-1, so completions
 	// with At <= c are final.
 	AdvanceTo(c sim.Cycle)
-	// Drain returns completions produced since the last drain, in
-	// deterministic (completion time, arrival order) order. The
-	// returned slice is reused.
+	// Drain returns completions produced since the last drain, each
+	// with its request, in deterministic (completion time, arrival
+	// order) order. The returned slice is reused.
 	Drain() []Completion
 	// Pending reports accepted-but-uncompleted requests.
 	Pending() int
@@ -50,10 +42,9 @@ type Oracle interface {
 }
 
 // DetailedOracle adapts the bank-level Controller to the Oracle
-// contract: completions are buffered instead of fired through a
-// callback, so the controller can be advanced a whole quantum at a
-// time and drained at the boundary — the same exchange the detailed
-// NoC uses.
+// contract: the completions its ticks return are buffered, so the
+// controller can be advanced a whole quantum at a time and drained at
+// the boundary — the same exchange the detailed NoC uses.
 type DetailedOracle struct {
 	ctl   *Controller
 	cycle sim.Cycle
@@ -73,24 +64,8 @@ func NewDetailedOracle(cfg Config) (*DetailedOracle, error) {
 // Name implements Oracle.
 func (o *DetailedOracle) Name() string { return "dram-detailed" }
 
-// done returns the completion callback for a request: buffer the
-// completion for the next drain. Factored out so checkpoint restore
-// rebuilds the identical closure.
-func (o *DetailedOracle) done(meta interface{}) func(sim.Cycle) {
-	return func(at sim.Cycle) {
-		o.buf = append(o.buf, Completion{At: at, Meta: meta})
-	}
-}
-
 // Enqueue implements Oracle.
-func (o *DetailedOracle) Enqueue(line uint64, write bool, meta interface{}, now sim.Cycle) bool {
-	return o.ctl.Enqueue(&Request{
-		Line:  line,
-		Write: write,
-		Done:  o.done(meta),
-		Meta:  meta,
-	}, now)
-}
+func (o *DetailedOracle) Enqueue(r Request, now sim.Cycle) bool { return o.ctl.Enqueue(r, now) }
 
 // AdvanceTo implements Oracle by replaying the controller tick for
 // every cycle in the window. FR-FCFS issues in the same cycles it
@@ -98,13 +73,15 @@ func (o *DetailedOracle) Enqueue(line uint64, write bool, meta interface{}, now 
 // have not arrived at the replayed tick yet.
 func (o *DetailedOracle) AdvanceTo(c sim.Cycle) {
 	for ; o.cycle < c; o.cycle++ {
-		o.ctl.Tick(o.cycle)
+		if done, ok := o.ctl.Tick(o.cycle); ok {
+			o.buf = append(o.buf, done)
+		}
 	}
 }
 
 // Drain implements Oracle. The controller issues at most one request
-// per tick and fires Done at issue, so the buffer is already in
-// deterministic issue order.
+// per tick and returns its completion at issue, so the buffer is
+// already in deterministic issue order.
 func (o *DetailedOracle) Drain() []Completion {
 	o.out = append(o.out[:0], o.buf...)
 	o.buf = o.buf[:0]
@@ -123,11 +100,11 @@ func (o *DetailedOracle) Controller() *Controller { return o.ctl }
 // Close implements Oracle.
 func (o *DetailedOracle) Close() {}
 
-// absPending is one analytically timed in-flight request: the caller's
-// metadata and its arrival sequence, which the snapshot carries.
+// absPending is one analytically timed in-flight request and its
+// arrival sequence, which the snapshot carries.
 type absPending struct {
-	seq  uint64
-	meta interface{}
+	seq uint64
+	req Request
 }
 
 // AbstractOracle is the analytical memory model: a fixed base access
@@ -175,7 +152,7 @@ func (o *AbstractOracle) Fit() *calib.Affine { return o.fit }
 
 // enqueue resolves the completion analytically and reports the
 // predicted total latency (queueing + corrected access) in cycles.
-func (o *AbstractOracle) enqueue(write bool, meta interface{}, now sim.Cycle) float64 {
+func (o *AbstractOracle) enqueue(r Request, now sim.Cycle) float64 {
 	start := now
 	if o.nextFree > start {
 		start = o.nextFree
@@ -186,9 +163,9 @@ func (o *AbstractOracle) enqueue(write bool, meta interface{}, now sim.Cycle) fl
 		lat = 1
 	}
 	at := start + sim.Cycle(lat+0.5)
-	o.pending.Schedule(at, absPending{seq: o.seq, meta: meta})
+	o.pending.Schedule(at, absPending{seq: o.seq, req: r})
 	o.seq++
-	if write {
+	if r.Write {
 		o.writes++
 	} else {
 		o.reads++
@@ -199,8 +176,8 @@ func (o *AbstractOracle) enqueue(write bool, meta interface{}, now sim.Cycle) fl
 }
 
 // Enqueue implements Oracle; the analytical queue is unbounded.
-func (o *AbstractOracle) Enqueue(line uint64, write bool, meta interface{}, now sim.Cycle) bool {
-	o.enqueue(write, meta, now)
+func (o *AbstractOracle) Enqueue(r Request, now sim.Cycle) bool {
+	o.enqueue(r, now)
 	return true
 }
 
@@ -215,7 +192,7 @@ func (o *AbstractOracle) Drain() []Completion {
 		if !ok {
 			break
 		}
-		out = append(out, Completion{At: d.When, Meta: d.Item.meta})
+		out = append(out, Completion{At: d.When, Request: d.Item.req})
 	}
 	o.out = out
 	return out
@@ -279,11 +256,11 @@ func (o *CalibratedOracle) Name() string { return "dram-calibrated" }
 // the abstract model; a shadow copy carries the measurement through
 // the bank-level controller. A full shadow queue only costs the
 // observation — the caller's request is never rejected.
-func (o *CalibratedOracle) Enqueue(line uint64, write bool, meta interface{}, now sim.Cycle) bool {
-	pred := o.abs.enqueue(write, meta, now)
+func (o *CalibratedOracle) Enqueue(r Request, now sim.Cycle) bool {
+	pred := o.abs.enqueue(r, now)
 	id := o.shadowSeq
 	o.shadowSeq++
-	if o.det.Enqueue(line, write, id, now) {
+	if o.det.Enqueue(Request{Line: r.Line, Write: r.Write, Tag: id}, now) {
 		o.pair.Predict(id, pred)
 		o.arrived[id] = now
 	}
@@ -297,10 +274,9 @@ func (o *CalibratedOracle) AdvanceTo(c sim.Cycle) {
 	o.abs.AdvanceTo(c)
 	o.det.AdvanceTo(c)
 	for _, comp := range o.det.Drain() {
-		id := comp.Meta.(uint64)
-		if at, ok := o.arrived[id]; ok {
-			o.pair.Observe(id, float64(comp.At-at))
-			delete(o.arrived, id)
+		if at, ok := o.arrived[comp.Tag]; ok {
+			o.pair.Observe(comp.Tag, float64(comp.At-at))
+			delete(o.arrived, comp.Tag)
 		}
 	}
 	o.pair.MaybeRetune(c)

@@ -5,29 +5,24 @@ import (
 	"repro/internal/snapshot"
 )
 
-// OracleStater is implemented by every oracle in this package: the
-// caller supplies the walk of the opaque request metadata (the fullsys
-// memory message), which the oracle cannot describe itself.
+// OracleStater is implemented by every oracle in this package. The
+// caller supplies meta, the walk of a request in the caller's own
+// layout (for the full-system model, its memory message); what it
+// walks besides Tag and Data may repeat the line and write flag.
 type OracleStater interface {
-	State(c *snapshot.Codec, meta func(*snapshot.Codec, *interface{}))
+	State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request))
 }
 
 // State walks the detailed oracle's clock, undrained completions, and
-// the full controller state; decoding, each queued request's
-// completion callback is rebuilt against this oracle's buffer.
-func (o *DetailedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *interface{})) {
+// the full controller state.
+func (o *DetailedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request)) {
 	c.Section("oracle-detailed")
 	snapshot.As64(c, &o.cycle)
 	snapshot.Slice(c, &o.buf, 17, func(c *snapshot.Codec, done *Completion) {
 		snapshot.As64(c, &done.At)
-		meta(c, &done.Meta)
+		meta(c, &done.Request)
 	})
-	o.ctl.State(c, func(c *snapshot.Codec, r *Request) {
-		meta(c, &r.Meta)
-		if c.Decoding() {
-			r.Done = o.done(r.Meta)
-		}
-	})
+	o.ctl.State(c, meta)
 }
 
 // State walks the abstract oracle's fit, serialization horizon, and
@@ -36,7 +31,7 @@ func (o *DetailedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *in
 // equal bytes. Decoding rejects entries out of that order and
 // re-schedules the rest, in order, into a fresh queue, which then pops
 // them in the same order.
-func (o *AbstractOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *interface{})) {
+func (o *AbstractOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request)) {
 	c.Section("oracle-abstract")
 	o.fit.State(c)
 	snapshot.As64(c, &o.nextFree)
@@ -56,7 +51,7 @@ func (o *AbstractOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *in
 	snapshot.Slice(c, &pending, 17, func(c *snapshot.Codec, d *sim.Deferred[absPending]) {
 		snapshot.As64(c, &d.When)
 		c.U64(&d.Item.seq)
-		meta(c, &d.Item.meta)
+		meta(c, &d.Item.req)
 		if i > 0 && (d.When < prev.When || d.When == prev.When && d.Item.seq <= prev.Item.seq) {
 			c.Failf("pending request (%v, seq %d) is not after (%v, seq %d)", d.When, d.Item.seq, prev.When, prev.Item.seq)
 		} else if c.Decoding() && c.Err() == nil {
@@ -68,21 +63,14 @@ func (o *AbstractOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *in
 }
 
 // State walks both fidelities plus the pairing state. The shadow
-// side's metadata are this oracle's own shadow-request ids, so only
-// the abstract (caller-visible) side uses the caller's meta.
-func (o *CalibratedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *interface{})) {
+// side's requests are tagged with this oracle's own shadow-request
+// ids, so only the abstract (caller-visible) side uses the caller's
+// meta.
+func (o *CalibratedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request)) {
 	c.Section("oracle-calibrated")
 	c.U64(&o.shadowSeq)
 	o.abs.State(c, meta)
-	o.det.State(c, func(c *snapshot.Codec, meta *interface{}) {
-		var id uint64
-		if !c.Decoding() {
-			id = (*meta).(uint64)
-		}
-		if c.U64(&id); c.Decoding() {
-			*meta = id
-		}
-	})
+	o.det.State(c, func(c *snapshot.Codec, r *Request) { c.U64(&r.Tag) })
 	o.pair.State(c,
 		func(a, b uint64) bool { return a < b },
 		func(c *snapshot.Codec, id *uint64) { c.U64(id) })

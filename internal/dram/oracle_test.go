@@ -52,18 +52,14 @@ func TestDetailedOracleMatchesPerCycleController(t *testing.T) {
 	next := 0
 	for now := sim.Cycle(0); now < horizon; now++ {
 		for next < len(accs) && accs[next].at == now {
-			i := next
-			ok := ref.Enqueue(&Request{
-				Line:  accs[i].line,
-				Write: accs[i].write,
-				Done:  func(at sim.Cycle) { refDone[i] = at },
-			}, now)
-			if !ok {
-				t.Fatalf("reference enqueue %d rejected", i)
+			if !ref.Enqueue(Request{Line: accs[next].line, Write: accs[next].write, Tag: uint64(next)}, now) {
+				t.Fatalf("reference enqueue %d rejected", next)
 			}
 			next++
 		}
-		ref.Tick(now)
+		if done, ok := ref.Tick(now); ok {
+			refDone[int(done.Tag)] = done.At
+		}
 	}
 
 	// Oracle: same arrivals, advanced a quantum at a time.
@@ -77,14 +73,14 @@ func TestDetailedOracleMatchesPerCycleController(t *testing.T) {
 	for start := sim.Cycle(0); start < horizon; start += quantum {
 		end := start + quantum
 		for next < len(accs) && accs[next].at < end {
-			if !o.Enqueue(accs[next].line, accs[next].write, next, accs[next].at) {
+			if !o.Enqueue(Request{Line: accs[next].line, Write: accs[next].write, Tag: uint64(next)}, accs[next].at) {
 				t.Fatalf("oracle enqueue %d rejected", next)
 			}
 			next++
 		}
 		o.AdvanceTo(end)
 		for _, c := range o.Drain() {
-			oDone[c.Meta.(int)] = c.At
+			oDone[int(c.Tag)] = c.At
 		}
 	}
 
@@ -109,18 +105,18 @@ func TestAbstractOracleTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Enqueue(1, false, "a", 10)
-	o.Enqueue(2, false, "b", 10) // serialized behind the first
+	o.Enqueue(Request{Line: 1, Tag: 'a'}, 10)
+	o.Enqueue(Request{Line: 2, Tag: 'b'}, 10) // serialized behind the first
 	o.AdvanceTo(200)
 	got := o.Drain()
 	if len(got) != 2 {
 		t.Fatalf("drained %d completions, want 2", len(got))
 	}
-	if got[0].Meta != "a" || got[0].At != 110 {
-		t.Errorf("first completion %v at %d, want a at 110", got[0].Meta, got[0].At)
+	if got[0].Tag != 'a' || got[0].At != 110 {
+		t.Errorf("first completion %c at %d, want a at 110", got[0].Tag, got[0].At)
 	}
-	if got[1].Meta != "b" || got[1].At != 114 {
-		t.Errorf("second completion %v at %d, want b at 114 (4-cycle occupancy)", got[1].Meta, got[1].At)
+	if got[1].Tag != 'b' || got[1].At != 114 {
+		t.Errorf("second completion %c at %d, want b at 114 (4-cycle occupancy)", got[1].Tag, got[1].At)
 	}
 	if o.Pending() != 0 {
 		t.Errorf("pending %d after full drain", o.Pending())
@@ -135,22 +131,14 @@ func TestAbstractOracleRejectsDisorderedQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Enqueue(1, false, uint64(7), 10) // completes at 110
-	o.Enqueue(2, false, uint64(8), 10) // completes at 114
-	meta := func(c *snapshot.Codec, m *interface{}) {
-		var v uint64
-		if !c.Decoding() {
-			v = (*m).(uint64)
-		}
-		if c.U64(&v); c.Decoding() {
-			*m = v
-		}
-	}
+	o.Enqueue(Request{Line: 1, Tag: 7}, 10) // completes at 110
+	o.Enqueue(Request{Line: 2, Tag: 8}, 10) // completes at 114
+	meta := func(c *snapshot.Codec, r *Request) { c.U64(&r.Tag) }
 	e := snapshot.NewEncoder(0)
 	o.State(e.Codec(), meta)
 	blob := e.Finish()
 
-	// The payload ends with the two (at, seq, meta) entries: swap their
+	// The payload ends with the two (at, seq, tag) entries: swap their
 	// completion times and re-seal the CRC.
 	body := blob[:len(blob)-4]
 	first, second := body[len(body)-48:][:8], body[len(body)-24:][:8]
@@ -184,7 +172,7 @@ func TestAbstractOracleAppliesFit(t *testing.T) {
 		o.Fit().Observe(100, 150)
 	}
 	o.Fit().Retune()
-	o.Enqueue(1, false, nil, 0)
+	o.Enqueue(Request{Line: 1}, 0)
 	o.AdvanceTo(1000)
 	got := o.Drain()
 	if len(got) != 1 || got[0].At != 150 {
@@ -206,7 +194,7 @@ func TestCalibratedOracleLearns(t *testing.T) {
 	for start := sim.Cycle(0); next < len(accs); start += 64 {
 		end := start + 64
 		for next < len(accs) && accs[next].at < end {
-			o.Enqueue(accs[next].line, accs[next].write, next, accs[next].at)
+			o.Enqueue(Request{Line: accs[next].line, Write: accs[next].write, Tag: uint64(next)}, accs[next].at)
 			next++
 		}
 		o.AdvanceTo(end)
@@ -231,5 +219,33 @@ func TestCalibratedOracleLearns(t *testing.T) {
 	tuned := o.Fit().Apply(100)
 	if math.Abs(tuned-measured) > math.Abs(100-measured) {
 		t.Errorf("tuned latency %.1f is further from measured %.1f than the untuned base", tuned, measured)
+	}
+}
+
+// Requests and completions cross the detailed oracle by value: once
+// its queue and buffers have grown, an enqueue, the ticks that issue
+// it and the drain that returns it allocate nothing.
+func TestDetailedOracleAllocatesNothing(t *testing.T) {
+	if sim.Checking {
+		t.Skip("simcheck build: the skipped-tick asserts box their arguments")
+	}
+	o, err := NewDetailedOracle(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := sim.Cycle(0)
+	line := uint64(0)
+	cycle := func() {
+		o.Enqueue(Request{Line: line, Write: line%3 == 0, Tag: line, Data: line}, now)
+		line += 37
+		now += 200
+		o.AdvanceTo(now)
+		if got := o.Drain(); len(got) != 1 || got[0].Tag != line-37 {
+			t.Fatalf("drained %+v, want the request just enqueued", got)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("an enqueue-advance-drain cycle allocates %v times, want 0", allocs)
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"repro/internal/snapshot"
 )
 
-// State walks the controller's complete timing and queue state. Queued
-// requests carry an opaque completion callback that cannot be
-// serialized, so the caller supplies meta, which walks enough of
-// Request.Meta to reconstruct Done — and, decoding, must set it;
-// bank/row decode is re-derived from the line address. The queue must
-// be in arrival order, which the tick gate relies on.
+// State walks the controller's complete timing and queue state. The
+// caller supplies meta, which walks a queued request's Tag and Data in
+// its own layout; a line or write flag it repeats is checked there and
+// not kept, the request's own stays. Bank/row decode is re-derived
+// from the line address. The queue must be in arrival order, which the
+// tick gate relies on.
 func (ctl *Controller) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request)) {
 	c.Section("dram")
 	snapshot.Match(c, snapshot.As32[int], len(ctl.banks), "DRAM banks")
@@ -30,24 +30,19 @@ func (ctl *Controller) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Requ
 	ctl.latency.State(c)
 	ctl.queueSamples.State(c)
 	var last sim.Cycle
-	snapshot.Slice(c, &ctl.queue, 17, func(c *snapshot.Codec, rp **Request) {
+	snapshot.Slice(c, &ctl.queue, 17, func(c *snapshot.Codec, q *queued) {
+		c.U64(&q.Line)
+		c.Bool(&q.Write)
+		snapshot.As64(c, &q.arrived)
+		if q.arrived < last {
+			c.Failf("queued request for line %#x arrives at %d, before its predecessor at %d", q.Line, q.arrived, last)
+		}
+		last = q.arrived
+		line, write := q.Line, q.Write
+		meta(c, &q.Request)
+		q.Line, q.Write = line, write
 		if c.Decoding() {
-			*rp = &Request{}
-		}
-		r := *rp
-		c.U64(&r.Line)
-		c.Bool(&r.Write)
-		snapshot.As64(c, &r.arrived)
-		if r.arrived < last {
-			c.Failf("queued request for line %#x arrives at %d, before its predecessor at %d", r.Line, r.arrived, last)
-		}
-		last = r.arrived
-		meta(c, r)
-		if r.Done == nil {
-			c.Failf("queued request for line %#x has no completion callback", r.Line)
-		}
-		if c.Decoding() {
-			r.bank, r.row = ctl.decode(r.Line)
+			q.bank, q.row = ctl.decode(q.Line)
 		}
 	})
 	if c.Decoding() && c.Err() == nil {

@@ -454,7 +454,7 @@ func (t *Tile) handleMC(now sim.Cycle, m Msg) {
 // always flow through the event queue, which keeps each (source, vnet)
 // injection stream monotonic as the network requires.
 func (t *Tile) handleMCOracle(now sim.Cycle, m Msg) {
-	if !t.memOracle.Enqueue(m.Line, m.Type == MemWrite, m, now) {
+	if !t.memOracle.Enqueue(memRequest(m), now) {
 		// Bounded queue full: retry next cycle.
 		t.sys.events.Schedule(now+1, sysEvent{kind: evMCRetry, msg: m})
 	}

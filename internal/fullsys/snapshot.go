@@ -1,8 +1,6 @@
 package fullsys
 
 import (
-	"fmt"
-
 	"repro/internal/dram"
 	"repro/internal/snapshot"
 )
@@ -16,32 +14,8 @@ import (
 // walked in sorted key order, keeping the encoded bytes — and therefore
 // golden snapshot files — deterministic.
 
-// MsgCodec is a snapshot.PayloadCodec describing Msg packet payloads
-// for the network-side snapshot. Tiles bounds endpoint validation.
-type MsgCodec struct {
-	Tiles int
-}
-
-// Payload implements snapshot.PayloadCodec.
-func (mc MsgCodec) Payload(c *snapshot.Codec, payload *interface{}) {
-	present := *payload != nil
-	if c.Bool(&present); !present {
-		return
-	}
-	var m Msg
-	if !c.Decoding() {
-		var ok bool
-		if m, ok = (*payload).(Msg); !ok {
-			panic(fmt.Sprintf("fullsys: packet payload is %T, not Msg", *payload))
-		}
-	}
-	if m.state(c, mc.Tiles); c.Decoding() {
-		*payload = m
-	}
-}
-
-// state walks one message between tiles of a machine of the given size.
-func (m *Msg) state(c *snapshot.Codec, tiles int) {
+// State walks one message between tiles of a machine of the given size.
+func (m *Msg) State(c *snapshot.Codec, tiles int) {
 	snapshot.As8(c, &m.Type)
 	c.U64(&m.Line)
 	c.Int(&m.Src)
@@ -56,7 +30,7 @@ func (m *Msg) state(c *snapshot.Codec, tiles int) {
 
 func (ev *sysEvent) state(c *snapshot.Codec, tiles int) {
 	snapshot.As8(c, &ev.kind)
-	ev.msg.state(c, tiles)
+	ev.msg.State(c, tiles)
 	if ev.kind >= numEvKinds {
 		c.Failf("event kind %d out of range", ev.kind)
 	}
@@ -64,7 +38,7 @@ func (ev *sysEvent) state(c *snapshot.Codec, tiles int) {
 
 // msgs walks a counted list of messages.
 func msgs(c *snapshot.Codec, list *[]Msg, tiles int) {
-	snapshot.Slice(c, list, 33, func(c *snapshot.Codec, m *Msg) { m.state(c, tiles) })
+	snapshot.Slice(c, list, 33, func(c *snapshot.Codec, m *Msg) { m.State(c, tiles) })
 }
 
 // State walks the complete system state: clock, counters, barrier
@@ -189,18 +163,15 @@ func (t *Tile) state(c *snapshot.Codec) {
 	}
 	snapshot.As64(c, &t.mcNextFree)
 	if c.Present(t.memOracle != nil, "memory oracle") {
-		t.memOracle.(dram.OracleStater).State(c, func(c *snapshot.Codec, meta *interface{}) {
-			var m Msg
-			if !c.Decoding() {
-				m = (*meta).(Msg)
-			}
-			m.state(c, tiles)
+		// A request is walked as its memory message. Its destination is
+		// this tile, which decoding checks in range and does not keep.
+		t.memOracle.(dram.OracleStater).State(c, func(c *snapshot.Codec, r *dram.Request) {
+			m := memMsg(t.id, *r)
+			m.State(c, tiles)
 			if m.Type != MemRead && m.Type != MemWrite {
 				c.Failf("memory oracle metadata has non-memory message %v", m)
 			}
-			if c.Decoding() {
-				*meta = m
-			}
+			*r = memRequest(m)
 		})
 	}
 }

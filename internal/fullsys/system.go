@@ -242,7 +242,7 @@ func (s *System) Tick(now sim.Cycle) {
 			}
 			o.AdvanceTo(now + 1)
 			for _, c := range o.Drain() {
-				s.CompleteMem(c.Meta, c.At)
+				s.CompleteMem(mc, c)
 			}
 		}
 	}
@@ -294,16 +294,14 @@ func (s *System) ClaimMemory() []MemPort {
 	return ports
 }
 
-// CompleteMem applies one drained memory completion: the data access
-// and the response message fire at the completion cycle when it is
-// still in the future, and are clamped to the current cycle otherwise
-// — the same bounded skew Deliver applies to network deliveries that
-// complete inside an already simulated quantum.
-func (s *System) CompleteMem(meta interface{}, at sim.Cycle) {
-	m, ok := meta.(Msg)
-	if !ok {
-		panic(fmt.Sprintf("fullsys: memory completion carries %T, want Msg", meta))
-	}
+// CompleteMem applies one completion drained from the memory oracle of
+// controller tile mc: the data access and the response message fire at
+// the completion cycle when it is still in the future, and are clamped
+// to the current cycle otherwise — the same bounded skew Deliver
+// applies to network deliveries that complete inside an already
+// simulated quantum.
+func (s *System) CompleteMem(mc int, done dram.Completion) {
+	m, at := memMsg(mc, done.Request), done.At
 	if at <= s.now {
 		if at < s.now {
 			s.obsClampMem.Inc()
@@ -312,6 +310,22 @@ func (s *System) CompleteMem(meta interface{}, at sim.Cycle) {
 		return
 	}
 	s.events.Schedule(at, sysEvent{kind: evDramDone, msg: m})
+}
+
+// memRequest is the oracle request for memory message m: the
+// requesting home tile is its tag, a write's value its data word.
+func memRequest(m Msg) dram.Request {
+	return dram.Request{Line: m.Line, Write: m.Type == MemWrite, Tag: uint64(m.Src), Data: m.Value}
+}
+
+// memMsg rebuilds the memory message behind request r to controller
+// tile mc.
+func memMsg(mc int, r dram.Request) Msg {
+	m := Msg{Type: MemRead, Line: r.Line, Src: int(r.Tag), Dst: mc, Value: r.Data}
+	if r.Write {
+		m.Type = MemWrite
+	}
+	return m
 }
 
 // Deliver hands a network-delivered message to its destination tile.

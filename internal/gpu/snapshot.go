@@ -14,7 +14,7 @@ import (
 // are identical with gating on or off. The target of a decode is a
 // backend built over an identically configured network and device
 // model.
-func (b *Backend) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*noc.Packet)) {
+func (b *Backend) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet)) {
 	c.Section("gpu")
 	c.U64(&b.stats.Quanta)
 	c.F64(&b.stats.TransferNs)
@@ -25,7 +25,7 @@ func (b *Backend) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(
 	if c.Err() != nil {
 		return
 	}
-	if b.net.State(c, pc, track); c.Decoding() && c.Err() == nil {
+	if b.net.State(c, walk, track); c.Decoding() && c.Err() == nil {
 		b.rederive()
 	}
 }

@@ -19,6 +19,10 @@ type Packet struct {
 	VNet int
 	// Class labels the packet for latency statistics.
 	Class stats.LatencyClass
+	// Kind, Line and Value are the client's payload, carried and never
+	// read: a message kind (0 for a packet that carries nothing) and
+	// two words.
+	Kind uint8
 	// Size is the packet length in flits (>= 1).
 	Size int
 	// CreatedAt is when the packet entered its source injection queue;
@@ -26,9 +30,8 @@ type Packet struct {
 	// DeliveredAt is when its tail flit reached the destination NI.
 	CreatedAt, InjectedAt, DeliveredAt sim.Cycle
 	// Hops counts router traversals (1 for terminals sharing a router).
-	Hops int
-	// Payload carries the client's message through the network opaquely.
-	Payload interface{}
+	Hops        int
+	Line, Value uint64
 }
 
 // QueueingLatency reports cycles spent waiting in the source NI.

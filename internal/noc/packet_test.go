@@ -3,6 +3,7 @@ package noc
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
@@ -156,6 +157,15 @@ func TestLinkCollisionPanics(t *testing.T) {
 	}()
 	// Same arrival slot without an intervening receive.
 	n.at(2).sendFlit(3, linkFlit{pkt: &Packet{Size: 1}})
+}
+
+// The client's payload is a kind byte beside Class and two words, so
+// a packet is 96 bytes: the size packet memory and the free list are
+// tuned around.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 96 {
+		t.Errorf("Packet is %d bytes, want 96", got)
+	}
 }
 
 func TestPacketLatencyAccessors(t *testing.T) {

@@ -19,11 +19,21 @@ import (
 // hands every decoded packet to the caller so pointer-keyed client
 // state (e.g. hybrid-mode latency predictions) can be rebuilt.
 
-// State walks the packet's fields and, through pc, its opaque payload;
-// with a nil codec every payload must be nil. It is the one
-// description of a packet: every network that carries packets walks
-// them with it.
-func (p *Packet) State(c *snapshot.Codec, pc snapshot.PayloadCodec) {
+// PayloadWalk walks a packet's payload (Kind, Line, Value) in its
+// client's layout, after the packet's own fields and checks. A layout
+// that repeats the endpoints may set them: decoding, the walk's copy is
+// the one kept. A nil walk is for packets that carry none.
+type PayloadWalk func(c *snapshot.Codec, p *Packet)
+
+// State walks the packet's fields and, through walk, its payload. It
+// is the one description of a packet: every network that carries
+// packets walks them with it.
+func (p *Packet) State(c *snapshot.Codec, walk PayloadWalk) {
+	p.fields(c)
+	p.payload(c, walk)
+}
+
+func (p *Packet) fields(c *snapshot.Codec) {
 	c.U64(&p.ID)
 	c.Int(&p.Src)
 	c.Int(&p.Dst)
@@ -37,10 +47,13 @@ func (p *Packet) State(c *snapshot.Codec, pc snapshot.PayloadCodec) {
 	if p.Size < 1 {
 		c.Failf("packet size %d < 1", p.Size)
 	}
-	if pc != nil {
-		pc.Payload(c, &p.Payload)
-	} else if p.Payload != nil {
-		panic(fmt.Sprintf("noc: packet %v has a payload but no codec was supplied", p))
+}
+
+func (p *Packet) payload(c *snapshot.Codec, walk PayloadWalk) {
+	if walk != nil {
+		walk(c, p)
+	} else if p.Kind != 0 || p.Line != 0 || p.Value != 0 {
+		panic(fmt.Sprintf("noc: packet %v has a non-zero payload without a walk", p))
 	}
 }
 
@@ -69,7 +82,7 @@ func (pt *packetTable) add(p *Packet) {
 
 // state walks the table itself. terminals/vnets bound the endpoint
 // fields; track (optional) observes every decoded packet.
-func (pt *packetTable) state(c *snapshot.Codec, pc snapshot.PayloadCodec, terminals, vnets int, track func(*Packet)) {
+func (pt *packetTable) state(c *snapshot.Codec, walk PayloadWalk, terminals, vnets int, track func(*Packet)) {
 	c.Section("pkts")
 	i := 0
 	snapshot.Slice(c, &pt.list, 40, func(c *snapshot.Codec, pp **Packet) {
@@ -78,7 +91,9 @@ func (pt *packetTable) state(c *snapshot.Codec, pc snapshot.PayloadCodec, termin
 		}
 		p := *pp
 		c.Enter("pkt", i)
-		p.State(c, pc)
+		// The packet's own endpoints are checked before a payload walk
+		// can replace them with its copy.
+		p.fields(c)
 		if p.Src < 0 || p.Src >= terminals || p.Dst < 0 || p.Dst >= terminals {
 			c.Failf("packet endpoints %d->%d out of range [0,%d)", p.Src, p.Dst, terminals)
 		} else if p.VNet < 0 || p.VNet >= vnets {
@@ -86,6 +101,7 @@ func (pt *packetTable) state(c *snapshot.Codec, pc snapshot.PayloadCodec, termin
 		} else if p.Class >= stats.NumClasses {
 			c.Failf("packet class %d out of range", p.Class)
 		}
+		p.payload(c, walk)
 		c.Leave()
 		if c.Decoding() && c.Err() == nil && track != nil {
 			track(p)
@@ -143,11 +159,11 @@ func fifo[T any](c *snapshot.Codec, buf *[]T, head *int, perItemMin int, elem fu
 // buffer), the VC masks and the wake schedule are not part of it:
 // rederive rebuilds them when a decode succeeds. The wire format
 // predates the flat state layout and is organised by router, VC and
-// link, in that nesting. pc describes packet payloads; pass nil when
-// all payloads are nil. The target of a decode is a network
+// link, in that nesting. walk describes packet payloads; pass nil when
+// no packet carries one. The target of a decode is a network
 // constructed with the same configuration, topology, and routing;
 // track (optional) is invoked once for every decoded live packet.
-func (n *Network) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(*Packet)) {
+func (n *Network) State(c *snapshot.Codec, walk PayloadWalk, track func(*Packet)) {
 	c.Section("noc")
 	snapshot.Match(c, (*snapshot.Codec).Int, n.routers, "network routers")
 	snapshot.Match(c, (*snapshot.Codec).Int, n.ports, "network ports")
@@ -181,7 +197,7 @@ func (n *Network) State(c *snapshot.Codec, pc snapshot.PayloadCodec, track func(
 			pt.add(n.linkFlits[i].pkt)
 		}
 	}
-	pt.state(c, pc, len(n.ifaces), n.cfg.VNets, track)
+	pt.state(c, walk, len(n.ifaces), n.cfg.VNets, track)
 
 	n.Ledger.State(c, &n.cycle)
 

@@ -142,3 +142,21 @@ func TestRestoreRejectsOutOfRangeIfaceRR(t *testing.T) {
 		t.Fatalf("restore with rr = VNets returned %v, want ErrCorrupt naming the iface rr pointer", err)
 	}
 }
+
+// A packet carrying a payload can only be written by a walk that knows
+// its layout: encoding one without a walk is a simulator bug, and
+// panics rather than writing a checkpoint that drops the payload.
+func TestPayloadWithoutWalkPanics(t *testing.T) {
+	for _, p := range []Packet{{Size: 1, Kind: 1}, {Size: 1, Line: 1}, {Size: 1, Value: 1}} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "without a walk") {
+					t.Errorf("encoding %+v without a walk: recovered %v, want the no-walk panic", p, r)
+				}
+			}()
+			p.State(snapshot.NewEncoder(1).Codec(), nil)
+		}()
+	}
+	empty := Packet{Size: 1}
+	empty.State(snapshot.NewEncoder(1).Codec(), nil)
+}

@@ -32,14 +32,6 @@ type Stater interface {
 	State(c *Codec)
 }
 
-// PayloadCodec describes the opaque Payload field of network packets.
-// The network layers are payload-agnostic; the co-simulation layer
-// supplies a codec for its message type.
-type PayloadCodec interface {
-	// Payload walks one payload, which may be nil.
-	Payload(c *Codec, payload *interface{})
-}
-
 // Codec returns a codec that writes to e.
 func (e *Encoder) Codec() *Codec { return &Codec{enc: e} }
 

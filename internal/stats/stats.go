@@ -1,7 +1,7 @@
 // Package stats provides the statistics primitives shared by every
 // simulator in this repository: streaming moments, histograms,
-// percentile estimation, per-class latency tracking, time-series
-// sampling, and the error metrics used by the accuracy experiments.
+// percentile estimation, per-class latency tracking, and the error
+// metrics used by the accuracy experiments.
 //
 // All accumulators are plain values whose zero value is ready to use,
 // so simulator components can embed them without constructors.
@@ -10,7 +10,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates streaming count, mean, and variance using
@@ -203,38 +202,6 @@ func (h *Histogram) Reset() {
 	h.moments.Reset()
 }
 
-// Series is an append-only time series of (x, y) samples.
-type Series struct {
-	X []float64
-	Y []float64
-}
-
-// Add appends one sample.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len reports the number of samples.
-func (s *Series) Len() int { return len(s.X) }
-
-// LastY reports the most recent y value, or 0 when empty.
-func (s *Series) LastY() float64 {
-	if len(s.Y) == 0 {
-		return 0
-	}
-	return s.Y[len(s.Y)-1]
-}
-
-// MeanY reports the mean of the y values.
-func (s *Series) MeanY() float64 {
-	var r Running
-	for _, y := range s.Y {
-		r.Add(y)
-	}
-	return r.Mean()
-}
-
 // AbsPctErr reports |measured-reference|/reference as a percentage.
 // A zero reference with nonzero measurement reports +Inf; both zero is 0.
 func AbsPctErr(measured, reference float64) float64 {
@@ -247,22 +214,6 @@ func AbsPctErr(measured, reference float64) float64 {
 	return math.Abs(measured-reference) / math.Abs(reference) * 100
 }
 
-// MAPE reports the mean absolute percentage error across paired samples.
-// It panics when the slices differ in length.
-func MAPE(measured, reference []float64) float64 {
-	if len(measured) != len(reference) {
-		panic("stats: MAPE requires equal-length slices")
-	}
-	if len(measured) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range measured {
-		sum += AbsPctErr(measured[i], reference[i])
-	}
-	return sum / float64(len(measured))
-}
-
 // ErrorReduction reports the percentage by which errNew improves on errOld:
 // 100*(errOld-errNew)/errOld. Zero errOld reports 0.
 func ErrorReduction(errOld, errNew float64) float64 {
@@ -270,34 +221,4 @@ func ErrorReduction(errOld, errNew float64) float64 {
 		return 0
 	}
 	return (errOld - errNew) / errOld * 100
-}
-
-// GeoMean reports the geometric mean of strictly positive values;
-// non-positive inputs panic since they indicate a harness bug.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean requires positive values, got %v", x))
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Median reports the median of xs (copying, not mutating, the input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	m := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[m]
-	}
-	return (c[m-1] + c[m]) / 2
 }

@@ -133,36 +133,6 @@ func TestErrorMetrics(t *testing.T) {
 	if got := ErrorReduction(0, 5); got != 0 {
 		t.Errorf("ErrorReduction from 0 = %v", got)
 	}
-	if got := MAPE([]float64{110, 90}, []float64{100, 100}); !almost(got, 10, 1e-12) {
-		t.Errorf("MAPE = %v", got)
-	}
-}
-
-func TestGeoMeanAndMedian(t *testing.T) {
-	if got := GeoMean([]float64{1, 4, 16}); !almost(got, 4, 1e-12) {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if got := Median([]float64{5, 1, 3}); got != 3 {
-		t.Errorf("Median odd = %v", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("Median even = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GeoMean of non-positive should panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(0, 1)
-	s.Add(1, 3)
-	if s.Len() != 2 || s.LastY() != 3 || s.MeanY() != 2 {
-		t.Errorf("series: %+v", s)
-	}
 }
 
 func TestLatencyTracker(t *testing.T) {

@@ -131,7 +131,13 @@ const payloadSeedPath = "testdata/payload-seeds.txt"
 // rewriting the first, middle and last field of every distinct read
 // site with boundary values of its width: per case, one mutation for
 // each distinct rejection (up to forty-five) and the rest accepted
-// ones. Offsets are positions in the blobs TestWireDigests pins.
+// ones. The last fourteen were placed by hand, by diffing two encodes
+// that differ in one field, on the memory-oracle request walks and
+// the message a packet carries: request metadata whose type or
+// endpoints are out of range, arrivals out of order, and rewrites of
+// a field's second copy on the wire (the metadata's line and write
+// flag, the message's endpoints), which decode. Offsets are positions
+// in the blobs TestWireDigests pins.
 func payloadSeeds(t testing.TB, cases []ckptCase) []payloadSeed {
 	t.Helper()
 	raw, err := os.ReadFile(payloadSeedPath)
