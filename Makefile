@@ -49,7 +49,7 @@ loc:
 # (internal/dram/dram_test.go) — and one of the restore
 # bodies behind the envelope: one payload position of a mid-run
 # checkpoint mutated and the CRC re-sealed, over every mode
-# (payload_fuzz_test.go; twenty seconds, because replaying its 961
+# (payload_fuzz_test.go; twenty seconds, because replaying its 981
 # committed seeds for baseline coverage takes most of ten).
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s

@@ -5,7 +5,7 @@
 // Example:
 //
 //	cosim -tiles 64 -workload fft -mode reciprocal -quantum 64
-//	cosim -tiles 256 -workload radix -mode reciprocal-gpu
+//	cosim -tiles 256 -workload radix -mode reciprocal -noc-workers 4
 package main
 
 import (

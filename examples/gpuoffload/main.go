@@ -1,8 +1,9 @@
 // Gpuoffload: reciprocal co-simulation with the NoC quantum offloaded
-// to the simulated GPU coprocessor, at paper-scale target sizes.
+// to the modelled GPU coprocessor, at paper-scale target sizes.
 //
-// CPU total is measured host time; GPU total is measured system time
-// plus the modelled device time (no CUDA hardware in this
+// Each size runs once. CPU total is that run's measured host time; GPU
+// total is its measured system time plus the device time internal/gpu
+// prices from the run's network counters (no CUDA hardware in this
 // reproduction — see DESIGN.md). The reduction grows with target size
 // because per-cycle device cost is nearly constant below one occupancy
 // wave while the CPU's NoC cost grows with the router count — the
@@ -20,8 +21,8 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -43,32 +44,23 @@ func main() {
 		cfg := repro.DefaultConfig(size)
 		cfg.Quantum = 256 // large quanta amortize kernel launches
 
-		run := func(mode repro.Mode) (core.Result, core.Backend) {
-			backend, err := repro.BuildBackend(cfg, mode)
-			if err != nil {
-				log.Fatal(err)
-			}
-			cs, err := core.Build(cfg.System, workload.NewRadix(size, *ops, 42), backend, cfg.Quantum)
-			if err != nil {
-				log.Fatal(err)
-			}
-			// Host time is measured only when an observer asks for it.
-			cs.SetObserver(obs.New(obs.Options{Wall: true}))
-			res := cs.Run(100_000_000)
-			if !res.Finished {
-				log.Fatalf("%d cores: %s did not finish", size, mode)
-			}
-			return res, backend
+		cs, err := repro.BuildCosim(cfg, repro.ModeReciprocal, workload.NewRadix(size, *ops, 42))
+		if err != nil {
+			log.Fatal(err)
 		}
+		// Host time is measured only when an observer asks for it.
+		cs.SetObserver(obs.New(obs.Options{Wall: true}))
+		res := cs.Run(100_000_000)
+		if !res.Finished {
+			log.Fatalf("%d cores: reciprocal did not finish", size)
+		}
+		net := cs.Net.(*noc.Network)
+		dev := gpu.DefaultDevice().Cost(net.ActivityStats(),
+			uint64(cs.Cycle())/uint64(cfg.Quantum), net.Injected(), net.Delivered())
+		cs.Close()
 
-		cpuRes, cpuB := run(repro.ModeReciprocal)
-		cpuB.Close()
-		gpuRes, gpuB := run(repro.ModeReciprocalGPU)
-		dev := gpuB.(*gpu.Backend).DeviceStats()
-		gpuB.Close()
-
-		cpu := cpuRes.SysWall + cpuRes.NetWall
-		gpuTotal := gpuRes.SysWall + time.Duration(dev.TotalNs())
+		cpu := res.SysWall + res.NetWall
+		gpuTotal := res.SysWall + time.Duration(dev.TotalNs())
 		t.AddRow(size,
 			float64(cpu.Microseconds())/1000,
 			float64(gpuTotal.Microseconds())/1000,
@@ -79,6 +71,6 @@ func main() {
 				dev.TransferNs/dev.TotalNs()*100))
 	}
 	t.WriteText(os.Stdout)
-	fmt.Println("\nThe offload pays off as the network grows: per-quantum launch and")
-	fmt.Println("transfer overheads are fixed, while router work scales with the mesh.")
+	fmt.Println("\nThe offload gains on the CPU as the network grows: per-cycle device cost")
+	fmt.Println("is flat below one occupancy wave, while router work scales with the mesh.")
 }

@@ -79,8 +79,8 @@ type Component interface {
 // timestamped deliveries. The packet networks are backends themselves
 // — noc.Network and abstractnet.Network, whose shared noc.Ledger
 // provides the counting, latency and free-list half of the contract —
-// and the composite backends (the GPU offload, Hybrid, Calibrated,
-// Recorder) are built over them.
+// and the composite backends (Hybrid, Calibrated, Recorder) are built
+// over them.
 type Backend interface {
 	Component
 	// Inject queues a packet created at cycle `at`. Injections at each

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/abstractnet"
-	"repro/internal/gpu"
 	"repro/internal/noc"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
@@ -18,7 +17,6 @@ import (
 var (
 	_ Backend = (*noc.Network)(nil)
 	_ Backend = (*abstractnet.Network)(nil)
-	_ Backend = (*gpu.Backend)(nil)
 	_ Backend = (*Hybrid)(nil)
 	_ Backend = (*Calibrated)(nil)
 	_ Backend = (*Recorder)(nil)
@@ -32,7 +30,6 @@ var everyBackend = map[string]func(t *testing.T) Backend{
 		return abstractnet.NewNetwork(abstractnet.NewContention(m, abstractnet.DefaultParams()))
 	},
 	"detailed": func(t *testing.T) Backend { return detailedBackend(t) },
-	"gpu":      func(t *testing.T) Backend { return gpu.NewBackend(detailedBackend(t), gpu.DefaultDevice()) },
 	"hybrid": func(t *testing.T) Backend {
 		m := topology.NewMesh(4, 4, 1)
 		tuned := abstractnet.NewTuned(abstractnet.NewContention(m, abstractnet.DefaultParams()), 256)

@@ -33,6 +33,9 @@ type StdBuilder struct{}
 // submit time instead.
 func (StdBuilder) config(req SubmitRequest) (repro.Config, repro.Mode, string, error) {
 	mode := repro.Mode(req.Mode)
+	if req.Mode == "reciprocal-gpu" {
+		return repro.Config{}, "", "", fmt.Errorf("cosimd: mode %q was removed: it ran the same simulation as %q, whose GPU offload cost is now modelled from the run's network counters", req.Mode, repro.ModeReciprocal)
+	}
 	known := false
 	for _, m := range repro.Modes() {
 		known = known || m == mode

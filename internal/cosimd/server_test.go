@@ -263,6 +263,7 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"router":"weird"}`, "deflection router was removed"},
 		{`{"router":"deflect"}`, "deflection router was removed"},
 		{`{"mode":"abstract","router":"deflect"}`, "deflection router was removed"},
+		{`{"mode":"reciprocal-gpu"}`, "mode \"reciprocal-gpu\" was removed"},
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -341,65 +342,76 @@ func TestDrainRestart(t *testing.T) {
 }
 
 // TestRestartFailsRemovedRouterSession: a drained manifest written
-// before the deflection router was removed may hold an unfinished
-// session that asks for it. On restart that session must end failed,
-// naming the removal, instead of running on the VC router, and every
-// other session must resume to its uninterrupted fingerprint.
+// before the deflection router or the GPU mode was removed may hold an
+// unfinished session that asks for it. On restart that session must end
+// failed, naming the removal, instead of running on what replaced it,
+// and every other session must resume to its uninterrupted fingerprint.
 func TestRestartFailsRemovedRouterSession(t *testing.T) {
-	dir := t.TempDir()
-	srv1 := newTestServer(t, Options{Workers: 2, SliceCycles: 512, StateDir: dir})
-	var pending []string
-	for i := 2; i <= 4; i++ {
-		st, err := srv1.Submit(tinyReq(uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pending = append(pending, st.ID)
-	}
-	if err := srv1.Close(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+	for _, c := range []struct {
+		name string
+		edit func(*SubmitRequest)
+		want string
+	}{
+		{"router-deflect", func(r *SubmitRequest) { r.Router = "deflect" }, "deflection router was removed"},
+		{"mode-reciprocal-gpu", func(r *SubmitRequest) { r.Mode = "reciprocal-gpu" }, "was removed: it ran the same simulation as \"reciprocal\""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv1 := newTestServer(t, Options{Workers: 2, SliceCycles: 512, StateDir: dir})
+			var pending []string
+			for i := 2; i <= 4; i++ {
+				st, err := srv1.Submit(tinyReq(uint64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pending = append(pending, st.ID)
+			}
+			if err := srv1.Close(); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
 
-	path := filepath.Join(dir, "manifest.json")
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		t.Fatal(err)
-	}
-	req := tinyReq(9)
-	req.Normalize()
-	req.Router = "deflect"
-	const removedID = "s-deflect"
-	m.Sessions = append(m.Sessions, manifestSession{
-		ID: removedID, Seq: m.NextSeq, Req: req, Digest: 0x5eed, State: StateRunning,
-	})
-	m.NextSeq++
-	if blob, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			path := filepath.Join(dir, "manifest.json")
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m manifest
+			if err := json.Unmarshal(blob, &m); err != nil {
+				t.Fatal(err)
+			}
+			req := tinyReq(9)
+			req.Normalize()
+			c.edit(&req)
+			const removedID = "s-removed"
+			m.Sessions = append(m.Sessions, manifestSession{
+				ID: removedID, Seq: m.NextSeq, Req: req, Digest: 0x5eed, State: StateRunning,
+			})
+			m.NextSeq++
+			if blob, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	srv2 := newTestServer(t, Options{Workers: 2, SliceCycles: 512, StateDir: dir})
-	srv2.Wait()
-	st, ok := srv2.Status(removedID)
-	if !ok || st.State != StateFailed || !strings.Contains(st.Error, "deflection router was removed") {
-		t.Errorf("removed-router session after restart: ok=%v %+v, want failed naming the removal", ok, st)
-	}
-	for i, id := range pending {
-		st, ok := srv2.Status(id)
-		if !ok || st.State != StateDone {
-			t.Fatalf("restored session %s: ok=%v %+v", id, ok, st)
-		}
-		_, env := envelope(t, srv2, id)
-		if want := directFingerprint(t, tinyReq(uint64(i+2))); env.Fingerprint != want {
-			t.Errorf("restored session %s fingerprint diverged\n got %s\nwant %s",
-				id, env.Fingerprint, want)
-		}
+			srv2 := newTestServer(t, Options{Workers: 2, SliceCycles: 512, StateDir: dir})
+			srv2.Wait()
+			st, ok := srv2.Status(removedID)
+			if !ok || st.State != StateFailed || !strings.Contains(st.Error, c.want) {
+				t.Errorf("removed-feature session after restart: ok=%v %+v, want failed naming the removal", ok, st)
+			}
+			for i, id := range pending {
+				st, ok := srv2.Status(id)
+				if !ok || st.State != StateDone {
+					t.Fatalf("restored session %s: ok=%v %+v", id, ok, st)
+				}
+				_, env := envelope(t, srv2, id)
+				if want := directFingerprint(t, tinyReq(uint64(i+2))); env.Fingerprint != want {
+					t.Errorf("restored session %s fingerprint diverged\n got %s\nwant %s",
+						id, env.Fingerprint, want)
+				}
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -102,7 +103,7 @@ func (s Scale) run(mode repro.Mode, wlName string) (core.Result, error) {
 	if r, ok := runMemo[key]; ok {
 		return r, nil
 	}
-	res, err := s.runObserved(mode, wlName, nil)
+	res, err := s.runObserved(mode, wlName, nil, nil)
 	if err == nil {
 		runMemo[key] = res
 	}
@@ -110,8 +111,9 @@ func (s Scale) run(mode repro.Mode, wlName string) (core.Result, error) {
 }
 
 // runObserved executes one co-simulation under the given observer
-// (nil: none), unmemoized.
-func (s Scale) runObserved(mode repro.Mode, wlName string, ob *obs.Observer) (core.Result, error) {
+// (nil: none), unmemoized. A non-nil st receives the modelled
+// coprocessor's cost of the run's detailed network (offloadCost).
+func (s Scale) runObserved(mode repro.Mode, wlName string, ob *obs.Observer, st *gpu.Stats) (core.Result, error) {
 	cfg := repro.DefaultConfig(s.Cores)
 	cfg.Quantum = s.Quantum
 	cfg.NocWorkers = s.NocWorkers
@@ -131,6 +133,9 @@ func (s Scale) runObserved(mode repro.Mode, wlName string, ob *obs.Observer) (co
 	res := cs.Run(s.CycleLimit)
 	if !res.Finished {
 		return res, fmt.Errorf("expt: %s/%s hit the cycle limit", mode, wlName)
+	}
+	if st != nil {
+		*st = offloadCost(cs)
 	}
 	return res, nil
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/traffic"
-	"repro/internal/workload"
 )
 
 // FigureF6 sweeps the synchronization quantum on one transpose-heavy
@@ -26,7 +25,7 @@ func FigureF6(s Scale) []*stats.Table {
 	for _, q := range []int{1, 16, 64, 256, 1024} {
 		sq := s
 		sq.Quantum = q
-		res := sq.mustRunTimed(repro.ModeReciprocal, wlName)
+		res := sq.mustRunTimed(repro.ModeReciprocal, wlName, nil)
 		t.AddRow(q, uint64(res.ExecCycles),
 			stats.AbsPctErr(float64(res.ExecCycles), float64(truth.ExecCycles)),
 			stats.AbsPctErr(res.AvgLatency, truth.AvgLatency),
@@ -38,8 +37,9 @@ func FigureF6(s Scale) []*stats.Table {
 
 // FigureF7 is claim C3: total reciprocal co-simulation time with the
 // NoC executed on the CPU (measured host time) vs offloaded to the
-// GPU coprocessor (measured system time + modelled device time — no
-// CUDA hardware is available to this reproduction, see DESIGN.md).
+// GPU coprocessor (the same run's measured system time + the device
+// time internal/gpu models from its network counters — no CUDA
+// hardware is available to this reproduction, see DESIGN.md).
 // The paper reports a 16% reduction at 256 cores and 65% at 512; the
 // mechanism is that per-cycle device cost is nearly constant below one
 // occupancy wave while the CPU's NoC cost grows linearly with routers.
@@ -58,16 +58,17 @@ func FigureF7(s Scale) []*stats.Table {
 		sz.OpsPerCore = s.SpeedOps
 		// Use a network-heavy kernel so the NoC is a meaningful share
 		// of total time, as in the paper's co-simulation runs.
-		cpuRes := sz.mustRunTimed(repro.ModeReciprocal, "radix")
+		var st gpu.Stats
+		cpuRes := sz.mustRunTimed(repro.ModeReciprocal, "radix", &st)
 		shz := sz
 		shz.NocWorkers = s.shardWorkers()
-		shardRes := shz.mustRunTimed(repro.ModeReciprocal, "radix")
+		shardRes := shz.mustRunTimed(repro.ModeReciprocal, "radix", nil)
 		if shardRes.ExecCycles != cpuRes.ExecCycles || shardRes.Packets != cpuRes.Packets {
 			panic(fmt.Sprintf("expt: F7 %d cores: sharded and sequential runs diverged", size))
 		}
-		gpuRes, dev := sz.runGPU("radix")
 		cpu := cpuRes.SysWall + cpuRes.NetWall
-		gpuTotal := gpuRes.SysWall + dev
+		dev := time.Duration(st.TotalNs())
+		gpuTotal := cpuRes.SysWall + dev
 		shSp := 0.0
 		if shardRes.NetWall > 0 {
 			shSp = float64(cpuRes.NetWall) / float64(shardRes.NetWall)
@@ -83,81 +84,45 @@ func FigureF7(s Scale) []*stats.Table {
 
 // mustRunTimed is mustRun under a wall-clock observer, for the rows
 // that report host time: Result.SysWall/NetWall are measured only when
-// somebody watches. It bypasses the memo, whose runs nobody timed.
-func (s Scale) mustRunTimed(mode repro.Mode, wlName string) core.Result {
-	r, err := s.runObserved(mode, wlName, obs.New(obs.Options{Wall: true}))
+// somebody watches. It bypasses the memo, whose runs nobody timed. A
+// non-nil st receives the run's offload cost, as in runObserved.
+func (s Scale) mustRunTimed(mode repro.Mode, wlName string, st *gpu.Stats) core.Result {
+	r, err := s.runObserved(mode, wlName, obs.New(obs.Options{Wall: true}), st)
 	if err != nil {
 		panic(err)
 	}
 	return r
 }
 
-// runGPU runs one GPU-offloaded co-simulation (timed, like
-// mustRunTimed) and returns the result plus the modelled device time.
-func (s Scale) runGPU(wlName string) (core.Result, time.Duration) {
-	cfg := repro.DefaultConfig(s.Cores)
-	cfg.Quantum = s.Quantum
-	backend, err := repro.BuildBackend(cfg, repro.ModeReciprocalGPU)
-	if err != nil {
-		panic(err)
-	}
-	wl, err := workload.ByName(wlName, s.Cores, s.OpsPerCore, s.Seed)
-	if err != nil {
-		panic(err)
-	}
-	cs, err := core.Build(cfg.System, wl, backend, cfg.Quantum)
-	if err != nil {
-		panic(err)
-	}
-	cs.SetObserver(obs.New(obs.Options{Wall: true}))
-	res := cs.Run(s.CycleLimit)
-	dev := backend.(*gpu.Backend).ModeledTotal()
-	backend.Close()
-	if !res.Finished {
-		panic("expt: GPU run hit cycle limit")
-	}
-	return res, dev
+// offloadCost prices a finished detailed-network run's quanta on the
+// default modelled coprocessor.
+func offloadCost(cs *core.Cosim) gpu.Stats {
+	net := cs.Net.(*noc.Network)
+	return gpu.DefaultDevice().Cost(net.ActivityStats(),
+		uint64(cs.Cycle())/uint64(cs.Quantum), net.Injected(), net.Delivered())
 }
 
 // FigureF8 reports the modelled coprocessor time breakdown per target
-// size: kernel launches dominate small networks; compute and transfers
-// grow with size, so per-cycle offload cost amortizes.
+// size, priced from one reciprocal run each: kernel launches dominate
+// small networks; compute and transfers grow with size, so per-cycle
+// offload cost amortizes.
 func FigureF8(s Scale) []*stats.Table {
-	var tables []*stats.Table
+	dev := gpu.DefaultDevice()
 	sum := stats.NewTable("F8: modelled GPU offload cost by target size",
 		"cores", "quanta", "kernels", "launch-ms", "compute-ms", "transfer-ms", "total-ms", "ns-per-cycle", "waves")
 	for _, size := range s.SpeedSizes {
 		sz := s
 		sz.Cores = size
 		sz.OpsPerCore = s.SpeedOps
-		cfg := repro.DefaultConfig(size)
-		cfg.Quantum = sz.Quantum
-		backend, err := repro.BuildBackend(cfg, repro.ModeReciprocalGPU)
-		if err != nil {
+		var st gpu.Stats
+		if _, err := sz.runObserved(repro.ModeReciprocal, "radix", nil, &st); err != nil {
 			panic(err)
 		}
-		wl, err := workload.ByName("radix", size, sz.OpsPerCore, sz.Seed)
-		if err != nil {
-			panic(err)
-		}
-		cs, err := core.Build(cfg.System, wl, backend, cfg.Quantum)
-		if err != nil {
-			panic(err)
-		}
-		res := cs.Run(sz.CycleLimit)
-		gb := backend.(*gpu.Backend)
-		st := gb.DeviceStats()
-		waves := gb.Device().Waves(size)
 		sum.AddRow(size, st.Quanta, st.Kernels,
 			st.LaunchNs/1e6, st.ComputeNs/1e6, st.TransferNs/1e6, st.TotalNs()/1e6,
-			gb.NsPerCycle(), waves)
-		backend.Close()
-		if !res.Finished {
-			panic("expt: F8 run hit cycle limit")
-		}
+			dev.NsPerCycle(st), dev.Waves(size))
 	}
-	tables = append(tables, sum)
-	return tables
+	return []*stats.Table{sum}
 }
 
 // FigureA2 measures sharded NoC stepping's standalone scaling on

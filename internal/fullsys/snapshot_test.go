@@ -34,6 +34,77 @@ func decodeInto(t *testing.T, blob []byte) error {
 	return d.Finish()
 }
 
+// TestDecodeRejectsStateBeyondBounds: a restore rejects a core's
+// script position past the end of its op list and an L2 bank holding
+// more lines than its capacity. No payload mutation of a co-simulation
+// checkpoint reaches either check: those run synthetic workloads, not
+// scripts, and a bank over its 16384-line default capacity needs more
+// bytes than the whole checkpoint holds. Each case encodes two
+// machines that differ in one field, finds it as the first byte where
+// they differ, and rewrites it in the first blob: to a value its own
+// machine accepts, and to one that makes the decoded state exceed
+// what the target machine can hold.
+func TestDecodeRejectsStateBeyondBounds(t *testing.T) {
+	machine := func(t *testing.T, l2Lines, pos int) *System {
+		cfg := DefaultConfig(4)
+		cfg.L2Lines = l2Lines
+		ops := make([][]Op, 4)
+		ops[0] = make([]Op, 3)
+		script := NewScript(ops)
+		script.pos[0] = pos
+		sys, err := New(cfg, script, func(Msg, sim.Cycle) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for line := uint64(4); line <= 12; line += 4 { // three lines homed at tile 0
+			sys.Tile(0).l2.put(line, 7, false)
+		}
+		return sys
+	}
+	for _, tc := range []struct {
+		name          string
+		a, b          *System // differ in the field
+		good, bad     uint64
+		goodL2, badL2 int // the L2 capacity of the machine each decodes into
+		want          string
+	}{
+		{"script-position", machine(t, 16, 1), machine(t, 16, 2), 3, 4, 16, 16,
+			"core 0 script position 4 outside 0..3"},
+		{"l2-capacity", machine(t, 3, 0), machine(t, 4, 0), 3, 2, 3, 2,
+			"L2 bank holds 3 lines, capacity 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob, other := encodeSystem(tc.a), encodeSystem(tc.b)
+			at := 0
+			for at < len(blob) && blob[at] == other[at] {
+				at++
+			}
+			if at+8 > len(blob)-4 {
+				t.Fatal("the field is not in the checkpoint")
+			}
+			decode := func(v uint64, l2Lines int) error {
+				out := append([]byte(nil), blob...)
+				binary.LittleEndian.PutUint64(out[at:], v)
+				body := out[:len(out)-4]
+				binary.LittleEndian.PutUint32(out[len(body):], crc32.ChecksumIEEE(body))
+				d, err := snapshot.NewDecoder(out, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				machine(t, l2Lines, 0).State(d.Codec())
+				return d.Finish()
+			}
+			if err := decode(tc.good, tc.goodL2); err != nil {
+				t.Fatalf("valid value %d rejected: %v", tc.good, err)
+			}
+			err := decode(tc.bad, tc.badL2)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("value %d: got %v, want an error containing %q", tc.bad, err, tc.want)
+			}
+		})
+	}
+}
+
 // TestDecodeRejectsMisplacedState: a restore rejects a line where the
 // machine could never have put it — an L1 way holding a line of
 // another set, a directory, L2 or victim-buffer line homed at another

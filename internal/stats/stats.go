@@ -40,16 +40,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += d * (x - r.mean)
 }
 
-// AddN folds the same observation in n times, in O(1): a batch of n
-// equal values is an accumulator with mean x and zero spread, so this
-// is a constant-value Merge rather than n Welford updates.
-func (r *Running) AddN(x float64, n uint64) {
-	if n == 0 {
-		return
-	}
-	r.Merge(Running{n: n, mean: x, min: x, max: x})
-}
-
 // Merge combines another accumulator into r (Chan et al. parallel update).
 func (r *Running) Merge(o Running) {
 	if o.n == 0 {

@@ -131,13 +131,19 @@ const payloadSeedPath = "testdata/payload-seeds.txt"
 // rewriting the first, middle and last field of every distinct read
 // site with boundary values of its width: per case, one mutation for
 // each distinct rejection (up to forty-five) and the rest accepted
-// ones. The last fourteen were placed by hand, by diffing two encodes
-// that differ in one field, on the memory-oracle request walks and
-// the message a packet carries: request metadata whose type or
-// endpoints are out of range, arrivals out of order, and rewrites of
+// ones. The rest were placed by hand. Fourteen, found by diffing two
+// encodes that differ in one field, sit on the memory-oracle request
+// walks and the message a packet carries: request metadata whose type
+// or endpoints are out of range, arrivals out of order, and rewrites of
 // a field's second copy on the wire (the metadata's line and write
-// flag, the message's endpoints), which decode. Offsets are positions
-// in the blobs TestWireDigests pins.
+// flag, the message's endpoints), which decode. The last nine per
+// case, found by recording the decoder's offset at the field, rewrite
+// the first, middle and last directory transaction kind (just out of
+// range, far out of range, the largest valid kind, the top bit set)
+// and the line of the first, middle and last valid L1 way (into
+// another set by a low bit or a zeroed low word, and to another tag in
+// the same set, which decode). Offsets are positions in the blobs
+// TestWireDigests pins.
 func payloadSeeds(t testing.TB, cases []ckptCase) []payloadSeed {
 	t.Helper()
 	raw, err := os.ReadFile(payloadSeedPath)

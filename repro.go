@@ -5,11 +5,11 @@
 // It couples a coarse-grain full-system simulator (in-order cores,
 // MESI directory coherence, memory controllers) to a cycle-level
 // network-on-chip simulator through quantum-based reciprocal
-// abstraction, and offloads the NoC quantum to a (simulated) GPU
-// coprocessor. This package is the public facade: configuration and
-// constructors that wire the internal subsystems together. See
-// DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduced results.
+// abstraction, and prices offloading the NoC quantum to a modelled GPU
+// coprocessor (internal/gpu). This package is the public facade:
+// configuration and constructors that wire the internal subsystems
+// together. See DESIGN.md for the system inventory and EXPERIMENTS.md
+// for the reproduced results.
 //
 // Quickstart:
 //
@@ -27,7 +27,6 @@ import (
 	"repro/internal/abstractnet"
 	"repro/internal/core"
 	"repro/internal/fullsys"
-	"repro/internal/gpu"
 	"repro/internal/noc"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
@@ -49,9 +48,6 @@ const (
 	// ModeReciprocal couples the detailed NoC at the configured
 	// quantum — the paper's contribution.
 	ModeReciprocal Mode = "reciprocal"
-	// ModeReciprocalGPU is ModeReciprocal with the NoC quantum
-	// executed by the simulated GPU coprocessor (device timing model).
-	ModeReciprocalGPU Mode = "reciprocal-gpu"
 	// ModeHybrid samples the detailed NoC periodically and re-tunes
 	// the abstract model from its observations (reciprocal feedback).
 	ModeHybrid Mode = "hybrid"
@@ -65,7 +61,7 @@ const (
 // Modes lists all co-simulation modes in evaluation order.
 func Modes() []Mode {
 	return []Mode{ModeSynchronous, ModeAbstract, ModeContention,
-		ModeReciprocal, ModeReciprocalGPU, ModeHybrid, ModeCalibrated}
+		ModeReciprocal, ModeHybrid, ModeCalibrated}
 }
 
 // Config gathers the target-machine and simulator parameters.
@@ -99,8 +95,6 @@ type Config struct {
 	// is a speed knob, never an accuracy knob, and shard assignment is
 	// derived state that never enters checkpoints.
 	NocWorkers int
-	// Device is the modelled coprocessor for GPU mode.
-	Device gpu.Device
 	// HybridPeriod and HybridSample schedule hybrid mode in cycles.
 	HybridPeriod, HybridSample int
 	// DisableGating forces the exhaustive every-router-every-cycle NoC
@@ -122,7 +116,6 @@ func DefaultConfig(tiles int) Config {
 		System:        fullsys.DefaultConfig(tiles),
 		Abstract:      abstractnet.DefaultParams(),
 		Quantum:       64,
-		Device:        gpu.DefaultDevice(),
 		HybridPeriod:  4096,
 		HybridSample:  1024,
 	}
@@ -203,12 +196,6 @@ func BuildBackend(cfg Config, mode Mode) (core.Backend, error) {
 	switch mode {
 	case ModeSynchronous, ModeReciprocal:
 		return noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
-	case ModeReciprocalGPU:
-		net, err := noc.New(cfg.Router, topo, routing, noc.WithWorkers(cfg.NocWorkers))
-		if err != nil {
-			return nil, err
-		}
-		return gpu.NewBackend(net, cfg.Device), nil
 	case ModeAbstract:
 		return abstractnet.NewNetwork(abstractnet.NewFixed(topo, cfg.Abstract)), nil
 	case ModeContention:

@@ -40,10 +40,13 @@ func ConfigDigest(cfg Config, mode Mode, workloadDesc string) uint64 {
 	// and the parameters of the bufferless deflection router, both
 	// since removed with that router; every run is now the VC router at
 	// their defaults (gating flag cleared as above), so their tokens
-	// stay too.
+	// stay too. After the worker counts it had the GPU mode's device
+	// model, removed with that mode when the offload became a cost
+	// model over a reciprocal run (internal/gpu); it only ever held
+	// the default device, whose printed form stays.
 	cfg.NocWorkers = 0
 	desc := strings.NewReplacer(
-		" NocWorkers:0", " Workers:0 ComponentWorkers:0",
+		" NocWorkers:0", " Workers:0 ComponentWorkers:0 Device:simt-coprocessor(13 SMs x 192 lanes)",
 		" Router:{", " RouterArch:vc Deflect:{EjectWidth:1 InjectQueueCap:0 DisableGating:false} Router:{",
 	).Replace(fmt.Sprintf("%+v", cfg))
 	return snapshot.Digest("repro-ckpt", string(mode), workloadDesc, desc)

@@ -27,7 +27,7 @@ type ckptCase struct {
 }
 
 // checkpointCases covers every co-simulation mode and every memory
-// model: the detailed DRAM oracle under all seven network modes, plus
+// model: the detailed DRAM oracle under all six network modes, plus
 // the abstract and calibrated memory oracles.
 func checkpointCases() []ckptCase {
 	cases := []ckptCase{
@@ -35,7 +35,6 @@ func checkpointCases() []ckptCase {
 		{"abstract", ModeAbstract, ""},
 		{"contention", ModeContention, ""},
 		{"reciprocal", ModeReciprocal, ""},
-		{"reciprocal-gpu", ModeReciprocalGPU, ""},
 		{"hybrid", ModeHybrid, ""},
 		{"calibrated", ModeCalibrated, ""},
 	}
@@ -302,14 +301,12 @@ func TestConfigDigestsPinned(t *testing.T) {
 		"abstract":                  0x3f6f36772584b879,
 		"contention":                0x52f761dced2245ac,
 		"reciprocal":                goldenDigest,
-		"reciprocal-gpu":            0xd3de8bcd4781c416,
 		"hybrid":                    0xc3bcc443d8df9849,
 		"calibrated":                0xac2f76de59acf9f6,
 		"synchronous/ddr":           0xe64f479d937a14f0,
 		"abstract/ddr":              0x56a2025a875adc05,
 		"contention/ddr":            0x531bd67c3d776a78,
 		"reciprocal/ddr":            0xd99943d57eac52a7,
-		"reciprocal-gpu/ddr":        0xb5dc8b0f716f278a,
 		"hybrid/ddr":                0xbfa3ff815352d715,
 		"calibrated/ddr":            0x4e6eb3f2aa1f1ea,
 		"reciprocal/mem-abstract":   0x9d99c05cd9f7ffb1,
