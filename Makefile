@@ -31,9 +31,10 @@ loc:
 		xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); lines[d] += $$1; sum += $$1 } \
 		END { for (d in lines) printf "%7d %s\n", lines[d], d; printf "%7d total\n", sum }' | sort -k2
 
-# A short coverage-guided run of the checkpoint-envelope fuzzer over
-# the committed seed corpus (internal/snapshot/testdata/fuzz), so CI
-# exercises real sealed/corrupted/truncated envelopes, not just the
+# A short coverage-guided run of the fuzzer that drives the snapshot
+# codec's envelope checks and field walks over the committed seed
+# corpus (internal/snapshot/testdata/fuzz), so CI exercises real
+# sealed/corrupted/truncated envelopes, not just the
 # in-code f.Add seeds — one of the mask arbiters against their
 # scan-based reference on random router states
 # (internal/noc/router_ref_test.go), one of the gated full-system

@@ -51,7 +51,7 @@ func TestForkRunBitIdentical(t *testing.T) {
 }
 
 // TestForkEncodeByteIdentical: a fork must serialize to exactly the
-// bytes the parent's direct SnapshotTo produces, and RestoreFork of it
+// bytes the parent's direct encode produces, and RestoreFork of it
 // into a separately built co-simulation must re-encode to the same
 // bytes again.
 func TestForkEncodeByteIdentical(t *testing.T) {
@@ -77,7 +77,7 @@ func TestForkEncodeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if string(forked) != string(direct) {
-				t.Fatal("fork-then-encode differs from direct SnapshotTo")
+				t.Fatal("fork-then-encode differs from direct encode")
 			}
 
 			restored := buildCkptCosim(t, c, 42)
@@ -89,7 +89,7 @@ func TestForkEncodeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if string(again) != string(direct) {
-				t.Error("RestoreFork-then-encode differs from direct SnapshotTo")
+				t.Error("RestoreFork-then-encode differs from direct encode")
 			}
 		})
 	}
@@ -238,9 +238,8 @@ func TestForkInto(t *testing.T) {
 	// The transplant carried everything: tiles, caches, directory,
 	// event queue, memory oracles and workload position encode equal.
 	sysBytes := func(cs *core.Cosim) string {
-		e := snapshot.NewEncoder(0)
-		cs.Sys.State(e.Codec())
-		return string(e.Finish())
+		blob, _ := snapshot.Seal(0, func(c *snapshot.Codec) error { cs.Sys.State(c); return nil })
+		return string(blob)
 	}
 	if sysBytes(child) != sysBytes(parent) {
 		t.Fatal("transplanted system state encodes differently than the warm parent's")

@@ -244,21 +244,15 @@ func TestRecycledPacketIsReused(t *testing.T) {
 func TestRestoreRejectsSourceOutsideTopology(t *testing.T) {
 	big := NewNetwork(NewFixed(mesh8(), DefaultParams()))
 	big.Inject(&noc.Packet{Src: 63, Dst: 0, Size: 1}, 0)
-	e := snapshot.NewEncoder(0)
-	big.State(e.Codec(), nil, nil)
-	blob := e.Finish()
+	blob, _ := snapshot.Seal(0, func(c *snapshot.Codec) error { big.State(c, nil, nil); return nil })
 
 	for _, tc := range []struct {
 		side int
 		ok   bool
 	}{{8, true}, {4, false}} {
 		small := NewNetwork(NewFixed(topology.NewMesh(tc.side, tc.side, 1), DefaultParams()))
-		d, err := snapshot.NewDecoder(blob, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		small.State(d.Codec(), nil, nil)
-		if err := d.Finish(); (err == nil) != tc.ok {
+		err := snapshot.Open(blob, 0, func(c *snapshot.Codec) error { small.State(c, nil, nil); return nil })
+		if (err == nil) != tc.ok {
 			t.Errorf("%dx%d mesh: restore error %v, want ok=%v", tc.side, tc.side, err, tc.ok)
 		}
 		if len(small.srcFree) != tc.side*tc.side {

@@ -99,27 +99,24 @@ func TestCalibSnapshotRoundTrip(t *testing.T) {
 	r.Predict(3, 8.25)
 	r.MaybeRetune(128)
 
-	state := func(c *snapshot.Codec, a *Affine, r *Reciprocal[uint64]) {
-		a.State(c)
-		r.State(c,
-			func(x, y uint64) bool { return x < y },
-			func(c *snapshot.Codec, req *uint64) { c.U64(req) })
+	state := func(a *Affine, r *Reciprocal[uint64]) func(*snapshot.Codec) error {
+		return func(c *snapshot.Codec) error {
+			a.State(c)
+			r.State(c,
+				func(x, y uint64) bool { return x < y },
+				func(c *snapshot.Codec, req *uint64) { c.U64(req) })
+			return nil
+		}
 	}
 	encode := func(a *Affine, r *Reciprocal[uint64]) []byte {
-		e := snapshot.NewEncoder(1)
-		state(e.Codec(), a, r)
-		return e.Finish()
+		blob, _ := snapshot.Seal(1, state(a, r))
+		return blob
 	}
 	blob := encode(a, r)
 
 	a2 := NewAffine(16)
 	r2 := NewReciprocal[uint64](a2, 64)
-	d, err := snapshot.NewDecoder(blob, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state(d.Codec(), a2, r2)
-	if err := d.Finish(); err != nil {
+	if err := snapshot.Open(blob, 1, state(a2, r2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := encode(a2, r2); string(got) != string(blob) {
@@ -154,10 +151,12 @@ func TestAffineWindowMatchesShifting(t *testing.T) {
 	const window = 8
 	a := NewAffine(window)
 	ref := &shiftingWindow{max: window}
+	walk := func(a *Affine) func(*snapshot.Codec) error {
+		return func(c *snapshot.Codec) error { a.State(c); return nil }
+	}
 	encode := func(a *Affine) string {
-		e := snapshot.NewEncoder(1)
-		a.State(e.Codec())
-		return string(e.Finish())
+		blob, _ := snapshot.Seal(1, walk(a))
+		return string(blob)
 	}
 	restored := NewAffine(window)
 	for i := 0; i < 3*window+5; i++ {
@@ -181,12 +180,8 @@ func TestAffineWindowMatchesShifting(t *testing.T) {
 			t.Fatalf("step %d: checkpoint bytes differ from the shifting reference", i)
 		}
 		// Restore over a window that is itself mid-slide.
-		d, err := snapshot.NewDecoder([]byte(blob), 1)
-		if err != nil {
+		if err := snapshot.Open([]byte(blob), 1, walk(restored)); err != nil {
 			t.Fatal(err)
-		}
-		if restored.State(d.Codec()); d.Err() != nil {
-			t.Fatal(d.Err())
 		}
 		if encode(restored) != blob {
 			t.Fatalf("step %d: restored window re-encodes differently", i)

@@ -33,11 +33,10 @@ import (
 // system simulator, and every registered component with in-flight
 // traffic — into a self-validating checkpoint blob.
 func Encode(cs *core.Cosim, digest uint64) ([]byte, error) {
-	e := snapshot.NewEncoder(digest)
-	if err := cs.SnapshotTo(e); err != nil {
+	blob, err := snapshot.Seal(digest, cs.State)
+	if err != nil {
 		return nil, err
 	}
-	blob := e.Finish()
 	cs.ObserveSnapshotBytes(len(blob))
 	return blob, nil
 }
@@ -46,14 +45,7 @@ func Encode(cs *core.Cosim, digest uint64) ([]byte, error) {
 // the same configuration, mode, and workload that produced it (the
 // digest enforces this).
 func Decode(blob []byte, cs *core.Cosim, digest uint64) error {
-	d, err := snapshot.NewDecoder(blob, digest)
-	if err != nil {
-		return err
-	}
-	if err := cs.RestoreFrom(d); err != nil {
-		return err
-	}
-	return d.Finish()
+	return snapshot.Open(blob, digest, cs.State)
 }
 
 // Save writes the co-simulation state to path atomically (temp file in

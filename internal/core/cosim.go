@@ -16,7 +16,8 @@ import (
 type Cosim struct {
 	// Sys is the coarse-grain full-system simulator.
 	Sys *fullsys.System
-	// Net is the network backend (detailed, abstract, GPU, or hybrid).
+	// Net is the network backend (detailed, abstract, hybrid, or
+	// calibrated).
 	Net Backend
 	// Quantum is the synchronization interval in cycles (1 = fully
 	// synchronous ground truth).

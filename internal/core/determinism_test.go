@@ -206,11 +206,10 @@ func TestObservabilityZeroPerturbation(t *testing.T) {
 				if cs.Run(5_000).Finished {
 					t.Fatal("fixture finished before the mid-run snapshot point")
 				}
-				e := snapshot.NewEncoder(7)
-				if err := cs.SnapshotTo(e); err != nil {
+				blob, err := snapshot.Seal(7, cs.State)
+				if err != nil {
 					t.Fatal(err)
 				}
-				blob := e.Finish()
 				res := cs.Run(2_000_000)
 				if !res.Finished {
 					t.Fatalf("workload did not finish: %+v", res)

@@ -11,8 +11,10 @@ import (
 // Fork, RestoreFork and ForkInto are compositions over the one state
 // description (Cosim.state; DESIGN.md "State capture"):
 // construct a twin with the constructors that built the original,
-// encode the source into an in-memory envelope, decode it into the
-// twin. Nothing here knows what the state is.
+// seal the source into an in-memory envelope, open it into the twin
+// with every check a checkpoint file gets (magic, version, digest,
+// CRC, sections, no trailing bytes). Nothing here knows what the state
+// is.
 
 // restartable is what forking needs of a workload: an unstarted
 // instance of the same kernel for the twin's system to be built over.
@@ -32,27 +34,13 @@ func freshWorkload(sys *fullsys.System) (fullsys.Workload, error) {
 // forkDigest seals the in-memory envelopes; both ends are this file.
 const forkDigest = 0
 
-// decodeFork seals the envelope and runs restore over it, with every
-// check a checkpoint file gets (magic, version, digest, CRC, sections,
-// no trailing bytes).
-func decodeFork(e *snapshot.Encoder, restore func(*snapshot.Decoder) error) error {
-	d, err := snapshot.NewDecoder(e.Finish(), forkDigest)
-	if err != nil {
-		return err
-	}
-	if err := restore(d); err != nil {
-		return err
-	}
-	return d.Finish()
-}
-
 // Fork returns an independent live copy of the co-simulation: a twin
 // built by re-running Recipe over a fresh instance of the workload,
 // then RestoreFork. Parent and fork share nothing, advance
 // independently (concurrently if wanted) and produce bit-identical
-// results versus uninterrupted runs; a fork's SnapshotTo produces the
-// parent's bytes. Fork must not run concurrently with Step on the
-// same simulation (the same rule as SnapshotTo).
+// results versus uninterrupted runs; a fork encodes to the parent's
+// bytes. Fork must not run concurrently with Step on the same
+// simulation (the same rule as encoding a checkpoint).
 func (c *Cosim) Fork() (*Cosim, error) {
 	if c.Recipe == nil {
 		return nil, fmt.Errorf("core: co-simulation records no build recipe to fork with (repro.BuildCosim sets one)")
@@ -80,11 +68,11 @@ func (c *Cosim) Release() { c.Close() }
 // like src (normally by Fork, or by the same constructor calls). src
 // is left intact for repeated restores.
 func (c *Cosim) RestoreFork(src *Cosim) error {
-	e := snapshot.NewEncoder(forkDigest)
-	if err := src.SnapshotTo(e); err != nil {
+	blob, err := snapshot.Seal(forkDigest, src.State)
+	if err != nil {
 		return err
 	}
-	return decodeFork(e, c.RestoreFrom)
+	return snapshot.Open(blob, forkDigest, c.State)
 }
 
 // ForkInto transplants a copy of the system state onto a freshly
@@ -107,12 +95,11 @@ func (c *Cosim) ForkInto(backend Backend, quantum int) (*Cosim, error) {
 		return nil, err
 	}
 	f.WatchdogQuanta = c.WatchdogQuanta
-	e := snapshot.NewEncoder(forkDigest)
-	if err := c.state(e.Codec(), false); err != nil {
+	blob, err := snapshot.Seal(forkDigest, func(sc *snapshot.Codec) error { return c.state(sc, false) })
+	if err != nil {
 		return nil, err
 	}
-	restore := func(d *snapshot.Decoder) error { return f.state(d.Codec(), false) }
-	if err := decodeFork(e, restore); err != nil {
+	if err := snapshot.Open(blob, forkDigest, func(sc *snapshot.Codec) error { return f.state(sc, false) }); err != nil {
 		return nil, err
 	}
 	return f, nil

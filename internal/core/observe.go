@@ -59,7 +59,8 @@ type obsHandles struct {
 	flitsGauge *obs.Gauge
 
 	// activity samples the gating layer's work accounting when the
-	// backend exposes it (detailed and GPU backends); nil otherwise.
+	// backend exposes it (the detailed backend, and hybrid and
+	// calibrated for their detailed side); nil otherwise.
 	activity   func() noc.ActivityStats
 	actStepped *obs.Gauge
 	actSkipped *obs.Gauge
@@ -85,8 +86,8 @@ type obsHandles struct {
 type flitSwitcher interface{ FlitsSwitched() uint64 }
 
 // activityReporter is the optional activity-gating telemetry surface
-// of a backend (satisfied by the cycle-level network, the GPU offload,
-// and by Hybrid and Calibrated for their detailed side).
+// of a backend (satisfied by the cycle-level network, and by Hybrid and
+// Calibrated for their detailed side).
 type activityReporter interface{ ActivityStats() noc.ActivityStats }
 
 // shardReporter is the optional sharded-stepping telemetry surface of

@@ -107,9 +107,12 @@ func stater(b Backend) BackendStater {
 
 func encodeBackend(t *testing.T, b Backend) []byte {
 	t.Helper()
-	e := snapshot.NewEncoder(0)
-	stater(b).State(e.Codec(), nil, nil)
-	return e.Finish()
+	blob, _ := snapshot.Seal(0, walkBackend(b))
+	return blob
+}
+
+func walkBackend(b Backend) func(*snapshot.Codec) error {
+	return func(c *snapshot.Codec) error { stater(b).State(c, nil, nil); return nil }
 }
 
 // TestPooledBackendCapture: with deliveries pending and packets on the
@@ -138,12 +141,7 @@ func TestPooledBackendCapture(t *testing.T) {
 				fresh, used := build(t), build(t)
 				driveBackend(used, 0, 40, pooled)
 				for _, b := range []Backend{fresh, used} {
-					d, err := snapshot.NewDecoder(direct, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					stater(b).State(d.Codec(), nil, nil)
-					if err := d.Finish(); err != nil {
+					if err := snapshot.Open(direct, 0, walkBackend(b)); err != nil {
 						t.Fatal(err)
 					}
 					if got := encodeBackend(t, b); !bytes.Equal(got, direct) {

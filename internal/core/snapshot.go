@@ -104,23 +104,20 @@ func msgWalk(tiles int) noc.PayloadWalk {
 	}
 }
 
-// SnapshotTo writes the full co-simulation state: coordinator
-// counters, the complete system simulator, and the network backend
-// with all in-flight packets. Host wall-time accounting is
-// deliberately excluded — it restarts at zero on resume — so equal
-// target states always serialize to equal bytes. It fails when the
-// backend does not support checkpointing.
-func (cs *Cosim) SnapshotTo(e *snapshot.Encoder) error { return cs.state(e.Codec(), true) }
-
-// RestoreFrom reloads state written by SnapshotTo into a co-simulation
+// State walks the full co-simulation state: coordinator counters, the
+// complete system simulator, and the network backend with all
+// in-flight packets. Host wall-time accounting is deliberately
+// excluded — it restarts at zero on resume — so equal target states
+// always serialize to equal bytes. Decoding, the target must have been
 // built with the same configuration, workload, backend construction,
-// and quantum.
-func (cs *Cosim) RestoreFrom(d *snapshot.Decoder) error { return cs.state(d.Codec(), true) }
+// and quantum. It fails when the backend does not support
+// checkpointing.
+func (cs *Cosim) State(c *snapshot.Codec) error { return cs.state(c, true) }
 
-// state is the one description SnapshotTo and RestoreFrom walk: the
-// coordinator counters and the system simulator, then — withNet — the
-// backend. On a quiescent network the first part is the whole state,
-// which is what ForkInto carries across backends.
+// state is the one description State walks: the coordinator counters
+// and the system simulator, then — withNet — the backend. On a
+// quiescent network the first part is the whole state, which is what
+// ForkInto carries across backends.
 func (cs *Cosim) state(c *snapshot.Codec, withNet bool) error {
 	bs, ok := cs.Net.(BackendStater)
 	if withNet && !ok {

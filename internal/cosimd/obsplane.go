@@ -48,14 +48,14 @@ type sessionObs struct {
 	trackNames []string
 	spans      []obsplane.Event
 	spanDrops  uint64
+	retunes    []obsplane.Event // this slice's refits; outside the span cap
 
 	// Flight-entry delta baselines over the observer's counters.
 	delivered, memDone, clampNet, clampMem                 *obs.Counter
 	lastDelivered, lastMemDone, lastClampNet, lastClampMem uint64
 
 	// Metrics-event baselines: last published value per metric.
-	lastVals  map[string]float64
-	lastCalib int
+	lastVals map[string]float64
 
 	sliceStart time.Time
 	lastWall   time.Time
@@ -83,12 +83,11 @@ func (so *sessionObs) attach(cs *core.Cosim) {
 		if so.ob == nil {
 			so.ob = obs.New(obs.Options{
 				Metrics: true,
-				Calib:   true,
 				Trace:   so.hub != nil,
 				Wall:    true,
 			})
 			if so.hub != nil {
-				so.ob.Trace().SetSink(so.spanSink)
+				so.ob.Trace().SetSink(so.traceSink)
 			}
 			reg := so.ob.Metrics()
 			so.delivered = reg.Counter("net.delivered")
@@ -138,21 +137,42 @@ func (so *sessionObs) quantum(cs *core.Cosim, c sim.Cycle) {
 	so.flight.Record(e)
 }
 
-// spanSink receives every trace event the observer emits and keeps
-// complete ("X") spans in a bounded per-slice scratch; afterSlice
-// publishes them. With the sink installed the obs trace buffers
-// nothing, so a session can run forever without the trace growing.
-func (so *sessionObs) spanSink(e obs.Event) {
+// retuneValues are the fields of a retune instant's arguments
+// (obs.Observer.RetuneSink) a retune event carries.
+var retuneValues = []string{"alpha", "beta", "residual", "drift", "observations"}
+
+// traceSink receives every trace event the observer emits. It keeps
+// complete ("X") spans in a bounded per-slice scratch and the retune
+// instants of the slice's refits, uncapped, in another; afterSlice
+// publishes both. With the sink installed the obs trace buffers
+// nothing, so a session can run forever without the trace growing, and
+// once a slice is published nothing of its refits is kept.
+func (so *sessionObs) traceSink(e obs.Event) {
+	track := ""
+	if e.Tid >= 0 && e.Tid < len(so.trackNames) {
+		track = so.trackNames[e.Tid]
+	}
+	if e.Ph == "i" && e.Name == "retune" {
+		vals := make(map[string]float64, len(retuneValues))
+		for _, k := range retuneValues {
+			vals[k], _ = e.Args[k].(float64)
+		}
+		so.retunes = append(so.retunes, obsplane.Event{
+			Kind:    obsplane.KindRetune,
+			Session: so.id,
+			Tenant:  so.tenant,
+			Cycle:   e.Ts,
+			Name:    track,
+			Values:  vals,
+		})
+		return
+	}
 	if e.Ph != "X" {
 		return
 	}
 	if len(so.spans) >= sliceSpanCap {
 		so.spanDrops++
 		return
-	}
-	track := ""
-	if e.Tid >= 0 && e.Tid < len(so.trackNames) {
-		track = so.trackNames[e.Tid]
 	}
 	so.spans = append(so.spans, obsplane.Event{
 		Kind:    obsplane.KindSpan,
@@ -191,7 +211,10 @@ func (so *sessionObs) afterSlice(cs *core.Cosim, consumed uint64) []byte {
 		blob = metricsSnapshot(so.ob)
 		if so.hub != nil {
 			so.publishMetricsDelta(cycle)
-			so.publishRetunes()
+			for _, ev := range so.retunes {
+				so.hub.Publish(ev)
+			}
+			so.retunes = so.retunes[:0]
 		}
 	}
 	if so.hub != nil {
@@ -254,29 +277,6 @@ func (so *sessionObs) publishMetricsDelta(cycle uint64) {
 		Cycle:   cycle,
 		Values:  vals,
 	})
-}
-
-// publishRetunes publishes one event per calibration refit since the
-// last slice.
-func (so *sessionObs) publishRetunes() {
-	recs := so.ob.Calib().Records()
-	for _, r := range recs[so.lastCalib:] {
-		so.hub.Publish(obsplane.Event{
-			Kind:    obsplane.KindRetune,
-			Session: so.id,
-			Tenant:  so.tenant,
-			Cycle:   uint64(r.Event.At),
-			Name:    r.Component,
-			Values: map[string]float64{
-				"alpha":        r.Event.Alpha,
-				"beta":         r.Event.Beta,
-				"residual":     r.Event.Residual,
-				"drift":        r.Event.Drift,
-				"observations": float64(r.Event.Observations),
-			},
-		})
-	}
-	so.lastCalib = len(recs)
 }
 
 // transition mirrors a lifecycle edge into the flight ring and the

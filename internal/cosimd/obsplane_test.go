@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/obsplane"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -100,11 +101,11 @@ func obsplaneSlicedRun(t *testing.T, srv *Server, subs int) zpRun {
 			if res.Finished {
 				t.Fatal("fixture finished before the mid-run snapshot point")
 			}
-			e := snapshot.NewEncoder(7)
-			if err := cs.SnapshotTo(e); err != nil {
+			snap, err := snapshot.Seal(7, cs.State)
+			if err != nil {
 				t.Fatal(err)
 			}
-			out.snap = e.Finish()
+			out.snap = snap
 		}
 		if res.Finished || res.Stalled || uint64(cs.Cycle()) >= req.Limit {
 			break
@@ -171,6 +172,66 @@ func TestObsplaneZeroPerturbation(t *testing.T) {
 					len(plain.snap), len(got.snap), firstByteDiff(plain.snap, got.snap))
 			}
 		})
+	}
+}
+
+// TestRetuneEventsKeepNoHistory: a calibrated session publishes one
+// retune event per refit — taken from the trace instant the retune
+// sink emits, whatever the span cap did — and its observer keeps no
+// retune log, which would grow by a record per refit for the life of
+// the session.
+func TestRetuneEventsKeepNoHistory(t *testing.T) {
+	srv := newTestServer(t, Options{Workers: 1, EventsBuffer: 1 << 14})
+	req := tinyReq(7)
+	req.MemModel = "calibrated"
+	req.Metrics = true
+	req.Normalize()
+	cs, err := StdBuilder{}.Build(req)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	defer cs.Close()
+	so := srv.newSessionObs("rt", "tenant-rt", true)
+	so.attach(cs)
+	sub := so.hub.Subscribe()
+
+	const slice = 512
+	slices := 0
+	for res := (core.Result{}); !res.Finished && slices < 6; {
+		slices++
+		so.beginSlice()
+		res = cs.Run(sim.Cycle(slices * slice))
+		so.afterSlice(cs, slice)
+	}
+	so.finish(StateDone, uint64(cs.Cycle()), "stopped")
+	published := map[string]int{}
+	for ev := range sub.Events() {
+		if ev.Kind != obsplane.KindRetune {
+			continue
+		}
+		published[ev.Name]++
+		if len(ev.Values) != 5 || ev.Values["observations"] < 0 {
+			t.Errorf("retune event %+v lacks its fit", ev)
+		}
+	}
+	if hs := so.hub.Stats(); hs.Dropped != 0 {
+		t.Fatalf("the hub dropped %d events; the count below would be short", hs.Dropped)
+	}
+	counted := map[string]int{}
+	so.ob.Metrics().Visit(func(v obs.MetricView) {
+		if comp, ok := strings.CutPrefix(v.Name, "calib.retunes/"); ok && v.Value > 0 {
+			counted[comp] = int(v.Value)
+		}
+	})
+	if len(counted) == 0 || slices < 3 {
+		t.Fatalf("%d slices counted no refits (%v); the comparison is vacuous", slices, counted)
+	}
+	t.Logf("%d slices, refits published per component: %v", slices, published)
+	if fmt.Sprint(published) != fmt.Sprint(counted) {
+		t.Errorf("published retune events per component %v, counters %v", published, counted)
+	}
+	if so.ob.Calib() != nil {
+		t.Errorf("the session's observer keeps a retune log of %d records", so.ob.Calib().Len())
 	}
 }
 

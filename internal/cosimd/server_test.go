@@ -11,9 +11,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/obsplane"
 	"repro/internal/sim"
@@ -341,23 +343,72 @@ func TestDrainRestart(t *testing.T) {
 	}
 }
 
-// TestRestartFailsRemovedRouterSession: a drained manifest written
-// before the deflection router or the GPU mode was removed may hold an
-// unfinished session that asks for it. On restart that session must end
-// failed, naming the removal, instead of running on what replaced it,
-// and every other session must resume to its uninterrupted fingerprint.
-func TestRestartFailsRemovedRouterSession(t *testing.T) {
+// TestRestartFailsUnresumableSession: on restart, a drained session
+// that cannot be resumed ends failed, naming why, with its flight ring
+// dumped, and fails alone: every other drained session resumes to its
+// uninterrupted fingerprint. Its manifest entry may ask for a feature
+// removed since the drain (the deflection router, the GPU mode), which
+// must not run on what replaced it; or its drain checkpoint may be
+// damaged on disk.
+func TestRestartFailsUnresumableSession(t *testing.T) {
+	// Each row damages the drained state directory and returns the id
+	// of the session it made unresumable.
+	type damage func(t *testing.T, dir string, m *manifest) string
+	removed := func(edit func(*SubmitRequest)) damage {
+		return func(t *testing.T, dir string, m *manifest) string {
+			req := tinyReq(9)
+			req.Normalize()
+			edit(&req)
+			const id = "s-removed"
+			m.Sessions = append(m.Sessions, manifestSession{
+				ID: id, Seq: m.NextSeq, Req: req, Digest: 0x5eed, State: StateRunning,
+			})
+			m.NextSeq++
+			return id
+		}
+	}
+	ckptFile := func(rewrite func([]byte) []byte) damage {
+		return func(t *testing.T, dir string, m *manifest) string {
+			for _, ms := range m.Sessions {
+				if !ms.HasCkpt {
+					continue
+				}
+				path := filepath.Join(dir, ms.ID+".ckpt")
+				blob, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, rewrite(blob), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				// The drain dumped the ring; the failure must dump it again.
+				if err := os.Remove(filepath.Join(dir, ms.ID+".flight.json")); err != nil {
+					t.Fatal(err)
+				}
+				return ms.ID
+			}
+			t.Fatal("the drain left no session checkpoint to damage")
+			return ""
+		}
+	}
 	for _, c := range []struct {
-		name string
-		edit func(*SubmitRequest)
-		want string
+		name   string
+		damage damage
+		want   string
 	}{
-		{"router-deflect", func(r *SubmitRequest) { r.Router = "deflect" }, "deflection router was removed"},
-		{"mode-reciprocal-gpu", func(r *SubmitRequest) { r.Mode = "reciprocal-gpu" }, "was removed: it ran the same simulation as \"reciprocal\""},
+		{"router-deflect", removed(func(r *SubmitRequest) { r.Router = "deflect" }), "deflection router was removed"},
+		{"mode-reciprocal-gpu", removed(func(r *SubmitRequest) { r.Mode = "reciprocal-gpu" }), "was removed: it ran the same simulation as \"reciprocal\""},
+		{"ckpt-truncated", ckptFile(func(b []byte) []byte { return b[:len(b)/2] }), "snapshot: corrupt input: CRC32"},
+		{"ckpt-flipped-byte", ckptFile(func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }), "snapshot: corrupt input: CRC32"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			// One worker runs the first session's first slice, then waits
+			// in the second session's build until the drain has begun, so
+			// the first session is mid-run when it drains and leaves a
+			// checkpoint, however fast the host is.
 			dir := t.TempDir()
-			srv1 := newTestServer(t, Options{Workers: 2, SliceCycles: 512, StateDir: dir})
+			hold := holdBuilder{builds: new(atomic.Int32), held: make(chan struct{}), gate: make(chan struct{})}
+			srv1 := newTestServer(t, Options{Workers: 1, SliceCycles: 512, StateDir: dir, Builder: hold})
 			var pending []string
 			for i := 2; i <= 4; i++ {
 				st, err := srv1.Submit(tinyReq(uint64(i)))
@@ -366,7 +417,16 @@ func TestRestartFailsRemovedRouterSession(t *testing.T) {
 				}
 				pending = append(pending, st.ID)
 			}
-			if err := srv1.Close(); err != nil {
+			<-hold.held
+			drained := make(chan error, 1)
+			go func() { drained <- srv1.Close() }()
+			for closed := false; !closed; time.Sleep(time.Millisecond) {
+				srv1.mu.Lock()
+				closed = srv1.closed
+				srv1.mu.Unlock()
+			}
+			close(hold.gate)
+			if err := <-drained; err != nil {
 				t.Fatalf("drain: %v", err)
 			}
 
@@ -379,14 +439,7 @@ func TestRestartFailsRemovedRouterSession(t *testing.T) {
 			if err := json.Unmarshal(blob, &m); err != nil {
 				t.Fatal(err)
 			}
-			req := tinyReq(9)
-			req.Normalize()
-			c.edit(&req)
-			const removedID = "s-removed"
-			m.Sessions = append(m.Sessions, manifestSession{
-				ID: removedID, Seq: m.NextSeq, Req: req, Digest: 0x5eed, State: StateRunning,
-			})
-			m.NextSeq++
+			badID := c.damage(t, dir, &m)
 			if blob, err = json.Marshal(m); err != nil {
 				t.Fatal(err)
 			}
@@ -396,11 +449,17 @@ func TestRestartFailsRemovedRouterSession(t *testing.T) {
 
 			srv2 := newTestServer(t, Options{Workers: 2, SliceCycles: 512, StateDir: dir})
 			srv2.Wait()
-			st, ok := srv2.Status(removedID)
+			st, ok := srv2.Status(badID)
 			if !ok || st.State != StateFailed || !strings.Contains(st.Error, c.want) {
-				t.Errorf("removed-feature session after restart: ok=%v %+v, want failed naming the removal", ok, st)
+				t.Errorf("unresumable session after restart: ok=%v %+v, want failed with %q", ok, st, c.want)
+			}
+			if _, err := os.Stat(filepath.Join(dir, badID+".flight.json")); err != nil {
+				t.Errorf("the failed session's flight ring was not dumped: %v", err)
 			}
 			for i, id := range pending {
+				if id == badID {
+					continue
+				}
 				st, ok := srv2.Status(id)
 				if !ok || st.State != StateDone {
 					t.Fatalf("restored session %s: ok=%v %+v", id, ok, st)
@@ -413,6 +472,25 @@ func TestRestartFailsRemovedRouterSession(t *testing.T) {
 			}
 		})
 	}
+}
+
+// holdBuilder lets the first Build through and holds every later one
+// until gate is closed, announcing on held that one is waiting.
+type holdBuilder struct {
+	builds     *atomic.Int32
+	held, gate chan struct{}
+}
+
+func (h holdBuilder) Digest(req SubmitRequest) (uint64, error) { return StdBuilder{}.Digest(req) }
+func (h holdBuilder) Build(req SubmitRequest) (*core.Cosim, error) {
+	if h.builds.Add(1) > 1 {
+		select {
+		case h.held <- struct{}{}:
+		case <-h.gate:
+		}
+		<-h.gate
+	}
+	return StdBuilder{}.Build(req)
 }
 
 // TestMetricsSnapshot: a session submitted with Metrics gets obs

@@ -284,14 +284,14 @@ func (r *dramRun) tick(now sim.Cycle) {
 	}
 }
 
-func (r *dramRun) state(c *snapshot.Codec) {
+func (r *dramRun) state(c *snapshot.Codec) error {
 	r.ctl.State(c, func(c *snapshot.Codec, q *Request) { c.U64(&q.Tag) })
+	return nil
 }
 
 func (r *dramRun) encode() []byte {
-	e := snapshot.NewEncoder(0)
-	r.state(e.Codec())
-	return e.Finish()
+	blob, _ := snapshot.Seal(0, r.state)
+	return blob
 }
 
 // restored continues r in a fresh controller decoded from r's bytes.
@@ -301,12 +301,7 @@ func (r *dramRun) restored() (*dramRun, error) {
 		return nil, err
 	}
 	f.log = append(f.log, r.log...)
-	d, err := snapshot.NewDecoder(r.encode(), 0)
-	if err != nil {
-		return nil, err
-	}
-	f.state(d.Codec())
-	return f, d.Finish()
+	return f, snapshot.Open(r.encode(), 0, f.state)
 }
 
 // diffDRAM reports the first observable difference between two runs.
@@ -467,13 +462,8 @@ func TestArrivalOrderEnforced(t *testing.T) {
 	at := bytes.LastIndex(blob, binary.LittleEndian.AppendUint64(nil, uint64(second)))
 	binary.LittleEndian.PutUint64(blob[at:], uint64(first-1))
 	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.ChecksumIEEE(blob[:len(blob)-4]))
-	d, err := snapshot.NewDecoder(blob, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fresh, _ := newDRAMRun(DefaultConfig(), false)
-	fresh.state(d.Codec())
-	if err := d.Finish(); !errors.Is(err, snapshot.ErrCorrupt) {
+	if err := snapshot.Open(blob, 0, fresh.state); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Errorf("out-of-order queue decoded with error %v, want ErrCorrupt", err)
 	}
 

@@ -134,9 +134,7 @@ func TestAbstractOracleRejectsDisorderedQueue(t *testing.T) {
 	o.Enqueue(Request{Line: 1, Tag: 7}, 10) // completes at 110
 	o.Enqueue(Request{Line: 2, Tag: 8}, 10) // completes at 114
 	meta := func(c *snapshot.Codec, r *Request) { c.U64(&r.Tag) }
-	e := snapshot.NewEncoder(0)
-	o.State(e.Codec(), meta)
-	blob := e.Finish()
+	blob, _ := snapshot.Seal(0, func(c *snapshot.Codec) error { o.State(c, meta); return nil })
 
 	// The payload ends with the two (at, seq, tag) entries: swap their
 	// completion times and re-seal the CRC.
@@ -147,16 +145,11 @@ func TestAbstractOracleRejectsDisorderedQueue(t *testing.T) {
 	binary.LittleEndian.PutUint64(second, at)
 	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.ChecksumIEEE(body))
 
-	d, err := snapshot.NewDecoder(blob, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fresh, err := NewAbstractOracle(100, 4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.State(d.Codec(), meta)
-	if err := d.Finish(); err == nil {
+	if err := snapshot.Open(blob, 0, func(c *snapshot.Codec) error { fresh.State(c, meta); return nil }); err == nil {
 		t.Fatal("a pending queue out of firing order decoded without error")
 	}
 }

@@ -119,9 +119,8 @@ func (c *aosL1) state(cd *snapshot.Codec) {
 }
 
 func encodeWith(walk func(*snapshot.Codec)) []byte {
-	e := snapshot.NewEncoder(1)
-	walk(e.Codec())
-	return e.Finish()
+	blob, _ := snapshot.Seal(1, func(c *snapshot.Codec) error { walk(c); return nil })
+	return blob
 }
 
 // checkL1Program runs a program on both caches: shape picks the

@@ -144,12 +144,7 @@ func (r *gateRun) viaSnapshot() (*gateRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := snapshot.NewDecoder(encodeSystem(r.sys), 0)
-	if err != nil {
-		return nil, err
-	}
-	sys.State(d.Codec())
-	if err := d.Finish(); err != nil {
+	if err := snapshot.Open(encodeSystem(r.sys), 0, walkSystem(sys)); err != nil {
 		return nil, err
 	}
 	f.sys, f.lb.sys = sys, sys
@@ -157,9 +152,12 @@ func (r *gateRun) viaSnapshot() (*gateRun, error) {
 }
 
 func encodeSystem(s *System) []byte {
-	e := snapshot.NewEncoder(0)
-	s.State(e.Codec())
-	return e.Finish()
+	blob, _ := snapshot.Seal(0, walkSystem(s))
+	return blob
+}
+
+func walkSystem(s *System) func(*snapshot.Codec) error {
+	return func(c *snapshot.Codec) error { s.State(c); return nil }
 }
 
 // diffSystems reports the first observable difference between two

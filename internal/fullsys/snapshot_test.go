@@ -26,12 +26,7 @@ func placementSystem(t *testing.T, plant func(tile *Tile)) *System {
 
 // decodeInto restores blob into a fresh machine and returns the error.
 func decodeInto(t *testing.T, blob []byte) error {
-	d, err := snapshot.NewDecoder(blob, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	placementSystem(t, nil).State(d.Codec())
-	return d.Finish()
+	return snapshot.Open(blob, 0, walkSystem(placementSystem(t, nil)))
 }
 
 // TestDecodeRejectsStateBeyondBounds: a restore rejects a core's
@@ -87,12 +82,7 @@ func TestDecodeRejectsStateBeyondBounds(t *testing.T) {
 				binary.LittleEndian.PutUint64(out[at:], v)
 				body := out[:len(out)-4]
 				binary.LittleEndian.PutUint32(out[len(body):], crc32.ChecksumIEEE(body))
-				d, err := snapshot.NewDecoder(out, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				machine(t, l2Lines, 0).State(d.Codec())
-				return d.Finish()
+				return snapshot.Open(out, 0, walkSystem(machine(t, l2Lines, 0)))
 			}
 			if err := decode(tc.good, tc.goodL2); err != nil {
 				t.Fatalf("valid value %d rejected: %v", tc.good, err)

@@ -55,9 +55,7 @@ func runGatingLoad(t *testing.T, n *Network, pattern string) (fp string, mid, en
 	const quantum = 64
 	for q := 0; q < 8; q++ {
 		if q == 4 {
-			e := snapshot.NewEncoder(1)
-			n.State(e.Codec(), nil, nil)
-			mid = e.Finish()
+			mid = encodeNet(n)
 		}
 		base := n.Cycle()
 		for c := 0; c < quantum; c++ {
@@ -84,9 +82,7 @@ func runGatingLoad(t *testing.T, n *Network, pattern string) (fp string, mid, en
 	if !n.Quiescent() {
 		t.Fatal("network failed to drain")
 	}
-	e := snapshot.NewEncoder(1)
-	n.State(e.Codec(), nil, nil)
-	return fingerprint(n, delivered), mid, e.Finish()
+	return fingerprint(n, delivered), mid, encodeNet(n)
 }
 
 // gatingWorkerCounts are the worker counts the gating matrices run: the
@@ -172,20 +168,14 @@ func TestGatingRestoreBitIdentical(t *testing.T) {
 
 	src := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
 	load(src)
-	e := snapshot.NewEncoder(1)
-	src.State(e.Codec(), nil, nil)
-	blob := e.Finish()
+	blob := encodeNet(src)
 
 	for _, gated := range []bool{true, false} {
 		cfg := DefaultConfig()
 		cfg.DisableGating = !gated
 		n := mustNet(t, cfg, m, topology.NewXY(m))
-		d, err := snapshot.NewDecoder(blob, 1)
-		if err != nil {
+		if err := snapshot.Open(blob, 1, walkNet(n)); err != nil {
 			t.Fatal(err)
-		}
-		if n.State(d.Codec(), nil, nil); d.Err() != nil {
-			t.Fatal(d.Err())
 		}
 		if got := finish(t, n); got != want {
 			t.Errorf("restored run (gated=%v) diverged from uninterrupted exhaustive run", gated)

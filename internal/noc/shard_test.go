@@ -92,11 +92,7 @@ func TestShardedRestoreBitIdentical(t *testing.T) {
 	load(ref)
 	want := finish(t, ref)
 
-	snapOf := func(n *Network) []byte {
-		e := snapshot.NewEncoder(1)
-		n.State(e.Codec(), nil, nil)
-		return e.Finish()
-	}
+	snapOf := encodeNet
 
 	// Mid-run state captured on a sequential network and on a sharded
 	// one must already serialize to the same bytes.
@@ -111,12 +107,8 @@ func TestShardedRestoreBitIdentical(t *testing.T) {
 
 	for _, w := range []int{1, 4, 8} {
 		n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(w))
-		d, err := snapshot.NewDecoder(seqBlob, 1)
-		if err != nil {
+		if err := snapshot.Open(seqBlob, 1, walkNet(n)); err != nil {
 			t.Fatal(err)
-		}
-		if n.State(d.Codec(), nil, nil); d.Err() != nil {
-			t.Fatal(d.Err())
 		}
 		if got := finish(t, n); got != want {
 			t.Errorf("restored run (workers=%d) diverged from uninterrupted exhaustive run", w)
@@ -212,14 +204,8 @@ func TestShardedRestoredNetworkHoldsNoGoroutines(t *testing.T) {
 	}
 
 	nt := mk()
-	e := snapshot.NewEncoder(1)
-	n.State(e.Codec(), nil, nil)
-	d, err := snapshot.NewDecoder(e.Finish(), 1)
-	if err != nil {
+	if err := snapshot.Open(encodeNet(n), 1, walkNet(nt)); err != nil {
 		t.Fatal(err)
-	}
-	if nt.State(d.Codec(), nil, nil); d.Err() != nil {
-		t.Fatal(d.Err())
 	}
 	if got := runtime.NumGoroutine(); got != base+2 {
 		t.Errorf("held restored twin owns %d goroutines, want none", got-base-2)
@@ -296,11 +282,7 @@ func TestShardedCaptureWithBackloggedNI(t *testing.T) {
 		}
 		n.Run(7)
 	}
-	snapOf := func(n *Network) []byte {
-		e := snapshot.NewEncoder(1)
-		n.State(e.Codec(), nil, nil)
-		return e.Finish()
-	}
+	snapOf := encodeNet
 	drain := func(n *Network) (string, bool) {
 		var delivered []*Packet
 		for i := 0; i < 5000 && !n.Quiescent(); i++ {
@@ -349,12 +331,8 @@ func TestShardedCaptureWithBackloggedNI(t *testing.T) {
 				dst  *Network
 			}{{"fresh", mk()}, {"used", used}} {
 				what, dst := c.what, c.dst
-				d, err := snapshot.NewDecoder(blob, 1)
-				if err != nil {
+				if err := snapshot.Open(blob, 1, walkNet(dst)); err != nil {
 					t.Fatal(err)
-				}
-				if dst.State(d.Codec(), nil, nil); d.Err() != nil {
-					t.Fatal(d.Err())
 				}
 				if !bytes.Equal(snapOf(dst), blob) {
 					t.Errorf("snapshot restored into a %s network re-encodes to different bytes", what)

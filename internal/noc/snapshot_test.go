@@ -75,21 +75,15 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 	if a.InFlight() == 0 {
 		t.Fatal("checkpoint taken with nothing in flight; test would be vacuous")
 	}
-	e := snapshot.NewEncoder(1)
-	a.State(e.Codec(), nil, nil)
-	blob := e.Finish()
+	blob := encodeNet(a)
 
 	b := build()
-	d, err := snapshot.NewDecoder(blob, 1)
-	if err != nil {
-		t.Fatalf("decode envelope: %v", err)
-	}
 	tracked := 0
-	if b.State(d.Codec(), nil, func(*Packet) { tracked++ }); d.Err() != nil {
-		t.Fatalf("restore: %v", d.Err())
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatalf("trailing data: %v", err)
+	if err := snapshot.Open(blob, 1, func(c *snapshot.Codec) error {
+		b.State(c, nil, func(*Packet) { tracked++ })
+		return nil
+	}); err != nil {
+		t.Fatalf("restore: %v", err)
 	}
 	if tracked == 0 {
 		t.Fatal("track callback never invoked despite in-flight packets")
@@ -100,9 +94,7 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// The same snapshot must also be byte-stable across encodes.
-	e2 := snapshot.NewEncoder(1)
-	a.State(e2.Codec(), nil, nil)
-	if string(e2.Finish()) != string(blob) {
+	if string(encodeNet(a)) != string(blob) {
 		t.Error("re-encoding the same network state produced different bytes")
 	}
 }
@@ -115,9 +107,7 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 func TestRestoreRejectsOutOfRangeIfaceRR(t *testing.T) {
 	m := topology.NewMesh(2, 2, 1)
 	n := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
-	e := snapshot.NewEncoder(1)
-	n.State(e.Codec(), nil, nil)
-	blob := e.Finish()
+	blob := encodeNet(n)
 
 	// An idle network's first iface record is one empty-queue count (a
 	// u32) per vnet, then rr as an i64, right after the section marker.
@@ -133,12 +123,8 @@ func TestRestoreRejectsOutOfRangeIfaceRR(t *testing.T) {
 	body := blob[:len(blob)-4]
 	binary.LittleEndian.PutUint32(blob[len(body):], crc32.ChecksumIEEE(body))
 
-	d, err := snapshot.NewDecoder(blob, 1)
-	if err != nil {
-		t.Fatalf("decode envelope: %v", err)
-	}
-	mustNet(t, DefaultConfig(), m, topology.NewXY(m)).State(d.Codec(), nil, nil)
-	if err = d.Err(); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "iface rr pointer") {
+	err := snapshot.Open(blob, 1, walkNet(mustNet(t, DefaultConfig(), m, topology.NewXY(m))))
+	if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "iface rr pointer") {
 		t.Fatalf("restore with rr = VNets returned %v, want ErrCorrupt naming the iface rr pointer", err)
 	}
 }
@@ -154,9 +140,20 @@ func TestPayloadWithoutWalkPanics(t *testing.T) {
 					t.Errorf("encoding %+v without a walk: recovered %v, want the no-walk panic", p, r)
 				}
 			}()
-			p.State(snapshot.NewEncoder(1).Codec(), nil)
+			snapshot.Seal(1, func(c *snapshot.Codec) error { p.State(c, nil); return nil })
 		}()
 	}
 	empty := Packet{Size: 1}
-	empty.State(snapshot.NewEncoder(1).Codec(), nil)
+	snapshot.Seal(1, func(c *snapshot.Codec) error { empty.State(c, nil); return nil })
+}
+
+// walkNet is the walk of n's state with no payloads and no tracking.
+func walkNet(n *Network) func(*snapshot.Codec) error {
+	return func(c *snapshot.Codec) error { n.State(c, nil, nil); return nil }
+}
+
+// encodeNet seals n's state.
+func encodeNet(n *Network) []byte {
+	blob, _ := snapshot.Seal(1, walkNet(n))
+	return blob
 }

@@ -200,12 +200,13 @@ func (q *refQueue[T]) PopUntil(until Cycle) (d Deferred[T], ok bool) {
 	return d, true
 }
 
-// encodeTo writes the reference queue field by field, straight to the
-// encoder: the bytes TypedQueue.State must produce.
-func (q *refQueue[T]) encodeTo(e *snapshot.Encoder, enc func(*snapshot.Encoder, T)) {
-	e.U64(q.seq)
-	e.U64(uint64(q.watermark))
-	e.Bool(q.fired)
+// encodeTo writes the reference queue field by field, in the order of
+// its heap sorted by firing time: the bytes TypedQueue.State must
+// produce.
+func (q *refQueue[T]) encodeTo(c *snapshot.Codec, enc func(*snapshot.Codec, *T)) {
+	c.U64(&q.seq)
+	snapshot.As64(c, &q.watermark)
+	c.Bool(&q.fired)
 	sorted := make([]Deferred[T], len(q.heap))
 	copy(sorted, q.heap)
 	sort.Slice(sorted, func(i, j int) bool {
@@ -214,11 +215,11 @@ func (q *refQueue[T]) encodeTo(e *snapshot.Encoder, enc func(*snapshot.Encoder, 
 		}
 		return sorted[i].Seq < sorted[j].Seq
 	})
-	e.U32(uint32(len(sorted)))
+	c.Len(len(sorted), 0)
 	for _, d := range sorted {
-		e.U64(uint64(d.When))
-		e.U64(d.Seq)
-		enc(e, d.Item)
+		snapshot.As64(c, &d.When)
+		c.U64(&d.Seq)
+		enc(c, &d.Item)
 	}
 }
 
@@ -259,8 +260,6 @@ func (q *refQueue[T]) down(i int) {
 		i = smallest
 	}
 }
-
-func encInt(e *snapshot.Encoder, v int) { e.Int(v) }
 
 func stateInt(c *snapshot.Codec, v *int) { c.Int(v) }
 
@@ -338,17 +337,11 @@ func runCalendarProgram(prog []byte) (calendarTiers, error) {
 		}
 	}
 	encode := func(q *TypedQueue[int]) []byte {
-		e := snapshot.NewEncoder(0)
-		q.State(e.Codec(), stateInt)
-		return e.Finish()
+		blob, _ := snapshot.Seal(0, func(c *snapshot.Codec) error { q.State(c, stateInt); return nil })
+		return blob
 	}
 	restore := func(dst, src *TypedQueue[int]) error {
-		d, err := snapshot.NewDecoder(encode(src), 0)
-		if err != nil {
-			return err
-		}
-		dst.State(d.Codec(), stateInt)
-		return d.Finish()
+		return snapshot.Open(encode(src), 0, func(c *snapshot.Codec) error { dst.State(c, stateInt); return nil })
 	}
 	for pc := 0; pc+1 < len(prog); pc += 2 {
 		op, arg := prog[pc]%numCalOps, Cycle(prog[pc+1])
@@ -392,9 +385,7 @@ func runCalendarProgram(prog []byte) (calendarTiers, error) {
 				_, err = pop(now)
 			}
 		case opSnapshot:
-			e := snapshot.NewEncoder(0)
-			ref.encodeTo(e, encInt)
-			want := e.Finish()
+			want, _ := snapshot.Seal(0, func(c *snapshot.Codec) error { ref.encodeTo(c, stateInt); return nil })
 			for i, q := range qs {
 				if got := encode(q); !bytes.Equal(got, want) {
 					err = fmt.Errorf("queue %d snapshot differs from the reference's (%d vs %d bytes)", i, len(got), len(want))

@@ -4,26 +4,31 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
+	"strings"
 )
 
-// Codec walks a state description in one of two directions: over an
-// Encoder it writes every field it is shown, over a Decoder it reads
-// them back into the same variables. A component describes its state
-// once, as a State(c *Codec) body of field walks, and that one body is
-// both its snapshot and its restore — there is no second body to keep
-// in step with the first.
+// Codec walks a state description in one of two directions: encoding
+// it appends every field it is shown to the checkpoint under
+// construction, decoding it reads them back into the same variables.
+// A component describes its state once, as a State(c *Codec) body of
+// field walks, and that one body is both its snapshot and its restore
+// — there is no second body to keep in step with the first.
 //
-// The wire, the envelope, the sticky decode error, the Count bound and
-// the section markers are the Encoder's and Decoder's; Codec adds no
-// byte of its own. Work that only one direction needs sits behind
-// Decoding(): allocation, re-seating and validation of what was just
-// read on one side, sorted or collected views of live structures on
-// the other.
+// Seal and Open make the only codecs, and the codec is the only reader
+// and writer of the wire: every walk below has one body, in which one
+// test of the direction picks the append or the read. Work that only
+// one direction needs sits behind Decoding(): allocation, re-seating
+// and validation of what was just read on one side, sorted or collected
+// views of live structures on the other.
 type Codec struct {
-	enc *Encoder
-	dec *Decoder
+	buf []byte // encoding: the checkpoint so far; decoding: the payload
+	off int    // decoding: the read position in buf
+	dec bool
+	err error    // the first decode failure
+	ctx []string // Enter labels, decoding only
 }
 
 // Stater is implemented by components that describe their mutable
@@ -32,49 +37,33 @@ type Stater interface {
 	State(c *Codec)
 }
 
-// Codec returns a codec that writes to e.
-func (e *Encoder) Codec() *Codec { return &Codec{enc: e} }
-
-// Codec returns a codec that reads from d.
-func (d *Decoder) Codec() *Codec { return &Codec{dec: d} }
-
 // Decoding reports the direction: true when the walk fills the state
 // from a checkpoint, false when it writes the state out.
-func (c *Codec) Decoding() bool { return c.dec != nil }
+func (c *Codec) Decoding() bool { return c.dec }
 
 // Err reports the first decode failure, or nil. Encoding cannot fail.
-func (c *Codec) Err() error {
-	if c.dec != nil {
-		return c.dec.err
-	}
-	return nil
-}
+func (c *Codec) Err() error { return c.err }
 
 // Failf reports a state that fails its own validation. Decoding, that
-// is corrupt input: the failure is recorded like Decoder.Failf, with
-// offset and context, unless one is already pending. Encoding, it is a
-// bug in the simulator, and writing a checkpoint that could never be
-// read back would only hide it: Failf panics.
+// is corrupt input: the failure is recorded wrapping ErrCorrupt, with
+// the payload offset and the Enter context, unless one is already
+// pending. Encoding, it is a bug in the simulator, and writing a
+// checkpoint that could never be read back would only hide it: Failf
+// panics.
 func (c *Codec) Failf(format string, args ...interface{}) {
-	if c.dec == nil {
+	if !c.dec {
 		panic("snapshot: encoding invalid state: " + fmt.Sprintf(format, args...))
 	}
-	c.dec.Failf(format, args...)
-}
-
-// Section walks a named marker (Encoder.Section, Decoder.Section).
-func (c *Codec) Section(name string) {
-	if c.dec != nil {
-		c.dec.Section(name)
-	} else {
-		c.enc.Section(name)
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s (offset %d%s)",
+			ErrCorrupt, fmt.Sprintf(format, args...), c.off, c.where())
 	}
 }
 
 // Enter pushes the context label name[idx,...] onto decode error
 // messages until the matching Leave. Encoding, it costs nothing.
 func (c *Codec) Enter(name string, idx ...int) {
-	if c.dec == nil {
+	if !c.dec {
 		return
 	}
 	label := name + "["
@@ -84,112 +73,128 @@ func (c *Codec) Enter(name string, idx ...int) {
 		}
 		label += strconv.Itoa(v)
 	}
-	c.dec.Enter(label + "]")
+	c.ctx = append(c.ctx, label+"]")
 }
 
 // Leave pops the most recent Enter.
 func (c *Codec) Leave() {
-	if c.dec != nil {
-		c.dec.Leave()
+	if len(c.ctx) > 0 {
+		c.ctx = c.ctx[:len(c.ctx)-1]
 	}
 }
 
-// The three widths the dense records are made of (cache ways, directory
-// entries, flit slots) are small enough to inline into the state
-// description: encoding, the field is appended in place, as in a
-// hand-written encode body; decoding costs one call, to a getter that
-// reads straight from the payload when the bytes are there and no
-// failure is pending, and leaves truncation and the sticky error to the
-// Decoder's exported getters otherwise.
+func (c *Codec) where() string {
+	if len(c.ctx) == 0 {
+		return ""
+	}
+	return " in " + strings.Join(c.ctx, "/")
+}
+
+// zeros is what a fixed-width walk reads after a decode failure.
+var zeros [8]byte
+
+// take consumes the next n payload bytes for a decoding walk. Short of
+// them it records ErrTruncated, naming what was being read. After any
+// failure it consumes nothing and returns zero bytes, as many as a
+// fixed-width field needs (n ≤ 8), so the walk reads a zero value.
+func (c *Codec) take(n int, what string) []byte {
+	if c.err == nil && n >= 0 && c.off+n <= len(c.buf) && c.off+n >= 0 {
+		c.off += n
+		return c.buf[c.off-n : c.off]
+	}
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: need %d bytes for %s at payload offset %d of %d%s",
+			ErrTruncated, n, what, c.off, len(c.buf), c.where())
+	}
+	return zeros[:min(max(n, 0), len(zeros))]
+}
 
 // U8 walks one byte.
 func (c *Codec) U8(p *uint8) {
-	if c.dec == nil {
-		c.enc.U8(*p)
-		return
-	}
-	c.dec.walkU8(p)
-}
-
-func (d *Decoder) walkU8(p *uint8) {
-	if d.err == nil && d.off < len(d.data) {
-		*p = d.data[d.off]
-		d.off++
+	if c.dec {
+		*p = c.take(1, "u8")[0]
 	} else {
-		*p = d.U8()
+		c.buf = append(c.buf, *p)
 	}
 }
 
 // U32 walks a little-endian uint32.
 func (c *Codec) U32(p *uint32) {
-	if c.dec != nil {
-		*p = c.dec.U32()
+	if c.dec {
+		*p = binary.LittleEndian.Uint32(c.take(4, "u32"))
 	} else {
-		c.enc.U32(*p)
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *p)
 	}
 }
 
 // U64 walks a little-endian uint64.
 func (c *Codec) U64(p *uint64) {
-	if c.dec == nil {
-		c.enc.U64(*p)
-		return
-	}
-	c.dec.walkU64(p)
-}
-
-func (d *Decoder) walkU64(p *uint64) {
-	if d.err == nil && d.off+8 <= len(d.data) {
-		*p = binary.LittleEndian.Uint64(d.data[d.off:])
-		d.off += 8
+	if c.dec {
+		*p = binary.LittleEndian.Uint64(c.take(8, "u64"))
 	} else {
-		*p = d.U64()
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *p)
 	}
 }
 
 // Int walks an int as an int64.
-func (c *Codec) Int(p *int) {
-	if c.dec != nil {
-		*p = c.dec.Int()
-	} else {
-		c.enc.Int(*p)
-	}
-}
+func (c *Codec) Int(p *int) { As64(c, p) }
 
 // F64 walks a float64 by its exact IEEE-754 bit pattern.
 func (c *Codec) F64(p *float64) {
-	if c.dec != nil {
-		*p = c.dec.F64()
-	} else {
-		c.enc.F64(*p)
+	v := math.Float64bits(*p)
+	if c.U64(&v); c.dec {
+		*p = math.Float64frombits(v)
 	}
 }
 
 // Bool walks a bool as one byte; decoding, any byte other than 0 or 1
 // is corruption.
 func (c *Codec) Bool(p *bool) {
-	if c.dec == nil {
-		c.enc.Bool(*p)
+	var v uint8
+	if *p {
+		v = 1
+	}
+	if c.U8(&v); c.dec {
+		if v > 1 {
+			c.Failf("bool byte is %#x, want 0 or 1", v)
+		}
+		*p = v == 1
+	}
+}
+
+// String walks a string as a u32 length prefix and its bytes.
+func (c *Codec) String(p *string) {
+	n := uint32(len(*p))
+	if c.U32(&n); !c.dec {
+		c.buf = append(c.buf, *p...)
+	} else if b := c.take(int(n), "bytes body"); c.err == nil {
+		*p = string(b)
+	} else {
+		*p = ""
+	}
+}
+
+// maxQuotedName bounds how much of a mismatched section name a decode
+// error quotes: a corrupt length can make the "name" the rest of the
+// payload.
+const maxQuotedName = 64
+
+// Section walks a named marker: a tag byte, then the name as String
+// writes it. Decoding verifies the same name at the same position, so
+// a decode that drifts out of step with the encode fails at the next
+// boundary, with both names in the message, instead of misreading
+// every later field.
+func (c *Codec) Section(name string) {
+	tag, n := uint8(sectionTag), uint32(len(name))
+	if c.U8(&tag); c.err == nil && tag != sectionTag {
+		c.Failf("expected section marker for %q, found byte %#x — stream out of sync", name, tag)
 		return
 	}
-	c.dec.walkBool(p)
-}
-
-func (d *Decoder) walkBool(p *bool) {
-	if d.err == nil && d.off < len(d.data) && d.data[d.off] <= 1 {
-		*p = d.data[d.off] == 1
-		d.off++
-	} else {
-		*p = d.Bool()
-	}
-}
-
-// String walks a length-prefixed string.
-func (c *Codec) String(p *string) {
-	if c.dec != nil {
-		*p = c.dec.String()
-	} else {
-		c.enc.String(*p)
+	if c.U32(&n); !c.dec {
+		c.buf = append(c.buf, name...)
+	} else if got := c.take(int(n), "bytes body"); c.err == nil && string(got) != name {
+		c.Failf("expected section %q, found a %d-byte section %q — stream out of sync",
+			name, len(got), got[:min(len(got), maxQuotedName)])
 	}
 }
 
@@ -202,28 +207,28 @@ type integer interface {
 // narrower type at the given wire width: the value is converted to
 // the wire's unsigned word on the way out (sign-extending a signed
 // field) and truncated back on the way in, exactly as the explicit
-// conversions e.U64(uint64(v)) / v = T(d.U64()) would. The field is
-// only ever written when decoding.
+// conversions uint64(v) / T(word) would. The field is only ever
+// written when decoding.
 func As8[T integer](c *Codec, p *T) {
 	v := uint8(*p)
-	if c.U8(&v); c.dec != nil {
+	if c.U8(&v); c.dec {
 		*p = T(v)
 	}
 }
 
 // As16 walks an integer field as a little-endian uint16; see As8.
 func As16[T integer](c *Codec, p *T) {
-	if c.dec != nil {
-		*p = T(c.dec.U16())
+	if c.dec {
+		*p = T(binary.LittleEndian.Uint16(c.take(2, "u16")))
 	} else {
-		c.enc.U16(uint16(*p))
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, uint16(*p))
 	}
 }
 
 // As32 walks an integer field as a little-endian uint32; see As8.
 func As32[T integer](c *Codec, p *T) {
 	v := uint32(*p)
-	if c.U32(&v); c.dec != nil {
+	if c.U32(&v); c.dec {
 		*p = T(v)
 	}
 }
@@ -231,21 +236,29 @@ func As32[T integer](c *Codec, p *T) {
 // As64 walks an integer field as a little-endian uint64; see As8.
 func As64[T integer](c *Codec, p *T) {
 	v := uint64(*p)
-	if c.U64(&v); c.dec != nil {
+	if c.U64(&v); c.dec {
 		*p = T(v)
 	}
 }
 
 // Len walks a collection's element count as a u32. Encoding it writes
 // n and returns it; decoding it returns the stored count, validated
-// like Decoder.Count against the remaining payload at perItemMin bytes
-// an element (0 after a failure), so a corrupt count fails before
-// anything is sized by it.
+// against the remaining payload at perItemMin bytes an element (0
+// after a failure), so a corrupt count fails before anything is sized
+// by it.
 func (c *Codec) Len(n, perItemMin int) int {
-	if c.dec != nil {
-		return c.dec.Count(perItemMin)
+	v := uint32(n)
+	if c.U32(&v); !c.dec {
+		return n
 	}
-	c.enc.U32(uint32(n))
+	if c.err != nil {
+		return 0
+	}
+	n, perItemMin = int(v), max(perItemMin, 1)
+	if rest := len(c.buf) - c.off; n > rest/perItemMin {
+		c.Failf("count %d needs at least %d bytes but only %d remain", n, n*perItemMin, rest)
+		return 0
+	}
 	return n
 }
 
@@ -255,11 +268,11 @@ func (c *Codec) Len(n, perItemMin int) int {
 // loop, never an allocation — and stops at the first failure.
 func Slice[T any](c *Codec, s *[]T, perItemMin int, elem func(*Codec, *T)) {
 	n := c.Len(len(*s), perItemMin)
-	if c.dec != nil {
+	if c.dec {
 		*s = (*s)[:0]
 	}
 	for i := 0; i < n && c.Err() == nil; i++ {
-		if c.dec != nil {
+		if c.dec {
 			var zero T
 			*s = append(*s, zero)
 		}
@@ -284,7 +297,7 @@ func MapBy[K comparable, V any](c *Codec, m *map[K]V, perItemMin int, less func(
 	// they live on the heap, and should once per map, not once per entry.
 	var k, zeroK K
 	var v, zeroV V
-	if c.dec != nil {
+	if c.dec {
 		n := c.Len(0, perItemMin)
 		*m = make(map[K]V, n)
 		for i := 0; i < n; i++ {

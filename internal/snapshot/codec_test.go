@@ -2,7 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -71,43 +74,39 @@ func sample() *walked {
 }
 
 func encodeWalked(w *walked) []byte {
-	e := NewEncoder(1)
-	w.state(e.Codec())
-	return e.Finish()
+	blob, _ := Seal(1, walkFn(w.state))
+	return blob
 }
 
-// TestCodecAddsNoByte: the bytes a state description produces are the
-// ones the same fields produce through the Encoder directly — maps in
-// ascending key order, narrow integers sign-extended to their wire
-// width.
+// TestCodecAddsNoByte: the bytes a state description produces are its
+// fields, little-endian at their wire widths, and nothing else — maps
+// in ascending key order, narrow integers sign-extended to their wire
+// width, the envelope around them.
 func TestCodecAddsNoByte(t *testing.T) {
-	e := NewEncoder(1)
-	e.Section("walked")
-	e.Int(4)
-	e.U8(7)
-	e.U32(0xDEADBEEF)
-	e.U64(1 << 40)
-	e.Int(-7)
-	e.F64(3.14159)
-	e.Bool(true)
-	e.String("hello")
-	e.U64(12345)
-	e.I64(-3)
-	e.U16(0xFFFE)
-	e.U32(70000)
-	e.U32(3)
-	e.U64(10)
-	e.U64(20)
-	e.U64(30)
-	e.U32(2)
-	e.U64(2)
-	e.F64(-2.25)
-	e.U64(9)
-	e.F64(1.5)
-	e.Bool(true)
-	e.U64(99)
-	if got, want := encodeWalked(sample()), e.Finish(); !bytes.Equal(got, want) {
-		t.Errorf("codec bytes differ from the encoder's\n got %x\nwant %x", got, want)
+	le := binary.LittleEndian
+	want := le.AppendUint64(le.AppendUint32([]byte(Magic), FormatVersion), 1)
+	want = append(append(want, sectionTag, 6, 0, 0, 0), "walked"...)
+	want = le.AppendUint64(want, 4)
+	want = append(want, 7)
+	want = le.AppendUint32(want, 0xDEADBEEF)
+	want = le.AppendUint64(want, 1<<40)
+	want = le.AppendUint64(want, 1<<64-7)
+	want = le.AppendUint64(want, math.Float64bits(3.14159))
+	want = append(want, 1, 5, 0, 0, 0)
+	want = append(want, "hello"...)
+	want = le.AppendUint64(want, 12345)
+	want = le.AppendUint64(want, 1<<64-3)
+	want = le.AppendUint16(want, 0xFFFE)
+	want = le.AppendUint32(want, 70000)
+	want = le.AppendUint32(want, 3)
+	want = le.AppendUint64(le.AppendUint64(le.AppendUint64(want, 10), 20), 30)
+	want = le.AppendUint32(want, 2)
+	want = le.AppendUint64(le.AppendUint64(want, 2), math.Float64bits(-2.25))
+	want = le.AppendUint64(le.AppendUint64(want, 9), math.Float64bits(1.5))
+	want = le.AppendUint64(append(want, 1), 99)
+	want = seal(want)
+	if got := encodeWalked(sample()); !bytes.Equal(got, want) {
+		t.Errorf("codec bytes differ from the fields'\n got %x\nwant %x", got, want)
 	}
 }
 
@@ -115,14 +114,9 @@ func TestCodecAddsNoByte(t *testing.T) {
 // back into a target of the same construction, over stale contents.
 func TestCodecWalksBothWays(t *testing.T) {
 	want := sample()
-	d, err := NewDecoder(encodeWalked(want), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stale := uint64(5)
 	got := &walked{lanes: 4, extra: &stale, list: []uint64{1, 2, 3, 4, 5}, byKey: map[uint64]*float64{77: nil}}
-	got.state(d.Codec())
-	if err := d.Finish(); err != nil {
+	if err := Open(encodeWalked(want), 1, walkFn(got.state)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -136,12 +130,7 @@ func TestCodecWalksBothWays(t *testing.T) {
 // remaining payload fails before anything is sized by it.
 func TestCodecRejects(t *testing.T) {
 	decode := func(blob []byte, target *walked) error {
-		d, err := NewDecoder(blob, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		target.state(d.Codec())
-		return d.Finish()
+		return Open(blob, 1, walkFn(target.state))
 	}
 	x := uint64(0)
 	target := func() *walked { return &walked{lanes: 4, extra: &x} }
@@ -197,7 +186,7 @@ func TestCodecRejects(t *testing.T) {
 
 // seal appends the CRC trailer to a checkpoint body.
 func seal(body []byte) []byte {
-	return (&Encoder{buf: append([]byte(nil), body...)}).Finish()
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
 }
 
 // TestCodecEncodingInvalidStatePanics: a state that fails its own
@@ -213,25 +202,59 @@ func TestCodecEncodingInvalidStatePanics(t *testing.T) {
 	encodeWalked(bad)
 }
 
-// TestCodecContextOnlyWhenDecoding: Enter labels reach decode errors
-// and cost an encode nothing.
+// TestCodecContextOnlyWhenDecoding: Enter labels reach decode errors,
+// nested and with their indices, and cost an encode nothing.
 func TestCodecContextOnlyWhenDecoding(t *testing.T) {
-	e := NewEncoder(1)
-	c := e.Codec()
-	c.Enter("link", 3, 1)
-	v := uint64(1)
-	c.U64(&v)
-	c.Leave()
-	d, err := NewDecoder(e.Finish(), 1)
-	if err != nil {
-		t.Fatal(err)
+	var (
+		b uint8
+		v uint64
+	)
+	cases := []struct {
+		name        string
+		write, read func(c *Codec)
+		want        string
+	}{
+		{"failf", func(c *Codec) {
+			c.Enter("link", 3, 1)
+			c.U64(&v)
+			c.Leave()
+		}, func(c *Codec) {
+			c.Enter("link", 3, 1)
+			c.U64(&v)
+			c.Failf("bad credit")
+			c.Leave()
+		}, "snapshot: corrupt input: bad credit (offset 8 in link[3,1])"},
+		{"truncated", func(c *Codec) {
+			c.Section("a")
+			c.U8(&b)
+		}, func(c *Codec) {
+			c.Enter("router", 3)
+			c.Enter("port", 1, 2)
+			c.Section("a")
+			c.U8(&b)
+			c.U64(&v)
+		}, "snapshot: truncated input: need 8 bytes for u64 at payload offset 7 of 7 in router[3]/port[1,2]"},
+		{"left", func(c *Codec) { c.U64(&v) }, func(c *Codec) {
+			c.Enter("router", 3)
+			c.Enter("port", 1, 2)
+			c.Leave()
+			c.U64(&v)
+			c.Bool(new(bool))
+		}, "snapshot: truncated input: need 1 bytes for u8 at payload offset 8 of 8 in router[3]"},
 	}
-	c = d.Codec()
-	c.Enter("link", 3, 1)
-	c.U64(&v)
-	c.Failf("bad credit")
-	c.Leave()
-	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "in link[3,1]") {
-		t.Errorf("decode error lacks the Enter label: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, _ := Seal(1, walkFn(func(c *Codec) {
+				c.Enter("ignored", 1)
+				tc.write(c)
+			}))
+			bare, _ := Seal(1, walkFn(tc.write))
+			if !bytes.Equal(plain, bare) {
+				t.Error("Enter changed the encoded bytes")
+			}
+			if err := Open(plain, 1, walkFn(tc.read)); err == nil || err.Error() != tc.want {
+				t.Errorf("error %q\nwant  %q", err, tc.want)
+			}
+		})
 	}
 }
