@@ -47,11 +47,13 @@ loc:
 # programs (internal/sim/typedq_test.go), one of the gated DRAM
 # controller tick against the two-walk tick it replaced on random
 # timings, bank counts, arrival bursts and mid-queue captures
-# (internal/dram/dram_test.go) — and one of the restore
-# bodies behind the envelope: one payload position of a mid-run
-# checkpoint mutated and the CRC re-sealed, over every mode
-# (payload_fuzz_test.go; twenty seconds, because replaying its 981
-# committed seeds for baseline coverage takes most of ten).
+# (internal/dram/dram_test.go), one of a hybrid or calibrated
+# tuned-model backend cut at a random cycle, sealed and resumed
+# against its uninterrupted run (internal/core/paired_test.go) — and
+# one of the restore bodies behind the envelope: one payload position
+# of a mid-run checkpoint mutated and the CRC re-sealed, over every
+# mode (payload_fuzz_test.go; twenty seconds, because replaying its
+# 987 committed seeds for baseline coverage takes most of ten).
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s
@@ -59,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzL1Equivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueue$$' -fuzztime 10s
 	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzDRAMGating$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPairedResume$$' -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz '^FuzzCheckpointPayload$$' -fuzztime 20s
 
 # End-to-end smoke of the co-simulation server: starts cosimd on a

@@ -18,9 +18,11 @@
 // The reciprocal feedback direction is the Tuned abstract model
 // (internal/abstractnet): per-packet (predicted, observed) latency
 // pairs collected from the detailed network re-fit the analytical
-// model online, so hybrid sampling runs can fall back to the abstract
-// model between detailed windows without going back to its cold,
-// uncalibrated error.
+// model online. Paired joins the two networks under a schedule: a
+// hybrid run falls back to the tuned model between detailed sample
+// windows without going back to its cold, uncalibrated error, and a
+// calibrated run lets the tuned model time every packet while the
+// detailed network shadows them all.
 //
 // The mechanism generalizes beyond the network: any component that can
 // accept typed requests mid-window, advance to a quantum boundary in
@@ -79,8 +81,7 @@ type Component interface {
 // timestamped deliveries. The packet networks are backends themselves
 // — noc.Network and abstractnet.Network, whose shared noc.Ledger
 // provides the counting, latency and free-list half of the contract —
-// and the composite backends (Hybrid, Calibrated, Recorder) are built
-// over them.
+// and the composite backends (Paired, Recorder) are built over them.
 type Backend interface {
 	Component
 	// Inject queues a packet created at cycle `at`. Injections at each

@@ -327,7 +327,7 @@ func TestCalibratedShadowsAndObserves(t *testing.T) {
 	if tuned.Fit().ObservationCount() == 0 {
 		t.Error("no calibration observations collected")
 	}
-	if cal.TimingTracker().Count() != 20 {
+	if cal.abstract.Tracker().Count() != 20 {
 		t.Error("timing-side stats missing")
 	}
 	if cal.Name() != "calibrated" {

@@ -20,14 +20,14 @@ import (
 // accuracy experiments (C1-C3) are only meaningful if this string is
 // identical run to run. Mirrors internal/noc/determinism_test.go for
 // the system half of the coupling.
-func cosimFingerprint(t *testing.T, seed uint64, quantum int, backend func(t *testing.T) Backend) string {
+func cosimFingerprint[B Backend](t *testing.T, seed uint64, quantum int, backend func(t *testing.T) B) string {
 	t.Helper()
 	return cosimFingerprintCfg(t, seed, quantum, backend, nil)
 }
 
 // cosimFingerprintCfg is cosimFingerprint with a config mutation (e.g.
 // a non-default memory model).
-func cosimFingerprintCfg(t *testing.T, seed uint64, quantum int, backend func(t *testing.T) Backend,
+func cosimFingerprintCfg[B Backend](t *testing.T, seed uint64, quantum int, backend func(t *testing.T) B,
 	mutate func(*fullsys.Config)) string {
 	t.Helper()
 	wl := workload.NewFFT(16, 250, seed)
@@ -58,7 +58,7 @@ func fingerprintOf(cs *Cosim, res Result) string {
 		cs.Sys.MsgsSent(), cs.Sys.FlitsSent(), cs.Sys.LocalMsgs(), hits, misses)
 }
 
-func detailedMeshBackend(t *testing.T) Backend {
+func detailedMeshBackend(t *testing.T) *noc.Network {
 	t.Helper()
 	m := topology.NewMesh(4, 4, 1)
 	net, err := noc.New(noc.DefaultConfig(), m, topology.NewXY(m))
@@ -71,8 +71,8 @@ func detailedMeshBackend(t *testing.T) Backend {
 
 // shardedMeshBackend is detailedMeshBackend with the NoC sharded
 // across the given worker count.
-func shardedMeshBackend(workers int) func(t *testing.T) Backend {
-	return func(t *testing.T) Backend {
+func shardedMeshBackend(workers int) func(t *testing.T) *noc.Network {
+	return func(t *testing.T) *noc.Network {
 		t.Helper()
 		m := topology.NewMesh(4, 4, 1)
 		net, err := noc.New(noc.DefaultConfig(), m, topology.NewXY(m), noc.WithWorkers(workers))
@@ -172,7 +172,7 @@ func TestObservabilityZeroPerturbation(t *testing.T) {
 	timed.Wall = true
 	variants := []struct {
 		name    string
-		backend func(t *testing.T) Backend
+		backend func(t *testing.T) *noc.Network
 		opts    obs.Options
 	}{
 		{"sequential", detailedMeshBackend, full},

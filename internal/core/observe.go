@@ -10,18 +10,12 @@ import (
 )
 
 // RetuneObservable is implemented by backends and oracles whose
-// reciprocal pairing can report retunes (Hybrid, Calibrated, the
-// calibrated memory oracle). SetObserver wires a sink into every
+// reciprocal pairing can report retunes (Paired, the calibrated
+// memory oracle). SetObserver wires a sink into every
 // registered component that implements it.
 type RetuneObservable interface {
 	SetRetuneSink(calib.RetuneSink)
 }
-
-// SetRetuneSink implements RetuneObservable.
-func (h *Hybrid) SetRetuneSink(s calib.RetuneSink) { h.pair.SetSink(s) }
-
-// SetRetuneSink implements RetuneObservable.
-func (c *Calibrated) SetRetuneSink(s calib.RetuneSink) { c.pair.SetSink(s) }
 
 // SetRetuneSink forwards to the wrapped oracle when it can report.
 func (m memComponent) SetRetuneSink(s calib.RetuneSink) {
@@ -59,8 +53,8 @@ type obsHandles struct {
 	flitsGauge *obs.Gauge
 
 	// activity samples the gating layer's work accounting when the
-	// backend exposes it (the detailed backend, and hybrid and
-	// calibrated for their detailed side); nil otherwise.
+	// backend exposes it (the detailed backend, and Paired for its
+	// detailed side); nil otherwise.
 	activity   func() noc.ActivityStats
 	actStepped *obs.Gauge
 	actSkipped *obs.Gauge
@@ -81,36 +75,18 @@ type obsHandles struct {
 }
 
 // flitSwitcher is the optional switching-activity surface of a
-// backend (satisfied by the cycle-level network, and by Hybrid and
-// Calibrated for their detailed side).
+// backend (satisfied by the cycle-level network, and by Paired for its
+// detailed side).
 type flitSwitcher interface{ FlitsSwitched() uint64 }
 
 // activityReporter is the optional activity-gating telemetry surface
-// of a backend (satisfied by the cycle-level network, and by Hybrid and
-// Calibrated for their detailed side).
+// of a backend (satisfied by the cycle-level network, and by Paired for
+// its detailed side).
 type activityReporter interface{ ActivityStats() noc.ActivityStats }
 
 // shardReporter is the optional sharded-stepping telemetry surface of
 // a backend (satisfied by the cycle-level network).
 type shardReporter interface{ ShardStats() noc.ShardStats }
-
-// detailedActivity and detailedFlits read the NoC telemetry of a
-// composite backend's detailed side (zero when it exposes none): a
-// hybrid or calibrated run reports those numbers as its own, because
-// that side does most of the run's work.
-func detailedActivity(b Backend) noc.ActivityStats {
-	if ar, ok := b.(activityReporter); ok {
-		return ar.ActivityStats()
-	}
-	return noc.ActivityStats{}
-}
-
-func detailedFlits(b Backend) uint64 {
-	if fs, ok := b.(flitSwitcher); ok {
-		return fs.FlitsSwitched()
-	}
-	return 0
-}
 
 // wallHistBins sizes the host-time histograms: 10us bins up to 10ms.
 const (

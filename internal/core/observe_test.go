@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/abstractnet"
 	"repro/internal/fullsys"
+	"repro/internal/noc"
 	"repro/internal/noc/topology"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -81,12 +82,12 @@ func TestMetricsWallObserverAddsNoAllocs(t *testing.T) {
 func TestCompositeReportsDetailedNoC(t *testing.T) {
 	for _, c := range []struct {
 		name  string
-		build func(det Backend, tuned *abstractnet.Tuned) (Backend, error)
+		build func(det *noc.Network, tuned *abstractnet.Tuned) (Backend, error)
 	}{
-		{"calibrated", func(det Backend, tuned *abstractnet.Tuned) (Backend, error) {
+		{"calibrated", func(det *noc.Network, tuned *abstractnet.Tuned) (Backend, error) {
 			return NewCalibrated(det, tuned, 500)
 		}},
-		{"hybrid", func(det Backend, tuned *abstractnet.Tuned) (Backend, error) {
+		{"hybrid", func(det *noc.Network, tuned *abstractnet.Tuned) (Backend, error) {
 			return NewHybrid(det, tuned, 1000, 500)
 		}},
 	} {

@@ -17,8 +17,7 @@ import (
 var (
 	_ Backend = (*noc.Network)(nil)
 	_ Backend = (*abstractnet.Network)(nil)
-	_ Backend = (*Hybrid)(nil)
-	_ Backend = (*Calibrated)(nil)
+	_ Backend = (*Paired)(nil)
 	_ Backend = (*Recorder)(nil)
 )
 

@@ -16,18 +16,6 @@ type BackendStater interface {
 	State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet))
 }
 
-// stateOf walks a backend nested in another, which must support
-// checkpointing: every packet network and every Backend in this
-// module but Recorder does.
-func stateOf(c *snapshot.Codec, backend interface{}, walk noc.PayloadWalk, track func(*noc.Packet)) {
-	bs, ok := backend.(BackendStater)
-	if !ok {
-		c.Failf("backend %T does not support checkpointing", backend)
-		return
-	}
-	bs.State(c, walk, track)
-}
-
 // packetLess orders packets by ID for byte-stable snapshots of
 // packet-keyed calibration state.
 func packetLess(a, b *noc.Packet) bool { return a.ID < b.ID }
@@ -50,42 +38,44 @@ func packetKey(byID map[uint64]*noc.Packet) func(*snapshot.Codec, **noc.Packet) 
 	}
 }
 
-// State implements BackendStater for the sampling backend. The tuned
-// model's state is carried inside the abstract network's (they share
-// the object), so it is not walked separately.
-func (h *Hybrid) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet)) {
-	c.Section("hybrid")
-	h.tracker.State(c)
+// State implements BackendStater for the tuned-model backend, under
+// each schedule's own section and walk order. The tuned model's state
+// is carried inside the abstract network's (they share the object), so
+// it is not walked separately. A calibrated shadow network's packets
+// carry no payload, so it is walked without a payload walk, whatever
+// walk is; its injection count leads the section, and decoding checks
+// it against the restored network's.
+func (p *Paired) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet)) {
 	byID := make(map[uint64]*noc.Packet)
-	stateOf(c, h.detailed, walk, func(p *noc.Packet) {
-		byID[p.ID] = p
-		if track != nil {
-			track(p)
+	if p.shadows() {
+		c.Section("calibrated")
+		shadowed := p.detailed.Injected()
+		c.U64(&shadowed)
+		p.abstract.State(c, walk, track)
+		p.detailed.State(c, nil, func(pk *noc.Packet) { byID[pk.ID] = pk })
+		if c.Decoding() && c.Err() == nil && shadowed != p.detailed.Injected() {
+			c.Failf("%d packets shadowed, but the detailed network admitted %d", shadowed, p.detailed.Injected())
 		}
-	})
-	h.abstract.State(c, walk, track)
-	h.pair.State(c, packetLess, packetKey(byID))
+	} else {
+		c.Section("hybrid")
+		p.tracker.State(c)
+		p.detailed.State(c, walk, func(pk *noc.Packet) {
+			byID[pk.ID] = pk
+			if track != nil {
+				track(pk)
+			}
+		})
+		p.abstract.State(c, walk, track)
+	}
+	p.pair.State(c, packetLess, packetKey(byID))
 	if c.Decoding() && c.Err() == nil {
-		h.rederive()
+		p.rederive()
 	}
 }
 
 // rederive empties the drain scratch after a successful decode, as
-// NewHybrid leaves it.
-func (h *Hybrid) rederive() { h.drainBuf = h.drainBuf[:0] }
-
-// State implements BackendStater for the calibrated backend. The
-// timing network carries the shared tuned model's state; the shadow
-// detailed network's packets carry no payload, so it is walked without
-// a payload walk, whatever walk is.
-func (cb *Calibrated) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet)) {
-	c.Section("calibrated")
-	c.U64(&cb.shadowed)
-	cb.timing.State(c, walk, track)
-	byID := make(map[uint64]*noc.Packet)
-	stateOf(c, cb.detailed, nil, func(p *noc.Packet) { byID[p.ID] = p })
-	cb.pair.State(c, packetLess, packetKey(byID))
-}
+// the constructors leave it.
+func (p *Paired) rederive() { p.drainBuf = p.drainBuf[:0] }
 
 // msgWalk is the payload walk of the system's packets: a presence
 // byte, then the message (fullsys.Msg.State) with the packet's

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,6 +160,83 @@ func TestSpilledCheckpointBytes(t *testing.T) {
 	if !bytes.Equal(blob, want) {
 		t.Errorf("spilled checkpoint differs from the in-process run's at cycle %d: %d vs %d bytes (first diff at %d)",
 			cycle, len(blob), len(want), firstByteDiff(blob, want))
+	}
+}
+
+// TestDamagedSpillFailsAtFaultIn: a spilled checkpoint damaged on disk
+// (one payload byte flipped, the file's length kept) fails its session
+// when a worker faults it in, with the CRC error and a flight dump,
+// and every other session finishes with its direct-run fingerprint.
+// The damaged file is kept as evidence beside the dump: only a session
+// that completes removes its checkpoint.
+func TestDamagedSpillFailsAtFaultIn(t *testing.T) {
+	srv, release := newGatedServer(t, Options{
+		Workers: 1, MaxResident: 2, MaxWarm: 1, SliceCycles: 512,
+	})
+	reqs := map[string]SubmitRequest{}
+	for i := 0; i < 6; i++ {
+		req := tinyReq(uint64(i + 600))
+		st, err := srv.Submit(req)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		reqs[st.ID] = req
+	}
+	release()
+	// A spilled session that is ready is touched by no worker while the
+	// lock is held, and neither is its checkpoint file.
+	var (
+		badID   string
+		damaged []byte
+	)
+	for badID == "" {
+		srv.mu.Lock()
+		live := false
+		for _, sess := range srv.order {
+			live = live || !sess.finished
+			if sess.state == StateReady && sess.cs == nil && sess.hasCkpt && !sess.spilling {
+				path := srv.ckptPath(sess.id)
+				blob, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob[len(blob)/2] ^= 0x10
+				if err := os.WriteFile(path, blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				badID, damaged = sess.id, blob
+				break
+			}
+		}
+		srv.mu.Unlock()
+		if !live && badID == "" {
+			t.Fatal("no session was caught spilled — the test proved nothing")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	srv.Wait()
+
+	st, ok := srv.Status(badID)
+	if want := "snapshot: corrupt input: CRC32"; !ok || st.State != StateFailed || !strings.Contains(st.Error, want) {
+		t.Errorf("damaged spill at fault-in: ok=%v %+v, want failed with %q", ok, st, want)
+	}
+	if _, err := os.Stat(filepath.Join(srv.opts.StateDir, badID+".flight.json")); err != nil {
+		t.Errorf("the failed session's flight ring was not dumped: %v", err)
+	}
+	if kept, err := os.ReadFile(srv.ckptPath(badID)); err != nil || !bytes.Equal(kept, damaged) {
+		t.Errorf("the damaged checkpoint was not kept as it was (err %v)", err)
+	}
+	for id, req := range reqs {
+		if id == badID {
+			continue
+		}
+		st, ok := srv.Status(id)
+		if !ok || st.State != StateDone {
+			t.Fatalf("session %s: ok=%v %+v", id, ok, st)
+		}
+		if _, env := envelope(t, srv, id); env.Fingerprint != directFingerprint(t, req) {
+			t.Errorf("session %s fingerprint diverged from its direct run", id)
+		}
 	}
 }
 

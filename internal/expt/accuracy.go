@@ -184,7 +184,7 @@ func FigureA1(s Scale) []*stats.Table {
 			panic(err)
 		}
 		res := cs.Run(s.CycleLimit)
-		share := backend.(*core.Hybrid).DetailedShare() * 100
+		share := backend.(*core.Paired).DetailedShare() * 100
 		backend.Close()
 		if !res.Finished {
 			panic("expt: A1 hybrid run hit cycle limit")

@@ -124,8 +124,11 @@ type payloadSeed struct {
 const payloadSeedPath = "testdata/payload-seeds.txt"
 
 // payloadSeeds loads the committed mutations: sixty per checkpoint
-// case (and one placed by hand on the calibrated fit's window count),
-// one "case offset kind value verdict" line each. They were
+// case (and one placed by hand on the calibrated fit's window count,
+// and three on each calibrated case's shadow count, which must equal
+// the detailed network's injection count: off by one and a flipped low
+// bit, rejected, and rewritten to itself, accepted), one "case offset
+// kind value verdict" line each. They were
 // found on the code that preceded the bidirectional codec by recording
 // the offset and width of every field an intact decode reads, then
 // rewriting the first, middle and last field of every distinct read

@@ -237,7 +237,7 @@ func ModeQuantum(cfg Config, mode Mode) int {
 		// cycles with no quantum skew — that is how a latency-model
 		// baseline really integrates into a full-system simulator.
 		// Calibrated mode's shadow NoC is not stepped per call:
-		// Calibrated.AdvanceTo gates it on the pairing's retune period
+		// core.Paired.AdvanceTo gates it on the pairing's retune period
 		// (cfg.Quantum cycles) and advances it one such batch at a time.
 		return 1
 	}
