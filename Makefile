@@ -53,7 +53,7 @@ loc:
 # one of the restore bodies behind the envelope: one payload position
 # of a mid-run checkpoint mutated and the CRC re-sealed, over every
 # mode (payload_fuzz_test.go; twenty seconds, because replaying its
-# 987 committed seeds for baseline coverage takes most of ten).
+# 1013 committed seeds for baseline coverage takes most of ten).
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s

@@ -244,14 +244,14 @@ func TestRecycledPacketIsReused(t *testing.T) {
 func TestRestoreRejectsSourceOutsideTopology(t *testing.T) {
 	big := NewNetwork(NewFixed(mesh8(), DefaultParams()))
 	big.Inject(&noc.Packet{Src: 63, Dst: 0, Size: 1}, 0)
-	blob, _ := snapshot.Seal(0, func(c *snapshot.Codec) error { big.State(c, nil, nil); return nil })
+	blob, _ := snapshot.Seal(0, func(c *snapshot.Codec) error { big.State(c, nil); return nil })
 
 	for _, tc := range []struct {
 		side int
 		ok   bool
 	}{{8, true}, {4, false}} {
 		small := NewNetwork(NewFixed(topology.NewMesh(tc.side, tc.side, 1), DefaultParams()))
-		err := snapshot.Open(blob, 0, func(c *snapshot.Codec) error { small.State(c, nil, nil); return nil })
+		err := snapshot.Open(blob, 0, func(c *snapshot.Codec) error { small.State(c, nil); return nil })
 		if (err == nil) != tc.ok {
 			t.Errorf("%dx%d mesh: restore error %v, want ok=%v", tc.side, tc.side, err, tc.ok)
 		}

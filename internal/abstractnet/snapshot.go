@@ -37,15 +37,15 @@ func (t *Tuned) State(c *snapshot.Codec) {
 
 // State walks the abstract backend's state: the analytical model
 // (including any tuned-correction fit), the pending-delivery set,
-// per-source serialization horizons, and statistics. walk describes
-// packet payloads; nil requires every payload zero. The target of a
+// per-source serialization horizons, and statistics. The target of a
 // decode is a network built over the same model construction; track
-// (optional) observes every decoded pending packet.
+// (optional) observes every decoded pending packet, inside its decode
+// context, and may reject it.
 //
 // The tuned model owned by the hybrid and calibrated coordinators is
 // the same object this network holds, so its state travels here and
 // the coordinators must not walk it again.
-func (n *Network) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet)) {
+func (n *Network) State(c *snapshot.Codec, track func(*noc.Packet)) {
 	c.Section("absnet")
 	snapshot.Match(c, (*snapshot.Codec).String, n.model.Name(), "model")
 	if c.Err() != nil {
@@ -74,14 +74,17 @@ func (n *Network) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc
 		}
 		p := *pp
 		c.Enter("pending", i)
-		p.State(c, walk)
-		c.Leave()
-		if i++; c.Decoding() && c.Err() == nil {
+		if p.State(c); p.Src < 0 || p.Src >= len(n.srcFree) || p.Dst < 0 || p.Dst >= len(n.srcFree) {
+			c.Failf("pending packet endpoints %d->%d outside %d sources", p.Src, p.Dst, len(n.srcFree))
+		}
+		if c.Decoding() && c.Err() == nil {
 			n.pending.Schedule(p.DeliveredAt, p)
 			if track != nil {
 				track(p)
 			}
 		}
+		c.Leave()
+		i++
 	})
 
 	// Only the sources that have injected, in ascending order.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/noc"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 func detailedBackend(t *testing.T) *noc.Network {
@@ -148,6 +150,74 @@ func TestCosimRunsScriptToCompletion(t *testing.T) {
 	}
 	if res.Mode != "detailed/q8" {
 		t.Errorf("mode = %q", res.Mode)
+	}
+}
+
+// sentLog is a backend that remembers every packet handed to it.
+type sentLog struct {
+	Backend
+	sent []*noc.Packet
+}
+
+func (l *sentLog) Inject(p *noc.Packet, at sim.Cycle) {
+	l.sent = append(l.sent, p)
+	l.Backend.Inject(p, at)
+}
+
+func (l *sentLog) State(c *snapshot.Codec, track func(*noc.Packet)) {
+	l.Backend.(BackendStater).State(c, track)
+}
+
+// TestDecodeRejectsPacketWithoutMessage: a system packet's Kind is its
+// message type plus one, so a checkpoint whose in-flight packets carry
+// Kind 0, or a Kind past the last type, is corrupt — resumed, a tile
+// would be handed a message type no handler knows.
+func TestDecodeRejectsPacketWithoutMessage(t *testing.T) {
+	ops := make([][]fullsys.Op, 16)
+	for i := range ops {
+		ops[i] = []fullsys.Op{
+			{Kind: fullsys.OpStore, Addr: 64 * uint64(100+i), Arg: uint64(i)},
+			{Kind: fullsys.OpLoad, Addr: 64 * uint64(100+(i+1)%len(ops))},
+		}
+	}
+	for _, b := range []struct {
+		name string
+		make func(*testing.T) Backend
+	}{
+		{"detailed", func(t *testing.T) Backend { return detailedBackend(t) }},
+		{"abstract", func(*testing.T) Backend { return abstractBackend() }},
+	} {
+		name := b.name
+		// Kind 0, and one past the last message type's Kind.
+		for _, kind := range []uint8{0, uint8(fullsys.BarRelease) + 2} {
+			log := &sentLog{Backend: b.make(t)}
+			cs := scriptedSystem(t, log, 8, ops)
+			for cs.Net.InFlight() == 0 {
+				cs.Step()
+			}
+			decode := func(blob []byte) error {
+				twin := scriptedSystem(t, b.make(t), 8, ops)
+				return snapshot.Open(blob, 1, twin.State)
+			}
+			intact, err := snapshot.Seal(1, cs.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := decode(intact); err != nil {
+				t.Fatalf("%s: intact checkpoint rejected: %v", name, err)
+			}
+			for _, p := range log.sent {
+				p.Kind = kind
+			}
+			blob, err := snapshot.Seal(1, cs.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := decode(blob); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "names no message type") {
+				t.Errorf("%s: %d packets in flight with Kind %d decoded with error %v, want the message-type rejection",
+					name, cs.Net.InFlight(), kind, err)
+			}
+		}
 	}
 }
 

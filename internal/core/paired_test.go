@@ -64,12 +64,6 @@ type pairedDelivery struct {
 	hops   int
 }
 
-// serialWalk carries a fuzz packet's serial through a checkpoint.
-func serialWalk(c *snapshot.Codec, p *noc.Packet) {
-	c.U8(&p.Kind)
-	c.U64(&p.Value)
-}
-
 // drivePaired plays the Q=1 coordinator over [from, to) with pooled
 // packets: cycle c injects what (seed, c) draws, each packet carrying
 // a serial unique in the run. It returns the deliveries and how many
@@ -128,7 +122,7 @@ func FuzzPairedResume(f *testing.F) {
 		}
 		seal := func(b *Paired) []byte {
 			blob, err := snapshot.Seal(0, func(c *snapshot.Codec) error {
-				b.State(c, serialWalk, nil)
+				b.State(c, nil)
 				return c.Err()
 			})
 			if err != nil {
@@ -144,7 +138,7 @@ func FuzzPairedResume(f *testing.F) {
 		got, n := drivePaired(head, seed, 0, stop)
 		resumed := build()
 		if err := snapshot.Open(seal(head), 0, func(c *snapshot.Codec) error {
-			resumed.State(c, serialWalk, nil)
+			resumed.State(c, nil)
 			return c.Err()
 		}); err != nil {
 			t.Fatalf("%s cut at %d: %v", resumed.Name(), stop, err)

@@ -111,7 +111,7 @@ func encodeBackend(t *testing.T, b Backend) []byte {
 }
 
 func walkBackend(b Backend) func(*snapshot.Codec) error {
-	return func(c *snapshot.Codec) error { stater(b).State(c, nil, nil); return nil }
+	return func(c *snapshot.Codec) error { stater(b).State(c, nil); return nil }
 }
 
 // TestPooledBackendCapture: with deliveries pending and packets on the

@@ -3,17 +3,18 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/fullsys"
 	"repro/internal/noc"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
 // BackendStater is implemented by network backends that support
-// checkpointing. walk describes packet payloads (the system's
-// messages, msgWalk); track, when non-nil, observes every decoded
-// in-flight packet so pointer-keyed caller state can be rebuilt.
+// checkpointing. track, when non-nil, observes every decoded in-flight
+// packet that carries a message, so pointer-keyed caller state can be
+// rebuilt and the message checked.
 type BackendStater interface {
-	State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet))
+	State(c *snapshot.Codec, track func(*noc.Packet))
 }
 
 // packetLess orders packets by ID for byte-stable snapshots of
@@ -42,30 +43,30 @@ func packetKey(byID map[uint64]*noc.Packet) func(*snapshot.Codec, **noc.Packet) 
 // each schedule's own section and walk order. The tuned model's state
 // is carried inside the abstract network's (they share the object), so
 // it is not walked separately. A calibrated shadow network's packets
-// carry no payload, so it is walked without a payload walk, whatever
-// walk is; its injection count leads the section, and decoding checks
-// it against the restored network's.
-func (p *Paired) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.Packet)) {
+// carry no message, so track does not see them; its injection count
+// leads the section, and decoding checks it against the restored
+// network's.
+func (p *Paired) State(c *snapshot.Codec, track func(*noc.Packet)) {
 	byID := make(map[uint64]*noc.Packet)
 	if p.shadows() {
 		c.Section("calibrated")
 		shadowed := p.detailed.Injected()
 		c.U64(&shadowed)
-		p.abstract.State(c, walk, track)
-		p.detailed.State(c, nil, func(pk *noc.Packet) { byID[pk.ID] = pk })
+		p.abstract.State(c, track)
+		p.detailed.State(c, func(pk *noc.Packet) { byID[pk.ID] = pk })
 		if c.Decoding() && c.Err() == nil && shadowed != p.detailed.Injected() {
 			c.Failf("%d packets shadowed, but the detailed network admitted %d", shadowed, p.detailed.Injected())
 		}
 	} else {
 		c.Section("hybrid")
 		p.tracker.State(c)
-		p.detailed.State(c, walk, func(pk *noc.Packet) {
+		p.detailed.State(c, func(pk *noc.Packet) {
 			byID[pk.ID] = pk
 			if track != nil {
 				track(pk)
 			}
 		})
-		p.abstract.State(c, walk, track)
+		p.abstract.State(c, track)
 	}
 	p.pair.State(c, packetLess, packetKey(byID))
 	if c.Decoding() && c.Err() == nil {
@@ -76,23 +77,6 @@ func (p *Paired) State(c *snapshot.Codec, walk noc.PayloadWalk, track func(*noc.
 // rederive empties the drain scratch after a successful decode, as
 // the constructors leave it.
 func (p *Paired) rederive() { p.drainBuf = p.drainBuf[:0] }
-
-// msgWalk is the payload walk of the system's packets: a presence
-// byte, then the message (fullsys.Msg.State) with the packet's
-// endpoints in it. Decoding checks that second copy of the endpoints
-// and keeps it: delivery has always gone by it, and the abstract
-// network checks no endpoints of its own.
-func msgWalk(tiles int) noc.PayloadWalk {
-	return func(c *snapshot.Codec, p *noc.Packet) {
-		present := p.Kind != 0
-		if c.Bool(&present); !present {
-			return
-		}
-		m := unpack(p)
-		m.State(c, tiles)
-		pack(p, m)
-	}
-}
 
 // State walks the full co-simulation state: coordinator counters, the
 // complete system simulator, and the network backend with all
@@ -127,7 +111,12 @@ func (cs *Cosim) state(c *snapshot.Codec, withNet bool) error {
 		cs.Sys.SetSender(SenderFor(cs.Net))
 	}
 	if cs.Sys.State(c); withNet && c.Err() == nil {
-		bs.State(c, msgWalk(cs.Sys.Cfg().Tiles), nil)
+		// A system packet's Kind is its message type plus one (pack).
+		bs.State(c, func(p *noc.Packet) {
+			if !fullsys.MsgType(p.Kind - 1).Valid() {
+				c.Failf("packet kind %d names no message type", p.Kind)
+			}
+		})
 	}
 	return c.Err()
 }

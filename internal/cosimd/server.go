@@ -527,9 +527,13 @@ func (s *Server) runSlice(sess *session) {
 		target = limit
 	}
 	sess.sobs.beginSlice()
-	res := sess.cs.Run(target)
+	res, err := run(sess.cs, target)
 	consumed := uint64(sess.cs.Cycle() - start)
 	cycle, retired := uint64(sess.cs.Cycle()), sess.cs.Sys.Retired()
+	if err != nil {
+		s.finishSlice(sess, cycle, retired, consumed, nil, "", err)
+		return
+	}
 	sess.metricsJSON = sess.sobs.afterSlice(sess.cs, consumed)
 	if res.Finished || res.Stalled || sess.cs.Cycle() >= limit {
 		fp := Fingerprint(sess.cs, res)
@@ -542,6 +546,18 @@ func (s *Server) runSlice(sess *session) {
 		return
 	}
 	s.finishSlice(sess, cycle, retired, consumed, nil, "", nil)
+}
+
+// run advances cs to target. A panic inside the simulation becomes
+// the error of its session alone, which then fails with its simulation
+// dropped: one session's bug must not end the server.
+func run(cs *core.Cosim, target sim.Cycle) (res core.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("cosimd: simulation panicked: %v", r)
+		}
+	}()
+	return cs.Run(target), nil
 }
 
 // finishSlice applies a slice's outcome to the session table. env

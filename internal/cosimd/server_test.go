@@ -3,7 +3,9 @@ package cosimd
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,10 +17,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abstractnet"
 	"repro/internal/core"
+	"repro/internal/fullsys"
 	"repro/internal/noc"
+	"repro/internal/noc/topology"
 	"repro/internal/obsplane"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
+	"repro/internal/workload"
 )
 
 // tinyReq is the test workhorse: a 4-tile run that finishes in ~5k
@@ -349,7 +356,8 @@ func TestDrainRestart(t *testing.T) {
 // uninterrupted fingerprint. Its manifest entry may ask for a feature
 // removed since the drain (the deflection router, the GPU mode), which
 // must not run on what replaced it; or its drain checkpoint may be
-// damaged on disk.
+// damaged on disk, or written by a build whose format version this one
+// does not read.
 func TestRestartFailsUnresumableSession(t *testing.T) {
 	// Each row damages the drained state directory and returns the id
 	// of the session it made unresumable.
@@ -400,6 +408,10 @@ func TestRestartFailsUnresumableSession(t *testing.T) {
 		{"mode-reciprocal-gpu", removed(func(r *SubmitRequest) { r.Mode = "reciprocal-gpu" }), "was removed: it ran the same simulation as \"reciprocal\""},
 		{"ckpt-truncated", ckptFile(func(b []byte) []byte { return b[:len(b)/2] }), "snapshot: corrupt input: CRC32"},
 		{"ckpt-flipped-byte", ckptFile(func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }), "snapshot: corrupt input: CRC32"},
+		{"ckpt-v4", ckptFile(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[len(snapshot.Magic):], 4)
+			return b
+		}), fmt.Sprintf("snapshot: unsupported format version: checkpoint has format version 4, this build reads version %d", snapshot.FormatVersion)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// One worker runs the first session's first slice, then waits
@@ -472,6 +484,97 @@ func TestRestartFailsUnresumableSession(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPanickingSessionFailsAlone: a panic inside one session's slice
+// fails that session — with the panic text, a flight dump, its
+// simulation dropped and its resident slot released — and the server
+// runs every other session to its direct-run fingerprint, leaking no
+// goroutine.
+func TestPanickingSessionFailsAlone(t *testing.T) {
+	base := runtime.NumGoroutine()
+	dir := t.TempDir()
+	const badSeed = 3
+	srv, err := NewServer(Options{Workers: 2, SliceCycles: 512, StateDir: dir, Builder: panicBuilder{seed: badSeed, at: 1500}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[uint64]string{}
+	for seed := uint64(1); seed <= 5; seed++ {
+		st, err := srv.Submit(tinyReq(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[seed] = st.ID
+	}
+	srv.Wait()
+	bad, ok := srv.Status(ids[badSeed])
+	if !ok || bad.State != StateFailed || !strings.Contains(bad.Error, "simulation panicked: test backend panics at cycle") {
+		t.Errorf("panicking session: ok=%v %+v, want failed with the panic text", ok, bad)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ids[badSeed]+".flight.json")); err != nil {
+		t.Errorf("the failed session's flight ring was not dumped: %v", err)
+	}
+	srv.mu.Lock()
+	if sess := srv.sessions[ids[badSeed]]; sess.cs != nil || sess.resident || srv.resident != 0 {
+		t.Errorf("after the panic the session holds a simulation (%v) or a resident slot (%v); %d resident",
+			sess.cs != nil, sess.resident, srv.resident)
+	}
+	srv.mu.Unlock()
+	for seed, id := range ids {
+		if seed == badSeed {
+			continue
+		}
+		_, env := envelope(t, srv, id)
+		if want := directFingerprint(t, tinyReq(seed)); env.Fingerprint != want {
+			t.Errorf("session %s fingerprint diverged\n got %s\nwant %s", id, env.Fingerprint, want)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := runtime.NumGoroutine()
+	for i := 0; i < 500 && got > base; i++ {
+		time.Sleep(time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	if got > base {
+		t.Errorf("%d goroutines leaked", got-base)
+	}
+}
+
+// panicBuilder builds the session with the given seed over a network
+// that panics once advanced to cycle at, and every other one as
+// StdBuilder does.
+type panicBuilder struct {
+	seed uint64
+	at   sim.Cycle
+}
+
+func (b panicBuilder) Digest(req SubmitRequest) (uint64, error) { return StdBuilder{}.Digest(req) }
+func (b panicBuilder) Build(req SubmitRequest) (*core.Cosim, error) {
+	if req.Seed != b.seed {
+		return StdBuilder{}.Build(req)
+	}
+	wl, err := workload.ByName(req.Workload, req.Tiles, req.Ops, req.Seed)
+	if err != nil {
+		return nil, err
+	}
+	m := topology.NewMesh(2, 2, 1)
+	net := panicNet{abstractnet.NewNetwork(abstractnet.NewFixed(m, abstractnet.DefaultParams())), b.at}
+	return core.Build(fullsys.DefaultConfig(req.Tiles), wl, net, 64)
+}
+
+type panicNet struct {
+	*abstractnet.Network
+	at sim.Cycle
+}
+
+func (n panicNet) AdvanceTo(c sim.Cycle) {
+	if c >= n.at {
+		panic(fmt.Sprintf("test backend panics at cycle %d", c))
+	}
+	n.Network.AdvanceTo(c)
 }
 
 // holdBuilder lets the first Build through and holds every later one
@@ -780,10 +883,9 @@ func TestHTTPAPI(t *testing.T) {
 }
 
 // TestDefaultRequestDigest pins the digest of the minimal request `{}`
-// (as ConfigDigest computed it before the router selector left the
-// Config) and checks that naming the VC router leaves it unchanged.
+// and checks that naming the VC router leaves it unchanged.
 func TestDefaultRequestDigest(t *testing.T) {
-	const want = 0xc72788df88edd7de
+	const want = 0x64887069eb7990c9
 	for _, req := range []SubmitRequest{{}, {Router: "vc"}} {
 		req.Normalize()
 		got, err := StdBuilder{}.Digest(req)

@@ -5,24 +5,23 @@ import (
 	"repro/internal/snapshot"
 )
 
-// OracleStater is implemented by every oracle in this package. The
-// caller supplies meta, the walk of a request in the caller's own
-// layout (for the full-system model, its memory message); what it
-// walks besides Tag and Data may repeat the line and write flag.
+// OracleStater is implemented by every oracle in this package. tags
+// bounds the caller's requester tags (for the full-system model, its
+// tile count).
 type OracleStater interface {
-	State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request))
+	State(c *snapshot.Codec, tags uint64)
 }
 
 // State walks the detailed oracle's clock, undrained completions, and
 // the full controller state.
-func (o *DetailedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request)) {
+func (o *DetailedOracle) State(c *snapshot.Codec, tags uint64) {
 	c.Section("oracle-detailed")
 	snapshot.As64(c, &o.cycle)
-	snapshot.Slice(c, &o.buf, 17, func(c *snapshot.Codec, done *Completion) {
+	snapshot.Slice(c, &o.buf, 33, func(c *snapshot.Codec, done *Completion) {
 		snapshot.As64(c, &done.At)
-		meta(c, &done.Request)
+		done.Request.State(c, tags)
 	})
-	o.ctl.State(c, meta)
+	o.ctl.State(c, tags)
 }
 
 // State walks the abstract oracle's fit, serialization horizon, and
@@ -31,7 +30,7 @@ func (o *DetailedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Re
 // equal bytes. Decoding rejects entries out of that order and
 // re-schedules the rest, in order, into a fresh queue, which then pops
 // them in the same order.
-func (o *AbstractOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request)) {
+func (o *AbstractOracle) State(c *snapshot.Codec, tags uint64) {
 	c.Section("oracle-abstract")
 	o.fit.State(c)
 	snapshot.As64(c, &o.nextFree)
@@ -48,10 +47,10 @@ func (o *AbstractOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Re
 	}
 	i := 0
 	var prev sim.Deferred[absPending]
-	snapshot.Slice(c, &pending, 17, func(c *snapshot.Codec, d *sim.Deferred[absPending]) {
+	snapshot.Slice(c, &pending, 41, func(c *snapshot.Codec, d *sim.Deferred[absPending]) {
 		snapshot.As64(c, &d.When)
 		c.U64(&d.Item.seq)
-		meta(c, &d.Item.req)
+		d.Item.req.State(c, tags)
 		if i > 0 && (d.When < prev.When || d.When == prev.When && d.Item.seq <= prev.Item.seq) {
 			c.Failf("pending request (%v, seq %d) is not after (%v, seq %d)", d.When, d.Item.seq, prev.When, prev.Item.seq)
 		} else if c.Decoding() && c.Err() == nil {
@@ -64,13 +63,13 @@ func (o *AbstractOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Re
 
 // State walks both fidelities plus the pairing state. The shadow
 // side's requests are tagged with this oracle's own shadow-request
-// ids, so only the abstract (caller-visible) side uses the caller's
-// meta.
-func (o *CalibratedOracle) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request)) {
+// ids, below shadowSeq; only the abstract (caller-visible) side
+// carries the caller's tags.
+func (o *CalibratedOracle) State(c *snapshot.Codec, tags uint64) {
 	c.Section("oracle-calibrated")
 	c.U64(&o.shadowSeq)
-	o.abs.State(c, meta)
-	o.det.State(c, func(c *snapshot.Codec, r *Request) { c.U64(&r.Tag) })
+	o.abs.State(c, tags)
+	o.det.State(c, o.shadowSeq)
 	o.pair.State(c,
 		func(a, b uint64) bool { return a < b },
 		func(c *snapshot.Codec, id *uint64) { c.U64(id) })

@@ -133,13 +133,12 @@ func TestAbstractOracleRejectsDisorderedQueue(t *testing.T) {
 	}
 	o.Enqueue(Request{Line: 1, Tag: 7}, 10) // completes at 110
 	o.Enqueue(Request{Line: 2, Tag: 8}, 10) // completes at 114
-	meta := func(c *snapshot.Codec, r *Request) { c.U64(&r.Tag) }
-	blob, _ := snapshot.Seal(0, func(c *snapshot.Codec) error { o.State(c, meta); return nil })
+	blob, _ := snapshot.Seal(0, func(c *snapshot.Codec) error { o.State(c, 9); return nil })
 
-	// The payload ends with the two (at, seq, tag) entries: swap their
-	// completion times and re-seal the CRC.
+	// The payload ends with the two (at, seq, request) entries, 41
+	// bytes each: swap their completion times and re-seal the CRC.
 	body := blob[:len(blob)-4]
-	first, second := body[len(body)-48:][:8], body[len(body)-24:][:8]
+	first, second := body[len(body)-82:][:8], body[len(body)-41:][:8]
 	at := binary.LittleEndian.Uint64(first)
 	copy(first, second)
 	binary.LittleEndian.PutUint64(second, at)
@@ -149,7 +148,7 @@ func TestAbstractOracleRejectsDisorderedQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.Open(blob, 0, func(c *snapshot.Codec) error { fresh.State(c, meta); return nil }); err == nil {
+	if err := snapshot.Open(blob, 0, func(c *snapshot.Codec) error { fresh.State(c, 9); return nil }); err == nil {
 		t.Fatal("a pending queue out of firing order decoded without error")
 	}
 }

@@ -5,13 +5,22 @@ import (
 	"repro/internal/snapshot"
 )
 
-// State walks the controller's complete timing and queue state. The
-// caller supplies meta, which walks a queued request's Tag and Data in
-// its own layout; a line or write flag it repeats is checked there and
-// not kept, the request's own stays. Bank/row decode is re-derived
-// from the line address. The queue must be in arrival order, which the
-// tick gate relies on.
-func (ctl *Controller) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Request)) {
+// State walks a request. Its tag must name one of tags requesters.
+func (r *Request) State(c *snapshot.Codec, tags uint64) {
+	c.U64(&r.Line)
+	c.Bool(&r.Write)
+	c.U64(&r.Tag)
+	c.U64(&r.Data)
+	if r.Tag >= tags {
+		c.Failf("requester tag %d outside [0, %d)", r.Tag, tags)
+	}
+}
+
+// State walks the controller's complete timing and queue state, each
+// queued request's tag bounded by tags (see Request.State). Bank/row
+// decode is re-derived from the line address. The queue must be in
+// arrival order, which the tick gate relies on.
+func (ctl *Controller) State(c *snapshot.Codec, tags uint64) {
 	c.Section("dram")
 	snapshot.Match(c, snapshot.As32[int], len(ctl.banks), "DRAM banks")
 	if c.Err() != nil {
@@ -30,17 +39,13 @@ func (ctl *Controller) State(c *snapshot.Codec, meta func(*snapshot.Codec, *Requ
 	ctl.latency.State(c)
 	ctl.queueSamples.State(c)
 	var last sim.Cycle
-	snapshot.Slice(c, &ctl.queue, 17, func(c *snapshot.Codec, q *queued) {
-		c.U64(&q.Line)
-		c.Bool(&q.Write)
+	snapshot.Slice(c, &ctl.queue, 33, func(c *snapshot.Codec, q *queued) {
+		q.Request.State(c, tags)
 		snapshot.As64(c, &q.arrived)
 		if q.arrived < last {
 			c.Failf("queued request for line %#x arrives at %d, before its predecessor at %d", q.Line, q.arrived, last)
 		}
 		last = q.arrived
-		line, write := q.Line, q.Write
-		meta(c, &q.Request)
-		q.Line, q.Write = line, write
 		if c.Decoding() {
 			q.bank, q.row = ctl.decode(q.Line)
 		}

@@ -99,20 +99,40 @@ func (c *aosL1) index(w *aosWay) int {
 	return -1
 }
 
+// state writes the reference in the checkpoint layout: the held ways
+// (any state or flag set) as a count, then index, line, value, lru and
+// flag byte each. It only encodes.
 func (c *aosL1) state(cd *snapshot.Codec) {
 	snapshot.Match(cd, snapshot.As32[int], len(c.sets), "L1 sets")
 	snapshot.Match(cd, snapshot.As32[int], len(c.sets[0]), "L1 ways")
-	for _, set := range c.sets {
+	type entry struct {
+		index int
+		way   *aosWay
+		flags uint8
+	}
+	var held []entry
+	for s, set := range c.sets {
 		for i := range set {
 			w := &set[i]
-			cd.U64(&w.line)
-			cd.U8(&w.state)
-			cd.Bool(&w.pinned)
-			cd.Bool(&w.prefetched)
-			cd.U64(&w.value)
-			cd.U64(&w.lru)
+			f := w.state
+			if w.pinned {
+				f |= l1Pinned
+			}
+			if w.prefetched {
+				f |= l1Prefetched
+			}
+			if f != 0 {
+				held = append(held, entry{s*len(set) + i, w, f})
+			}
 		}
 	}
+	snapshot.Slice(cd, &held, 29, func(cd *snapshot.Codec, e *entry) {
+		snapshot.As32(cd, &e.index)
+		cd.U64(&e.way.line)
+		cd.U64(&e.way.value)
+		cd.U64(&e.way.lru)
+		cd.U8(&e.flags)
+	})
 	cd.U64(&c.tick)
 	cd.U64(&c.hits)
 	cd.U64(&c.misses)

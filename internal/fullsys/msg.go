@@ -76,6 +76,9 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
+// Valid reports whether t is a message type.
+func (t MsgType) Valid() bool { return t < numMsgTypes }
+
 // VNet reports the virtual network the message class travels on.
 func (t MsgType) VNet() int {
 	switch t {

@@ -21,7 +21,7 @@ func (m *Msg) State(c *snapshot.Codec, tiles int) {
 	c.Int(&m.Src)
 	c.Int(&m.Dst)
 	c.U64(&m.Value)
-	if m.Type >= numMsgTypes {
+	if !m.Type.Valid() {
 		c.Failf("message type %d out of range", m.Type)
 	} else if m.Src < 0 || m.Src >= tiles || m.Dst < 0 || m.Dst >= tiles {
 		c.Failf("message endpoints %d->%d outside %d tiles", m.Src, m.Dst, tiles)
@@ -163,16 +163,7 @@ func (t *Tile) state(c *snapshot.Codec) {
 	}
 	snapshot.As64(c, &t.mcNextFree)
 	if c.Present(t.memOracle != nil, "memory oracle") {
-		// A request is walked as its memory message. Its destination is
-		// this tile, which decoding checks in range and does not keep.
-		t.memOracle.(dram.OracleStater).State(c, func(c *snapshot.Codec, r *dram.Request) {
-			m := memMsg(t.id, *r)
-			m.State(c, tiles)
-			if m.Type != MemRead && m.Type != MemWrite {
-				c.Failf("memory oracle metadata has non-memory message %v", m)
-			}
-			*r = memRequest(m)
-		})
+		t.memOracle.(dram.OracleStater).State(c, uint64(tiles))
 	}
 }
 
@@ -268,35 +259,49 @@ func (s *Script) State(c *snapshot.Codec) {
 	}
 }
 
-// state walks the ways set by set, each as the array-of-structs L1
-// laid it out: line, state, pinned, prefetched, value, lru.
+// state walks the ways the L1 holds — those whose flag byte is not
+// zero — as a count, then one entry each in way order: index, line,
+// value, lru, flag byte. Decoding clears every way first: an empty
+// way's line, value and lru are never read before install writes them.
 func (l1 *l1Cache) state(c *snapshot.Codec) {
 	snapshot.Match(c, snapshot.As32[int], len(l1.flags)/l1.ways, "L1 sets")
 	snapshot.Match(c, snapshot.As32[int], l1.ways, "L1 ways")
 	if c.Err() != nil {
 		return
 	}
-	for w, f := range l1.flags {
-		state, pinned, prefetched := f&l1StateBits, f&l1Pinned != 0, f&l1Prefetched != 0
-		c.U64(&l1.line[w])
-		c.U8(&state)
-		if state > l1Modified {
-			c.Failf("L1 state %d out of range", state)
-		} else if state != l1Invalid && int(l1.line[w]&l1.setMask) != w/l1.ways {
-			c.Failf("L1 line %#x in set %d", l1.line[w], w/l1.ways)
+	held := 0
+	for _, f := range l1.flags {
+		if f != 0 {
+			held++
 		}
-		c.Bool(&pinned)
-		c.Bool(&prefetched)
+	}
+	n := c.Len(held, 29)
+	if c.Decoding() {
+		clear(l1.line)
+		clear(l1.value)
+		clear(l1.lru)
+		clear(l1.flags)
+	}
+	w := -1
+	for i := 0; i < n && c.Err() == nil; i++ {
+		next := w + 1
+		for !c.Decoding() && l1.flags[next] == 0 {
+			next++
+		}
+		snapshot.As32(c, &next)
+		if next <= w || next >= len(l1.flags) {
+			c.Failf("L1 way %d after way %d, want ascending below %d", next, w, len(l1.flags))
+			return
+		}
+		w = next
+		c.U64(&l1.line[w])
 		c.U64(&l1.value[w])
 		c.U64(&l1.lru[w])
-		if c.Decoding() {
-			l1.flags[w] = state
-			if pinned {
-				l1.flags[w] |= l1Pinned
-			}
-			if prefetched {
-				l1.flags[w] |= l1Prefetched
-			}
+		c.U8(&l1.flags[w])
+		if f := l1.flags[w]; f == 0 || f&^l1FlagBits != 0 {
+			c.Failf("L1 flag byte %#x out of range", f)
+		} else if f&l1StateBits != l1Invalid && int(l1.line[w]&l1.setMask) != w/l1.ways {
+			c.Failf("L1 line %#x in set %d", l1.line[w], w/l1.ways)
 		}
 	}
 	c.U64(&l1.tick)

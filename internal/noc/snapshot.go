@@ -17,23 +17,13 @@ import (
 // becomes one fresh Packet and all references are rewired to it,
 // preserving the sharing structure exactly. The optional track callback
 // hands every decoded packet to the caller so pointer-keyed client
-// state (e.g. hybrid-mode latency predictions) can be rebuilt.
+// state (e.g. hybrid-mode latency predictions) can be rebuilt, and so
+// the client can check the payload it reads.
 
-// PayloadWalk walks a packet's payload (Kind, Line, Value) in its
-// client's layout, after the packet's own fields and checks. A layout
-// that repeats the endpoints may set them: decoding, the walk's copy is
-// the one kept. A nil walk is for packets that carry none.
-type PayloadWalk func(c *snapshot.Codec, p *Packet)
-
-// State walks the packet's fields and, through walk, its payload. It
-// is the one description of a packet: every network that carries
-// packets walks them with it.
-func (p *Packet) State(c *snapshot.Codec, walk PayloadWalk) {
-	p.fields(c)
-	p.payload(c, walk)
-}
-
-func (p *Packet) fields(c *snapshot.Codec) {
+// State walks the packet's fields, its payload included. It is the one
+// description of a packet: every network that carries packets walks
+// them with it.
+func (p *Packet) State(c *snapshot.Codec) {
 	c.U64(&p.ID)
 	c.Int(&p.Src)
 	c.Int(&p.Dst)
@@ -44,16 +34,11 @@ func (p *Packet) fields(c *snapshot.Codec) {
 	snapshot.As64(c, &p.InjectedAt)
 	snapshot.As64(c, &p.DeliveredAt)
 	c.Int(&p.Hops)
+	c.U8(&p.Kind)
+	c.U64(&p.Line)
+	c.U64(&p.Value)
 	if p.Size < 1 {
 		c.Failf("packet size %d < 1", p.Size)
-	}
-}
-
-func (p *Packet) payload(c *snapshot.Codec, walk PayloadWalk) {
-	if walk != nil {
-		walk(c, p)
-	} else if p.Kind != 0 || p.Line != 0 || p.Value != 0 {
-		panic(fmt.Sprintf("noc: packet %v has a non-zero payload without a walk", p))
 	}
 }
 
@@ -81,8 +66,9 @@ func (pt *packetTable) add(p *Packet) {
 }
 
 // state walks the table itself. terminals/vnets bound the endpoint
-// fields; track (optional) observes every decoded packet.
-func (pt *packetTable) state(c *snapshot.Codec, walk PayloadWalk, terminals, vnets int, track func(*Packet)) {
+// fields; track (optional) observes every decoded packet, inside the
+// packet's decode context, and may reject it.
+func (pt *packetTable) state(c *snapshot.Codec, terminals, vnets int, track func(*Packet)) {
 	c.Section("pkts")
 	i := 0
 	snapshot.Slice(c, &pt.list, 40, func(c *snapshot.Codec, pp **Packet) {
@@ -91,9 +77,7 @@ func (pt *packetTable) state(c *snapshot.Codec, walk PayloadWalk, terminals, vne
 		}
 		p := *pp
 		c.Enter("pkt", i)
-		// The packet's own endpoints are checked before a payload walk
-		// can replace them with its copy.
-		p.fields(c)
+		p.State(c)
 		if p.Src < 0 || p.Src >= terminals || p.Dst < 0 || p.Dst >= terminals {
 			c.Failf("packet endpoints %d->%d out of range [0,%d)", p.Src, p.Dst, terminals)
 		} else if p.VNet < 0 || p.VNet >= vnets {
@@ -101,11 +85,10 @@ func (pt *packetTable) state(c *snapshot.Codec, walk PayloadWalk, terminals, vne
 		} else if p.Class >= stats.NumClasses {
 			c.Failf("packet class %d out of range", p.Class)
 		}
-		p.payload(c, walk)
-		c.Leave()
 		if c.Decoding() && c.Err() == nil && track != nil {
 			track(p)
 		}
+		c.Leave()
 		i++
 	})
 }
@@ -159,11 +142,10 @@ func fifo[T any](c *snapshot.Codec, buf *[]T, head *int, perItemMin int, elem fu
 // buffer), the VC masks and the wake schedule are not part of it:
 // rederive rebuilds them when a decode succeeds. The wire format
 // predates the flat state layout and is organised by router, VC and
-// link, in that nesting. walk describes packet payloads; pass nil when
-// no packet carries one. The target of a decode is a network
+// link, in that nesting. The target of a decode is a network
 // constructed with the same configuration, topology, and routing;
 // track (optional) is invoked once for every decoded live packet.
-func (n *Network) State(c *snapshot.Codec, walk PayloadWalk, track func(*Packet)) {
+func (n *Network) State(c *snapshot.Codec, track func(*Packet)) {
 	c.Section("noc")
 	snapshot.Match(c, (*snapshot.Codec).Int, n.routers, "network routers")
 	snapshot.Match(c, (*snapshot.Codec).Int, n.ports, "network ports")
@@ -197,7 +179,7 @@ func (n *Network) State(c *snapshot.Codec, walk PayloadWalk, track func(*Packet)
 			pt.add(n.linkFlits[i].pkt)
 		}
 	}
-	pt.state(c, walk, len(n.ifaces), n.cfg.VNets, track)
+	pt.state(c, len(n.ifaces), n.cfg.VNets, track)
 
 	n.Ledger.State(c, &n.cycle)
 
@@ -240,7 +222,7 @@ func (n *Network) State(c *snapshot.Codec, walk PayloadWalk, track func(*Packet)
 		}
 		credits := n.creditRingOf(rp)
 		for i := range credits {
-			snapshot.As64(c, &credits[i])
+			snapshot.As16(c, &credits[i])
 		}
 		c.Leave()
 	}
@@ -262,10 +244,10 @@ func (ni *Iface) state(c *snapshot.Codec, pt *packetTable, ring []int16, vnets i
 	snapshot.As32(c, &ni.curSeq)
 	snapshot.As16(c, &ni.curVC)
 	for i := range ni.credits {
-		snapshot.As64(c, &ni.credits[i])
+		snapshot.As32(c, &ni.credits[i])
 	}
 	for i := range ring {
-		snapshot.As64(c, &ring[i])
+		snapshot.As16(c, &ring[i])
 	}
 	fifo(c, &ni.deliveries, &ni.dHead, 4, func(c *snapshot.Codec, p **Packet) {
 		pt.live(c, p, "delivery buffer")
@@ -310,15 +292,15 @@ func (n *Network) routerState(c *snapshot.Codec, pt *packetTable, r int) {
 		}
 		hops := n.hops[i*maxHops:][:nh]
 		for k := range hops {
-			snapshot.As64(c, &hops[k].port)
-			snapshot.As64(c, &hops[k].set)
+			snapshot.As16(c, &hops[k].port)
+			snapshot.As16(c, &hops[k].set)
 		}
-		snapshot.As64(c, &n.vcOutPort[i])
-		snapshot.As64(c, &n.vcOutVC[i])
+		snapshot.As16(c, &n.vcOutPort[i])
+		snapshot.As16(c, &n.vcOutVC[i])
 	}
 	for i := r * n.pv; i < (r+1)*n.pv; i++ {
-		snapshot.As64(c, &n.outCredits[i])
-		snapshot.As64(c, &n.outOwner[i])
+		snapshot.As32(c, &n.outCredits[i])
+		snapshot.As32(c, &n.outOwner[i])
 		if n.outOwner[i] >= int32(n.pv) {
 			c.Failf("output VC %d owner %d out of range", i-r*n.pv, n.outOwner[i])
 		}
@@ -327,7 +309,7 @@ func (n *Network) routerState(c *snapshot.Codec, pt *packetTable, r int) {
 	// each must lie in the range its arbiter leaves it in.
 	ports := func(name string, vals []int32, limit int) {
 		for p := r * n.ports; p < (r+1)*n.ports; p++ {
-			snapshot.As64(c, &vals[p])
+			snapshot.As32(c, &vals[p])
 			if vals[p] < 0 || int(vals[p]) > limit {
 				c.Failf("%s pointer %d out of range [0,%d]", name, vals[p], limit)
 			}

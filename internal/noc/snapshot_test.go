@@ -80,7 +80,7 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 	b := build()
 	tracked := 0
 	if err := snapshot.Open(blob, 1, func(c *snapshot.Codec) error {
-		b.State(c, nil, func(*Packet) { tracked++ })
+		b.State(c, func(*Packet) { tracked++ })
 		return nil
 	}); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -129,27 +129,26 @@ func TestRestoreRejectsOutOfRangeIfaceRR(t *testing.T) {
 	}
 }
 
-// A packet carrying a payload can only be written by a walk that knows
-// its layout: encoding one without a walk is a simulator bug, and
-// panics rather than writing a checkpoint that drops the payload.
-func TestPayloadWithoutWalkPanics(t *testing.T) {
-	for _, p := range []Packet{{Size: 1, Kind: 1}, {Size: 1, Line: 1}, {Size: 1, Value: 1}} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "without a walk") {
-					t.Errorf("encoding %+v without a walk: recovered %v, want the no-walk panic", p, r)
-				}
-			}()
-			snapshot.Seal(1, func(c *snapshot.Codec) error { p.State(c, nil); return nil })
-		}()
+// TestPacketStateCarriesPayload: a packet's payload is part of its own
+// description, so it survives the walk with the rest of the packet.
+func TestPacketStateCarriesPayload(t *testing.T) {
+	want := Packet{ID: 9, Src: 1, Dst: 2, VNet: 1, Size: 5, Hops: 3, Kind: 7, Line: 0x40, Value: 11}
+	blob, err := snapshot.Seal(1, func(c *snapshot.Codec) error { want.State(c); return nil })
+	if err != nil {
+		t.Fatal(err)
 	}
-	empty := Packet{Size: 1}
-	snapshot.Seal(1, func(c *snapshot.Codec) error { empty.State(c, nil); return nil })
+	var got Packet
+	if err := snapshot.Open(blob, 1, func(c *snapshot.Codec) error { got.State(c); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("decoded %+v, want %+v", got, want)
+	}
 }
 
-// walkNet is the walk of n's state with no payloads and no tracking.
+// walkNet is the walk of n's state with no tracking.
 func walkNet(n *Network) func(*snapshot.Codec) error {
-	return func(c *snapshot.Codec) error { n.State(c, nil, nil); return nil }
+	return func(c *snapshot.Codec) error { n.State(c, nil); return nil }
 }
 
 // encodeNet seals n's state.

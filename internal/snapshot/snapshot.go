@@ -47,8 +47,11 @@ const Magic = "RECOSNAP"
 // oracles snapshotted per tile, calibration pairs via calib.Reciprocal
 // sections); 3 — deflection routers carry an ejection counter; 4 — the
 // GPU backend no longer serializes its kernel-launch counters (they
-// became gating-dependent host-cost telemetry, not simulated state).
-const FormatVersion uint32 = 4
+// became gating-dependent host-cost telemetry, not simulated state);
+// 5 — each fact once, at its own width: a packet walks its payload as
+// its own fields, a DRAM request is walked once, the L1 writes only
+// the ways it holds, and narrow NoC fields keep their width.
+const FormatVersion uint32 = 5
 
 const (
 	headerLen  = len(Magic) + 4 + 8 // magic + version + config digest

@@ -123,30 +123,38 @@ type payloadSeed struct {
 
 const payloadSeedPath = "testdata/payload-seeds.txt"
 
-// payloadSeeds loads the committed mutations: sixty per checkpoint
-// case (and one placed by hand on the calibrated fit's window count,
-// and three on each calibrated case's shadow count, which must equal
-// the detailed network's injection count: off by one and a flipped low
-// bit, rejected, and rewritten to itself, accepted), one "case offset
-// kind value verdict" line each. They were
-// found on the code that preceded the bidirectional codec by recording
-// the offset and width of every field an intact decode reads, then
-// rewriting the first, middle and last field of every distinct read
-// site with boundary values of its width: per case, one mutation for
-// each distinct rejection (up to forty-five) and the rest accepted
-// ones. The rest were placed by hand. Fourteen, found by diffing two
-// encodes that differ in one field, sit on the memory-oracle request
-// walks and the message a packet carries: request metadata whose type
-// or endpoints are out of range, arrivals out of order, and rewrites of
-// a field's second copy on the wire (the metadata's line and write
-// flag, the message's endpoints), which decode. The last nine per
-// case, found by recording the decoder's offset at the field, rewrite
+// payloadSeeds loads the committed mutations, one "case offset kind
+// value verdict" line each: sixty per checkpoint case, twenty-one
+// placed by hand, nine per case placed by hand, and the Kind seeds.
+// The sixty were found on the code that preceded the bidirectional
+// codec by recording the offset and width of every field an intact
+// decode reads, then rewriting the first, middle and last field of
+// every distinct read site with boundary values of its width: per
+// case, one mutation for each distinct rejection (up to forty-five)
+// and the rest accepted ones. Of the twenty-one, one sits on the
+// memory fit's window count (one pair over capacity), three on each
+// calibrated case's shadow count, which must equal the detailed
+// network's injection count (off by one and a flipped low bit,
+// rejected, and rewritten to itself, accepted), and fourteen on the
+// memory-oracle requests and the packets' payloads: requester tags and
+// message types out of range, arrivals out of order. The nine rewrite
 // the first, middle and last directory transaction kind (just out of
 // range, far out of range, the largest valid kind, the top bit set)
-// and the line of the first, middle and last valid L1 way (into
-// another set by a low bit or a zeroed low word, and to another tag in
-// the same set, which decode). Offsets are positions in the blobs
-// TestWireDigests pins.
+// and the line of the first, middle and last held L1 way (into another
+// set by a low bit or a zeroed low word, and to another tag in the
+// same set, which decode). The Kind seeds set the Kind of the first
+// packet of a detailed network that carries messages, and of the first
+// abstract pending packet, to 0 and one past the last message type:
+// both rejected.
+//
+// When format version 5 wrote each fact once, every seed moved to the
+// same field of the new layout, found by matching the decoder's field
+// reads across the two versions; a seed on a deleted copy moved to the
+// fact it repeated (a message's endpoints and type to the packet's own
+// and its Kind, a memory message to its request, an empty L1 way to
+// the nearest held one), and a just-out-of-range L1 state (4) became
+// the first flag byte outside the flag bits (0x10). Offsets are
+// positions in the blobs TestWireDigests pins.
 func payloadSeeds(t testing.TB, cases []ckptCase) []payloadSeed {
 	t.Helper()
 	raw, err := os.ReadFile(payloadSeedPath)

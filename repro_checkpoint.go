@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
@@ -21,35 +20,14 @@ import (
 // cosimd session server; this function owns the digest *policy* for
 // the public Config type.
 func ConfigDigest(cfg Config, mode Mode, workloadDesc string) uint64 {
-	// Activity gating changes simulator effort, never simulated state
-	// (asserted by the gating bit-identity tests), so a checkpoint
-	// taken with gating on must restore into a -no-fastforward run and
-	// vice versa: the escape-hatch flags are excluded from the digest.
+	// Activity gating and the NoC worker count change host speed,
+	// never simulated state (the gating and sharding bit-identity tests
+	// assert it), so checkpoints taken under either setting interchange:
+	// both knobs are cleared before hashing.
 	cfg.DisableGating = false
 	cfg.Router.DisableGating = false
-	// The NoC worker count is the same kind of speed knob (sharded and
-	// one-shard runs are bit-identical and their checkpoints
-	// interchange), so it is excluded too. The hashed string is the
-	// printed form of the Config as it was when the first checkpoints
-	// were written, which existing checkpoint files and persisted cosimd
-	// manifests carry (the golden checkpoint pins this): it had no
-	// NocWorkers field, and in its place two worker counts since removed
-	// (the GPU mode's engine width, and concurrent component stepping),
-	// always 0 in anything persisted by default, so their tokens stay.
-	// Likewise, ahead of Router it had the router-architecture selector
-	// and the parameters of the bufferless deflection router, both
-	// since removed with that router; every run is now the VC router at
-	// their defaults (gating flag cleared as above), so their tokens
-	// stay too. After the worker counts it had the GPU mode's device
-	// model, removed with that mode when the offload became a cost
-	// model over a reciprocal run (internal/gpu); it only ever held
-	// the default device, whose printed form stays.
 	cfg.NocWorkers = 0
-	desc := strings.NewReplacer(
-		" NocWorkers:0", " Workers:0 ComponentWorkers:0 Device:simt-coprocessor(13 SMs x 192 lanes)",
-		" Router:{", " RouterArch:vc Deflect:{EjectWidth:1 InjectQueueCap:0 DisableGating:false} Router:{",
-	).Replace(fmt.Sprintf("%+v", cfg))
-	return snapshot.Digest("repro-ckpt", string(mode), workloadDesc, desc)
+	return snapshot.Digest("repro-ckpt", string(mode), workloadDesc, fmt.Sprintf("%+v", cfg))
 }
 
 // EncodeCheckpoint serializes the complete co-simulation state —

