@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment id (T1,F1..F8,T2,A1,A2) or 'all'")
+		exp       = flag.String("exp", "all", "experiment id (T1,F1..F8,T2,A1..A4,A6) or 'all'")
 		scale     = flag.String("scale", "quick", "scale: quick|full")
 		mem       = flag.String("mem", "", "memory model for every run: fixed|ddr|abstract|calibrated (\"\" keeps the scale's default; A3 overrides per column)")
 		list      = flag.Bool("list", false, "list experiments and exit")

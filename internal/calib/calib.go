@@ -112,13 +112,13 @@ func (a *Affine) Window() int { return a.maxWindow }
 // component pair: the abstract twin's per-request predictions are
 // recorded at injection, matched against the detailed component's
 // completions as observations into the shared fit, and the fit is
-// refit once per period. Req identifies a request across the two
-// sides (a packet pointer for the network, a shadow-request id for
-// the memory oracle).
-type Reciprocal[Req comparable] struct {
+// refit once per period. A request is identified across the two sides
+// by a uint64 ID that is never reused within a run (a packet's ID for
+// the network, a shadow-request ID for the memory oracle).
+type Reciprocal struct {
 	fit      *Affine   //simlint:derived shared fit owned and snapshotted by the abstract twin
 	period   sim.Cycle //simlint:derived construction input; the restore target is built with the same period
-	preds    map[Req]float64
+	preds    map[uint64]float64
 	lastTune sim.Cycle
 	// sink observes retunes (telemetry.go); it is not simulated state
 	// and is not snapshotted.
@@ -127,26 +127,23 @@ type Reciprocal[Req comparable] struct {
 
 // NewReciprocal returns a pairing over the shared fit with the given
 // retune period (minimum 1 cycle).
-func NewReciprocal[Req comparable](fit *Affine, period sim.Cycle) *Reciprocal[Req] {
+func NewReciprocal(fit *Affine, period sim.Cycle) *Reciprocal {
 	if period < 1 {
 		period = 1
 	}
-	return &Reciprocal[Req]{
+	return &Reciprocal{
 		fit:    fit,
 		period: period,
-		preds:  make(map[Req]float64),
+		preds:  make(map[uint64]float64),
 	}
 }
 
 // Fit exposes the shared affine correction.
-func (r *Reciprocal[Req]) Fit() *Affine { return r.fit }
-
-// Period reports the retune cadence in cycles.
-func (r *Reciprocal[Req]) Period() sim.Cycle { return r.period }
+func (r *Reciprocal) Fit() *Affine { return r.fit }
 
 // Predict records the abstract twin's prediction for a request that is
 // about to enter the detailed component.
-func (r *Reciprocal[Req]) Predict(req Req, predicted float64) {
+func (r *Reciprocal) Predict(req uint64, predicted float64) {
 	r.preds[req] = predicted
 }
 
@@ -154,7 +151,7 @@ func (r *Reciprocal[Req]) Predict(req Req, predicted float64) {
 // prediction, feeding the pair into the fit; it reports false when the
 // request has no recorded prediction (e.g. it predates a restore or
 // was never shadowed).
-func (r *Reciprocal[Req]) Observe(req Req, observed float64) bool {
+func (r *Reciprocal) Observe(req uint64, observed float64) bool {
 	pred, ok := r.preds[req]
 	if !ok {
 		return false
@@ -169,13 +166,13 @@ func (r *Reciprocal[Req]) Observe(req Req, observed float64) bool {
 // that batch their detailed side per period (e.g. the calibrated
 // network backend) gate the batch on Due, observe its completions, and
 // then call MaybeRetune.
-func (r *Reciprocal[Req]) Due(now sim.Cycle) bool {
+func (r *Reciprocal) Due(now sim.Cycle) bool {
 	return now-r.lastTune >= r.period
 }
 
 // MaybeRetune refits the correction when a full period has elapsed
 // since the last refit, reporting whether it did.
-func (r *Reciprocal[Req]) MaybeRetune(now sim.Cycle) bool {
+func (r *Reciprocal) MaybeRetune(now sim.Cycle) bool {
 	if now-r.lastTune < r.period {
 		return false
 	}
@@ -189,4 +186,4 @@ func (r *Reciprocal[Req]) MaybeRetune(now sim.Cycle) bool {
 
 // Outstanding reports requests with a recorded prediction that have
 // not completed yet.
-func (r *Reciprocal[Req]) Outstanding() int { return len(r.preds) }
+func (r *Reciprocal) Outstanding() int { return len(r.preds) }

@@ -60,7 +60,7 @@ func TestAffineWindowSlides(t *testing.T) {
 // TestReciprocalFeed exercises the predict/observe/retune cycle of a
 // pairing over integer request ids.
 func TestReciprocalFeed(t *testing.T) {
-	r := NewReciprocal[uint64](NewAffine(32), 100)
+	r := NewReciprocal(NewAffine(32), 100)
 	r.Predict(1, 10)
 	r.Predict(2, 20)
 	if r.Outstanding() != 2 {
@@ -94,28 +94,26 @@ func TestCalibSnapshotRoundTrip(t *testing.T) {
 		a.Observe(x, 1.5*x+3)
 	}
 	a.Retune()
-	r := NewReciprocal[uint64](a, 64)
+	r := NewReciprocal(a, 64)
 	r.Predict(7, 12.5)
 	r.Predict(3, 8.25)
 	r.MaybeRetune(128)
 
-	state := func(a *Affine, r *Reciprocal[uint64]) func(*snapshot.Codec) error {
+	state := func(a *Affine, r *Reciprocal) func(*snapshot.Codec) error {
 		return func(c *snapshot.Codec) error {
 			a.State(c)
-			r.State(c,
-				func(x, y uint64) bool { return x < y },
-				func(c *snapshot.Codec, req *uint64) { c.U64(req) })
+			r.State(c, nil)
 			return nil
 		}
 	}
-	encode := func(a *Affine, r *Reciprocal[uint64]) []byte {
+	encode := func(a *Affine, r *Reciprocal) []byte {
 		blob, _ := snapshot.Seal(1, state(a, r))
 		return blob
 	}
 	blob := encode(a, r)
 
 	a2 := NewAffine(16)
-	r2 := NewReciprocal[uint64](a2, 64)
+	r2 := NewReciprocal(a2, 64)
 	if err := snapshot.Open(blob, 1, state(a2, r2)); err != nil {
 		t.Fatal(err)
 	}

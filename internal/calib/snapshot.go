@@ -26,17 +26,19 @@ func (a *Affine) State(c *snapshot.Codec) {
 	}
 }
 
-// State walks the pairing's outstanding predictions (in the order
-// induced by less, so equal states produce equal bytes; key walks a
-// request key, resolving it back to a live request when decoding) and
-// its retune phase. The shared fit is NOT part of it — it belongs to
+// State walks the pairing's retune phase and its outstanding
+// predictions in ID order, so equal states produce equal bytes. live,
+// when non-nil, validates each decoded ID against the detailed side's
+// in-flight requests. The shared fit is NOT part of it — it belongs to
 // the abstract twin, which describes it — so a pairing and its twin can
 // share the fit without encoding it twice.
-func (r *Reciprocal[Req]) State(c *snapshot.Codec, less func(a, b Req) bool, key func(*snapshot.Codec, *Req)) {
+func (r *Reciprocal) State(c *snapshot.Codec, live func(*snapshot.Codec, uint64)) {
 	c.Section("reciprocal")
 	snapshot.As64(c, &r.lastTune)
-	snapshot.MapBy(c, &r.preds, 16, less, func(c *snapshot.Codec, req *Req, pred *float64) {
-		key(c, req)
+	snapshot.Map(c, &r.preds, 16, func(c *snapshot.Codec, id *uint64, pred *float64) {
+		if c.U64(id); live != nil && c.Decoding() && c.Err() == nil {
+			live(c, *id)
+		}
 		c.F64(pred)
 	})
 }

@@ -39,7 +39,7 @@ type RetuneEvent struct {
 type RetuneSink func(RetuneEvent)
 
 // SetSink installs the pairing's retune observer (nil disables).
-func (r *Reciprocal[Req]) SetSink(sink RetuneSink) { r.sink = sink }
+func (r *Reciprocal) SetSink(sink RetuneSink) { r.sink = sink }
 
 // Residual reports the RMS error of the CURRENT correction over the
 // observation window (0 on an empty window). After Retune this is the
@@ -70,7 +70,7 @@ func (a *Affine) Drift() float64 {
 }
 
 // event captures the pairing's state right after a refit.
-func (r *Reciprocal[Req]) event(now sim.Cycle) RetuneEvent {
+func (r *Reciprocal) event(now sim.Cycle) RetuneEvent {
 	alpha, beta := r.fit.Coeffs()
 	return RetuneEvent{
 		At:           now,

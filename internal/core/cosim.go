@@ -45,7 +45,7 @@ type Cosim struct {
 	// comps is the component registry: Net first, then one component
 	// per memory controller oracle, in deterministic controller order.
 	comps    []Component       //simlint:derived rebuilt by New from the system's claimed memory ports
-	memPorts []fullsys.MemPort //simlint:derived rebuilt by New from the system's claimed memory ports
+	memPorts []fullsys.MemPort //simlint:derived rebuilt by New from the system's memory ports
 
 	// obsH is the pre-resolved instrumentation state (observe.go); nil
 	// is the uninstrumented fast path — one branch per site.
@@ -81,15 +81,15 @@ func (m memComponent) Close() { m.port.Oracle.Close() }
 
 // New wires a system and a backend together. The system must have been
 // constructed with SenderFor(backend) as its send callback; use Build
-// for the common case. New claims the system's memory oracles (if its
-// memory model has any), registering them as components advanced at
-// quantum boundaries alongside the network.
+// for the common case. New registers the system's memory oracles (if
+// its memory model has any) as components advanced at quantum
+// boundaries alongside the network.
 func New(sys *fullsys.System, backend Backend, quantum int) (*Cosim, error) {
 	if quantum < 1 {
 		return nil, fmt.Errorf("core: quantum must be >= 1, got %d", quantum)
 	}
 	c := &Cosim{Sys: sys, Net: backend, Quantum: quantum, WatchdogQuanta: 1 << 20}
-	c.memPorts = sys.ClaimMemory()
+	c.memPorts = sys.MemPorts()
 	c.comps = append(c.comps, backend)
 	for _, p := range c.memPorts {
 		c.comps = append(c.comps, memComponent{port: p})

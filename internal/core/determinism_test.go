@@ -222,9 +222,9 @@ func TestObservabilityZeroPerturbation(t *testing.T) {
 
 			// Guard the guard: the observer must actually have seen the run,
 			// otherwise identical outputs would be vacuous.
-			if ob.Metrics().Len() == 0 || ob.Trace().Len() == 0 || ob.Calib().Len() == 0 {
+			if ob.Metrics().Len() == 0 || ob.Trace().Len() == 0 || len(ob.Calib().Summarize()) == 0 {
 				t.Fatalf("observer recorded nothing (metrics=%d trace=%d calib=%d); the comparison is vacuous",
-					ob.Metrics().Len(), ob.Trace().Len(), ob.Calib().Len())
+					ob.Metrics().Len(), ob.Trace().Len(), len(ob.Calib().Summarize()))
 			}
 			if plainFP != obsFP {
 				t.Errorf("observability perturbed the run\nplain:    %s\nobserved: %s", plainFP, obsFP)

@@ -37,7 +37,7 @@ type Paired struct {
 	// route to the detailed network.
 	Period, SampleLen sim.Cycle //simlint:derived run-description config, covered by the snapshot config digest
 
-	pair     *calib.Reciprocal[*noc.Packet]
+	pair     *calib.Reciprocal
 	tracker  *stats.LatencyTracker // hybrid's merged statistics; nil when calibrated
 	drainBuf []*noc.Packet         //simlint:derived drain scratch, emptied by rederive
 }
@@ -69,7 +69,7 @@ func newPaired(detailed *noc.Network, tuned *abstractnet.Tuned, period, sampleLe
 		tuned:     tuned,
 		Period:    period,
 		SampleLen: sampleLen,
-		pair:      calib.NewReciprocal[*noc.Packet](tuned.Fit(), period),
+		pair:      calib.NewReciprocal(tuned.Fit(), period),
 	}
 }
 
@@ -90,19 +90,22 @@ func (p *Paired) Name() string {
 // delivery becomes an observation. Any other packet is timed by the
 // model; when calibrated, a shadow copy drawn from the detailed
 // network's free list carries the prediction through the detailed
-// network and goes back to that list once observed.
+// network and goes back to that list once observed. Predictions are
+// keyed by the ID the detailed network assigns at Inject, which no
+// later packet reuses, so they are recorded after it.
 func (p *Paired) Inject(pk *noc.Packet, at sim.Cycle) {
 	if at%p.Period < p.SampleLen {
-		p.pair.Predict(pk, p.tuned.Latency(pk.Src, pk.Dst, pk.Size, at))
+		pred := p.tuned.Latency(pk.Src, pk.Dst, pk.Size, at)
 		p.detailed.Inject(pk, at)
+		p.pair.Predict(pk.ID, pred)
 		return
 	}
 	p.abstract.Inject(pk, at)
 	if p.shadows() {
 		shadow := p.detailed.NewPacket()
 		shadow.Src, shadow.Dst, shadow.VNet, shadow.Class, shadow.Size = pk.Src, pk.Dst, pk.VNet, pk.Class, pk.Size
-		p.pair.Predict(shadow, float64(pk.DeliveredAt-pk.CreatedAt))
 		p.detailed.Inject(shadow, at)
+		p.pair.Predict(shadow.ID, float64(pk.DeliveredAt-pk.CreatedAt))
 	}
 }
 
@@ -119,10 +122,7 @@ func (p *Paired) AdvanceTo(c sim.Cycle) {
 		}
 		p.detailed.AdvanceTo(c)
 		for _, pk := range p.detailed.Drain() {
-			// Observe drops the pairing entry (a shadow restored without
-			// one has none) and the tracker recorded at Drain: the last
-			// reference is this one.
-			p.pair.Observe(pk, float64(pk.TotalLatency()))
+			p.pair.Observe(pk.ID, float64(pk.TotalLatency()))
 			p.detailed.Recycle(pk)
 		}
 	} else {
@@ -140,7 +140,7 @@ func (p *Paired) Drain() []*noc.Packet {
 	}
 	out := p.drainBuf[:0]
 	for _, pk := range p.detailed.Drain() {
-		p.pair.Observe(pk, float64(pk.TotalLatency()))
+		p.pair.Observe(pk.ID, float64(pk.TotalLatency()))
 		p.tracker.Record(pk.Class, float64(pk.QueueingLatency()), float64(pk.NetworkLatency()), pk.Hops)
 		out = append(out, pk)
 	}
@@ -154,8 +154,7 @@ func (p *Paired) Drain() []*noc.Packet {
 
 // NewPacket implements Backend with the abstract network's free list.
 // A system packet may take either side, and neither keeps it past
-// Drain: the pairing is keyed by a sampled packet until Drain observes
-// it, and by a calibrated packet's shadow, never the packet itself.
+// Drain.
 func (p *Paired) NewPacket() *noc.Packet { return p.abstract.NewPacket() }
 
 // Recycle implements Backend.

@@ -11,32 +11,9 @@ import (
 
 // BackendStater is implemented by network backends that support
 // checkpointing. track, when non-nil, observes every decoded in-flight
-// packet that carries a message, so pointer-keyed caller state can be
-// rebuilt and the message checked.
+// packet that carries a message, so the message can be checked.
 type BackendStater interface {
 	State(c *snapshot.Codec, track func(*noc.Packet))
-}
-
-// packetLess orders packets by ID for byte-stable snapshots of
-// packet-keyed calibration state.
-func packetLess(a, b *noc.Packet) bool { return a.ID < b.ID }
-
-// packetKey walks a packet-keyed calibration entry as the packet ID.
-// The packets are live in the network whose state precedes this in the
-// stream, so decoding resolves the ID against byID, the in-flight
-// packets that network's track callback collected.
-func packetKey(byID map[uint64]*noc.Packet) func(*snapshot.Codec, **noc.Packet) {
-	return func(c *snapshot.Codec, p **noc.Packet) {
-		var id uint64
-		if !c.Decoding() {
-			id = (*p).ID
-		}
-		if c.U64(&id); c.Decoding() && c.Err() == nil {
-			if *p = byID[id]; *p == nil {
-				c.Failf("prediction refers to packet %d, which is not in flight", id)
-			}
-		}
-	}
 }
 
 // State implements BackendStater for the tuned-model backend, under
@@ -45,15 +22,16 @@ func packetKey(byID map[uint64]*noc.Packet) func(*snapshot.Codec, **noc.Packet) 
 // it is not walked separately. A calibrated shadow network's packets
 // carry no message, so track does not see them; its injection count
 // leads the section, and decoding checks it against the restored
-// network's.
+// network's. Every decoded prediction must name a packet in flight in
+// the detailed network, whose state precedes the pairing's.
 func (p *Paired) State(c *snapshot.Codec, track func(*noc.Packet)) {
-	byID := make(map[uint64]*noc.Packet)
+	inFlight := make(map[uint64]bool)
 	if p.shadows() {
 		c.Section("calibrated")
 		shadowed := p.detailed.Injected()
 		c.U64(&shadowed)
 		p.abstract.State(c, track)
-		p.detailed.State(c, func(pk *noc.Packet) { byID[pk.ID] = pk })
+		p.detailed.State(c, func(pk *noc.Packet) { inFlight[pk.ID] = true })
 		if c.Decoding() && c.Err() == nil && shadowed != p.detailed.Injected() {
 			c.Failf("%d packets shadowed, but the detailed network admitted %d", shadowed, p.detailed.Injected())
 		}
@@ -61,14 +39,18 @@ func (p *Paired) State(c *snapshot.Codec, track func(*noc.Packet)) {
 		c.Section("hybrid")
 		p.tracker.State(c)
 		p.detailed.State(c, func(pk *noc.Packet) {
-			byID[pk.ID] = pk
+			inFlight[pk.ID] = true
 			if track != nil {
 				track(pk)
 			}
 		})
 		p.abstract.State(c, track)
 	}
-	p.pair.State(c, packetLess, packetKey(byID))
+	p.pair.State(c, func(c *snapshot.Codec, id uint64) {
+		if !inFlight[id] {
+			c.Failf("prediction refers to packet %d, which is not in flight", id)
+		}
+	})
 	if c.Decoding() && c.Err() == nil {
 		p.rederive()
 	}

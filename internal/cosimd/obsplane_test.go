@@ -231,7 +231,7 @@ func TestRetuneEventsKeepNoHistory(t *testing.T) {
 		t.Errorf("published retune events per component %v, counters %v", published, counted)
 	}
 	if so.ob.Calib() != nil {
-		t.Errorf("the session's observer keeps a retune log of %d records", so.ob.Calib().Len())
+		t.Errorf("the session's observer keeps a retune log of %d components", len(so.ob.Calib().Summarize()))
 	}
 }
 

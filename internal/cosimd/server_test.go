@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -483,6 +484,92 @@ func TestRestartFailsUnresumableSession(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTornManifestAtRestart: a manifest cut short on disk stops the
+// restart — NewServer fails naming it and leaves every file in the
+// state directory as it was — and with the whole manifest put back a
+// new server resumes every drained session to its uninterrupted
+// fingerprint.
+func TestTornManifestAtRestart(t *testing.T) {
+	// As in TestRestartFailsUnresumableSession, the first session is
+	// mid-run when the server drains, so it leaves a checkpoint.
+	dir := t.TempDir()
+	hold := holdBuilder{builds: new(atomic.Int32), held: make(chan struct{}), gate: make(chan struct{})}
+	srv1 := newTestServer(t, Options{Workers: 1, SliceCycles: 512, StateDir: dir, Builder: hold})
+	var pending []string
+	for i := 2; i <= 4; i++ {
+		st, err := srv1.Submit(tinyReq(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, st.ID)
+	}
+	<-hold.held
+	drained := make(chan error, 1)
+	go func() { drained <- srv1.Close() }()
+	for closed := false; !closed; time.Sleep(time.Millisecond) {
+		srv1.mu.Lock()
+		closed = srv1.closed
+		srv1.mu.Unlock()
+	}
+	close(hold.gate)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, pending[0]+".ckpt")); err != nil {
+		t.Fatalf("the drain left no checkpoint of the running session: %v", err)
+	}
+
+	path := filepath.Join(dir, "manifest.json")
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(blob)
+		}
+		return out
+	}
+	before := files()
+	if srv, err := NewServer(Options{Workers: 2, SliceCycles: 512, StateDir: dir}); err == nil {
+		srv.Close()
+		t.Fatal("a server started over a torn manifest")
+	} else if !strings.Contains(err.Error(), "cosimd: corrupt manifest") {
+		t.Fatalf("torn manifest: %v, want cosimd: corrupt manifest", err)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Error("the failed restart changed the state directory")
+	}
+
+	if err := os.WriteFile(path, whole, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := newTestServer(t, Options{Workers: 2, SliceCycles: 512, StateDir: dir})
+	srv2.Wait()
+	for i, id := range pending {
+		if st, ok := srv2.Status(id); !ok || st.State != StateDone {
+			t.Fatalf("restored session %s: ok=%v %+v", id, ok, st)
+		}
+		_, env := envelope(t, srv2, id)
+		if want := directFingerprint(t, tinyReq(uint64(i+2))); env.Fingerprint != want {
+			t.Errorf("restored session %s fingerprint diverged\n got %s\nwant %s",
+				id, env.Fingerprint, want)
+		}
 	}
 }
 

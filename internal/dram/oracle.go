@@ -224,7 +224,7 @@ func (o *AbstractOracle) Close() {}
 type CalibratedOracle struct {
 	abs  *AbstractOracle
 	det  *DetailedOracle
-	pair *calib.Reciprocal[uint64]
+	pair *calib.Reciprocal
 
 	shadowSeq uint64
 	arrived   map[uint64]sim.Cycle
@@ -244,7 +244,7 @@ func NewCalibratedOracle(cfg Config, baseLat, occupancy, window int, retune sim.
 	return &CalibratedOracle{
 		abs:     abs,
 		det:     det,
-		pair:    calib.NewReciprocal[uint64](abs.Fit(), retune),
+		pair:    calib.NewReciprocal(abs.Fit(), retune),
 		arrived: make(map[uint64]sim.Cycle),
 	}, nil
 }

@@ -70,9 +70,7 @@ func (o *CalibratedOracle) State(c *snapshot.Codec, tags uint64) {
 	c.U64(&o.shadowSeq)
 	o.abs.State(c, tags)
 	o.det.State(c, o.shadowSeq)
-	o.pair.State(c,
-		func(a, b uint64) bool { return a < b },
-		func(c *snapshot.Codec, id *uint64) { c.U64(id) })
+	o.pair.State(c, nil)
 	snapshot.Map(c, &o.arrived, 16, func(c *snapshot.Codec, id *uint64, at *sim.Cycle) {
 		c.U64(id)
 		snapshot.As64(c, at)

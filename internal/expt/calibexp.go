@@ -38,7 +38,18 @@ func FigureA6(s Scale) []*stats.Table {
 		if err != nil {
 			panic(err)
 		}
-		ob := obs.New(obs.Options{Calib: true})
+		// The quarter split reads the network pairing's retune instants
+		// from the trace stream; the trace itself keeps nothing.
+		ob := obs.New(obs.Options{Calib: true, Trace: true})
+		tr := ob.Trace()
+		var drifts []float64
+		var last obs.Event
+		tr.SetSink(func(e obs.Event) {
+			if e.Ph == "i" && e.Name == "retune" && tr.TrackNames()[e.Tid] == "calibrated" {
+				drifts = append(drifts, math.Abs(e.Args["drift"].(float64)))
+				last = e
+			}
+		})
 		cs.SetObserver(ob)
 		if res := cs.Run(s.CycleLimit); !res.Finished {
 			cs.Close()
@@ -51,15 +62,14 @@ func FigureA6(s Scale) []*stats.Table {
 				sum.Alpha, sum.Beta, sum.MeanResidual, sum.MeanAbsDrift, sum.MaxAbsDrift)
 		}
 
-		hist := ob.Calib().History("calibrated")
-		if len(hist) == 0 {
+		if len(drifts) == 0 {
 			continue
 		}
 		var qs [4]float64
 		var qn [4]int
-		for i, e := range hist {
-			q := i * 4 / len(hist)
-			qs[q] += math.Abs(e.Drift)
+		for i, d := range drifts {
+			q := i * 4 / len(drifts)
+			qs[q] += d
 			qn[q]++
 		}
 		for q := range qs {
@@ -67,8 +77,7 @@ func FigureA6(s Scale) []*stats.Table {
 				qs[q] /= float64(qn[q])
 			}
 		}
-		last := hist[len(hist)-1]
-		conv.AddRow(name, qs[0], qs[1], qs[2], qs[3], last.Alpha, last.Beta)
+		conv.AddRow(name, qs[0], qs[1], qs[2], qs[3], last.Args["alpha"], last.Args["beta"])
 	}
 	return []*stats.Table{perComp, conv}
 }

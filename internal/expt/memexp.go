@@ -34,8 +34,8 @@ func memRun(s Scale, name, mem string) (core.Result, dram.Stats, float64) {
 	dst := cs.Sys.DRAMStats()
 	var modelLat float64
 	var n int
-	for _, o := range cs.Sys.MemOracles() {
-		switch o := o.(type) {
+	for _, p := range cs.Sys.MemPorts() {
+		switch o := p.Oracle.(type) {
 		case *dram.AbstractOracle:
 			modelLat += o.Stats().AvgLatency
 			n++

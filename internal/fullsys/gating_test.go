@@ -93,11 +93,13 @@ func (w *randomWorkload) clone() *randomWorkload {
 	return &f
 }
 
-// gateRun is one system with its loopback network and workload.
+// gateRun is one system with its loopback network, memory ports and
+// workload.
 type gateRun struct {
-	sys *System
-	lb  *loopback
-	wl  *randomWorkload
+	sys   *System
+	lb    *loopback
+	ports []MemPort
+	wl    *randomWorkload
 }
 
 func newGateRun(c gateCase, exhaustive bool) (*gateRun, error) {
@@ -107,12 +109,13 @@ func newGateRun(c gateCase, exhaustive bool) (*gateRun, error) {
 		return nil, err
 	}
 	sys.exhaustive = exhaustive
-	r.sys, r.lb.sys = sys, sys
+	r.sys, r.lb.sys, r.ports = sys, sys, sys.MemPorts()
 	return r, nil
 }
 
 func (r *gateRun) step(now sim.Cycle) {
 	r.sys.Tick(now)
+	advanceMem(r.sys, r.ports, now)
 	r.lb.deliverDue(now)
 }
 
@@ -147,7 +150,7 @@ func (r *gateRun) viaSnapshot() (*gateRun, error) {
 	if err := snapshot.Open(encodeSystem(r.sys), 0, walkSystem(sys)); err != nil {
 		return nil, err
 	}
-	f.sys, f.lb.sys = sys, sys
+	f.sys, f.lb.sys, f.ports = sys, sys, sys.MemPorts()
 	return f, nil
 }
 

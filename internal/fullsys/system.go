@@ -31,14 +31,6 @@ type System struct {
 	mcList  []int        //simlint:derived recomputed from cfg.MemControllers at construction
 	mcIndex map[int]bool //simlint:derived recomputed from cfg.MemControllers at construction
 
-	// memClaimed marks that a co-simulation coordinator owns
-	// memory-oracle advancement (see ClaimMemory). Until then the
-	// system self-advances its oracles every Tick, so a standalone
-	// System works without a coordinator. It records which driver is
-	// attached, not simulated state: a restored system is re-claimed by
-	// whatever coordinator performs the restore.
-	memClaimed bool //simlint:derived re-established by the restoring coordinator, not simulated state
-
 	msgsSent   uint64
 	flitsSent  uint64
 	localMsgs  uint64
@@ -229,23 +221,6 @@ func (s *System) Tick(now sim.Cycle) {
 		}
 		s.fire(d.When, d.Item)
 	}
-	if !s.memClaimed {
-		// Standalone operation: advance each memory oracle through
-		// this cycle and turn its completions into events, exactly
-		// where the per-cycle controller tick used to run. Under a
-		// coordinator (ClaimMemory) the oracles advance a quantum at
-		// a time instead.
-		for _, mc := range s.mcList {
-			o := s.tiles[mc].memOracle
-			if o == nil {
-				continue
-			}
-			o.AdvanceTo(now + 1)
-			for _, c := range o.Drain() {
-				s.CompleteMem(mc, c)
-			}
-		}
-	}
 	s.sweeps++
 	if s.exhaustive {
 		for _, t := range s.tiles {
@@ -274,17 +249,12 @@ type MemPort struct {
 	Oracle dram.Oracle
 }
 
-// ClaimMemory transfers ownership of memory-oracle advancement to a
-// co-simulation coordinator: after this call, Tick no longer advances
-// the oracles, and the coordinator must AdvanceTo each quantum
-// boundary and hand drained completions back through CompleteMem. The
-// ports are returned in deterministic controller order. It returns nil
-// under the inline fixed model; claiming twice panics.
-func (s *System) ClaimMemory() []MemPort {
-	if s.memClaimed {
-		panic("fullsys: memory oracles already claimed by a coordinator")
-	}
-	s.memClaimed = true
+// MemPorts lists the memory controllers in deterministic controller
+// order; nil under the inline fixed model. Tick never advances their
+// oracles: whoever drives the system (the co-simulation coordinator)
+// moves each to its quantum boundary and hands the drained completions
+// back through CompleteMem.
+func (s *System) MemPorts() []MemPort {
 	var ports []MemPort
 	for _, mc := range s.mcList {
 		if o := s.tiles[mc].memOracle; o != nil {
@@ -407,19 +377,6 @@ func (s *System) FlitsSent() uint64 { return s.flitsSent }
 
 // LocalMsgs reports messages short-circuited to the local bank.
 func (s *System) LocalMsgs() uint64 { return s.localMsgs }
-
-// MemOracles lists the memory oracles in deterministic controller
-// order; empty under the inline fixed model. Available whether or not
-// a coordinator has claimed them.
-func (s *System) MemOracles() []dram.Oracle {
-	var out []dram.Oracle
-	for _, mc := range s.mcList {
-		if o := s.tiles[mc].memOracle; o != nil {
-			out = append(out, o)
-		}
-	}
-	return out
-}
 
 // DRAMStats aggregates memory-controller statistics across oracles;
 // the zero value is returned under the fixed model.

@@ -42,6 +42,18 @@ func (lb *loopback) deliverDue(now sim.Cycle) {
 	}
 }
 
+// advanceMem moves the memory oracles through cycle now and hands
+// their completions back, as the co-simulation coordinator does at
+// every boundary of a one-cycle quantum.
+func advanceMem(sys *System, ports []MemPort, now sim.Cycle) {
+	for _, p := range ports {
+		p.Oracle.AdvanceTo(now + 1)
+		for _, c := range p.Oracle.Drain() {
+			sys.CompleteMem(p.Tile, c)
+		}
+	}
+}
+
 // runSystem builds a system over the workload and runs it to
 // completion (or the cycle limit), checking coherence periodically.
 func runSystem(t *testing.T, cfg Config, wl Workload, limit int) *System {
@@ -52,9 +64,11 @@ func runSystem(t *testing.T, cfg Config, wl Workload, limit int) *System {
 		t.Fatalf("New: %v", err)
 	}
 	lb.sys = sys
+	ports := sys.MemPorts()
 	for cyc := 0; cyc < limit; cyc++ {
 		now := sim.Cycle(cyc)
 		sys.Tick(now)
+		advanceMem(sys, ports, now)
 		lb.deliverDue(now)
 		if cyc%64 == 0 {
 			if err := sys.CheckCoherence(); err != nil {

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"sort"
 
@@ -10,60 +8,48 @@ import (
 	"repro/internal/stats"
 )
 
-// CalibRecord is one retune event attributed to the component whose
-// reciprocal pairing emitted it.
-type CalibRecord struct {
-	Component string            `json:"component"`
-	Event     calib.RetuneEvent `json:"event"`
-}
-
-// CalibLog collects the divergence history of every reciprocal pairing
-// in a run: one record per retune, in emission order (which is
+// CalibLog summarises the divergence history of every reciprocal
+// pairing in a run as the retunes arrive: one running Summary per
+// component, whose sums are taken in emission order (which is
 // deterministic, because retunes happen at quantum boundaries in
-// component registry order).
+// component registry order). It keeps no per-retune record, so its
+// size is fixed by the number of components, however long the run.
 type CalibLog struct {
-	recs []CalibRecord
+	accs []*calibAcc
 }
 
-// add appends one record.
-func (l *CalibLog) add(component string, e calib.RetuneEvent) {
-	l.recs = append(l.recs, CalibRecord{Component: component, Event: e})
+// calibAcc is one component's running summary.
+type calibAcc struct {
+	Summary
+	residSum, driftSum float64
 }
 
-// Records returns the full history in emission order.
-func (l *CalibLog) Records() []CalibRecord {
-	if l == nil {
-		return nil
-	}
-	return l.recs
-}
-
-// History returns the retune events of one component in emission order.
-func (l *CalibLog) History(component string) []calib.RetuneEvent {
-	if l == nil {
-		return nil
-	}
-	var out []calib.RetuneEvent
-	for _, r := range l.recs {
-		if r.Component == component {
-			out = append(out, r.Event)
+// component finds or adds the accumulator of a component.
+func (l *CalibLog) component(name string) *calibAcc {
+	for _, a := range l.accs {
+		if a.Component == name {
+			return a
 		}
 	}
-	return out
+	a := &calibAcc{Summary: Summary{Component: name}}
+	l.accs = append(l.accs, a)
+	return a
 }
 
-// components lists the distinct component names in sorted order.
-func (l *CalibLog) components() []string {
-	seen := make(map[string]bool)
-	var names []string
-	for _, r := range l.recs {
-		if !seen[r.Component] {
-			seen[r.Component] = true
-			names = append(names, r.Component)
-		}
+// add folds one retune into the accumulator.
+func (a *calibAcc) add(e calib.RetuneEvent) {
+	a.Retunes++
+	if e.Observations == 0 {
+		return
 	}
-	sort.Strings(names)
-	return names
+	a.Fed++
+	a.Alpha, a.Beta = e.Alpha, e.Beta
+	a.residSum += e.Residual
+	d := math.Abs(e.Drift)
+	a.driftSum += d
+	if d > a.MaxAbsDrift {
+		a.MaxAbsDrift = d
+	}
 }
 
 // Summary condenses one component's divergence history.
@@ -87,36 +73,25 @@ type Summary struct {
 	MaxAbsDrift float64 `json:"max_abs_drift"`
 }
 
-// Summarize reduces the history to one Summary per component, sorted
-// by component name.
+// Summarize reports one Summary per component that has retuned,
+// sorted by component name.
 func (l *CalibLog) Summarize() []Summary {
 	if l == nil {
 		return nil
 	}
 	var out []Summary
-	for _, name := range l.components() {
-		s := Summary{Component: name}
-		var residSum, driftSum float64
-		for _, e := range l.History(name) {
-			s.Retunes++
-			if e.Observations == 0 {
-				continue
-			}
-			s.Fed++
-			s.Alpha, s.Beta = e.Alpha, e.Beta
-			residSum += e.Residual
-			d := math.Abs(e.Drift)
-			driftSum += d
-			if d > s.MaxAbsDrift {
-				s.MaxAbsDrift = d
-			}
+	for _, a := range l.accs {
+		if a.Retunes == 0 {
+			continue
 		}
+		s := a.Summary
 		if s.Fed > 0 {
-			s.MeanResidual = residSum / float64(s.Fed)
-			s.MeanAbsDrift = driftSum / float64(s.Fed)
+			s.MeanResidual = a.residSum / float64(s.Fed)
+			s.MeanAbsDrift = a.driftSum / float64(s.Fed)
 		}
 		out = append(out, s)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Component < out[j].Component })
 	return out
 }
 
@@ -129,25 +104,4 @@ func (l *CalibLog) Table(title string) *stats.Table {
 			s.MeanResidual, s.MeanAbsDrift, s.MaxAbsDrift)
 	}
 	return t
-}
-
-// WriteJSON dumps the full history in emission order.
-func (l *CalibLog) WriteJSON(w io.Writer) error {
-	recs := l.Records()
-	if recs == nil {
-		recs = []CalibRecord{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Retunes []CalibRecord `json:"retunes"`
-	}{recs})
-}
-
-// Len reports the number of recorded retunes.
-func (l *CalibLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.recs)
 }

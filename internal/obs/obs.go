@@ -1,7 +1,7 @@
 // Package obs is the co-simulator's observability layer: structured
 // tracing in virtual cycles (Chrome trace-event JSON, loadable in
 // Perfetto), a metrics registry built on internal/stats, and
-// calibration telemetry recording every retune of a reciprocal
+// calibration telemetry summarising the retunes of every reciprocal
 // pairing. It exists to make the paper's central mechanism — when and
 // why the abstract model diverges from the detailed component —
 // visible at runtime.
@@ -23,7 +23,6 @@ import (
 	"io"
 
 	"repro/internal/calib"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -32,12 +31,9 @@ type Options struct {
 	// Trace records per-component spans, instants, and counter samples
 	// in virtual cycles.
 	Trace bool
-	// TraceCap bounds in-memory trace events (0 = DefaultTraceCap);
-	// overflow is counted and reported, never silent.
-	TraceCap int
 	// Metrics arms the counter/gauge/histogram registry.
 	Metrics bool
-	// Calib collects every reciprocal retune event into a CalibLog.
+	// Calib summarises every reciprocal retune event in a CalibLog.
 	Calib bool
 	// Wall annotates spans with host-time measurements. The annotations
 	// are nondeterministic (they measure the host, not the target), so
@@ -63,7 +59,7 @@ type Observer struct {
 func New(opts Options) *Observer {
 	o := &Observer{opts: opts}
 	if opts.Trace {
-		o.trace = newTrace(opts.TraceCap)
+		o.trace = newTrace(DefaultTraceCap)
 	}
 	if opts.Metrics {
 		o.metrics = NewRegistry()
@@ -95,8 +91,8 @@ func (o *Observer) Metrics() *Registry {
 	return o.metrics
 }
 
-// Calib exposes the retune log (nil when calibration telemetry is
-// off, which every CalibLog method tolerates).
+// Calib exposes the retune summaries (nil when calibration telemetry
+// is off, which every CalibLog method tolerates).
 func (o *Observer) Calib() *CalibLog {
 	if o == nil {
 		return nil
@@ -122,8 +118,9 @@ func (o *Observer) Histogram(name string, binWidth float64, bins int) *Histogram
 func (o *Observer) Track(name string) int { return o.Trace().Track(name) }
 
 // RetuneSink builds the calib.RetuneSink a reciprocal pairing should
-// emit into, attributed to the named component: the event is logged,
-// counted, and recorded as a trace instant on the component's track.
+// emit into, attributed to the named component: the event is
+// summarised, counted, and recorded as a trace instant on the
+// component's track.
 // It returns nil — meaning "don't bother emitting" — when neither
 // calibration telemetry, metrics, nor tracing wants the events.
 func (o *Observer) RetuneSink(component string) calib.RetuneSink {
@@ -133,21 +130,26 @@ func (o *Observer) RetuneSink(component string) calib.RetuneSink {
 	tid := o.Track(component)
 	ctr := o.Counter("calib.retunes/" + component)
 	fed := o.Counter("calib.fed_retunes/" + component)
-	log := o.calib
+	var acc *calibAcc
+	if o.calib != nil {
+		acc = o.calib.component(component)
+	}
 	tr := o.trace
 	return func(e calib.RetuneEvent) {
-		if log != nil {
-			log.add(component, e)
+		if acc != nil {
+			acc.add(e)
 		}
 		ctr.Inc()
 		if e.Observations > 0 {
 			fed.Inc()
 		}
-		tr.Instant(tid, "retune", e.At, map[string]interface{}{
-			"alpha": e.Alpha, "beta": e.Beta,
-			"residual": e.Residual, "drift": e.Drift,
-			"observations": float64(e.Observations),
-		})
+		if tr != nil {
+			tr.Instant(tid, "retune", e.At, map[string]interface{}{
+				"alpha": e.Alpha, "beta": e.Beta,
+				"residual": e.Residual, "drift": e.Drift,
+				"observations": float64(e.Observations),
+			})
+		}
 	}
 }
 
@@ -182,7 +184,3 @@ func (o *Observer) MetricsTable(title string) *stats.Table {
 
 // CalibTable renders the per-component divergence summary.
 func (o *Observer) CalibTable(title string) *stats.Table { return o.Calib().Table(title) }
-
-// Cycle re-exports sim.Cycle so host-side callers of the heartbeat do
-// not need internal/sim just for the type.
-type Cycle = sim.Cycle

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Heartbeat periodically reports host-side simulation progress
@@ -16,16 +18,16 @@ import (
 type Heartbeat struct {
 	w         io.Writer
 	every     time.Duration
-	limit     Cycle
+	limit     sim.Cycle
 	start     time.Time
 	last      time.Time
-	lastCycle Cycle
+	lastCycle sim.Cycle
 }
 
 // NewHeartbeat reports to w every interval (minimum 1s when
 // non-positive); limit is the run's cycle bound for percent/ETA (0 =
 // unknown, percent and ETA are omitted).
-func NewHeartbeat(w io.Writer, every time.Duration, limit Cycle) *Heartbeat {
+func NewHeartbeat(w io.Writer, every time.Duration, limit sim.Cycle) *Heartbeat {
 	if every <= 0 {
 		every = time.Second
 	}
@@ -36,7 +38,7 @@ func NewHeartbeat(w io.Writer, every time.Duration, limit Cycle) *Heartbeat {
 // Tick is called with the current simulated cycle (e.g. from
 // Cosim.Progress, once per quantum); it prints at most once per
 // interval. A nil heartbeat is the disabled path.
-func (h *Heartbeat) Tick(cycle Cycle) {
+func (h *Heartbeat) Tick(cycle sim.Cycle) {
 	if h == nil {
 		return
 	}

@@ -40,16 +40,12 @@ type Trace struct {
 	sink    func(Event)
 }
 
-// DefaultTraceCap bounds in-memory trace events when Options.TraceCap
-// is zero (~1M events, a few hundred MB of JSON at most).
+// DefaultTraceCap bounds an observer's in-memory trace events (~1M
+// events, a few hundred MB of JSON at most).
 const DefaultTraceCap = 1 << 20
 
-// newTrace returns an empty trace with the given event capacity
-// (DefaultTraceCap when non-positive).
+// newTrace returns an empty trace with the given event capacity.
 func newTrace(capEvents int) *Trace {
-	if capEvents <= 0 {
-		capEvents = DefaultTraceCap
-	}
 	return &Trace{byTrack: make(map[string]int), cap: capEvents}
 }
 

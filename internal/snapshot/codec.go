@@ -5,8 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 )
 
@@ -27,8 +26,15 @@ type Codec struct {
 	buf []byte // encoding: the checkpoint so far; decoding: the payload
 	off int    // decoding: the read position in buf
 	dec bool
-	err error    // the first decode failure
-	ctx []string // Enter labels, decoding only
+	err error   // the first decode failure
+	ctx []frame // Enter contexts, decoding only
+}
+
+// frame is one Enter context, formatted only when a decode fails.
+type frame struct {
+	name string
+	idx  [2]int
+	n    int
 }
 
 // Stater is implemented by components that describe their mutable
@@ -60,20 +66,16 @@ func (c *Codec) Failf(format string, args ...interface{}) {
 	}
 }
 
-// Enter pushes the context label name[idx,...] onto decode error
-// messages until the matching Leave. Encoding, it costs nothing.
+// Enter pushes the context label name[idx,...], of at most two
+// indices, onto decode error messages until the matching Leave.
+// Encoding, it costs nothing; decoding, the label is formatted only if
+// the decode fails.
 func (c *Codec) Enter(name string, idx ...int) {
-	if !c.dec {
-		return
+	if c.dec {
+		f := frame{name: name}
+		f.n = copy(f.idx[:], idx)
+		c.ctx = append(c.ctx, f)
 	}
-	label := name + "["
-	for i, v := range idx {
-		if i > 0 {
-			label += ","
-		}
-		label += strconv.Itoa(v)
-	}
-	c.ctx = append(c.ctx, label+"]")
 }
 
 // Leave pops the most recent Enter.
@@ -87,7 +89,11 @@ func (c *Codec) where() string {
 	if len(c.ctx) == 0 {
 		return ""
 	}
-	return " in " + strings.Join(c.ctx, "/")
+	labels := make([]string, len(c.ctx))
+	for i, f := range c.ctx {
+		labels[i] = f.name + strings.ReplaceAll(fmt.Sprint(f.idx[:f.n]), " ", ",")
+	}
+	return " in " + strings.Join(labels, "/")
 }
 
 // zeros is what a fixed-width walk reads after a decode failure.
@@ -281,18 +287,12 @@ func Slice[T any](c *Codec, s *[]T, perItemMin int, elem func(*Codec, *T)) {
 }
 
 // Map walks a map in ascending key order, so equal maps produce equal
-// bytes; see MapBy.
+// bytes: the entry count (Len), then entry over every key and value.
+// Encoding, entry sees copies; decoding, the map is replaced by a fresh
+// one and entry fills a zero key and value that are then stored (a
+// pointer-valued map's entry allocates its value first). The walk
+// stops at the first failure, before storing the entry that failed.
 func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, perItemMin int, entry func(c *Codec, k *K, v *V)) {
-	MapBy(c, m, perItemMin, cmp.Less[K], entry)
-}
-
-// MapBy walks a map in the key order less induces: the entry count
-// (Len), then entry over every key and value. Encoding, entry sees
-// copies; decoding, the map is replaced by a fresh one and entry fills
-// a zero key and value that are then stored (a pointer-valued map's
-// entry allocates its value first). The walk stops at the first
-// failure, before storing the entry that failed.
-func MapBy[K comparable, V any](c *Codec, m *map[K]V, perItemMin int, less func(a, b K) bool, entry func(c *Codec, k *K, v *V)) {
 	// One key and one value cell for the whole walk: entry is opaque, so
 	// they live on the heap, and should once per map, not once per entry.
 	var k, zeroK K
@@ -314,7 +314,7 @@ func MapBy[K comparable, V any](c *Codec, m *map[K]V, perItemMin int, less func(
 	for key := range *m {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+	slices.Sort(keys)
 	c.Len(len(keys), perItemMin)
 	for _, key := range keys {
 		k, v = key, (*m)[key]
