@@ -72,7 +72,10 @@ fuzz-smoke:
 # plus a byte-identical, zero-cycle cache hit on resubmission. Exits
 # nonzero unless both eviction tiers were exercised: warm_restores > 0
 # (a parked session adopted) and spills > 0 with disk restores (a
-# checkpoint written and resumed from).
+# checkpoint written and resumed from). One metrics-armed session with
+# calibrated memory is streamed from before its first slice: its
+# /events must carry spans and retunes with no seq gap, and as many
+# retunes per component as its calib.retunes/* counters.
 cosimd-smoke:
 	$(GO) run ./cmd/cosimd -smoke -quiet
 

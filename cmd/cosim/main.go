@@ -178,11 +178,10 @@ func main() {
 			}
 		}
 		ob := obs.New(opts)
-		cs.SetObserver(ob)
 		if *progress > 0 {
-			hb := obs.NewHeartbeat(os.Stderr, *progress, sim.Cycle(*limit))
-			cs.Progress = hb.Tick
+			ob.Subscribe(obs.QuantumRecord, obs.NewHeartbeat(os.Stderr, *progress, sim.Cycle(*limit)).Tick)
 		}
+		cs.SetObserver(ob)
 		var res core.Result
 		if *ckptPath == "" {
 			res = cs.Run(sim.Cycle(*limit))

@@ -16,7 +16,10 @@
 // starts the server on a loopback port, drives a sweep through the
 // HTTP API with deliberately tiny resident and warm limits (forcing
 // parks, spills and checkpoint fault-ins mid-run), and verifies every served fingerprint against a direct
-// in-process run of the same config. Exit status reports the verdict.
+// in-process run of the same config. One metrics-armed, calibrated-memory
+// session's /events stream is checked end to end: spans and retunes
+// present, no seq gap, retunes per component equal to its counters.
+// Exit status reports the verdict.
 package main
 
 import (

@@ -8,7 +8,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
+	"sync"
 
+	"repro/internal/core"
 	"repro/internal/cosimd"
 	"repro/internal/obsplane"
 	"repro/internal/sim"
@@ -25,24 +28,39 @@ var smokeSweep = cosimd.SweepRequest{
 	Modes:     []string{"reciprocal", "abstract", "synchronous"},
 }
 
+// smokeStreamed joins the sweep: metrics armed, and calibrated memory
+// so it retunes. Its build waits until its /events stream is connected
+// (streamGate), so the stream sees the whole run and is checked whole.
+var smokeStreamed = cosimd.SubmitRequest{
+	Workload: "fft", Tiles: 16, Ops: 200, Limit: 2_000_000, Tenant: "smoke",
+	Mode: "reciprocal", MemModel: "calibrated", Metrics: true,
+}
+
 // runSmoke drives the full client-visible contract end to end through
 // a real TCP listener: submit a sweep, follow each session's event
 // stream to completion, verify every fingerprint against a direct
-// in-process run of the same config, and verify a resubmission is a
+// in-process run of the same config, check the streamed session's
+// events against its counters, and verify a resubmission is a
 // byte-identical cache hit that burned zero simulated cycles.
 func runSmoke(opts cosimd.Options) error {
 	// Force eviction pressure on both tiers regardless of the command
-	// line: with 6 sessions, 3 stay resident, 1 is parked in memory and
+	// line: with 7 sessions, 3 stay resident, 1 is parked in memory and
 	// the rest round-trip through checkpoint files.
 	opts.Workers = 2
 	opts.MaxResident = 3
 	opts.MaxWarm = 1
 	opts.SliceCycles = 2048
+	// Deep enough that no /events stream overflows: a gap fails the
+	// smoke.
+	opts.EventsBuffer = 1 << 14
+	gate := &streamGate{open: make(chan struct{})}
+	opts.Builder = gate
 	srv, err := cosimd.NewServer(opts)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
+	defer gate.release() // before Close, which waits for the workers
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -59,13 +77,25 @@ func runSmoke(opts cosimd.Options) error {
 	if reply.Cached != 0 {
 		return fmt.Errorf("fresh sweep reported %d cached points", reply.Cached)
 	}
-	fmt.Printf("smoke: sweep of %d sessions submitted\n", len(reply.IDs))
+	var streamed cosimd.SessionStatus
+	if err := postJSON(base+"/api/v1/sessions", smokeStreamed, &streamed); err != nil {
+		return err
+	}
+	fmt.Printf("smoke: sweep of %d sessions submitted, and %s streamed\n", len(reply.IDs), streamed.ID)
 
-	reqs := smokeSweep.Expand()
-	for i, id := range reply.IDs {
-		st, err := followEvents(base, id)
+	// The streamed session first: connecting to it opens the gate.
+	ids := append([]string{streamed.ID}, reply.IDs...)
+	sweep := smokeSweep.Expand()
+	reqs := append([]cosimd.SubmitRequest{smokeStreamed}, sweep...)
+	for i, id := range ids {
+		st, evs, err := followEvents(base, id, gate.release)
 		if err != nil {
 			return err
+		}
+		if reqs[i].Metrics {
+			if err := checkRetunes(base, id, evs); err != nil {
+				return err
+			}
 		}
 		if st.State != cosimd.StateDone {
 			return fmt.Errorf("session %s ended %s: %s", id, st.State, st.Error)
@@ -101,7 +131,7 @@ func runSmoke(opts cosimd.Options) error {
 	// Resubmit the first sweep point: must be served from the cache,
 	// byte-identical, with zero additional simulated cycles.
 	var st cosimd.SessionStatus
-	if err := postJSON(base+"/api/v1/sessions", reqs[0], &st); err != nil {
+	if err := postJSON(base+"/api/v1/sessions", sweep[0], &st); err != nil {
 		return err
 	}
 	if !st.Cached || st.State != cosimd.StateDone || st.Cycles != 0 {
@@ -119,6 +149,61 @@ func runSmoke(opts cosimd.Options) error {
 		return fmt.Errorf("cache hit is not byte-identical to the original result")
 	}
 	fmt.Printf("smoke: resubmission %s cache-served byte-identically, 0 cycles\n", st.ID)
+	return nil
+}
+
+// streamGate holds the first build of a metrics-armed session until
+// its /events stream is connected.
+type streamGate struct {
+	open chan struct{}
+	once sync.Once
+}
+
+func (g *streamGate) release() { g.once.Do(func() { close(g.open) }) }
+
+func (*streamGate) Digest(req cosimd.SubmitRequest) (uint64, error) {
+	return cosimd.StdBuilder{}.Digest(req)
+}
+
+func (g *streamGate) Build(req cosimd.SubmitRequest) (*core.Cosim, error) {
+	if req.Metrics {
+		<-g.open
+	}
+	return cosimd.StdBuilder{}.Build(req)
+}
+
+// checkRetunes fails unless a whole stream carries spans and retunes,
+// and as many retunes per component as the session's calib.retunes/*
+// counters.
+func checkRetunes(base, id string, evs []obsplane.Event) error {
+	spans, retunes := 0, map[string]int{}
+	for _, ev := range evs {
+		switch ev.Kind {
+		case obsplane.KindSpan:
+			spans++
+		case obsplane.KindRetune:
+			retunes[ev.Name]++
+		}
+	}
+	var reg struct {
+		Metrics []struct {
+			Name  string  `json:"name"`
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := getJSON(base+"/api/v1/sessions/"+id+"/metrics", &reg); err != nil {
+		return err
+	}
+	counted := map[string]int{}
+	for _, m := range reg.Metrics {
+		if comp, ok := strings.CutPrefix(m.Name, "calib.retunes/"); ok {
+			counted[comp] = int(m.Value)
+		}
+	}
+	if spans == 0 || len(retunes) == 0 || fmt.Sprint(retunes) != fmt.Sprint(counted) {
+		return fmt.Errorf("session %s: /events carried %d spans and retunes %v; its counters say %v", id, spans, retunes, counted)
+	}
+	fmt.Printf("smoke: %s streamed %d events without a gap: %d spans, retunes %v match its counters\n", id, len(evs), spans, retunes)
 	return nil
 }
 
@@ -154,32 +239,43 @@ func postJSON(url string, body, out any) error {
 // followEvents reads the session's NDJSON event stream until the
 // server closes it at the final state, then fetches the final status —
 // the stream blocks server-side between events, so the smoke test needs
-// no polling loop and no timers.
-func followEvents(base, id string) (cosimd.SessionStatus, error) {
+// no polling loop and no timers. synced runs once the sync line is
+// read. A seq gap (an event lost to the subscriber's queue) fails.
+func followEvents(base, id string, synced func()) (cosimd.SessionStatus, []obsplane.Event, error) {
 	var st cosimd.SessionStatus
 	resp, err := http.Get(base + "/api/v1/sessions/" + id + "/events")
 	if err != nil {
-		return st, err
+		return st, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return st, httpError("events", resp)
+		return st, nil, httpError("events", resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 1<<20)
+	var evs []obsplane.Event
+	var seq uint64
 	for sc.Scan() {
 		var ev obsplane.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return st, err
+			return st, nil, err
 		}
+		if ev.Kind == obsplane.KindSync {
+			synced()
+		} else if ev.Seq > seq+1 {
+			return st, nil, fmt.Errorf("session %s: /events jumped from seq %d to %d", id, seq, ev.Seq)
+		} else {
+			evs = append(evs, ev)
+		}
+		seq = ev.Seq
 		if ev.Kind == obsplane.KindProgress || ev.Kind == obsplane.KindState {
 			fmt.Fprintf(os.Stderr, "smoke: %s %s %s cycle=%d %s\n", id, ev.Kind, ev.State, ev.Cycle, ev.Note)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return st, err
+		return st, nil, err
 	}
-	return st, getJSON(base+"/api/v1/sessions/"+id, &st)
+	return st, evs, getJSON(base+"/api/v1/sessions/"+id, &st)
 }
 
 func getResult(base, id string) (cosimd.ResultEnvelope, error) {

@@ -29,12 +29,6 @@ type Cosim struct {
 	// of silent cycle-limit exhaustion.
 	WatchdogQuanta int //simlint:derived host-side abort policy, not simulated state
 
-	// Progress, when set, is called after every quantum with the
-	// current cycle — the hook the observability heartbeat (and the
-	// resumable runner's chunking) builds on. It observes only; it must
-	// not mutate simulated state.
-	Progress func(sim.Cycle) //simlint:derived observer hook re-attached per run, never simulated state
-
 	// Recipe rebuilds this co-simulation's object graph over a given
 	// workload: the constructor calls that built it, recorded by
 	// whoever made them (repro.BuildCosim does). Fork runs it over a
@@ -206,7 +200,7 @@ func (c *Cosim) advance(end sim.Cycle) {
 		// Timed only when the time has somewhere to go, a trace span or
 		// a registry histogram: a Wall-only observer wants Step's split
 		// and nothing finer.
-		timed := h.wall && (h.tr != nil || h.advWall[i] != nil)
+		timed := h.wall && (h.spans() || h.advWall[i] != nil)
 		var t0 time.Time
 		if timed {
 			t0 = time.Now() //simlint:allow wallclock per-component advance cost annotation, observed only
@@ -216,7 +210,7 @@ func (c *Cosim) advance(end sim.Cycle) {
 		if timed {
 			d = time.Since(t0) //simlint:allow wallclock per-component advance cost annotation, observed only
 		}
-		h.span(h.tids[i], "advance", h.advWall[i], c.cycle, end, d)
+		h.span(h.names[i], "advance", h.advWall[i], c.cycle, end, d)
 	}
 }
 
@@ -239,7 +233,7 @@ func (c *Cosim) Step() bool {
 		t1 = time.Now() //simlint:allow wallclock host-time split between the two simulators, never fed back into simulated state
 	}
 	if h != nil {
-		h.span(h.sysTid, "tick", h.sysWall, c.cycle, end, t1.Sub(t0))
+		h.span("fullsys", "tick", h.sysWall, c.cycle, end, t1.Sub(t0))
 	}
 	c.advance(end)
 	// Memory completions apply before network deliveries: completions
@@ -304,11 +298,7 @@ func (c *Cosim) Step() bool {
 // reports Finished=false with Stalled=true on watchdog aborts.
 func (c *Cosim) Run(limit sim.Cycle) Result {
 	for c.cycle < limit {
-		alive := c.Step()
-		if c.Progress != nil {
-			c.Progress(c.cycle)
-		}
-		if !alive {
+		if !c.Step() {
 			break
 		}
 		if c.WatchdogQuanta <= 0 {

@@ -25,16 +25,15 @@ func (m memComponent) SetRetuneSink(s calib.RetuneSink) {
 }
 
 // obsHandles is the pre-resolved instrumentation state of one observed
-// Cosim: every metric and trace handle the hot path needs, looked up
-// once in SetObserver so Step pays pointer calls, not map lookups. The
-// whole struct is reached through one nil check (c.obsH).
+// Cosim: every metric handle and track name the hot path needs, looked
+// up once in SetObserver so Step pays pointer calls, not map lookups.
+// The whole struct is reached through one nil check (c.obsH).
 type obsHandles struct {
 	o    *obs.Observer
-	tr   *obs.Trace
 	wall bool
 
-	sysTid int
-	tids   []int
+	// names are the components' track names, in registry order.
+	names []string
 
 	quanta    *obs.Counter
 	cycles    *obs.Counter
@@ -47,23 +46,25 @@ type obsHandles struct {
 	sysWall *obs.Histogram
 	advWall []*obs.Histogram
 
-	// flits samples switching activity when the backend exposes it
-	// (detailed cycle-level networks); nil otherwise.
+	// flits, activity and shards read the backend's accounting when it
+	// exposes it and a metric or a sample subscriber reads it; nil
+	// otherwise.
+	//
+	// flits samples switching activity (detailed cycle-level networks).
 	flits      func() uint64
 	flitsGauge *obs.Gauge
 
-	// activity samples the gating layer's work accounting when the
-	// backend exposes it (the detailed backend, and Paired for its
-	// detailed side); nil otherwise.
+	// activity samples the gating layer's work accounting (the detailed
+	// backend, and Paired for its detailed side).
 	activity   func() noc.ActivityStats
 	actStepped *obs.Gauge
 	actSkipped *obs.Gauge
 	actOcc     *obs.Gauge
 	actPool    *obs.Gauge
 
-	// shards samples the shard partition's accounting when the backend
-	// exposes it and the network has more than one shard; nil otherwise
-	// (a one-shard run's registry carries no shard gauges). The
+	// shards samples the shard partition's accounting when the network
+	// has more than one shard (a one-shard run's registry carries no
+	// shard gauges). The
 	// barrier-share gauge derives from wall-clock timers, so it
 	// registers only on wall-enabled observers — the deterministic
 	// registry must stay byte-identical across hosts.
@@ -95,12 +96,13 @@ const (
 )
 
 // SetObserver threads an observer through the co-simulation: the
-// coordinator itself (quantum spans, throughput counters, skew and
-// queue-depth metrics), the system's clamp sites, and the retune sink
-// of every component with a reciprocal pairing. Call it after New and
-// before the first Step; pass nil to detach. Observation never feeds
-// back: enabling this changes no fingerprints and no snapshot bytes
-// (asserted by determinism tests).
+// coordinator itself (span, sample and end-of-quantum records,
+// throughput counters, skew and queue-depth metrics), the system's
+// clamp sites, and the retune sink of every component with a
+// reciprocal pairing. Call it after New, after the observer's
+// subscriptions and before the first Step; pass nil to detach.
+// Observation never feeds back: enabling this changes no fingerprints
+// and no snapshot bytes (asserted by determinism tests).
 func (c *Cosim) SetObserver(o *obs.Observer) {
 	if o == nil {
 		c.obsH = nil
@@ -108,9 +110,7 @@ func (c *Cosim) SetObserver(o *obs.Observer) {
 	}
 	h := &obsHandles{
 		o:         o,
-		tr:        o.Trace(),
 		wall:      o.Wall(),
-		sysTid:    o.Track("fullsys"),
 		quanta:    o.Counter("cosim.quanta"),
 		cycles:    o.Counter("cosim.cycles"),
 		delivered: o.Counter("net.delivered"),
@@ -122,18 +122,19 @@ func (c *Cosim) SetObserver(o *obs.Observer) {
 	if h.wall {
 		h.sysWall = o.Histogram("wall.fullsys_ns", wallHistBin, wallHistBins)
 	}
-	if fs, ok := c.Net.(flitSwitcher); ok {
+	accounting := o.Metrics() != nil || o.Wants(obs.SampleRecord)
+	if fs, ok := c.Net.(flitSwitcher); ok && accounting {
 		h.flits = fs.FlitsSwitched
 		h.flitsGauge = o.Gauge("net.flits_switched")
 	}
-	if ar, ok := c.Net.(activityReporter); ok {
+	if ar, ok := c.Net.(activityReporter); ok && accounting {
 		h.activity = ar.ActivityStats
 		h.actStepped = o.Gauge("net.cycles_stepped")
 		h.actSkipped = o.Gauge("net.cycles_skipped")
 		h.actOcc = o.Gauge("net.active_occupancy")
 		h.actPool = o.Gauge("net.pool_hit_rate")
 	}
-	if sr, ok := c.Net.(shardReporter); ok && sr.ShardStats().Shards > 1 {
+	if sr, ok := c.Net.(shardReporter); ok && accounting && sr.ShardStats().Shards > 1 {
 		h.shards = sr.ShardStats
 		h.shardCount = o.Gauge("net.shards")
 		h.shardActive = o.Gauge("net.shard_active_mean")
@@ -145,7 +146,7 @@ func (c *Cosim) SetObserver(o *obs.Observer) {
 		}
 	}
 	for _, comp := range c.comps {
-		h.tids = append(h.tids, o.Track(comp.Name()))
+		h.names = append(h.names, comp.Name())
 		if h.wall {
 			h.advWall = append(h.advWall, o.Histogram("wall.advance_ns/"+comp.Name(), wallHistBin, wallHistBins))
 		} else {
@@ -176,40 +177,41 @@ func (c *Cosim) ObserveSnapshotBytes(n int) {
 	c.obsH.snapBytes.Set(float64(n))
 }
 
+// spans reports whether anyone subscribes to span records.
+func (h *obsHandles) spans() bool { return h.o.Wants(obs.SpanRecord) }
+
 // span records one leg of a quantum (the full-system tick, or one
-// component's advance) on track tid: its host time into hist when wall
-// timing is on, and a trace span when a trace is attached. The wall_ns
-// annotation is built only for a trace that will keep it, so a
-// metrics-only observer allocates nothing per quantum.
-func (h *obsHandles) span(tid int, name string, hist *obs.Histogram, start, end sim.Cycle, wall time.Duration) {
+// component's advance) on a track: its host time into hist when wall
+// timing is on, and a span record when someone subscribes to spans.
+func (h *obsHandles) span(track, name string, hist *obs.Histogram, start, end sim.Cycle, wall time.Duration) {
 	if h.wall {
 		hist.Observe(float64(wall.Nanoseconds()))
 	}
-	if h.tr == nil {
-		return
+	if h.spans() {
+		h.o.Emit(obs.Record{Kind: obs.SpanRecord, Track: track, Name: name, Start: start, End: end, Wall: wall})
 	}
-	var args map[string]interface{}
-	if h.wall {
-		args = map[string]interface{}{"wall_ns": float64(wall.Nanoseconds())}
-	}
-	h.tr.Span(tid, name, start, end, args)
 }
 
-// endQuantum folds one quantum's totals into metrics and trace
-// counter tracks.
+// endQuantum folds one quantum's totals into the metrics, emits the
+// counter samples, and ends the quantum with its record. The network's
+// accounting is read only for a metric or a subscriber that uses it.
 func (h *obsHandles) endQuantum(c *Cosim, end sim.Cycle, memDone, netDone int) {
 	h.quanta.Inc()
 	h.cycles.Add(uint64(c.Quantum))
 	h.memDone.Add(uint64(memDone))
 	h.delivered.Add(uint64(netDone))
-	inFlight := c.Net.InFlight()
-	h.inflight.Set(float64(inFlight))
-	h.tr.Counter("net.inflight", end, float64(inFlight))
-	h.tr.Counter("net.delivered", end, float64(c.delivered))
+	samples, quantum := h.o.Wants(obs.SampleRecord), h.o.Wants(obs.QuantumRecord)
+	if h.inflight == nil && !samples && !quantum {
+		return
+	}
+	inFlight := float64(c.Net.InFlight())
+	h.inflight.Set(inFlight)
+	h.sample(samples, "net.inflight", end, inFlight)
+	h.sample(samples, "net.delivered", end, float64(c.delivered))
 	if h.flits != nil {
-		f := h.flits()
-		h.flitsGauge.Set(float64(f))
-		h.tr.Counter("net.flits_switched", end, float64(f))
+		f := float64(h.flits())
+		h.flitsGauge.Set(f)
+		h.sample(samples, "net.flits_switched", end, f)
 	}
 	if h.activity != nil {
 		a := h.activity()
@@ -217,16 +219,26 @@ func (h *obsHandles) endQuantum(c *Cosim, end sim.Cycle, memDone, netDone int) {
 		h.actSkipped.Set(float64(a.Skipped))
 		h.actOcc.Set(a.Occupancy())
 		h.actPool.Set(a.PoolHitRate())
-		h.tr.Counter("net.cycles_skipped", end, float64(a.Skipped))
+		h.sample(samples, "net.cycles_skipped", end, float64(a.Skipped))
 	}
 	if h.shards != nil {
 		s := h.shards()
 		h.shardCount.Set(float64(s.Shards))
 		h.shardActive.Set(s.MeanActiveShards())
 		h.shardBdry.Set(float64(s.BoundaryWakes))
-		h.tr.Counter("net.shard_boundary_wakes", end, float64(s.BoundaryWakes))
+		h.sample(samples, "net.shard_boundary_wakes", end, float64(s.BoundaryWakes))
 		if h.shardBarrier != nil {
 			h.shardBarrier.Set(s.BarrierShare())
 		}
+	}
+	if quantum {
+		h.o.Emit(obs.Record{Kind: obs.QuantumRecord, Start: c.cycle, End: end, Value: inFlight})
+	}
+}
+
+// sample emits one counter sample record, if samples are wanted.
+func (h *obsHandles) sample(wanted bool, name string, at sim.Cycle, v float64) {
+	if wanted {
+		h.o.Emit(obs.Record{Kind: obs.SampleRecord, Name: name, Start: at, Value: v})
 	}
 }

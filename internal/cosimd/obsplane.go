@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obsplane"
-	"repro/internal/sim"
 )
 
 // This file is the server's side of the observability plane: the
@@ -44,15 +43,16 @@ type sessionObs struct {
 	hub    *obsplane.Hub            // nil: event streaming disabled
 	flight *obsplane.FlightRecorder // nil: flight recording disabled
 
-	ob         *obs.Observer
-	trackNames []string
-	spans      []obsplane.Event
-	spanDrops  uint64
-	retunes    []obsplane.Event // this slice's refits; outside the span cap
+	ob        *obs.Observer
+	cs        *core.Cosim // the simulation ob is attached to
+	spans     []obsplane.Event
+	spanDrops uint64
+	retunes   []obsplane.Event // this slice's refits; outside the span cap
 
-	// Flight-entry delta baselines over the observer's counters.
-	delivered, memDone, clampNet, clampMem                 *obs.Counter
-	lastDelivered, lastMemDone, lastClampNet, lastClampMem uint64
+	// Flight-entry deltas: the observer's net.delivered,
+	// mem.completions and two clamp counters, and their baselines.
+	deltaOf [4]*obs.Counter
+	last    [4]uint64
 
 	// Metrics-event baselines: last published value per metric.
 	lastVals map[string]float64
@@ -77,30 +77,24 @@ func (s *Server) newSessionObs(id, tenant string, metrics bool) *sessionObs {
 // keeps everything attached. The observer is created once per session,
 // so a simulation rebuilt after a spill reports into the registry its
 // predecessor left and /metrics covers the whole run, not the cycles
-// since the last eviction.
+// since the last eviction. A session without metrics gets an observer
+// with none, so its flight deltas stay zero.
 func (so *sessionObs) attach(cs *core.Cosim) {
-	if so.metrics {
-		if so.ob == nil {
-			so.ob = obs.New(obs.Options{
-				Metrics: true,
-				Trace:   so.hub != nil,
-				Wall:    true,
-			})
-			if so.hub != nil {
-				so.ob.Trace().SetSink(so.traceSink)
-			}
-			reg := so.ob.Metrics()
-			so.delivered = reg.Counter("net.delivered")
-			so.memDone = reg.Counter("mem.completions")
-			so.clampNet = reg.Counter("fullsys.clamped_deliveries")
-			so.clampMem = reg.Counter("fullsys.clamped_mem_completions")
+	if so.ob == nil {
+		so.ob = obs.New(obs.Options{Metrics: so.metrics, Wall: so.metrics})
+		if so.metrics && so.hub != nil {
+			so.ob.Subscribe(obs.SpanRecord|obs.RetuneRecord, so.record)
 		}
-		cs.SetObserver(so.ob)
-		so.trackNames = so.ob.Trace().TrackNames()
+		if so.flight != nil {
+			so.ob.Subscribe(obs.QuantumRecord, so.quantum)
+		}
+		for i, name := range []string{"net.delivered", "mem.completions",
+			"fullsys.clamped_deliveries", "fullsys.clamped_mem_completions"} {
+			so.deltaOf[i] = so.ob.Counter(name)
+		}
 	}
-	if so.flight != nil {
-		cs.Progress = func(c sim.Cycle) { so.quantum(cs, c) }
-	}
+	so.cs = cs
+	cs.SetObserver(so.ob)
 }
 
 // beginSlice stamps the slice's wall-clock start (the baseline for
@@ -110,64 +104,47 @@ func (so *sessionObs) beginSlice() {
 	so.lastWall = so.sliceStart
 }
 
-// quantum records one flight-ring sample. It runs as cs.Progress —
-// once per coupling quantum, on the slice boundary after Step
-// returned — and only reads: counters, retired totals, in-flight
-// population. O(1), allocation-free.
-func (so *sessionObs) quantum(cs *core.Cosim, c sim.Cycle) {
+// quantum records one flight-ring sample from an end-of-quantum
+// record, after Step has folded the quantum into the counters. It only
+// reads: counters, retired totals, the in-flight population the record
+// carries. O(1), allocation-free.
+func (so *sessionObs) quantum(r obs.Record) {
 	now := time.Now()
 	e := obsplane.FlightEntry{
-		Cycle:     uint64(c),
+		Cycle:     uint64(r.End),
 		Kind:      obsplane.FlightQuantum,
-		Retired:   cs.Sys.Retired(),
-		InFlight:  cs.Net.InFlight(),
+		Retired:   so.cs.Sys.Retired(),
+		InFlight:  int(r.Value),
 		WallNanos: now.Sub(so.lastWall).Nanoseconds(),
 	}
 	so.lastWall = now
-	if so.ob != nil {
-		d := so.delivered.Value()
-		e.Delivered, so.lastDelivered = d-so.lastDelivered, d
-		d = so.memDone.Value()
-		e.MemDone, so.lastMemDone = d-so.lastMemDone, d
-		d = so.clampNet.Value()
-		e.ClampedNet, so.lastClampNet = d-so.lastClampNet, d
-		d = so.clampMem.Value()
-		e.ClampedMem, so.lastClampMem = d-so.lastClampMem, d
+	var d [4]uint64
+	for i, c := range so.deltaOf {
+		v := c.Value()
+		d[i], so.last[i] = v-so.last[i], v
 	}
+	e.Delivered, e.MemDone, e.ClampedNet, e.ClampedMem = d[0], d[1], d[2], d[3]
 	so.flight.Record(e)
 }
 
-// retuneValues are the fields of a retune instant's arguments
-// (obs.Observer.RetuneSink) a retune event carries.
-var retuneValues = []string{"alpha", "beta", "residual", "drift", "observations"}
-
-// traceSink receives every trace event the observer emits. It keeps
-// complete ("X") spans in a bounded per-slice scratch and the retune
-// instants of the slice's refits, uncapped, in another; afterSlice
-// publishes both. With the sink installed the obs trace buffers
-// nothing, so a session can run forever without the trace growing, and
-// once a slice is published nothing of its refits is kept.
-func (so *sessionObs) traceSink(e obs.Event) {
-	track := ""
-	if e.Tid >= 0 && e.Tid < len(so.trackNames) {
-		track = so.trackNames[e.Tid]
-	}
-	if e.Ph == "i" && e.Name == "retune" {
-		vals := make(map[string]float64, len(retuneValues))
-		for _, k := range retuneValues {
-			vals[k], _ = e.Args[k].(float64)
-		}
+// record keeps a span in the bounded per-slice scratch, or a retune,
+// uncapped, in another; afterSlice publishes both. Nothing of a
+// slice's records is kept once it is published, so a session can run
+// forever without growing.
+func (so *sessionObs) record(r obs.Record) {
+	if r.Kind == obs.RetuneRecord {
 		so.retunes = append(so.retunes, obsplane.Event{
 			Kind:    obsplane.KindRetune,
 			Session: so.id,
 			Tenant:  so.tenant,
-			Cycle:   e.Ts,
-			Name:    track,
-			Values:  vals,
+			Cycle:   uint64(r.Start),
+			Name:    r.Track,
+			Values: map[string]float64{
+				"alpha": r.Fit.Alpha, "beta": r.Fit.Beta,
+				"residual": r.Fit.Residual, "drift": r.Fit.Drift,
+				"observations": float64(r.Fit.Observations),
+			},
 		})
-		return
-	}
-	if e.Ph != "X" {
 		return
 	}
 	if len(so.spans) >= sliceSpanCap {
@@ -178,10 +155,10 @@ func (so *sessionObs) traceSink(e obs.Event) {
 		Kind:    obsplane.KindSpan,
 		Session: so.id,
 		Tenant:  so.tenant,
-		Cycle:   e.Ts,
-		Dur:     e.Dur,
-		Name:    e.Name,
-		Track:   track,
+		Cycle:   uint64(r.Start),
+		Dur:     uint64(r.End - r.Start),
+		Name:    r.Name,
+		Track:   r.Track,
 	})
 }
 
@@ -207,7 +184,7 @@ func (so *sessionObs) afterSlice(cs *core.Cosim, consumed uint64) []byte {
 	}
 	so.spans = so.spans[:0]
 	var blob []byte
-	if so.ob != nil {
+	if so.metrics {
 		blob = metricsSnapshot(so.ob)
 		if so.hub != nil {
 			so.publishMetricsDelta(cycle)
@@ -284,6 +261,11 @@ func (so *sessionObs) publishMetricsDelta(cycle uint64) {
 // non-blocking and never touch the simulator.
 func (so *sessionObs) transition(kind string, state State, cycle uint64, note string) {
 	so.flight.Record(obsplane.FlightEntry{Cycle: cycle, Kind: kind, Note: note})
+	so.publishState(state, cycle, note)
+}
+
+// publishState publishes one lifecycle event.
+func (so *sessionObs) publishState(state State, cycle uint64, note string) {
 	so.hub.Publish(obsplane.Event{
 		Kind:    obsplane.KindState,
 		Session: so.id,
@@ -299,14 +281,7 @@ func (so *sessionObs) transition(kind string, state State, cycle uint64, note st
 // records any final flight entry first — the ring outlives the hub,
 // serving /flight and postmortem dumps after completion.
 func (so *sessionObs) finish(state State, cycle uint64, note string) {
-	so.hub.Publish(obsplane.Event{
-		Kind:    obsplane.KindState,
-		Session: so.id,
-		Tenant:  so.tenant,
-		Cycle:   cycle,
-		State:   string(state),
-		Note:    note,
-	})
+	so.publishState(state, cycle, note)
 	so.hub.Close()
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro"
+	"repro/internal/calib"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -38,16 +39,14 @@ func FigureA6(s Scale) []*stats.Table {
 		if err != nil {
 			panic(err)
 		}
-		// The quarter split reads the network pairing's retune instants
-		// from the trace stream; the trace itself keeps nothing.
-		ob := obs.New(obs.Options{Calib: true, Trace: true})
-		tr := ob.Trace()
+		// The quarter split subscribes to the network pairing's retunes.
+		ob := obs.New(obs.Options{Calib: true})
 		var drifts []float64
-		var last obs.Event
-		tr.SetSink(func(e obs.Event) {
-			if e.Ph == "i" && e.Name == "retune" && tr.TrackNames()[e.Tid] == "calibrated" {
-				drifts = append(drifts, math.Abs(e.Args["drift"].(float64)))
-				last = e
+		var last calib.RetuneEvent
+		ob.Subscribe(obs.RetuneRecord, func(r obs.Record) {
+			if r.Track == "calibrated" {
+				drifts = append(drifts, math.Abs(r.Fit.Drift))
+				last = r.Fit
 			}
 		})
 		cs.SetObserver(ob)
@@ -77,7 +76,7 @@ func FigureA6(s Scale) []*stats.Table {
 				qs[q] /= float64(qn[q])
 			}
 		}
-		conv.AddRow(name, qs[0], qs[1], qs[2], qs[3], last.Args["alpha"], last.Args["beta"])
+		conv.AddRow(name, qs[0], qs[1], qs[2], qs[3], last.Alpha, last.Beta)
 	}
 	return []*stats.Table{perComp, conv}
 }

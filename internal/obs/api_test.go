@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -33,46 +34,59 @@ func TestRegistryVisit(t *testing.T) {
 	nilr.Visit(func(MetricView) { t.Fatal("nil registry visited") })
 }
 
-func TestTraceSink(t *testing.T) {
-	tr := newTrace(4)
-	tid := tr.Track("net")
-	tr.Span(tid, "buffered", 0, 10, nil)
-	if tr.Len() != 1 {
-		t.Fatalf("len %d before sink", tr.Len())
+// TestSubscription: a subscriber sees only the record kinds it asked
+// for, in emission order; the trace buffers the same records with or
+// without it; and the trace's capacity bound never drops a record on
+// a subscriber's behalf.
+func TestSubscription(t *testing.T) {
+	feed := []Record{
+		{Kind: SpanRecord, Track: "net", Name: "advance", Start: 0, End: 10},
+		{Kind: SampleRecord, Name: "net.inflight", Start: 10, Value: 3},
+		{Kind: RetuneRecord, Track: "net", Name: "retune", Start: 10, End: 10},
+		{Kind: QuantumRecord, Start: 0, End: 10},
 	}
-
-	var sunk []Event
-	tr.SetSink(func(e Event) { sunk = append(sunk, e) })
-	tr.Span(tid, "streamed", 10, 20, nil)
-	tr.Instant(tid, "mark", 15, nil)
-	if tr.Len() != 1 {
-		t.Fatalf("sink leaked into buffer: len %d", tr.Len())
-	}
-	if len(sunk) != 2 || sunk[0].Name != "streamed" || sunk[0].Ph != "X" || sunk[1].Ph != "i" {
-		t.Fatalf("sink saw %+v", sunk)
-	}
-	// With a sink installed the capacity bound never drops.
 	for i := 0; i < 10; i++ {
-		tr.Span(tid, "flood", 0, 1, nil)
+		feed = append(feed, Record{Kind: SpanRecord, Track: "mem", Name: "advance", Start: 10, End: 20})
 	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("dropped %d with sink installed", tr.Dropped())
+	run := func(subscribe bool) (*Observer, []Record) {
+		o := New(Options{Trace: true})
+		o.trace.cap = 4
+		var got []Record
+		if subscribe {
+			o.Subscribe(SpanRecord|RetuneRecord, func(r Record) { got = append(got, r) })
+		}
+		for _, r := range feed {
+			if o.Wants(r.Kind) {
+				o.Emit(r)
+			}
+		}
+		return o, got
 	}
 
-	tr.SetSink(nil)
-	tr.Span(tid, "buffered-again", 20, 30, nil)
-	if tr.Len() != 2 {
-		t.Fatalf("len %d after sink removed", tr.Len())
+	plain, _ := run(false)
+	o, got := run(true)
+	if len(got) != 12 || got[0] != feed[0] || got[1] != feed[2] || got[11] != feed[13] {
+		t.Fatalf("subscriber saw %d records %+v", len(got), got)
+	}
+	if o.Wants(QuantumRecord) {
+		t.Error("nobody subscribed to quanta, yet the observer wants them")
+	}
+	if o.Trace().Len() != 4 || o.Trace().Dropped() != 9 {
+		t.Errorf("trace kept %d and dropped %d, want 4 and 9", o.Trace().Len(), o.Trace().Dropped())
+	}
+	var a, b bytes.Buffer
+	if err := plain.WriteTrace(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.WriteTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("a subscriber changed the trace:\n%s\nwant\n%s", b.Bytes(), a.Bytes())
 	}
 
-	names := tr.TrackNames()
-	if len(names) != 1 || names[tid] != "net" {
-		t.Fatalf("track names %v", names)
-	}
-
-	var nilt *Trace
-	nilt.SetSink(func(Event) {})
-	if nilt.TrackNames() != nil {
-		t.Fatal("nil trace track names")
+	var off *Observer
+	if off.Wants(SpanRecord | RetuneRecord | SampleRecord | QuantumRecord) {
+		t.Error("a nil observer wants records")
 	}
 }

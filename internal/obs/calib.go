@@ -36,8 +36,11 @@ func (l *CalibLog) component(name string) *calibAcc {
 	return a
 }
 
-// add folds one retune into the accumulator.
-func (a *calibAcc) add(e calib.RetuneEvent) {
+// add folds one retune record into its component's summary.
+func (l *CalibLog) add(r Record) { l.component(r.Track).fold(r.Fit) }
+
+// fold adds one retune to the accumulator.
+func (a *calibAcc) fold(e calib.RetuneEvent) {
 	a.Retunes++
 	if e.Observations == 0 {
 		return

@@ -21,15 +21,17 @@ package obs
 
 import (
 	"io"
+	"time"
 
 	"repro/internal/calib"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // Options selects which observability subsystems a run records.
 type Options struct {
-	// Trace records per-component spans, instants, and counter samples
-	// in virtual cycles.
+	// Trace records per-component spans, retune instants, and counter
+	// samples in virtual cycles.
 	Trace bool
 	// Metrics arms the counter/gauge/histogram registry.
 	Metrics bool
@@ -42,6 +44,49 @@ type Options struct {
 	Wall bool
 }
 
+// RecordKind is one kind of observation record. Kinds are bits, so a
+// set of them (SpanRecord|RetuneRecord) is what a subscriber asks for.
+type RecordKind uint8
+
+const (
+	// SpanRecord is a component's work over [Start, End) on its Track
+	// ("tick" for the full system, "advance" for a component), with
+	// its host cost in Wall when the observer times spans.
+	SpanRecord RecordKind = 1 << iota
+	// RetuneRecord is one refit of the reciprocal pairing named by
+	// Track, at Start, with the fit in Fit.
+	RetuneRecord
+	// SampleRecord is the counter Name sampled at Start, in Value.
+	SampleRecord
+	// QuantumRecord ends the quantum [Start, End), after its metrics
+	// are folded in; Value is the network's in-flight count at End.
+	QuantumRecord
+)
+
+// Record is one observation. Emitters build it only when some
+// subscriber wants its kind, and hand it over by value: nothing is
+// allocated to observe.
+type Record struct {
+	Kind RecordKind
+	// Track is the component the record is about (empty for samples
+	// and quanta).
+	Track string
+	// Name names the span, the sample's counter, or "retune".
+	Name       string
+	Start, End sim.Cycle
+	Value      float64
+	// Wall is a span's host cost (zero unless Options.Wall).
+	Wall time.Duration
+	// Fit is a retune's refit.
+	Fit calib.RetuneEvent
+}
+
+// subscription is one consumer of the record stream.
+type subscription struct {
+	kinds RecordKind
+	fn    func(Record)
+}
+
 // Observer is one run's observability hub. A nil *Observer is the
 // disabled path: every method nil-checks and returns immediately, so
 // instrumentation sites pay a single predictable branch when
@@ -51,23 +96,51 @@ type Observer struct {
 	trace   *Trace
 	metrics *Registry
 	calib   *CalibLog
+	subs    []subscription
+	wants   RecordKind
 }
 
 // New builds an observer for the selected subsystems. All disabled
 // returns a usable observer whose handles are all no-ops; callers
-// wanting the true zero path keep a nil *Observer instead.
+// wanting the true zero path keep a nil *Observer instead. The trace
+// subscribes to spans, retunes and samples, the calibration log to
+// retunes.
 func New(opts Options) *Observer {
 	o := &Observer{opts: opts}
-	if opts.Trace {
-		o.trace = newTrace(DefaultTraceCap)
-	}
 	if opts.Metrics {
 		o.metrics = NewRegistry()
 	}
 	if opts.Calib {
 		o.calib = &CalibLog{}
+		o.Subscribe(RetuneRecord, o.calib.add)
+	}
+	if opts.Trace {
+		o.trace = newTrace(DefaultTraceCap, opts.Wall)
+		o.Subscribe(SpanRecord|RetuneRecord|SampleRecord, o.trace.add)
 	}
 	return o
+}
+
+// Subscribe hands fn every record of the given kinds, in emission
+// order, on the simulating goroutine; fn must only observe. Subscribe
+// before the observer is attached (core.Cosim.SetObserver), which is
+// when the retune sinks are wired.
+func (o *Observer) Subscribe(kinds RecordKind, fn func(Record)) {
+	o.subs = append(o.subs, subscription{kinds, fn})
+	o.wants |= kinds
+}
+
+// Wants reports whether any subscriber takes records of kind k; an
+// emitter checks it before building one.
+func (o *Observer) Wants(k RecordKind) bool { return o != nil && o.wants&k != 0 }
+
+// Emit hands r to every subscriber of its kind.
+func (o *Observer) Emit(r Record) {
+	for _, s := range o.subs {
+		if s.kinds&r.Kind != 0 {
+			s.fn(r)
+		}
+	}
 }
 
 // Wall reports whether spans should carry host-time annotations.
@@ -112,43 +185,24 @@ func (o *Observer) Histogram(name string, binWidth float64, bins int) *Histogram
 	return o.Metrics().Histogram(name, binWidth, bins)
 }
 
-// Track resolves a trace track id for a component name (0 when
-// tracing is off; harmless, since every Trace method on a nil trace
-// is a no-op).
-func (o *Observer) Track(name string) int { return o.Trace().Track(name) }
-
 // RetuneSink builds the calib.RetuneSink a reciprocal pairing should
-// emit into, attributed to the named component: the event is
-// summarised, counted, and recorded as a trace instant on the
-// component's track.
+// emit into, attributed to the named component: the event is counted
+// and emitted as a retune record.
 // It returns nil — meaning "don't bother emitting" — when neither
-// calibration telemetry, metrics, nor tracing wants the events.
+// metrics nor a subscriber wants the events.
 func (o *Observer) RetuneSink(component string) calib.RetuneSink {
-	if o == nil || (o.calib == nil && o.metrics == nil && o.trace == nil) {
+	if o == nil || (o.metrics == nil && !o.Wants(RetuneRecord)) {
 		return nil
 	}
-	tid := o.Track(component)
 	ctr := o.Counter("calib.retunes/" + component)
 	fed := o.Counter("calib.fed_retunes/" + component)
-	var acc *calibAcc
-	if o.calib != nil {
-		acc = o.calib.component(component)
-	}
-	tr := o.trace
 	return func(e calib.RetuneEvent) {
-		if acc != nil {
-			acc.add(e)
-		}
 		ctr.Inc()
 		if e.Observations > 0 {
 			fed.Inc()
 		}
-		if tr != nil {
-			tr.Instant(tid, "retune", e.At, map[string]interface{}{
-				"alpha": e.Alpha, "beta": e.Beta,
-				"residual": e.Residual, "drift": e.Drift,
-				"observations": float64(e.Observations),
-			})
+		if o.Wants(RetuneRecord) {
+			o.Emit(Record{Kind: RetuneRecord, Track: component, Name: "retune", Start: e.At, End: e.At, Fit: e})
 		}
 	}
 }
@@ -158,7 +212,7 @@ func (o *Observer) RetuneSink(component string) calib.RetuneSink {
 func (o *Observer) WriteTrace(w io.Writer) error {
 	t := o.Trace()
 	if t == nil {
-		t = newTrace(1)
+		t = newTrace(1, false)
 	}
 	return t.Write(w)
 }

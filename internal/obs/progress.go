@@ -35,13 +35,10 @@ func NewHeartbeat(w io.Writer, every time.Duration, limit sim.Cycle) *Heartbeat 
 	return &Heartbeat{w: w, every: every, limit: limit, start: now, last: now}
 }
 
-// Tick is called with the current simulated cycle (e.g. from
-// Cosim.Progress, once per quantum); it prints at most once per
-// interval. A nil heartbeat is the disabled path.
-func (h *Heartbeat) Tick(cycle sim.Cycle) {
-	if h == nil {
-		return
-	}
+// Tick takes one end-of-quantum record (subscribe it to
+// QuantumRecord) and prints at most once per interval.
+func (h *Heartbeat) Tick(r Record) {
+	cycle := r.End
 	now := time.Now()
 	if now.Sub(h.last) < h.every {
 		return
