@@ -100,8 +100,8 @@ func runSmoke(opts cosimd.Options) error {
 		if st.State != cosimd.StateDone {
 			return fmt.Errorf("session %s ended %s: %s", id, st.State, st.Error)
 		}
-		env, err := getResult(base, id)
-		if err != nil {
+		var env cosimd.ResultEnvelope
+		if err := getJSON(base+"/api/v1/sessions/"+id+"/result", &env); err != nil {
 			return err
 		}
 		want, err := directFingerprint(reqs[i])
@@ -155,21 +155,18 @@ func runSmoke(opts cosimd.Options) error {
 // streamGate holds the first build of a metrics-armed session until
 // its /events stream is connected.
 type streamGate struct {
+	cosimd.StdBuilder
 	open chan struct{}
 	once sync.Once
 }
 
 func (g *streamGate) release() { g.once.Do(func() { close(g.open) }) }
 
-func (*streamGate) Digest(req cosimd.SubmitRequest) (uint64, error) {
-	return cosimd.StdBuilder{}.Digest(req)
-}
-
 func (g *streamGate) Build(req cosimd.SubmitRequest) (*core.Cosim, error) {
 	if req.Metrics {
 		<-g.open
 	}
-	return cosimd.StdBuilder{}.Build(req)
+	return g.StdBuilder.Build(req)
 }
 
 // checkRetunes fails unless a whole stream carries spans and retunes,
@@ -276,15 +273,6 @@ func followEvents(base, id string, synced func()) (cosimd.SessionStatus, []obspl
 		return st, nil, err
 	}
 	return st, evs, getJSON(base+"/api/v1/sessions/"+id, &st)
-}
-
-func getResult(base, id string) (cosimd.ResultEnvelope, error) {
-	var env cosimd.ResultEnvelope
-	blob, err := getResultBytes(base, id)
-	if err != nil {
-		return env, err
-	}
-	return env, json.Unmarshal(blob, &env)
 }
 
 func getResultBytes(base, id string) ([]byte, error) {

@@ -46,28 +46,23 @@ type obsHandles struct {
 	sysWall *obs.Histogram
 	advWall []*obs.Histogram
 
-	// flits, activity and shards read the backend's accounting when it
-	// exposes it and a metric or a sample subscriber reads it; nil
-	// otherwise.
-	//
-	// flits samples switching activity (detailed cycle-level networks).
-	flits      func() uint64
-	flitsGauge *obs.Gauge
-
-	// activity samples the gating layer's work accounting (the detailed
-	// backend, and Paired for its detailed side).
-	activity   func() noc.ActivityStats
-	actStepped *obs.Gauge
-	actSkipped *obs.Gauge
-	actOcc     *obs.Gauge
-	actPool    *obs.Gauge
-
-	// shards samples the shard partition's accounting when the network
-	// has more than one shard (a one-shard run's registry carries no
-	// shard gauges). The
-	// barrier-share gauge derives from wall-clock timers, so it
-	// registers only on wall-enabled observers — the deterministic
-	// registry must stay byte-identical across hosts.
+	// flits, activity and shards read the backend's accounting: flits
+	// its switching activity (detailed cycle-level networks), activity
+	// the gating layer's work (the detailed backend, and Paired for its
+	// detailed side), shards the partition's when there is more than
+	// one shard (a one-shard run's registry carries no shard gauges).
+	// Each is nil unless the backend exposes it and a metric or a
+	// sample subscriber reads it. The barrier-share gauge derives from
+	// wall-clock timers, so it registers only on wall-enabled observers
+	// — the deterministic registry must stay byte-identical across
+	// hosts.
+	flits        func() uint64
+	flitsGauge   *obs.Gauge
+	activity     func() noc.ActivityStats
+	actStepped   *obs.Gauge
+	actSkipped   *obs.Gauge
+	actOcc       *obs.Gauge
+	actPool      *obs.Gauge
 	shards       func() noc.ShardStats
 	shardCount   *obs.Gauge
 	shardActive  *obs.Gauge
@@ -158,14 +153,6 @@ func (c *Cosim) SetObserver(o *obs.Observer) {
 	}
 	c.Sys.SetObserver(o)
 	c.obsH = h
-}
-
-// Observer reports the attached observer (nil when detached).
-func (c *Cosim) Observer() *obs.Observer {
-	if c.obsH == nil {
-		return nil
-	}
-	return c.obsH.o
 }
 
 // ObserveSnapshotBytes records the encoded size of a snapshot just

@@ -133,33 +133,28 @@ func (so *sessionObs) quantum(r obs.Record) {
 // forever without growing.
 func (so *sessionObs) record(r obs.Record) {
 	if r.Kind == obs.RetuneRecord {
-		so.retunes = append(so.retunes, obsplane.Event{
-			Kind:    obsplane.KindRetune,
-			Session: so.id,
-			Tenant:  so.tenant,
-			Cycle:   uint64(r.Start),
-			Name:    r.Track,
-			Values: map[string]float64{
-				"alpha": r.Fit.Alpha, "beta": r.Fit.Beta,
-				"residual": r.Fit.Residual, "drift": r.Fit.Drift,
-				"observations": float64(r.Fit.Observations),
-			},
-		})
+		ev := so.event(obsplane.KindRetune, uint64(r.Start))
+		ev.Name = r.Track
+		ev.Values = map[string]float64{
+			"alpha": r.Fit.Alpha, "beta": r.Fit.Beta,
+			"residual": r.Fit.Residual, "drift": r.Fit.Drift,
+			"observations": float64(r.Fit.Observations),
+		}
+		so.retunes = append(so.retunes, ev)
 		return
 	}
 	if len(so.spans) >= sliceSpanCap {
 		so.spanDrops++
 		return
 	}
-	so.spans = append(so.spans, obsplane.Event{
-		Kind:    obsplane.KindSpan,
-		Session: so.id,
-		Tenant:  so.tenant,
-		Cycle:   uint64(r.Start),
-		Dur:     uint64(r.End - r.Start),
-		Name:    r.Name,
-		Track:   r.Track,
-	})
+	ev := so.event(obsplane.KindSpan, uint64(r.Start))
+	ev.Dur, ev.Name, ev.Track = uint64(r.End-r.Start), r.Name, r.Track
+	so.spans = append(so.spans, ev)
+}
+
+// event starts one of the session's plane events.
+func (so *sessionObs) event(kind string, cycle uint64) obsplane.Event {
+	return obsplane.Event{Kind: kind, Session: so.id, Tenant: so.tenant, Cycle: cycle}
 }
 
 // afterSlice flushes the slice's accumulated observations — spans,
@@ -177,47 +172,31 @@ func (so *sessionObs) afterSlice(cs *core.Cosim, consumed uint64) []byte {
 		Retired:   retired,
 		WallNanos: time.Since(so.sliceStart).Nanoseconds(),
 	})
-	if so.hub != nil {
-		for _, ev := range so.spans {
-			so.hub.Publish(ev)
-		}
+	for _, ev := range so.spans {
+		so.hub.Publish(ev)
 	}
 	so.spans = so.spans[:0]
 	var blob []byte
 	if so.metrics {
-		blob = metricsSnapshot(so.ob)
+		var buf bytes.Buffer
+		if so.ob.WriteMetrics(&buf) == nil {
+			blob = buf.Bytes()
+		}
 		if so.hub != nil {
 			so.publishMetricsDelta(cycle)
-			for _, ev := range so.retunes {
-				so.hub.Publish(ev)
-			}
-			so.retunes = so.retunes[:0]
 		}
 	}
-	if so.hub != nil {
-		ev := obsplane.Event{
-			Kind:    obsplane.KindProgress,
-			Session: so.id,
-			Tenant:  so.tenant,
-			Cycle:   cycle,
-			Retired: retired,
-			Cycles:  consumed,
-		}
-		if so.spanDrops > 0 {
-			ev.Values = map[string]float64{"span_drops": float64(so.spanDrops)}
-		}
+	for _, ev := range so.retunes {
 		so.hub.Publish(ev)
 	}
-	return blob
-}
-
-// metricsSnapshot marshals the observer's registry.
-func metricsSnapshot(ob *obs.Observer) []byte {
-	var buf bytes.Buffer
-	if err := ob.WriteMetrics(&buf); err != nil {
-		return nil
+	so.retunes = so.retunes[:0]
+	ev := so.event(obsplane.KindProgress, cycle)
+	ev.Retired, ev.Cycles = retired, consumed
+	if so.spanDrops > 0 {
+		ev.Values = map[string]float64{"span_drops": float64(so.spanDrops)}
 	}
-	return buf.Bytes()
+	so.hub.Publish(ev)
+	return blob
 }
 
 // publishMetricsDelta publishes what changed in the registry since the
@@ -247,13 +226,9 @@ func (so *sessionObs) publishMetricsDelta(cycle uint64) {
 	if len(vals) == 0 {
 		return
 	}
-	so.hub.Publish(obsplane.Event{
-		Kind:    obsplane.KindMetrics,
-		Session: so.id,
-		Tenant:  so.tenant,
-		Cycle:   cycle,
-		Values:  vals,
-	})
+	ev := so.event(obsplane.KindMetrics, cycle)
+	ev.Values = vals
+	so.hub.Publish(ev)
 }
 
 // transition mirrors a lifecycle edge into the flight ring and the
@@ -266,14 +241,9 @@ func (so *sessionObs) transition(kind string, state State, cycle uint64, note st
 
 // publishState publishes one lifecycle event.
 func (so *sessionObs) publishState(state State, cycle uint64, note string) {
-	so.hub.Publish(obsplane.Event{
-		Kind:    obsplane.KindState,
-		Session: so.id,
-		Tenant:  so.tenant,
-		Cycle:   cycle,
-		State:   string(state),
-		Note:    note,
-	})
+	ev := so.event(obsplane.KindState, cycle)
+	ev.State, ev.Note = string(state), note
+	so.hub.Publish(ev)
 }
 
 // finish publishes the terminal state event and closes the hub, ending

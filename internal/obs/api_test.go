@@ -71,8 +71,8 @@ func TestSubscription(t *testing.T) {
 	if o.Wants(QuantumRecord) {
 		t.Error("nobody subscribed to quanta, yet the observer wants them")
 	}
-	if o.Trace().Len() != 4 || o.Trace().Dropped() != 9 {
-		t.Errorf("trace kept %d and dropped %d, want 4 and 9", o.Trace().Len(), o.Trace().Dropped())
+	if o.Trace().Len() != 4 || o.Trace().dropped != 9 {
+		t.Errorf("trace kept %d and dropped %d, want 4 and 9", o.Trace().Len(), o.Trace().dropped)
 	}
 	var a, b bytes.Buffer
 	if err := plain.WriteTrace(&a); err != nil {

@@ -201,23 +201,14 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	out := struct {
 		Metrics []metricJSON `json:"metrics"`
 	}{Metrics: []metricJSON{}}
-	for _, m := range r.sorted() {
-		j := metricJSON{Name: m.name, Kind: m.kind}
-		switch m.kind {
-		case KindCounter:
-			j.Value = float64(m.ctr.Value())
-		case KindGauge:
-			j.Value = m.gau.Value()
-		case KindHistogram:
-			h := m.his.Snapshot()
-			j.Count = h.Count()
-			j.Mean = h.Mean()
-			j.P50 = h.Percentile(0.50)
-			j.P95 = h.Percentile(0.95)
-			j.Max = h.Max()
+	r.Visit(func(v MetricView) {
+		j := metricJSON{Name: v.Name, Kind: v.Kind, Value: v.Value}
+		if h := v.Hist; h != nil {
+			j.Count, j.Mean, j.Max = h.Count(), h.Mean(), h.Max()
+			j.P50, j.P95 = h.Percentile(0.50), h.Percentile(0.95)
 		}
 		out.Metrics = append(out.Metrics, j)
-	}
+	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
@@ -226,17 +217,16 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // Table renders every metric, sorted by name, as a human table.
 func (r *Registry) Table(title string) *stats.Table {
 	t := stats.NewTable(title, "metric", "kind", "value", "count", "mean", "p95", "max")
-	for _, m := range r.sorted() {
-		switch m.kind {
-		case KindCounter:
-			t.AddRow(m.name, m.kind, m.ctr.Value(), "", "", "", "")
-		case KindGauge:
-			t.AddRow(m.name, m.kind, m.gau.Value(), "", "", "", "")
-		case KindHistogram:
-			h := m.his.Snapshot()
-			t.AddRow(m.name, m.kind, "", h.Count(), h.Mean(), h.Percentile(0.95), h.Max())
+	r.Visit(func(v MetricView) {
+		switch h := v.Hist; {
+		case h != nil:
+			t.AddRow(v.Name, v.Kind, "", h.Count(), h.Mean(), h.Percentile(0.95), h.Max())
+		case v.Kind == KindCounter:
+			t.AddRow(v.Name, v.Kind, uint64(v.Value), "", "", "", "")
+		default:
+			t.AddRow(v.Name, v.Kind, v.Value, "", "", "", "")
 		}
-	}
+	})
 	return t
 }
 

@@ -15,7 +15,6 @@ import (
 // render equal bytes.
 type event struct {
 	Name string                 `json:"name"`
-	Cat  string                 `json:"cat,omitempty"`
 	Ph   string                 `json:"ph"`
 	Ts   uint64                 `json:"ts"`
 	Dur  uint64                 `json:"dur,omitempty"`
@@ -63,14 +62,6 @@ func (t *Trace) Len() int {
 	return len(t.recs)
 }
 
-// Dropped reports events discarded at the capacity bound.
-func (t *Trace) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
 // traceJSON is the document schema: the traceEvents array Perfetto
 // expects, plus a header naming the virtual clock and the drop count.
 type traceJSON struct {
@@ -83,16 +74,15 @@ type traceJSON struct {
 // component, numbered in order of first appearance), then every
 // record in emission order. Equal traces render equal bytes.
 func (t *Trace) Write(w io.Writer) error {
-	var tracks []string
+	meta := []event{} // thread_name records, one per track
 	tids := map[string]int{}
 	tid := func(track string) int {
-		id, ok := tids[track]
-		if !ok {
-			id = len(tracks)
-			tids[track] = id
-			tracks = append(tracks, track)
+		if _, ok := tids[track]; !ok {
+			tids[track] = len(meta)
+			meta = append(meta, event{Name: "thread_name", Ph: "M", Tid: len(meta),
+				Args: map[string]interface{}{"name": track}})
 		}
-		return id
+		return tids[track]
 	}
 	events := make([]event, len(t.recs))
 	for i, r := range t.recs {
@@ -117,19 +107,12 @@ func (t *Trace) Write(w io.Writer) error {
 		events[i] = e
 	}
 	doc := traceJSON{
-		TraceEvents: make([]event, 0, len(tracks)+len(events)),
+		TraceEvents: append(meta, events...),
 		OtherData: map[string]string{
 			"clock":   "virtual-cycles (1us = 1 cycle)",
 			"dropped": strconv.FormatUint(t.dropped, 10),
 		},
 	}
-	for id, name := range tracks {
-		doc.TraceEvents = append(doc.TraceEvents, event{
-			Name: "thread_name", Ph: "M", Tid: id,
-			Args: map[string]interface{}{"name": name},
-		})
-	}
-	doc.TraceEvents = append(doc.TraceEvents, events...)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)
