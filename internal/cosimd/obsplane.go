@@ -44,7 +44,7 @@ type sessionObs struct {
 	flight *obsplane.FlightRecorder // nil: flight recording disabled
 
 	ob        *obs.Observer
-	cs        *core.Cosim // the simulation ob is attached to
+	cs        *core.Cosim // ob's simulation; nil once the server drops it
 	spans     []obsplane.Event
 	spanDrops uint64
 	retunes   []obsplane.Event // this slice's refits; outside the span cap

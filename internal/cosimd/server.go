@@ -586,7 +586,7 @@ func (s *Server) finishSlice(sess *session, cycle, retired, consumed uint64, env
 	if sess.resident && (env != nil || err != nil) {
 		sess.resident = false
 		s.resident--
-		sess.cs = nil
+		sess.cs, sess.sobs.cs = nil, nil
 	}
 	sess.lastRun = s.sched.tick
 	sess.cycle, sess.retired = cycle, retired
@@ -739,7 +739,7 @@ func (s *Server) spillOverflowLocked() {
 			s.warmCount++
 			return
 		}
-		old.cs = nil
+		old.cs, old.sobs.cs = nil, nil
 		old.hasCkpt = true
 		s.spills++
 	}
@@ -805,7 +805,7 @@ func (s *Server) Close() error {
 			s.warmCount--
 			s.spills++
 		}
-		sess.cs = nil
+		sess.cs, sess.sobs.cs = nil, nil
 		sess.hasCkpt = true
 		if sess.state == StateRunning {
 			sess.state = StateReady

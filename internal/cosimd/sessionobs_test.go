@@ -97,3 +97,53 @@ func TestEventsSubscriberThatNeverReads(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestObserverReleasesDroppedSimulation: a session's observer outlives
+// its simulation (its flight ring reads the simulation every quantum),
+// so it must let go when the server drops the simulation — at
+// completion, at a spill and at drain — or every finished and spilled
+// session would pin a whole simulation in memory.
+func TestObserverReleasesDroppedSimulation(t *testing.T) {
+	pinned := func(t *testing.T, srv *Server) {
+		t.Helper()
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, sess := range srv.order {
+			if sess.sobs.cs != nil {
+				t.Errorf("session %s (%s, resident=%v) still pins its simulation", sess.id, sess.state, sess.resident)
+			}
+		}
+	}
+	t.Run("finished", func(t *testing.T) {
+		srv := newTestServer(t, Options{Workers: 1})
+		for seed := uint64(71); seed < 73; seed++ {
+			if _, err := srv.Submit(tinyReq(seed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Wait()
+		pinned(t, srv)
+	})
+	t.Run("spilled-and-drained", func(t *testing.T) {
+		srv, err := NewServer(Options{Workers: 1, MaxResident: 1, MaxWarm: 1, SliceCycles: 256, StateDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(73); seed < 77; seed++ {
+			req := tinyReq(seed)
+			req.Ops = 20_000 // still running at drain
+			if _, err := srv.Submit(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(10 * time.Second); srv.Stats().Spills == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no session was spilled; the check is vacuous")
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		pinned(t, srv)
+	})
+}
