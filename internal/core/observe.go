@@ -46,23 +46,27 @@ type obsHandles struct {
 	sysWall *obs.Histogram
 	advWall []*obs.Histogram
 
-	// flits, activity and shards read the backend's accounting: flits
-	// its switching activity (detailed cycle-level networks), activity
-	// the gating layer's work (the detailed backend, and Paired for its
-	// detailed side), shards the partition's when there is more than
-	// one shard (a one-shard run's registry carries no shard gauges).
-	// Each is nil unless the backend exposes it and a metric or a
-	// sample subscriber reads it. The barrier-share gauge derives from
-	// wall-clock timers, so it registers only on wall-enabled observers
-	// — the deterministic registry must stay byte-identical across
-	// hosts.
-	flits        func() uint64
-	flitsGauge   *obs.Gauge
-	activity     func() noc.ActivityStats
-	actStepped   *obs.Gauge
-	actSkipped   *obs.Gauge
-	actOcc       *obs.Gauge
-	actPool      *obs.Gauge
+	// flits samples switching activity when the backend exposes it
+	// (detailed cycle-level networks) and a metric or a sample
+	// subscriber reads it; nil otherwise.
+	flits      func() uint64
+	flitsGauge *obs.Gauge
+
+	// activity samples the gating layer's work accounting when the
+	// backend exposes it (the detailed backend, and Paired for its
+	// detailed side) and it is read; nil otherwise.
+	activity   func() noc.ActivityStats
+	actStepped *obs.Gauge
+	actSkipped *obs.Gauge
+	actOcc     *obs.Gauge
+	actPool    *obs.Gauge
+
+	// shards samples the shard partition's accounting when the backend
+	// exposes it, the network has more than one shard and it is read;
+	// nil otherwise (a one-shard run's registry carries no shard
+	// gauges). The barrier-share gauge derives from wall-clock timers,
+	// so it registers only on wall-enabled observers — the
+	// deterministic registry must stay byte-identical across hosts.
 	shards       func() noc.ShardStats
 	shardCount   *obs.Gauge
 	shardActive  *obs.Gauge
