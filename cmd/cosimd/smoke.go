@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cosimd"
-	"repro/internal/obsplane"
 	"repro/internal/sim"
 )
 
@@ -172,13 +171,13 @@ func (g *streamGate) Build(req cosimd.SubmitRequest) (*core.Cosim, error) {
 // checkRetunes fails unless a whole stream carries spans and retunes,
 // and as many retunes per component as the session's calib.retunes/*
 // counters.
-func checkRetunes(base, id string, evs []obsplane.Event) error {
+func checkRetunes(base, id string, evs []cosimd.Event) error {
 	spans, retunes := 0, map[string]int{}
 	for _, ev := range evs {
 		switch ev.Kind {
-		case obsplane.KindSpan:
+		case cosimd.KindSpan:
 			spans++
-		case obsplane.KindRetune:
+		case cosimd.KindRetune:
 			retunes[ev.Name]++
 		}
 	}
@@ -238,7 +237,7 @@ func postJSON(url string, body, out any) error {
 // the stream blocks server-side between events, so the smoke test needs
 // no polling loop and no timers. synced runs once the sync line is
 // read. A seq gap (an event lost to the subscriber's queue) fails.
-func followEvents(base, id string, synced func()) (cosimd.SessionStatus, []obsplane.Event, error) {
+func followEvents(base, id string, synced func()) (cosimd.SessionStatus, []cosimd.Event, error) {
 	var st cosimd.SessionStatus
 	resp, err := http.Get(base + "/api/v1/sessions/" + id + "/events")
 	if err != nil {
@@ -250,14 +249,14 @@ func followEvents(base, id string, synced func()) (cosimd.SessionStatus, []obspl
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 1<<20)
-	var evs []obsplane.Event
+	var evs []cosimd.Event
 	var seq uint64
 	for sc.Scan() {
-		var ev obsplane.Event
+		var ev cosimd.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			return st, nil, err
 		}
-		if ev.Kind == obsplane.KindSync {
+		if ev.Kind == cosimd.KindSync {
 			synced()
 		} else if ev.Seq > seq+1 {
 			return st, nil, fmt.Errorf("session %s: /events jumped from seq %d to %d", id, seq, ev.Seq)
@@ -265,7 +264,7 @@ func followEvents(base, id string, synced func()) (cosimd.SessionStatus, []obspl
 			evs = append(evs, ev)
 		}
 		seq = ev.Seq
-		if ev.Kind == obsplane.KindProgress || ev.Kind == obsplane.KindState {
+		if ev.Kind == cosimd.KindProgress || ev.Kind == cosimd.KindState {
 			fmt.Fprintf(os.Stderr, "smoke: %s %s %s cycle=%d %s\n", id, ev.Kind, ev.State, ev.Cycle, ev.Note)
 		}
 	}

@@ -144,3 +144,27 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Errorf("temp litter left behind: %v", entries)
 	}
 }
+
+// TestWriteFileRenameFailureLeavesNoTemp: when the final rename fails
+// (a directory sits where the file should go), WriteFile reports the
+// error and removes its temp file, so a retried save does not leave
+// one checkpoint-sized file behind per attempt.
+func TestWriteFileRenameFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "blob.ckpt")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := WriteFile(path, []byte("blob")); err == nil {
+			t.Fatal("WriteFile over a directory succeeded")
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("temp files left behind after failed renames: %v", entries)
+	}
+}

@@ -315,3 +315,46 @@ func TestParkNeedsNoCaptureSupport(t *testing.T) {
 		t.Errorf("parking wrote checkpoint files: %v", files)
 	}
 }
+
+// TestSpillThatCannotBeWritten: with a directory standing at every
+// session's <id>.ckpt, no spill can be written. Each failed spill keeps
+// its session parked, every session still finishes with its direct-run
+// fingerprint, no spill is counted, and no temp file is left in the
+// state directory however often the spill was retried.
+func TestSpillThatCannotBeWritten(t *testing.T) {
+	dir := t.TempDir()
+	srv, release := newGatedServer(t, Options{
+		Workers: 1, MaxResident: 2, MaxWarm: 1, SliceCycles: 512, StateDir: dir,
+	})
+	reqs := map[string]SubmitRequest{}
+	for i := 0; i < 6; i++ {
+		req := tinyReq(uint64(950 + i))
+		st, err := srv.Submit(req)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		reqs[st.ID] = req
+		if err := os.Mkdir(srv.ckptPath(st.ID), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	srv.Wait()
+	for id, req := range reqs {
+		_, env := envelope(t, srv, id)
+		if want := directFingerprint(t, req); env.Fingerprint != want {
+			t.Errorf("session %s fingerprint diverged\n got %s\nwant %s", id, env.Fingerprint, want)
+		}
+	}
+	st := srv.Stats()
+	if st.Spills != 0 || st.Evictions == 0 {
+		t.Errorf("spills=%d evictions=%d, want no spill among some evictions", st.Spills, st.Evictions)
+	}
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Errorf("%d temp files left behind by failed spills, e.g. %s", len(tmps), tmps[0])
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/ckpt"
-	"repro/internal/obsplane"
 )
 
 // manifestName is the session-table file a drained server leaves in
@@ -142,7 +141,7 @@ func (s *Server) loadManifest() error {
 			sess.entry = s.sched.Add(sess.req.Tenant, sess.seq, sess)
 			s.sched.Account(sess.entry, sess.cycles)
 			s.sched.Ready(sess.entry)
-			sess.sobs.transition(obsplane.FlightSubmit, StateReady, sess.cycle, "manifest-restore")
+			sess.sobs.transition(FlightSubmit, StateReady, sess.cycle, "manifest-restore")
 		}
 		s.sessions[sess.id] = sess
 		s.order = append(s.order, sess)

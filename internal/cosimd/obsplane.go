@@ -5,6 +5,7 @@ package cosimd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"path/filepath"
 	"runtime/pprof"
 	"sync"
@@ -13,16 +14,15 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/obsplane"
 )
 
 // This file is the server's side of the observability plane: the
 // per-session glue between the zero-perturbation observer
-// (internal/obs) and the fan-out/retention machinery
-// (internal/obsplane), plus server-wide wall-cost telemetry. The
-// contract mirrors obs's: nothing here is ever read by simulated
-// state, every sink is non-blocking, and everything that touches a
-// live simulation runs on the one worker that owns it.
+// (internal/obs) and the session's event hub and flight ring
+// (plane.go), plus server-wide wall-cost telemetry (rendered by
+// prom.go). The contract mirrors obs's: nothing here is ever read by
+// simulated state, every sink is non-blocking, and everything that
+// touches a live simulation runs on the one worker that owns it.
 
 // sliceSpanCap bounds the per-slice trace-span scratch: a slice of a
 // saturated session can emit thousands of spans, and the stream only
@@ -40,14 +40,14 @@ type sessionObs struct {
 	tenant  string
 	metrics bool
 
-	hub    *obsplane.Hub            // nil: event streaming disabled
-	flight *obsplane.FlightRecorder // nil: flight recording disabled
+	hub    *hub            // nil: event streaming disabled
+	flight *flightRecorder // nil: flight recording disabled
 
 	ob        *obs.Observer
 	cs        *core.Cosim // ob's simulation; nil once the server drops it
-	spans     []obsplane.Event
+	spans     []Event
 	spanDrops uint64
-	retunes   []obsplane.Event // this slice's refits; outside the span cap
+	retunes   []Event // this slice's refits; outside the span cap
 
 	// Flight-entry deltas: the observer's net.delivered,
 	// mem.completions and two clamp counters, and their baselines.
@@ -65,10 +65,12 @@ type sessionObs struct {
 // the server's options.
 func (s *Server) newSessionObs(id, tenant string, metrics bool) *sessionObs {
 	so := &sessionObs{id: id, tenant: tenant, metrics: metrics}
-	if s.opts.EventsBuffer >= 0 {
-		so.hub = obsplane.NewHub(s.opts.EventsBuffer)
+	if s.opts.EventsBuffer > 0 {
+		so.hub = &hub{buffer: s.opts.EventsBuffer}
 	}
-	so.flight = obsplane.NewFlightRecorder(s.opts.FlightDepth)
+	if s.opts.FlightDepth > 0 {
+		so.flight = &flightRecorder{ring: make([]FlightEntry, s.opts.FlightDepth)}
+	}
 	return so
 }
 
@@ -110,9 +112,9 @@ func (so *sessionObs) beginSlice() {
 // carries. O(1), allocation-free.
 func (so *sessionObs) quantum(r obs.Record) {
 	now := time.Now()
-	e := obsplane.FlightEntry{
+	e := FlightEntry{
 		Cycle:     uint64(r.End),
-		Kind:      obsplane.FlightQuantum,
+		Kind:      FlightQuantum,
 		Retired:   so.cs.Sys.Retired(),
 		InFlight:  int(r.Value),
 		WallNanos: now.Sub(so.lastWall).Nanoseconds(),
@@ -133,7 +135,7 @@ func (so *sessionObs) quantum(r obs.Record) {
 // forever without growing.
 func (so *sessionObs) record(r obs.Record) {
 	if r.Kind == obs.RetuneRecord {
-		ev := so.event(obsplane.KindRetune, uint64(r.Start))
+		ev := so.event(KindRetune, uint64(r.Start))
 		ev.Name = r.Track
 		ev.Values = map[string]float64{
 			"alpha": r.Fit.Alpha, "beta": r.Fit.Beta,
@@ -147,14 +149,14 @@ func (so *sessionObs) record(r obs.Record) {
 		so.spanDrops++
 		return
 	}
-	ev := so.event(obsplane.KindSpan, uint64(r.Start))
+	ev := so.event(KindSpan, uint64(r.Start))
 	ev.Dur, ev.Name, ev.Track = uint64(r.End-r.Start), r.Name, r.Track
 	so.spans = append(so.spans, ev)
 }
 
 // event starts one of the session's plane events.
-func (so *sessionObs) event(kind string, cycle uint64) obsplane.Event {
-	return obsplane.Event{Kind: kind, Session: so.id, Tenant: so.tenant, Cycle: cycle}
+func (so *sessionObs) event(kind string, cycle uint64) Event {
+	return Event{Kind: kind, Session: so.id, Tenant: so.tenant, Cycle: cycle}
 }
 
 // afterSlice flushes the slice's accumulated observations — spans,
@@ -166,9 +168,9 @@ func (so *sessionObs) event(kind string, cycle uint64) obsplane.Event {
 func (so *sessionObs) afterSlice(cs *core.Cosim, consumed uint64) []byte {
 	cycle := uint64(cs.Cycle())
 	retired := cs.Sys.Retired()
-	so.flight.Record(obsplane.FlightEntry{
+	so.flight.Record(FlightEntry{
 		Cycle:     cycle,
-		Kind:      obsplane.FlightSlice,
+		Kind:      FlightSlice,
 		Retired:   retired,
 		WallNanos: time.Since(so.sliceStart).Nanoseconds(),
 	})
@@ -190,7 +192,7 @@ func (so *sessionObs) afterSlice(cs *core.Cosim, consumed uint64) []byte {
 		so.hub.Publish(ev)
 	}
 	so.retunes = so.retunes[:0]
-	ev := so.event(obsplane.KindProgress, cycle)
+	ev := so.event(KindProgress, cycle)
 	ev.Retired, ev.Cycles = retired, consumed
 	if so.spanDrops > 0 {
 		ev.Values = map[string]float64{"span_drops": float64(so.spanDrops)}
@@ -226,7 +228,7 @@ func (so *sessionObs) publishMetricsDelta(cycle uint64) {
 	if len(vals) == 0 {
 		return
 	}
-	ev := so.event(obsplane.KindMetrics, cycle)
+	ev := so.event(KindMetrics, cycle)
 	ev.Values = vals
 	so.hub.Publish(ev)
 }
@@ -235,13 +237,13 @@ func (so *sessionObs) publishMetricsDelta(cycle uint64) {
 // event stream. Callers may hold the server lock: both sinks are
 // non-blocking and never touch the simulator.
 func (so *sessionObs) transition(kind string, state State, cycle uint64, note string) {
-	so.flight.Record(obsplane.FlightEntry{Cycle: cycle, Kind: kind, Note: note})
+	so.flight.Record(FlightEntry{Cycle: cycle, Kind: kind, Note: note})
 	so.publishState(state, cycle, note)
 }
 
 // publishState publishes one lifecycle event.
 func (so *sessionObs) publishState(state State, cycle uint64, note string) {
-	ev := so.event(obsplane.KindState, cycle)
+	ev := so.event(KindState, cycle)
 	ev.State, ev.Note = string(state), note
 	so.hub.Publish(ev)
 }
@@ -265,12 +267,12 @@ func (s *Server) dumpFlight(so *sessionObs, why string) {
 	if so.flight == nil || so.flight.Total() == 0 {
 		return
 	}
-	var buf bytes.Buffer
-	if err := so.flight.WriteJSON(&buf); err != nil {
+	blob, err := json.MarshalIndent(so.flight.Snapshot(), "", "  ")
+	if err != nil {
 		return
 	}
 	path := filepath.Join(s.opts.StateDir, so.id+".flight.json")
-	if err := ckpt.WriteFile(path, buf.Bytes()); err != nil {
+	if err := ckpt.WriteFile(path, append(blob, '\n')); err != nil { // the file ends in a newline
 		s.logf("flight dump %s (%s) failed: %v", so.id, why, err)
 		return
 	}
@@ -283,7 +285,7 @@ func (s *Server) dumpFlight(so *sessionObs, why string) {
 // the server lock held.
 type telemetry struct {
 	mu        sync.Mutex
-	phases    map[string]*obsplane.WallHist
+	phases    map[string]wallHist
 	busy      int
 	slices    uint64
 	busyNanos int64
@@ -292,16 +294,10 @@ type telemetry struct {
 // observe folds one phase cost in.
 func (t *telemetry) observe(phase string, d time.Duration) {
 	t.mu.Lock()
-	if t.phases == nil {
-		t.phases = make(map[string]*obsplane.WallHist)
-	}
 	h := t.phases[phase]
-	if h == nil {
-		h = &obsplane.WallHist{}
-		t.phases[phase] = h
-	}
+	h.observe(d)
+	t.phases[phase] = h
 	t.mu.Unlock()
-	h.Observe(d)
 }
 
 // phaseTimer starts timing a named phase; the returned func records

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/obsplane"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
@@ -31,7 +30,7 @@ type zpRun struct {
 	fp       string
 	snap     []byte
 	so       *sessionObs
-	received []obsplane.Event
+	received []Event
 }
 
 // obsplaneSlicedRun executes the fixture in 512-cycle slices exactly
@@ -60,13 +59,13 @@ func obsplaneSlicedRun(t *testing.T, srv *Server, subs int) zpRun {
 		out.so = srv.newSessionObs("zp", "tenant-zp", true)
 		out.so.attach(cs)
 	}
-	var live []*obsplane.Subscriber
+	var live []*Subscriber
 	subscribe := func() {
-		if sub := out.so.hub.Subscribe(); sub != nil {
+		if sub, _ := out.so.hub.Subscribe(); sub != nil {
 			live = append(live, sub)
 		}
 	}
-	drainClosed := func(sub *obsplane.Subscriber) {
+	drainClosed := func(sub *Subscriber) {
 		for ev := range sub.Events() {
 			out.received = append(out.received, ev)
 		}
@@ -157,7 +156,7 @@ func TestObsplaneZeroPerturbation(t *testing.T) {
 				for _, ev := range got.received {
 					kinds[ev.Kind]++
 				}
-				for _, k := range []string{obsplane.KindProgress, obsplane.KindMetrics, obsplane.KindState} {
+				for _, k := range []string{KindProgress, KindMetrics, KindState} {
 					if kinds[k] == 0 {
 						t.Errorf("subscribers received no %q events (kinds: %v)", k, kinds)
 					}
@@ -193,7 +192,7 @@ func TestRetuneEventsKeepNoHistory(t *testing.T) {
 	defer cs.Close()
 	so := srv.newSessionObs("rt", "tenant-rt", true)
 	so.attach(cs)
-	sub := so.hub.Subscribe()
+	sub, _ := so.hub.Subscribe()
 
 	const slice = 512
 	slices := 0
@@ -206,7 +205,7 @@ func TestRetuneEventsKeepNoHistory(t *testing.T) {
 	so.finish(StateDone, uint64(cs.Cycle()), "stopped")
 	published := map[string]int{}
 	for ev := range sub.Events() {
-		if ev.Kind != obsplane.KindRetune {
+		if ev.Kind != KindRetune {
 			continue
 		}
 		published[ev.Name]++
@@ -314,13 +313,13 @@ func TestObsplaneFanOutIntegration(t *testing.T) {
 			sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 			last, first := uint64(0), true
 			for sc.Scan() {
-				var ev obsplane.Event
+				var ev Event
 				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 					results[i].err = fmt.Errorf("bad NDJSON line %q: %v", sc.Text(), err)
 					return
 				}
 				if first {
-					if ev.Kind != obsplane.KindSync {
+					if ev.Kind != KindSync {
 						results[i].err = fmt.Errorf("stream opened with %q, want sync", ev.Kind)
 						return
 					}
@@ -385,7 +384,7 @@ func TestEventsStreamChurn(t *testing.T) {
 	// A deep subscriber queue: this test asserts the terminal state
 	// event arrives, which is only guaranteed lossless when the queue
 	// never overflows (drop-and-count under pressure is unit-tested in
-	// internal/obsplane instead).
+	// plane_test.go instead).
 	srv := newTestServer(t, Options{Workers: 2, MaxResident: 3, SliceCycles: 256, EventsBuffer: 1 << 14})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -416,11 +415,11 @@ func TestEventsStreamChurn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading sync line: %v", err)
 	}
-	var sync0 obsplane.Event
+	var sync0 Event
 	if err := json.Unmarshal(line, &sync0); err != nil {
 		t.Fatalf("bad sync line %q: %v", line, err)
 	}
-	if sync0.Kind != obsplane.KindSync || sync0.Session != ids[0] {
+	if sync0.Kind != KindSync || sync0.Session != ids[0] {
 		t.Fatalf("incoherent sync line: %+v", sync0)
 	}
 	resp.Body.Close() // mid-stream disconnect
@@ -434,16 +433,16 @@ func TestEventsStreamChurn(t *testing.T) {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var events []obsplane.Event
+	var events []Event
 	for sc.Scan() {
-		var ev obsplane.Event
+		var ev Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
 		events = append(events, ev)
 	}
 	resp.Body.Close()
-	if len(events) == 0 || events[0].Kind != obsplane.KindSync {
+	if len(events) == 0 || events[0].Kind != KindSync {
 		t.Fatalf("reconnect did not open with a sync line: %+v", events)
 	}
 	if events[0].Seq < sync0.Seq {
@@ -455,7 +454,7 @@ func TestEventsStreamChurn(t *testing.T) {
 	// is closed.
 	last := events[len(events)-1]
 	terminal := last.State == string(StateDone) || last.State == string(StateFailed)
-	if len(events) > 1 && (last.Kind != obsplane.KindState || !terminal) {
+	if len(events) > 1 && (last.Kind != KindState || !terminal) {
 		t.Errorf("stream did not end on a terminal state event: %+v", last)
 	}
 	if len(events) == 1 && !terminal {
@@ -583,12 +582,12 @@ func TestEventsWithoutFlusher(t *testing.T) {
 		t.Errorf("no-flusher stream carried no Warning header (got %q)", w)
 	}
 	// The session is done, so the stream is its sync line alone.
-	var final obsplane.Event
+	var final Event
 	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil {
 		t.Fatalf("bad stream body %q: %v", rec.Body.String(), err)
 	}
-	if final.Kind != obsplane.KindSync || final.State != string(StateDone) {
+	if final.Kind != KindSync || final.State != string(StateDone) {
 		t.Errorf("stream did not report the final state: %+v", final)
 	}
 
@@ -808,7 +807,7 @@ func TestFlightRecorder(t *testing.T) {
 		for _, e := range reply.Entries {
 			kinds[e.Kind] = true
 		}
-		for _, k := range []string{obsplane.FlightSubmit, obsplane.FlightQuantum, obsplane.FlightSlice, obsplane.FlightDone} {
+		for _, k := range []string{FlightSubmit, FlightQuantum, FlightSlice, FlightDone} {
 			if !kinds[k] {
 				t.Errorf("flight ring missing %q entries (kinds: %v)", k, kinds)
 			}
@@ -845,16 +844,16 @@ func TestFlightRecorder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no postmortem flight dump: %v", err)
 		}
-		var dump obsplane.FlightDump
+		var dump FlightDump
 		if err := json.Unmarshal(blob, &dump); err != nil {
 			t.Fatalf("bad flight dump: %v", err)
 		}
 		failed := false
 		for _, e := range dump.Entries {
-			failed = failed || e.Kind == obsplane.FlightFailed
+			failed = failed || e.Kind == FlightFailed
 		}
 		if !failed {
-			t.Errorf("postmortem dump has no %q entry: %+v", obsplane.FlightFailed, dump.Entries)
+			t.Errorf("postmortem dump has no %q entry: %+v", FlightFailed, dump.Entries)
 		}
 	})
 

@@ -45,7 +45,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/obsplane"
 	"repro/internal/sim"
 )
 
@@ -116,6 +115,9 @@ func (o *Options) normalize() {
 	}
 	if o.Aging == 0 {
 		o.Aging = o.SliceCycles
+	}
+	if o.EventsBuffer == 0 {
+		o.EventsBuffer = 256
 	}
 	if o.FlightDepth == 0 {
 		o.FlightDepth = 64
@@ -226,6 +228,7 @@ func NewServer(opts Options) (*Server, error) {
 		sessions: map[string]*session{},
 		sched:    NewSched(opts.Aging),
 		cache:    map[uint64]*cacheEntry{},
+		tel:      telemetry{phases: map[string]wallHist{}},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if err := s.loadManifest(); err != nil {
@@ -288,7 +291,7 @@ func (s *Server) Submit(req SubmitRequest) (SessionStatus, error) {
 		sess.state = StateReady
 		sess.entry = s.sched.Add(req.Tenant, sess.seq, sess)
 		s.sched.Ready(sess.entry)
-		sess.sobs.transition(obsplane.FlightSubmit, StateReady, 0, "submitted")
+		sess.sobs.transition(FlightSubmit, StateReady, 0, "submitted")
 		s.cond.Broadcast()
 	}
 	s.sessions[sess.id] = sess
@@ -380,20 +383,20 @@ func (s *Server) Metrics(id string) (blob []byte, armed, ok bool) {
 // so a reconnecting client can tell what it missed. sub is nil when
 // event streaming is disabled (Options.EventsBuffer < 0); ok reports
 // whether the session exists.
-func (s *Server) Events(id string) (sub *obsplane.Subscriber, syncEv obsplane.Event, ok bool) {
+func (s *Server) Events(id string) (sub *Subscriber, syncEv Event, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessions[id]
 	if sess == nil {
-		return nil, obsplane.Event{}, false
+		return nil, Event{}, false
 	}
-	sub = sess.sobs.hub.Subscribe()
-	if sub == nil {
-		return nil, obsplane.Event{}, true
+	if sess.sobs.hub == nil {
+		return nil, Event{}, true
 	}
-	syncEv = obsplane.Event{
-		Seq:     sess.sobs.hub.Stats().Seq,
-		Kind:    obsplane.KindSync,
+	sub, seq := sess.sobs.hub.Subscribe()
+	syncEv = Event{
+		Seq:     seq,
+		Kind:    KindSync,
 		Session: sess.id,
 		Tenant:  sess.req.Tenant,
 		State:   string(sess.state),
@@ -408,7 +411,7 @@ type FlightReply struct {
 	Session string `json:"session"`
 	Tenant  string `json:"tenant"`
 	State   State  `json:"state"`
-	obsplane.FlightDump
+	FlightDump
 }
 
 // Flight snapshots a session's flight ring. armed reports whether
@@ -453,10 +456,12 @@ func (s *Server) Stats() ServerStats {
 	}
 	for _, sess := range s.order {
 		st.ByState[sess.state]++
-		hs := sess.sobs.hub.Stats()
-		st.Obs.Subscribers += hs.Subscribers
-		st.Obs.Published += hs.Published
-		st.Obs.Dropped += hs.Dropped
+		if sess.sobs.hub != nil {
+			hs := sess.sobs.hub.Stats()
+			st.Obs.Subscribers += hs.Subscribers
+			st.Obs.Published += hs.Published
+			st.Obs.Dropped += hs.Dropped
+		}
 		st.Obs.FlightRecords += sess.sobs.flight.Total()
 	}
 	return st
@@ -573,8 +578,8 @@ func (s *Server) finishSlice(sess *session, cycle, retired, consumed uint64, env
 	}
 	if err != nil {
 		// Postmortem before the state machine moves on.
-		sess.sobs.flight.Record(obsplane.FlightEntry{
-			Cycle: cycle, Kind: obsplane.FlightFailed, Note: err.Error(),
+		sess.sobs.flight.Record(FlightEntry{
+			Cycle: cycle, Kind: FlightFailed, Note: err.Error(),
 		})
 		s.dumpFlight(sess.sobs, "error")
 	}
@@ -604,8 +609,8 @@ func (s *Server) finishSlice(sess *session, cycle, retired, consumed uint64, env
 		sess.result = env
 		sess.fingerprint = fp
 		s.sched.Retire(sess.entry, consumed)
-		sess.sobs.flight.Record(obsplane.FlightEntry{
-			Cycle: cycle, Kind: obsplane.FlightDone, Retired: retired,
+		sess.sobs.flight.Record(FlightEntry{
+			Cycle: cycle, Kind: FlightDone, Retired: retired,
 		})
 		sess.sobs.finish(StateDone, cycle, "finished")
 		if s.cache[sess.digest] == nil {
@@ -638,7 +643,7 @@ func (s *Server) faultIn(sess *session) error {
 		s.restores++
 		s.warmRestores++
 		s.mu.Unlock()
-		sess.sobs.transition(obsplane.FlightFaultIn, StateRunning, sess.cycle, "warm")
+		sess.sobs.transition(FlightFaultIn, StateRunning, sess.cycle, "warm")
 		s.logf("session %s warm-restored at cycle %d", sess.id, sess.cycle)
 		return nil
 	}
@@ -660,7 +665,7 @@ func (s *Server) faultIn(sess *session) error {
 	}
 	sess.sobs.attach(cs)
 	done()
-	sess.sobs.transition(obsplane.FlightFaultIn, StateRunning, uint64(cs.Cycle()), phase)
+	sess.sobs.transition(FlightFaultIn, StateRunning, uint64(cs.Cycle()), phase)
 	s.mu.Lock()
 	sess.cs = cs
 	sess.resident = true
@@ -696,7 +701,7 @@ func (s *Server) evictOverflowLocked() {
 		s.evictions++
 		s.resident--
 		s.warmCount++
-		victim.sobs.transition(obsplane.FlightEvict, StateReady, victim.cycle, "warm-park")
+		victim.sobs.transition(FlightEvict, StateReady, victim.cycle, "warm-park")
 	}
 	s.spillOverflowLocked()
 }
@@ -724,7 +729,7 @@ func (s *Server) spillOverflowLocked() {
 		done()
 		if err == nil {
 			cs.Close()
-			old.sobs.transition(obsplane.FlightSpill, StateReady, old.cycle, "warm tier overflow")
+			old.sobs.transition(FlightSpill, StateReady, old.cycle, "warm tier overflow")
 			s.logf("session %s spilled to disk at cycle %d", old.id, old.cycle)
 		} else {
 			s.logf("spill %s failed: %v", old.id, err)
@@ -833,7 +838,7 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	for _, d := range obsList {
 		if d.live {
-			d.sobs.transition(obsplane.FlightDrain, d.state, d.cycle, "server drain")
+			d.sobs.transition(FlightDrain, d.state, d.cycle, "server drain")
 			s.dumpFlight(d.sobs, "drain")
 		}
 		d.sobs.hub.Close()

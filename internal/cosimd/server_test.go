@@ -23,7 +23,6 @@ import (
 	"repro/internal/fullsys"
 	"repro/internal/noc"
 	"repro/internal/noc/topology"
-	"repro/internal/obsplane"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/workload"
@@ -891,14 +890,14 @@ func TestHTTPAPI(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("events content type %q", ct)
 	}
-	var last obsplane.Event
+	var last Event
 	lines := 0
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
 			t.Fatalf("events line %d: %v", lines, err)
 		}
-		if lines == 0 && last.Kind != obsplane.KindSync {
+		if lines == 0 && last.Kind != KindSync {
 			t.Errorf("events stream opened with %q, want a sync line", last.Kind)
 		}
 		lines++

@@ -22,7 +22,7 @@ import "sync"
 type Parallel struct {
 	workers int
 	start   chan span
-	done    chan struct{}
+	done    chan any // one per chunk: what fn panicked with, or nil
 	closed  bool
 	mu      sync.Mutex
 }
@@ -44,7 +44,7 @@ func NewParallel(workers int) *Parallel {
 	p := &Parallel{
 		workers: workers,
 		start:   make(chan span),
-		done:    make(chan struct{}),
+		done:    make(chan any),
 	}
 	for w := 0; w < workers; w++ {
 		go p.worker()
@@ -54,11 +54,19 @@ func NewParallel(workers int) *Parallel {
 
 func (p *Parallel) worker() {
 	for sp := range p.start {
-		for i := sp.lo; i < sp.hi; i++ {
-			sp.fn(i)
-		}
-		p.done <- struct{}{}
+		p.done <- sp.run()
 	}
+}
+
+// run applies fn to the chunk's items. A panic in fn stops the chunk
+// and is returned instead of unwinding the worker, so Run can re-raise
+// it on the caller's goroutine, where the caller can recover it.
+func (sp span) run() (panicked any) {
+	defer func() { panicked = recover() }()
+	for i := sp.lo; i < sp.hi; i++ {
+		sp.fn(i)
+	}
+	return nil
 }
 
 // Chunk divides n items into w near-equal contiguous ranges and
@@ -75,7 +83,9 @@ func Chunk(n, w, id int) (lo, hi int) {
 }
 
 // Run applies fn to every index in [0, n), distributing contiguous
-// chunks across the worker pool and waiting for all of them.
+// chunks across the worker pool and waiting for all of them. If fn
+// panicked on any worker, Run panics with that value once every worker
+// has reported, and the pool stays usable.
 func (p *Parallel) Run(n int, fn func(i int)) {
 	if n == 0 {
 		return
@@ -84,8 +94,14 @@ func (p *Parallel) Run(n int, fn func(i int)) {
 		lo, hi := Chunk(n, p.workers, w)
 		p.start <- span{lo: lo, hi: hi, fn: fn}
 	}
+	var panicked any
 	for w := 0; w < p.workers; w++ {
-		<-p.done
+		if r := <-p.done; r != nil && panicked == nil {
+			panicked = r
+		}
+	}
+	if panicked != nil {
+		panic(panicked)
 	}
 }
 

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestParallelCoversAllExactlyOnce(t *testing.T) {
@@ -72,5 +74,44 @@ func TestChunkPartition(t *testing.T) {
 				t.Fatalf("n=%d w=%d: covered %d", n, w, total)
 			}
 		}
+	}
+}
+
+// TestParallelPanicReachesCaller: a panic in fn on a pool worker is
+// re-raised by Run on the calling goroutine, with the panic's value,
+// once every worker has reported; the pool's goroutines survive it and
+// exit at Close.
+func TestParallelPanicReachesCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 4} {
+		p := NewParallel(workers)
+		const bad = 5
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			p.Run(8, func(i int) {
+				if i == bad {
+					panic("item 5 fails")
+				}
+			})
+			return nil
+		}()
+		if got != "item 5 fails" {
+			t.Errorf("workers=%d: Run panicked with %v, want the item's panic value", workers, got)
+		}
+		// The pool still works after a panicking Run.
+		n := 0
+		p.Run(1, func(int) { n++ })
+		if n != 1 {
+			t.Errorf("workers=%d: the pool did not run after a panic", workers)
+		}
+		p.Close()
+	}
+	g := runtime.NumGoroutine()
+	for i := 0; i < 500 && g > base; i++ {
+		time.Sleep(time.Millisecond)
+		g = runtime.NumGoroutine()
+	}
+	if g > base {
+		t.Errorf("%d goroutines left after Close", g-base)
 	}
 }

@@ -269,9 +269,8 @@ func DefaultDeterministic() []string {
 func DefaultHostSide() []string {
 	return []string{
 		"internal/ckpt",     // checkpoint file I/O and resumable running
-		"internal/cosimd",   // the multi-session co-simulation server
+		"internal/cosimd",   // the multi-session co-simulation server and its observability
 		"internal/expt",     // experiment harness (memoized host-side sweeps)
-		"internal/obsplane", // streaming observability fan-out and retention (server-side)
 		"internal/simlint",  // this analyzer
 		"internal/snapshot", // envelope codec: deterministic bytes, host-side I/O helpers
 		"internal/stats",    // reporting containers; snapshotted state is covered by statecov

@@ -235,6 +235,20 @@ func TestDefaultListsDisjoint(t *testing.T) {
 	}
 }
 
+// TestDefaultListsNameLivePackages: every entry of the two default
+// lists names a directory of this module that holds Go files, so a
+// deleted or renamed package cannot linger in either list (a stale
+// entry matches nothing and the lint stays silent about it).
+func TestDefaultListsNameLivePackages(t *testing.T) {
+	root := filepath.Join("..", "..")
+	for _, p := range append(DefaultDeterministic(), DefaultHostSide()...) {
+		files, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(p), "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Errorf("default list entry %s names no directory of Go files", p)
+		}
+	}
+}
+
 func fakeFindings() []Finding {
 	return []Finding{
 		{Pos: token.Position{Filename: "a/x.go", Line: 3, Column: 2}, Rule: RuleWallclock, Msg: "m1"},
