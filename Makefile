@@ -42,7 +42,10 @@ loc:
 # (internal/fullsys/gating_test.go), one of the tag-major L1 arrays
 # against the array-of-structs L1 they replaced on random
 # lookup/probe/fill/pin/invalidate programs
-# (internal/fullsys/cache_ref_test.go), one of the calendar queue
+# (internal/fullsys/cache_ref_test.go), one of the directory, L2 and
+# MSHR line tables against the maps they replaced on random
+# insert/lookup/drop/evict/capture programs
+# (internal/fullsys/table_ref_test.go), one of the calendar queue
 # against the binary heap it replaced on random schedule/pop/capture
 # programs (internal/sim/typedq_test.go), one of the gated DRAM
 # controller tick against the two-walk tick it replaced on random
@@ -59,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzArbiterEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzTileGating$$' -fuzztime 10s
 	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzL1Equivalence$$' -fuzztime 10s
+	$(GO) test ./internal/fullsys -run '^$$' -fuzz '^FuzzDirectoryEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueue$$' -fuzztime 10s
 	$(GO) test ./internal/dram -run '^$$' -fuzz '^FuzzDRAMGating$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPairedResume$$' -fuzztime 10s

@@ -3,13 +3,13 @@ package cosimd
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 var updateProm = flag.Bool("update-prom", false,
@@ -47,6 +47,51 @@ func promSample(page, series string) string {
 	return ""
 }
 
+// scrape fetches the /metrics page of the server at url.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestWaitSettlesTelemetry: Wait returns only after the worker has
+// folded its last slice into the telemetry, so a scrape right after it
+// reads no busy worker and one slice observation per slice the
+// sessions ran — ceil(cycle / slice) each, the server never evicting.
+func TestWaitSettlesTelemetry(t *testing.T) {
+	const slice = 512
+	srv := newTestServer(t, Options{Workers: 1, SliceCycles: slice})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := srv.Submit(tinyReq(uint64(900 + i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Wait()
+	page := scrape(t, ts.URL)
+	want := uint64(0)
+	for _, st := range srv.Sessions() {
+		want += (st.Cycle + slice - 1) / slice
+	}
+	if got := promSample(page, "cosimd_workers_busy"); got != "0" {
+		t.Errorf("cosimd_workers_busy %s after Wait, want 0", got)
+	}
+	for _, series := range []string{"cosimd_slices_total", `cosimd_phase_wall_seconds_count{phase="slice"}`} {
+		if got := promSample(page, series); got != fmt.Sprint(want) {
+			t.Errorf("%s %s after Wait, want %d", series, got, want)
+		}
+	}
+}
+
 // TestPromPagePinned pins the whole GET /metrics page of a one-worker
 // server pushed through warm parks, spills, disk fault-ins and a cache
 // hit, with its wall-time values masked: every family, HELP line,
@@ -81,26 +126,9 @@ func TestPromPagePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait returns once every session is final, a moment before the
-	// worker folds its last slice into the telemetry: scrape until it
-	// has, so the pinned page is the quiescent one.
-	var page string
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		resp.Body.Close()
-		page = buf.String()
-		if promSample(page, "cosimd_workers_busy") == "0" &&
-			promSample(page, "cosimd_slices_total") == promSample(page, `cosimd_phase_wall_seconds_count{phase="slice"}`) ||
-			time.Now().After(deadline) {
-			break
-		}
-	}
-	got := []byte(maskWall(page))
+	// Wait returns with the last slice folded into the telemetry, so
+	// one scrape reads the quiescent page.
+	got := []byte(maskWall(scrape(t, ts.URL)))
 
 	path := filepath.Join("testdata", "metrics-page.prom")
 	if *updateProm {

@@ -200,6 +200,10 @@ type Server struct {
 	cacheMiss    uint64
 	closed       bool
 	drained      bool
+	// running counts the workers between picking a slice and having
+	// folded it into tel, so Wait can return with the telemetry
+	// settled.
+	running int
 
 	// tel is the wall-cost telemetry behind /metrics (its own mutex;
 	// see obsplane.go).
@@ -468,12 +472,14 @@ func (s *Server) Stats() ServerStats {
 }
 
 // Wait blocks until every submitted session has reached a final state
-// (done or failed). It returns immediately on a drained server.
+// (done or failed) and every worker has folded its last slice into the
+// telemetry, so a /metrics scrape after it reads a quiescent server. It
+// returns immediately on a drained server.
 func (s *Server) Wait() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.closed {
-		live := false
+		live := s.running > 0
 		for _, sess := range s.order {
 			if sess.state != StateDone && sess.state != StateFailed {
 				live = true
@@ -505,11 +511,15 @@ func (s *Server) worker() {
 		}
 		sess := e.Payload.(*session)
 		sess.state = StateRunning
+		s.running++
 		s.mu.Unlock()
 
 		s.runSliceObserved(sess)
 
 		s.mu.Lock()
+		if s.running--; s.running == 0 {
+			s.cond.Broadcast()
+		}
 		s.evictOverflowLocked()
 	}
 }

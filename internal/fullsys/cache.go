@@ -152,9 +152,14 @@ func (c *l1Cache) countState(state uint8) int {
 // LRU replacement. The directory tracks ownership independently, so
 // evicting data never requires recalling L1 copies; dirty victims are
 // written back to memory through a victim buffer.
+//
+// The lines sit by value in a line table that grows from a few slots
+// as the bank fills, never to its capacity up front. Every access
+// stamps a line with the next tick; the victim is the line with the
+// smallest (lru, line) pair, found by a scan when the bank is full.
 type l2Bank struct {
 	capacity int
-	lines    map[uint64]*l2Line
+	lines    lineTable[l2Line]
 	tick     uint64
 
 	hits, misses uint64
@@ -167,16 +172,19 @@ type l2Line struct {
 }
 
 func newL2(capacity int) *l2Bank {
-	return &l2Bank{capacity: capacity, lines: make(map[uint64]*l2Line)}
+	return &l2Bank{capacity: capacity}
 }
 
-// get returns the bank's copy of line, refreshing LRU, or nil.
+// get returns the bank's copy of line, refreshing LRU, or nil. The
+// pointer is good until the next put.
 func (b *l2Bank) get(line uint64) *l2Line {
-	l := b.lines[line]
-	if l != nil {
-		b.tick++
-		l.lru = b.tick
+	i := b.lines.find(line)
+	if i < 0 {
+		return nil
 	}
+	b.tick++
+	l := b.lines.rec(i)
+	l.lru = b.tick
 	return l
 }
 
@@ -184,35 +192,51 @@ func (b *l2Bank) get(line uint64) *l2Line {
 // full. It returns the evicted line and its value if the victim was
 // dirty and must be written back.
 func (b *l2Bank) put(line uint64, value uint64, dirty bool) (evictedLine uint64, evictedValue uint64, writeback bool) {
-	if l := b.lines[line]; l != nil {
+	if i := b.lines.find(line); i >= 0 {
 		b.tick++
+		l := b.lines.rec(i)
 		l.value = value
 		l.dirty = l.dirty || dirty
 		l.lru = b.tick
 		return 0, 0, false
 	}
-	if len(b.lines) >= b.capacity {
-		var victim uint64
-		var oldest uint64 = ^uint64(0)
-		//simlint:allow maprange min scan with a total-order tie-break on (lru, line), so iteration order cannot change the victim
-		for ln, l := range b.lines {
-			if l.lru < oldest || (l.lru == oldest && ln < victim) {
-				oldest = l.lru
-				victim = ln
-			}
+	if b.lines.n >= b.capacity {
+		victim := b.oldest()
+		if v := b.lines.rec(victim); v.dirty {
+			evictedLine, evictedValue, writeback = b.lines.keyAt(victim), v.value, true
 		}
-		v := b.lines[victim]
-		delete(b.lines, victim)
-		if v.dirty {
-			evictedLine, evictedValue, writeback = victim, v.value, true
-		}
+		b.lines.remove(victim)
 	}
 	b.tick++
-	b.lines[line] = &l2Line{value: value, dirty: dirty, lru: b.tick}
+	*b.lines.rec(b.lines.insert(line)) = l2Line{value: value, dirty: dirty, lru: b.tick}
 	return evictedLine, evictedValue, writeback
 }
 
 // drop removes a line without writeback (it became stale).
 func (b *l2Bank) drop(line uint64) {
-	delete(b.lines, line)
+	if i := b.lines.find(line); i >= 0 {
+		b.lines.remove(i)
+	}
+}
+
+// oldest returns the slot of the line with the smallest (lru, line)
+// pair in a bank that holds at least one.
+func (b *l2Bank) oldest() int {
+	t := &b.lines
+	victim := -1
+	var oldest, victimLine uint64
+	for i, k := range t.keys {
+		if k == emptyLine {
+			continue
+		}
+		if lru := t.vals[i].lru; victim < 0 || lru < oldest || lru == oldest && k < victimLine {
+			victim, oldest, victimLine = i, lru, k
+		}
+	}
+	// emptyLine is the largest line, so it wins only a strictly older
+	// stamp.
+	if t.top && (victim < 0 || t.topVal.lru < oldest) {
+		victim = len(t.keys)
+	}
+	return victim
 }

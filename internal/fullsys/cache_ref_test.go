@@ -303,16 +303,22 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestFullsysFootprint pins the layout the full-system heap rests on
-// (DESIGN.md "Full-system stepping"): a directory entry is a
-// pointer-free record of at most 48 bytes, and an L1 of the default
-// geometry is two allocations totalling at most 13 KB.
+// (DESIGN.md "Full-system stepping"): the records the line tables and
+// the miss-side buffers hold by value are pointer-free, a directory
+// entry packs into 32 bytes and an L2 line into 24, and an L1 of the
+// default geometry is two allocations totalling at most 13 KB.
 func TestFullsysFootprint(t *testing.T) {
-	typ := reflect.TypeOf(dirLine{})
-	if hasPointers(typ) {
-		t.Errorf("dirLine holds pointers")
-	}
-	if typ.Size() > 48 {
-		t.Errorf("dirLine is %d bytes, want at most 48", typ.Size())
+	for _, rec := range []struct {
+		v   any
+		max uintptr
+	}{{dirLine{}, 32}, {l2Line{}, 24}, {mshrEntry{}, 32}, {wbEntry{}, 24}, {vbEntry{}, 24}, {fwdEntry{}, 48}} {
+		typ := reflect.TypeOf(rec.v)
+		if hasPointers(typ) {
+			t.Errorf("%v holds pointers", typ)
+		}
+		if typ.Size() > rec.max {
+			t.Errorf("%v is %d bytes, want at most %d", typ, typ.Size(), rec.max)
+		}
 	}
 	var sink l1Cache
 	if allocs := testing.AllocsPerRun(20, func() { sink = newL1(64, 8) }); allocs > 2 {

@@ -111,7 +111,7 @@ func TestL2CapacityProperty(t *testing.T) {
 		b := newL2(8)
 		for _, ln := range lines {
 			b.put(uint64(ln), uint64(ln), ln%2 == 0)
-			if len(b.lines) > 8 {
+			if b.lines.n > 8 {
 				return false
 			}
 			if b.get(uint64(ln)) == nil {

@@ -29,17 +29,18 @@ const (
 // never scans it: the line's sharers live in the tile's sharer pool,
 // requests waiting on a busy line in Tile.waitq.
 type dirLine struct {
-	txn     dirTxn
+	value   uint64 // the transaction's data, once it has it
 	owner   int32
 	sharers int32 // handle into Tile.sharers, 0 for none
+	txn     dirTxn
 	state   uint8
 	busy    bool
 }
 
-// dirTxn is a line's blocking transaction. It outlives its end: the
-// last one stays in the record, and in its checkpoint bytes.
+// dirTxn is a line's blocking transaction, its data word aside (the
+// record's value, so the record packs into 32 bytes). It outlives its
+// end: the last one stays in the record, and in its checkpoint bytes.
 type dirTxn struct {
-	value        uint64
 	req          int32
 	acks         int32
 	kind         uint8
@@ -101,13 +102,16 @@ func (p *sharerPool) clear(h *int32) {
 }
 
 // dirLineOf returns (creating if needed) the directory entry for line.
+// The pointer is good until the next insert into the directory, which
+// may grow its table: handleHome looks its line up once, before it
+// handles the message, and inserts no other line.
 func (t *Tile) dirLineOf(line uint64) *dirLine {
-	d := t.dir[line]
-	if d == nil {
-		d = &dirLine{state: dirU, owner: -1}
-		t.dir[line] = d
+	i := t.dir.find(line)
+	if i < 0 {
+		i = t.dir.insert(line)
+		*t.dir.rec(i) = dirLine{state: dirU, owner: -1}
 	}
-	return d
+	return t.dir.rec(i)
 }
 
 // checkLine holds a directory entry, under the simcheck build tag, to
@@ -159,7 +163,7 @@ func (t *Tile) homeRequest(now sim.Cycle, d *dirLine, m Msg) {
 				t.reply(now, DataE, m.Line, req, v)
 				return
 			}
-			t.beginTxn(d, dirTxn{kind: txnFetchE, req: int32(req)})
+			t.beginTxn(d, dirTxn{kind: txnFetchE, req: int32(req)}, 0)
 			t.memRead(now, m.Line)
 		case dirS:
 			if v, ok := t.readBank(m.Line); ok {
@@ -167,13 +171,13 @@ func (t *Tile) homeRequest(now sim.Cycle, d *dirLine, m Msg) {
 				t.reply(now, DataS, m.Line, req, v)
 				return
 			}
-			t.beginTxn(d, dirTxn{kind: txnFetchS, req: int32(req)})
+			t.beginTxn(d, dirTxn{kind: txnFetchS, req: int32(req)}, 0)
 			t.memRead(now, m.Line)
 		case dirEM:
 			if int(d.owner) == req {
 				panic(fmt.Sprintf("fullsys: home %d GetS from current owner %d line %#x", t.id, req, m.Line))
 			}
-			t.beginTxn(d, dirTxn{kind: txnDowngrd, req: int32(req)})
+			t.beginTxn(d, dirTxn{kind: txnDowngrd, req: int32(req)}, 0)
 			t.reply(now, FwdGetS, m.Line, int(d.owner), 0)
 		}
 
@@ -186,7 +190,7 @@ func (t *Tile) homeRequest(now sim.Cycle, d *dirLine, m Msg) {
 				t.reply(now, DataM, m.Line, req, v)
 				return
 			}
-			t.beginTxn(d, dirTxn{kind: txnFetchM, req: int32(req)})
+			t.beginTxn(d, dirTxn{kind: txnFetchM, req: int32(req)}, 0)
 			t.memRead(now, m.Line)
 		case dirS:
 			// Grant without data only when the home still lists the
@@ -197,6 +201,7 @@ func (t *Tile) homeRequest(now sim.Cycle, d *dirLine, m Msg) {
 			sharers := t.sharers.list(d.sharers)
 			was := slices.Contains(sharers, int32(req)) && m.Value == 1
 			txn := dirTxn{kind: txnInvM, req: int32(req), reqWasSharer: was, needData: !was}
+			var value uint64
 			for _, s := range sharers {
 				if int(s) == req {
 					continue
@@ -206,15 +211,15 @@ func (t *Tile) homeRequest(now sim.Cycle, d *dirLine, m Msg) {
 			if txn.needData {
 				if v, ok := t.readBank(m.Line); ok {
 					txn.haveData = true
-					txn.value = v
+					value = v
 				}
 			}
 			if txn.acks == 0 && (!txn.needData || txn.haveData) {
 				// No invalidations outstanding and data on hand.
-				t.finishInvM(now, d, m.Line, txn)
+				t.finishInvM(now, d, m.Line, txn, value)
 				return
 			}
-			t.beginTxn(d, txn)
+			t.beginTxn(d, txn, value)
 			for _, s := range sharers {
 				if int(s) != req {
 					t.reply(now, Inv, m.Line, int(s), 0)
@@ -227,7 +232,7 @@ func (t *Tile) homeRequest(now sim.Cycle, d *dirLine, m Msg) {
 			if int(d.owner) == req {
 				panic(fmt.Sprintf("fullsys: home %d GetM from current owner %d line %#x", t.id, req, m.Line))
 			}
-			t.beginTxn(d, dirTxn{kind: txnFwdM, req: int32(req)})
+			t.beginTxn(d, dirTxn{kind: txnFwdM, req: int32(req)}, 0)
 			t.reply(now, FwdGetM, m.Line, int(d.owner), uint64(req))
 		}
 
@@ -254,13 +259,12 @@ func (t *Tile) homeRequest(now sim.Cycle, d *dirLine, m Msg) {
 func (t *Tile) homeResponse(now sim.Cycle, d *dirLine, m Msg) {
 	switch m.Type {
 	case MemWAck:
-		vb := t.victimBuf[m.Line]
-		if vb == nil {
+		i := t.victim(m.Line)
+		if i < 0 {
 			panic(fmt.Sprintf("fullsys: home %d MemWAck with empty victim buffer line %#x", t.id, m.Line))
 		}
-		vb.outstanding--
-		if vb.outstanding == 0 {
-			delete(t.victimBuf, m.Line)
+		if t.victimBuf[i].outstanding--; t.victimBuf[i].outstanding == 0 {
+			t.victimBuf = deleteAt(t.victimBuf, i)
 		}
 		return
 
@@ -286,7 +290,7 @@ func (t *Tile) homeResponse(now sim.Cycle, d *dirLine, m Msg) {
 			t.endTxn(now, d, m.Line)
 		case txnInvM:
 			d.txn.haveData = true
-			d.txn.value = m.Value
+			d.value = m.Value
 			t.maybeFinishInvM(now, d, m.Line)
 		default:
 			panic(fmt.Sprintf("fullsys: home %d MemData during txn %d", t.id, d.txn.kind))
@@ -334,26 +338,25 @@ func (t *Tile) maybeFinishInvM(now sim.Cycle, d *dirLine, line uint64) {
 	if d.txn.acks > 0 || (d.txn.needData && !d.txn.haveData) {
 		return
 	}
-	txn := d.txn
-	t.finishInvM(now, d, line, txn)
+	t.finishInvM(now, d, line, d.txn, d.value)
 	t.endTxn(now, d, line)
 }
 
 // finishInvM grants M to the requester once all sharers are gone.
-func (t *Tile) finishInvM(now sim.Cycle, d *dirLine, line uint64, txn dirTxn) {
+func (t *Tile) finishInvM(now sim.Cycle, d *dirLine, line uint64, txn dirTxn, value uint64) {
 	d.state = dirEM
 	d.owner = txn.req
 	t.sharers.clear(&d.sharers)
 	if txn.reqWasSharer {
 		t.reply(now, GrantM, line, int(txn.req), 0)
 	} else {
-		t.reply(now, DataM, line, int(txn.req), txn.value)
+		t.reply(now, DataM, line, int(txn.req), value)
 	}
 }
 
-func (t *Tile) beginTxn(d *dirLine, txn dirTxn) {
+func (t *Tile) beginTxn(d *dirLine, txn dirTxn, value uint64) {
 	d.busy = true
-	d.txn = txn
+	d.txn, d.value = txn, value
 }
 
 // endTxn unblocks the line and replays queued requests until one of
@@ -384,8 +387,8 @@ func (t *Tile) readBank(line uint64) (uint64, bool) {
 		t.l2.hits++
 		return l.value, true
 	}
-	if vb, ok := t.victimBuf[line]; ok {
-		return vb.value, true
+	if i := t.victim(line); i >= 0 {
+		return t.victimBuf[i].value, true
 	}
 	t.l2.misses++
 	return 0, false
@@ -398,15 +401,31 @@ func (t *Tile) writeBank(now sim.Cycle, line uint64, value uint64, dirty bool) {
 	if !wb {
 		return
 	}
-	vb := t.victimBuf[evLine]
-	if vb == nil {
-		vb = &vbEntry{}
-		t.victimBuf[evLine] = vb
-	}
-	vb.value = evVal
-	vb.outstanding++
+	t.holdVictim(evLine, evVal)
 	t.sys.sendAfter(now, t.sys.cfg.DirLat, Msg{Type: MemWrite, Line: evLine, Src: t.id,
 		Dst: t.sys.mcOf(evLine), Value: evVal})
+}
+
+// holdVictim keeps a dirty victim's data until its MemWAck, counting
+// a re-eviction of a line the buffer already holds.
+func (t *Tile) holdVictim(line, value uint64) {
+	i := t.victim(line)
+	if i < 0 {
+		i = len(t.victimBuf)
+		t.victimBuf = append(t.victimBuf, vbEntry{line: line})
+	}
+	t.victimBuf[i].value = value
+	t.victimBuf[i].outstanding++
+}
+
+// victim returns the index of line's victim-buffer entry, or -1.
+func (t *Tile) victim(line uint64) int {
+	for i := range t.victimBuf {
+		if t.victimBuf[i].line == line {
+			return i
+		}
+	}
+	return -1
 }
 
 // memRead requests a line fill from the line's memory controller.

@@ -1,6 +1,8 @@
 package fullsys
 
 import (
+	"slices"
+
 	"repro/internal/dram"
 	"repro/internal/snapshot"
 )
@@ -10,9 +12,10 @@ import (
 // The walks validate structural invariants (state enums in range,
 // endpoints inside the machine, map keys consistent) so a corrupted
 // stream fails loudly instead of resuming a subtly wrong machine — and
-// a machine that fails them while being written panics. All maps are
-// walked in sorted key order, keeping the encoded bytes — and therefore
-// golden snapshot files — deterministic.
+// a machine that fails them while being written panics. Every table
+// keyed by line is walked as the map it replaced, in ascending line
+// order, keeping the encoded bytes — and therefore golden snapshot
+// files — deterministic.
 
 // State walks one message between tiles of a machine of the given size.
 func (m *Msg) State(c *snapshot.Codec, tiles int) {
@@ -100,29 +103,7 @@ func (t *Tile) state(c *snapshot.Codec) {
 	}
 	c.Bool(&t.storeTxn)
 	t.l1.state(c)
-	snapshot.Map(c, &t.mshrs, 26, func(c *snapshot.Codec, line *uint64, mp **mshrEntry) {
-		if c.Decoding() {
-			*mp = &mshrEntry{}
-		}
-		m := *mp
-		c.U64(line)
-		c.U8(&m.kind)
-		c.U64(&m.addr)
-		c.U64(&m.arg)
-		c.Bool(&m.inv)
-		if m.kind > mshrPrefetch {
-			c.Failf("MSHR kind %d out of range", m.kind)
-		}
-	})
-	snapshot.Map(c, &t.wbBuf, 17, func(c *snapshot.Codec, line *uint64, wb *wbEntry) {
-		c.U64(line)
-		c.U64(&wb.value)
-		c.Bool(&wb.dirty)
-	})
-	snapshot.Map(c, &t.pendingFwd, 12, func(c *snapshot.Codec, line *uint64, fwd *[]Msg) {
-		c.U64(line)
-		msgs(c, fwd, tiles)
-	})
+	t.missBuffers(c)
 	c.Int(&t.prefetchOut)
 	// What is written is what Stats reports: a sleeping tile's stall
 	// debt is settled into the bytes, not into the tile.
@@ -138,21 +119,9 @@ func (t *Tile) state(c *snapshot.Codec) {
 		t.waitq = make(map[uint64][]Msg)
 		t.sharers = sharerPool{}
 	}
-	snapshot.Map(c, &t.dir, 40, func(c *snapshot.Codec, line *uint64, dl **dirLine) {
-		if c.Decoding() {
-			*dl = &dirLine{}
-		}
-		t.walkDir(c, line, *dl)
-	})
+	walkTable(c, &t.dir, 40, t.walkDir)
 	t.l2.state(c, t)
-	snapshot.Map(c, &t.victimBuf, 24, func(c *snapshot.Codec, line *uint64, vp **vbEntry) {
-		if c.Decoding() {
-			*vp = &vbEntry{}
-		}
-		t.homeLine(c, line, "victim-buffer")
-		c.U64(&(*vp).value)
-		c.Int(&(*vp).outstanding)
-	})
+	t.walkVictims(c)
 
 	// Memory-controller side.
 	if c.Present(t.mem != nil, "memory-controller") {
@@ -180,6 +149,83 @@ func (st *tileStats) state(c *snapshot.Codec) {
 	snapshot.As64(c, &st.HaltedAt)
 	c.U64(&st.PrefIssued)
 	c.U64(&st.PrefUseful)
+}
+
+// missBuffers walks the MSHRs, the writeback buffer and the stalled
+// forwards, each as the map from line it replaced.
+func (t *Tile) missBuffers(c *snapshot.Codec) {
+	walkLines(c, &t.mshrs, 26, func(m *mshrEntry) uint64 { return m.line }, func(c *snapshot.Codec, m *mshrEntry) {
+		c.U64(&m.line)
+		c.U8(&m.kind)
+		c.U64(&m.addr)
+		c.U64(&m.arg)
+		c.Bool(&m.inv)
+		if m.kind > mshrPrefetch {
+			c.Failf("MSHR kind %d out of range", m.kind)
+		}
+	})
+	walkLines(c, &t.wbBuf, 17, func(wb *wbEntry) uint64 { return wb.line }, func(c *snapshot.Codec, wb *wbEntry) {
+		c.U64(&wb.line)
+		c.U64(&wb.value)
+		c.Bool(&wb.dirty)
+	})
+	t.walkPendingFwd(c)
+}
+
+// walkVictims walks the victim buffer as the map from line it replaced.
+func (t *Tile) walkVictims(c *snapshot.Codec) {
+	walkLines(c, &t.victimBuf, 24, func(vb *vbEntry) uint64 { return vb.line }, func(c *snapshot.Codec, vb *vbEntry) {
+		t.homeLine(c, &vb.line, "victim-buffer")
+		c.U64(&vb.value)
+		c.Int(&vb.outstanding)
+	})
+}
+
+// walkPendingFwd walks the stalled forwards as the map from line to
+// message list they once were: a count of lines, then each line in
+// ascending order with its messages in arrival order. Decoding keeps
+// the last list of a line the input repeats, and an empty list as an
+// entry holding no request.
+func (t *Tile) walkPendingFwd(c *snapshot.Codec) {
+	tiles := t.sys.cfg.Tiles
+	if !c.Decoding() {
+		var lines []uint64
+		for _, f := range t.pendingFwd {
+			if !slices.Contains(lines, f.line) {
+				lines = append(lines, f.line)
+			}
+		}
+		slices.Sort(lines)
+		c.Len(len(lines), 12)
+		for _, line := range lines {
+			var list []Msg
+			for _, f := range t.pendingFwd {
+				if f.line == line && f.msg.Type != noFwd {
+					list = append(list, f.msg)
+				}
+			}
+			c.U64(&line)
+			msgs(c, &list, tiles)
+		}
+		return
+	}
+	n := c.Len(0, 12)
+	t.pendingFwd = t.pendingFwd[:0]
+	for i := 0; i < n; i++ {
+		var line uint64
+		var list []Msg
+		c.U64(&line)
+		if msgs(c, &list, tiles); c.Err() != nil {
+			return
+		}
+		t.pendingFwd = slices.DeleteFunc(t.pendingFwd, func(f fwdEntry) bool { return f.line == line })
+		if len(list) == 0 {
+			list = []Msg{{Type: noFwd}}
+		}
+		for _, m := range list {
+			t.pendingFwd = append(t.pendingFwd, fwdEntry{line: line, msg: m})
+		}
+	}
 }
 
 // homeLine walks the key of a home-side table, which must be a line
@@ -238,7 +284,7 @@ func (t *Tile) walkDir(c *snapshot.Codec, line *uint64, dl *dirLine) {
 	txn.acks = int32(acks)
 	c.Bool(&txn.needData)
 	c.Bool(&txn.haveData)
-	c.U64(&txn.value)
+	c.U64(&dl.value)
 	c.Bool(&txn.reqWasSharer)
 }
 
@@ -314,17 +360,13 @@ func (b *l2Bank) state(c *snapshot.Codec, home *Tile) {
 	c.U64(&b.tick)
 	c.U64(&b.hits)
 	c.U64(&b.misses)
-	snapshot.Map(c, &b.lines, 25, func(c *snapshot.Codec, line *uint64, lp **l2Line) {
-		if c.Decoding() {
-			*lp = &l2Line{}
-		}
-		l := *lp
+	walkTable(c, &b.lines, 25, func(c *snapshot.Codec, line *uint64, l *l2Line) {
 		home.homeLine(c, line, "L2")
 		c.U64(&l.value)
 		c.Bool(&l.dirty)
 		c.U64(&l.lru)
 	})
-	if len(b.lines) > b.capacity {
-		c.Failf("L2 bank holds %d lines, capacity %d", len(b.lines), b.capacity)
+	if b.lines.n > b.capacity {
+		c.Failf("L2 bank holds %d lines, capacity %d", b.lines.n, b.capacity)
 	}
 }

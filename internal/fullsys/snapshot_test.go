@@ -117,7 +117,7 @@ func TestDecodeRejectsMisplacedState(t *testing.T) {
 		{"directory-home", func(tile *Tile, v uint64) { tile.dirLineOf(v) }, 4, 8, 12, 5, "directory line 0x5 is homed at tile 1"},
 		{"l2-home", func(tile *Tile, v uint64) { tile.l2.put(v, 7, false) }, 4, 8, 12, 6, "L2 line 0x6 is homed at tile 2"},
 		{"victim-buffer-home", func(tile *Tile, v uint64) {
-			tile.victimBuf[v] = &vbEntry{value: 7, outstanding: 1}
+			tile.victimBuf = append(tile.victimBuf, vbEntry{line: v, value: 7, outstanding: 1})
 		}, 4, 8, 12, 7, "victim-buffer line 0x7 is homed at tile 3"},
 		{"owner", func(tile *Tile, v uint64) {
 			d := tile.dirLineOf(4)

@@ -1,9 +1,10 @@
 package fullsys
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/obs"
@@ -431,37 +432,37 @@ func (s *System) L1Stats() (hits, misses uint64) {
 // it between cycles; it reports the first violation found.
 func (s *System) CheckCoherence() error {
 	type holder struct {
+		line  uint64
 		tile  int
 		state uint8
 	}
-	lines := make(map[uint64][]holder)
+	var held []holder
 	for _, t := range s.tiles {
 		for w := range t.l1.flags {
 			if state := t.l1.stateOf(w); state != l1Invalid {
-				lines[t.l1.line[w]] = append(lines[t.l1.line[w]], holder{t.id, state})
+				held = append(held, holder{t.l1.line[w], t.id, state})
 			}
 		}
 	}
 	// Check lines in sorted order so the reported first violation is
 	// the same on every run.
-	sorted := make([]uint64, 0, len(lines))
-	//simlint:allow maprange keys collected here are sorted before use
-	for line := range lines {
-		sorted = append(sorted, line)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, line := range sorted {
-		hs := lines[line]
+	slices.SortStableFunc(held, func(a, b holder) int { return cmp.Compare(a.line, b.line) })
+	for lo := 0; lo < len(held); {
+		hi := lo + 1
+		for hi < len(held) && held[hi].line == held[lo].line {
+			hi++
+		}
 		writers := 0
-		for _, h := range hs {
+		for _, h := range held[lo:hi] {
 			if h.state >= l1Exclusive {
 				writers++
 			}
 		}
-		if writers > 1 || (writers == 1 && len(hs) > 1) {
+		if writers > 1 || (writers == 1 && hi-lo > 1) {
 			return fmt.Errorf("fullsys: SWMR violated for line %#x: %d holders, %d exclusive",
-				line, len(hs), writers)
+				held[lo].line, hi-lo, writers)
 		}
+		lo = hi
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package fullsys
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/sim"
@@ -33,11 +34,12 @@ const (
 	mshrPrefetch
 )
 
-// mshrEntry tracks one outstanding L1 miss.
+// mshrEntry tracks one outstanding L1 miss, on line.
 type mshrEntry struct {
-	kind uint8
+	line uint64
 	addr uint64
 	arg  uint64 // store token / atomic addend
+	kind uint8
 	// inv marks a load fill that must be used once and discarded: an
 	// Inv arrived while the fill was in flight (the IS_D -> IS_D_I
 	// transition), so installing the data could violate coherence.
@@ -48,9 +50,23 @@ type mshrEntry struct {
 // so the tile can answer forwarded requests that race with the
 // writeback.
 type wbEntry struct {
+	line  uint64
 	value uint64
 	dirty bool
 }
+
+// fwdEntry is a forwarded request stalled on line (see
+// Tile.pendingFwd). An entry whose message type is noFwd holds no
+// request: a checkpoint may list a line with no stalled forwards, and
+// the line stays listed, as the map this buffer replaced kept it, until
+// a forward stalls on it.
+type fwdEntry struct {
+	line uint64
+	msg  Msg
+}
+
+// noFwd is the message type of an fwdEntry that holds no request.
+const noFwd = numMsgTypes
 
 type storeEntry struct {
 	addr  uint64
@@ -101,13 +117,15 @@ type Tile struct {
 	storeBuf  []storeEntry
 	storeTxn  bool
 	l1        l1Cache
-	mshrs     map[uint64]*mshrEntry
-	wbBuf     map[uint64]wbEntry
+	// The miss-side buffers hold a handful of entries each, by value,
+	// and are searched by line.
+	mshrs []mshrEntry
+	wbBuf []wbEntry
 	// pendingFwd stalls forwarded requests that raced ahead of the
 	// data grant making this tile the owner (virtual-network 2
 	// messages can overtake virtual-network 1 in the real NoC); they
-	// replay after the fill installs.
-	pendingFwd  map[uint64][]Msg
+	// replay, in arrival order, after the fill installs.
+	pendingFwd  []fwdEntry
 	prefetchOut int
 	stats       tileStats
 
@@ -120,11 +138,11 @@ type Tile struct {
 
 	// Home (directory + L2 bank) side. waitq holds the requests that
 	// arrived while their line was busy, for the lines that have any.
-	dir       map[uint64]*dirLine
+	dir       lineTable[dirLine]
 	waitq     map[uint64][]Msg
 	sharers   sharerPool
 	l2        *l2Bank
-	victimBuf map[uint64]*vbEntry
+	victimBuf []vbEntry
 
 	// Memory controller side (nil when the tile hosts no MC).
 	mem        map[uint64]uint64
@@ -137,24 +155,19 @@ type Tile struct {
 // vbEntry is a dirty L2 victim awaiting MemWAck; outstanding counts
 // re-evictions of the same line.
 type vbEntry struct {
+	line        uint64
 	value       uint64
 	outstanding int
 }
 
 func newTile(id int, sys *System) *Tile {
-	t := &Tile{
-		id:         id,
-		sys:        sys,
-		l1:         newL1(sys.cfg.L1Sets, sys.cfg.L1Ways),
-		mshrs:      make(map[uint64]*mshrEntry),
-		wbBuf:      make(map[uint64]wbEntry),
-		pendingFwd: make(map[uint64][]Msg),
-		dir:        make(map[uint64]*dirLine),
-		waitq:      make(map[uint64][]Msg),
-		l2:         newL2(sys.cfg.L2Lines),
-		victimBuf:  make(map[uint64]*vbEntry),
+	return &Tile{
+		id:    id,
+		sys:   sys,
+		l1:    newL1(sys.cfg.L1Sets, sys.cfg.L1Ways),
+		waitq: make(map[uint64][]Msg),
+		l2:    newL2(sys.cfg.L2Lines),
 	}
-	return t
 }
 
 // Stats reports the tile's counters, including the stall cycles a
@@ -250,11 +263,27 @@ func (t *Tile) blocked() uint8 {
 
 // lineBusy reports whether line has a miss or a writeback in flight.
 func (t *Tile) lineBusy(line uint64) bool {
-	if _, busy := t.mshrs[line]; busy {
-		return true
+	return t.mshr(line) >= 0 || t.writeback(line) >= 0
+}
+
+// mshr returns the index of line's MSHR, or -1.
+func (t *Tile) mshr(line uint64) int {
+	for i := range t.mshrs {
+		if t.mshrs[i].line == line {
+			return i
+		}
 	}
-	_, wb := t.wbBuf[line]
-	return wb
+	return -1
+}
+
+// writeback returns the index of line's writeback-buffer entry, or -1.
+func (t *Tile) writeback(line uint64) int {
+	for i := range t.wbBuf {
+		if t.wbBuf[i].line == line {
+			return i
+		}
+	}
+	return -1
 }
 
 // stall charges one cycle to the counter kind names.
@@ -290,7 +319,7 @@ func (t *Tile) drainStoreBuffer(now sim.Cycle) bool {
 			haveLine = 1
 		}
 	}
-	t.mshrs[line] = &mshrEntry{kind: mshrStore, addr: head.addr, arg: head.value}
+	t.mshrs = append(t.mshrs, mshrEntry{line: line, kind: mshrStore, addr: head.addr, arg: head.value})
 	t.storeTxn = true
 	t.sys.sendAfter(now, 0, Msg{Type: GetM, Line: line, Src: t.id, Dst: t.sys.cfg.HomeOf(line), Value: haveLine})
 	return true
@@ -342,7 +371,7 @@ func (t *Tile) execute(now sim.Cycle) uint8 {
 			return awake
 		}
 		t.l1.misses++
-		t.mshrs[line] = &mshrEntry{kind: mshrLoad, addr: op.Addr}
+		t.mshrs = append(t.mshrs, mshrEntry{line: line, kind: mshrLoad, addr: op.Addr})
 		t.coreState = coreLoadWait
 		t.opValid = false
 		t.sys.sendAfter(now, 0, Msg{Type: GetS, Line: line, Src: t.id, Dst: t.sys.cfg.HomeOf(line)})
@@ -379,7 +408,7 @@ func (t *Tile) execute(now sim.Cycle) uint8 {
 			haveLine = 1
 		}
 		t.l1.misses++
-		t.mshrs[line] = &mshrEntry{kind: mshrAtomic, addr: op.Addr, arg: op.Arg}
+		t.mshrs = append(t.mshrs, mshrEntry{line: line, kind: mshrAtomic, addr: op.Addr, arg: op.Arg})
 		t.coreState = coreAtomicWait
 		t.opValid = false
 		t.sys.sendAfter(now, 0, Msg{Type: GetM, Line: line, Src: t.id, Dst: t.sys.cfg.HomeOf(line), Value: haveLine})
@@ -417,16 +446,10 @@ func (t *Tile) issuePrefetches(now sim.Cycle, line uint64) {
 			return
 		}
 		next := line + uint64(d)
-		if t.mshrs[next] != nil {
+		if t.lineBusy(next) || t.l1.probe(next) >= 0 {
 			continue
 		}
-		if _, wb := t.wbBuf[next]; wb {
-			continue
-		}
-		if t.l1.probe(next) >= 0 {
-			continue
-		}
-		t.mshrs[next] = &mshrEntry{kind: mshrPrefetch, addr: next << LineShift}
+		t.mshrs = append(t.mshrs, mshrEntry{line: next, kind: mshrPrefetch, addr: next << LineShift})
 		t.prefetchOut++
 		t.stats.PrefIssued++
 		t.sys.sendAfter(now, 0, Msg{Type: GetS, Line: next, Src: t.id, Dst: t.sys.cfg.HomeOf(next)})
@@ -466,15 +489,25 @@ func (t *Tile) evict(now sim.Cycle, w int) {
 	line, value := t.l1.line[w], t.l1.value[w]
 	switch t.l1.stateOf(w) {
 	case l1Modified:
-		t.wbBuf[line] = wbEntry{value: value, dirty: true}
+		t.holdWriteback(wbEntry{line: line, value: value, dirty: true})
 		t.sys.sendAfter(now, 0, Msg{Type: PutM, Line: line, Src: t.id,
 			Dst: t.sys.cfg.HomeOf(line), Value: value})
 	case l1Exclusive:
-		t.wbBuf[line] = wbEntry{value: value, dirty: false}
+		t.holdWriteback(wbEntry{line: line, value: value, dirty: false})
 		t.sys.sendAfter(now, 0, Msg{Type: PutE, Line: line, Src: t.id,
 			Dst: t.sys.cfg.HomeOf(line)})
 	}
 	t.l1.setState(w, l1Invalid)
+}
+
+// holdWriteback keeps an evicted line's data until its WBAck,
+// replacing an entry the line already has.
+func (t *Tile) holdWriteback(wb wbEntry) {
+	if i := t.writeback(wb.line); i >= 0 {
+		t.wbBuf[i] = wb
+		return
+	}
+	t.wbBuf = append(t.wbBuf, wb)
 }
 
 // handleL1 processes messages addressed to the tile's request side. It
@@ -495,8 +528,8 @@ func (t *Tile) handleL1(now sim.Cycle, m Msg) {
 			t.sys.sendAfter(now, 0, Msg{Type: DataWB, Line: m.Line, Src: t.id, Dst: m.Src, Value: t.l1.value[w]})
 			return
 		}
-		if wb, ok := t.wbBuf[m.Line]; ok {
-			t.sys.sendAfter(now, 0, Msg{Type: DataWB, Line: m.Line, Src: t.id, Dst: m.Src, Value: wb.value})
+		if i := t.writeback(m.Line); i >= 0 {
+			t.sys.sendAfter(now, 0, Msg{Type: DataWB, Line: m.Line, Src: t.id, Dst: m.Src, Value: t.wbBuf[i].value})
 			return
 		}
 		panic(fmt.Sprintf("fullsys: tile %d got %v without owning the line", t.id, m))
@@ -513,8 +546,8 @@ func (t *Tile) handleL1(now sim.Cycle, m Msg) {
 			t.sys.sendAfter(now, 0, Msg{Type: FwdAck, Line: m.Line, Src: t.id, Dst: m.Src, Value: uint64(req)})
 			return
 		}
-		if wb, ok := t.wbBuf[m.Line]; ok {
-			t.sys.sendAfter(now, 0, Msg{Type: DataM, Line: m.Line, Src: t.id, Dst: req, Value: wb.value})
+		if i := t.writeback(m.Line); i >= 0 {
+			t.sys.sendAfter(now, 0, Msg{Type: DataM, Line: m.Line, Src: t.id, Dst: req, Value: t.wbBuf[i].value})
 			t.sys.sendAfter(now, 0, Msg{Type: FwdAck, Line: m.Line, Src: t.id, Dst: m.Src, Value: uint64(req)})
 			return
 		}
@@ -527,17 +560,19 @@ func (t *Tile) handleL1(now sim.Cycle, m Msg) {
 					t.id, m.Line, l1StateName(s)))
 			}
 			t.l1.flags[w] &^= l1StateBits | l1Pinned
-		} else if e := t.mshrs[m.Line]; e != nil && (e.kind == mshrLoad || e.kind == mshrPrefetch) {
+		} else if i := t.mshr(m.Line); i >= 0 && (t.mshrs[i].kind == mshrLoad || t.mshrs[i].kind == mshrPrefetch) {
 			// The Inv may belong to a write serialized after our GetS
 			// but whose invalidation overtook our DataS; the incoming
 			// fill must be used once (demand load) or dropped entirely
 			// (prefetch) and never installed.
-			e.inv = true
+			t.mshrs[i].inv = true
 		}
 		t.sys.sendAfter(now, 0, Msg{Type: InvAck, Line: m.Line, Src: t.id, Dst: m.Src})
 
 	case WBAck:
-		delete(t.wbBuf, m.Line)
+		if i := t.writeback(m.Line); i >= 0 {
+			t.wbBuf = deleteAt(t.wbBuf, i)
+		}
 
 	case BarRelease:
 		if t.coreState == coreBarrierWait {
@@ -552,11 +587,12 @@ func (t *Tile) handleL1(now sim.Cycle, m Msg) {
 
 // completeMiss finishes the MSHR transaction the response belongs to.
 func (t *Tile) completeMiss(now sim.Cycle, m Msg) {
-	e := t.mshrs[m.Line]
-	if e == nil {
+	i := t.mshr(m.Line)
+	if i < 0 {
 		panic(fmt.Sprintf("fullsys: tile %d got %v with no MSHR", t.id, m))
 	}
-	delete(t.mshrs, m.Line)
+	e := t.mshrs[i]
+	t.mshrs = deleteAt(t.mshrs, i)
 	switch e.kind {
 	case mshrPrefetch:
 		t.prefetchOut--
@@ -577,7 +613,7 @@ func (t *Tile) completeMiss(now sim.Cycle, m Msg) {
 			if m.Type != DataS {
 				panic(fmt.Sprintf("fullsys: tile %d invalidated-in-flight fill with %v", t.id, m))
 			}
-			if len(t.pendingFwd[m.Line]) > 0 {
+			if t.stalledFwds(m.Line) > 0 {
 				panic(fmt.Sprintf("fullsys: tile %d has stalled forwards for discarded fill %#x", t.id, m.Line))
 			}
 			// Use the fill once (the load reads the pre-invalidation
@@ -641,21 +677,44 @@ func (t *Tile) grant(line uint64) int {
 // stallFwd queues a forwarded request that arrived before the data
 // grant that makes this tile the owner; it replays after the fill.
 func (t *Tile) stallFwd(m Msg) bool {
-	if t.mshrs[m.Line] == nil {
+	if t.mshr(m.Line) < 0 {
 		return false
 	}
-	t.pendingFwd[m.Line] = append(t.pendingFwd[m.Line], m)
+	for i := range t.pendingFwd {
+		if f := &t.pendingFwd[i]; f.line == m.Line && f.msg.Type == noFwd {
+			f.msg = m // the line's first forward takes its empty entry
+			return true
+		}
+	}
+	t.pendingFwd = append(t.pendingFwd, fwdEntry{line: m.Line, msg: m})
 	return true
 }
 
-// replayFwds re-dispatches forwards stalled on the just-filled line.
+// stalledFwds counts the forwards stalled on line.
+func (t *Tile) stalledFwds(line uint64) int {
+	n := 0
+	for i := range t.pendingFwd {
+		if f := &t.pendingFwd[i]; f.line == line && f.msg.Type != noFwd {
+			n++
+		}
+	}
+	return n
+}
+
+// replayFwds re-dispatches, oldest first, the forwards stalled on the
+// just-filled line when it filled; one that stalls again waits for the
+// next fill.
 func (t *Tile) replayFwds(now sim.Cycle, line uint64) {
-	fwds := t.pendingFwd[line]
-	if len(fwds) == 0 {
-		return
+	for n := t.stalledFwds(line); n > 0; n-- {
+		t.handleL1(now, t.unstallFwd(line))
 	}
-	delete(t.pendingFwd, line)
-	for _, m := range fwds {
-		t.handleL1(now, m)
-	}
+}
+
+// unstallFwd removes and returns the oldest forward stalled on line,
+// which has one.
+func (t *Tile) unstallFwd(line uint64) Msg {
+	i := slices.IndexFunc(t.pendingFwd, func(f fwdEntry) bool { return f.line == line })
+	m := t.pendingFwd[i].msg
+	t.pendingFwd = slices.Delete(t.pendingFwd, i, i+1)
+	return m
 }

@@ -19,70 +19,7 @@ func TestConservationProperty(t *testing.T) {
 		depth := 2 + int(depthRaw)%4 // 2..5
 		side := 3 + int(sideRaw)%3   // 3..5
 		rate := 0.05 + float64(rateRaw%20)/100.0
-
-		var topo topology.Topology
-		var routing topology.Routing
-		if torus {
-			tor := topology.NewTorus(side, side, 1)
-			topo, routing = tor, topology.NewTorusDOR(tor)
-			if vcs%2 == 1 {
-				vcs++ // dateline needs an even VC count per vnet
-			}
-		} else {
-			m := topology.NewMesh(side, side, 1)
-			topo, routing = m, topology.NewXY(m)
-		}
-		cfg := DefaultConfig()
-		cfg.VCsPerVNet = vcs
-		cfg.BufDepth = depth
-		n, err := New(cfg, topo, routing)
-		if err != nil {
-			t.Logf("config rejected: %v", err)
-			return false
-		}
-		defer n.Close()
-
-		rng := sim.NewRNG(seed, 77)
-		terms := topo.NumTerminals()
-		injected := 0
-		seen := make(map[uint64]int)
-		for cyc := 0; cyc < 150; cyc++ {
-			for s := 0; s < terms; s++ {
-				if rng.Bernoulli(rate) {
-					d := rng.Intn(terms - 1)
-					if d >= s {
-						d++
-					}
-					n.Inject(&Packet{Src: s, Dst: d, VNet: rng.Intn(3), Size: 1 + rng.Intn(5)}, n.Cycle())
-					injected++
-				}
-			}
-			n.Step()
-			for _, p := range n.Drain() {
-				seen[p.ID]++
-			}
-		}
-		for i := 0; i < 100000 && !n.Quiescent(); i++ {
-			n.Step()
-			for _, p := range n.Drain() {
-				seen[p.ID]++
-			}
-		}
-		if !n.Quiescent() {
-			t.Logf("seed=%d vcs=%d depth=%d side=%d torus=%v: failed to drain", seed, vcs, depth, side, torus)
-			return false
-		}
-		if len(seen) != injected {
-			t.Logf("lost packets: %d/%d", len(seen), injected)
-			return false
-		}
-		for id, c := range seen {
-			if c != 1 {
-				t.Logf("packet %d delivered %d times", id, c)
-				return false
-			}
-		}
-		return true
+		return conserves(t, seed, vcs, depth, side, rate, torus)
 	}
 	cfg := &quick.Config{MaxCount: 25}
 	if testing.Short() {
@@ -91,6 +28,86 @@ func TestConservationProperty(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTorusDatelineDrains replays the inputs on which a 5x5 torus once
+// deadlocked: the y dimension dropped a packet back to VC set 0 on
+// every hop, so one that had crossed the y dateline left set 1 and the
+// wrap links closed a cycle of buffer dependencies. It stuck with 110
+// flits in the network; with the set kept along y it drains.
+func TestTorusDatelineDrains(t *testing.T) {
+	if !conserves(t, 2758781654523856972, 2, 4, 5, 0.24, true) {
+		t.Fatal("the torus did not deliver every packet exactly once")
+	}
+}
+
+// conserves injects random traffic for 150 cycles into a side x side
+// mesh (XY) or torus (dateline DOR) and reports whether the network
+// then drains within 100 000 cycles, delivering every packet once.
+func conserves(t *testing.T, seed uint64, vcs, depth, side int, rate float64, torus bool) bool {
+	var topo topology.Topology
+	var routing topology.Routing
+	if torus {
+		tor := topology.NewTorus(side, side, 1)
+		topo, routing = tor, topology.NewTorusDOR(tor)
+		if vcs%2 == 1 {
+			vcs++ // dateline needs an even VC count per vnet
+		}
+	} else {
+		m := topology.NewMesh(side, side, 1)
+		topo, routing = m, topology.NewXY(m)
+	}
+	cfg := DefaultConfig()
+	cfg.VCsPerVNet = vcs
+	cfg.BufDepth = depth
+	n, err := New(cfg, topo, routing)
+	if err != nil {
+		t.Logf("config rejected: %v", err)
+		return false
+	}
+	defer n.Close()
+
+	rng := sim.NewRNG(seed, 77)
+	terms := topo.NumTerminals()
+	injected := 0
+	seen := make(map[uint64]int)
+	for cyc := 0; cyc < 150; cyc++ {
+		for s := 0; s < terms; s++ {
+			if rng.Bernoulli(rate) {
+				d := rng.Intn(terms - 1)
+				if d >= s {
+					d++
+				}
+				n.Inject(&Packet{Src: s, Dst: d, VNet: rng.Intn(3), Size: 1 + rng.Intn(5)}, n.Cycle())
+				injected++
+			}
+		}
+		n.Step()
+		for _, p := range n.Drain() {
+			seen[p.ID]++
+		}
+	}
+	for i := 0; i < 100000 && !n.Quiescent(); i++ {
+		n.Step()
+		for _, p := range n.Drain() {
+			seen[p.ID]++
+		}
+	}
+	if !n.Quiescent() {
+		t.Logf("seed=%d vcs=%d depth=%d side=%d torus=%v: failed to drain", seed, vcs, depth, side, torus)
+		return false
+	}
+	if len(seen) != injected {
+		t.Logf("lost packets: %d/%d", len(seen), injected)
+		return false
+	}
+	for id, c := range seen {
+		if c != 1 {
+			t.Logf("packet %d delivered %d times", id, c)
+			return false
+		}
+	}
+	return true
 }
 
 // TestShardedEqualsExhaustiveProperty: on random grids — prime router

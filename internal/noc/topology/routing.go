@@ -197,8 +197,14 @@ func (r *TorusDOR) Route(router, src, dst, curSet int, buf []Choice) []Choice {
 	if cy != dy {
 		dir, crosses := torusStep(cy, dy, h)
 		// Dimension-order makes x and y channel classes independent,
-		// so entering the y dimension restarts in set 0.
-		set := 0
+		// so the turn from x restarts in set 0. A packet already
+		// travelling in y (off its source row) keeps its set: one that
+		// crossed the y dateline must stay in set 1 to its destination.
+		set := curSet
+		sr, _ := r.t.RouterOf(src)
+		if _, sy := r.t.Coord(sr); cy == sy {
+			set = 0
+		}
 		if crosses {
 			set = 1
 		}
