@@ -93,7 +93,10 @@ race:
 # The NoC step path's bit-identity matrix under the race detector: every
 # mode x worker counts 0 (the default one shard) / 2 / 4 / 8 against the
 # exhaustive sequential sweep (checkpoint bytes + final results), plus
-# the internal/noc shard property tests.
+# the internal/noc shard property tests and TestShardedPipelinePins,
+# which runs every pipeline shape (router stages, link and credit
+# latency) on one and three shards — so the arrival bytes that routers
+# in different shards set for one receiver are raced for each shape.
 # Every gated run steps through the shard partition, so this is the
 # data-race proof for the code all of them execute — blocking in CI.
 race-shard:

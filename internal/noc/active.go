@@ -21,14 +21,14 @@ import (
 //   - A router must never miss a cycle in which it has work. Every
 //     future event is therefore scheduled into the wake structure at
 //     the moment it is created: a flit send wakes the receiver at the
-//     link-arrival cycle, a credit send wakes its consumer at the
-//     credit-arrival cycle, an injection wakes the source router at
-//     the packet's creation cycle, and a router whose local state can
-//     still make progress re-arms itself for the next cycle. Missing
-//     slots in the absolute-cycle-indexed link rings would corrupt
-//     them, so conservative extra wakes are legal (they no-op) while
-//     missed wakes are fatal (the rings panic on collision, which the
-//     test suite would catch).
+//     flit's ingest cycle (see sendFlit), a credit send wakes its
+//     consumer at the credit-arrival cycle, an injection wakes the
+//     source router at the packet's creation cycle, and a router whose
+//     local state can still make progress re-arms itself for the next
+//     cycle. Missing slots in the absolute-cycle-indexed link rings
+//     would corrupt them, so conservative extra wakes are legal (they
+//     no-op) while missed wakes are fatal (the rings panic on
+//     collision, which the test suite would catch).
 //
 // All wake bookkeeping is derived state: it is never serialized, and
 // a restore conservatively wakes everything, so gating cannot perturb

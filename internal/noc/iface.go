@@ -97,12 +97,13 @@ func (ni *Iface) tryInject(n *Network, now sim.Cycle) {
 	if ni.credits[ni.curVC] <= 0 {
 		return
 	}
-	n.pushFlit(ni.router, ni.localPort, int(ni.curVC), ni.cur, ni.curSeq, now)
+	n.pushFlit(ni.router, ni.localPort, int(ni.curVC), flitOf(ni.cur, ni.curSeq, now+sim.Cycle(n.cfg.RouterStages-1)))
 	ni.credits[ni.curVC]--
 	ni.injectedFlits++
 	ni.curSeq++
 	if int(ni.curSeq) == ni.cur.Size {
 		ni.cur = nil
+		n.niWork[ni.router*n.lp+ni.localPort] = ni.queued != 0
 	}
 }
 

@@ -28,6 +28,7 @@ const ejectionCredits = 1 << 20
 //	VC record    r*P*V + p*V + v  input-VC and output-VC fields
 //	flit slot    VC record * D + k
 //	ring slot    port record * ring length + cycle mod ring length
+//	arrival byte (cycle mod K)*R*B + r*B + p, K arrival slots, B bytes per router
 //	mask word    r*W + w          bit b is input VC w*wordVCs + b of router r
 //
 // (see DESIGN.md "Router state layout and mask arbiters").
@@ -38,11 +39,15 @@ type Network struct {
 
 	// Geometry, fixed at construction: routers, ports and local ports per
 	// router, VCs per port, input VCs per router (ports*vcs), buffer
-	// depth, link ring lengths (latency + 1), VCs per routing VC set,
-	// mask words per router and input VCs per full mask word.
+	// depth, link ring lengths (LinkLatency + RouterStages for flits,
+	// CreditLatency + 1 for credits), VCs per routing VC set, mask words
+	// per router and input VCs per full mask word, and the arrival
+	// bytes' slots (the longer ring) and bytes per router (ports rounded
+	// up to whole words).
 	routers, ports, lp, vcs, pv, depth int //simlint:derived recomputed from cfg and the topology at construction
 	flitRing, credRing, vcsPerSet      int //simlint:derived recomputed from cfg at construction
 	mw, wordVCs                        int //simlint:derived recomputed from the geometry at construction
+	arrSlots, arrStride                int //simlint:derived recomputed from the geometry at construction
 
 	// Input VCs, by VC record: packet-progress state, the cached route
 	// (vcHops entries of hops[i*maxHops:], valid in vcWaitVA), the held
@@ -83,14 +88,21 @@ type Network struct {
 	bufReads  []uint64
 	arbGrants []uint64
 
-	// Inbound link rings, by port record (see packet.go), and the slots
-	// of the cycle being stepped.
-	linkFlits      []linkFlit
-	linkCredits    []int16 // -1 = empty
-	rxFlit, txFlit int     //simlint:derived recomputed from the clock by every Step
-	rxCred, txCred int     //simlint:derived recomputed from the clock by every Step
+	// Inbound link rings, by port record, the arrival bytes that flag
+	// their occupied slots (see packet.go), and the ring slots and
+	// arrival slot offsets of the cycle being stepped.
+	linkFlits                   []linkFlit
+	linkCredits                 []int16 // -1 = empty
+	arrivals                    []byte  //simlint:derived rebuilt by rederive from the rings
+	rxFlit, txFlit              int     //simlint:derived recomputed from the clock by every Step
+	rxCred, txCred              int     //simlint:derived recomputed from the clock by every Step
+	rxArr, txArrFlit, txArrCred int     //simlint:derived recomputed from the clock by every Step
 
 	ifaces []Iface
+	// niWork[r*lp + p] is set while the NI on local port p of router r
+	// has a packet serializing or queued (the NI is not idle): the NIs
+	// ingress and rearm visit, so an idle NI costs them one byte.
+	niWork []bool //simlint:derived recomputed from the NIs by rederive
 
 	cycle sim.Cycle
 	Ledger
@@ -104,10 +116,12 @@ type Network struct {
 	scratch   []routerScratch //simlint:derived per-shard phase scratch, all zero between phases
 	// peer[r*ports+p] is the far end of port p of router r: where r's
 	// sent flits and returned credits land, and whom they wake. niAt
-	// maps (r*lp + local port) to its terminal. The per-cycle sweeps
-	// must not redo the topology's coordinate math.
-	peer []portRef //simlint:derived precomputed from the topology at construction
-	niAt []int32   //simlint:derived precomputed from the topology at construction
+	// maps (r*lp + local port) to its terminal, and term maps a
+	// terminal to its router and local port. The per-cycle sweeps must
+	// not redo the topology's coordinate math.
+	peer []portRef   //simlint:derived precomputed from the topology at construction
+	niAt []int32     //simlint:derived precomputed from the topology at construction
+	term []placement //simlint:derived precomputed from the topology at construction
 	// The same for every router, so the phases never divide: vcInfo
 	// decomposes an input-VC id p*V + v, and portBit[p] is where port p's
 	// VC 0 sits in the router's masks, as word<<6 | bit.
@@ -148,6 +162,12 @@ type vcInfo struct {
 // hop is one cached admissible next hop of a routed head flit.
 type hop struct {
 	port, set int16
+}
+
+// placement is where a terminal attaches: its router and local port.
+type placement struct {
+	router int32
+	port   int16
 }
 
 // vcRef names an input VC of a router by port and VC index.
@@ -204,7 +224,7 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 		vcs:       cfg.TotalVCs(),
 		pv:        topo.Ports() * cfg.TotalVCs(),
 		depth:     cfg.BufDepth,
-		flitRing:  cfg.LinkLatency + 1,
+		flitRing:  cfg.LinkLatency + cfg.RouterStages,
 		credRing:  cfg.CreditLatency + 1,
 		vcsPerSet: cfg.VCsPerVNet / routing.VCSets(),
 		Ledger:    NewLedger(),
@@ -251,6 +271,9 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 	n.arbGrants = make([]uint64, R)
 	n.linkFlits = make([]linkFlit, R*n.ports*n.flitRing)
 	n.linkCredits = make([]int16, R*n.ports*n.credRing)
+	n.arrSlots = max(n.flitRing, n.credRing)
+	n.arrStride = (n.ports + 7) &^ 7
+	n.arrivals = make([]byte, n.arrSlots*R*n.arrStride)
 	for i := range n.linkCredits {
 		n.linkCredits[i] = -1
 	}
@@ -266,6 +289,7 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 
 	n.peer = make([]portRef, R*n.ports)
 	n.niAt = make([]int32, R*n.lp)
+	n.niWork = make([]bool, R*n.lp)
 	for r := 0; r < R; r++ {
 		for p := 0; p < n.ports; p++ {
 			rp := r*n.ports + p
@@ -282,9 +306,11 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 	}
 
 	n.ifaces = make([]Iface, topo.NumTerminals())
+	n.term = make([]placement, len(n.ifaces))
 	for t := range n.ifaces {
 		r, p := topo.RouterOf(t)
 		n.ifaces[t] = newIface(t, r, p, cfg)
+		n.term[t] = placement{router: int32(r), port: int16(p)}
 	}
 
 	n.partition.init(R, cfg.DisableGating)
@@ -331,6 +357,7 @@ func (n *Network) Inject(p *Packet, at sim.Cycle) {
 	n.Admit(p, at)
 	ni := &n.ifaces[p.Src]
 	ni.enqueue(p)
+	n.niWork[ni.router*n.lp+ni.localPort] = true
 	n.wakeRouter(int32(ni.router), at, n.cycle)
 }
 
@@ -394,14 +421,14 @@ func (n *Network) rearm(s *shard, r32 int32) {
 	r := int(r32)
 	rp := r * n.ports
 	// Every switch traversal this cycle produced up to two future
-	// events: a flit arriving at the downstream router and a credit
-	// arriving at the freed input slot's upstream consumer (the
-	// neighbour across the input port, or this router itself for its
-	// NI's credit ring on a local port).
+	// events: a flit due at the downstream router at its ingest cycle
+	// and a credit arriving at the freed input slot's upstream consumer
+	// (the neighbour across the input port, or this router itself for
+	// its NI's credit ring on a local port).
 	for g := n.grants[r]; g != 0; g &= g - 1 {
 		p := bits.TrailingZeros64(g)
 		if p >= n.lp {
-			s.wakeOut(n.peer[rp+p].router, now+sim.Cycle(n.cfg.LinkLatency), now)
+			s.wakeOut(n.peer[rp+p].router, now+sim.Cycle(n.flitRing-1), now)
 		}
 		s.wakeOut(n.peer[rp+int(n.saGrant[rp+p].port)].router, now+sim.Cycle(n.cfg.CreditLatency), now)
 	}
@@ -413,6 +440,9 @@ func (n *Network) rearm(s *shard, r32 int32) {
 	// yet created wakes the router at its creation cycle instead.
 	busy := n.occupied(r)
 	for p := 0; p < n.lp && !busy; p++ {
+		if !n.niWork[r*n.lp+p] {
+			continue
+		}
 		ni := &n.ifaces[n.niAt[r*n.lp+p]]
 		if busy = ni.cur != nil; busy || ni.queued == 0 {
 			continue
@@ -449,32 +479,48 @@ func (n *Network) ActivityStats() ActivityStats { return n.activityStats(&n.pack
 
 // rederive rebuilds what is not part of the network's state from what
 // is; construction and a successful decode both end with it. The NI
-// backlog counts and the VC masks are recounted, and the wake schedule
-// is reconstructed: wake every router once (idle ones no-op and retire
-// after one sweep) and re-arm a wake
-// for every flit or credit already in flight on a ring, addressed to
-// the ring's router — its consumer — at its arrival cycle. NI
-// injection queues need no scan: every router runs the next cycle, and
-// its rearm schedules future injections.
+// backlog counts, the NI work flags and the VC masks are recounted,
+// and the wake schedule is reconstructed: wake every router once (idle
+// ones no-op and retire after one sweep) and re-arm a wake for every
+// flit or credit already in flight on a ring, addressed to the ring's
+// router — its consumer — at its arrival cycle, whose arrival byte is
+// flagged. NI injection queues need no scan: every router runs the
+// next cycle, and its rearm schedules future injections.
 func (n *Network) rederive() {
 	for t := range n.ifaces {
-		n.ifaces[t].queued = n.ifaces[t].pending()
+		ni := &n.ifaces[t]
+		ni.queued = ni.pending()
+		n.niWork[ni.router*n.lp+ni.localPort] = !ni.idle()
 	}
 	for rw := range n.masks {
 		n.masks[rw] = n.recountMask(rw)
 	}
 	n.resetWake()
+	clear(n.arrivals)
 	now := n.cycle
 	for i := range n.linkFlits {
 		if n.linkFlits[i].pkt != nil {
-			n.wakeRouter(int32(i/n.flitRing/n.ports), ringArrival(now, i%n.flitRing, n.flitRing), now)
+			n.rearrive(i/n.flitRing, ringArrival(now, i%n.flitRing, n.flitRing), arrFlit)
 		}
 	}
 	for i, vc := range n.linkCredits {
 		if vc != -1 {
-			n.wakeRouter(int32(i/n.credRing/n.ports), ringArrival(now, i%n.credRing, n.credRing), now)
+			n.rearrive(i/n.credRing, ringArrival(now, i%n.credRing, n.credRing), arrCred)
 		}
 	}
+}
+
+// rearrive flags an in-flight arrival at port record rp due at cycle
+// at, and wakes its router then.
+func (n *Network) rearrive(rp int, at sim.Cycle, bit byte) {
+	r := rp / n.ports
+	n.arrivals[n.arrIndex(at, r, rp-r*n.ports)] |= bit
+	n.wakeRouter(int32(r), at, n.cycle)
+}
+
+// arrIndex locates the arrival byte of port p of router r for cycle at.
+func (n *Network) arrIndex(at sim.Cycle, r, p int) int {
+	return (int(at%sim.Cycle(n.arrSlots))*n.routers+r)*n.arrStride + p
 }
 
 // ringArrival maps an occupied ring slot back to the unique upcoming
@@ -535,13 +581,53 @@ func (n *Network) AvgLinkUtilization() float64 {
 	return float64(flits) / float64(links) / float64(n.cycle)
 }
 
-// BufferedFlits reports flits currently held in router input buffers.
+// BufferedFlits reports flits currently held in router input buffers,
+// counting a link flit as buffered from its arrival on (see pending).
 func (n *Network) BufferedFlits() int {
-	total := 0
+	total := n.pending()
 	for _, c := range n.vcCount {
 		total += int(c)
 	}
 	return total
+}
+
+// pending counts the link flits that have arrived but not yet been
+// taken in: those due in the next RouterStages-1 cycles, which a
+// router that buffered each flit on arrival would already hold. The
+// buffer-write count and the checkpoint count them as buffered.
+func (n *Network) pending() int {
+	k, rx := 0, int(n.cycle%sim.Cycle(n.flitRing))
+	for rp := range n.peer {
+		ring := n.linkFlits[rp*n.flitRing:][:n.flitRing]
+		for d := 0; d < n.cfg.RouterStages-1; d++ {
+			if ring[(rx+d)%n.flitRing].pkt != nil {
+				k++
+			}
+		}
+	}
+	return k
+}
+
+// settle takes in every pending flit (see pending) now, with the ready
+// cycle it would have been taken in at. Every phase already handles a
+// buffered flit that is not ready, so settling changes nothing a later
+// cycle computes; a checkpoint settles first, so it records each
+// pending flit where a router that buffered it on arrival holds it.
+func (n *Network) settle() {
+	now := n.cycle
+	for rp := range n.peer {
+		r, p := rp/n.ports, rp%n.ports
+		for d := 0; d < n.cfg.RouterStages-1; d++ {
+			at := now + sim.Cycle(d)
+			f := &n.linkFlits[rp*n.flitRing+int(at%sim.Cycle(n.flitRing))]
+			if f.pkt == nil {
+				continue
+			}
+			n.pushFlit(r, p, int(f.vc), f.entry(at))
+			*f = linkFlit{}
+			n.arrivals[n.arrIndex(at, r, p)] &^= arrFlit
+		}
+	}
 }
 
 // Quiescent reports whether no packet is queued, serializing, in a

@@ -50,41 +50,60 @@ func (p *Packet) String() string {
 }
 
 // flitEntry is a flit occupying an input-buffer slot. The head flit is
-// seq 0 and the tail is seq Size-1 (a single-flit packet is both).
+// seq 0 and the tail is seq Size-1 (a single-flit packet is both); the
+// tail bit is carried beside seq so the switch never reads the packet
+// to release a VC.
 type flitEntry struct {
 	pkt   *Packet
 	seq   int32
+	last  bool      //simlint:derived seq == pkt.Size-1, set where the flit is made and on decode
 	ready sim.Cycle // earliest cycle the router pipeline may switch it
 }
 
+// flitOf returns flit seq of pkt, switchable from cycle ready.
+func flitOf(pkt *Packet, seq int32, ready sim.Cycle) flitEntry {
+	return flitEntry{pkt: pkt, seq: seq, last: isTail(pkt, seq), ready: ready}
+}
+
+// isTail reports whether seq is the last flit of pkt (false for none).
+func isTail(pkt *Packet, seq int32) bool { return pkt != nil && int(seq) == pkt.Size-1 }
+
 func (f flitEntry) head() bool { return f.seq == 0 }
-func (f flitEntry) tail() bool { return int(f.seq) == f.pkt.Size-1 }
+func (f flitEntry) tail() bool { return f.last }
 
 // linkFlit is a flit in flight on a link, carrying the downstream
-// virtual channel the sender allocated.
+// virtual channel the sender allocated and the flit's tail bit.
 type linkFlit struct {
-	pkt *Packet
-	seq int32
-	vc  int16
+	pkt  *Packet
+	seq  int32
+	vc   int16
+	last bool //simlint:derived seq == pkt.Size-1, copied from the buffer entry and set on decode
+}
+
+// entry is the buffer entry of link flit f, switchable from cycle ready.
+func (f linkFlit) entry(ready sim.Cycle) flitEntry {
+	return flitEntry{pkt: f.pkt, seq: f.seq, last: f.last, ready: ready}
 }
 
 // The input-VC FIFOs live in one flat slice, Network.flits: VC i (see
 // the index formulas on Network) owns slots [i*depth, (i+1)*depth),
 // with its cursor in vcHead[i]/vcCount[i].
 
-// pushFlit appends a flit to input VC (r, p, v), to become switchable
-// once it has spent the router pipeline's depth in the buffer.
-func (n *Network) pushFlit(r, p, v int, pkt *Packet, seq int32, now sim.Cycle) {
+// pushFlit appends flit e to input VC (r, p, v). A flit injected by
+// the NI becomes switchable once it has spent the router pipeline's
+// depth in the buffer; a link flit enters at the cycle it first can
+// move (see sendFlit).
+func (n *Network) pushFlit(r, p, v int, e flitEntry) {
 	i := r*n.pv + p*n.vcs + v
 	c := int(n.vcCount[i])
 	if c == n.depth {
-		panic(fmt.Sprintf("noc: VC buffer overflow (credit protocol violation) pushing %v", pkt))
+		panic(fmt.Sprintf("noc: VC buffer overflow (credit protocol violation) pushing %v", e.pkt))
 	}
 	s := int(n.vcHead[i]) + c
 	if s >= n.depth {
 		s -= n.depth
 	}
-	n.flits[i*n.depth+s] = flitEntry{pkt: pkt, seq: seq, ready: now + sim.Cycle(n.cfg.RouterStages-1)}
+	n.flits[i*n.depth+s] = e
 	n.vcCount[i] = int32(c + 1)
 	m, bit := n.maskBit(r, p, v)
 	m.buf |= bit
@@ -137,56 +156,93 @@ func (n *Network) popFlit(r, p, v int) flitEntry {
 // the far end (Network.peer) at slot tx; ingress reads only its own
 // router's rings, at slot rx. Both slots are computed once per stepped
 // cycle (setSlots), not per access.
+//
+// A link flit is addressed to its ingest cycle, LinkLatency +
+// RouterStages - 1 cycles after the send: the cycle it could first be
+// switched had it entered the buffer on arrival. Until then no phase
+// could see it in the buffer (RC, SA and the busy-VC walks skip it on
+// ready, and credits never read the buffer), so the router takes it in
+// and switches it in one activation. The flit ring is therefore
+// LinkLatency + RouterStages slots long, the credit ring CreditLatency
+// + 1.
+//
+// Beside the rings, each (cycle slot, router) has one arrival byte per
+// port: arrFlit set when a flit is due at that port in that cycle,
+// arrCred when a credit is. Both bits of a byte are written by the
+// router across the port (by the router itself on a local port, whose
+// credits its own switch returns to the NI), and ingress reads a
+// router's bytes for the current slot as whole words, so it visits
+// only the rings that hold something. The reader's slot is never a
+// slot written in the same cycle, and no two routers write one byte,
+// so shards never share a written byte. The bytes are derived from
+// the rings (rederive).
 
-// sendFlit places a flit on the inbound flit ring of port record dst,
-// to arrive LinkLatency cycles from now.
-func (n *Network) sendFlit(dst int, f linkFlit) {
-	slot := &n.linkFlits[dst*n.flitRing+n.txFlit]
+// Arrival byte bits, and those bits in every byte of a word.
+const (
+	arrFlit  = 1
+	arrCred  = 2
+	arrFlits = 0x0101010101010101 * arrFlit
+	arrCreds = 0x0101010101010101 * arrCred
+)
+
+// arrByte is the offset, within an arrival slot, of the byte of port
+// record far.slot of router far.router.
+func (n *Network) arrByte(far portRef) int {
+	return int(far.router)*(n.arrStride-n.ports) + int(far.slot)
+}
+
+// sendFlit places a flit on the inbound flit ring of the port at far,
+// to be taken in at its ingest cycle, and flags its arrival byte.
+func (n *Network) sendFlit(far portRef, f linkFlit) {
+	slot := &n.linkFlits[int(far.slot)*n.flitRing+n.txFlit]
 	if slot.pkt != nil {
 		panic("noc: link flit slot collision")
 	}
 	*slot = f
+	n.arrivals[n.txArrFlit+n.arrByte(far)] |= arrFlit
 }
 
-// recvFlit takes the flit arriving this cycle at port record rp, if any.
-func (n *Network) recvFlit(rp int) (linkFlit, bool) {
+// takeFlit takes the flit due this cycle at port record rp, whose
+// arrival byte flagged it.
+func (n *Network) takeFlit(rp int) linkFlit {
 	slot := &n.linkFlits[rp*n.flitRing+n.rxFlit]
-	if slot.pkt == nil {
-		return linkFlit{}, false
-	}
 	f := *slot
 	*slot = linkFlit{}
-	return f, true
+	return f
 }
 
 // sendCredit places a credit for VC vc on the inbound credit ring of
-// port record dst, to arrive CreditLatency cycles from now.
-func (n *Network) sendCredit(dst int, vc int16) {
-	slot := &n.linkCredits[dst*n.credRing+n.txCred]
+// the port at far, to arrive CreditLatency cycles from now, and flags
+// its arrival byte.
+func (n *Network) sendCredit(far portRef, vc int16) {
+	slot := &n.linkCredits[int(far.slot)*n.credRing+n.txCred]
 	if *slot != -1 {
 		panic("noc: link credit slot collision")
 	}
 	*slot = vc
+	n.arrivals[n.txArrCred+n.arrByte(far)] |= arrCred
 }
 
-// recvCredit takes the credit arriving this cycle at port record rp,
-// if any.
-func (n *Network) recvCredit(rp int) (int16, bool) {
+// takeCredit takes the credit due this cycle at port record rp, whose
+// arrival byte flagged it.
+func (n *Network) takeCredit(rp int) int16 {
 	slot := &n.linkCredits[rp*n.credRing+n.rxCred]
 	vc := *slot
-	if vc == -1 {
-		return -1, false
-	}
 	*slot = -1
-	return vc, true
+	return vc
 }
 
-// setSlots computes the ring slots of the cycle about to be stepped. A
-// ring is one slot longer than its latency, so the slot a send lands in
-// is the one just behind the slot being received.
+// setSlots computes the ring and arrival slots of the cycle about to be
+// stepped. A ring is one slot longer than the delay it carries, so the
+// slot a send lands in is the one just behind the slot being received.
 func (n *Network) setSlots() {
-	n.rxFlit = int(n.cycle % sim.Cycle(n.flitRing))
+	now := n.cycle
+	n.rxFlit = int(now % sim.Cycle(n.flitRing))
 	n.txFlit = (n.rxFlit + n.flitRing - 1) % n.flitRing
-	n.rxCred = int(n.cycle % sim.Cycle(n.credRing))
+	n.rxCred = int(now % sim.Cycle(n.credRing))
 	n.txCred = (n.rxCred + n.credRing - 1) % n.credRing
+	slot := n.routers * n.arrStride
+	n.rxArr = int(now%sim.Cycle(n.arrSlots)) * slot
+	n.txArrFlit = int((now+sim.Cycle(n.flitRing-1))%sim.Cycle(n.arrSlots)) * slot
+	n.txArrCred = int((now+sim.Cycle(n.cfg.CreditLatency))%sim.Cycle(n.arrSlots)) * slot
 }

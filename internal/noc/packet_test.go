@@ -27,7 +27,7 @@ func TestFlitFIFO(t *testing.T) {
 	i := r*n.pv + port*n.vcs + vc
 	p := &Packet{Size: 3}
 	for s := int32(0); s < 3; s++ {
-		n.pushFlit(r, port, vc, p, s, 0)
+		n.pushFlit(r, port, vc, flitOf(p, s, 0))
 	}
 	if n.vcCount[i] != 3 || n.masks[r*n.mw].buf != 1<<(port*n.vcs+vc) || n.BufferedFlits() != 3 {
 		t.Fatal("buffer should be full and flagged non-empty")
@@ -51,7 +51,7 @@ func TestFlitFIFOWrapsAround(t *testing.T) {
 	n := fifoNet(t, 2, 1, 1)
 	p := &Packet{Size: 100}
 	for i := int32(0); i < 20; i++ {
-		n.pushFlit(0, 0, 0, p, i, 0)
+		n.pushFlit(0, 0, 0, flitOf(p, i, 0))
 		if i%2 == 1 {
 			if e := n.popFlit(0, 0, 0); e.seq != i-1 {
 				t.Fatalf("wrap pop: got %d want %d", e.seq, i-1)
@@ -65,13 +65,13 @@ func TestFlitFIFOWrapsAround(t *testing.T) {
 
 func TestFlitFIFOOverflowPanics(t *testing.T) {
 	n := fifoNet(t, 1, 1, 1)
-	n.pushFlit(0, 0, 0, &Packet{Size: 1}, 0, 0)
+	n.pushFlit(0, 0, 0, flitOf(&Packet{Size: 1}, 0, 0))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overflow should panic")
 		}
 	}()
-	n.pushFlit(0, 0, 0, &Packet{Size: 1}, 0, 0)
+	n.pushFlit(0, 0, 0, flitOf(&Packet{Size: 1}, 0, 0))
 }
 
 func TestFlitFIFOEmptyFrontPanics(t *testing.T) {
@@ -86,14 +86,14 @@ func TestFlitFIFOEmptyFrontPanics(t *testing.T) {
 
 func TestHeadTailFlags(t *testing.T) {
 	p := &Packet{Size: 3}
-	if h := (flitEntry{pkt: p, seq: 0}); !h.head() || h.tail() {
+	if h := flitOf(p, 0, 0); !h.head() || h.tail() {
 		t.Error("seq 0 of 3 should be head only")
 	}
-	if tl := (flitEntry{pkt: p, seq: 2}); tl.head() || !tl.tail() {
+	if tl := flitOf(p, 2, 0); tl.head() || !tl.tail() {
 		t.Error("seq 2 of 3 should be tail only")
 	}
 	single := &Packet{Size: 1}
-	if s := (flitEntry{pkt: single, seq: 0}); !s.head() || !s.tail() {
+	if s := flitOf(single, 0, 0); !s.head() || !s.tail() {
 		t.Error("single flit is both head and tail")
 	}
 }
@@ -106,28 +106,56 @@ func (n *Network) at(c sim.Cycle) *Network {
 	return n
 }
 
-// Property: a flit sent on a link arrives exactly latency cycles later
-// and exactly once.
+// recvFlit takes the flit its arrival byte flags at port record rp in
+// the cycle n is at, as ingress does.
+func (n *Network) recvFlit(rp int) (linkFlit, bool) {
+	b := &n.arrivals[n.arrIndex(n.cycle, rp/n.ports, rp%n.ports)]
+	if *b&arrFlit == 0 {
+		return linkFlit{}, false
+	}
+	*b &^= arrFlit
+	return n.takeFlit(rp), true
+}
+
+// recvCredit is recvFlit for credits.
+func (n *Network) recvCredit(rp int) (int16, bool) {
+	b := &n.arrivals[n.arrIndex(n.cycle, rp/n.ports, rp%n.ports)]
+	if *b&arrCred == 0 {
+		return -1, false
+	}
+	*b &^= arrCred
+	return n.takeCredit(rp), true
+}
+
+// linkEnd is port 3 of router 0 of a fifoNet, the far end of a link.
+var linkEnd = portRef{slot: 3, router: 0}
+
+// Property: a flit sent on a link is flagged and taken in exactly
+// LinkLatency + RouterStages - 1 cycles later — the cycle it can first
+// be switched — and exactly once.
 func TestLinkLatencyProperty(t *testing.T) {
-	f := func(latency uint8, start uint16) bool {
-		lat := int(latency%8) + 1
-		n := fifoNet(t, 4, lat, 1)
-		const rp = 3
+	f := func(latency, stages uint8, start uint16) bool {
+		lat, st := int(latency%8)+1, int(stages%3)+1
+		m := topology.NewMesh(2, 1, 1)
+		cfg := DefaultConfig()
+		cfg.LinkLatency, cfg.RouterStages = lat, st
+		n := mustNet(t, cfg, m, topology.NewXY(m))
 		t0 := sim.Cycle(start)
+		due := t0 + sim.Cycle(lat+st-1)
 		p := &Packet{Size: 1}
-		n.at(t0).sendFlit(rp, linkFlit{pkt: p})
-		for c := t0; c < t0+sim.Cycle(lat); c++ {
-			if _, ok := n.at(c).recvFlit(rp); ok {
-				return false // arrived early
+		n.at(t0).sendFlit(linkEnd, linkFlit{pkt: p})
+		for c := t0; c < due; c++ {
+			if _, ok := n.at(c).recvFlit(int(linkEnd.slot)); ok {
+				return false // taken in early
 			}
 		}
-		got, ok := n.at(t0 + sim.Cycle(lat)).recvFlit(rp)
+		got, ok := n.at(due).recvFlit(int(linkEnd.slot))
 		if !ok || got.pkt != p {
 			return false
 		}
 		// Gone after receipt.
-		_, again := n.recvFlit(rp)
-		return !again
+		_, again := n.recvFlit(int(linkEnd.slot))
+		return !again && n.linkFlits[int(linkEnd.slot)*n.flitRing+n.rxFlit].pkt == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -136,27 +164,28 @@ func TestLinkLatencyProperty(t *testing.T) {
 
 func TestLinkCreditRoundTrip(t *testing.T) {
 	n := fifoNet(t, 4, 1, 2)
-	const rp = 3
-	n.at(10).sendCredit(rp, 3)
-	if _, ok := n.at(11).recvCredit(rp); ok {
+	n.at(10).sendCredit(linkEnd, 3)
+	if _, ok := n.at(11).recvCredit(int(linkEnd.slot)); ok {
 		t.Fatal("credit arrived early")
 	}
-	vc, ok := n.at(12).recvCredit(rp)
+	vc, ok := n.at(12).recvCredit(int(linkEnd.slot))
 	if !ok || vc != 3 {
 		t.Fatalf("credit = %d, %v", vc, ok)
 	}
 }
 
+// A flit ring is LinkLatency + RouterStages slots long: a second send
+// that many cycles after the first, with no take-in between, lands in
+// the same slot.
 func TestLinkCollisionPanics(t *testing.T) {
 	n := fifoNet(t, 4, 1, 1)
-	n.at(0).sendFlit(3, linkFlit{pkt: &Packet{Size: 1}})
+	n.at(0).sendFlit(linkEnd, linkFlit{pkt: &Packet{Size: 1}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("slot collision should panic")
 		}
 	}()
-	// Same arrival slot without an intervening receive.
-	n.at(2).sendFlit(3, linkFlit{pkt: &Packet{Size: 1}})
+	n.at(sim.Cycle(n.cfg.LinkLatency+n.cfg.RouterStages)).sendFlit(linkEnd, linkFlit{pkt: &Packet{Size: 1}})
 }
 
 // The client's payload is a kind byte beside Class and two words, so

@@ -104,6 +104,7 @@ func (n *Network) Energy(p EnergyParams) PowerReport {
 			links++
 		}
 	}
+	r.BufWrites = uint64(n.pending()) // written on arrival, as BufferedFlits counts them
 	for i := range n.bufWrites {
 		r.BufWrites += n.bufWrites[i]
 		r.BufReads += n.bufReads[i]

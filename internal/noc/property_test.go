@@ -118,15 +118,19 @@ func conserves(t *testing.T, seed uint64, vcs, depth, side int, rate float64, to
 // every injected packet comes out. The router's shape varies too: one
 // or four terminals per router, two or four VCs per virtual network (up
 // to 8 ports of 12 VCs, 96 input VCs a router — more than one mask
-// word) and buffers 1, 4 or 8 deep.
+// word), buffers 1, 4 or 8 deep, and the pipeline: 1 to 3 router
+// stages, link latency 1 to 3 and credit latency 1 or 2.
 func TestShardedEqualsExhaustiveProperty(t *testing.T) {
 	patterns := []string{"uniform", "hotspot", "bursty"}
-	f := func(wRaw, hRaw, workersRaw, patRaw, shapeRaw uint8, torus bool) bool {
+	f := func(wRaw, hRaw, workersRaw, patRaw, shapeRaw uint8, torus bool, pipeRaw uint8) bool {
 		pattern := patterns[int(patRaw)%len(patterns)]
 		cfg := DefaultConfig()
 		conc := []int{1, 4}[shapeRaw&1]
 		cfg.VCsPerVNet = []int{2, 4}[shapeRaw>>1&1]
 		cfg.BufDepth = []int{4, 1, 8}[int(shapeRaw>>2)%3]
+		cfg.RouterStages = 1 + int(pipeRaw)%3
+		cfg.LinkLatency = 1 + int(pipeRaw)/3%3
+		cfg.CreditLatency = 1 + int(pipeRaw)/9%2
 		var topo topology.Topology
 		var routing topology.Routing
 		if torus {
@@ -139,8 +143,8 @@ func TestShardedEqualsExhaustiveProperty(t *testing.T) {
 		R := topo.NumRouters()
 		workers := int(workersRaw) % (R + 4) // 0 .. R+3: default, exact fit, and clamped
 		fail := func(what string) bool {
-			t.Logf("%s vcs=%d depth=%d workers=%d pattern=%s: %s",
-				topo.Name(), cfg.TotalVCs(), cfg.BufDepth, workers, pattern, what)
+			t.Logf("%s vcs=%d depth=%d S=%d L=%d C=%d workers=%d pattern=%s: %s",
+				topo.Name(), cfg.TotalVCs(), cfg.BufDepth, cfg.RouterStages, cfg.LinkLatency, cfg.CreditLatency, workers, pattern, what)
 			return false
 		}
 

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -52,34 +53,46 @@ func (n *Network) occupied(r int) bool {
 	return any != 0
 }
 
-// phaseIngress ingests link flit arrivals, link credit returns, NI
-// credit returns, and NI flit injection for router r.
+// phaseIngress takes in router r's link flits due this cycle, link
+// credit returns and NI credit returns — reading the router's arrival
+// bytes a word at a time and visiting only the flagged rings — and
+// then runs NI flit injection. A link flit is due at the cycle it can
+// first be switched (see sendFlit), so it enters ready.
 func (n *Network) phaseIngress(r int) {
 	now := n.cycle
 	rp := r * n.ports
-
-	for p := n.lp; p < n.ports; p++ {
-		if f, ok := n.recvFlit(rp + p); ok {
-			n.pushFlit(r, p, int(f.vc), f.pkt, f.seq, now)
+	arr := n.arrivals[n.rxArr+r*n.arrStride:][:n.arrStride]
+	for k := 0; k < len(arr); k += 8 {
+		w := binary.LittleEndian.Uint64(arr[k:])
+		if w == 0 {
+			continue
 		}
-		if vc, ok := n.recvCredit(rp + p); ok {
+		binary.LittleEndian.PutUint64(arr[k:], 0)
+		for x := w & arrFlits; x != 0; x &= x - 1 {
+			p := k + bits.TrailingZeros64(x)>>3
+			f := n.takeFlit(rp + p)
+			n.pushFlit(r, p, int(f.vc), f.entry(now))
+		}
+		for x := w & arrCreds; x != 0; x &= x - 1 {
+			p := k + bits.TrailingZeros64(x)>>3
+			vc := n.takeCredit(rp + p)
+			if p < n.lp {
+				ni := &n.ifaces[n.niAt[r*n.lp+p]]
+				if ni.credits[vc]++; int(ni.credits[vc]) > n.depth {
+					panic(fmt.Sprintf("noc: NI credit overflow terminal %d vc %d", ni.terminal, vc))
+				}
+				continue
+			}
 			o := r*n.pv + p*n.vcs + int(vc)
-			n.outCredits[o]++
-			if int(n.outCredits[o]) > n.depth {
+			if n.outCredits[o]++; int(n.outCredits[o]) > n.depth {
 				panic(fmt.Sprintf("noc: credit overflow router %d port %d vc %d", r, p, vc))
 			}
 		}
 	}
-
-	for p := 0; p < n.lp; p++ {
-		ni := &n.ifaces[n.niAt[r*n.lp+p]]
-		if vc, ok := n.recvCredit(rp + p); ok {
-			ni.credits[vc]++
-			if int(ni.credits[vc]) > n.depth {
-				panic(fmt.Sprintf("noc: NI credit overflow terminal %d vc %d", ni.terminal, vc))
-			}
+	for lr := r * n.lp; lr < (r+1)*n.lp; lr++ {
+		if n.niWork[lr] {
+			n.ifaces[n.niAt[lr]].tryInject(n, now)
 		}
-		ni.tryInject(n, now)
 	}
 }
 
@@ -102,9 +115,8 @@ func (n *Network) phaseRC(r int) {
 				panic(fmt.Sprintf("noc: non-head flit %d of %v at front of idle VC", e.seq, e.pkt))
 			}
 			hops := n.hops[i*maxHops : (i+1)*maxHops]
-			dstRouter, dstPort := n.topo.RouterOf(e.pkt.Dst)
-			if dstRouter == r {
-				hops[0] = hop{port: int16(dstPort)}
+			if dst := n.term[e.pkt.Dst]; int(dst.router) == r {
+				hops[0] = hop{port: dst.port}
 				n.vcHops[i] = 1
 			} else {
 				route := n.routing.Route(r, e.pkt.Src, e.pkt.Dst, int(n.vcInfo[id].set), sc.route[:0])
@@ -139,10 +151,18 @@ func (n *Network) phaseVA(r int) {
 			id := w*n.wordVCs + b
 			vnet := int(n.vcInfo[id].vnet)
 			best, bestScore := hop{port: -1}, int64(-1)
-			for _, h := range n.hops[(vb+id)*maxHops:][:n.vcHops[vb+id]] {
-				free, creditSum := n.vcRangeAvail(vb, int(h.port), vnet, int(h.set))
-				if free != 0 && creditSum > bestScore {
-					best, bestScore = h, creditSum
+			if hops := n.hops[(vb+id)*maxHops:][:n.vcHops[vb+id]]; len(hops) == 1 {
+				// One admissible hop: a free VC is all it needs, the
+				// credit sum only ranks hops against each other.
+				if _, ok := n.freeVCInRange(vb, int(hops[0].port), vnet, int(hops[0].set)); ok {
+					best = hops[0]
+				}
+			} else {
+				for _, h := range hops {
+					free, creditSum := n.vcRangeAvail(vb, int(h.port), vnet, int(h.set))
+					if free != 0 && creditSum > bestScore {
+						best, bestScore = h, creditSum
+					}
 				}
 			}
 			if best.port < 0 {
@@ -334,7 +354,7 @@ func (n *Network) phaseST(r int) {
 			if far.router < 0 {
 				panic(fmt.Sprintf("noc: ST to unconnected port %d on router %d", p, r))
 			}
-			n.sendFlit(int(far.slot), linkFlit{pkt: e.pkt, seq: e.seq, vc: outVC})
+			n.sendFlit(far, linkFlit{pkt: e.pkt, seq: e.seq, vc: outVC, last: e.last})
 			n.outCredits[o]--
 			if n.outCredits[o] < 0 {
 				panic(fmt.Sprintf("noc: negative credits router %d port %d vc %d", r, p, outVC))
@@ -343,7 +363,7 @@ func (n *Network) phaseST(r int) {
 
 		// Return the freed buffer slot upstream: to the neighbour across
 		// the input port, or to this router's own NI on a local port.
-		n.sendCredit(int(n.peer[rp+int(in.port)].slot), in.vc)
+		n.sendCredit(n.peer[rp+int(in.port)], in.vc)
 
 		if e.tail() {
 			n.outOwner[o] = -1
@@ -378,8 +398,8 @@ func (n *Network) recountMask(rw int) (m vcMask) {
 
 // checkMasks asserts, under the simcheck build tag, that router r's
 // derived state equals a recount: its masks, the busy predicate against
-// a count of its non-idle or non-empty input VCs, and its NIs' queued
-// counts. The comparisons guard the Assert calls so that a passing
+// a count of its non-idle or non-empty input VCs, its NIs' queued
+// counts and work flags, and its arrival bytes. The comparisons guard the Assert calls so that a passing
 // check boxes no arguments: simcheck builds keep the zero-alloc steady
 // state.
 func (n *Network) checkMasks(r int) {
@@ -400,9 +420,45 @@ func (n *Network) checkMasks(r int) {
 			sim.Assert(false, "noc: router %d masks word %d %+v, VC state recounts to %+v", r, rw-r*n.mw, n.masks[rw], want)
 		}
 	}
-	for _, t := range n.niAt[r*n.lp : (r+1)*n.lp] {
-		if ni := &n.ifaces[t]; ni.queued != ni.pending() {
+	for lr := r * n.lp; lr < (r+1)*n.lp; lr++ {
+		t := n.niAt[lr]
+		ni := &n.ifaces[t]
+		if ni.queued != ni.pending() {
 			sim.Assert(false, "noc: terminal %d NI counts %d queued packets, its queues hold %d", t, ni.queued, ni.pending())
+		}
+		if n.niWork[lr] == ni.idle() {
+			sim.Assert(false, "noc: terminal %d NI work flag %v, idle %v", t, n.niWork[lr], ni.idle())
+		}
+	}
+	n.checkArrivals(r)
+}
+
+// checkArrivals recounts router r's arrival bytes against its rings:
+// a byte flags a flit or a credit exactly where the ring slot of that
+// cycle holds one, and nothing in the padding or beyond a ring's
+// reach. The slots written this cycle — a flit's ingest cycle and a
+// credit's arrival cycle — are skipped, since other shards may be
+// writing them.
+func (n *Network) checkArrivals(r int) {
+	flitDue, credDue := n.flitRing-1, n.cfg.CreditLatency
+	for d := 0; d < n.arrSlots; d++ {
+		if d == flitDue || d == credDue {
+			continue
+		}
+		at := n.cycle + sim.Cycle(d)
+		for p := 0; p < n.arrStride; p++ {
+			var want byte
+			if rp := r*n.ports + p; p < n.ports {
+				if d < flitDue && n.linkFlits[rp*n.flitRing+int(at%sim.Cycle(n.flitRing))].pkt != nil {
+					want |= arrFlit
+				}
+				if d < credDue && n.linkCredits[rp*n.credRing+int(at%sim.Cycle(n.credRing))] != -1 {
+					want |= arrCred
+				}
+			}
+			if got := n.arrivals[n.arrIndex(at, r, p)]; got != want {
+				sim.Assert(false, "noc: router %d port %d arrival byte %#x for cycle %d, its rings hold %#x", r, p, got, at, want)
+			}
 		}
 	}
 }

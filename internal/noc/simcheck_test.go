@@ -66,3 +66,43 @@ func TestQueuedInvariantPanics(t *testing.T) {
 		wantInvariantPanic(t, n.Step, "queued")
 	}
 }
+
+// TestArrivalInvariantPanics: under simcheck every stepped router
+// recounts its arrival bytes against its rings, so a dropped flit or
+// credit bit — which would leave the flit or credit on its ring, never
+// taken in — stops the run by the cycle it was due.
+func TestArrivalInvariantPanics(t *testing.T) {
+	for _, bit := range []byte{arrFlit, arrCred} {
+		n, _ := busyRouter(t)
+		flagged := -1
+		for i := 0; i < 20 && flagged < 0; i++ {
+			n.Step()
+			for k, b := range n.arrivals {
+				if b&bit != 0 {
+					flagged = k
+					break
+				}
+			}
+		}
+		if flagged < 0 {
+			t.Fatalf("no arrival byte ever flagged bit %#x", bit)
+		}
+		n.arrivals[flagged] &^= bit
+		wantInvariantPanic(t, func() {
+			for i := 0; i < n.arrSlots; i++ {
+				n.Step()
+			}
+		}, "arrival byte")
+	}
+}
+
+// TestNIWorkInvariantPanics: the per-NI work flag decides whether
+// ingress and rearm visit an NI at all, so a flag that drifts from the
+// NI's idleness would skip an NI with packets to inject, or touch an
+// idle one.
+func TestNIWorkInvariantPanics(t *testing.T) {
+	n, busy := busyRouter(t)
+	lr := busy * n.lp
+	n.niWork[lr] = !n.niWork[lr]
+	wantInvariantPanic(t, n.Step, "work flag")
+}

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
@@ -158,6 +159,7 @@ func (n *Network) State(c *snapshot.Codec, track func(*Packet)) {
 
 	pt := newPacketTable()
 	if !c.Decoding() {
+		n.settle()
 		for t := range n.ifaces {
 			ni := &n.ifaces[t]
 			for v := range ni.queues {
@@ -175,8 +177,10 @@ func (n *Network) State(c *snapshot.Codec, track func(*Packet)) {
 				pt.add(n.fifoAt(i, k).pkt)
 			}
 		}
-		for i := range n.linkFlits {
-			pt.add(n.linkFlits[i].pkt)
+		for rp := range n.peer {
+			for j := 0; j <= n.cfg.LinkLatency; j++ {
+				pt.add(n.linkFlits[rp*n.flitRing+n.wireSlot(j)].pkt)
+			}
 		}
 	}
 	pt.state(c, len(n.ifaces), n.cfg.VNets, track)
@@ -211,14 +215,19 @@ func (n *Network) State(c *snapshot.Codec, track func(*Packet)) {
 		}
 		// Ring slots are indexed by absolute cycle modulo ring size;
 		// the clock is part of the state too, so positions are kept
-		// slot-for-slot.
+		// slot-for-slot, in the LinkLatency+1 slots of a ring indexed
+		// by arrival cycle (see wireSlot).
 		c.Enter("link", rp/n.ports, rp%n.ports)
 		ring := n.linkFlits[rp*n.flitRing:][:n.flitRing]
-		for i := range ring {
-			f := &ring[i]
+		if c.Decoding() {
+			clear(ring)
+		}
+		for j := 0; j <= n.cfg.LinkLatency; j++ {
+			f := &ring[n.wireSlot(j)]
 			pt.ref(c, &f.pkt)
 			snapshot.As32(c, &f.seq)
 			snapshot.As16(c, &f.vc)
+			f.last = isTail(f.pkt, f.seq)
 		}
 		credits := n.creditRingOf(rp)
 		for i := range credits {
@@ -278,6 +287,7 @@ func (n *Network) routerState(c *snapshot.Codec, pt *packetTable, r int) {
 			pt.live(c, &f.pkt, "VC buffer")
 			snapshot.As32(c, &f.seq)
 			snapshot.As64(c, &f.ready)
+			f.last = isTail(f.pkt, f.seq)
 		}
 		if c.U8(&n.vcState[i]); n.vcState[i] > vcActive {
 			c.Failf("input VC state %d out of range", n.vcState[i])
@@ -324,6 +334,17 @@ func (n *Network) routerState(c *snapshot.Codec, pt *packetTable, r int) {
 	c.U64(&n.bufWrites[r])
 	c.U64(&n.bufReads[r])
 	c.U64(&n.arbGrants[r])
+}
+
+// wireSlot maps slot j of the wire's link ring — LinkLatency+1 slots,
+// a flit at slot (its arrival cycle) mod LinkLatency+1 — to the slot of
+// the flit ring, indexed by the flit's ingest cycle, RouterStages-1
+// cycles after its arrival. Encoding has settled every flit that
+// arrived before the clock (the wire holds them in their buffers), so
+// each flit left on a ring arrives at or after it.
+func (n *Network) wireSlot(j int) int {
+	at := ringArrival(n.cycle, j, n.cfg.LinkLatency+1) + sim.Cycle(n.cfg.RouterStages-1)
+	return int(at % sim.Cycle(n.flitRing))
 }
 
 // creditRingOf returns the ring that carries the credits port record rp
