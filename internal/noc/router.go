@@ -399,9 +399,9 @@ func (n *Network) recountMask(rw int) (m vcMask) {
 // checkMasks asserts, under the simcheck build tag, that router r's
 // derived state equals a recount: its masks, the busy predicate against
 // a count of its non-idle or non-empty input VCs, its NIs' queued
-// counts and work flags, and its arrival bytes. The comparisons guard the Assert calls so that a passing
-// check boxes no arguments: simcheck builds keep the zero-alloc steady
-// state.
+// counts and work flags, and its arrival bytes. The comparisons guard
+// the Assert calls so that a passing check boxes no arguments: simcheck
+// builds keep the zero-alloc steady state.
 func (n *Network) checkMasks(r int) {
 	if !sim.Checking {
 		return
