@@ -419,7 +419,7 @@ func TestRestartFailsUnresumableSession(t *testing.T) {
 			// the first session is mid-run when it drains and leaves a
 			// checkpoint, however fast the host is.
 			dir := t.TempDir()
-			hold := holdBuilder{builds: new(atomic.Int32), held: make(chan struct{}), gate: make(chan struct{})}
+			hold := newHoldBuilder()
 			srv1 := newTestServer(t, Options{Workers: 1, SliceCycles: 512, StateDir: dir, Builder: hold})
 			var pending []string
 			for i := 2; i <= 4; i++ {
@@ -429,6 +429,7 @@ func TestRestartFailsUnresumableSession(t *testing.T) {
 				}
 				pending = append(pending, st.ID)
 			}
+			close(hold.start)
 			<-hold.held
 			drained := make(chan error, 1)
 			go func() { drained <- srv1.Close() }()
@@ -495,7 +496,7 @@ func TestTornManifestAtRestart(t *testing.T) {
 	// As in TestRestartFailsUnresumableSession, the first session is
 	// mid-run when the server drains, so it leaves a checkpoint.
 	dir := t.TempDir()
-	hold := holdBuilder{builds: new(atomic.Int32), held: make(chan struct{}), gate: make(chan struct{})}
+	hold := newHoldBuilder()
 	srv1 := newTestServer(t, Options{Workers: 1, SliceCycles: 512, StateDir: dir, Builder: hold})
 	var pending []string
 	for i := 2; i <= 4; i++ {
@@ -505,6 +506,7 @@ func TestTornManifestAtRestart(t *testing.T) {
 		}
 		pending = append(pending, st.ID)
 	}
+	close(hold.start)
 	<-hold.held
 	drained := make(chan error, 1)
 	go func() { drained <- srv1.Close() }()
@@ -663,16 +665,25 @@ func (n panicNet) AdvanceTo(c sim.Cycle) {
 	n.Network.AdvanceTo(c)
 }
 
-// holdBuilder lets the first Build through and holds every later one
-// until gate is closed, announcing on held that one is waiting.
+// holdBuilder holds the first Build until start is closed, and every
+// later one until gate is closed, announcing on held that one is
+// waiting. Closing start once every session is submitted keeps the
+// first session from running to completion before the second one is
+// ready to be picked.
 type holdBuilder struct {
-	builds     *atomic.Int32
-	held, gate chan struct{}
+	builds            *atomic.Int32
+	start, held, gate chan struct{}
+}
+
+func newHoldBuilder() holdBuilder {
+	return holdBuilder{builds: new(atomic.Int32), start: make(chan struct{}), held: make(chan struct{}), gate: make(chan struct{})}
 }
 
 func (h holdBuilder) Digest(req SubmitRequest) (uint64, error) { return StdBuilder{}.Digest(req) }
 func (h holdBuilder) Build(req SubmitRequest) (*core.Cosim, error) {
-	if h.builds.Add(1) > 1 {
+	if h.builds.Add(1) == 1 {
+		<-h.start
+	} else {
 		select {
 		case h.held <- struct{}{}:
 		case <-h.gate:
