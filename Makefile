@@ -96,7 +96,10 @@ race:
 # the internal/noc shard property tests and TestShardedPipelinePins,
 # which runs every pipeline shape (router stages, link and credit
 # latency) on one and three shards — so the arrival bytes that routers
-# in different shards set for one receiver are raced for each shape.
+# in different shards set for one receiver are raced for each shape —
+# and TestShardedHandleReuse, which drains and re-injects every quantum
+# on one and three shards, so packet handles are reused while other
+# shards read the route-key and hop-count columns.
 # Every gated run steps through the shard partition, so this is the
 # data-race proof for the code all of them execute — blocking in CI.
 race-shard:

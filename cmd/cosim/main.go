@@ -145,7 +145,7 @@ func main() {
 				fatal(err2)
 			}
 			rec = core.NewRecorder(backend)
-			cs, err = core.Build(cfg.System, wl, rec, cfg.Quantum)
+			cs, err = core.Build(cfg.System, wl, rec, repro.ModeQuantum(cfg, repro.Mode(m)))
 			if err != nil {
 				fatal(err)
 			}

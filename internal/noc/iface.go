@@ -9,9 +9,10 @@ import (
 // Iface is a terminal's network interface: per-virtual-network
 // injection queues, the flit serializer that feeds the attached
 // router's local input port, and the delivery buffer the client drains.
+// All three hold packet handles (see packet.go).
 type Iface struct {
 	// What an idle NI's cycle reads comes first, in one cache line.
-	cur    *Packet // packet currently being serialized, or nil
+	cur    uint32 // handle of the packet being serialized, or 0
 	curSeq int32
 	curVC  int16
 	// queued counts the packets in queues past their qHead, eligible or
@@ -27,11 +28,11 @@ type Iface struct {
 	router    int //simlint:derived construction input: the NI's place in the topology
 	localPort int //simlint:derived construction input: the NI's place in the topology
 
-	queues [][]*Packet // per vnet, time-ordered by CreatedAt
-	qHead  []int       // consumed prefix per queue
-	rr     int         // round-robin pointer over vnets
+	queues [][]uint32 // per vnet, time-ordered by CreatedAt
+	qHead  []int      // consumed prefix per queue
+	rr     int        // round-robin pointer over vnets
 
-	deliveries []*Packet // tail-ejected packets, DeliveredAt ascending
+	deliveries []uint32 // tail-ejected packets, DeliveredAt ascending
 	dHead      int
 
 	injectedPkts  uint64
@@ -47,19 +48,20 @@ func newIface(terminal, router, localPort int, cfg Config) Iface {
 		terminal:  terminal,
 		router:    router,
 		localPort: localPort,
-		queues:    make([][]*Packet, cfg.VNets),
+		queues:    make([][]uint32, cfg.VNets),
 		qHead:     make([]int, cfg.VNets),
 		credits:   credits,
 	}
 }
 
-// enqueue appends a packet to its virtual network's injection queue.
-// Packets must be enqueued in nondecreasing CreatedAt order per vnet.
-func (ni *Iface) enqueue(p *Packet) {
+// enqueue appends packet p, with handle hp in the table pkts, to its
+// virtual network's injection queue. Packets must be enqueued in
+// nondecreasing CreatedAt order per vnet.
+func (ni *Iface) enqueue(p *Packet, hp uint32, pkts []*Packet) {
 	q, h := ni.queues[p.VNet], ni.qHead[p.VNet]
-	if n := len(q); n > h && q[n-1].CreatedAt > p.CreatedAt {
+	if n := len(q); n > h && pkts[q[n-1]].CreatedAt > p.CreatedAt {
 		panic(fmt.Sprintf("noc: out-of-order injection at terminal %d (%v after %v)",
-			ni.terminal, p.CreatedAt, q[n-1].CreatedAt))
+			ni.terminal, p.CreatedAt, pkts[q[n-1]].CreatedAt))
 	}
 	if h > 0 && 2*h >= len(q) {
 		// Reclaim the consumed prefix once it is half the queue (one
@@ -68,7 +70,7 @@ func (ni *Iface) enqueue(p *Packet) {
 		q = q[:copy(q, q[h:])]
 		ni.qHead[p.VNet] = 0
 	}
-	ni.queues[p.VNet] = append(q, p)
+	ni.queues[p.VNet] = append(q, hp)
 	ni.queued++
 }
 
@@ -86,31 +88,33 @@ func (ni *Iface) pending() int {
 // next eligible packet if idle, then pushes one flit into the router's
 // local input port if a credit is available.
 func (ni *Iface) tryInject(n *Network, now sim.Cycle) {
-	if ni.cur == nil {
+	if ni.cur == 0 {
 		if ni.queued == 0 {
 			return
 		}
-		if ni.selectNext(n, now); ni.cur == nil {
+		if ni.selectNext(n, now); ni.cur == 0 {
 			return
 		}
 	}
 	if ni.credits[ni.curVC] <= 0 {
 		return
 	}
-	n.pushFlit(ni.router, ni.localPort, int(ni.curVC), flitOf(ni.cur, ni.curSeq, now+sim.Cycle(n.cfg.RouterStages-1)))
+	ref := n.refOf(ni.cur, ni.curSeq)
+	n.pushFlit(ni.router, ni.localPort, int(ni.curVC), flitEntry{ref: ref, seq: ni.curSeq, ready: now + sim.Cycle(n.cfg.RouterStages-1)})
 	ni.credits[ni.curVC]--
 	ni.injectedFlits++
 	ni.curSeq++
-	if int(ni.curSeq) == ni.cur.Size {
-		ni.cur = nil
+	if ref&tailBit != 0 {
+		ni.cur = 0
 		n.niWork[ni.router*n.lp+ni.localPort] = ni.queued != 0
 	}
 }
 
 // selectNext picks the next packet to serialize: round-robin over
 // virtual networks with an eligible (CreatedAt <= now) head packet and
-// a creditable VC in the vnet's set-0 range. The head flit stamps
-// InjectedAt when selected.
+// a creditable VC in the vnet's set-0 range. The credits are asked
+// first, so a vnet without one never loads its head packet. The head
+// flit stamps InjectedAt when selected.
 func (ni *Iface) selectNext(n *Network, now sim.Cycle) {
 	for k, v := 0, ni.rr; k < len(ni.queues); k, v = k+1, v+1 {
 		if v == len(ni.queues) {
@@ -119,12 +123,13 @@ func (ni *Iface) selectNext(n *Network, now sim.Cycle) {
 		if ni.qHead[v] >= len(ni.queues[v]) {
 			continue
 		}
-		p := ni.queues[v][ni.qHead[v]]
-		if p.CreatedAt > now {
-			continue
-		}
 		vc, ok := ni.bestVC(n, v)
 		if !ok {
+			continue
+		}
+		h := ni.queues[v][ni.qHead[v]]
+		p := n.pkts[h]
+		if p.CreatedAt > now {
 			continue
 		}
 		ni.qHead[v]++
@@ -132,7 +137,7 @@ func (ni *Iface) selectNext(n *Network, now sim.Cycle) {
 		if ni.rr = v + 1; ni.rr == len(ni.queues) {
 			ni.rr = 0
 		}
-		ni.cur = p
+		ni.cur = h
 		ni.curSeq = 0
 		ni.curVC = vc
 		ni.injectedPkts++
@@ -157,12 +162,11 @@ func (ni *Iface) bestVC(n *Network, vnet int) (int16, bool) {
 	return int16(best), true
 }
 
-// drainInto appends deliveries due at or before cycle `now` to out and
-// returns the extended slice.
-func (ni *Iface) drainInto(out []*Packet, now sim.Cycle) []*Packet {
-	for ni.dHead < len(ni.deliveries) && ni.deliveries[ni.dHead].DeliveredAt <= now {
-		out = append(out, ni.deliveries[ni.dHead])
-		ni.deliveries[ni.dHead] = nil
+// drainInto appends deliveries due at or before cycle `now` to out,
+// releasing their handles in n, and returns the extended slice.
+func (ni *Iface) drainInto(n *Network, out []*Packet, now sim.Cycle) []*Packet {
+	for ni.dHead < len(ni.deliveries) && n.pkts[ni.deliveries[ni.dHead]].DeliveredAt <= now {
+		out = append(out, n.release(ni.deliveries[ni.dHead]))
 		ni.dHead++
 	}
 	if ni.dHead == len(ni.deliveries) && ni.dHead > 0 {
@@ -174,4 +178,4 @@ func (ni *Iface) drainInto(out []*Packet, now sim.Cycle) []*Packet {
 
 // idle reports whether the NI has no queued packets (eligible or not)
 // and no packet in serialization.
-func (ni *Iface) idle() bool { return ni.cur == nil && ni.queued == 0 }
+func (ni *Iface) idle() bool { return ni.cur == 0 && ni.queued == 0 }

@@ -98,6 +98,17 @@ type Network struct {
 	rxCred, txCred              int     //simlint:derived recomputed from the clock by every Step
 	rxArr, txArrFlit, txArrCred int     //simlint:derived recomputed from the clock by every Step
 
+	// The packet table, by handle (see packet.go): the packet each live
+	// handle names (nil for handle 0 and free handles), its route key
+	// and its hop count, and the LIFO free list of released handles.
+	// Encode walks the packets, not the handles; decode gives packet i
+	// of the wire's table handle i+1 and an empty free list.
+	pkts     []*Packet
+	keys     []routeKey //simlint:derived filled from the packet's Src and Dst at take and on decode
+	hopCnt   []int32
+	free     []uint32 //simlint:derived which handles are free is host-side; decode starts an empty list
+	freeSeen []uint64 //simlint:derived checkHandles scratch, rewritten by every check
+
 	ifaces []Iface
 	// niWork[r*lp + p] is set while the NI on local port p of router r
 	// has a packet serializing or queued (the NI is not idle): the NIs
@@ -228,6 +239,9 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 		credRing:  cfg.CreditLatency + 1,
 		vcsPerSet: cfg.VCsPerVNet / routing.VCSets(),
 		Ledger:    NewLedger(),
+		pkts:      make([]*Packet, 1),
+		keys:      make([]routeKey, 1),
+		hopCnt:    make([]int32, 1),
 	}
 	for _, o := range opts {
 		o(n)
@@ -356,7 +370,7 @@ func (n *Network) Inject(p *Packet, at sim.Cycle) {
 	}
 	n.Admit(p, at)
 	ni := &n.ifaces[p.Src]
-	ni.enqueue(p)
+	ni.enqueue(p, n.take(p), n.pkts)
 	n.niWork[ni.router*n.lp+ni.localPort] = true
 	n.wakeRouter(int32(ni.router), at, n.cycle)
 }
@@ -393,6 +407,9 @@ func (n *Network) Step() {
 		n.stepSharded(n.cycle, n.shardFn)
 	}
 	n.cycle++
+	if sim.Checking {
+		n.checkHandles()
+	}
 }
 
 // shardStep runs one shard's cycle: drain its wake schedule and sweep
@@ -444,14 +461,14 @@ func (n *Network) rearm(s *shard, r32 int32) {
 			continue
 		}
 		ni := &n.ifaces[n.niAt[r*n.lp+p]]
-		if busy = ni.cur != nil; busy || ni.queued == 0 {
+		if busy = ni.cur != 0; busy || ni.queued == 0 {
 			continue
 		}
 		for v := 0; v < len(ni.queues) && !busy; v++ {
 			if ni.qHead[v] >= len(ni.queues[v]) {
 				continue
 			}
-			if at := ni.queues[v][ni.qHead[v]].CreatedAt; at > now+1 {
+			if at := n.pkts[ni.queues[v][ni.qHead[v]]].CreatedAt; at > now+1 {
 				s.gate.wake(r32, at, now)
 			} else {
 				busy = true
@@ -499,7 +516,7 @@ func (n *Network) rederive() {
 	clear(n.arrivals)
 	now := n.cycle
 	for i := range n.linkFlits {
-		if n.linkFlits[i].pkt != nil {
+		if n.linkFlits[i].ref != 0 {
 			n.rearrive(i/n.flitRing, ringArrival(now, i%n.flitRing, n.flitRing), arrFlit)
 		}
 	}
@@ -537,13 +554,18 @@ func (n *Network) Run(cycles int) {
 
 // Drain returns all packets delivered at or before the current cycle
 // that have not been returned before, recording their latency
-// statistics. The returned slice is reused by the next Drain call.
+// statistics, and frees their handles. The returned slice is reused by
+// the next Drain call.
 func (n *Network) Drain() []*Packet {
 	out := n.Scratch()
 	for t := range n.ifaces {
-		out = n.ifaces[t].drainInto(out, n.cycle)
+		out = n.ifaces[t].drainInto(n, out, n.cycle)
 	}
-	return n.Settle(out)
+	out = n.Settle(out)
+	if sim.Checking {
+		n.checkHandles()
+	}
+	return out
 }
 
 // FlitsSwitched reports total flits traversed across all router
@@ -600,7 +622,7 @@ func (n *Network) pending() int {
 	for rp := range n.peer {
 		ring := n.linkFlits[rp*n.flitRing:][:n.flitRing]
 		for d := 0; d < n.cfg.RouterStages-1; d++ {
-			if ring[(rx+d)%n.flitRing].pkt != nil {
+			if ring[(rx+d)%n.flitRing].ref != 0 {
 				k++
 			}
 		}
@@ -620,7 +642,7 @@ func (n *Network) settle() {
 		for d := 0; d < n.cfg.RouterStages-1; d++ {
 			at := now + sim.Cycle(d)
 			f := &n.linkFlits[rp*n.flitRing+int(at%sim.Cycle(n.flitRing))]
-			if f.pkt == nil {
+			if f.ref == 0 {
 				continue
 			}
 			n.pushFlit(r, p, int(f.vc), f.entry(at))
@@ -643,7 +665,7 @@ func (n *Network) Quiescent() bool {
 		}
 	}
 	for i := range n.linkFlits {
-		if n.linkFlits[i].pkt != nil {
+		if n.linkFlits[i].ref != 0 {
 			return false
 		}
 	}

@@ -49,40 +49,129 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("pkt%d %d->%d vnet%d size%d", p.ID, p.Src, p.Dst, p.VNet, p.Size)
 }
 
+// Inside the network a packet is a handle: a uint32 index into the
+// network's packet table, taken when the packet is injected and
+// returned when it is drained (Network.take, Network.release). Handle
+// 0 names no packet. Beside the table, two dense columns hold what the
+// router reads on every hop: the route key RC hands to the routing
+// function and the hop count ST increments on a head flit. So no phase
+// loads a packet between injection and ejection, and no flit record
+// holds a pointer.
+//
+// A flit record carries its packet's handle in ref, with tailBit set
+// on the packet's last flit, so the switch releases a VC without
+// looking the packet up.
+const tailBit = 1 << 31
+
+// routeKey is a packet's endpoints, as RC reads them.
+type routeKey struct {
+	src, dst int32
+}
+
 // flitEntry is a flit occupying an input-buffer slot. The head flit is
-// seq 0 and the tail is seq Size-1 (a single-flit packet is both); the
-// tail bit is carried beside seq so the switch never reads the packet
-// to release a VC.
+// seq 0 and the tail is seq Size-1 (a single-flit packet is both).
 type flitEntry struct {
-	pkt   *Packet
-	seq   int32
-	last  bool      //simlint:derived seq == pkt.Size-1, set where the flit is made and on decode
+	ref   uint32    // packet handle, | tailBit on the last flit
+	seq   int32     // flit index within the packet
 	ready sim.Cycle // earliest cycle the router pipeline may switch it
 }
 
-// flitOf returns flit seq of pkt, switchable from cycle ready.
-func flitOf(pkt *Packet, seq int32, ready sim.Cycle) flitEntry {
-	return flitEntry{pkt: pkt, seq: seq, last: isTail(pkt, seq), ready: ready}
-}
-
-// isTail reports whether seq is the last flit of pkt (false for none).
-func isTail(pkt *Packet, seq int32) bool { return pkt != nil && int(seq) == pkt.Size-1 }
-
-func (f flitEntry) head() bool { return f.seq == 0 }
-func (f flitEntry) tail() bool { return f.last }
+func (f flitEntry) head() bool     { return f.seq == 0 }
+func (f flitEntry) tail() bool     { return f.ref&tailBit != 0 }
+func (f flitEntry) handle() uint32 { return f.ref &^ tailBit }
 
 // linkFlit is a flit in flight on a link, carrying the downstream
-// virtual channel the sender allocated and the flit's tail bit.
+// virtual channel the sender allocated. An empty ring slot has ref 0.
 type linkFlit struct {
-	pkt  *Packet
-	seq  int32
-	vc   int16
-	last bool //simlint:derived seq == pkt.Size-1, copied from the buffer entry and set on decode
+	ref uint32
+	seq int32
+	vc  int16
 }
 
 // entry is the buffer entry of link flit f, switchable from cycle ready.
 func (f linkFlit) entry(ready sim.Cycle) flitEntry {
-	return flitEntry{pkt: f.pkt, seq: f.seq, last: f.last, ready: ready}
+	return flitEntry{ref: f.ref, seq: f.seq, ready: ready}
+}
+
+// take gives packet p a handle and fills its columns. It runs outside
+// the shard pass (at Inject), so a pass only ever reads the table.
+func (n *Network) take(p *Packet) uint32 {
+	var h uint32
+	if k := len(n.free); k > 0 {
+		h = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		h = uint32(len(n.pkts))
+		if h >= tailBit {
+			panic("noc: packet table full")
+		}
+		n.pkts = append(n.pkts, nil)
+		n.keys = append(n.keys, routeKey{})
+		n.hopCnt = append(n.hopCnt, 0)
+	}
+	n.pkts[h] = p
+	n.keys[h] = routeKey{src: int32(p.Src), dst: int32(p.Dst)}
+	n.hopCnt[h] = int32(p.Hops)
+	return h
+}
+
+// release returns handle h to the free list and its packet, with Hops
+// written from the column. It runs outside the shard pass (at Drain).
+func (n *Network) release(h uint32) *Packet {
+	p := n.pkts[h]
+	p.Hops = int(n.hopCnt[h])
+	n.pkts[h] = nil
+	n.free = append(n.free, h)
+	return p
+}
+
+// refOf is the flit reference of flit seq of the packet with handle h:
+// h, with tailBit set on the packet's last flit (0 for no packet).
+func (n *Network) refOf(h uint32, seq int32) uint32 {
+	if h != 0 && int(seq) == n.pkts[h].Size-1 {
+		return h | tailBit
+	}
+	return h
+}
+
+// checkHandles asserts, under the simcheck build tag, that the packet
+// table agrees with the ledger and itself: as many live handles as
+// packets in flight, each live handle's route key equal to its
+// packet's endpoints, and every free handle empty and free once.
+func (n *Network) checkHandles() {
+	if !sim.Checking {
+		return
+	}
+	live := 0
+	for h := 1; h < len(n.pkts); h++ {
+		p := n.pkts[h]
+		if p == nil {
+			continue
+		}
+		live++
+		if k := n.keys[h]; int(k.src) != p.Src || int(k.dst) != p.Dst {
+			sim.Assert(false, "noc: handle %d route key %d->%d, its packet %v", h, k.src, k.dst, p)
+		}
+	}
+	if live != n.InFlight() {
+		sim.Assert(false, "noc: %d live packet handles, %d packets in flight", live, n.InFlight())
+	}
+	if w := (len(n.pkts) + 63) >> 6; len(n.freeSeen) < w {
+		n.freeSeen = make([]uint64, w)
+	} else {
+		clear(n.freeSeen)
+	}
+	for _, h := range n.free {
+		if h == 0 || int(h) >= len(n.pkts) || n.pkts[h] != nil {
+			sim.Assert(false, "noc: free handle %d is not an empty table entry", h)
+			continue
+		}
+		if bit := uint64(1) << (h & 63); n.freeSeen[h>>6]&bit != 0 {
+			sim.Assert(false, "noc: handle %d is free twice", h)
+		} else {
+			n.freeSeen[h>>6] |= bit
+		}
+	}
 }
 
 // The input-VC FIFOs live in one flat slice, Network.flits: VC i (see
@@ -97,7 +186,7 @@ func (n *Network) pushFlit(r, p, v int, e flitEntry) {
 	i := r*n.pv + p*n.vcs + v
 	c := int(n.vcCount[i])
 	if c == n.depth {
-		panic(fmt.Sprintf("noc: VC buffer overflow (credit protocol violation) pushing %v", e.pkt))
+		panic(fmt.Sprintf("noc: VC buffer overflow (credit protocol violation) pushing %v", n.pkts[e.handle()]))
 	}
 	s := int(n.vcHead[i]) + c
 	if s >= n.depth {
@@ -130,14 +219,10 @@ func (n *Network) fifoAt(i, k int) *flitEntry {
 	return &n.flits[i*n.depth+(int(n.vcHead[i])+k)%n.depth]
 }
 
-// popFlit removes and returns the oldest flit of input VC (r, p, v). The
-// vacated slot drops its packet reference, so only live entries carry
-// one (what the collector relies on).
+// popFlit removes and returns the oldest flit of input VC (r, p, v).
 func (n *Network) popFlit(r, p, v int) flitEntry {
 	i := r*n.pv + p*n.vcs + v
-	slot := n.front(i)
-	e := *slot
-	slot.pkt = nil
+	e := *n.front(i)
 	if n.vcHead[i]++; int(n.vcHead[i]) == n.depth {
 		n.vcHead[i] = 0
 	}
@@ -195,7 +280,7 @@ func (n *Network) arrByte(far portRef) int {
 // to be taken in at its ingest cycle, and flags its arrival byte.
 func (n *Network) sendFlit(far portRef, f linkFlit) {
 	slot := &n.linkFlits[int(far.slot)*n.flitRing+n.txFlit]
-	if slot.pkt != nil {
+	if slot.ref != 0 {
 		panic("noc: link flit slot collision")
 	}
 	*slot = f

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -25,33 +26,28 @@ func TestFlitFIFO(t *testing.T) {
 	n := fifoNet(t, 3, 1, 1)
 	const r, port, vc = 1, 2, 4
 	i := r*n.pv + port*n.vcs + vc
-	p := &Packet{Size: 3}
+	h := n.take(&Packet{Size: 3})
 	for s := int32(0); s < 3; s++ {
-		n.pushFlit(r, port, vc, flitOf(p, s, 0))
+		n.pushFlit(r, port, vc, flitEntry{ref: n.refOf(h, s), seq: s})
 	}
 	if n.vcCount[i] != 3 || n.masks[r*n.mw].buf != 1<<(port*n.vcs+vc) || n.BufferedFlits() != 3 {
 		t.Fatal("buffer should be full and flagged non-empty")
 	}
 	for s := int32(0); s < 3; s++ {
-		if e := n.popFlit(r, port, vc); e.seq != s || e.pkt != p {
+		if e := n.popFlit(r, port, vc); e.seq != s || e.handle() != h {
 			t.Fatalf("pop order: got %d want %d", e.seq, s)
 		}
 	}
 	if n.vcCount[i] != 0 || n.masks[r*n.mw].buf != 0 {
 		t.Fatal("buffer should be empty and flagged so")
 	}
-	for k := range n.flits {
-		if n.flits[k].pkt != nil {
-			t.Fatalf("popped slot %d still references its packet", k)
-		}
-	}
 }
 
 func TestFlitFIFOWrapsAround(t *testing.T) {
 	n := fifoNet(t, 2, 1, 1)
-	p := &Packet{Size: 100}
+	h := n.take(&Packet{Size: 100})
 	for i := int32(0); i < 20; i++ {
-		n.pushFlit(0, 0, 0, flitOf(p, i, 0))
+		n.pushFlit(0, 0, 0, flitEntry{ref: h, seq: i})
 		if i%2 == 1 {
 			if e := n.popFlit(0, 0, 0); e.seq != i-1 {
 				t.Fatalf("wrap pop: got %d want %d", e.seq, i-1)
@@ -65,13 +61,13 @@ func TestFlitFIFOWrapsAround(t *testing.T) {
 
 func TestFlitFIFOOverflowPanics(t *testing.T) {
 	n := fifoNet(t, 1, 1, 1)
-	n.pushFlit(0, 0, 0, flitOf(&Packet{Size: 1}, 0, 0))
+	n.pushFlit(0, 0, 0, flitEntry{ref: n.take(&Packet{Size: 1}) | tailBit})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("overflow should panic")
 		}
 	}()
-	n.pushFlit(0, 0, 0, flitOf(&Packet{Size: 1}, 0, 0))
+	n.pushFlit(0, 0, 0, flitEntry{ref: n.take(&Packet{Size: 1}) | tailBit})
 }
 
 func TestFlitFIFOEmptyFrontPanics(t *testing.T) {
@@ -85,15 +81,17 @@ func TestFlitFIFOEmptyFrontPanics(t *testing.T) {
 }
 
 func TestHeadTailFlags(t *testing.T) {
-	p := &Packet{Size: 3}
-	if h := flitOf(p, 0, 0); !h.head() || h.tail() {
+	n := fifoNet(t, 1, 1, 1)
+	flitOf := func(h uint32, seq int32) flitEntry { return flitEntry{ref: n.refOf(h, seq), seq: seq} }
+	p := n.take(&Packet{Size: 3})
+	if h := flitOf(p, 0); !h.head() || h.tail() || h.handle() != p {
 		t.Error("seq 0 of 3 should be head only")
 	}
-	if tl := flitOf(p, 2, 0); tl.head() || !tl.tail() {
+	if tl := flitOf(p, 2); tl.head() || !tl.tail() || tl.handle() != p {
 		t.Error("seq 2 of 3 should be tail only")
 	}
-	single := &Packet{Size: 1}
-	if s := flitOf(single, 0, 0); !s.head() || !s.tail() {
+	single := n.take(&Packet{Size: 1})
+	if s := flitOf(single, 0); !s.head() || !s.tail() || s.handle() != single {
 		t.Error("single flit is both head and tail")
 	}
 }
@@ -142,20 +140,20 @@ func TestLinkLatencyProperty(t *testing.T) {
 		n := mustNet(t, cfg, m, topology.NewXY(m))
 		t0 := sim.Cycle(start)
 		due := t0 + sim.Cycle(lat+st-1)
-		p := &Packet{Size: 1}
-		n.at(t0).sendFlit(linkEnd, linkFlit{pkt: p})
+		h := n.take(&Packet{Size: 1})
+		n.at(t0).sendFlit(linkEnd, linkFlit{ref: h | tailBit})
 		for c := t0; c < due; c++ {
 			if _, ok := n.at(c).recvFlit(int(linkEnd.slot)); ok {
 				return false // taken in early
 			}
 		}
 		got, ok := n.at(due).recvFlit(int(linkEnd.slot))
-		if !ok || got.pkt != p {
+		if !ok || got.ref != h|tailBit {
 			return false
 		}
 		// Gone after receipt.
 		_, again := n.recvFlit(int(linkEnd.slot))
-		return !again && n.linkFlits[int(linkEnd.slot)*n.flitRing+n.rxFlit].pkt == nil
+		return !again && n.linkFlits[int(linkEnd.slot)*n.flitRing+n.rxFlit].ref == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -179,13 +177,13 @@ func TestLinkCreditRoundTrip(t *testing.T) {
 // the same slot.
 func TestLinkCollisionPanics(t *testing.T) {
 	n := fifoNet(t, 4, 1, 1)
-	n.at(0).sendFlit(linkEnd, linkFlit{pkt: &Packet{Size: 1}})
+	n.at(0).sendFlit(linkEnd, linkFlit{ref: n.take(&Packet{Size: 1}) | tailBit})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("slot collision should panic")
 		}
 	}()
-	n.at(sim.Cycle(n.cfg.LinkLatency+n.cfg.RouterStages)).sendFlit(linkEnd, linkFlit{pkt: &Packet{Size: 1}})
+	n.at(sim.Cycle(n.cfg.LinkLatency+n.cfg.RouterStages)).sendFlit(linkEnd, linkFlit{ref: n.take(&Packet{Size: 1}) | tailBit})
 }
 
 // The client's payload is a kind byte beside Class and two words, so
@@ -195,6 +193,45 @@ func TestPacketSize(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got != 96 {
 		t.Errorf("Packet is %d bytes, want 96", got)
 	}
+}
+
+// TestFlitFootprint pins the flit records the buffers and link rings
+// are made of: a buffer entry of at most 16 bytes and a link flit of at
+// most 12, neither holding a pointer, so the collector never scans the
+// router's flit arrays.
+func TestFlitFootprint(t *testing.T) {
+	for _, rec := range []struct {
+		v   any
+		max uintptr
+	}{{flitEntry{}, 16}, {linkFlit{}, 12}} {
+		typ := reflect.TypeOf(rec.v)
+		if hasPointers(typ) {
+			t.Errorf("%v holds pointers", typ)
+		}
+		if typ.Size() > rec.max {
+			t.Errorf("%v is %d bytes, want at most %d", typ, typ.Size(), rec.max)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t holds any pointer the
+// collector would scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface,
+		reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	}
+	return false
 }
 
 func TestPacketLatencyAccessors(t *testing.T) {

@@ -65,7 +65,7 @@ func pipelineNet(t *testing.T, shape string, workers int) *Network {
 func flitsOnLinks(n *Network) int {
 	k := 0
 	for i := range n.linkFlits {
-		if n.linkFlits[i].pkt != nil {
+		if n.linkFlits[i].ref != 0 {
 			k++
 		}
 	}

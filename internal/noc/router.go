@@ -112,14 +112,15 @@ func (n *Network) phaseRC(r int) {
 				continue
 			}
 			if !e.head() {
-				panic(fmt.Sprintf("noc: non-head flit %d of %v at front of idle VC", e.seq, e.pkt))
+				panic(fmt.Sprintf("noc: non-head flit %d of %v at front of idle VC", e.seq, n.pkts[e.handle()]))
 			}
 			hops := n.hops[i*maxHops : (i+1)*maxHops]
-			if dst := n.term[e.pkt.Dst]; int(dst.router) == r {
+			k := n.keys[e.handle()]
+			if dst := n.term[k.dst]; int(dst.router) == r {
 				hops[0] = hop{port: dst.port}
 				n.vcHops[i] = 1
 			} else {
-				route := n.routing.Route(r, e.pkt.Src, e.pkt.Dst, int(n.vcInfo[id].set), sc.route[:0])
+				route := n.routing.Route(r, int(k.src), int(k.dst), int(n.vcInfo[id].set), sc.route[:0])
 				for k, ch := range route { // at most MaxChoices() <= maxHops (Validate)
 					hops[k] = hop{port: int16(ch.Port), set: int16(ch.VCSet)}
 				}
@@ -299,21 +300,22 @@ func (n *Network) phaseSA(r int) {
 
 // saNominate returns the first VC of cand, a mask over input port ip's
 // VCs, in round-robin order — those not under lo ascending, then those
-// under it — that can traverse the switch this cycle: its front flit is
-// through the router pipeline and, on a network output port, holds a
-// downstream credit (ejection ports sink flits unconditionally). -1 if
-// none can.
+// under it — that can traverse the switch this cycle: on a network
+// output port it holds a downstream credit (ejection ports sink flits
+// unconditionally), and its front flit is through the router pipeline.
+// The credit is checked first, so a VC blocked downstream never loads
+// its flit. -1 if none can.
 func (n *Network) saNominate(r, ip int, cand, lo uint64) int {
 	vb := r * n.pv
 	for _, x := range [2]uint64{cand &^ lo, cand & lo} {
 		for ; x != 0; x &= x - 1 {
 			v := bits.TrailingZeros64(x)
 			i := vb + ip*n.vcs + v
-			if n.front(i).ready > n.cycle {
-				continue
-			}
 			op := int(n.vcOutPort[i])
 			if op >= n.lp && n.outCredits[vb+op*n.vcs+int(n.vcOutVC[i])] <= 0 {
+				continue
+			}
+			if n.front(i).ready > n.cycle {
 				continue
 			}
 			return v
@@ -334,8 +336,9 @@ func (n *Network) phaseST(r int) {
 		in := n.saGrant[rp+p]
 		i := vb + int(in.port)*n.vcs + int(in.vc)
 		e := n.popFlit(r, int(in.port), int(in.vc))
+		h := e.handle()
 		if e.head() {
-			e.pkt.Hops++
+			n.hopCnt[h]++
 		}
 		n.outFlits[rp+p]++
 		n.bufReads[r]++
@@ -346,15 +349,15 @@ func (n *Network) phaseST(r int) {
 		if p < n.lp { // ejection
 			if e.tail() {
 				ni := &n.ifaces[n.niAt[r*n.lp+p]]
-				e.pkt.DeliveredAt = now + sim.Cycle(n.cfg.LinkLatency)
-				ni.deliveries = append(ni.deliveries, e.pkt) //simlint:allow alloc delivery buffer is host-drained each quantum and keeps its capacity
+				n.pkts[h].DeliveredAt = now + sim.Cycle(n.cfg.LinkLatency)
+				ni.deliveries = append(ni.deliveries, h) //simlint:allow alloc delivery buffer is host-drained each quantum and keeps its capacity
 			}
 		} else {
 			far := n.peer[rp+p]
 			if far.router < 0 {
 				panic(fmt.Sprintf("noc: ST to unconnected port %d on router %d", p, r))
 			}
-			n.sendFlit(far, linkFlit{pkt: e.pkt, seq: e.seq, vc: outVC, last: e.last})
+			n.sendFlit(far, linkFlit{ref: e.ref, seq: e.seq, vc: outVC})
 			n.outCredits[o]--
 			if n.outCredits[o] < 0 {
 				panic(fmt.Sprintf("noc: negative credits router %d port %d vc %d", r, p, outVC))
@@ -449,7 +452,7 @@ func (n *Network) checkArrivals(r int) {
 		for p := 0; p < n.arrStride; p++ {
 			var want byte
 			if rp := r*n.ports + p; p < n.ports {
-				if d < flitDue && n.linkFlits[rp*n.flitRing+int(at%sim.Cycle(n.flitRing))].pkt != nil {
+				if d < flitDue && n.linkFlits[rp*n.flitRing+int(at%sim.Cycle(n.flitRing))].ref != 0 {
 					want |= arrFlit
 				}
 				if d < credDue && n.linkCredits[rp*n.credRing+int(at%sim.Cycle(n.credRing))] != -1 {

@@ -105,16 +105,17 @@ func refRC(n *Network, rt *refRouter, r int) {
 		if e.ready > now {
 			continue
 		}
+		pkt := n.pkts[e.handle()]
 		if !e.head() {
-			panic(fmt.Sprintf("noc: non-head flit %d of %v at front of idle VC", e.seq, e.pkt))
+			panic(fmt.Sprintf("noc: non-head flit %d of %v at front of idle VC", e.seq, pkt))
 		}
-		dstRouter, dstPort := n.topo.RouterOf(e.pkt.Dst)
+		dstRouter, dstPort := n.topo.RouterOf(pkt.Dst)
 		if dstRouter == r {
 			ivc.choices = append(ivc.choices[:0], topology.Choice{Port: dstPort})
 		} else {
 			V := n.cfg.TotalVCs()
 			curSet := (i % V % n.cfg.VCsPerVNet) / n.vcsPerSet
-			ivc.choices = n.routing.Route(r, e.pkt.Src, e.pkt.Dst, curSet, ivc.choices[:0])
+			ivc.choices = n.routing.Route(r, pkt.Src, pkt.Dst, curSet, ivc.choices[:0])
 		}
 		ivc.state = vcWaitVA
 	}
@@ -275,7 +276,10 @@ func (f fuzzRouting) Route(router, src, dst, curSet int, buf []topology.Choice) 
 // over empty to full buffers, flits past, at and short of the pipeline
 // delay, every active VC owning a distinct output VC, arbitrary credits,
 // and arbiter pointers anywhere in the range the arbiters leave them in
-// — including the un-wrapped saInPtr == V and saOutPtr == ports.
+// — including the un-wrapped saInPtr == V and saOutPtr == ports. Each
+// VC's flits belong to one packet, given a handle in the network's
+// packet table as Inject gives one; refRC reads that packet's
+// endpoints, phaseRC its route-key column.
 func randomizeRouter(n *Network, r int, rng *sim.RNG) {
 	terms := n.topo.NumTerminals()
 	n.cycle = sim.Cycle(2 + rng.Intn(100))
@@ -291,8 +295,9 @@ func randomizeRouter(n *Network, r int, rng *sim.RNG) {
 			n.vcCount[i] = 0
 		}
 		pkt := &Packet{Src: rng.Intn(terms), Dst: rng.Intn(terms), Size: 1 + rng.Intn(4)}
+		h := n.take(pkt)
 		for k := 0; k < n.depth; k++ {
-			n.flits[i*n.depth+k] = flitEntry{pkt: pkt, seq: int32(k)}
+			n.flits[i*n.depth+k] = flitEntry{ref: n.refOf(h, int32(k)), seq: int32(k)}
 		}
 		front := &n.flits[i*n.depth+int(n.vcHead[i])]
 		front.ready = n.cycle - 1 + sim.Cycle(rng.Intn(3))
@@ -300,6 +305,7 @@ func randomizeRouter(n *Network, r int, rng *sim.RNG) {
 		if n.vcState[i] == vcActive {
 			front.seq = int32(rng.Intn(pkt.Size))
 		}
+		front.ref = n.refOf(h, front.seq)
 		n.vcHops[i] = uint8(1 + rng.Intn(maxHops))
 		for k := 0; k < maxHops; k++ {
 			n.hops[i*maxHops+k] = hop{port: int16(rng.Intn(n.ports)), set: int16(rng.Intn(n.cfg.VCsPerVNet / n.vcsPerSet))}

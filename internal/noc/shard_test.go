@@ -314,9 +314,9 @@ func TestShardedCaptureWithBackloggedNI(t *testing.T) {
 			var midSer, backlog, futureOnly bool
 			for i := range src.ifaces {
 				ni := &src.ifaces[i]
-				midSer = midSer || ni.cur != nil && ni.curSeq > 0
-				backlog = backlog || ni.queued > 1 && ni.queues[0][ni.qHead[0]].CreatedAt <= src.cycle
-				futureOnly = futureOnly || ni.cur == nil && ni.queued == 2 && ni.queues[1][ni.qHead[1]].CreatedAt > src.cycle+1
+				midSer = midSer || ni.cur != 0 && ni.curSeq > 0
+				backlog = backlog || ni.queued > 1 && src.pkts[ni.queues[0][ni.qHead[0]]].CreatedAt <= src.cycle
+				futureOnly = futureOnly || ni.cur == 0 && ni.queued == 2 && src.pkts[ni.queues[1][ni.qHead[1]]].CreatedAt > src.cycle+1
 			}
 			if !midSer || !backlog || !futureOnly {
 				t.Fatalf("capture point has mid-serialisation %v, backlog %v, future-only NI %v: want all three", midSer, backlog, futureOnly)
@@ -341,6 +341,60 @@ func TestShardedCaptureWithBackloggedNI(t *testing.T) {
 			}
 
 			check("captured network", src, want)
+		})
+	}
+}
+
+// TestShardedHandleReuse: packets are handles into the network's
+// packet table, taken at Inject and returned at Drain. A run that
+// drains and re-injects every quantum reuses handles while the shards
+// read the route keys and bump the hop counts of others, and must
+// match the exhaustive sweep packet for packet on one and three
+// shards, with its checkpoint bytes, from a table far smaller than the
+// packets it carried.
+func TestShardedHandleReuse(t *testing.T) {
+	m := topology.NewMesh(6, 6, 1)
+	run := func(n *Network) (fp string, injected, table int, blob []byte) {
+		rng := sim.NewRNG(23, 9)
+		var b bytes.Buffer
+		for q := 0; q < 60; q++ {
+			base := n.Cycle()
+			for s := 0; s < 36; s++ {
+				if !rng.Bernoulli(0.6) {
+					continue
+				}
+				d := rng.Intn(35)
+				if d >= s {
+					d++
+				}
+				p := n.NewPacket()
+				p.Src, p.Dst, p.VNet, p.Size = s, d, rng.Intn(3), 1+rng.Intn(4)
+				n.Inject(p, base+sim.Cycle(rng.Intn(16)))
+				injected++
+			}
+			n.AdvanceTo(base + 16)
+			for _, p := range n.Drain() {
+				fmt.Fprintf(&b, "%d:%d>%d h%d %d/%d/%d ", p.ID, p.Src, p.Dst, p.Hops, p.CreatedAt, p.InjectedAt, p.DeliveredAt)
+				n.Recycle(p)
+			}
+		}
+		return b.String(), injected, len(n.pkts) - 1, encodeNet(n)
+	}
+	exCfg := DefaultConfig()
+	exCfg.DisableGating = true
+	wantFP, _, _, wantBlob := run(mustNet(t, exCfg, m, topology.NewXY(m)))
+	for _, w := range []int{1, 3} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			fp, injected, table, blob := run(mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(w)))
+			if fp != wantFP {
+				t.Errorf("deliveries diverged from the exhaustive sweep\nexh: %.160s\nshd: %.160s", wantFP, fp)
+			}
+			if !bytes.Equal(blob, wantBlob) {
+				t.Error("checkpoint bytes differ from the exhaustive sweep's")
+			}
+			if table*4 > injected {
+				t.Errorf("packet table grew to %d handles for %d packets: handles are not reused", table, injected)
+			}
 		})
 	}
 }

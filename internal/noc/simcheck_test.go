@@ -106,3 +106,34 @@ func TestNIWorkInvariantPanics(t *testing.T) {
 	n.niWork[lr] = !n.niWork[lr]
 	wantInvariantPanic(t, n.Step, "work flag")
 }
+
+// TestHandleInvariantPanics: under simcheck the packet table is
+// recounted after every Step and Drain, so a handle released twice —
+// which would hand one table entry to two packets — a route key that
+// drifts from its packet's endpoints, and a handle taken for no
+// packet in flight each stop the run at the next check.
+func TestHandleInvariantPanics(t *testing.T) {
+	t.Run("double release", func(t *testing.T) {
+		n, _ := mesh4(t)
+		n.Inject(&Packet{Src: 0, Dst: 15, Size: 2}, 0)
+		n.Inject(&Packet{Src: 3, Dst: 12, Size: 1}, 0)
+		runUntilDelivered(t, n, 2, 300)
+		n.free = append(n.free, n.free[len(n.free)-1])
+		wantInvariantPanic(t, n.Step, "free twice")
+	})
+	t.Run("route key", func(t *testing.T) {
+		n, _ := busyRouter(t)
+		for h, p := range n.pkts {
+			if p != nil {
+				n.keys[h].dst ^= 1
+				break
+			}
+		}
+		wantInvariantPanic(t, n.Step, "route key")
+	})
+	t.Run("leaked handle", func(t *testing.T) {
+		n, _ := busyRouter(t)
+		n.take(&Packet{Size: 1})
+		wantInvariantPanic(t, func() { n.Drain() }, "live packet handles")
+	})
+}

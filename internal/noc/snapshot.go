@@ -8,18 +8,19 @@ import (
 	"repro/internal/stats"
 )
 
-// Checkpointing the cycle-level network has one structural problem:
-// live *Packet values are shared by pointer across injection queues,
-// VC buffers, link slots and delivery buffers — and the co-simulation
-// layer keys its own maps by the same pointers. The state therefore
-// holds a packet *table* — every live packet once, collected by a fixed
-// deterministic traversal — and every other reference is an index into
-// that table (offset by one so 0 means nil). Decoding, each table entry
-// becomes one fresh Packet and all references are rewired to it,
-// preserving the sharing structure exactly. The optional track callback
-// hands every decoded packet to the caller so pointer-keyed client
-// state (e.g. hybrid-mode latency predictions) can be rebuilt, and so
-// the client can check the payload it reads.
+// Checkpointing the cycle-level network: a live packet is named by its
+// handle from injection queues, VC buffers, link slots and delivery
+// buffers, and the co-simulation layer keys its own maps by the
+// packet's pointer. The state holds a packet *table* — every live
+// packet once, collected by a fixed deterministic traversal — and
+// every other reference is an index into that table (offset by one so
+// 0 means none). Handles are derived: the table is written in
+// traversal order whatever the handles, and decoding gives table
+// packet i, one fresh Packet, handle i+1, so a reference on the wire
+// is the handle it decodes to. The optional track callback hands every
+// decoded packet to the caller so pointer-keyed client state (e.g.
+// hybrid-mode latency predictions) can be rebuilt, and so the client
+// can check the payload it reads.
 
 // State walks the packet's fields, its payload included. It is the one
 // description of a packet: every network that carries packets walks
@@ -43,27 +44,37 @@ func (p *Packet) State(c *snapshot.Codec) {
 	}
 }
 
-// packetTable assigns dense indices to live packets in first-seen
-// order. The map is keyed by pointer identity and is never iterated,
-// so it cannot introduce nondeterminism; only encoding fills it.
+// packetTable lists live packets in first-seen order. Encoding, idx
+// maps a handle to its table index + 1 (0 while unlisted).
 type packetTable struct {
 	list []*Packet
-	idx  map[*Packet]uint32
+	idx  []uint32
 }
 
-func newPacketTable() *packetTable {
-	return &packetTable{idx: make(map[*Packet]uint32)}
-}
-
-func (pt *packetTable) add(p *Packet) {
-	if p == nil {
+// add lists the packet with handle h (0 for none), its hop count
+// written from the column, unless it is listed already.
+func (n *Network) add(pt *packetTable, h uint32) {
+	if h == 0 || pt.idx[h] != 0 {
 		return
 	}
-	if _, ok := pt.idx[p]; ok {
-		return
-	}
-	pt.idx[p] = uint32(len(pt.list))
+	p := n.pkts[h]
+	p.Hops = int(n.hopCnt[h])
 	pt.list = append(pt.list, p)
+	pt.idx[h] = uint32(len(pt.list))
+}
+
+// adopt makes the decoded table the network's packet table: packet i
+// gets handle i+1, its columns filled from its fields, and no handle
+// is free.
+func (n *Network) adopt(list []*Packet) {
+	n.pkts = append(n.pkts[:1], list...)
+	n.keys = n.keys[:1]
+	n.hopCnt = n.hopCnt[:1]
+	for _, p := range list {
+		n.keys = append(n.keys, routeKey{src: int32(p.Src), dst: int32(p.Dst)})
+		n.hopCnt = append(n.hopCnt, int32(p.Hops))
+	}
+	n.free = n.free[:0]
 }
 
 // state walks the table itself. terminals/vnets bound the endpoint
@@ -94,30 +105,29 @@ func (pt *packetTable) state(c *snapshot.Codec, terminals, vnets int, track func
 	})
 }
 
-// ref walks a reference to a table packet: its index + 1, or 0 for nil.
-func (pt *packetTable) ref(c *snapshot.Codec, p **Packet) {
+// ref walks a packet handle as a reference to its table packet: its
+// index + 1, or 0 for none. Decoding, the reference is the handle.
+func (pt *packetTable) ref(c *snapshot.Codec, h *uint32) {
 	var ref uint32
-	if !c.Decoding() && *p != nil {
-		i, ok := pt.idx[*p]
-		if !ok {
-			panic(fmt.Sprintf("noc: snapshot traversal missed live packet %v", *p))
+	if !c.Decoding() && *h != 0 {
+		if ref = pt.idx[*h]; ref == 0 {
+			panic(fmt.Sprintf("noc: snapshot traversal missed live packet handle %d", *h))
 		}
-		ref = i + 1
 	}
 	if c.U32(&ref); !c.Decoding() {
 		return
 	}
-	if *p = nil; int(ref) > len(pt.list) {
+	if *h = 0; int(ref) > len(pt.list) {
 		c.Failf("packet reference %d exceeds table size %d", ref, len(pt.list))
-	} else if ref != 0 && c.Err() == nil {
-		*p = pt.list[ref-1]
+	} else if c.Err() == nil {
+		*h = ref
 	}
 }
 
 // live walks a reference that must name a packet; where says what
 // holds it.
-func (pt *packetTable) live(c *snapshot.Codec, p **Packet, where string) {
-	if pt.ref(c, p); *p == nil {
+func (pt *packetTable) live(c *snapshot.Codec, h *uint32, where string) {
+	if pt.ref(c, h); *h == 0 {
 		c.Failf("nil packet in %s", where)
 	}
 }
@@ -157,33 +167,37 @@ func (n *Network) State(c *snapshot.Codec, track func(*Packet)) {
 		return
 	}
 
-	pt := newPacketTable()
+	pt := &packetTable{}
 	if !c.Decoding() {
 		n.settle()
+		pt.idx = make([]uint32, len(n.pkts))
 		for t := range n.ifaces {
 			ni := &n.ifaces[t]
 			for v := range ni.queues {
-				for _, p := range ni.queues[v][ni.qHead[v]:] {
-					pt.add(p)
+				for _, h := range ni.queues[v][ni.qHead[v]:] {
+					n.add(pt, h)
 				}
 			}
-			pt.add(ni.cur)
-			for _, p := range ni.deliveries[ni.dHead:] {
-				pt.add(p)
+			n.add(pt, ni.cur)
+			for _, h := range ni.deliveries[ni.dHead:] {
+				n.add(pt, h)
 			}
 		}
 		for i := range n.vcCount {
 			for k := 0; k < int(n.vcCount[i]); k++ {
-				pt.add(n.fifoAt(i, k).pkt)
+				n.add(pt, n.fifoAt(i, k).handle())
 			}
 		}
 		for rp := range n.peer {
 			for j := 0; j <= n.cfg.LinkLatency; j++ {
-				pt.add(n.linkFlits[rp*n.flitRing+n.wireSlot(j)].pkt)
+				n.add(pt, n.linkFlits[rp*n.flitRing+n.wireSlot(j)].ref&^tailBit)
 			}
 		}
 	}
 	pt.state(c, len(n.ifaces), n.cfg.VNets, track)
+	if c.Decoding() {
+		n.adopt(pt.list)
+	}
 
 	n.Ledger.State(c, &n.cycle)
 
@@ -224,10 +238,13 @@ func (n *Network) State(c *snapshot.Codec, track func(*Packet)) {
 		}
 		for j := 0; j <= n.cfg.LinkLatency; j++ {
 			f := &ring[n.wireSlot(j)]
-			pt.ref(c, &f.pkt)
+			h := f.ref &^ tailBit
+			pt.ref(c, &h)
 			snapshot.As32(c, &f.seq)
 			snapshot.As16(c, &f.vc)
-			f.last = isTail(f.pkt, f.seq)
+			if c.Decoding() {
+				f.ref = n.refOf(h, f.seq)
+			}
 		}
 		credits := n.creditRingOf(rp)
 		for i := range credits {
@@ -244,8 +261,8 @@ func (n *Network) State(c *snapshot.Codec, track func(*Packet)) {
 // the wire format files with it.
 func (ni *Iface) state(c *snapshot.Codec, pt *packetTable, ring []int16, vnets int) {
 	for v := range ni.queues {
-		fifo(c, &ni.queues[v], &ni.qHead[v], 4, func(c *snapshot.Codec, p **Packet) {
-			pt.live(c, p, "injection queue")
+		fifo(c, &ni.queues[v], &ni.qHead[v], 4, func(c *snapshot.Codec, h *uint32) {
+			pt.live(c, h, "injection queue")
 		})
 	}
 	c.Int(&ni.rr)
@@ -258,8 +275,8 @@ func (ni *Iface) state(c *snapshot.Codec, pt *packetTable, ring []int16, vnets i
 	for i := range ring {
 		snapshot.As16(c, &ring[i])
 	}
-	fifo(c, &ni.deliveries, &ni.dHead, 4, func(c *snapshot.Codec, p **Packet) {
-		pt.live(c, p, "delivery buffer")
+	fifo(c, &ni.deliveries, &ni.dHead, 4, func(c *snapshot.Codec, h *uint32) {
+		pt.live(c, h, "delivery buffer")
 	})
 	c.U64(&ni.injectedPkts)
 	c.U64(&ni.injectedFlits)
@@ -284,10 +301,13 @@ func (n *Network) routerState(c *snapshot.Codec, pt *packetTable, r int) {
 		}
 		for k := 0; k < cnt; k++ {
 			f := n.fifoAt(i, k)
-			pt.live(c, &f.pkt, "VC buffer")
+			h := f.handle()
+			pt.live(c, &h, "VC buffer")
 			snapshot.As32(c, &f.seq)
 			snapshot.As64(c, &f.ready)
-			f.last = isTail(f.pkt, f.seq)
+			if c.Decoding() {
+				f.ref = n.refOf(h, f.seq)
+			}
 		}
 		if c.U8(&n.vcState[i]); n.vcState[i] > vcActive {
 			c.Failf("input VC state %d out of range", n.vcState[i])
