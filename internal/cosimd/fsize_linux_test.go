@@ -2,6 +2,8 @@ package cosimd
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -10,6 +12,31 @@ import (
 	"testing"
 	"time"
 )
+
+// fsizeChild marks the child process a file-size test re-runs itself
+// in. The limit is the process's, and under the go command the test
+// binary also writes a test log that must not fall under it.
+const fsizeChild = "REPRO_FSIZE_CHILD"
+
+// inFsizeChild reports whether the calling test is the child; if not,
+// it re-runs test name alone in a child process and reports its
+// verdict.
+func inFsizeChild(t *testing.T, name string) bool {
+	t.Helper()
+	if os.Getenv(fsizeChild) != "" {
+		return true
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^"+name+"$", "-test.count=1", "-test.v")
+	cmd.Env = append(os.Environ(), fsizeChild+"=1")
+	out, err := cmd.CombinedOutput()
+	switch {
+	case err != nil:
+		t.Fatalf("%s in a child process: %v\n%s", name, err, out)
+	case bytes.Contains(out, []byte("--- SKIP")):
+		t.Skipf("%s skipped in its child process:\n%s", name, out)
+	}
+	return false
+}
 
 // lockedLog is a server log shared by the workers.
 type lockedLog struct {
@@ -36,8 +63,11 @@ func (l *lockedLog) String() string {
 // session parked, every session finishes with its direct-run
 // fingerprint, no spill is counted, no temp file is left, and the
 // server's goroutines are gone after Close. The limit is the
-// process's, so the test does not run in parallel.
+// process's, so the test runs alone in a child process.
 func TestSpillOnFullDisk(t *testing.T) {
+	if !inFsizeChild(t, "TestSpillOnFullDisk") {
+		return
+	}
 	const limit = 1 << 10 // a tiny session's checkpoint is several times this
 	var old syscall.Rlimit
 	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {

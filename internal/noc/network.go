@@ -369,8 +369,9 @@ func (n *Network) Inject(p *Packet, at sim.Cycle) {
 		panic(fmt.Sprintf("noc: packet endpoints %d->%d out of range", p.Src, p.Dst))
 	}
 	n.Admit(p, at)
+	h := n.take(p)
 	ni := &n.ifaces[p.Src]
-	ni.enqueue(p, n.take(p), n.pkts)
+	ni.enqueue(p, h, n.pkts)
 	n.niWork[ni.router*n.lp+ni.localPort] = true
 	n.wakeRouter(int32(ni.router), at, n.cycle)
 }
@@ -407,9 +408,7 @@ func (n *Network) Step() {
 		n.stepSharded(n.cycle, n.shardFn)
 	}
 	n.cycle++
-	if sim.Checking {
-		n.checkHandles()
-	}
+	n.checkHandles()
 }
 
 // shardStep runs one shard's cycle: drain its wake schedule and sweep
@@ -562,9 +561,7 @@ func (n *Network) Drain() []*Packet {
 		out = n.ifaces[t].drainInto(n, out, n.cycle)
 	}
 	out = n.Settle(out)
-	if sim.Checking {
-		n.checkHandles()
-	}
+	n.checkHandles()
 	return out
 }
 

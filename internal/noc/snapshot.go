@@ -51,9 +51,9 @@ type packetTable struct {
 	idx  []uint32
 }
 
-// add lists the packet with handle h (0 for none), its hop count
-// written from the column, unless it is listed already.
-func (n *Network) add(pt *packetTable, h uint32) {
+// listPacket lists the packet with handle h (0 for none), its hop
+// count written from the column, unless it is listed already.
+func (n *Network) listPacket(pt *packetTable, h uint32) {
 	if h == 0 || pt.idx[h] != 0 {
 		return
 	}
@@ -175,22 +175,22 @@ func (n *Network) State(c *snapshot.Codec, track func(*Packet)) {
 			ni := &n.ifaces[t]
 			for v := range ni.queues {
 				for _, h := range ni.queues[v][ni.qHead[v]:] {
-					n.add(pt, h)
+					n.listPacket(pt, h)
 				}
 			}
-			n.add(pt, ni.cur)
+			n.listPacket(pt, ni.cur)
 			for _, h := range ni.deliveries[ni.dHead:] {
-				n.add(pt, h)
+				n.listPacket(pt, h)
 			}
 		}
 		for i := range n.vcCount {
 			for k := 0; k < int(n.vcCount[i]); k++ {
-				n.add(pt, n.fifoAt(i, k).handle())
+				n.listPacket(pt, n.fifoAt(i, k).handle())
 			}
 		}
 		for rp := range n.peer {
 			for j := 0; j <= n.cfg.LinkLatency; j++ {
-				n.add(pt, n.linkFlits[rp*n.flitRing+n.wireSlot(j)].ref&^tailBit)
+				n.listPacket(pt, n.linkFlits[rp*n.flitRing+n.wireSlot(j)].ref&^tailBit)
 			}
 		}
 	}
